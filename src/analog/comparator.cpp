@@ -2,11 +2,10 @@
 
 namespace fxg::analog {
 
-Comparator::Comparator(const ComparatorConfig& config)
-    : config_(config), noise_(config.noise_rms_v, config.noise_seed) {}
+Comparator::Comparator(const ComparatorConfig& config) : config_(config) {}
 
 bool Comparator::step(double v_in) {
-    const double v = v_in + noise_.sample() - (config_.offset_v + offset_fault_v_);
+    const double v = v_in - (config_.offset_v + offset_fault_v_);
     const double half_hyst = 0.5 * config_.hysteresis_v;
     // Rising threshold above, falling threshold below the nominal level.
     if (state_) {
@@ -23,28 +22,15 @@ void Comparator::step_block(const double* v_in, double sign, int n, std::uint8_t
     const double rise = config_.threshold_v + half_hyst;
     const double offset = config_.offset_v + offset_fault_v_;
     bool state = state_;
-    if (noise_.stddev() == 0.0) {
-        for (int k = 0; k < n; ++k) {
-            // sign is ±1.0, an exact scaling; + 0.0 noise is dropped
-            // (cannot change any threshold comparison).
-            const double v = sign * v_in[k] - offset;
-            if (state) {
-                if (v < fall) state = false;
-            } else {
-                if (v > rise) state = true;
-            }
-            out[k] = state ? 1 : 0;
+    for (int k = 0; k < n; ++k) {
+        // sign is ±1.0, an exact scaling.
+        const double v = sign * v_in[k] - offset;
+        if (state) {
+            if (v < fall) state = false;
+        } else {
+            if (v > rise) state = true;
         }
-    } else {
-        for (int k = 0; k < n; ++k) {
-            const double v = sign * v_in[k] + noise_.sample() - offset;
-            if (state) {
-                if (v < fall) state = false;
-            } else {
-                if (v > rise) state = true;
-            }
-            out[k] = state ? 1 : 0;
-        }
+        out[k] = state ? 1 : 0;
     }
     state_ = state;
 }

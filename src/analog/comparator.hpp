@@ -1,12 +1,10 @@
 #pragma once
 
 /// \file comparator.hpp
-/// Latching comparator with offset, hysteresis and input-referred noise —
-/// the building block of the pulse-position detector's edge sensing.
+/// Latching comparator with offset and hysteresis — the building block
+/// of the pulse-position detector's edge sensing.
 
 #include <cstdint>
-
-#include "analog/noise.hpp"
 
 namespace fxg::analog {
 
@@ -15,12 +13,10 @@ struct ComparatorConfig {
     double threshold_v = 0.0;   ///< nominal switching level
     double offset_v = 0.0;      ///< static input offset error
     double hysteresis_v = 0.0;  ///< total hysteresis width (centred on threshold)
-    double noise_rms_v = 0.0;   ///< input-referred RMS noise
-    std::uint64_t noise_seed = 7;
 };
 
-/// Two-state comparator: output true while input exceeds the (offset,
-/// hysteresis and noise adjusted) threshold.
+/// Two-state comparator: output true while input exceeds the (offset
+/// and hysteresis adjusted) threshold.
 class Comparator {
 public:
     explicit Comparator(const ComparatorConfig& config = {});
@@ -48,18 +44,12 @@ public:
     /// Direct latch access for the lane engine's gather/scatter seam.
     void set_output(bool state) noexcept { state_ = state; }
 
-    /// The private input-noise source (snapshot seam: its RNG position
-    /// is part of the comparator's evolving state).
-    [[nodiscard]] NoiseSource& noise_source() noexcept { return noise_; }
-    [[nodiscard]] const NoiseSource& noise_source() const noexcept { return noise_; }
-
     void reset() noexcept { state_ = false; }
 
     [[nodiscard]] const ComparatorConfig& config() const noexcept { return config_; }
 
 private:
     ComparatorConfig config_;
-    NoiseSource noise_;
     double offset_fault_v_ = 0.0;
     bool state_ = false;
 };

@@ -4,21 +4,19 @@ namespace fxg::analog {
 
 namespace {
 
-ComparatorConfig make_comparator(const DetectorConfig& d, std::uint64_t seed_offset) {
+ComparatorConfig make_comparator(const DetectorConfig& d) {
     ComparatorConfig c;
     c.threshold_v = d.threshold_v;
     c.offset_v = d.comparator_offset_v;
     c.hysteresis_v = d.comparator_hysteresis_v;
-    c.noise_rms_v = d.noise_rms_v;
-    c.noise_seed = d.noise_seed + seed_offset;
     return c;
 }
 
 }  // namespace
 
 PulsePositionDetector::PulsePositionDetector(const DetectorConfig& config)
-    : config_(config), positive_(make_comparator(config, 0)),
-      negative_(make_comparator(config, 1)) {}
+    : config_(config), positive_(make_comparator(config)),
+      negative_(make_comparator(config)) {}
 
 bool PulsePositionDetector::step(double v_pickup) {
     const bool pos = positive_.step(v_pickup);

@@ -21,8 +21,6 @@ struct DetectorConfig {
     double threshold_v = 20.0e-3;  ///< |v| level that counts as a pulse
     double comparator_offset_v = 0.0;
     double comparator_hysteresis_v = 2.0e-3;
-    double noise_rms_v = 0.0;
-    std::uint64_t noise_seed = 11;
 };
 
 /// Stateful pulse-position detector.
@@ -35,8 +33,7 @@ public:
 
     /// Processes `n` pickup samples, writing the digital output (0/1)
     /// into `out`. Bit-identical to n step() calls: each comparator runs
-    /// the whole block (its private noise stream advances in the same
-    /// order), then the set/clear edge logic is replayed.
+    /// the whole block, then the set/clear edge logic is replayed.
     void step_block(const double* v_pickup, int n, std::uint8_t* out);
 
     [[nodiscard]] bool output() const noexcept { return out_; }
@@ -49,9 +46,7 @@ public:
     }
 
     /// Evolving latch state (both comparators plus the edge logic), for
-    /// the lane engine's gather/scatter seam. Only meaningful for a
-    /// noise-free detector — the lane engine refuses noisy detectors,
-    /// whose comparators hold private RNG streams this cannot carry.
+    /// the lane engine's gather/scatter seam and the snapshot codec.
     struct State {
         bool positive = false;
         bool negative = false;
@@ -69,15 +64,6 @@ public:
         prev_pos_ = s.prev_pos;
         prev_neg_ = s.prev_neg;
         out_ = s.out;
-    }
-
-    /// Per-polarity comparator access (snapshot seam: a suspended
-    /// detector's comparator noise streams serialize through it).
-    [[nodiscard]] Comparator& comparator(bool positive) noexcept {
-        return positive ? positive_ : negative_;
-    }
-    [[nodiscard]] const Comparator& comparator(bool positive) const noexcept {
-        return positive ? positive_ : negative_;
     }
 
     void reset();

@@ -18,9 +18,6 @@ public:
     /// One noise sample.
     double sample() { return stddev_ == 0.0 ? 0.0 : rng_.gaussian(0.0, stddev_); }
 
-    [[nodiscard]] double stddev() const noexcept { return stddev_; }
-    void set_stddev(double s) noexcept { stddev_ = s; }
-
     /// The private RNG stream (snapshot seam: suspending a pipeline has
     /// to carry every noise stream's exact position).
     [[nodiscard]] util::Rng& rng() noexcept { return rng_; }

@@ -108,6 +108,108 @@ MeasurementPlan truncate_to_axis(const MeasurementPlan& plan,
     return out;
 }
 
+namespace {
+
+// Per-member plan actions. PlanRun and the lane batch of
+// PlanExecutor::run_lanes both call these, so the two paths compute
+// every member's measurement with the same expressions.
+
+/// Entry actions of a fresh measurement: a fresh observation window
+/// (the front-end stream statistics used by the fault subsystem's
+/// health checks and the telemetry probes describe exactly this plan
+/// execution) and the range check. The pulse-position method needs
+/// cleanly separated pulses, i.e. the core must pass well beyond its
+/// knee in both directions on each axis: |H_ext| + margin * Hk < Ha.
+void open_measurement(Compass& c, Measurement& m) {
+    c.front_end().reset_window();
+    const CompassConfig& cfg = c.config();
+    const double ha = cfg.front_end.oscillator.amplitude_a *
+                      cfg.front_end.sensor.field_per_amp();
+    const double hk = cfg.front_end.sensor.hk_a_per_m;
+    for (const auto ch : {analog::Channel::X, analog::Channel::Y}) {
+        const double h = c.front_end().sensor(ch).external_field();
+        if (std::fabs(h) + cfg.saturation_margin * hk >= ha) {
+            m.field_in_range = false;
+        }
+    }
+}
+
+/// Calibrates one channel's raw count into `m` (hard-iron offset;
+/// soft-iron rescale of y into the circular domain the arctan assumes,
+/// rounded back to the integer counts the hardware would carry).
+void calibrate_count(const Compass& c, analog::Channel channel, std::int64_t count,
+                     Measurement& m) {
+    const CountCalibration& cal = c.calibration();
+    if (channel == analog::Channel::X) {
+        m.count_x = count - cal.offset_x;
+        return;
+    }
+    m.count_y = count - cal.offset_y;
+    // Temperature compensation rides on the soft-iron gain: with it
+    // disabled `scale` is exactly scale_y, so the historic count path is
+    // bit-identical.
+    double scale = cal.scale_y;
+    if (cal.temp.enabled()) {
+        scale *= cal.temp.gain_at(c.front_end().ambient_temp_c());
+    }
+    if (scale != 1.0) {
+        m.count_y = static_cast<std::int64_t>(
+            std::llround(static_cast<double>(m.count_y) * scale));
+    }
+}
+
+/// CORDIC heading, its floating-point reference and the display update.
+/// `detail` (nullable) receives the CORDIC trace.
+void update_heading(Compass& c, Measurement& m, digital::CordicResult* detail) {
+    m.heading_deg = c.cordic().heading_deg(m.count_x, m.count_y, detail);
+    m.heading_float_deg = magnetics::EarthField::heading_from_components(
+        static_cast<double>(m.count_x), static_cast<double>(m.count_y));
+    c.display().show_direction(m.heading_deg);
+}
+
+/// Close-out: average power, watch tick and — when `sink` is set and the
+/// plan produced a heading — one MeasurementSample. A truncated plan
+/// has no heading and only one live channel, so its probes would be
+/// garbage.
+void close_measurement(Compass& c, Measurement& m, telemetry::TelemetrySink* sink,
+                       std::int64_t raw_x, std::int64_t raw_y,
+                       const digital::CordicResult& cordic, bool ran_cordic,
+                       telemetry::Clock::time_point wall_start) {
+    m.avg_power_w = m.duration_s > 0.0 ? m.energy_j / m.duration_s : 0.0;
+    c.watch().tick(static_cast<std::uint64_t>(
+        std::llround(m.duration_s * c.config().counter_clock_hz)));
+    if (sink == nullptr || !ran_cordic) return;
+    const analog::StreamStatsSnapshot stats = c.front_end().snapshot();
+    const analog::StreamStats& sx = stats[analog::Channel::X];
+    const analog::StreamStats& sy = stats[analog::Channel::Y];
+    telemetry::MeasurementSample s;
+    s.member = c.telemetry_member();
+    s.raw_count_x = raw_x;
+    s.raw_count_y = raw_y;
+    s.count_x = m.count_x;
+    s.count_y = m.count_y;
+    s.duty_x = sx.duty();
+    s.duty_y = sy.duty();
+    s.pulse_shift_x = sx.pulse_shift();
+    s.pulse_shift_y = sy.pulse_shift();
+    s.valid_fraction_x = sx.valid_fraction();
+    s.valid_fraction_y = sy.valid_fraction();
+    s.edges_x = sx.edges;
+    s.edges_y = sy.edges;
+    s.cordic_rotations = cordic.rotations;
+    s.cordic_residual_deg =
+        util::angular_abs_diff_deg(m.heading_deg, m.heading_float_deg);
+    s.heading_deg = m.heading_deg;
+    s.duration_s = m.duration_s;
+    s.latency_s =
+        std::chrono::duration<double>(telemetry::Clock::now() - wall_start).count();
+    s.energy_j = m.energy_j;
+    s.field_in_range = m.field_in_range;
+    sink->on_sample(s);
+}
+
+}  // namespace
+
 PlanRun::PlanRun(Compass& compass, const MeasurementPlan& plan)
     : compass_(compass),
       plan_(plan),
@@ -118,27 +220,7 @@ PlanRun::PlanRun(Compass& compass, const MeasurementPlan& plan)
       wall_start_(traced_ ? telemetry::Clock::now()
                           : telemetry::Clock::time_point{}) {
     root_.emplace(sink_, "measure");
-
-    Compass& c = compass_;
-    const CompassConfig& cfg = c.config_;
-
-    // Fresh observation window: the front-end stream statistics (used by
-    // the fault subsystem's health checks and the telemetry probes)
-    // describe exactly this plan execution.
-    c.front_end_.reset_window();
-
-    // Range check: the pulse-position method needs cleanly separated
-    // pulses, i.e. the core must pass well beyond its knee in both
-    // directions on each axis: |H_ext| + margin * Hk < Ha.
-    const double ha = cfg.front_end.oscillator.amplitude_a *
-                      cfg.front_end.sensor.field_per_amp();
-    const double hk = cfg.front_end.sensor.hk_a_per_m;
-    for (const auto ch : {analog::Channel::X, analog::Channel::Y}) {
-        const double h = c.front_end_.sensor(ch).external_field();
-        if (std::fabs(h) + cfg.saturation_margin * hk >= ha) {
-            m_.field_in_range = false;
-        }
-    }
+    open_measurement(compass_, m_);
 }
 
 bool PlanRun::done() const noexcept {
@@ -203,26 +285,7 @@ bool PlanRun::step() {
             m_.duration_s += (pending_settle_steps_ + steps) * plan.dt_s;
             pending_settle_steps_ = 0;
             raw_[ch] = count;
-            // Calibration (hard-iron offset; soft-iron rescale of y
-            // into the circular domain the arctan assumes, rounded
-            // back to the integer counts the hardware would carry).
-            if (stage.channel == analog::Channel::X) {
-                m_.count_x = count - c.calibration_.offset_x;
-            } else {
-                m_.count_y = count - c.calibration_.offset_y;
-                // Temperature compensation rides on the soft-iron gain:
-                // with it disabled `scale` is exactly scale_y, so the
-                // historic count path is bit-identical.
-                double scale = c.calibration_.scale_y;
-                if (c.calibration_.temp.enabled()) {
-                    scale *= c.calibration_.temp.gain_at(
-                        c.front_end_.ambient_temp_c());
-                }
-                if (scale != 1.0) {
-                    m_.count_y = static_cast<std::int64_t>(std::llround(
-                        static_cast<double>(m_.count_y) * scale));
-                }
-            }
+            calibrate_count(c, stage.channel, count, m_);
             if (axis_) {
                 axis_->set_value(count);
                 axis_.reset();
@@ -235,14 +298,8 @@ bool PlanRun::step() {
             break;
         case StageKind::Cordic: {
             telemetry::Span cordic_span(sink_, "cordic");
-            m_.heading_deg = c.cordic_.heading_deg(
-                m_.count_x, m_.count_y, traced_ ? &cordic_detail_ : nullptr);
+            update_heading(c, m_, traced_ ? &cordic_detail_ : nullptr);
             cordic_span.set_value(cordic_detail_.rotations);
-            m_.heading_float_deg =
-                magnetics::EarthField::heading_from_components(
-                    static_cast<double>(m_.count_x),
-                    static_cast<double>(m_.count_y));
-            c.display_.show_direction(m_.heading_deg);
             ran_cordic_ = true;
             break;
         }
@@ -252,46 +309,8 @@ bool PlanRun::step() {
 }
 
 Measurement PlanRun::finish() {
-    Compass& c = compass_;
-    const CompassConfig& cfg = c.config_;
-
-    m_.avg_power_w = m_.duration_s > 0.0 ? m_.energy_j / m_.duration_s : 0.0;
-    c.watch_.tick(static_cast<std::uint64_t>(
-        std::llround(m_.duration_s * cfg.counter_clock_hz)));
-
-    // One MeasurementSample per completed (heading-producing) plan; a
-    // truncated plan has no heading and only one live channel, so its
-    // probes would be garbage.
-    if (traced_ && ran_cordic_) {
-        const analog::StreamStatsSnapshot stats = c.front_end_.snapshot();
-        const analog::StreamStats& sx = stats[analog::Channel::X];
-        const analog::StreamStats& sy = stats[analog::Channel::Y];
-        telemetry::MeasurementSample s;
-        s.member = c.telemetry_member_;
-        s.raw_count_x = raw_[0];
-        s.raw_count_y = raw_[1];
-        s.count_x = m_.count_x;
-        s.count_y = m_.count_y;
-        s.duty_x = sx.duty();
-        s.duty_y = sy.duty();
-        s.pulse_shift_x = sx.pulse_shift();
-        s.pulse_shift_y = sy.pulse_shift();
-        s.valid_fraction_x = sx.valid_fraction();
-        s.valid_fraction_y = sy.valid_fraction();
-        s.edges_x = sx.edges;
-        s.edges_y = sy.edges;
-        s.cordic_rotations = cordic_detail_.rotations;
-        s.cordic_residual_deg =
-            util::angular_abs_diff_deg(m_.heading_deg, m_.heading_float_deg);
-        s.heading_deg = m_.heading_deg;
-        s.duration_s = m_.duration_s;
-        s.latency_s =
-            std::chrono::duration<double>(telemetry::Clock::now() - wall_start_)
-                .count();
-        s.energy_j = m_.energy_j;
-        s.field_in_range = m_.field_in_range;
-        sink_->on_sample(s);
-    }
+    close_measurement(compass_, m_, sink_, raw_[0], raw_[1], cordic_detail_,
+                      ran_cordic_, wall_start_);
     root_.reset();
     return m_;
 }
@@ -387,19 +406,7 @@ void PlanExecutor::run_lanes(const MeasurementPlan& plan,
     std::vector<digital::CordicResult> details(static_cast<std::size_t>(n));
 
     for (int i = 0; i < n; ++i) {
-        Compass& c = *lanes[i];
-        c.front_end_.reset_window();
-        const CompassConfig& cfg = c.config_;
-        const double ha = cfg.front_end.oscillator.amplitude_a *
-                          cfg.front_end.sensor.field_per_amp();
-        const double hk = cfg.front_end.sensor.hk_a_per_m;
-        for (const auto ch : {analog::Channel::X, analog::Channel::Y}) {
-            const double h = c.front_end_.sensor(ch).external_field();
-            if (std::fabs(h) + cfg.saturation_margin * hk >= ha) {
-                outcomes[static_cast<std::size_t>(i)].measurement.field_in_range =
-                    false;
-            }
-        }
+        open_measurement(*lanes[i], outcomes[static_cast<std::size_t>(i)].measurement);
     }
 
     sim::LaneEngine engine;
@@ -503,23 +510,7 @@ void PlanExecutor::run_lanes(const MeasurementPlan& plan,
                         m.duration_s += (pending_settle_steps + steps) * plan.dt_s;
                         (stage.channel == analog::Channel::X ? raw_x : raw_y)[
                             static_cast<std::size_t>(i)] = count;
-                        if (stage.channel == analog::Channel::X) {
-                            m.count_x = count - c.calibration_.offset_x;
-                        } else {
-                            m.count_y = count - c.calibration_.offset_y;
-                            // Identical expression to PlanRun::step — the
-                            // lane batch must calibrate bit-for-bit like
-                            // the per-member path.
-                            double scale = c.calibration_.scale_y;
-                            if (c.calibration_.temp.enabled()) {
-                                scale *= c.calibration_.temp.gain_at(
-                                    c.front_end_.ambient_temp_c());
-                            }
-                            if (scale != 1.0) {
-                                m.count_y = static_cast<std::int64_t>(std::llround(
-                                    static_cast<double>(m.count_y) * scale));
-                            }
-                        }
+                        calibrate_count(c, stage.channel, count, m);
                         if (axis && !axis_value_set) {
                             axis->set_value(count);
                             axis_value_set = true;
@@ -546,20 +537,14 @@ void PlanExecutor::run_lanes(const MeasurementPlan& plan,
                     Compass& c = *lanes[i];
                     Measurement& m = outcomes[static_cast<std::size_t>(i)].measurement;
                     const bool traced_lane = c.telemetry_ != nullptr;
-                    m.heading_deg = c.cordic_.heading_deg(
-                        m.count_x, m.count_y,
-                        traced_lane ? &details[static_cast<std::size_t>(i)]
-                                    : nullptr);
+                    update_heading(c, m,
+                                   traced_lane ? &details[static_cast<std::size_t>(i)]
+                                               : nullptr);
                     if (!span_value_set) {
                         cordic_span.set_value(
                             details[static_cast<std::size_t>(i)].rotations);
                         span_value_set = true;
                     }
-                    m.heading_float_deg =
-                        magnetics::EarthField::heading_from_components(
-                            static_cast<double>(m.count_x),
-                            static_cast<double>(m.count_y));
-                    c.display_.show_direction(m.heading_deg);
                 }
                 ran_cordic = true;
                 break;
@@ -568,42 +553,10 @@ void PlanExecutor::run_lanes(const MeasurementPlan& plan,
     }
 
     for (int i = 0; i < n; ++i) {
-        if (!active[static_cast<std::size_t>(i)]) continue;
-        Compass& c = *lanes[i];
-        Measurement& m = outcomes[static_cast<std::size_t>(i)].measurement;
-        m.avg_power_w = m.duration_s > 0.0 ? m.energy_j / m.duration_s : 0.0;
-        c.watch_.tick(static_cast<std::uint64_t>(
-            std::llround(m.duration_s * c.config_.counter_clock_hz)));
-        if (c.telemetry_ != nullptr && ran_cordic) {
-            const analog::StreamStatsSnapshot stats = c.front_end_.snapshot();
-            const analog::StreamStats& sx = stats[analog::Channel::X];
-            const analog::StreamStats& sy = stats[analog::Channel::Y];
-            telemetry::MeasurementSample s;
-            s.member = c.telemetry_member_;
-            s.raw_count_x = raw_x[static_cast<std::size_t>(i)];
-            s.raw_count_y = raw_y[static_cast<std::size_t>(i)];
-            s.count_x = m.count_x;
-            s.count_y = m.count_y;
-            s.duty_x = sx.duty();
-            s.duty_y = sy.duty();
-            s.pulse_shift_x = sx.pulse_shift();
-            s.pulse_shift_y = sy.pulse_shift();
-            s.valid_fraction_x = sx.valid_fraction();
-            s.valid_fraction_y = sy.valid_fraction();
-            s.edges_x = sx.edges;
-            s.edges_y = sy.edges;
-            s.cordic_rotations = details[static_cast<std::size_t>(i)].rotations;
-            s.cordic_residual_deg =
-                util::angular_abs_diff_deg(m.heading_deg, m.heading_float_deg);
-            s.heading_deg = m.heading_deg;
-            s.duration_s = m.duration_s;
-            s.latency_s = std::chrono::duration<double>(telemetry::Clock::now() -
-                                                        wall_start)
-                              .count();
-            s.energy_j = m.energy_j;
-            s.field_in_range = m.field_in_range;
-            c.telemetry_->on_sample(s);
-        }
+        const auto li = static_cast<std::size_t>(i);
+        if (!active[li]) continue;
+        close_measurement(*lanes[i], outcomes[li].measurement, lanes[i]->telemetry_,
+                          raw_x[li], raw_y[li], details[li], ran_cordic, wall_start);
     }
 }
 

@@ -529,9 +529,21 @@ void CompassService::batch_loop() {
             // member share its outcome).
             for (const PendingQuery& q : batch) {
                 if (outcome.find(q.member) != outcome.end()) continue;
-                const HeadingReply r = resolve_member(
-                    q.member, results[static_cast<std::size_t>(q.member)]);
-                switch (r.status) {
+                const auto slot = static_cast<std::size_t>(q.member);
+                outcome.emplace(q.member, resolve_member(q.member, results[slot]));
+            }
+        }
+
+        // Stamp per-query identity and hand the replies to the io loop.
+        // Every query gets its own reply, so the reply counters count
+        // here, not per resolved member.
+        const Clock::time_point done = Clock::now();
+        {
+            const std::lock_guard<std::mutex> lock(ready_mutex_);
+            for (const PendingQuery& q : batch) {
+                HeadingReply reply = outcome.at(q.member);
+                reply.request_id = q.request_id;
+                switch (reply.status) {
                     case ReplyStatus::Ok:
                         replies_ok_.fetch_add(1, std::memory_order_relaxed);
                         break;
@@ -545,17 +557,6 @@ void CompassService::batch_loop() {
                         replies_error_.fetch_add(1, std::memory_order_relaxed);
                         break;
                 }
-                outcome.emplace(q.member, r);
-            }
-        }
-
-        // Stamp per-query identity and hand the replies to the io loop.
-        const Clock::time_point done = Clock::now();
-        {
-            const std::lock_guard<std::mutex> lock(ready_mutex_);
-            for (const PendingQuery& q : batch) {
-                HeadingReply reply = outcome.at(q.member);
-                reply.request_id = q.request_id;
                 latency_hist_->observe(
                     std::chrono::duration<double>(done - q.admitted).count());
                 ready_.emplace_back(q.conn_id, std::move(reply));

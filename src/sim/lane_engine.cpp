@@ -29,14 +29,10 @@ inline bool bit_of(unsigned bits, int lane) { return ((bits >> lane) & 1u) != 0;
 }  // namespace
 
 bool LaneEngine::eligible(const analog::FrontEnd& front_end) noexcept {
-    const analog::FrontEndConfig& c = front_end.config();
     // Simultaneous mode duplicates the whole chain (two oscillators,
     // per-sample interleaved noise draws) — per-member engines handle
-    // it. A noisy detector holds two private RNG streams per channel
-    // inside the comparators, which the State seam deliberately cannot
-    // carry.
-    return c.mode == analog::FrontEndMode::Multiplexed &&
-           c.detector.noise_rms_v == 0.0;
+    // it.
+    return front_end.config().mode == analog::FrontEndMode::Multiplexed;
 }
 
 int LaneEngine::lanes_per_stripe() noexcept { return v::kLanes; }

@@ -70,12 +70,10 @@ public:
     LaneEngine() = default;
 
     /// True when `front_end`'s configuration can run in a SIMD lane:
-    /// the paper's multiplexed architecture with a noise-free detector
-    /// (comparator noise would need per-comparator RNG streams inside
-    /// the vector kernel). Pickup noise, parametric/stream faults, an
-    /// engaged counter hardware model and non-tanh cores are all
-    /// lane-compatible. Enabled/gating state is a precondition of
-    /// advance(), not of eligibility.
+    /// the paper's multiplexed architecture. Pickup noise,
+    /// parametric/stream faults, an engaged counter hardware model and
+    /// non-tanh cores are all lane-compatible. Enabled/gating state is a
+    /// precondition of advance(), not of eligibility.
     [[nodiscard]] static bool eligible(const analog::FrontEnd& front_end) noexcept;
 
     /// Lanes advanced per vector instruction (the active simd width).

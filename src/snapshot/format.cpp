@@ -246,10 +246,11 @@ std::string SnapshotReader::get_string() {
     return s;
 }
 
-void SnapshotReader::get_bytes(std::uint8_t* out, std::size_t n) {
+std::vector<std::uint8_t> SnapshotReader::get_bytes(std::size_t n) {
     require(n, "byte block");
-    std::memcpy(out, bytes_.data() + cursor_, n);
+    const std::uint8_t* first = bytes_.data() + cursor_;
     cursor_ += n;
+    return {first, first + n};
 }
 
 }  // namespace fxg::snapshot

@@ -116,7 +116,7 @@ public:
     double get_f64();
     bool get_bool();
     std::string get_string();
-    void get_bytes(std::uint8_t* out, std::size_t n);
+    std::vector<std::uint8_t> get_bytes(std::size_t n);
 
 private:
     /// End offset of the innermost open section (or the content area).

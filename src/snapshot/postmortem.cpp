@@ -80,7 +80,6 @@ PostmortemBundle decode_postmortem(std::span<const std::uint8_t> bytes) {
     if (stored_history != history_count) {
         throw SnapshotError("postmortem: META/PROM history count mismatch");
     }
-    bundle.metric_history.reserve(stored_history);
     for (std::uint64_t i = 0; i < stored_history; ++i) {
         bundle.metric_history.push_back(r.get_string());
     }
@@ -91,10 +90,7 @@ PostmortemBundle decode_postmortem(std::span<const std::uint8_t> bytes) {
     if (stored_size != snapshot_size) {
         throw SnapshotError("postmortem: META/SNAP size mismatch");
     }
-    bundle.snapshot.resize(stored_size);
-    if (stored_size > 0) {
-        r.get_bytes(bundle.snapshot.data(), bundle.snapshot.size());
-    }
+    bundle.snapshot = r.get_bytes(static_cast<std::size_t>(stored_size));
     r.leave_section();
 
     r.leave_section();

@@ -85,8 +85,6 @@ std::uint64_t config_fingerprint(const compass::CompassConfig& config) {
     fp.f64(fe.detector.threshold_v);
     fp.f64(fe.detector.comparator_offset_v);
     fp.f64(fe.detector.comparator_hysteresis_v);
-    fp.f64(fe.detector.noise_rms_v);
-    fp.u64(fe.detector.noise_seed);
     fp.str(fe.sensor.label);
     fp.f64(fe.sensor.n_excitation);
     fp.f64(fe.sensor.n_pickup);
@@ -226,10 +224,6 @@ struct CompassState {
     struct DetectorState {
         analog::PulsePositionDetector::State state;
         double offset_fault_v = 0.0;
-        std::string rng_pos_text;
-        std::string rng_neg_text;
-        std::mt19937_64 rng_pos;
-        std::mt19937_64 rng_neg;
     };
     std::array<DetectorState, 2> detectors;
 
@@ -309,8 +303,6 @@ void save_front_end(SnapshotWriter& w, analog::FrontEnd& fe) {
         w.put_bool(st.prev_neg);
         w.put_bool(st.out);
         w.put_f64(d.comparator_offset_fault());
-        w.put_string(rng_state_text(d.comparator(true).noise_source().rng().engine()));
-        w.put_string(rng_state_text(d.comparator(false).noise_source().rng().engine()));
     }
     w.end_section();
 }
@@ -353,9 +345,10 @@ void parse_front_end(SnapshotReader& r, CompassState& st) {
         s.state.lambda_exc_prev = r.get_f64();
         s.state.first_step = r.get_bool();
         s.h_ext = r.get_f64();
+        // No reserve(n): n comes from the file, and the bounds-checked
+        // reads must be what rejects a hostile count.
         const std::uint64_t n = r.get_u64();
         s.core.clear();
-        s.core.reserve(static_cast<std::size_t>(n));
         for (std::uint64_t i = 0; i < n; ++i) s.core.push_back(r.get_f64());
     }
 
@@ -366,8 +359,6 @@ void parse_front_end(SnapshotReader& r, CompassState& st) {
         d.state.prev_neg = r.get_bool();
         d.state.out = r.get_bool();
         d.offset_fault_v = r.get_f64();
-        d.rng_pos_text = r.get_string();
-        d.rng_neg_text = r.get_string();
     }
     r.leave_section();
 }
@@ -474,10 +465,6 @@ void validate_compass_state(CompassState& st, compass::Compass& target,
     }
 
     st.pickup_rng = rng_state_from_text(st.pickup_rng_text);
-    for (CompassState::DetectorState& d : st.detectors) {
-        d.rng_pos = rng_state_from_text(d.rng_pos_text);
-        d.rng_neg = rng_state_from_text(d.rng_neg_text);
-    }
 
     analog::FrontEnd& fe = target.front_end();
     for (int ch = 0; ch < 2; ++ch) {
@@ -554,8 +541,6 @@ void apply_compass_state(CompassState& st, compass::Compass& target,
         analog::PulsePositionDetector& d = fe.detector(channel);
         d.load_state(dsrc.state);
         d.set_comparator_offset_fault(dsrc.offset_fault_v);
-        d.comparator(true).noise_source().rng().engine() = dsrc.rng_pos;
-        d.comparator(false).noise_source().rng().engine() = dsrc.rng_neg;
     }
 
     target.counter().set_hardware(st.counter_hw);  // geometry pre-validated
@@ -903,8 +888,7 @@ void restore_metrics(std::span<const std::uint8_t> bytes,
     SnapshotReader r(bytes);
     r.enter_section(tags::kMetrics);
     const std::uint64_t n = r.get_u64();
-    std::vector<MetricState> staged;
-    staged.reserve(static_cast<std::size_t>(n));
+    std::vector<MetricState> staged;  // no reserve: n comes from the file
     for (std::uint64_t i = 0; i < n; ++i) {
         MetricState m;
         const std::uint8_t kind = r.get_u8();

@@ -17,8 +17,8 @@
 /// What a compass snapshot carries (DESIGN.md §13): the front end's
 /// complete analogue state (oscillators with their engaged faults,
 /// sensors with their core-model state and external fields, detector
-/// latches and comparator noise-RNG streams, mux position and stuck
-/// fault, pickup-noise stream and filter state, stream-window
+/// latches, mux position and stuck fault, pickup-noise stream and
+/// filter state, stream-window
 /// statistics), the up/down counter's registers including the sticky
 /// overflow and trap-pending flags, calibration, display, watch, and —
 /// optionally — an armed FaultInjector's sequential stream state and a

@@ -125,18 +125,13 @@ TEST(LaneEngine, Eligibility) {
     compass::Compass clean(lite_config());
     EXPECT_TRUE(sim::LaneEngine::eligible(clean.front_end()));
 
-    compass::CompassConfig noisy_det = lite_config();
-    noisy_det.front_end.detector.noise_rms_v = 100e-6;
-    compass::Compass nd(noisy_det);
-    EXPECT_FALSE(sim::LaneEngine::eligible(nd.front_end()));
-
     compass::CompassConfig simultaneous = lite_config();
     simultaneous.front_end.mode = analog::FrontEndMode::Simultaneous;
     compass::Compass sim_mode(simultaneous);
     EXPECT_FALSE(sim::LaneEngine::eligible(sim_mode.front_end()));
 
     // Pickup noise is lane-compatible (per-lane draws from the member's
-    // own RNG stream), unlike comparator noise.
+    // own RNG stream).
     compass::CompassConfig noisy_pickup = lite_config();
     noisy_pickup.front_end.pickup_noise_rms_v = 50e-6;
     compass::Compass np(noisy_pickup);
@@ -316,12 +311,12 @@ TEST(LaneEngine, TrapEvictsOneLaneWithoutPerturbingNeighbours) {
     }
 }
 
-// An ineligible lane (noisy detector) or a ReExcite plan sends the
-// whole batch down the per-member fallback with the same outcomes.
+// An ineligible lane (simultaneous front end) or a ReExcite plan sends
+// the whole batch down the per-member fallback with the same outcomes.
 TEST(LaneEngine, IneligibleBatchFallsBackPerMember) {
-    compass::CompassConfig noisy = lite_config();
-    noisy.front_end.detector.noise_rms_v = 100e-6;
-    std::vector<compass::CompassConfig> configs = {lite_config(), noisy,
+    compass::CompassConfig simultaneous = lite_config();
+    simultaneous.front_end.mode = analog::FrontEndMode::Simultaneous;
+    std::vector<compass::CompassConfig> configs = {lite_config(), simultaneous,
                                                    lite_config()};
     std::vector<double> headings = {10.0, 130.0, 250.0};
     // three_way_check exercises run_lanes, which must fall back

@@ -130,6 +130,39 @@ TEST(PostmortemTest, CorruptionFailsClosed) {
                  snapshot::SnapshotError);
 }
 
+// Counts read from the file never size an allocation: a bundle whose
+// history count or snapshot size claims far more than the file holds
+// fails closed like any other corruption.
+TEST(PostmortemTest, HostileCountsFailClosed) {
+    constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+    for (const bool hostile_history : {true, false}) {
+        const std::uint64_t history = hostile_history ? kHuge : 0;
+        const std::uint64_t snapshot_size = hostile_history ? 0 : kHuge;
+        snapshot::SnapshotWriter w;
+        w.begin_section(snapshot::section_tag('P', 'M', 'R', 'T'));
+        w.begin_section(snapshot::section_tag('M', 'E', 'T', 'A'));
+        w.put_string("hostile");
+        w.put_u64(0);
+        w.put_u64(history);
+        w.put_u64(snapshot_size);
+        w.end_section();
+        w.begin_section(snapshot::section_tag('T', 'R', 'C', 'E'));
+        w.put_string("");
+        w.end_section();
+        w.begin_section(snapshot::section_tag('P', 'R', 'O', 'M'));
+        w.put_string("");
+        w.put_u64(history);
+        w.end_section();
+        w.begin_section(snapshot::section_tag('S', 'N', 'A', 'P'));
+        w.put_u64(snapshot_size);
+        w.end_section();
+        w.end_section();
+        EXPECT_THROW(static_cast<void>(snapshot::decode_postmortem(w.finish())),
+                     snapshot::SnapshotError)
+            << (hostile_history ? "history count" : "snapshot size");
+    }
+}
+
 TEST(PostmortemTest, FileWriteIsAtomicAndReadable) {
     const ScratchDir dir("fxg_postmortem_file_test");
     const std::string path = (dir.path / "bundle.fxgpm").string();

@@ -244,6 +244,7 @@ TEST(ServiceTest, PipelinedQueriesCoalesceIntoFewerBatches) {
     // than queries ran (worst case: one mid-burst swap).
     const service::ServiceStats stats = daemon.stats();
     EXPECT_EQ(stats.requests, kQueries);
+    EXPECT_EQ(stats.replies_ok, kQueries);
     EXPECT_LT(stats.batches, static_cast<std::uint64_t>(kQueries));
     daemon.stop();
 }

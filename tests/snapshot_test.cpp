@@ -60,6 +60,40 @@ void refix_file_crc(std::vector<std::uint8_t>& bytes) {
     }
 }
 
+std::uint64_t read_u64le(const std::vector<std::uint8_t>& bytes, std::size_t at) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) {
+        v |= static_cast<std::uint64_t>(bytes.at(at + static_cast<std::size_t>(i)))
+             << (8 * i);
+    }
+    return v;
+}
+
+void write_u64le(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+        bytes.at(at + static_cast<std::size_t>(i)) = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+}
+
+// Container geometry (DESIGN.md section 13): magic + version, then
+// sections of tag u32, payload_len u64, payload_crc u32, payload.
+constexpr std::size_t kFileHeaderBytes = 12;
+constexpr std::size_t kSectionHeaderBytes = 16;
+
+/// Re-seals the payload CRC of the section whose header starts at
+/// `header`, then the file CRC, so an edited field inside it reaches
+/// the decoder behind both checks.
+void reseal_section(std::vector<std::uint8_t>& bytes, std::size_t header) {
+    const auto len = static_cast<std::size_t>(read_u64le(bytes, header + 4));
+    const std::uint32_t crc =
+        snapshot::crc32(bytes.data() + header + kSectionHeaderBytes, len);
+    for (int i = 0; i < 4; ++i) {
+        bytes[header + 12 + static_cast<std::size_t>(i)] =
+            static_cast<std::uint8_t>(crc >> (8 * i));
+    }
+    refix_file_crc(bytes);
+}
+
 void expect_equal_measurements(const compass::Measurement& a,
                                const compass::Measurement& b) {
     EXPECT_EQ(a.count_x, b.count_x);
@@ -127,16 +161,21 @@ TEST(SnapshotFormat, RejectsBadMagic) {
 }
 
 TEST(SnapshotFormat, RejectsVersionSkew) {
-    snapshot::SnapshotWriter w;
-    std::vector<std::uint8_t> bytes = w.finish();
-    bytes[8] = static_cast<std::uint8_t>(snapshot::kSnapshotFormatVersion + 1);
-    refix_file_crc(bytes);
-    try {
-        snapshot::SnapshotReader r(bytes);
-        FAIL() << "version skew accepted";
-    } catch (const snapshot::SnapshotError& e) {
-        EXPECT_NE(std::string(e.what()).find("version skew"), std::string::npos)
-            << e.what();
+    // A newer file, and the previous version (v1 still carried the
+    // comparator RNG streams in FEND), both fail closed.
+    for (const std::uint32_t version :
+         {snapshot::kSnapshotFormatVersion + 1, snapshot::kSnapshotFormatVersion - 1}) {
+        snapshot::SnapshotWriter w;
+        std::vector<std::uint8_t> bytes = w.finish();
+        bytes[8] = static_cast<std::uint8_t>(version);
+        refix_file_crc(bytes);
+        try {
+            snapshot::SnapshotReader r(bytes);
+            FAIL() << "version " << version << " accepted";
+        } catch (const snapshot::SnapshotError& e) {
+            EXPECT_NE(std::string(e.what()).find("version skew"), std::string::npos)
+                << e.what();
+        }
     }
 }
 
@@ -409,6 +448,46 @@ TEST(CompassSnapshot, EveryByteFlipFailsClosedWithNoPartialRestore) {
         }
     }
     EXPECT_EQ(snapshot::snapshot_compass(target), before);
+}
+
+// An element count read from the file must never size an allocation:
+// with both CRCs re-sealed around a hostile core-state count, only the
+// bounds-checked reads stand between it and a multi-GiB reserve.
+TEST(CompassSnapshot, HostileCoreStateCountFailsClosed) {
+    compass::Compass donor(small_config());
+    donor.set_environment(kField, 123.0);
+    (void)donor.measure();
+    const std::vector<std::uint8_t> snap = snapshot::snapshot_compass(donor);
+
+    compass::Compass target(small_config());
+    target.set_environment(kField, 10.0);
+    (void)target.measure();
+    const std::vector<std::uint8_t> before = snapshot::snapshot_compass(target);
+
+    // Walk FEND (after CFG0's u64 fingerprint) to the x sensor's
+    // core-state count: enabled flag, window stats, edge memory, sample
+    // index, mux, noise filter state, pickup RNG text, two oscillators,
+    // then the sensor's state and external field.
+    constexpr std::size_t kFend = kFileHeaderBytes + kSectionHeaderBytes + 8;
+    constexpr std::size_t kRngText = kFend + kSectionHeaderBytes + 1 + 64 + 2 + 2 +
+                                     8 + 17 + 8;
+    const std::size_t count_at = kRngText + 8 +
+                                 static_cast<std::size_t>(read_u64le(snap, kRngText)) +
+                                 2 * 73 + 57;
+    ASSERT_EQ(read_u64le(snap, kFend) & 0xFFFFFFFFu,
+              snapshot::section_tag('F', 'E', 'N', 'D'));
+    ASSERT_EQ(read_u64le(snap, count_at),
+              donor.front_end().sensor(analog::Channel::X).core().save_state().size());
+
+    for (const std::uint64_t n : {std::uint64_t{1} << 61, std::uint64_t{1} << 40,
+                                  std::uint64_t{1} << 27}) {
+        std::vector<std::uint8_t> hostile = snap;
+        write_u64le(hostile, count_at, n);
+        reseal_section(hostile, kFend);
+        EXPECT_THROW(snapshot::restore_compass(hostile, target), snapshot::SnapshotError)
+            << "core-state count " << n;
+        EXPECT_EQ(snapshot::snapshot_compass(target), before);
+    }
 }
 
 TEST(CompassSnapshot, FaultTapAsymmetryRejected) {
@@ -686,6 +765,22 @@ TEST(MetricsSnapshot, KindConflictRejectedBeforeAnyChange) {
             << e.what();
     }
     EXPECT_EQ(target.gauge("m").value(), 9.0);
+    EXPECT_EQ(target.counter("untouched").value(), 5u);
+}
+
+TEST(MetricsSnapshot, HostileInstrumentCountFailsClosed) {
+    telemetry::MetricsRegistry source;
+    source.counter("m").inc(3);
+    std::vector<std::uint8_t> snap = snapshot::snapshot_metrics(source);
+    // MTRS is the only section; its payload opens with the count.
+    constexpr std::size_t kMtrs = kFileHeaderBytes;
+    ASSERT_EQ(read_u64le(snap, kMtrs + kSectionHeaderBytes), 1u);
+    write_u64le(snap, kMtrs + kSectionHeaderBytes, std::uint64_t{1} << 40);
+    reseal_section(snap, kMtrs);
+
+    telemetry::MetricsRegistry target;
+    target.counter("untouched").inc(5);
+    EXPECT_THROW(snapshot::restore_metrics(snap, target), snapshot::SnapshotError);
     EXPECT_EQ(target.counter("untouched").value(), 5u);
 }
 
