@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -158,24 +159,25 @@ BENCHMARK(BM_CompassMeasureEngine)
 
 // ---- fleet throughput: N compasses per batch, optional thread pool --
 //
-// Fixed fleet of 8 members (distinct headings), swept over worker
-// threads. measurements/s should scale near-linearly with threads up to
-// the core count; threads=1 is the serial baseline.
+// threads x kLaneGroupSize members (distinct headings), so every worker
+// has at least one lane group to run. measurements/s should scale
+// near-linearly with threads up to the core count; threads=1 is the
+// serial baseline.
 
 void BM_FleetMeasure(benchmark::State& state) {
     const int threads = static_cast<int>(state.range(0));
-    constexpr int kFleet = 8;
-    compass::CompassFleet fleet(kFleet);
+    const int fleet_n = threads * compass::CompassFleet::kLaneGroupSize;
+    compass::CompassFleet fleet(fleet_n);
     const magnetics::EarthField field(magnetics::microtesla(48.0), 67.0);
     std::vector<double> headings;
-    for (int i = 0; i < kFleet; ++i) headings.push_back(i * 45.0 + 3.0);
+    for (int i = 0; i < fleet_n; ++i) headings.push_back(i * 360.0 / fleet_n + 3.0);
     fleet.set_environments(field, headings);
     for (auto _ : state) {
         benchmark::DoNotOptimize(fleet.measure_all(threads));
     }
-    state.SetItemsProcessed(state.iterations() * kFleet);
+    state.SetItemsProcessed(state.iterations() * fleet_n);
     state.counters["measurements/s"] = benchmark::Counter(
-        static_cast<double>(state.iterations() * kFleet),
+        static_cast<double>(state.iterations() * fleet_n),
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FleetMeasure)
@@ -225,6 +227,34 @@ double fleet_rate(int fleet_n, compass::FleetExecution exec, int reps,
     const double elapsed =
         std::chrono::duration<double>(telemetry::Clock::now() - t0).count();
     return elapsed > 0.0 ? reps * static_cast<double>(fleet_n) / elapsed : 0.0;
+}
+
+/// Single-thread lane-engine throughput [measurements/s] of a fleet with
+/// 0.25 mV pickup noise and one distinct noise key per member: one
+/// warm-up sweep, then the median rate of `reps` timed sweeps.
+double noisy_lane_rate(int fleet_n, int reps, const magnetics::EarthField& field) {
+    compass::CompassConfig cfg;
+    cfg.front_end.pickup_noise_rms_v = 0.25e-3;
+    compass::CompassFleet fleet(fleet_n, cfg);
+    std::vector<double> headings;
+    headings.reserve(static_cast<std::size_t>(fleet_n));
+    for (int i = 0; i < fleet_n; ++i) headings.push_back(i * 360.0 / fleet_n + 3.0);
+    fleet.set_environments(field, headings);
+    for (int i = 0; i < fleet_n; ++i) {
+        fleet.at(i).front_end().pickup_noise().rng().engine().seed(
+            static_cast<std::uint64_t>(i) + 1);
+    }
+    static_cast<void>(fleet.measure_all(1));  // warm-up
+    std::vector<double> rates;
+    for (int r = 0; r < reps; ++r) {
+        const auto t0 = telemetry::Clock::now();
+        static_cast<void>(fleet.measure_all(1));
+        const double elapsed =
+            std::chrono::duration<double>(telemetry::Clock::now() - t0).count();
+        rates.push_back(elapsed > 0.0 ? fleet_n / elapsed : 0.0);
+    }
+    std::sort(rates.begin(), rates.end());
+    return rates[rates.size() / 2];
 }
 
 void write_perf_json(bool large) {
@@ -308,6 +338,15 @@ void write_perf_json(bool large) {
         std::printf("fleet n=%d [%s]: block %.1f meas/s, lane %.1f meas/s (%.2fx)\n",
                     n, sim::LaneEngine::backend_name(), block, lane,
                     block > 0.0 ? lane / block : 0.0);
+    }
+    // The noise path of the lane kernel (counter-based draws through
+    // vgauss): without this record a return to per-lane scalar noise
+    // would pass the bench_diff gate.
+    {
+        const double lane = noisy_lane_rate(1000, 3, field);
+        registry.gauge("fxg_fleet_lane_noisy_n1000_measurements_per_s", "1/s").set(lane);
+        std::printf("fleet n=1000 noisy [%s]: lane %.1f meas/s\n",
+                    sim::LaneEngine::backend_name(), lane);
     }
     if (large) {
         // One-million-member lane-only gauge (several minutes of

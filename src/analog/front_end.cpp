@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 
 namespace fxg::analog {
 
@@ -35,7 +36,16 @@ FrontEnd::FrontEnd(const FrontEndConfig& config)
       mux_(config.mux_settle_s),
       // Unit-variance source; noise_sample() applies the band-limited
       // scaling per step.
-      pickup_noise_(config.pickup_noise_rms_v > 0.0 ? 1.0 : 0.0, config.noise_seed) {}
+      pickup_noise_(1.0, config.noise_seed) {
+    if (!(std::isfinite(config.pickup_noise_rms_v) && config.pickup_noise_rms_v >= 0.0)) {
+        throw std::invalid_argument("FrontEnd: pickup noise rms must be finite and >= 0");
+    }
+    if (!(std::isfinite(config.pickup_noise_bandwidth_hz) &&
+          config.pickup_noise_bandwidth_hz > 0.0)) {
+        throw std::invalid_argument(
+            "FrontEnd: pickup noise bandwidth must be finite and > 0");
+    }
+}
 
 double FrontEnd::noise_sample(double dt_s) {
     if (config_.pickup_noise_rms_v == 0.0) return 0.0;

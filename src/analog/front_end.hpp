@@ -58,9 +58,12 @@ struct FrontEndConfig {
     /// plus comparator input pole filter thermal noise to roughly the
     /// signal bandwidth, so the noise entering the detector is shaped
     /// with a one-pole response at this bandwidth, holding the
-    /// configured total RMS.
+    /// configured total RMS. The FrontEnd constructor rejects an rms
+    /// that is not finite and >= 0 (0 = off) and a bandwidth that is
+    /// not finite and > 0.
     double pickup_noise_rms_v = 0.0;
     double pickup_noise_bandwidth_hz = 100e3;
+    /// Key of the counter-based noise stream (util::CounterEngine).
     std::uint64_t noise_seed = 23;
 
     // Supply-current power model (momentary, at 5 V).
@@ -318,9 +321,11 @@ public:
         return sensors_[static_cast<std::size_t>(ch)];
     }
 
-    /// The shared band-limited pickup noise source. The lane engine
-    /// draws per-lane samples from each member's own source so every
-    /// lane reproduces exactly the RNG stream its scalar run would see.
+    /// The band-limited pickup noise source. Its stream is counter-based,
+    /// so the lane engine reads each member's key and counter at gather,
+    /// draws the same counter range as vectors, and advances the counter
+    /// at scatter: every lane sees exactly the stream its scalar run
+    /// would.
     [[nodiscard]] NoiseSource& pickup_noise() noexcept { return pickup_noise_; }
     [[nodiscard]] double noise_filter_state() const noexcept { return noise_state_; }
     void set_noise_filter_state(double state) noexcept { noise_state_ = state; }

@@ -4,6 +4,7 @@
 /// Gaussian noise injection for analogue non-ideality studies (ABL3).
 
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace fxg::analog {
 
@@ -11,15 +12,17 @@ namespace fxg::analog {
 class NoiseSource {
 public:
     /// \param stddev RMS noise amplitude (same unit as the signal it is
-    ///        added to); 0 disables the source entirely.
+    ///        added to).
     explicit NoiseSource(double stddev = 0.0, std::uint64_t seed = 1)
         : stddev_(stddev), rng_(seed) {}
 
-    /// One noise sample.
-    double sample() { return stddev_ == 0.0 ? 0.0 : rng_.gaussian(0.0, stddev_); }
+    /// One noise sample: one draw of the counter-based stream through
+    /// util::simd::gauss1, which the lane engine's vgauss matches lane
+    /// for lane.
+    double sample() { return util::simd::gauss1(rng_.engine()()) * stddev_; }
 
-    /// The private RNG stream (snapshot seam: suspending a pipeline has
-    /// to carry every noise stream's exact position).
+    /// The private RNG stream (snapshot seam: its key and counter are
+    /// the stream's exact position).
     [[nodiscard]] util::Rng& rng() noexcept { return rng_; }
     [[nodiscard]] const util::Rng& rng() const noexcept { return rng_; }
 

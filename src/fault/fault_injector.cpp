@@ -2,20 +2,11 @@
 
 #include <stdexcept>
 
+#include "util/rng.hpp"
+
 namespace fxg::fault {
 
 namespace {
-
-/// splitmix64 finaliser: a stateless integer hash. Hashing
-/// seed ^ absolute-sample-index gives every sample an independent,
-/// order-free draw, so NoiseBurst decisions cannot depend on block
-/// boundaries by construction.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
 
 /// Uniform double in [0, 1) from a hash value.
 double unit_double(std::uint64_t h) noexcept {
@@ -247,10 +238,14 @@ void FaultInjector::on_samples(std::uint64_t first_index, int n,
                     }
                     break;
                 case FaultClass::NoiseBurst:
-                    if (on && unit_double(mix64(spec.seed ^
-                                                (first_index +
-                                                 static_cast<std::uint64_t>(k)))) <
-                                  spec.magnitude) {
+                    // A stateless hash of seed ^ absolute sample index
+                    // gives every sample an independent, order-free
+                    // draw, so NoiseBurst decisions cannot depend on
+                    // block boundaries by construction.
+                    if (on && unit_double(util::splitmix64(
+                                  spec.seed ^
+                                      (first_index + static_cast<std::uint64_t>(k)),
+                                  0)) < spec.magnitude) {
                         stream[k] ^= std::uint8_t{1};
                     }
                     break;

@@ -9,6 +9,7 @@
 #include "magnetics/field_source.hpp"
 #include "magnetics/units.hpp"
 #include "sensor/fluxgate.hpp"
+#include "util/rng.hpp"
 #include "util/simd.hpp"
 
 namespace fxg::sim {
@@ -85,7 +86,6 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
     analog::FrontEnd* fe[GW];
     digital::UpDownCounter* ctr[GW];
     magnetics::CoreModel* core[GW];
-    analog::NoiseSource* noise_src[GW];
     const magnetics::FieldSource* src[GW];
     std::uint64_t lidx0[GW];
     Channel active_ch[GW];
@@ -106,7 +106,8 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
     alignas(32) double settle_a[GW], off_a[GW], fall_a[GW], rise_a[GW];
     alignas(32) double bias_a[GW], supply_a[GW];
     alignas(32) double inc_a[GW], count01_a[GW], first01_a[GW];
-    double nalpha[GW], ndrive[GW], nst[GW];
+    alignas(32) double nalpha[GW], ndrive[GW], nst[GW], noise01_a[GW];
+    std::uint64_t nkey[GW], nctr[GW];
 
     alignas(32) double time_a[GW], phase_a[GW], corr_a[GW], pint_a[GW], ptime_a[GW];
     alignas(32) double since_a[GW], lp_a[GW], le_a[GW], acc_a[GW], e_a[GW];
@@ -126,7 +127,6 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             fe[l] = nullptr;
             ctr[l] = nullptr;
             core[l] = nullptr;
-            noise_src[l] = nullptr;
             src[l] = nullptr;
             lidx0[l] = 0;
             active_ch[l] = active_ch[0];
@@ -144,7 +144,8 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             rise_a[l] = rise_a[0];
             bias_a[l] = bias_a[0]; supply_a[l] = supply_a[0];
             inc_a[l] = inc_a[0]; count01_a[l] = 0.0; first01_a[l] = first01_a[0];
-            nalpha[l] = ndrive[l] = nst[l] = 0.0;
+            nalpha[l] = ndrive[l] = nst[l] = noise01_a[l] = 0.0;
+            nkey[l] = nctr[l] = 0;
             time_a[l] = time_a[0]; phase_a[l] = phase_a[0]; corr_a[l] = corr_a[0];
             pint_a[l] = pint_a[0]; ptime_a[l] = ptime_a[0]; since_a[l] = since_a[0];
             lp_a[l] = lp_a[0]; le_a[l] = le_a[0]; acc_a[l] = acc_a[0];
@@ -267,11 +268,11 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
                     (c.vi_bias_a + c.det_bias_a) * 1;
         supply_a[l] = c.supply_v;
 
-        // Band-limited pickup noise (FrontEnd::add_noise_block hoists);
-        // draws stay on the member's own source so the lane reproduces
-        // exactly the RNG stream its scalar run would consume.
+        // Band-limited pickup noise (FrontEnd::add_noise_block hoists).
+        // The member's stream is counter-based, so its key and counter
+        // are all the kernel needs to draw exactly the variates the
+        // scalar run would consume.
         lane_noise[l] = c.pickup_noise_rms_v != 0.0;
-        noise_src[l] = &f.pickup_noise();
         if (lane_noise[l]) {
             const double alpha = std::clamp(
                 1.0 - std::exp(-2.0 * std::numbers::pi *
@@ -280,9 +281,14 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             nalpha[l] = alpha;
             ndrive[l] = c.pickup_noise_rms_v * std::sqrt((2.0 - alpha) / alpha);
             nst[l] = f.noise_filter_state();
+            noise01_a[l] = 1.0;
+            const util::CounterEngine& stream = f.pickup_noise().rng().engine();
+            nkey[l] = stream.key();
+            nctr[l] = stream.counter();
             stripe_noise = true;
         } else {
-            nalpha[l] = ndrive[l] = nst[l] = 0.0;
+            nalpha[l] = ndrive[l] = nst[l] = noise01_a[l] = 0.0;
+            nkey[l] = nctr[l] = 0;
         }
 
         // Stream-window statistics of the active channel.
@@ -520,7 +526,7 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         vpick_v[s] = zero_v;
     }
 
-    alignas(32) double h_s[GW], m_s[GW], v_s[GW];
+    alignas(32) double h_s[GW], m_s[GW];
 
     // The sample loop is tiled and split into three passes. One fused
     // per-sample body carries ~30 live vectors per stripe — far beyond
@@ -535,6 +541,7 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
     v::dvec bidrv[S * T];
     v::dvec bvdet[S * T];
     v::mask bsettle[S * T];
+    alignas(32) std::int64_t nbits[T * GW];  // tile draws [sample * GW + lane]
 
     for (int k0 = 0; k0 < steps; k0 += T) {
         const int tn = std::min(T, steps - k0);
@@ -629,8 +636,6 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             }
         }
         for (int t = 0; t < tn; ++t) {
-            v::dvec vdet_v[S];
-
             if (envf == 2) {
                 const std::size_t gk = static_cast<std::size_t>(k0 + t) * GW;
                 #pragma GCC unroll 8
@@ -695,32 +700,53 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
                 leold_v[s] = leprev_v[s];
                 lpprev_v[s] = lp;
                 leprev_v[s] = le;
-                vdet_v[s] = vpick_v[s];
+                bvdet[s * T + t] = vpick_v[s];
             }
-
-            // Pickup noise: per-lane scalar draws from each member's
-            // own source (FrontEnd::add_noise_block arithmetic, same
-            // order).
-            if (stripe_noise) {
-                #pragma GCC unroll 8
-                for (int s = 0; s < S; ++s) v::store(v_s + s * W, vdet_v[s]);
-                for (int l = 0; l < n; ++l) {
-                    if (!lane_noise[l]) continue;
-                    nst[l] +=
-                        nalpha[l] * (noise_src[l]->sample() * ndrive[l] - nst[l]);
-                    v_s[l] += nst[l];
-                }
-                #pragma GCC unroll 8
-                for (int s = 0; s < S; ++s) vdet_v[s] = v::load(v_s + s * W);
-            }
-
-            #pragma GCC unroll 8
-            for (int s = 0; s < S; ++s) bvdet[s * T + t] = vdet_v[s];
 
             if (k0 == 0 && t == 0) {
                 #pragma GCC unroll 8
                 for (int s = 0; s < S; ++s) first_m[s] = v::m_splat(false);
             }
+        }
+
+        // Pickup noise for the whole tile, only in groups that carry
+        // any, and with its state loaded and stored per tile, so the
+        // noise-free kernel above carries nothing extra. Draw k of a
+        // lane is splitmix64(key, counter + k), hashed per lane, then
+        // turned into deviates and shaped by the one-pole filter as
+        // vectors with FrontEnd::add_noise_block's arithmetic, in the
+        // same order. Noise-free lanes keep their voltage (blend).
+        if (stripe_noise) {
+            for (int l = 0; l < GW; ++l) {
+                const std::uint64_t c0 = nctr[l] + static_cast<std::uint64_t>(k0);
+                for (int t = 0; t < tn; ++t) {
+                    nbits[t * GW + l] = static_cast<std::int64_t>(
+                        util::splitmix64(nkey[l], c0 + static_cast<std::uint64_t>(t)));
+                }
+            }
+            v::dvec alpha_v[S], drive_v[S], state_v[S];
+            v::mask on_m[S];
+            #pragma GCC unroll 8
+            for (int s = 0; s < S; ++s) {
+                alpha_v[s] = v::load(nalpha + s * W);
+                drive_v[s] = v::load(ndrive + s * W);
+                state_v[s] = v::load(nst + s * W);
+                on_m[s] = mask_from01(noise01_a + s * W);
+            }
+            for (int t = 0; t < tn; ++t) {
+                #pragma GCC unroll 8
+                for (int s = 0; s < S; ++s) {
+                    const v::dvec w = v::vgauss(v::i_load(nbits + t * GW + s * W));
+                    state_v[s] = v::add(
+                        state_v[s],
+                        v::mul(alpha_v[s], v::sub(v::mul(w, drive_v[s]), state_v[s])));
+                    bvdet[s * T + t] = v::blend(on_m[s],
+                                                v::add(bvdet[s * T + t], state_v[s]),
+                                                bvdet[s * T + t]);
+                }
+            }
+            #pragma GCC unroll 8
+            for (int s = 0; s < S; ++s) v::store(nst + s * W, state_v[s]);
         }
 
         // Pass C: detector latches, stream statistics, SoA counters,
@@ -899,7 +925,10 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
                                     bit_of(prevpos_b, l), bit_of(prevneg_b, l),
                                     bit_of(out_b, l)});
 
-        if (lane_noise[l]) f.set_noise_filter_state(nst[l]);
+        if (lane_noise[l]) {
+            f.set_noise_filter_state(nst[l]);
+            f.pickup_noise().rng().engine().discard(static_cast<std::uint64_t>(steps));
+        }
 
         if (lane_tap[l]) {
             // Replay the emitted streams through the member's tap ->

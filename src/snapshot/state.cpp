@@ -3,7 +3,6 @@
 #include <array>
 #include <bit>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "core/compass.hpp"
@@ -12,6 +11,7 @@
 #include "fault/fault_injector.hpp"
 #include "fault/supervisor.hpp"
 #include "telemetry/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace fxg::snapshot {
 
@@ -118,22 +118,6 @@ std::uint64_t config_fingerprint(const compass::CompassConfig& config) {
     return fp.value();
 }
 
-std::string rng_state_text(const std::mt19937_64& engine) {
-    std::ostringstream os;
-    os << engine;
-    return os.str();
-}
-
-std::mt19937_64 rng_state_from_text(const std::string& text) {
-    std::istringstream is(text);
-    std::mt19937_64 engine;
-    is >> engine;
-    if (is.fail()) {
-        throw SnapshotError("snapshot RNG state unparsable");
-    }
-    return engine;
-}
-
 namespace {
 
 // ------------------------------------------------------ field codecs
@@ -211,8 +195,8 @@ struct CompassState {
     bool mux_stuck = false;
     std::uint32_t mux_stuck_channel = 0;
     double noise_filter_state = 0.0;
-    std::string pickup_rng_text;
-    std::mt19937_64 pickup_rng;
+    std::uint64_t noise_key = 0;
+    std::uint64_t noise_counter = 0;
     OscillatorState osc_x;
     OscillatorState osc_y;
     struct SensorState {
@@ -273,7 +257,9 @@ void save_front_end(SnapshotWriter& w, analog::FrontEnd& fe) {
     w.put_u32(static_cast<std::uint32_t>(fe.mux_stuck_channel()));
 
     w.put_f64(fe.noise_filter_state());
-    w.put_string(rng_state_text(fe.pickup_noise().rng().engine()));
+    const util::CounterEngine& noise = fe.pickup_noise().rng().engine();
+    w.put_u64(noise.key());
+    w.put_u64(noise.counter());
 
     put_oscillator(w, fe.oscillator());
     put_oscillator(w, fe.oscillator_y());
@@ -331,7 +317,8 @@ void parse_front_end(SnapshotReader& r, CompassState& st) {
     st.mux_stuck_channel = r.get_u32();
 
     st.noise_filter_state = r.get_f64();
-    st.pickup_rng_text = r.get_string();
+    st.noise_key = r.get_u64();
+    st.noise_counter = r.get_u64();
 
     st.osc_x = get_oscillator(r);
     st.osc_y = get_oscillator(r);
@@ -446,10 +433,9 @@ CompassState parse_compass_sections(SnapshotReader& r) {
 
 // --------------------------------------------------------- validating
 
-/// Cross-checks the staged state against the live target and finishes
-/// deferred decoding (RNG text). Throws SnapshotError; the target is
-/// not touched.
-void validate_compass_state(CompassState& st, compass::Compass& target,
+/// Cross-checks the staged state against the live target. Throws
+/// SnapshotError; the target is not touched.
+void validate_compass_state(const CompassState& st, compass::Compass& target,
                             const RestoreTargets& targets) {
     const std::uint64_t want = config_fingerprint(target.config());
     if (st.fingerprint != want) {
@@ -463,8 +449,6 @@ void validate_compass_state(CompassState& st, compass::Compass& target,
     if (st.display_mode > 1) {
         throw SnapshotError("snapshot display mode out of range");
     }
-
-    st.pickup_rng = rng_state_from_text(st.pickup_rng_text);
 
     analog::FrontEnd& fe = target.front_end();
     for (int ch = 0; ch < 2; ++ch) {
@@ -521,7 +505,9 @@ void apply_compass_state(CompassState& st, compass::Compass& target,
     fe.restore_mux_stuck(st.mux_stuck,
                          static_cast<analog::Channel>(st.mux_stuck_channel));
     fe.set_noise_filter_state(st.noise_filter_state);
-    fe.pickup_noise().rng().engine() = st.pickup_rng;
+    util::CounterEngine& noise = fe.pickup_noise().rng().engine();
+    noise.seed(st.noise_key);
+    noise.discard(st.noise_counter);
 
     fe.oscillator().load_state(st.osc_x.state);
     fe.oscillator().set_fault(st.osc_x.fault);

@@ -17,15 +17,14 @@
 /// What a compass snapshot carries (DESIGN.md §13): the front end's
 /// complete analogue state (oscillators with their engaged faults,
 /// sensors with their core-model state and external fields, detector
-/// latches, mux position and stuck fault, pickup-noise stream and
-/// filter state, stream-window
-/// statistics), the up/down counter's registers including the sticky
+/// latches, mux position and stuck fault, the pickup-noise stream's
+/// key and counter and its filter state, stream-window statistics),
+/// the up/down counter's registers including the sticky
 /// overflow and trap-pending flags, calibration, display, watch, and —
 /// optionally — an armed FaultInjector's sequential stream state and a
 /// suspended PlanRun's stage position.
 
 #include <cstdint>
-#include <random>
 #include <span>
 #include <string>
 #include <vector>
@@ -59,15 +58,6 @@ namespace fxg::snapshot {
 /// between identically configured pipelines.
 [[nodiscard]] std::uint64_t config_fingerprint(
     const compass::CompassConfig& config);
-
-/// mt19937_64 stream position as text (the standard's operator<<
-/// serialization — portable across implementations of the same
-/// mandated engine).
-[[nodiscard]] std::string rng_state_text(const std::mt19937_64& engine);
-
-/// Parses rng_state_text() output; throws SnapshotError when the text
-/// does not decode to an engine state.
-[[nodiscard]] std::mt19937_64 rng_state_from_text(const std::string& text);
 
 /// Optional extras a compass snapshot can carry.
 struct SaveOptions {

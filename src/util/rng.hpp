@@ -4,20 +4,75 @@
 /// Deterministic random number generation for noise injection.
 /// All stochastic experiments take an explicit seed so every bench run
 /// is reproducible.
+///
+/// The engine is counter-based (Salmon et al., "Parallel Random
+/// Numbers: As Easy as 1, 2, 3", SC'11): draw i under key k is the pure
+/// function splitmix64(k, i). A stream's whole state is therefore its
+/// (key, counter) pair, and any draw can be computed without stepping
+/// through the ones before it — which is what lets the lane engine draw
+/// many members' pickup noise at once (sim/lane_engine.cpp).
 
 #include <cstdint>
+#include <limits>
 #include <random>
 
+#include "util/simd.hpp"
+
 namespace fxg::util {
+
+/// splitmix64 (Steele, Lea and Flood, OOPSLA 2014) as a keyed hash: its
+/// finaliser applied to key + golden-ratio * (index + 1). Nearby (key,
+/// index) pairs map to unrelated outputs.
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t key,
+                                                 std::uint64_t index) noexcept {
+    std::uint64_t z = key + 0x9E3779B97F4A7C15ULL * (index + 1);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/// Counter-based engine: the next draw is splitmix64(key(), counter()).
+/// Models UniformRandomBitGenerator, so the std distributions accept it.
+class CounterEngine {
+public:
+    using result_type = std::uint64_t;
+
+    static constexpr result_type min() noexcept { return 0; }
+    static constexpr result_type max() noexcept {
+        return std::numeric_limits<result_type>::max();
+    }
+
+    explicit CounterEngine(std::uint64_t key = 0) noexcept : key_(key) {}
+
+    /// Sets the key and rewinds the stream to its first draw.
+    void seed(std::uint64_t key) noexcept {
+        key_ = key;
+        counter_ = 0;
+    }
+
+    result_type operator()() noexcept { return splitmix64(key_, counter_++); }
+
+    /// Skips `n` draws in O(1).
+    void discard(std::uint64_t n) noexcept { counter_ += n; }
+
+    [[nodiscard]] std::uint64_t key() const noexcept { return key_; }
+    /// Draws taken since the last seed().
+    [[nodiscard]] std::uint64_t counter() const noexcept { return counter_; }
+
+private:
+    std::uint64_t key_ = 0;
+    std::uint64_t counter_ = 0;
+};
 
 /// Seedable RNG wrapper with the distributions the models need.
 class Rng {
 public:
     explicit Rng(std::uint64_t seed = 0x5eed'c0de'f1ab'ca7eULL) : engine_(seed) {}
 
-    /// Gaussian sample with the given mean and standard deviation.
+    /// Gaussian sample with the given mean and standard deviation (one
+    /// draw through simd::gauss1, the transform the noise models use).
     double gaussian(double mean, double stddev) {
-        return std::normal_distribution<double>(mean, stddev)(engine_);
+        return mean + stddev * simd::gauss1(engine_());
     }
 
     /// Uniform sample in [lo, hi).
@@ -34,11 +89,11 @@ public:
     bool chance(double p) { return std::bernoulli_distribution(p)(engine_); }
 
     /// Access to the raw engine for std distributions not wrapped here.
-    std::mt19937_64& engine() noexcept { return engine_; }
-    [[nodiscard]] const std::mt19937_64& engine() const noexcept { return engine_; }
+    CounterEngine& engine() noexcept { return engine_; }
+    [[nodiscard]] const CounterEngine& engine() const noexcept { return engine_; }
 
 private:
-    std::mt19937_64 engine_;
+    CounterEngine engine_;
 };
 
 }  // namespace fxg::util

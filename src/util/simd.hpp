@@ -33,6 +33,11 @@
 /// subnormal region) to exp(-708); vtanh handles +-0 and +-inf but
 /// does not propagate NaN (engine inputs are finite by construction).
 ///
+/// vgauss turns one 64-bit random draw per lane into a standard normal
+/// deviate (Box–Muller with its own log and cos polynomials) under the
+/// same contract, so the pickup noise the scalar engines draw through
+/// gauss1 is exactly what the lane engine draws as vectors.
+///
 /// detail::ScalarBackend is always compiled, whatever the active
 /// backend, so tests/simd_test.cpp can check intrinsic-vs-fallback
 /// bit-identity inside one binary. kLanes is a compile-time constant
@@ -109,6 +114,10 @@ struct ScalarBackend {
     }
     static D floor(D a) {
         for (int l = 0; l < kLanes; ++l) a.v[l] = std::floor(a.v[l]);
+        return a;
+    }
+    static D sqrt(D a) {
+        for (int l = 0; l < kLanes; ++l) a.v[l] = std::sqrt(a.v[l]);
         return a;
     }
     /// x86 MAXPD semantics: (a > b) ? a : b — second operand on NaN.
@@ -237,6 +246,32 @@ struct ScalarBackend {
             b.v[l] = (m.v[l] >> 63) ? a.v[l] : b.v[l];
         return b;
     }
+    static I i_and(I a, I b) {
+        for (int l = 0; l < kLanes; ++l) a.v[l] &= b.v[l];
+        return a;
+    }
+    static I i_or(I a, I b) {
+        for (int l = 0; l < kLanes; ++l) a.v[l] |= b.v[l];
+        return a;
+    }
+    /// Logical (zero-filling) right shift by N bits.
+    template <int N>
+    static I i_srl(I a) {
+        for (int l = 0; l < kLanes; ++l)
+            a.v[l] = std::int64_t(std::uint64_t(a.v[l]) >> N);
+        return a;
+    }
+    /// Bit-pattern reinterpretation, no value conversion.
+    static D as_d(I a) {
+        D r;
+        for (int l = 0; l < kLanes; ++l) r.v[l] = std::bit_cast<double>(a.v[l]);
+        return r;
+    }
+    static I as_i(D a) {
+        I r;
+        for (int l = 0; l < kLanes; ++l) r.v[l] = std::bit_cast<std::int64_t>(a.v[l]);
+        return r;
+    }
     /// Exact double -> int64 for integer-valued inputs in (-2^51, 2^51).
     static I d2i_exact(D a) {
         I r;
@@ -275,6 +310,7 @@ struct Avx2Backend {
     static D mul(D a, D b) { return _mm256_mul_pd(a, b); }
     static D div(D a, D b) { return _mm256_div_pd(a, b); }
     static D floor(D a) { return _mm256_floor_pd(a); }
+    static D sqrt(D a) { return _mm256_sqrt_pd(a); }
     static D max(D a, D b) { return _mm256_max_pd(a, b); }
     static D min(D a, D b) { return _mm256_min_pd(a, b); }
     static D fmadd(D a, D b, D c) { return _mm256_fmadd_pd(a, b, c); }
@@ -314,6 +350,14 @@ struct Avx2Backend {
         return _mm256_castpd_si256(
             _mm256_blendv_pd(_mm256_castsi256_pd(b), _mm256_castsi256_pd(a), m));
     }
+    static I i_and(I a, I b) { return _mm256_and_si256(a, b); }
+    static I i_or(I a, I b) { return _mm256_or_si256(a, b); }
+    template <int N>
+    static I i_srl(I a) {
+        return _mm256_srli_epi64(a, N);
+    }
+    static D as_d(I a) { return _mm256_castsi256_pd(a); }
+    static I as_i(D a) { return _mm256_castpd_si256(a); }
     static I d2i_exact(D a) {
         const D magic = splat(kToIntMagic);
         return _mm256_sub_epi64(_mm256_castpd_si256(add(a, magic)),
@@ -347,6 +391,7 @@ struct NeonBackend {
     static D mul(D a, D b) { return vmulq_f64(a, b); }
     static D div(D a, D b) { return vdivq_f64(a, b); }
     static D floor(D a) { return vrndmq_f64(a); }
+    static D sqrt(D a) { return vsqrtq_f64(a); }
     /// Mirrors the x86 (a > b) ? a : b so all backends agree (NaN
     /// inputs are outside the engine domain either way).
     static D max(D a, D b) { return vbslq_f64(vcgtq_f64(a, b), a, b); }
@@ -394,6 +439,14 @@ struct NeonBackend {
     static I i_add(I a, I b) { return vaddq_s64(a, b); }
     static I i_sub(I a, I b) { return vsubq_s64(a, b); }
     static I i_blend(M m, I a, I b) { return vbslq_s64(m, a, b); }
+    static I i_and(I a, I b) { return vandq_s64(a, b); }
+    static I i_or(I a, I b) { return vorrq_s64(a, b); }
+    template <int N>
+    static I i_srl(I a) {
+        return vreinterpretq_s64_u64(vshrq_n_u64(vreinterpretq_u64_s64(a), N));
+    }
+    static D as_d(I a) { return vreinterpretq_f64_s64(a); }
+    static I as_i(D a) { return vreinterpretq_s64_f64(a); }
     static I d2i_exact(D a) {
         const D magic = splat(kToIntMagic);
         return vsubq_s64(vreinterpretq_s64_f64(add(a, magic)),
@@ -496,6 +549,85 @@ typename B::D tanh_t(typename B::D x) {
     return B::bit_or(r, sign);
 }
 
+/// Standard normal deviate from one 64-bit draw: the cosine branch of
+/// Box–Muller, z = sqrt(-2 ln u1) cos(2 pi u2), branch-free.
+///   - u1 = 1 - hi32 * 2^-32 lies in [2^-32, 1], so the log is finite
+///     and |z| <= sqrt(64 ln 2) = 6.66 (a normal deviate exceeds that
+///     with probability ~3e-11).
+///   - u2 = lo32 * 2^-32 lies in [0, 1).
+/// ln follows fdlibm: exponent arithmetic reduces u1 to 2^k (1 + f)
+/// with 1 + f in [sqrt(2)/2, sqrt(2)), then a degree-14 polynomial in
+/// s = f / (2 + f). The cosine is folded in the turn domain, where
+/// every step is exact, onto a Taylor polynomial on [0, pi/2]:
+/// cos(2 pi u2) = -cos(2 pi a) with a = |u2 - 1/2|, and
+/// cos(2 pi a) = -cos(2 pi (1/2 - a)) past a = 1/4.
+template <class B>
+typename B::D gauss_t(typename B::I bits) {
+    using D = typename B::D;
+    using I = typename B::I;
+    // Exact conversion of an integer in [0, 2^52): OR it into the
+    // mantissa of 2^52, then subtract 2^52.
+    const I two52_bits = B::i_splat(0x4330000000000000);
+    const D two52 = B::splat(0x1p52);
+    const auto small_to_d = [&](I x) {
+        return B::sub(B::as_d(B::i_or(x, two52_bits)), two52);
+    };
+    const D hi = small_to_d(B::template i_srl<32>(bits));
+    const D lo = small_to_d(B::i_and(bits, B::i_splat(0xFFFFFFFF)));
+
+    // ln(u1) (fdlibm's e_log.c with its Lg1..Lg7 coefficients; u1 is
+    // positive and normal). 0x3fe6a09e is the high word of sqrt(2)/2:
+    // biasing the high word by 1.0's minus it carries into the exponent
+    // exactly when the mantissa reaches sqrt(2).
+    const D u1 = B::fnmadd(hi, B::splat(0x1p-32), B::splat(1.0));  // exact
+    I ix = B::i_add(B::as_i(u1), B::i_splat(std::int64_t{0x3ff00000 - 0x3fe6a09e} << 32));
+    const D k = B::sub(small_to_d(B::template i_srl<52>(ix)), B::splat(1023.0));
+    ix = B::i_add(B::i_and(ix, B::i_splat(0x000FFFFFFFFFFFFF)),
+                  B::i_splat(0x3FE6A09E00000000));  // 1 + f in [sqrt(2)/2, sqrt(2))
+    const D f = B::sub(B::as_d(ix), B::splat(1.0));
+    const D hfsq = B::mul(B::mul(B::splat(0.5), f), f);
+    const D s = B::div(f, B::add(B::splat(2.0), f));
+    const D z = B::mul(s, s);
+    const D w = B::mul(z, z);
+    const D t1 = B::mul(
+        w, B::fmadd(w, B::fmadd(w, B::splat(1.531383769920937332e-01),
+                                B::splat(2.222219843214978396e-01)),
+                    B::splat(3.999999999940941908e-01)));
+    const D t2 = B::mul(
+        z, B::fmadd(w,
+                    B::fmadd(w,
+                             B::fmadd(w, B::splat(1.479819860511658591e-01),
+                                      B::splat(1.818357216161805012e-01)),
+                             B::splat(2.857142874366239149e-01)),
+                    B::splat(6.666666666666735130e-01)));
+    D ln = B::fmadd(s, B::add(hfsq, B::add(t2, t1)),
+                    B::mul(k, B::splat(1.90821492927058770002e-10)));
+    ln = B::add(B::sub(ln, hfsq), f);
+    ln = B::fmadd(k, B::splat(6.93147180369123816490e-01), ln);
+    const D radius = B::sqrt(B::mul(B::splat(-2.0), ln));
+
+    // cos(2 pi u2).
+    const D sign_bit = B::splat(-0.0);
+    const D a = B::bit_andnot(sign_bit,
+                              B::fmadd(lo, B::splat(0x1p-32), B::splat(-0.5)));  // exact
+    const D b = B::min(a, B::sub(B::splat(0.5), a));
+    const D x = B::mul(b, B::splat(6.283185307179586477));
+    const D x2 = B::mul(x, x);
+    // Taylor series through x^18: truncation error < 4e-15 on [0, pi/2].
+    D c = B::splat(-1.0 / 6402373705728000.0);
+    c = B::fmadd(c, x2, B::splat(1.0 / 20922789888000.0));
+    c = B::fmadd(c, x2, B::splat(-1.0 / 87178291200.0));
+    c = B::fmadd(c, x2, B::splat(1.0 / 479001600.0));
+    c = B::fmadd(c, x2, B::splat(-1.0 / 3628800.0));
+    c = B::fmadd(c, x2, B::splat(1.0 / 40320.0));
+    c = B::fmadd(c, x2, B::splat(-1.0 / 720.0));
+    c = B::fmadd(c, x2, B::splat(1.0 / 24.0));
+    c = B::fmadd(c, x2, B::splat(-0.5));
+    c = B::fmadd(c, x2, B::splat(1.0));
+    c = B::bit_xor(c, B::blend(B::cmp_gt(a, B::splat(0.25)), B::splat(0.0), sign_bit));
+    return B::mul(radius, c);
+}
+
 }  // namespace detail
 
 /// Active backend lane count — tests sweep sizes around multiples of
@@ -548,6 +680,8 @@ inline ivec d2i_exact(dvec a) { return detail::Active::d2i_exact(a); }
 inline dvec vexp(dvec x) { return detail::exp_t<detail::Active>(x); }
 inline dvec vexpm1(dvec x) { return detail::expm1_t<detail::Active>(x); }
 inline dvec vtanh(dvec x) { return detail::tanh_t<detail::Active>(x); }
+/// One standard normal deviate per lane from that lane's 64-bit draw.
+inline dvec vgauss(ivec bits) { return detail::gauss_t<detail::Active>(bits); }
 
 /// Scalar exp through the vector pipeline: lane 0 of the splat result.
 /// Bit-identical to any lane of vexp on the same input (every op is
@@ -558,6 +692,13 @@ inline dvec vtanh(dvec x) { return detail::tanh_t<detail::Active>(x); }
 /// transcendental (magnetics::TanhCore calls this, so scalar, block
 /// and lane paths agree bit-for-bit by construction).
 [[nodiscard]] inline double tanh1(double x) { return first(vtanh(splat(x))); }
+
+/// Scalar Gaussian through the vector pipeline: every engine's pickup
+/// noise (analog::NoiseSource) draws through this, and the lane engine
+/// through vgauss, so the paths agree bit-for-bit by construction.
+[[nodiscard]] inline double gauss1(std::uint64_t bits) {
+    return first(vgauss(i_splat(static_cast<std::int64_t>(bits))));
+}
 
 /// Elementwise tanh over an array: full stripes through vtanh, the
 /// width-boundary remainder through tanh1 (bit-identical by the

@@ -34,15 +34,6 @@ std::string format(const char* fmt, Args... args) {
     return buf;
 }
 
-/// splitmix64 over a golden-ratio-stepped index: nearby (seed, index)
-/// pairs seed unrelated mt19937_64 streams.
-std::uint64_t mix(std::uint64_t seed, std::uint64_t index) {
-    std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL * (index + 1);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-}
-
 /// One random FaultSpec. `width_bits` bounds the CounterStuckBit
 /// geometry (the injector validates stuck_bit < width); `window` scales
 /// the stream-fault activity windows to the measurement length;
@@ -702,7 +693,10 @@ const char* to_string(Oracle oracle) noexcept {
 
 FuzzCase generate_case(std::uint64_t seed, std::uint64_t index,
                        std::optional<Oracle> force) {
-    util::Rng rng(mix(seed, index));
+    // splitmix64 over the golden-ratio-stepped index keys the case's
+    // counter-based stream: nearby (seed, index) pairs get unrelated
+    // streams.
+    util::Rng rng(util::splitmix64(seed, index));
     FuzzCase c;
     c.seed = seed;
     c.index = index;

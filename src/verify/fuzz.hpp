@@ -123,9 +123,9 @@ struct FuzzCase {
 
 /// Deterministically generates case `index` of corpus `seed`. Same
 /// (seed, index) always yields the same case, independent of platform
-/// (mt19937_64 + explicitly ordered draws). `force` pins the oracle
-/// (the knob draws stay those of the forced oracle) — used by the
-/// snapshot round-trip corpus and targeted soaks.
+/// (a counter-based splitmix64 stream + explicitly ordered draws).
+/// `force` pins the oracle (the knob draws stay those of the forced
+/// oracle) — used by the snapshot round-trip corpus and targeted soaks.
 [[nodiscard]] FuzzCase generate_case(std::uint64_t seed, std::uint64_t index,
                                      std::optional<Oracle> force = std::nullopt);
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "analog/comparator.hpp"
 #include "analog/detector.hpp"
@@ -266,6 +268,29 @@ TEST(FrontEnd, MultiplexedProducesDetectorActivity) {
         prev = s.detector[0];
     }
     EXPECT_GE(transitions, 6);  // toggles once per half excitation period
+}
+
+// Unvalidated, a NaN rms counts a silent 225-degree heading and a
+// negative one turns noise off on the scalar path but not on the lane
+// path, whose noise test is rms != 0. Both fail at construction, like
+// the other stages' configuration checks.
+TEST(FrontEnd, RejectsNonFiniteOrNegativeNoiseConfig) {
+    for (const double rms : {std::nan(""), -1e-3, std::numeric_limits<double>::infinity()}) {
+        FrontEndConfig cfg;
+        cfg.pickup_noise_rms_v = rms;
+        EXPECT_THROW(FrontEnd{cfg}, std::invalid_argument) << "rms " << rms;
+    }
+    for (const double bw : {0.0, -1e3, std::nan(""), std::numeric_limits<double>::infinity()}) {
+        FrontEndConfig cfg;
+        cfg.pickup_noise_rms_v = 0.25e-3;
+        cfg.pickup_noise_bandwidth_hz = bw;
+        EXPECT_THROW(FrontEnd{cfg}, std::invalid_argument) << "bandwidth " << bw;
+    }
+    FrontEndConfig quiet;
+    EXPECT_NO_THROW(FrontEnd{quiet});
+    FrontEndConfig noisy;
+    noisy.pickup_noise_rms_v = 0.25e-3;
+    EXPECT_NO_THROW(FrontEnd{noisy});
 }
 
 TEST(FrontEnd, PowerGatingDropsToLeakage) {

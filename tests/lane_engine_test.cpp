@@ -24,6 +24,7 @@
 #include "telemetry/probes.hpp"
 #include "telemetry/sink.hpp"
 #include "telemetry/trace.hpp"
+#include "util/rng.hpp"
 #include "util/simd.hpp"
 
 namespace {
@@ -159,6 +160,46 @@ TEST(LaneEngine, BatchOfFiveMatchesScalarPerMember) {
         cal.scale_y = 1.0625;
         c.set_calibration(cal);
     });
+}
+
+// A paired group plus a remainder lane, every member noisy under its
+// own key, set the way the fleet benchmark sets it: each lane must draw
+// its member's stream and no other, so counts, filter state and stream
+// position all match that member's scalar run.
+TEST(LaneEngine, NoisyLanesDrawTheirOwnStreams) {
+    const int n = 2 * util::simd::kLanes + 1;
+    compass::CompassConfig cfg = lite_config();
+    cfg.front_end.pickup_noise_rms_v = 0.25e-3;
+    compass::CompassConfig scalar_cfg = cfg;
+    scalar_cfg.engine = sim::EngineKind::Scalar;
+    std::vector<std::unique_ptr<compass::Compass>> ref;
+    std::vector<std::unique_ptr<compass::Compass>> lane;
+    std::vector<compass::Compass*> lanes;
+    for (int i = 0; i < n; ++i) {
+        ref.push_back(std::make_unique<compass::Compass>(scalar_cfg));
+        lane.push_back(std::make_unique<compass::Compass>(cfg));
+        for (compass::Compass* c : {ref.back().get(), lane.back().get()}) {
+            c->set_environment(site(), i * 41.0 + 5.0);
+            c->front_end().pickup_noise().rng().engine().seed(0x5EED0000u + 17u * i);
+        }
+        lanes.push_back(lane.back().get());
+    }
+    std::vector<compass::LaneOutcome> outcomes(static_cast<std::size_t>(n));
+    compass::PlanExecutor::run_lanes(lane[0]->plan(), lanes, outcomes);
+    for (int i = 0; i < n; ++i) {
+        SCOPED_TRACE(testing::Message() << "member " << i);
+        const auto u = static_cast<std::size_t>(i);
+        ASSERT_FALSE(outcomes[u].aborted) << outcomes[u].error;
+        expect_bit_identical(outcomes[u].measurement, ref[u]->measure());
+        analog::FrontEnd& a = lane[u]->front_end();
+        analog::FrontEnd& b = ref[u]->front_end();
+        const util::CounterEngine& sa = a.pickup_noise().rng().engine();
+        const util::CounterEngine& sb = b.pickup_noise().rng().engine();
+        EXPECT_EQ(sa.key(), sb.key());
+        EXPECT_EQ(sa.counter(), sb.counter());
+        EXPECT_GT(sa.counter(), 0u);
+        EXPECT_EQ(a.noise_filter_state(), b.noise_filter_state());
+    }
 }
 
 TEST(LaneEngine, BatchOfNineCoversRemainderStripes) {

@@ -1,6 +1,7 @@
 // Tests for util/simd.hpp: the active backend must agree bit-for-bit
 // with the always-compiled scalar fallback on every operation, and the
 // array helpers must be exact across width-boundary remainder tails.
+// vgauss is also checked against libm and for normal moments.
 // These identities are what the lane engine's parity contract
 // (DESIGN.md section 12) is built on.
 
@@ -8,12 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numbers>
 #include <random>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace simd = fxg::util::simd;
 using Ref = simd::detail::ScalarBackend;
@@ -294,4 +299,94 @@ TEST(Simd, ArrayHelpersExactAcrossRemainderLanes) {
                 << "exp_array n=" << n << " i=" << i;
         }
     }
+}
+
+// ---------------------------------------------------------------- vgauss
+
+namespace {
+
+// Box–Muller through libm with vgauss's own u1/u2 mapping.
+double libm_box_muller(std::uint64_t bits) {
+    const double u1 = 1.0 - double(bits >> 32) * 0x1p-32;
+    const double u2 = double(bits & 0xFFFFFFFFu) * 0x1p-32;
+    return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
+}
+
+std::vector<std::uint64_t> gauss_inputs(std::size_t n) {
+    std::vector<std::uint64_t> bits;
+    fxg::util::CounterEngine engine(0x6A055);
+    for (std::size_t i = 0; i < n; ++i) bits.push_back(engine());
+    // Zero radius (hi = 0), the smallest u1 (hi = ~0) at each quadrant
+    // edge of u2, and the quarter turns where the cosine fold switches.
+    for (const std::uint64_t edge :
+         {0x0ULL, ~0x0ULL, 0xFFFFFFFF00000000ULL, 0x00000000FFFFFFFFULL,
+          0xFFFFFFFF40000000ULL, 0xFFFFFFFF80000000ULL, 0xFFFFFFFFC0000000ULL,
+          0x8000000000000000ULL, 0x00000001FFFFFFFFULL}) {
+        bits.push_back(edge);
+    }
+    while (bits.size() % simd::kLanes != 0) bits.push_back(0);
+    return bits;
+}
+
+}  // namespace
+
+// The lane engine draws noise through vgauss, the scalar engines through
+// gauss1: the active backend, the scalar fallback and lane 0 must agree
+// bit for bit on every input.
+TEST(Simd, GaussMatchesScalarFallbackBitwise) {
+    const std::vector<std::uint64_t> bits = gauss_inputs(8192);
+    for (std::size_t i = 0; i < bits.size(); i += simd::kLanes) {
+        std::int64_t in[simd::kLanes];
+        for (int l = 0; l < simd::kLanes; ++l) in[l] = std::int64_t(bits[i + l]);
+        double oa[simd::kLanes];
+        Act::store(oa, simd::detail::gauss_t<Act>(Act::i_load(in)));
+        for (int l = 0; l < simd::kLanes; ++l) {
+            const double ref =
+                Ref::first(simd::detail::gauss_t<Ref>(Ref::i_splat(in[l])));
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(oa[l]), std::bit_cast<std::uint64_t>(ref))
+                << "gauss backend bits=" << std::hex << bits[i + l];
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(oa[l]),
+                      std::bit_cast<std::uint64_t>(simd::gauss1(bits[i + l])))
+                << "gauss1 bits=" << std::hex << bits[i + l];
+        }
+    }
+    EXPECT_EQ(simd::gauss1(0), 0.0);
+    EXPECT_EQ(simd::gauss1(0x00000000FFFFFFFFULL), 0.0);
+    // Smallest u1, u2 = 0: the largest deviate, sqrt(64 ln 2).
+    EXPECT_NEAR(simd::gauss1(0xFFFFFFFF00000000ULL), std::sqrt(64.0 * std::log(2.0)), 1e-12);
+}
+
+TEST(Simd, GaussAgreesWithLibmBoxMuller) {
+    const std::vector<std::uint64_t> bits = gauss_inputs(1 << 20);
+    double worst = 0.0;
+    for (const std::uint64_t b : bits) {
+        worst = std::max(worst, std::abs(simd::gauss1(b) - libm_box_muller(b)));
+    }
+    EXPECT_LE(worst, 1e-10);
+}
+
+// Distribution quality over 2e6 draws of one counter-based stream.
+// Standard errors: mean 7e-4, variance 1e-3, kurtosis 3.5e-3, tail
+// count about 2%.
+TEST(Simd, GaussMomentsAndTailsAreNormal) {
+    constexpr int kDraws = 2'000'000;
+    fxg::util::CounterEngine engine(20071017);
+    double s1 = 0.0, s2 = 0.0, s4 = 0.0;
+    int beyond3 = 0;
+    for (int i = 0; i < kDraws; ++i) {
+        const double z = simd::gauss1(engine());
+        s1 += z;
+        s2 += z * z;
+        s4 += z * z * z * z;
+        if (std::abs(z) > 3.0) ++beyond3;
+    }
+    const double n = kDraws;
+    const double mean = s1 / n;
+    const double var = s2 / n - mean * mean;
+    const double kurtosis = (s4 / n) / (var * var);
+    EXPECT_LT(std::abs(mean), 5e-3);
+    EXPECT_LT(std::abs(var - 1.0), 5e-3);
+    EXPECT_NEAR(kurtosis, 3.0, 0.05);
+    const double p3 = beyond3 / n;
+    EXPECT_NEAR(p3, 2.70e-3, 0.1 * 2.70e-3);
 }

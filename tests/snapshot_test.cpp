@@ -161,10 +161,11 @@ TEST(SnapshotFormat, RejectsBadMagic) {
 }
 
 TEST(SnapshotFormat, RejectsVersionSkew) {
-    // A newer file, and the previous version (v1 still carried the
-    // comparator RNG streams in FEND), both fail closed.
+    // A newer file, and every earlier version (v1 still carried the
+    // comparator RNG streams in FEND, v2 the pickup stream as
+    // Mersenne-Twister text), fail closed.
     for (const std::uint32_t version :
-         {snapshot::kSnapshotFormatVersion + 1, snapshot::kSnapshotFormatVersion - 1}) {
+         {snapshot::kSnapshotFormatVersion + 1, std::uint32_t{1}, std::uint32_t{2}}) {
         snapshot::SnapshotWriter w;
         std::vector<std::uint8_t> bytes = w.finish();
         bytes[8] = static_cast<std::uint8_t>(version);
@@ -355,21 +356,6 @@ TEST(ReplayLog, HeaderDamageThrowsInBothModes) {
         snapshot::SnapshotError);
 }
 
-// ------------------------------------------------------------ RNG streams
-
-TEST(RngText, RoundTripContinuesTheStream) {
-    std::mt19937_64 engine(12345);
-    for (int i = 0; i < 1000; ++i) (void)engine();
-    std::mt19937_64 restored = snapshot::rng_state_from_text(
-        snapshot::rng_state_text(engine));
-    for (int i = 0; i < 100; ++i) EXPECT_EQ(engine(), restored());
-}
-
-TEST(RngText, GarbageTextRejected) {
-    EXPECT_THROW((void)snapshot::rng_state_from_text("not an engine"),
-                 snapshot::SnapshotError);
-}
-
 // --------------------------------------------------------- compass state
 
 TEST(CompassSnapshot, RestoredRunContinuesBitExactly) {
@@ -466,14 +452,12 @@ TEST(CompassSnapshot, HostileCoreStateCountFailsClosed) {
 
     // Walk FEND (after CFG0's u64 fingerprint) to the x sensor's
     // core-state count: enabled flag, window stats, edge memory, sample
-    // index, mux, noise filter state, pickup RNG text, two oscillators,
-    // then the sensor's state and external field.
+    // index, mux, noise filter state, pickup noise key and counter, two
+    // oscillators, then the sensor's state and external field.
     constexpr std::size_t kFend = kFileHeaderBytes + kSectionHeaderBytes + 8;
-    constexpr std::size_t kRngText = kFend + kSectionHeaderBytes + 1 + 64 + 2 + 2 +
-                                     8 + 17 + 8;
-    const std::size_t count_at = kRngText + 8 +
-                                 static_cast<std::size_t>(read_u64le(snap, kRngText)) +
-                                 2 * 73 + 57;
+    constexpr std::size_t kNoiseStream = kFend + kSectionHeaderBytes + 1 + 64 + 2 + 2 +
+                                         8 + 17 + 8;
+    const std::size_t count_at = kNoiseStream + 8 + 8 + 2 * 73 + 57;
     ASSERT_EQ(read_u64le(snap, kFend) & 0xFFFFFFFFu,
               snapshot::section_tag('F', 'E', 'N', 'D'));
     ASSERT_EQ(read_u64le(snap, count_at),

@@ -256,6 +256,28 @@ TEST(Rng, GaussianMoments) {
     EXPECT_NEAR(s.stddev(), 3.0, 0.1);
 }
 
+// The counter-based engine is a pure function of (key, index): seed()
+// sets the key and rewinds, discard() jumps, and a draw never depends
+// on how the counter got where it is. The lane engine and the snapshot
+// codec rely on exactly this.
+TEST(Rng, CounterEngineDrawIsSplitmixOfKeyAndIndex) {
+    CounterEngine e(7);
+    EXPECT_EQ(e.key(), 7u);
+    EXPECT_EQ(e.counter(), 0u);
+    EXPECT_EQ(e(), splitmix64(7, 0));
+    EXPECT_EQ(e(), splitmix64(7, 1));
+    e.discard(1000);
+    EXPECT_EQ(e.counter(), 1002u);
+    EXPECT_EQ(e(), splitmix64(7, 1002));
+    e.seed(99);
+    EXPECT_EQ(e.key(), 99u);
+    EXPECT_EQ(e.counter(), 0u);
+    EXPECT_EQ(e(), splitmix64(99, 0));
+    // splitmix64's published first output for seed 0 (state += gamma,
+    // then the finaliser).
+    EXPECT_EQ(splitmix64(0, 0), 0xE220A8397B1DCDAFULL);
+}
+
 TEST(Rng, UniformBounds) {
     Rng rng(5);
     for (int i = 0; i < 1000; ++i) {
