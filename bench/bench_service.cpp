@@ -17,8 +17,9 @@
 ///
 /// Reported per load point, via a telemetry::MetricsRegistry flattened
 /// into BENCH_service.json: latency p50/p99/p999 (client-observed,
-/// send -> reply), goodput (Ok + Degraded replies per second — Shed is
-/// not goodput), and shed/degraded counts. The bench FAILS (non-zero
+/// send -> reply) over every reply and over Ok replies alone, goodput
+/// (Ok + Degraded replies per second — Shed is not goodput), and
+/// shed/degraded counts. The bench FAILS (non-zero
 /// exit) if the daemon stops running, any client sees a protocol
 /// error, the faulted member is never served degraded, or goodput is
 /// zero at either load point — the "survives load + chaos + faults"
@@ -61,9 +62,11 @@ struct LoadResult {
 };
 
 /// Runs one offered-load point against the service, recording client-
-/// observed latency into `latency` (seconds).
+/// observed latency into `latency` and, for Ok replies only, into
+/// `ok_latency` (seconds).
 LoadResult run_load(int port, const LoadPoint& point,
-                    telemetry::Histogram& latency) {
+                    telemetry::Histogram& latency,
+                    telemetry::Histogram& ok_latency) {
     // Arrival schedule, drawn up front (seeded: the offered load is
     // part of the bench's identity, not a run-to-run variable).
     std::mt19937_64 rng(0xC0FFEEu ^ static_cast<std::uint64_t>(point.workers));
@@ -91,11 +94,14 @@ LoadResult run_load(int port, const LoadPoint& point,
                         start + std::chrono::duration<double>(t));
                     const Clock::time_point t0 = Clock::now();
                     const service::HeadingReply reply = client.query(id++);
-                    latency.observe(
-                        std::chrono::duration<double>(Clock::now() - t0)
-                            .count());
+                    const double seconds =
+                        std::chrono::duration<double>(Clock::now() - t0).count();
+                    latency.observe(seconds);
                     switch (reply.status) {
-                        case service::ReplyStatus::Ok: ++ok; break;
+                        case service::ReplyStatus::Ok:
+                            ok_latency.observe(seconds);
+                            ++ok;
+                            break;
                         case service::ReplyStatus::Degraded:
                         case service::ReplyStatus::Stale: ++degraded; break;
                         case service::ReplyStatus::Shed: ++shed; break;
@@ -172,14 +178,21 @@ int main() {
         {"heavy", 2000.0, 1.5, 48},
     };
 
+    const std::vector<double> latency_buckets = {
+        1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2,
+        1e-1, 2.5e-1, 5e-1, 1.0, 2.5};
     bool pass = true;
     for (const LoadPoint& point : sweep) {
         telemetry::Histogram& latency = registry.histogram(
             "fxg_service_latency_" + std::string(point.name) + "_seconds",
-            {1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2,
-             1e-1, 2.5e-1, 5e-1, 1.0, 2.5},
-            "s");
-        const LoadResult r = run_load(service.port(), point, latency);
+            latency_buckets, "s");
+        // Healthy replies alone: the faulted member's ladder does not
+        // hide inside these percentiles.
+        telemetry::Histogram& ok_latency = registry.histogram(
+            "fxg_service_ok_latency_" + std::string(point.name) + "_seconds",
+            latency_buckets, "s");
+        const LoadResult r =
+            run_load(service.port(), point, latency, ok_latency);
         const double goodput =
             static_cast<double>(r.ok + r.degraded) / r.elapsed_s;
         registry
@@ -197,11 +210,12 @@ int main() {
 
         std::printf(
             "%-6s offered %7.0f /s  goodput %7.1f /s  p50 %7.3f ms  "
-            "p99 %7.3f ms  p999 %7.3f ms  ok %llu  degraded %llu  shed %llu  "
-            "errors %llu\n",
+            "p99 %7.3f ms  p999 %7.3f ms  (Ok p50 %7.3f ms  p99 %7.3f ms)  "
+            "ok %llu  degraded %llu  shed %llu  errors %llu\n",
             point.name, point.offered_per_s, goodput,
             latency.quantile(0.5) * 1e3, latency.quantile(0.99) * 1e3,
-            latency.quantile(0.999) * 1e3,
+            latency.quantile(0.999) * 1e3, ok_latency.quantile(0.5) * 1e3,
+            ok_latency.quantile(0.99) * 1e3,
             static_cast<unsigned long long>(r.ok),
             static_cast<unsigned long long>(r.degraded),
             static_cast<unsigned long long>(r.shed),

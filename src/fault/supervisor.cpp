@@ -93,9 +93,15 @@ std::optional<double> MeasurementSupervisor::reconstruct_heading(
     return err[0] <= err[1] ? candidate[0] : candidate[1];
 }
 
-SupervisedMeasurement MeasurementSupervisor::measure() {
+SupervisedMeasurement MeasurementSupervisor::measure() { return supervise(nullptr); }
+
+SupervisedMeasurement MeasurementSupervisor::measure(const FirstAttempt& first) {
+    return supervise(&first);
+}
+
+SupervisedMeasurement MeasurementSupervisor::supervise(const FirstAttempt* first) {
     bool any_abort = false;
-    SupervisedMeasurement out = measure_impl(any_abort);
+    SupervisedMeasurement out = measure_impl(first, any_abort);
     if (postmortem_hook_) {
         const bool deep_rung = static_cast<int>(out.status) >=
                                static_cast<int>(postmortem_trigger_.min_rung);
@@ -106,7 +112,8 @@ SupervisedMeasurement MeasurementSupervisor::measure() {
     return out;
 }
 
-SupervisedMeasurement MeasurementSupervisor::measure_impl(bool& any_abort) {
+SupervisedMeasurement MeasurementSupervisor::measure_impl(const FirstAttempt* first,
+                                                          bool& any_abort) {
     SupervisedMeasurement out;
     const int attempts_allowed = 1 + (config_.max_retries > 0 ? config_.max_retries : 0);
 
@@ -128,18 +135,29 @@ SupervisedMeasurement MeasurementSupervisor::measure_impl(bool& any_abort) {
             out.diagnostics += " | re-excite";
         }
         ++out.attempts;
-        bool aborted = false;
-        try {
-            out.measurement = executor.run(attempt_plan);
-        } catch (const std::exception& e) {
-            aborted = true;
+        // Attempt 0 may be the caller's: it ran exactly what this loop
+        // would have run, so the ladder continues from it unchanged.
+        const bool given = attempt == 0 && first != nullptr;
+        std::optional<std::string> error;
+        if (given) {
+            error = first->error;
+            if (!error) out.measurement = first->measurement;
+        } else {
+            try {
+                out.measurement = executor.run(attempt_plan);
+            } catch (const std::exception& e) {
+                error = e.what();
+            }
+        }
+        if (error) {
             any_abort = true;
             out.health = HealthReport{};
             out.health.ok = false;
             out.health.findings.push_back(
-                {FaultCode::MeasurementAborted, analog::Channel::X, false, e.what()});
+                {FaultCode::MeasurementAborted, analog::Channel::X, false, *error});
+        } else {
+            out.health = given ? first->health : monitor_.check(compass_, out.measurement);
         }
-        if (!aborted) out.health = monitor_.check(compass_, out.measurement);
 
         if (sink != nullptr && !out.health.ok) {
             // One event per finding; the name is the fault code, the

@@ -80,6 +80,16 @@ struct SupervisedMeasurement {
     std::string diagnostics;   ///< human-readable failure trail
 };
 
+/// An attempt 0 the caller has already run: one
+/// PlanExecutor(compass).run(plan()) and its monitor().check(), or the
+/// message of the exception that run threw. compassd passes a member's
+/// lane-sweep result here, so the ladder does not measure it again.
+struct FirstAttempt {
+    compass::Measurement measurement;  ///< unused when `error` is set
+    HealthReport health;               ///< monitor().check() of `measurement`
+    std::optional<std::string> error;  ///< what the attempt threw, if it threw
+};
+
 /// Drives one Compass through the degradation ladder.
 class MeasurementSupervisor {
 public:
@@ -92,6 +102,13 @@ public:
     /// MeasurementAborted finding and consumes an attempt).
     SupervisedMeasurement measure();
 
+    /// The same ladder with attempt 0 taken from `first` instead of
+    /// measured: the outcome, the compass state and the supervisor
+    /// state equal measure()'s bit for bit, and the ladder's own work
+    /// starts at the first re-excite retry. Telemetry, postmortem
+    /// trigger and abort accounting are measure()'s.
+    SupervisedMeasurement measure(const FirstAttempt& first);
+
     /// When a postmortem hook fires.
     struct PostmortemTrigger {
         /// Fire when the ladder ends on this rung or deeper (enum order
@@ -102,9 +119,9 @@ public:
         bool on_abort = true;
     };
 
-    /// Black-box seam: called from measure(), after the ladder settles,
-    /// whenever `trigger` matches the outcome — the hook freezes a
-    /// flight recorder and writes a postmortem bundle (see
+    /// Black-box seam: called from either measure(), after the ladder
+    /// settles, whenever `trigger` matches the outcome — the hook
+    /// freezes a flight recorder and writes a postmortem bundle (see
     /// snapshot/postmortem.hpp). An empty hook disables it.
     void set_postmortem_hook(
         std::function<void(const SupervisedMeasurement&)> hook,
@@ -168,8 +185,12 @@ private:
     [[nodiscard]] std::optional<double> reconstruct_heading(
         analog::Channel healthy, std::int64_t good_count) const;
 
+    /// Both measure() entry points: the ladder, then the postmortem
+    /// trigger. `first` is null when attempt 0 must be measured here.
+    SupervisedMeasurement supervise(const FirstAttempt* first);
+
     /// The ladder proper; `any_abort` reports whether any attempt threw.
-    SupervisedMeasurement measure_impl(bool& any_abort);
+    SupervisedMeasurement measure_impl(const FirstAttempt* first, bool& any_abort);
 
     compass::Compass& compass_;
     SupervisorConfig config_;

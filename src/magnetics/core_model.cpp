@@ -67,10 +67,19 @@ double TanhCore::advance(double h) {
 
 void TanhCore::advance_block(const double* h, double* m_out, int n) {
     if (n <= 0) return;
-    // Same expression as magnetisation(); the division is kept (not
-    // turned into a reciprocal multiply) so results stay bit-identical
-    // to the scalar path.
-    for (int k = 0; k < n; ++k) m_out[k] = ms_ * util::simd::tanh1(h[k] / hk_);
+    namespace simd = util::simd;
+    // Same expression as magnetisation(), kLanes samples per vtanh: each
+    // lane rounds exactly like the scalar tail (the lane-independence
+    // contract of util/simd.hpp). The division is kept (not turned into
+    // a reciprocal multiply) so results stay bit-identical to the
+    // scalar path.
+    const simd::dvec ms = simd::splat(ms_);
+    const simd::dvec hk = simd::splat(hk_);
+    int k = 0;
+    for (; k + simd::kLanes <= n; k += simd::kLanes) {
+        simd::store(m_out + k, simd::mul(ms, simd::vtanh(simd::div(simd::load(h + k), hk))));
+    }
+    for (; k < n; ++k) m_out[k] = ms_ * simd::tanh1(h[k] / hk_);
     last_h_ = h[n - 1];
 }
 

@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -178,7 +179,12 @@ void CompassService::stop() {
         const std::lock_guard<std::mutex> lock(mutex_);
         if (!running_) return;
     }
-    stopping_.store(true, std::memory_order_seq_cst);
+    {
+        // Under the batch loop's wait mutex, or a loop that has tested
+        // its predicate but not yet blocked misses the notify below.
+        const std::lock_guard<std::mutex> lock(queue_mutex_);
+        stopping_.store(true);
+    }
     queue_cv_.notify_all();
     wake_io();
     {
@@ -441,35 +447,19 @@ void CompassService::io_loop() {
     }
 }
 
-HeadingReply CompassService::resolve_member(int member,
-                                            const compass::FleetResult& result) {
+HeadingReply CompassService::ladder_reply(int member,
+                                          const fault::FirstAttempt& first) {
     HeadingReply r;
     r.member = static_cast<std::uint32_t>(member);
-    fault::MeasurementSupervisor& sup =
-        *supervisors_[static_cast<std::size_t>(member)];
+    r.detail = first.error ? "batch error: " + *first.error + "; "
+                           : "batch health: " + first.health.summary() + "; ";
 
-    if (result.ok) {
-        const fault::HealthReport health =
-            sup.monitor().check(fleet_.at(member), result.measurement);
-        if (health.ok) {
-            r.status = ReplyStatus::Ok;
-            r.attempts = 1;
-            r.heading_deg = result.measurement.heading_deg;
-            r.count_x = result.measurement.count_x;
-            r.count_y = result.measurement.count_y;
-            return r;
-        }
-        r.detail = "batch health: " + health.summary() + "; ";
-    } else {
-        r.detail = "batch error: " + result.error + "; ";
-    }
-
-    // The member tripped the HealthMonitor (or threw) in the batch:
-    // walk its degradation ladder and serve the outcome *marked*
-    // instead of erroring — the ROADMAP's graceful-degradation story.
+    // Serve the ladder's outcome *marked* instead of erroring — the
+    // ROADMAP's graceful-degradation story. The sweep was attempt 1, so
+    // the ladder goes straight to its first re-excite retry.
     try {
-        const fault::SupervisedMeasurement sm = sup.measure();
-        r.attempts = static_cast<std::uint32_t>(sm.attempts) + 1;
+        const fault::SupervisedMeasurement sm = supervisor(member).measure(first);
+        r.attempts = static_cast<std::uint32_t>(sm.attempts);
         r.heading_deg = sm.heading_deg;
         r.count_x = sm.measurement.count_x;
         r.count_y = sm.measurement.count_y;
@@ -498,6 +488,44 @@ HeadingReply CompassService::resolve_member(int member,
     return r;
 }
 
+void CompassService::publish(const std::vector<PendingQuery>& batch,
+                             const std::unordered_map<int, HeadingReply>& replies) {
+    if (replies.empty()) return;
+    // Every query gets its own reply, so the reply counters count here,
+    // not per resolved member.
+    const Clock::time_point done = Clock::now();
+    int handed = 0;
+    {
+        const std::lock_guard<std::mutex> lock(ready_mutex_);
+        for (const PendingQuery& q : batch) {
+            const auto it = replies.find(q.member);
+            if (it == replies.end()) continue;
+            HeadingReply reply = it->second;
+            reply.request_id = q.request_id;
+            switch (reply.status) {
+                case ReplyStatus::Ok:
+                    replies_ok_.fetch_add(1, std::memory_order_relaxed);
+                    break;
+                case ReplyStatus::Degraded:
+                case ReplyStatus::Stale:
+                    replies_degraded_.fetch_add(1, std::memory_order_relaxed);
+                    degraded_counter_->inc();
+                    break;
+                default:
+                    replies_error_.fetch_add(1, std::memory_order_relaxed);
+                    break;
+            }
+            latency_hist_->observe(
+                std::chrono::duration<double>(done - q.admitted).count());
+            ready_.emplace_back(q.conn_id, std::move(reply));
+            ++handed;
+        }
+    }
+    wake_io();
+    const std::lock_guard<std::mutex> lock(queue_mutex_);
+    inflight_ -= handed;
+}
+
 void CompassService::batch_loop() {
     for (;;) {
         std::vector<PendingQuery> batch;
@@ -517,55 +545,47 @@ void CompassService::batch_loop() {
         // One fleet sweep serves every coalesced query: the lane engine
         // measures all members as SoA groups over the pool, and each
         // query reads its assigned member's slot. fleet_mutex_ keeps
-        // the /snapshot provider out until the sweep (and any ladder
-        // re-measurement) settles.
-        std::unordered_map<int, HeadingReply> outcome;
-        {
-            const std::lock_guard<std::mutex> fleet_lock(fleet_mutex_);
-            const std::vector<compass::FleetResult> results =
-                fleet_.measure_all_results(config_.batch_threads);
+        // the /snapshot provider out until the sweep and every ladder
+        // have settled; replies leave before that.
+        const std::lock_guard<std::mutex> fleet_lock(fleet_mutex_);
+        const std::vector<compass::FleetResult> results =
+            fleet_.measure_all_results(config_.batch_threads);
 
-            // Resolve each *member* once per batch (queries sharing a
-            // member share its outcome).
-            for (const PendingQuery& q : batch) {
-                if (outcome.find(q.member) != outcome.end()) continue;
-                const auto slot = static_cast<std::size_t>(q.member);
-                outcome.emplace(q.member, resolve_member(q.member, results[slot]));
-            }
-        }
-
-        // Stamp per-query identity and hand the replies to the io loop.
-        // Every query gets its own reply, so the reply counters count
-        // here, not per resolved member.
-        const Clock::time_point done = Clock::now();
-        {
-            const std::lock_guard<std::mutex> lock(ready_mutex_);
-            for (const PendingQuery& q : batch) {
-                HeadingReply reply = outcome.at(q.member);
-                reply.request_id = q.request_id;
-                switch (reply.status) {
-                    case ReplyStatus::Ok:
-                        replies_ok_.fetch_add(1, std::memory_order_relaxed);
-                        break;
-                    case ReplyStatus::Degraded:
-                    case ReplyStatus::Stale:
-                        replies_degraded_.fetch_add(1,
-                                                    std::memory_order_relaxed);
-                        degraded_counter_->inc();
-                        break;
-                    default:
-                        replies_error_.fetch_add(1, std::memory_order_relaxed);
-                        break;
+        // Health-check each queried member once (queries sharing a
+        // member share its reply). A member that trips the monitor, or
+        // threw, keeps its sweep as the first attempt of its ladder.
+        std::unordered_map<int, HeadingReply> healthy;
+        std::map<int, fault::FirstAttempt> tripped;  // ladders in member order
+        for (const PendingQuery& q : batch) {
+            if (healthy.contains(q.member) || tripped.contains(q.member)) continue;
+            const compass::FleetResult& result =
+                results[static_cast<std::size_t>(q.member)];
+            fault::FirstAttempt first;
+            if (!result.ok) {
+                first.error = result.error;
+            } else {
+                first.measurement = result.measurement;
+                first.health = supervisor(q.member).monitor().check(
+                    fleet_.at(q.member), result.measurement);
+                if (first.health.ok) {
+                    HeadingReply& r = healthy[q.member];
+                    r.member = static_cast<std::uint32_t>(q.member);
+                    r.status = ReplyStatus::Ok;
+                    r.attempts = 1;
+                    r.heading_deg = result.measurement.heading_deg;
+                    r.count_x = result.measurement.count_x;
+                    r.count_y = result.measurement.count_y;
+                    continue;
                 }
-                latency_hist_->observe(
-                    std::chrono::duration<double>(done - q.admitted).count());
-                ready_.emplace_back(q.conn_id, std::move(reply));
             }
+            tripped.emplace(q.member, std::move(first));
         }
-        wake_io();
-        {
-            const std::lock_guard<std::mutex> lock(queue_mutex_);
-            inflight_ = 0;
+
+        // Healthy replies leave now: a tripped member's ladder holds
+        // only its own queries.
+        publish(batch, healthy);
+        for (const auto& [member, first] : tripped) {
+            publish(batch, {{member, ladder_reply(member, first)}});
         }
     }
     {

@@ -27,16 +27,18 @@
 ///               during the previous batch rides the next one), runs
 ///               one CompassFleet::measure_all_results — the SoA
 ///               lane-engine fan-out — and resolves each query from its
-///               round-robin-assigned member's result.
+///               round-robin-assigned member's result. Healthy replies
+///               go to the io loop as soon as the sweep lands; a
+///               tripped member's reply follows when its ladder ends.
 ///
 /// Fault integration: each member owns a fault::MeasurementSupervisor.
 /// The batch path serves members whose measurement is healthy (ok +
-/// HealthMonitor-clean) straight from the lane batch; a member that
-/// trips the HealthMonitor is re-measured through its supervisor's
-/// degradation ladder, and the ladder's outcome is served *marked* —
-/// ReplyStatus::Degraded (single-axis reconstruction) or Stale (held
-/// last-good) — rather than erroring. Only an exhausted ladder answers
-/// Error.
+/// HealthMonitor-clean) straight from the lane batch; for a member that
+/// trips the HealthMonitor, the sweep becomes attempt 1 of its
+/// supervisor's degradation ladder, which continues from there, and the
+/// ladder's outcome is served *marked* — ReplyStatus::Degraded
+/// (single-axis reconstruction) or Stale (held last-good) — rather than
+/// erroring. Only an exhausted ladder answers Error.
 ///
 /// Telemetry is live while serving: start() can also bind the PR 8
 /// introspection endpoint (HTTP /metrics, /trace, /healthz, /snapshot)
@@ -47,6 +49,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "core/compass_fleet.hpp"
@@ -153,10 +156,16 @@ private:
 
     void io_loop();
     void batch_loop();
-    /// Resolves one member's batch slot into the reply fields every
-    /// query assigned to that member shares this batch.
-    [[nodiscard]] HeadingReply resolve_member(
-        int member, const compass::FleetResult& result);
+    /// Walks a tripped member's ladder on from the sweep's attempt and
+    /// returns the reply fields every query assigned to that member
+    /// shares this batch.
+    [[nodiscard]] HeadingReply ladder_reply(int member,
+                                            const fault::FirstAttempt& first);
+    /// Stamps and counts the reply of every query in `batch` whose
+    /// member has an entry in `replies`, hands them to the io loop and
+    /// frees their admission slots.
+    void publish(const std::vector<PendingQuery>& batch,
+                 const std::unordered_map<int, HeadingReply>& replies);
     void wake_io() noexcept;
 
     ServiceConfig config_;
@@ -167,7 +176,9 @@ private:
     /// Serializes member mutation: the batch loop holds this across a
     /// fleet sweep + ladder resolution, and the introspection thread's
     /// /snapshot provider holds it while encoding — a snapshot never
-    /// observes a member mid-measurement.
+    /// observes a member mid-measurement. The batch loop publishes
+    /// replies while holding it (lock order fleet_mutex_ ->
+    /// ready_mutex_ / queue_mutex_; no other thread nests them).
     std::mutex fleet_mutex_;
 
     // Lifecycle (guarded by mutex_).
@@ -177,12 +188,16 @@ private:
     int port_ = 0;
     int loops_running_ = 0;
     bool running_ = false;
+    /// stop() sets it under queue_mutex_: the batch loop's wait
+    /// predicate reads it, and a store outside that mutex can land
+    /// between the predicate test and the wait, losing the wakeup.
     std::atomic<bool> stopping_{false};
     int wake_pipe_[2] = {-1, -1};  ///< batch loop -> io loop doorbell
 
     // Pending-query queue (guarded by queue_mutex_). `inflight_` counts
-    // queries swapped out by the batch loop but not yet answered; the
-    // admission bound covers queued + inflight.
+    // queries swapped out by the batch loop whose replies have not yet
+    // been handed to the io loop; the admission bound covers queued +
+    // inflight.
     std::mutex queue_mutex_;
     std::condition_variable queue_cv_;
     std::vector<PendingQuery> queue_;

@@ -26,8 +26,10 @@
 ///
 /// A client may pipeline requests on one connection; every request is
 /// answered by exactly one reply carrying its request_id (shed replies
-/// included). Replies to a connection are delivered in batch-completion
-/// order, not request order — match on request_id.
+/// included). Replies to a connection are delivered in completion
+/// order, not request order — even within one batch, a healthy
+/// member's reply leaves before a fault-tripped member's — so match on
+/// request_id.
 
 #include <cstddef>
 #include <cstdint>

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "core/compass.hpp"
 #include "core/compass_fleet.hpp"
@@ -17,6 +20,7 @@
 #include "fault/supervisor.hpp"
 #include "magnetics/earth_field.hpp"
 #include "magnetics/units.hpp"
+#include "snapshot/state.hpp"
 #include "util/angle.hpp"
 
 namespace fxg {
@@ -589,6 +593,91 @@ TEST(Supervisor, CounterTrapBecomesMeasurementAborted) {
     EXPECT_EQ(result.status, fault::SupervisedStatus::Failed);
     EXPECT_TRUE(result.health.has(FaultCode::MeasurementAborted))
         << result.diagnostics;
+}
+
+TEST(Supervisor, CallersFirstAttemptMatchesMeasure) {
+    // measure(first) continues the ladder from an attempt 0 the caller
+    // ran (one plain plan execution plus the supervisor's own health
+    // check, what compassd takes from its lane sweep). On twin compasses
+    // with the same dead detector it must serve what measure() serves
+    // and leave compass and ladder in the same state, bit for bit.
+    fault::SupervisorConfig cfg;
+    cfg.health = site_monitor();
+    compass::Compass a(lite_config());
+    compass::Compass b(lite_config());
+    a.set_environment(site(), 340.0);
+    b.set_environment(site(), 340.0);
+    fault::MeasurementSupervisor sa(a, cfg);
+    fault::MeasurementSupervisor sb(b, cfg);
+    ASSERT_EQ(sa.measure().status, fault::SupervisedStatus::Ok);
+    ASSERT_EQ(sb.measure().status, fault::SupervisedStatus::Ok);
+
+    fault::FaultInjector ia;
+    fault::FaultInjector ib;
+    for (fault::FaultInjector* inj : {&ia, &ib}) {
+        inj->add({.fault = FaultClass::DetectorStuckLow, .channel = analog::Channel::X});
+    }
+    ia.arm(a);
+    ib.arm(b);
+
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    for (int round = 0; round < 2; ++round) {
+        const fault::SupervisedMeasurement ra = sa.measure();
+
+        fault::FirstAttempt first;
+        first.measurement = compass::PlanExecutor(b).run(b.plan());
+        first.health = sb.monitor().check(b, first.measurement);
+        ASSERT_FALSE(first.health.ok);
+        const fault::SupervisedMeasurement rb = sb.measure(first);
+
+        EXPECT_EQ(ra.status, fault::SupervisedStatus::DegradedSingleAxis);
+        EXPECT_EQ(rb.status, ra.status) << "round " << round;
+        EXPECT_EQ(rb.attempts, ra.attempts);
+        EXPECT_EQ(rb.stale, ra.stale);
+        EXPECT_EQ(bits(rb.staleness_s), bits(ra.staleness_s));
+        EXPECT_EQ(bits(rb.heading_deg), bits(ra.heading_deg));
+        EXPECT_EQ(rb.measurement.count_x, ra.measurement.count_x);
+        EXPECT_EQ(rb.measurement.count_y, ra.measurement.count_y);
+        EXPECT_EQ(rb.diagnostics, ra.diagnostics);
+        EXPECT_EQ(bits(sb.staleness_s()), bits(sa.staleness_s()));
+        EXPECT_EQ(snapshot::snapshot_compass(b, {.injector = &ib}),
+                  snapshot::snapshot_compass(a, {.injector = &ia}))
+            << "round " << round;
+    }
+}
+
+TEST(Supervisor, ThrownFirstAttemptAbortsAndFiresPostmortem) {
+    // The caller's attempt 0 threw (a trapping counter register): the
+    // ladder records a MeasurementAborted finding, retries, and the
+    // on_abort trigger fires although the retry recovered.
+    compass::Compass compass(lite_config());
+    compass.set_environment(site(), 45.0);
+    fault::SupervisorConfig cfg;
+    cfg.health = site_monitor();
+    fault::MeasurementSupervisor supervisor(compass, cfg);
+    int fired = 0;
+    supervisor.set_postmortem_hook(
+        [&fired](const fault::SupervisedMeasurement&) { ++fired; },
+        {.min_rung = fault::SupervisedStatus::Failed, .on_abort = true});
+
+    compass.counter().set_hardware({.width_bits = 8, .trap_on_overflow = true});
+    fault::FirstAttempt first;
+    try {
+        static_cast<void>(compass::PlanExecutor(compass).run(compass.plan()));
+    } catch (const std::exception& e) {
+        first.error = e.what();
+    }
+    ASSERT_TRUE(first.error.has_value()) << "the 8-bit trap did not fire";
+    compass.counter().set_hardware({});  // the retry's register is sound
+
+    const fault::SupervisedMeasurement result = supervisor.measure(first);
+    EXPECT_EQ(result.status, fault::SupervisedStatus::RecoveredRetry)
+        << result.diagnostics;
+    EXPECT_EQ(result.attempts, 2);
+    EXPECT_NE(result.diagnostics.find("MeasurementAborted"), std::string::npos)
+        << result.diagnostics;
+    EXPECT_NE(result.diagnostics.find(*first.error), std::string::npos);
+    EXPECT_EQ(fired, 1);
 }
 
 // --- Fleet partial-failure isolation ---------------------------------

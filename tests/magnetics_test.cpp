@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "magnetics/core_model.hpp"
 #include "magnetics/earth_field.hpp"
 #include "magnetics/units.hpp"
 #include "util/angle.hpp"
+#include "util/simd.hpp"
 
 namespace fxg::magnetics {
 namespace {
@@ -51,6 +55,48 @@ TEST(TanhCore, SusceptibilityPeaksAtZero) {
     EXPECT_NEAR(chi0, 8e5 / 40.0, 1e-6);
     core.advance(200.0);  // deep saturation
     EXPECT_LT(core.susceptibility(), chi0 * 1e-3);
+}
+
+TEST(TanhCore, BlockPathMatchesScalarAdvanceBitForBit) {
+    // advance_block evaluates tanh in util::simd stripes with a scalar
+    // tail; for every block length from one sample to two stripes plus
+    // one, each output (and the state left behind) must equal n
+    // advance() calls bit for bit — signed zeros, the linear region,
+    // the knee and |h/hk| >= 19, where vtanh saturates to exactly 1.
+    constexpr double kHk = 40.0;
+    const std::vector<double> fields = {
+        0.0, -0.0, 1e-300, -1e-300, 1e-9, -1e-9,             // zero, tiny
+        3.7, -11.25, 0.5 * kHk, kHk, -kHk, -2.0 * kHk,       // linear, knee
+        19.0 * kHk, -19.0 * kHk, 25.0 * kHk, 760.5, -1e6, 1e6};  // saturated
+    TanhCore core(8e5, kHk, -2e-3, 3e-3, 25.0);
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    const auto check_all_lengths = [&](const TanhCore& proto) {
+        for (int n = 1; n <= 2 * util::simd::kLanes + 1; ++n) {
+            // Rotate the pattern so every field lands in every stripe
+            // lane and in the tail.
+            for (std::size_t shift = 0; shift < fields.size(); ++shift) {
+                std::vector<double> h(static_cast<std::size_t>(n));
+                for (std::size_t k = 0; k < h.size(); ++k) {
+                    h[k] = fields[(k + shift) % fields.size()];
+                }
+                TanhCore block = proto;
+                TanhCore scalar = proto;
+                std::vector<double> m(h.size());
+                block.advance_block(h.data(), m.data(), n);
+                for (std::size_t k = 0; k < h.size(); ++k) {
+                    ASSERT_EQ(bits(m[k]), bits(scalar.advance(h[k])))
+                        << "n " << n << " sample " << k << " h " << h[k];
+                }
+                ASSERT_EQ(bits(block.susceptibility()), bits(scalar.susceptibility()))
+                    << "n " << n;
+                ASSERT_EQ(block.save_state(), scalar.save_state());
+            }
+        }
+    };
+    check_all_lengths(core);
+    core.set_temperature(80.0);  // Ms and Hk both move
+    ASSERT_NE(core.knee_field(), kHk);
+    check_all_lengths(core);
 }
 
 TEST(TanhCore, RejectsBadParams) {

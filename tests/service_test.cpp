@@ -4,15 +4,28 @@
 /// the CompassService daemon end to end over a real loopback socket —
 /// query serving, request coalescing into fleet batches, admission
 /// control (pending-queue and connection budgets, Retry-After
-/// semantics), degraded serving from a fault-tripped member, abrupt
-/// client disconnects, malformed-stream handling and restart.
+/// semantics), degraded serving from a fault-tripped member whose
+/// ladder never holds healthy replies, abrupt client disconnects,
+/// malformed-stream handling and restart.
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <exception>
+#include <functional>
+#include <future>
+#include <map>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,6 +67,57 @@ service::ServiceConfig small_service(int members) {
     cfg.compass = small_config();
     return cfg;
 }
+
+/// Polls `done` until it holds or 10 s pass.
+bool eventually(const std::function<bool()>& done) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() > deadline) return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
+/// Holds every call of a postmortem hook until the test lets it go.
+class HookLatch {
+public:
+    /// The hook body: counts the call, then blocks until released.
+    void hold() {
+        std::unique_lock<std::mutex> lock(mutex_);
+        const int call = ++entered_;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return open_ || released_ >= call; });
+    }
+    /// Waits (10 s at most) until `calls` hook calls have started.
+    [[nodiscard]] bool wait_entered(int calls) {
+        std::unique_lock<std::mutex> lock(mutex_);
+        return cv_.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return entered_ >= calls; });
+    }
+    /// Lets the oldest held call return.
+    void release_one() {
+        {
+            const std::lock_guard<std::mutex> lock(mutex_);
+            ++released_;
+        }
+        cv_.notify_all();
+    }
+    /// Lets every call, held or future, return.
+    void open() {
+        {
+            const std::lock_guard<std::mutex> lock(mutex_);
+            open_ = true;
+        }
+        cv_.notify_all();
+    }
+
+private:
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    int entered_ = 0;
+    int released_ = 0;
+    bool open_ = false;
+};
 
 HeadingReply sample_reply() {
     HeadingReply r;
@@ -336,6 +400,83 @@ TEST(ServiceTest, FaultTrippedMemberServesDegradedNotError) {
     daemon.stop();
 }
 
+TEST(ServiceTest, HeldLadderDoesNotHoldHealthyReplies) {
+    // Member 0's detector is dead, and its postmortem hook (fired by the
+    // DegradedSingleAxis outcome) blocks on a latch, so its ladder can
+    // be held inside the batch loop at will. A healthy member's reply
+    // must leave as soon as the sweep lands, while that ladder is held.
+    HookLatch latch;
+    service::CompassService daemon(small_service(2));
+    daemon.fleet().set_environment(0, site(), 30.0);
+    daemon.fleet().set_environment(1, site(), 120.0);
+    daemon.start();
+    fault::FaultInjector injector;
+    fault::FaultSpec spec;
+    spec.fault = fault::FaultClass::DetectorStuckLow;
+    spec.channel = analog::Channel::X;
+    injector.add(spec);
+    injector.arm(daemon.fleet().at(0));
+    daemon.supervisor(0).set_postmortem_hook(
+        [&latch](const fault::SupervisedMeasurement&) { latch.hold(); });
+    // On every exit path: let held ladders go and stop the batch loop
+    // (a held loop would deadlock stop()) before the injector disarms.
+    struct Teardown {
+        HookLatch& latch;
+        service::CompassService& daemon;
+        ~Teardown() {
+            latch.open();
+            daemon.stop();
+        }
+    } teardown{latch, daemon};
+
+    service::QueryClient client(daemon.port());
+    const timeval timeout{2, 0};
+    ASSERT_EQ(::setsockopt(client.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof timeout),
+              0);
+    const auto recv_reply = [&client]() -> std::optional<HeadingReply> {
+        try {
+            return client.recv();
+        } catch (const std::runtime_error&) {
+            return std::nullopt;  // SO_RCVTIMEO expired
+        }
+    };
+
+    // Round-robin: queries 1 and 3 go to member 0, query 2 to member 1.
+    client.send(1);
+    ASSERT_TRUE(latch.wait_entered(1)) << "batch A never reached its ladder";
+    client.send(2);
+    client.send(3);
+    ASSERT_TRUE(eventually([&] { return daemon.stats().requests == 3; }));
+    latch.release_one();  // batch A ends; batch B = {2, 3} sweeps
+    ASSERT_TRUE(latch.wait_entered(2)) << "batch B never reached its ladder";
+
+    // Batch B's ladder is held: query 1's reply (batch A) and query 2's
+    // (healthy, batch B) are already out.
+    std::map<std::uint64_t, HeadingReply> got;
+    for (int i = 0; i < 2; ++i) {
+        const std::optional<HeadingReply> reply = recv_reply();
+        ASSERT_TRUE(reply.has_value())
+            << "reply " << i + 1 << " of 2 held behind member 0's ladder";
+        got[reply->request_id] = *reply;
+    }
+    ASSERT_EQ(got.count(1), 1u);
+    ASSERT_EQ(got.count(2), 1u);
+    EXPECT_EQ(got[1].status, ReplyStatus::Degraded) << got[1].detail;
+    EXPECT_EQ(got[1].member, 0u);
+    // The sweep is attempt 1; the default ladder adds two retries.
+    EXPECT_EQ(got[1].attempts, 3u);
+    EXPECT_EQ(got[2].status, ReplyStatus::Ok) << got[2].detail;
+    EXPECT_EQ(got[2].member, 1u);
+    EXPECT_NEAR(got[2].heading_deg, 120.0, 2.0);
+
+    latch.release_one();
+    const std::optional<HeadingReply> third = recv_reply();
+    ASSERT_TRUE(third.has_value()) << "query 3 unanswered after its ladder";
+    EXPECT_EQ(third->request_id, 3u);
+    EXPECT_EQ(third->status, ReplyStatus::Degraded) << third->detail;
+}
+
 TEST(ServiceTest, ClientVanishingMidStreamCostsOnlyItsConnection) {
     service::CompassService daemon(small_service(2));
     daemon.fleet().set_environment(0, site(), 0.0);
@@ -402,6 +543,51 @@ TEST(ServiceTest, RestartServesAgainAndStopIsIdempotent) {
         EXPECT_EQ(client.query(2).status, ReplyStatus::Ok);
     }
     daemon.stop();
+}
+
+TEST(ServiceTest, RestartStressNeverLosesStopWakeup) {
+    // Guard: stop() must set its flag under the batch loop's wait mutex.
+    // Set outside it, the flag and the notify can land between the
+    // loop's predicate test and its wait; the wakeup is lost and stop()
+    // waits forever. The window is narrow, so this restarts many times
+    // with busy threads preempting the loops at random points, under a
+    // watchdog that fails the test instead of hanging the suite.
+    service::CompassService daemon(small_service(1));
+    daemon.fleet().set_environment(0, site(), 10.0);
+    std::atomic<bool> done{false};
+    std::vector<std::thread> spinners;
+    for (int i = 0; i < 2; ++i) {
+        spinners.emplace_back([&done] {
+            while (!done.load(std::memory_order_relaxed)) {}
+        });
+    }
+    std::promise<void> cycled;
+    std::future<void> cycles = cycled.get_future();
+    std::thread cycler([&daemon, &cycled] {
+        try {
+            for (int i = 0; i < 2000; ++i) {
+                daemon.start();
+                daemon.stop();
+            }
+            cycled.set_value();
+        } catch (...) {
+            cycled.set_exception(std::current_exception());
+        }
+    });
+    const bool in_time =
+        cycles.wait_for(std::chrono::seconds(60)) == std::future_status::ready;
+    done.store(true);
+    for (std::thread& t : spinners) t.join();
+    if (!in_time) {
+        // The cycler is stuck inside stop(): it can be neither joined
+        // nor outlived by the daemon, so end the process here.
+        ADD_FAILURE() << "stop() hung: the batch loop missed its wakeup";
+        std::fflush(stdout);
+        std::_Exit(1);
+    }
+    cycler.join();
+    EXPECT_NO_THROW(cycles.get());
+    EXPECT_FALSE(daemon.running());
 }
 
 TEST(ServiceTest, IntrospectionRidesAlongServingLiveTelemetry) {
