@@ -322,6 +322,7 @@ void write_perf_json(bool large) {
     // numbers of the lane engine.
     registry.gauge("fxg_simd_lanes_per_stripe", "lanes")
         .set(static_cast<double>(sim::LaneEngine::lanes_per_stripe()));
+    double lane_rate[2] = {0.0, 0.0};  // n=1k, n=64k
     for (const int n : {1000, 64000}) {
         const int reps = n <= 1000 ? 3 : 1;
         const double block =
@@ -338,7 +339,13 @@ void write_perf_json(bool large) {
         std::printf("fleet n=%d [%s]: block %.1f meas/s, lane %.1f meas/s (%.2fx)\n",
                     n, sim::LaneEngine::backend_name(), block, lane,
                     block > 0.0 ? lane / block : 0.0);
+        lane_rate[n == 1000 ? 0 : 1] = lane;
     }
+    // Per-member lane cost should not grow with the fleet: n=64k over
+    // n=1k throughput, targeted at >= 0.9.
+    const double scaling = lane_rate[0] > 0.0 ? lane_rate[1] / lane_rate[0] : 0.0;
+    registry.gauge("fxg_lane_scaling_n64000_over_n1000", "x").set(scaling);
+    std::printf("lane scaling n=64000 / n=1000: %.2f\n", scaling);
     // The noise path of the lane kernel (counter-based draws through
     // vgauss): without this record a return to per-lane scalar noise
     // would pass the bench_diff gate.

@@ -3,9 +3,9 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "snapshot/version.hpp"
 #include "util/csv.hpp"
@@ -191,35 +191,55 @@ ParsedTrace parse_trace_jsonl(const std::string& text) {
 }
 
 std::string prometheus_text(const MetricsRegistry& registry) {
+    // The exposition format wants all lines of a family in one group,
+    // but labelled series register lazily (a fleet's per-member gauges
+    // interleave with event counters created mid-sweep). Group entries
+    // by base name: families in order of first registration, series in
+    // registration order within a family.
+    struct Family {
+        std::string base;
+        std::vector<const MetricsRegistry::Entry*> series;
+    };
+    const std::vector<MetricsRegistry::Entry> entries = registry.entries();
+    std::vector<Family> families;
+    std::unordered_map<std::string, std::size_t> family_index;
+    for (const MetricsRegistry::Entry& e : entries) {
+        std::string base = e.name.substr(0, e.name.find('{'));
+        const auto [it, fresh] = family_index.try_emplace(base, families.size());
+        if (fresh) families.push_back({std::move(base), {}});
+        families[it->second].series.push_back(&e);
+    }
+
     std::ostringstream out;
-    std::set<std::string> typed;  // base names that already got a # TYPE line
-    for (const MetricsRegistry::Entry& e : registry.entries()) {
-        const std::string base = e.name.substr(0, e.name.find('{'));
-        const char* kind = e.kind == MetricKind::Counter   ? "counter"
-                           : e.kind == MetricKind::Gauge   ? "gauge"
-                                                           : "histogram";
-        if (typed.insert(base).second) {
-            out << "# TYPE " << base << ' ' << kind << '\n';
-        }
-        switch (e.kind) {
-            case MetricKind::Counter:
-                out << e.name << ' ' << e.counter->value() << '\n';
-                break;
-            case MetricKind::Gauge:
-                out << e.name << ' ' << format_double(e.gauge->value()) << '\n';
-                break;
-            case MetricKind::Histogram: {
-                const Histogram& h = *e.histogram;
-                std::uint64_t cumulative = 0;
-                for (std::size_t i = 0; i < h.bounds().size(); ++i) {
-                    cumulative += h.bucket_count(i);
-                    out << base << "_bucket{le=\"" << format_double(h.bounds()[i])
-                        << "\"} " << cumulative << '\n';
+    for (const Family& family : families) {
+        const std::string& base = family.base;
+        const MetricKind kind = family.series.front()->kind;
+        out << "# TYPE " << base << ' '
+            << (kind == MetricKind::Counter ? "counter"
+                : kind == MetricKind::Gauge ? "gauge"
+                                            : "histogram")
+            << '\n';
+        for (const MetricsRegistry::Entry* e : family.series) {
+            switch (e->kind) {
+                case MetricKind::Counter:
+                    out << e->name << ' ' << e->counter->value() << '\n';
+                    break;
+                case MetricKind::Gauge:
+                    out << e->name << ' ' << format_double(e->gauge->value()) << '\n';
+                    break;
+                case MetricKind::Histogram: {
+                    const Histogram& h = *e->histogram;
+                    std::uint64_t cumulative = 0;
+                    for (std::size_t i = 0; i < h.bounds().size(); ++i) {
+                        cumulative += h.bucket_count(i);
+                        out << base << "_bucket{le=\"" << format_double(h.bounds()[i])
+                            << "\"} " << cumulative << '\n';
+                    }
+                    out << base << "_bucket{le=\"+Inf\"} " << h.count() << '\n';
+                    out << base << "_sum " << format_double(h.sum()) << '\n';
+                    out << base << "_count " << h.count() << '\n';
+                    break;
                 }
-                out << base << "_bucket{le=\"+Inf\"} " << h.count() << '\n';
-                out << base << "_sum " << format_double(h.sum()) << '\n';
-                out << base << "_count " << h.count() << '\n';
-                break;
             }
         }
     }

@@ -52,7 +52,9 @@ std::string format_double(double v) {
 FlightRecorder::FlightRecorder() : FlightRecorder(Config{}) {}
 
 FlightRecorder::FlightRecorder(Config config)
-    : config_(config), uid_(next_recorder_uid()) {
+    : config_(config),
+      next_snapshot_(config.metrics_snapshot_every),
+      uid_(next_recorder_uid()) {
     if (config_.ring_capacity == 0) config_.ring_capacity = 1;
     config_.ring_capacity = round_up_pow2(config_.ring_capacity);
 }
@@ -180,13 +182,24 @@ void FlightRecorder::on_sample(const MeasurementSample& sample) {
     push(r);
     const std::uint64_t seen =
         samples_seen_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (registry_ != nullptr && config_.metrics_snapshot_every > 0 &&
-        seen % config_.metrics_snapshot_every == 0 && !frozen()) {
-        maybe_snapshot_metrics();
+    if (registry_ == nullptr || config_.metrics_snapshot_every == 0 || frozen()) {
+        return;
+    }
+    std::uint64_t due = next_snapshot_.load(std::memory_order_relaxed);
+    if (seen < due) return;
+    // Space the next snapshot by the registry's size, so the O(size)
+    // render below averages out to O(1) per sample. Only the writer
+    // whose exchange claims this due point renders.
+    const std::uint64_t next =
+        seen + std::max<std::uint64_t>(config_.metrics_snapshot_every,
+                                       registry_->size());
+    if (next_snapshot_.compare_exchange_strong(due, next,
+                                               std::memory_order_relaxed)) {
+        snapshot_metrics();
     }
 }
 
-void FlightRecorder::maybe_snapshot_metrics() {
+void FlightRecorder::snapshot_metrics() {
     std::string text = prometheus_text(*registry_);
     std::lock_guard<std::mutex> lock(snapshots_mutex_);
     snapshots_.push_back(std::move(text));

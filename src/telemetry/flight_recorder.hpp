@@ -26,12 +26,21 @@
 ///    JSONL and unfreezes. Samples — which have no span/event line type
 ///    of their own — are expanded into "sample.*" event lines.
 ///
-/// Metric snapshots: when a registry is attached, every
-/// `metrics_snapshot_every` samples the recorder captures the full
-/// Prometheus text into a small bounded deque (mutex-guarded; the cold
-/// path). The last few snapshots ride along in postmortem bundles so a
-/// bundle shows the metric trajectory into the fault, not just the
-/// final values.
+/// Metric snapshots: when a registry is attached, the recorder
+/// periodically captures the full Prometheus text into a small bounded
+/// deque (mutex-guarded; the cold path). The last few snapshots ride
+/// along in postmortem bundles so a bundle shows the metric trajectory
+/// into the fault, not just the final values. A render costs O(E) in
+/// the registry's E entries, and a fleet's registry holds one latency
+/// gauge per member, so after each snapshot the next is due
+/// max(`metrics_snapshot_every`, E) samples later: the render is spread
+/// over at least E samples and costs O(1) per sample at any fleet size.
+/// A registry of up to `metrics_snapshot_every` entries keeps the plain
+/// every-N cadence; a large fleet keeps about one snapshot per sweep.
+/// Exactly one writer (the one whose compare-exchange claims the due
+/// sample) renders each snapshot, outside any lock, so no other writer
+/// ever waits on a render. A snapshot that comes due while frozen is
+/// taken by the first sample after the freeze ends.
 ///
 /// requires_member_trace() is false: a fleet carrying a FlightRecorder
 /// on every member keeps the SoA lane engine's batch dispatch.
@@ -55,7 +64,9 @@ public:
         /// Records retained per writer thread (power of two enforced by
         /// rounding up). ~88 bytes per record.
         std::size_t ring_capacity = 2048;
-        /// Capture a metrics snapshot every N samples (0 = never).
+        /// Minimum spacing of metric snapshots, in samples (0 = never).
+        /// The spacing actually used is max(this, registry size), which
+        /// holds a render's O(size) cost to O(1) per sample.
         std::size_t metrics_snapshot_every = 64;
         /// How many snapshots the bounded deque retains.
         std::size_t metrics_snapshots_kept = 4;
@@ -163,7 +174,7 @@ private:
 
     ThreadRing& local_ring();
     void push(const Record& r) noexcept;
-    void maybe_snapshot_metrics();
+    void snapshot_metrics();
 
     Config config_;
     const MetricsRegistry* registry_ = nullptr;
@@ -173,6 +184,8 @@ private:
     std::atomic<std::uint64_t> next_seq_{1};
     std::atomic<std::uint64_t> dropped_{0};
     std::atomic<std::uint64_t> samples_seen_{0};
+    /// Sample count at which the next metric snapshot is due.
+    std::atomic<std::uint64_t> next_snapshot_;
 
     /// Never-reused identity for the thread-local ring cache (guards
     /// against a stale cache entry from a destroyed recorder).

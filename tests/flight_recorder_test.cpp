@@ -3,7 +3,8 @@
 /// that round-trip through parse_trace_jsonl, bounded-ring overwrite
 /// accounting, the freeze protocol (writers drop instead of mutating a
 /// frozen cut — including under concurrent hammering, the TSan leg's
-/// main course), periodic metric snapshots, and the two fleet-level
+/// main course), periodic metric snapshots spaced by the registry's
+/// size (rendered from concurrent writers too), and the two fleet-level
 /// guarantees the recorder was built around: a fleet carrying it on
 /// every member keeps the SoA lane-batched dispatch, and arming it
 /// never changes a measurement's bits.
@@ -195,6 +196,44 @@ TEST(FlightRecorderTest, PeriodicMetricSnapshotsAreBounded) {
     EXPECT_LT(snaps.back().find("fxg_measurements_total 20"), snaps.back().size());
 }
 
+TEST(FlightRecorderTest, SnapshotSpacingFollowsRegistrySize) {
+    // A render costs O(entries); a fleet's registry holds one gauge per
+    // member. After a snapshot the next is due max(every, entries)
+    // samples later, so a 1000-entry registry is rendered at most once
+    // per 1000 samples, not once per 64.
+    telemetry::MetricsRegistry registry;
+    auto& measurements = registry.counter("fxg_measurements_total");
+    for (int i = 0; i < 999; ++i) {
+        registry.gauge("fxg_member_latency_seconds{member=\"" + std::to_string(i) +
+                       "\"}");
+    }
+
+    telemetry::FlightRecorder::Config cfg;
+    cfg.metrics_snapshot_every = 64;
+    cfg.metrics_snapshots_kept = 4;
+    telemetry::FlightRecorder recorder(cfg);
+    recorder.attach_registry(&registry);
+
+    telemetry::MeasurementSample sample;
+    for (int i = 0; i < 10'000; ++i) {
+        measurements.inc();
+        recorder.on_sample(sample);
+    }
+
+    const std::vector<std::string> snaps = recorder.metric_snapshots();
+    ASSERT_EQ(snaps.size(), 4u);
+    std::vector<long long> counts;
+    for (const std::string& s : snaps) {
+        const std::string key = "\nfxg_measurements_total ";
+        const std::size_t at = s.find(key);
+        ASSERT_NE(at, std::string::npos);
+        counts.push_back(std::stoll(s.substr(at + key.size())));
+    }
+    for (std::size_t i = 1; i < counts.size(); ++i) {
+        EXPECT_GE(counts[i] - counts[i - 1], 1000) << "snapshots " << i - 1 << ", " << i;
+    }
+}
+
 TEST(FlightRecorderTest, FleetKeepsLaneBatchedDispatchWithBlackBoxOn) {
     // The load-bearing seam: the always-on recorder answers
     // requires_member_trace() == false, so the Auto dispatch must stay
@@ -279,4 +318,56 @@ TEST(FlightRecorderTest, ConcurrentWritersSurviveFreezeDrainCycles) {
     const telemetry::ParsedTrace trace =
         telemetry::parse_trace_jsonl(recorder.trace_jsonl());
     EXPECT_GT(trace.spans.size() + trace.events.size(), 0u);
+}
+
+TEST(FlightRecorderTest, ConcurrentWritersShareTheSnapshotPath) {
+    // The TSan-leg stress for metric snapshots: four writers update a
+    // registry and emit samples, so due snapshots are claimed and
+    // rendered from whichever writer reaches them, while the main
+    // thread reads the retained snapshots and freezes the recorder.
+    telemetry::MetricsRegistry registry;
+    auto& measurements = registry.counter("fxg_measurements_total");
+    std::vector<telemetry::Gauge*> gauges;
+    for (int i = 0; i < 100; ++i) {
+        gauges.push_back(&registry.gauge("fxg_member_latency_seconds{member=\"" +
+                                         std::to_string(i) + "\"}"));
+    }
+
+    telemetry::FlightRecorder::Config cfg;
+    cfg.ring_capacity = 256;
+    cfg.metrics_snapshot_every = 8;
+    telemetry::FlightRecorder recorder(cfg);
+    recorder.attach_registry(&registry);
+
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> writers;
+    for (int t = 0; t < 4; ++t) {
+        writers.emplace_back([&recorder, &measurements, &gauges, &stop, t] {
+            telemetry::MeasurementSample sample;
+            sample.member = t;
+            for (std::size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+                measurements.inc();
+                gauges[i % gauges.size()]->set(static_cast<double>(i));
+                recorder.on_sample(sample);
+            }
+        });
+    }
+
+    // Snapshots fall due every 101 samples (the registry's size), so
+    // the writers render about 200 of them while this loop runs.
+    while (recorder.metric_snapshots().empty()) std::this_thread::yield();
+    for (int round = 0; measurements.value() < 20000; ++round) {
+        const std::vector<std::string> snaps = recorder.metric_snapshots();
+        EXPECT_LE(snaps.size(), cfg.metrics_snapshots_kept) << "round " << round;
+        for (const std::string& s : snaps) {
+            EXPECT_NE(s.find("# TYPE fxg_measurements_total counter\n"),
+                      std::string::npos);
+        }
+        telemetry::FlightRecorder::Freeze freeze(recorder);
+        std::this_thread::yield();
+    }
+
+    stop.store(true, std::memory_order_relaxed);
+    for (auto& th : writers) th.join();
+    EXPECT_LE(recorder.metric_snapshots().size(), cfg.metrics_snapshots_kept);
 }

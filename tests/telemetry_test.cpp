@@ -351,6 +351,25 @@ TEST(Exporters, PrometheusTextHasCumulativeBucketsAndTypes) {
     EXPECT_NE(json.find("lat_mean"), std::string::npos);
 }
 
+TEST(Exporters, PrometheusTextKeepsEachFamilyInOneGroup) {
+    // Labelled series register lazily, so another instrument can land
+    // between two series of one family (a fleet's per-member gauges
+    // and the supervisor's event counters). The exposition format
+    // wants the family's lines together under one TYPE line.
+    telemetry::MetricsRegistry registry;
+    registry.gauge("a{member=\"0\"}").set(1.0);
+    registry.counter("b").inc();
+    registry.gauge("a{member=\"1\"}").set(2.0);
+
+    const std::string text = telemetry::prometheus_text(registry);
+    EXPECT_EQ(text,
+              "# TYPE a gauge\n"
+              "a{member=\"0\"} 1\n"
+              "a{member=\"1\"} 2\n"
+              "# TYPE b counter\n"
+              "b 1\n");
+}
+
 // ------------------------------------------------------------ fleet
 
 TEST(Fleet, SharedSinkAggregatesAcrossWorkerThreads) {
