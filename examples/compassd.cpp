@@ -23,12 +23,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "magnetics/earth_field.hpp"
 #include "magnetics/units.hpp"
 #include "service/client.hpp"
 #include "service/compassd.hpp"
+#include "telemetry/introspect.hpp"
 
 namespace {
 
@@ -48,7 +50,8 @@ int usage(const char* argv0) {
                  "  --max-connections N  concurrent client budget (default 64)\n"
                  "  --max-pending N      admission bound, queued+inflight (default 256)\n"
                  "  --retry-after-ms N   backoff hint in Shed replies (default 50)\n"
-                 "  --once               serve one self-test query and exit\n",
+                 "  --once               serve one self-test query (and GET /healthz\n"
+                 "                       when introspection is on) and exit\n",
                  argv0);
     return 2;
 }
@@ -119,8 +122,19 @@ int main(int argc, char** argv) {
             std::printf("compassd: self-test member %u -> %.3f deg (%s)\n",
                         reply.member, reply.heading_deg,
                         fxg::service::to_string(reply.status));
+            bool healthy = true;
+            if (service.introspection_port() > 0) {
+                const std::string health =
+                    fxg::telemetry::IntrospectionServer::http_get(
+                        service.introspection_port(), "/healthz");
+                healthy = health.rfind("HTTP/1.0 200 ", 0) == 0;
+                std::printf("compassd: self-test GET /healthz -> %s\n",
+                            health.substr(0, health.find('\r')).c_str());
+            }
             service.stop();
-            return reply.status == fxg::service::ReplyStatus::Ok ? 0 : 1;
+            return reply.status == fxg::service::ReplyStatus::Ok && healthy
+                       ? 0
+                       : 1;
         }
 
         while (!g_stop.load()) {

@@ -1,7 +1,5 @@
 #include "service/client.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -9,49 +7,11 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "util/net.hpp"
+
 namespace fxg::service {
 
-namespace {
-
-void send_all(int fd, const std::uint8_t* data, std::size_t size) {
-    std::size_t off = 0;
-    while (off < size) {
-        const ssize_t n = ::send(fd, data + off, size - off, MSG_NOSIGNAL);
-        if (n > 0) {
-            off += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (n < 0 && errno == EINTR) continue;
-        throw std::runtime_error(std::string("QueryClient: send: ") +
-                                 std::strerror(errno));
-    }
-}
-
-}  // namespace
-
-QueryClient::QueryClient(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) {
-        throw std::runtime_error(std::string("QueryClient: socket: ") +
-                                 std::strerror(errno));
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    int rc;
-    do {
-        rc = ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                       sizeof addr);
-    } while (rc < 0 && errno == EINTR);
-    if (rc < 0) {
-        const std::string what =
-            std::string("QueryClient: connect: ") + std::strerror(errno);
-        ::close(fd_);
-        fd_ = -1;
-        throw std::runtime_error(what);
-    }
-}
+QueryClient::QueryClient(int port) : fd_(util::net::connect_loopback(port)) {}
 
 QueryClient::~QueryClient() { close(); }
 
@@ -65,7 +25,10 @@ void QueryClient::close() noexcept {
 void QueryClient::send(std::uint64_t request_id) {
     const std::vector<std::uint8_t> bytes =
         encode_request(HeadingRequest{request_id, 0});
-    send_all(fd_, bytes.data(), bytes.size());
+    if (!util::net::send_all(fd_, bytes.data(), bytes.size())) {
+        throw std::runtime_error(std::string("QueryClient: send: ") +
+                                 std::strerror(errno));
+    }
 }
 
 HeadingReply QueryClient::recv() {

@@ -6,6 +6,8 @@
 /// persistent connection; queries may be pipelined (send() repeatedly,
 /// then recv() each reply) or issued synchronously with query().
 ///
+/// The connection and every send go through util::net's
+/// connect_loopback and send_all, the helpers the servers' reactor uses.
 /// All socket I/O retries EINTR and sends with MSG_NOSIGNAL — a daemon
 /// shutting down underneath the client produces ProtocolError /
 /// std::runtime_error, never SIGPIPE.

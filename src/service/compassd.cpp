@@ -2,17 +2,7 @@
 
 #include "snapshot/state.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -24,38 +14,17 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-void set_nonblocking(int fd) {
-    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+std::string frame_of(const HeadingReply& reply) {
+    const std::vector<std::uint8_t> bytes = encode_reply(reply);
+    return std::string(bytes.begin(), bytes.end());
 }
 
-/// Best-effort non-blocking send of a whole small frame (used only for
-/// the over-budget Shed-and-close path, where the socket buffer of a
-/// fresh connection always has room). MSG_NOSIGNAL throughout.
-void send_best_effort(int fd, const std::vector<std::uint8_t>& bytes) noexcept {
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t n =
-            ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-        if (n > 0) {
-            off += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (n < 0 && errno == EINTR) continue;
-        return;
-    }
-}
+/// One query connection: its frame reassembly buffer.
+struct QueryConnection : util::net::Connection {
+    FrameReader reader;
+};
 
 }  // namespace
-
-/// One accepted query connection, owned by the io loop.
-struct CompassService::ClientConn {
-    int fd = -1;
-    std::uint64_t id = 0;  ///< stable identity for reply routing
-    FrameReader reader;
-    std::string out;         ///< encoded reply frames being flushed
-    std::size_t out_off = 0;
-    bool closing = false;  ///< flush remaining output, then close
-};
 
 /// One admitted query waiting for (or riding) a batch.
 struct CompassService::PendingQuery {
@@ -66,7 +35,9 @@ struct CompassService::PendingQuery {
 };
 
 CompassService::CompassService(const ServiceConfig& config)
-    : config_(config), fleet_(config.members, config.compass, pool_) {
+    : config_(config),
+      fleet_(config.members, config.compass, pool_),
+      reactor_(*this, config.max_connections) {
     if (config.members < 1) {
         throw std::invalid_argument("CompassService: members must be >= 1");
     }
@@ -110,43 +81,7 @@ CompassService::CompassService(const ServiceConfig& config)
 CompassService::~CompassService() { stop(); }
 
 void CompassService::start() {
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (running_) {
-            throw std::runtime_error("CompassService: already running");
-        }
-    }
-
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-        throw std::runtime_error(std::string("CompassService: socket: ") +
-                                 std::strerror(errno));
-    }
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(config_.port));
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0 ||
-        ::listen(fd, 64) < 0) {
-        const std::string what =
-            std::string("CompassService: bind/listen: ") + std::strerror(errno);
-        ::close(fd);
-        throw std::runtime_error(what);
-    }
-    socklen_t len = sizeof addr;
-    ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-    set_nonblocking(fd);
-
-    if (::pipe(wake_pipe_) < 0) {
-        const std::string what =
-            std::string("CompassService: pipe: ") + std::strerror(errno);
-        ::close(fd);
-        throw std::runtime_error(what);
-    }
-    set_nonblocking(wake_pipe_[0]);
-    set_nonblocking(wake_pipe_[1]);
+    reactor_.start(pool_, config_.port);  // throws first when already running
 
     // Anchor every ladder before the first query: the single-axis and
     // hold-last-good rungs need a last-good measurement to lean on.
@@ -163,58 +98,34 @@ void CompassService::start() {
     }
 
     {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        listen_fd_ = fd;
-        port_ = ntohs(addr.sin_port);
-        stopping_.store(false, std::memory_order_relaxed);
-        loops_running_ = 2;
-        running_ = true;
+        const std::lock_guard<std::mutex> lock(queue_mutex_);
+        stopping_ = false;
+        batch_running_ = true;
     }
-    pool_.post([this] { io_loop(); });
     pool_.post([this] { batch_loop(); });
 }
 
 void CompassService::stop() {
     {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (!running_) return;
-    }
-    {
         // Under the batch loop's wait mutex, or a loop that has tested
         // its predicate but not yet blocked misses the notify below.
         const std::lock_guard<std::mutex> lock(queue_mutex_);
-        stopping_.store(true);
+        stopping_ = true;
     }
     queue_cv_.notify_all();
-    wake_io();
     {
-        std::unique_lock<std::mutex> lock(mutex_);
-        loops_exited_.wait(lock, [this] { return loops_running_ == 0; });
-        if (listen_fd_ >= 0) {
-            ::close(listen_fd_);
-            listen_fd_ = -1;
-        }
-        for (int& fd : wake_pipe_) {
-            if (fd >= 0) {
-                ::close(fd);
-                fd = -1;
-            }
-        }
-        running_ = false;
-        port_ = 0;
+        std::unique_lock<std::mutex> lock(queue_mutex_);
+        queue_cv_.wait(lock, [this] { return !batch_running_; });
     }
+    // The batch loop rings the reactor's doorbell, so the reactor stops
+    // after it has exited.
+    reactor_.stop();
     fleet_.stop_introspection();
 }
 
-bool CompassService::running() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return running_;
-}
+bool CompassService::running() const { return reactor_.running(); }
 
-int CompassService::port() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return port_;
-}
+int CompassService::port() const { return reactor_.port(); }
 
 int CompassService::introspection_port() const {
     return fleet_.introspection_port();
@@ -233,218 +144,83 @@ ServiceStats CompassService::stats() const {
     return s;
 }
 
-void CompassService::wake_io() noexcept {
-    // A full pipe already guarantees a pending wakeup; losing this
-    // byte is then harmless.
-    const char byte = 1;
-    ssize_t n;
-    do {
-        n = ::write(wake_pipe_[1], &byte, 1);
-    } while (n < 0 && errno == EINTR);
+std::unique_ptr<util::net::Connection> CompassService::make_connection() {
+    return std::make_unique<QueryConnection>();
 }
 
-void CompassService::io_loop() {
-    int listen_fd;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        listen_fd = listen_fd_;
-    }
-
-    std::vector<std::unique_ptr<ClientConn>> conns;
-    std::vector<pollfd> pfds;
-    std::uint64_t next_conn_id = 1;
-
-    const auto append_reply = [&](ClientConn& conn, const HeadingReply& reply) {
-        const std::vector<std::uint8_t> bytes = encode_reply(reply);
-        conn.out.append(reinterpret_cast<const char*>(bytes.data()),
-                        bytes.size());
-    };
-
-    while (!stopping_.load(std::memory_order_relaxed)) {
-        // Slot 0 = listener (only while a connection slot is free; the
-        // over-budget path below sheds, so the listener stays watched),
-        // slot 1 = the batch loop's doorbell, then one slot per client.
-        pfds.clear();
-        pfds.push_back(pollfd{listen_fd, POLLIN, 0});
-        pfds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
-        for (const auto& c : conns) {
-            short events = 0;
-            if (!c->closing) events |= POLLIN;
-            if (c->out_off < c->out.size()) events |= POLLOUT;
-            pfds.push_back(pollfd{c->fd, events, 0});
-        }
-
-        const int ready =
-            ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 100);
-        if (ready < 0) {
-            if (errno == EINTR) continue;
-            break;
-        }
-
-        // Doorbell: drain it, then route completed replies to their
-        // connections (a reply whose connection died is dropped and
-        // counted — the peer hung up before its answer).
-        if ((pfds[1].revents & POLLIN) != 0) {
-            char sink[64];
-            while (::read(wake_pipe_[0], sink, sizeof sink) > 0) {}
-        }
-        {
-            std::vector<std::pair<std::uint64_t, HeadingReply>> ready_now;
+void CompassService::on_input(util::net::Connection& c,
+                              std::string_view bytes) {
+    FrameReader& reader = static_cast<QueryConnection&>(c).reader;
+    reader.feed(reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                bytes.size());
+    try {
+        Frame frame;
+        while (reader.next(frame)) {
+            const HeadingRequest req = decode_request(frame);
+            bool admitted = false;
             {
-                const std::lock_guard<std::mutex> lock(ready_mutex_);
-                ready_now.swap(ready_);
+                const std::lock_guard<std::mutex> lock(queue_mutex_);
+                if (static_cast<int>(queue_.size()) + inflight_ <
+                    config_.max_pending) {
+                    queue_.push_back(PendingQuery{
+                        c.id, req.request_id,
+                        static_cast<int>(next_member_++ %
+                                         static_cast<std::uint64_t>(
+                                             config_.members)),
+                        Clock::now()});
+                    admitted = true;
+                }
             }
-            for (const auto& [conn_id, reply] : ready_now) {
-                const auto it = std::find_if(
-                    conns.begin(), conns.end(),
-                    [conn_id](const auto& c) { return c->id == conn_id; });
-                if (it == conns.end()) {
-                    disconnects_.fetch_add(1, std::memory_order_relaxed);
-                    continue;
-                }
-                append_reply(**it, reply);
-            }
-        }
-
-        // Accept every pending client; past the budget, shed-and-close
-        // (bounded accept: the refusal is explicit and immediate, not a
-        // connection parked in a growing backlog).
-        if ((pfds[0].revents & POLLIN) != 0) {
-            for (;;) {
-                const int client = ::accept(listen_fd, nullptr, nullptr);
-                if (client < 0) {
-                    if (errno == EINTR) continue;
-                    break;
-                }
-                if (static_cast<int>(conns.size()) >= config_.max_connections) {
-                    HeadingReply shed;
-                    shed.status = ReplyStatus::Shed;
-                    shed.retry_after_ms = config_.retry_after_ms;
-                    shed.detail = "connection budget exhausted";
-                    send_best_effort(client, encode_reply(shed));
-                    ::close(client);
-                    shed_.fetch_add(1, std::memory_order_relaxed);
-                    shed_counter_->inc();
-                    continue;
-                }
-                set_nonblocking(client);
-                auto conn = std::make_unique<ClientConn>();
-                conn->fd = client;
-                conn->id = next_conn_id++;
-                conns.push_back(std::move(conn));
+            if (admitted) {
+                requests_.fetch_add(1, std::memory_order_relaxed);
+                requests_counter_->inc();
+                queue_cv_.notify_one();
+            } else {
+                c.out += shed(req.request_id, "pending-query budget exhausted");
             }
         }
-
-        // Only the connections that were in THIS poll set have revents;
-        // just-accepted ones (conns grew above) wait for the next pass.
-        std::size_t polled = pfds.size() - 2;
-        for (std::size_t i = 0; i < polled; ++i) {
-            ClientConn& c = *conns[i];
-            const short revents = pfds[i + 2].revents;
-            bool drop = false;
-
-            if (!c.closing && (revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-                std::uint8_t buf[4096];
-                for (;;) {
-                    const ssize_t n = ::recv(c.fd, buf, sizeof buf, 0);
-                    if (n > 0) {
-                        c.reader.feed(buf, static_cast<std::size_t>(n));
-                        continue;
-                    }
-                    if (n < 0 && errno == EINTR) continue;
-                    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-                        break;  // drained
-                    }
-                    drop = true;  // EOF or hard error: peer is gone
-                    break;
-                }
-                try {
-                    Frame frame;
-                    while (c.reader.next(frame)) {
-                        const HeadingRequest req = decode_request(frame);
-                        bool admitted = false;
-                        {
-                            const std::lock_guard<std::mutex> lock(queue_mutex_);
-                            if (static_cast<int>(queue_.size()) + inflight_ <
-                                config_.max_pending) {
-                                queue_.push_back(PendingQuery{
-                                    c.id, req.request_id,
-                                    static_cast<int>(next_member_++ %
-                                                     static_cast<std::uint64_t>(
-                                                         config_.members)),
-                                    Clock::now()});
-                                admitted = true;
-                            }
-                        }
-                        if (admitted) {
-                            requests_.fetch_add(1, std::memory_order_relaxed);
-                            requests_counter_->inc();
-                            queue_cv_.notify_one();
-                        } else {
-                            HeadingReply shed;
-                            shed.request_id = req.request_id;
-                            shed.status = ReplyStatus::Shed;
-                            shed.retry_after_ms = config_.retry_after_ms;
-                            shed.detail = "pending-query budget exhausted";
-                            append_reply(c, shed);
-                            shed_.fetch_add(1, std::memory_order_relaxed);
-                            shed_counter_->inc();
-                        }
-                    }
-                } catch (const ProtocolError& e) {
-                    // Fail closed: answer with the diagnostic, flush,
-                    // close. No resynchronisation on a corrupt stream.
-                    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-                    HeadingReply err;
-                    err.status = ReplyStatus::Error;
-                    err.detail = e.what();
-                    append_reply(c, err);
-                    c.closing = true;
-                    drop = false;  // give the flush a chance first
-                }
-            }
-
-            if (!drop && c.out_off < c.out.size() &&
-                (revents & (POLLOUT | POLLHUP | POLLERR)) != 0) {
-                while (c.out_off < c.out.size()) {
-                    const ssize_t n =
-                        ::send(c.fd, c.out.data() + c.out_off,
-                               c.out.size() - c.out_off, MSG_NOSIGNAL);
-                    if (n > 0) {
-                        c.out_off += static_cast<std::size_t>(n);
-                        continue;
-                    }
-                    if (n < 0 && errno == EINTR) continue;
-                    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-                        break;  // buffer full; wait for POLLOUT
-                    }
-                    drop = true;  // peer gone mid-reply (EPIPE, no signal)
-                    disconnects_.fetch_add(1, std::memory_order_relaxed);
-                    break;
-                }
-                if (c.out_off == c.out.size()) {
-                    c.out.clear();
-                    c.out_off = 0;
-                    if (c.closing) drop = true;  // flushed; close now
-                }
-            }
-
-            if (drop) {
-                ::close(c.fd);
-                conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
-                pfds.erase(pfds.begin() + static_cast<std::ptrdiff_t>(i + 2));
-                --polled;
-                --i;
-            }
-        }
+    } catch (const ProtocolError& e) {
+        // Fail closed: answer with the diagnostic, flush, close. No
+        // resynchronisation on a corrupt stream.
+        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        HeadingReply err;
+        err.status = ReplyStatus::Error;
+        err.detail = e.what();
+        c.out += frame_of(err);
+        c.closing = true;
     }
+}
 
-    for (const auto& c : conns) ::close(c->fd);
+std::string CompassService::on_refuse() {
+    return shed(0, "connection budget exhausted");
+}
+
+void CompassService::on_wake() {
+    std::vector<std::pair<std::uint64_t, HeadingReply>> ready;
     {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        --loops_running_;
-        loops_exited_.notify_all();
+        const std::lock_guard<std::mutex> lock(ready_mutex_);
+        ready.swap(ready_);
     }
+    for (const auto& [conn_id, reply] : ready) {
+        util::net::Connection* c = reactor_.find(conn_id);
+        if (c == nullptr) {
+            // The peer hung up before its answer.
+            disconnects_.fetch_add(1, std::memory_order_relaxed);
+            continue;
+        }
+        c->out += frame_of(reply);
+    }
+}
+
+std::string CompassService::shed(std::uint64_t request_id, const char* why) {
+    shed_.fetch_add(1, std::memory_order_relaxed);
+    shed_counter_->inc();
+    HeadingReply reply;
+    reply.request_id = request_id;
+    reply.status = ReplyStatus::Shed;
+    reply.retry_after_ms = config_.retry_after_ms;
+    reply.detail = why;
+    return frame_of(reply);
 }
 
 HeadingReply CompassService::ladder_reply(int member,
@@ -521,7 +297,7 @@ void CompassService::publish(const std::vector<PendingQuery>& batch,
             ++handed;
         }
     }
-    wake_io();
+    reactor_.wake();
     const std::lock_guard<std::mutex> lock(queue_mutex_);
     inflight_ -= handed;
 }
@@ -531,11 +307,8 @@ void CompassService::batch_loop() {
         std::vector<PendingQuery> batch;
         {
             std::unique_lock<std::mutex> lock(queue_mutex_);
-            queue_cv_.wait(lock, [this] {
-                return stopping_.load(std::memory_order_relaxed) ||
-                       !queue_.empty();
-            });
-            if (stopping_.load(std::memory_order_relaxed)) break;
+            queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+            if (stopping_) break;
             batch.swap(queue_);  // the coalescing step
             inflight_ = static_cast<int>(batch.size());
         }
@@ -588,11 +361,11 @@ void CompassService::batch_loop() {
             publish(batch, {{member, ladder_reply(member, first)}});
         }
     }
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        --loops_running_;
-        loops_exited_.notify_all();
-    }
+    // Notify under the lock: once stop() sees batch_running_ == false
+    // its caller may destroy this object.
+    const std::lock_guard<std::mutex> lock(queue_mutex_);
+    batch_running_ = false;
+    queue_cv_.notify_all();
 }
 
 }  // namespace fxg::service

@@ -12,15 +12,19 @@
 /// Architecture — two long-lived tasks posted on the service's own
 /// TaskPool, joined by bounded queues:
 ///
-///   io loop     poll-multiplexed, non-blocking: accepts connections
-///               (up to max_connections; excess get a Shed frame and an
-///               immediate close), parses request frames incrementally,
-///               admits queries into the pending queue (bounded by
-///               max_pending; overflow answers Shed with Retry-After
-///               semantics *immediately* — load shedding is fast), and
-///               flushes completed reply frames back to their clients.
-///               All sends use MSG_NOSIGNAL; a client disconnecting
-///               mid-anything costs its own connection, nothing else.
+///   io loop     the util::net::Reactor (one poll loop, shared with the
+///               introspection endpoint) running compassd's protocol
+///               hooks: it accepts connections (up to max_connections;
+///               excess get a Shed frame and an immediate close), parses
+///               request frames incrementally, admits queries into the
+///               pending queue (bounded by max_pending; overflow answers
+///               Shed with Retry-After semantics *immediately* — load
+///               shedding is fast), and flushes completed reply frames
+///               back to their clients. A client that stops reading stops
+///               being read once 64 KiB of its replies are unsent, so it
+///               cannot make the daemon buffer without limit. All sends
+///               use MSG_NOSIGNAL; a client disconnecting mid-anything
+///               costs its own connection, nothing else.
 ///
 ///   batch loop  sleeps until queries are pending, swaps out the whole
 ///               queue (the coalescing step: every query that queued up
@@ -49,12 +53,15 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "core/compass_fleet.hpp"
 #include "fault/supervisor.hpp"
 #include "service/protocol.hpp"
+#include "util/net.hpp"
 #include "util/task_pool.hpp"
 
 namespace fxg::service {
@@ -99,7 +106,7 @@ struct ServiceStats {
     std::uint64_t disconnects = 0;       ///< peers gone before their reply
 };
 
-class CompassService {
+class CompassService final : private util::net::Protocol {
 public:
     explicit CompassService(const ServiceConfig& config);
 
@@ -115,8 +122,8 @@ public:
     /// start() while running throws.
     void start();
 
-    /// Idempotent; blocks until both loops have exited and every client
-    /// connection is closed.
+    /// Idempotent, and safe after a start() that threw; blocks until
+    /// both loops have exited and every client connection is closed.
     void stop();
 
     [[nodiscard]] bool running() const;
@@ -151,10 +158,20 @@ public:
     }
 
 private:
-    struct ClientConn;
     struct PendingQuery;
 
-    void io_loop();
+    // The io loop's protocol hooks (util::net::Protocol).
+    std::unique_ptr<util::net::Connection> make_connection() override;
+    /// Admits or sheds each complete request frame; a malformed stream
+    /// gets one Error reply and the connection closes after it.
+    void on_input(util::net::Connection& c, std::string_view bytes) override;
+    /// A Shed frame for a client past max_connections.
+    std::string on_refuse() override;
+    /// Routes ready replies to their connections by id.
+    void on_wake() override;
+
+    /// Counts one shed query and returns its encoded Shed reply.
+    [[nodiscard]] std::string shed(std::uint64_t request_id, const char* why);
     void batch_loop();
     /// Walks a tripped member's ladder on from the sweep's attempt and
     /// returns the reply fields every query assigned to that member
@@ -166,7 +183,6 @@ private:
     /// frees their admission slots.
     void publish(const std::vector<PendingQuery>& batch,
                  const std::unordered_map<int, HeadingReply>& replies);
-    void wake_io() noexcept;
 
     ServiceConfig config_;
     util::TaskPool pool_;  ///< owns the io/batch workers and fleet batches
@@ -181,25 +197,18 @@ private:
     /// ready_mutex_ / queue_mutex_; no other thread nests them).
     std::mutex fleet_mutex_;
 
-    // Lifecycle (guarded by mutex_).
-    mutable std::mutex mutex_;
-    std::condition_variable loops_exited_;
-    int listen_fd_ = -1;
-    int port_ = 0;
-    int loops_running_ = 0;
-    bool running_ = false;
-    /// stop() sets it under queue_mutex_: the batch loop's wait
-    /// predicate reads it, and a store outside that mutex can land
-    /// between the predicate test and the wait, losing the wakeup.
-    std::atomic<bool> stopping_{false};
-    int wake_pipe_[2] = {-1, -1};  ///< batch loop -> io loop doorbell
+    /// The io loop.
+    util::net::Reactor reactor_;
 
-    // Pending-query queue (guarded by queue_mutex_). `inflight_` counts
-    // queries swapped out by the batch loop whose replies have not yet
-    // been handed to the io loop; the admission bound covers queued +
-    // inflight.
+    // Pending-query queue and batch-loop lifecycle (guarded by
+    // queue_mutex_). `inflight_` counts queries swapped out by the batch
+    // loop whose replies have not yet been handed to the io loop; the
+    // admission bound covers queued + inflight. queue_cv_ wakes the
+    // batch loop for work or stop, and stop() when the loop has exited.
     std::mutex queue_mutex_;
     std::condition_variable queue_cv_;
+    bool stopping_ = false;
+    bool batch_running_ = false;
     std::vector<PendingQuery> queue_;
     int inflight_ = 0;
     std::uint64_t next_member_ = 0;  ///< round-robin assignment cursor

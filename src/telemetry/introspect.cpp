@@ -1,65 +1,13 @@
 #include "telemetry/introspect.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cerrno>
-#include <chrono>
-#include <cstring>
-#include <memory>
 #include <stdexcept>
-
-#include "util/task_pool.hpp"
 
 namespace fxg::telemetry {
 
-namespace detail {
-
-std::string read_all(int fd) {
-    std::string out;
-    char buf[4096];
-    for (;;) {
-        const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-        if (n > 0) {
-            out.append(buf, static_cast<std::size_t>(n));
-            continue;
-        }
-        if (n == 0) break;  // orderly EOF
-        if (errno == EINTR) continue;  // a signal is not a hang-up
-        // A receive timeout (SO_RCVTIMEO) surfaces as EAGAIN: the peer
-        // stalled, so hand back what arrived — same as EOF, but chosen,
-        // not mistaken for one. Every other error also ends the read.
-        break;
-    }
-    return out;
-}
-
-bool write_all(int fd, const char* data, std::size_t size) noexcept {
-    std::size_t off = 0;
-    while (off < size) {
-        // MSG_NOSIGNAL: a peer that closed mid-response must produce
-        // EPIPE, not a SIGPIPE that kills the whole process.
-        const ssize_t n = ::send(fd, data + off, size - off, MSG_NOSIGNAL);
-        if (n > 0) {
-            off += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (n < 0 && errno == EINTR) continue;
-        return false;  // peer went away (EPIPE/ECONNRESET/...) or hard error
-    }
-    return true;
-}
-
-}  // namespace detail
-
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 std::string make_response(const char* status, const char* content_type,
                           const std::string& body) {
@@ -73,248 +21,49 @@ std::string make_response(const char* status, const char* content_type,
     return out;
 }
 
-void set_nonblocking(int fd) {
-    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-}
+/// One client: the request bytes read so far.
+struct HttpConnection : util::net::Connection {
+    std::string request;
+};
 
 }  // namespace
 
-/// One accepted client, owned by the serve loop. A connection is a
-/// two-state machine: reading the request line, then flushing the
-/// response; both sides are non-blocking and driven by poll readiness,
-/// so a stalled peer never blocks any other connection.
-struct IntrospectionServer::Connection {
-    int fd = -1;
-    std::string request;    ///< bytes read so far (until the first '\n')
-    std::string response;   ///< rendered response being flushed
-    std::size_t written = 0;
-    bool responding = false;
-    Clock::time_point deadline{};
-};
-
 IntrospectionServer::IntrospectionServer(IntrospectionHandlers handlers)
-    : handlers_(std::move(handlers)) {}
+    : handlers_(std::move(handlers)),
+      reactor_(*this, kMaxConnections, kRequestDeadline) {}
 
 IntrospectionServer::~IntrospectionServer() { stop(); }
 
-void IntrospectionServer::set_limits(const IntrospectionLimits& limits) {
-    if (limits.max_connections < 1 || limits.request_deadline_s <= 0.0) {
-        throw std::invalid_argument(
-            "IntrospectionServer: limits must be positive");
-    }
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (running_) {
-        throw std::runtime_error(
-            "IntrospectionServer: set_limits while running");
-    }
-    limits_ = limits;
-}
-
 void IntrospectionServer::start(util::TaskPool& pool, int port) {
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (running_) {
-            throw std::runtime_error("IntrospectionServer: already running");
-        }
-        stopping_ = false;
-    }
-
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-        throw std::runtime_error(std::string("IntrospectionServer: socket: ") +
-                                 std::strerror(errno));
-    }
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0 ||
-        ::listen(fd, 16) < 0) {
-        const std::string what =
-            std::string("IntrospectionServer: bind/listen: ") +
-            std::strerror(errno);
-        ::close(fd);
-        throw std::runtime_error(what);
-    }
-    socklen_t len = sizeof addr;
-    ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-
-    // Non-blocking listen socket + short poll timeout: close()ing a
-    // blocking accept() from another thread does not wake it on Linux,
-    // so the loop must poll to notice stop().
-    set_nonblocking(fd);
-
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        listen_fd_ = fd;
-        port_ = ntohs(addr.sin_port);
-        running_ = true;
-    }
-    pool.post([this] { serve_loop(); });
+    reactor_.start(pool, port);
 }
 
-void IntrospectionServer::stop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    stopping_ = true;
-    loop_exited_.wait(lock, [this] { return !running_; });
-    if (listen_fd_ >= 0) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
+void IntrospectionServer::stop() { reactor_.stop(); }
+
+bool IntrospectionServer::running() const { return reactor_.running(); }
+
+int IntrospectionServer::port() const { return reactor_.port(); }
+
+std::unique_ptr<util::net::Connection> IntrospectionServer::make_connection() {
+    return std::make_unique<HttpConnection>();
+}
+
+void IntrospectionServer::on_input(util::net::Connection& c,
+                                   std::string_view bytes) {
+    std::string& request = static_cast<HttpConnection&>(c).request;
+    request.append(bytes);
+    const auto line_end = request.find('\n');
+    if (line_end != std::string::npos) {
+        c.out = build_response(request.substr(0, line_end));
+        c.closing = true;
+    } else if (request.size() > kMaxRequestLine) {
+        c.closing = true;  // oversized garbage, no request line: no response
     }
 }
 
-bool IntrospectionServer::running() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return running_;
-}
-
-int IntrospectionServer::port() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return port_;
-}
-
-void IntrospectionServer::serve_loop() {
-    int listen_fd;
-    IntrospectionLimits limits;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        listen_fd = listen_fd_;
-        limits = limits_;
-    }
-    const auto deadline_budget = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double>(limits.request_deadline_s));
-
-    std::vector<std::unique_ptr<Connection>> conns;
-    std::vector<pollfd> pfds;
-
-    for (;;) {
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            if (stopping_) break;
-        }
-
-        // Rebuild the poll set each pass (the table is tiny). Slot 0 is
-        // the listener — only watched while a connection slot is free,
-        // so a full table parks new clients in the accept backlog
-        // instead of busy-looping on a ready listener.
-        pfds.clear();
-        const bool can_accept =
-            static_cast<int>(conns.size()) < limits.max_connections;
-        pfds.push_back(
-            pollfd{listen_fd, static_cast<short>(can_accept ? POLLIN : 0), 0});
-        for (const auto& c : conns) {
-            pfds.push_back(pollfd{
-                c->fd, static_cast<short>(c->responding ? POLLOUT : POLLIN), 0});
-        }
-
-        const int ready = ::poll(pfds.data(),
-                                 static_cast<nfds_t>(pfds.size()), 100);
-        if (ready < 0) {
-            if (errno == EINTR) continue;  // a signal is not an error
-            break;  // poll itself failed; bail out rather than spin
-        }
-        const Clock::time_point now = Clock::now();
-
-        // Accept every pending client while slots remain.
-        if ((pfds[0].revents & POLLIN) != 0) {
-            while (static_cast<int>(conns.size()) < limits.max_connections) {
-                const int client = ::accept(listen_fd, nullptr, nullptr);
-                if (client < 0) {
-                    if (errno == EINTR) continue;
-                    break;  // EAGAIN: backlog drained
-                }
-                set_nonblocking(client);
-                auto conn = std::make_unique<Connection>();
-                conn->fd = client;
-                conn->deadline = now + deadline_budget;
-                conns.push_back(std::move(conn));
-            }
-        }
-
-        // Drive each connection by its poll readiness; drop it on
-        // completion, peer hangup or deadline expiry. Only the
-        // connections that were in THIS poll set have revents —
-        // just-accepted ones (conns grew above) wait for the next pass.
-        std::size_t polled = pfds.size() - 1;
-        for (std::size_t i = 0; i < polled; ++i) {
-            Connection& c = *conns[i];
-            const short revents = pfds[i + 1].revents;
-            bool done = false;
-
-            if (!c.responding && (revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-                char buf[1024];
-                for (;;) {
-                    const ssize_t n = ::recv(c.fd, buf, sizeof buf, 0);
-                    if (n > 0) {
-                        c.request.append(buf, static_cast<std::size_t>(n));
-                        if (c.request.find('\n') != std::string::npos) break;
-                        if (c.request.size() > 16 * 1024) break;  // not ours
-                        continue;
-                    }
-                    if (n < 0 && errno == EINTR) continue;
-                    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-                        break;  // drained; wait for the next POLLIN
-                    }
-                    done = true;  // EOF before a request line, or hard error
-                    break;
-                }
-                const auto line_end = c.request.find('\n');
-                if (!done && (line_end != std::string::npos ||
-                              c.request.size() > 16 * 1024)) {
-                    if (line_end == std::string::npos) {
-                        done = true;  // oversized garbage, no request line
-                    } else {
-                        c.response =
-                            build_response(c.request.substr(0, line_end));
-                        c.responding = true;
-                    }
-                }
-            }
-
-            if (!done && c.responding &&
-                (revents & (POLLOUT | POLLHUP | POLLERR)) != 0) {
-                while (c.written < c.response.size()) {
-                    const ssize_t n =
-                        ::send(c.fd, c.response.data() + c.written,
-                               c.response.size() - c.written, MSG_NOSIGNAL);
-                    if (n > 0) {
-                        c.written += static_cast<std::size_t>(n);
-                        continue;
-                    }
-                    if (n < 0 && errno == EINTR) continue;
-                    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-                        break;  // socket buffer full; wait for POLLOUT
-                    }
-                    done = true;  // peer gone mid-response (EPIPE, no signal)
-                    break;
-                }
-                if (c.written == c.response.size()) done = true;
-            }
-
-            if (!done && now >= c.deadline) done = true;
-
-            if (done) {
-                ::close(c.fd);
-                conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
-                pfds.erase(pfds.begin() + static_cast<std::ptrdiff_t>(i + 1));
-                --polled;
-                --i;
-            }
-        }
-    }
-
-    for (const auto& c : conns) ::close(c->fd);
-    {
-        // Notify under the lock: the moment stop()'s waiter can observe
-        // running_ == false it may destroy this object, so the notify
-        // must already be complete by then.
-        const std::lock_guard<std::mutex> lock(mutex_);
-        running_ = false;
-        loop_exited_.notify_all();
-    }
+std::string IntrospectionServer::on_refuse() {
+    return make_response("503 Service Unavailable", "text/plain",
+                         "connection budget exhausted\n");
 }
 
 std::string IntrospectionServer::build_response(const std::string& line) const {
@@ -358,30 +107,11 @@ std::string IntrospectionServer::build_response(const std::string& line) const {
 }
 
 std::string IntrospectionServer::http_get(int port, const std::string& path) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-        throw std::runtime_error(std::string("http_get: socket: ") +
-                                 std::strerror(errno));
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    int rc;
-    do {
-        rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                       sizeof addr);
-    } while (rc < 0 && errno == EINTR);
-    if (rc < 0) {
-        const std::string what =
-            std::string("http_get: connect: ") + std::strerror(errno);
-        ::close(fd);
-        throw std::runtime_error(what);
-    }
+    const int fd = util::net::connect_loopback(port);
     const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-    static_cast<void>(detail::write_all(fd, request.data(), request.size()));
+    static_cast<void>(util::net::send_all(fd, request.data(), request.size()));
     ::shutdown(fd, SHUT_WR);
-    std::string response = detail::read_all(fd);
+    std::string response = util::net::read_all(fd);
     ::close(fd);
     return response;
 }

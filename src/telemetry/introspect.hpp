@@ -13,52 +13,32 @@
 /// The server owns no domain knowledge: each route is a std::function
 /// provider the owner (CompassFleet, an example, a test) fills in, so
 /// the telemetry library stays below core/fault/snapshot in the
-/// dependency order. The accept loop runs as a single detached task on
-/// a util::TaskPool (TaskPool::post); the listen socket is non-blocking
-/// and the loop polls with a short timeout so stop() terminates it
-/// promptly — stop() blocks until the loop has exited, which MUST
-/// happen before the pool is destroyed.
+/// dependency order.
 ///
-/// Connection handling is a poll-multiplexed state machine, not a
-/// blocking read/write per client: every client socket is non-blocking,
-/// all of them are polled together, and each connection carries its own
-/// wall-clock deadline. One stalled client therefore costs one table
-/// slot — never the loop (the slow-loris bug the blocking version had).
-/// All socket writes go through ::send(MSG_NOSIGNAL), so a peer that
-/// disconnects mid-response produces EPIPE — not a process-killing
-/// SIGPIPE — and EINTR is always a retry, never EOF.
+/// The server is the HTTP protocol on a util::net::Reactor, whose loop
+/// runs as one detached task on a util::TaskPool (TaskPool::post).
+/// stop() rings the reactor's doorbell and blocks until the loop has
+/// exited, which MUST happen before the pool is destroyed. The reactor
+/// polls every client together, so one stalled client costs one of the
+/// kMaxConnections slots, never the loop, and each connection has
+/// kRequestDeadline from accept to its last byte written. A client past
+/// the budget gets a 503 and an immediate close.
 ///
 /// One request per connection, no keep-alive, no TLS, loopback only:
 /// this is a debugging porthole, not a web server.
 
-#include <condition_variable>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
-namespace fxg::util {
-class TaskPool;
-}
+#include "util/net.hpp"
 
 namespace fxg::telemetry {
-
-namespace detail {
-
-/// Reads `fd` to EOF (blocking socket), retrying on EINTR. Returns the
-/// bytes that arrived before EOF/error. An EAGAIN/EWOULDBLOCK from a
-/// receive timeout (SO_RCVTIMEO) ends the read like EOF — explicitly,
-/// not by accident — so a stalled peer yields what was received.
-[[nodiscard]] std::string read_all(int fd);
-
-/// Writes the whole buffer with ::send(MSG_NOSIGNAL), retrying on
-/// EINTR and short sends. Returns false when the peer is gone (EPIPE /
-/// ECONNRESET / any other hard error) — never raises SIGPIPE.
-bool write_all(int fd, const char* data, std::size_t size) noexcept;
-
-}  // namespace detail
 
 /// Route providers. Any that is empty answers 404. Providers are
 /// called from the server thread and must be thread-safe against the
@@ -71,19 +51,16 @@ struct IntrospectionHandlers {
     std::function<std::vector<std::uint8_t>()> snapshot;
 };
 
-/// Server tuning knobs (defaults suit the debugging-porthole role).
-struct IntrospectionLimits {
-    /// Concurrently open client connections. Excess connections wait in
-    /// the kernel accept backlog; they are not failed.
-    int max_connections = 32;
-    /// Wall-clock budget per connection, accept to last byte written.
-    /// A client that has not completed its request/response exchange by
-    /// the deadline is closed — the bound on what a slow-loris can pin.
-    double request_deadline_s = 2.0;
-};
-
-class IntrospectionServer {
+class IntrospectionServer final : private util::net::Protocol {
 public:
+    /// Concurrently open client connections.
+    static constexpr int kMaxConnections = 32;
+    /// Wall-clock budget per connection, accept to last byte written:
+    /// the bound on what a slow loris can pin.
+    static constexpr std::chrono::seconds kRequestDeadline{2};
+    /// A request line longer than this closes with no response.
+    static constexpr std::size_t kMaxRequestLine = 16 * 1024;
+
     explicit IntrospectionServer(IntrospectionHandlers handlers);
 
     /// Calls stop().
@@ -92,21 +69,17 @@ public:
     IntrospectionServer(const IntrospectionServer&) = delete;
     IntrospectionServer& operator=(const IntrospectionServer&) = delete;
 
-    /// Must be called before start(); throws std::invalid_argument on
-    /// non-positive limits.
-    void set_limits(const IntrospectionLimits& limits);
-
     /// Binds 127.0.0.1:`port` (0 = kernel-assigned, see port()) and
-    /// starts the accept loop on `pool`. Throws std::runtime_error on
-    /// socket failure; calling start() while running throws.
+    /// starts the loop on `pool`. Throws std::runtime_error on socket
+    /// failure; calling start() while running throws.
     void start(util::TaskPool& pool, int port = 0);
 
-    /// Idempotent; blocks until the accept loop has exited.
+    /// Idempotent; blocks until the loop has exited.
     void stop();
 
     [[nodiscard]] bool running() const;
 
-    /// The bound port (valid after start()).
+    /// The bound port (valid between start() and stop()).
     [[nodiscard]] int port() const;
 
     /// Blocking loopback GET, for tests and examples: connects to
@@ -120,22 +93,19 @@ public:
     [[nodiscard]] static std::string body_of(const std::string& response);
 
 private:
-    struct Connection;
+    std::unique_ptr<util::net::Connection> make_connection() override;
+    /// Collects the request line; at its '\n' queues the response and
+    /// closes after it.
+    void on_input(util::net::Connection& c, std::string_view bytes) override;
+    /// 503 Service Unavailable.
+    std::string on_refuse() override;
 
-    void serve_loop();
     /// Renders the response for one request line (route dispatch; a
     /// throwing handler becomes a 500).
     [[nodiscard]] std::string build_response(const std::string& line) const;
 
     IntrospectionHandlers handlers_;
-    IntrospectionLimits limits_;
-
-    mutable std::mutex mutex_;
-    std::condition_variable loop_exited_;
-    int listen_fd_ = -1;
-    int port_ = 0;
-    bool running_ = false;   ///< accept loop alive
-    bool stopping_ = false;  ///< stop requested
+    util::net::Reactor reactor_;
 };
 
 }  // namespace fxg::telemetry

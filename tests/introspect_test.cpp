@@ -13,11 +13,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +31,7 @@
 #include "snapshot/state.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/introspect.hpp"
+#include "util/net.hpp"
 #include "util/task_pool.hpp"
 
 using namespace fxg;
@@ -81,7 +84,7 @@ int raw_connect(int port) {
 
 /// SIGUSR1 handler installed WITHOUT SA_RESTART, so a blocking recv/
 /// send on the signalled thread returns EINTR instead of restarting —
-/// the exact condition the detail:: helpers must survive.
+/// the exact condition the util::net helpers must survive.
 void install_noop_sigusr1() {
     struct sigaction sa{};
     sa.sa_handler = [](int) {};
@@ -231,7 +234,7 @@ TEST(IntrospectTest, DetailReadAllRetriesEintrInsteadOfTruncating) {
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
 
     std::string received;
-    std::thread reader([&] { received = telemetry::detail::read_all(sv[0]); });
+    std::thread reader([&] { received = util::net::read_all(sv[0]); });
     const pthread_t reader_handle = reader.native_handle();
 
     // First half, then a burst of signals at the (likely blocked)
@@ -239,13 +242,13 @@ TEST(IntrospectTest, DetailReadAllRetriesEintrInsteadOfTruncating) {
     // early with only the first half; the fix retries and reads on.
     const std::string first(4096, 'a'), second(4096, 'b');
     ASSERT_TRUE(
-        telemetry::detail::write_all(sv[1], first.data(), first.size()));
+        util::net::send_all(sv[1], first.data(), first.size()));
     for (int i = 0; i < 20; ++i) {
         pthread_kill(reader_handle, SIGUSR1);
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     ASSERT_TRUE(
-        telemetry::detail::write_all(sv[1], second.data(), second.size()));
+        util::net::send_all(sv[1], second.data(), second.size()));
     ::shutdown(sv[1], SHUT_WR);
     reader.join();
 
@@ -263,7 +266,7 @@ TEST(IntrospectTest, DetailWriteAllSurvivesPeerGoneWithoutSigpipe) {
     // Without MSG_NOSIGNAL this raises SIGPIPE and kills the test
     // process outright; with it, the helper reports failure and lives.
     const std::string body(64 * 1024, 'x');
-    EXPECT_FALSE(telemetry::detail::write_all(sv[1], body.data(), body.size()));
+    EXPECT_FALSE(util::net::send_all(sv[1], body.data(), body.size()));
     ::close(sv[1]);
 }
 
@@ -278,7 +281,7 @@ TEST(IntrospectTest, DetailWriteAllRetriesEintrAcrossAFullSocketBuffer) {
     std::atomic<bool> write_ok{false};
     std::thread writer([&] {
         write_ok =
-            telemetry::detail::write_all(sv[1], payload.data(), payload.size());
+            util::net::send_all(sv[1], payload.data(), payload.size());
         ::shutdown(sv[1], SHUT_WR);
     });
     const pthread_t writer_handle = writer.native_handle();
@@ -286,7 +289,7 @@ TEST(IntrospectTest, DetailWriteAllRetriesEintrAcrossAFullSocketBuffer) {
         pthread_kill(writer_handle, SIGUSR1);
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    const std::string received = telemetry::detail::read_all(sv[0]);
+    const std::string received = util::net::read_all(sv[0]);
     writer.join();
 
     EXPECT_TRUE(write_ok.load());
@@ -326,9 +329,6 @@ TEST(IntrospectTest, SlowLorisDoesNotBlockFastClients) {
     telemetry::IntrospectionHandlers handlers;
     handlers.healthz = [] { return std::string("ok\n"); };
     IntrospectionServer server(handlers);
-    telemetry::IntrospectionLimits limits;
-    limits.request_deadline_s = 1.0;
-    server.set_limits(limits);
     util::TaskPool pool;
     server.start(pool);
     const int port = server.port();
@@ -340,7 +340,7 @@ TEST(IntrospectTest, SlowLorisDoesNotBlockFastClients) {
 
     // Fast clients complete while the loris is mid-stall (the old
     // single-connection loop served nobody until the stalled client's
-    // timeout). Generous bound: well under the 1 s deadline.
+    // timeout). Generous bound: well under the 2 s deadline.
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < 3; ++i) {
         const std::string health = IntrospectionServer::http_get(port, "/healthz");
@@ -381,26 +381,6 @@ TEST(IntrospectTest, EmptySnapshotBodyIsServedNotUndefined) {
     server.stop();
 }
 
-TEST(IntrospectTest, SetLimitsValidatesAndRefusesWhileRunning) {
-    telemetry::IntrospectionHandlers handlers;
-    handlers.healthz = [] { return std::string("ok\n"); };
-    IntrospectionServer server(handlers);
-
-    telemetry::IntrospectionLimits bad;
-    bad.max_connections = 0;
-    EXPECT_THROW(server.set_limits(bad), std::invalid_argument);
-    bad.max_connections = 4;
-    bad.request_deadline_s = 0.0;
-    EXPECT_THROW(server.set_limits(bad), std::invalid_argument);
-
-    telemetry::IntrospectionLimits good;
-    server.set_limits(good);
-    util::TaskPool pool;
-    server.start(pool);
-    EXPECT_THROW(server.set_limits(good), std::runtime_error);
-    server.stop();
-}
-
 TEST(IntrospectTest, StandaloneServerRestartRebindsPortZero) {
     telemetry::IntrospectionHandlers handlers;
     handlers.healthz = [] { return std::string("ok\n"); };
@@ -419,5 +399,180 @@ TEST(IntrospectTest, StandaloneServerRestartRebindsPortZero) {
     ASSERT_GT(port2, 0);
     EXPECT_NE(IntrospectionServer::http_get(port2, "/healthz").find("200"),
               std::string::npos);
+    server.stop();
+}
+
+// ------------------------------------------------------ budget, stop, fuzz
+
+TEST(IntrospectTest, ClientPastTheConnectionBudgetGets503AtOnce) {
+    telemetry::IntrospectionHandlers handlers;
+    handlers.healthz = [] { return std::string("ok\n"); };
+    IntrospectionServer server(handlers);
+    util::TaskPool pool;
+    server.start(pool);
+    const int port = server.port();
+
+    // Fill every slot with a client that never sends a byte. The kernel
+    // accepts in connect order, so the GET below is the one past the
+    // budget: it must be refused now, not parked until a slot's
+    // deadline frees it.
+    std::vector<int> silent;
+    for (int i = 0; i < IntrospectionServer::kMaxConnections; ++i) {
+        silent.push_back(util::net::connect_loopback(port));
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::string response =
+        IntrospectionServer::http_get(port, "/healthz");
+    const double waited_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    EXPECT_EQ(response.rfind("HTTP/1.0 503 Service Unavailable\r\n", 0), 0u)
+        << response;
+    EXPECT_LT(waited_s, 1.0);
+
+    for (const int fd : silent) ::close(fd);
+    server.stop();
+}
+
+TEST(IntrospectTest, StopRingsTheLoopInsteadOfWaitingOutAPollTimeout) {
+    telemetry::IntrospectionHandlers handlers;
+    handlers.healthz = [] { return std::string("ok\n"); };
+    IntrospectionServer server(handlers);
+    util::TaskPool pool;
+
+    std::vector<double> stop_ms;
+    for (int cycle = 0; cycle < 10; ++cycle) {
+        server.start(pool);
+        EXPECT_NE(IntrospectionServer::http_get(server.port(), "/healthz")
+                      .find("200"),
+                  std::string::npos);
+        const auto t0 = std::chrono::steady_clock::now();
+        server.stop();
+        stop_ms.push_back(std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+    }
+    std::sort(stop_ms.begin(), stop_ms.end());
+    const double median_ms = 0.5 * (stop_ms[4] + stop_ms[5]);
+    EXPECT_LE(median_ms, 10.0) << "slowest stop() " << stop_ms.back() << " ms";
+}
+
+namespace {
+
+/// True when `response` is one whole HTTP/1.0 answer with one of the
+/// statuses the endpoint may give a hostile request line, and a body
+/// exactly as long as its Content-Length.
+bool is_complete_answer(const std::string& response) {
+    bool known_status = false;
+    for (const char* status : {"200 ", "404 ", "405 ", "503 "}) {
+        if (response.rfind(std::string("HTTP/1.0 ") + status, 0) == 0) {
+            known_status = true;
+        }
+    }
+    const auto head_end = response.find("\r\n\r\n");
+    const auto length_at = response.find("\r\nContent-Length: ");
+    if (!known_status || head_end == std::string::npos ||
+        length_at == std::string::npos || length_at > head_end) {
+        return false;
+    }
+    const std::size_t length = std::stoul(response.substr(length_at + 18));
+    return response.size() - (head_end + 4) == length;
+}
+
+/// Fixed-seed hostile request lines: random bytes, NULs, CR-only and
+/// newline-free lines, lines past the 16 KiB limit, other methods,
+/// paths with spaces, and byte-level mutations of a valid GET.
+std::vector<std::string> hostile_request_lines(int count) {
+    std::mt19937_64 rng(0xC0FFEE);
+    const auto below = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    const std::string valid = "GET /healthz HTTP/1.0\r\n\r\n";
+    const std::vector<std::string> fixed = {
+        "", "\n", "\r\n", "\r\r\r", "GET", "GET /healthz",
+        "GET /healthz HTTP/1.0\r\r",  // CR only: never a line
+        std::string("GET /he\0althz HTTP/1.0\r\n", 24),
+        std::string(20, '\0') + "\n",
+        "POST /healthz HTTP/1.0\r\n", "PUT / HTTP/1.0\r\n",
+        "DELETE /metrics HTTP/1.0\r\n", "get /healthz HTTP/1.0\r\n",
+        "GET  /healthz HTTP/1.0\r\n", "GET /health z HTTP/1.0\r\n",
+        "GET /healthz\n", "GET / HTTP/1.0\r\n", "GET /metrics?x=1 HTTP/1.0\r\n",
+        std::string(17 * 1024, 'A'),
+        std::string(IntrospectionServer::kMaxRequestLine + 1, 'G'),
+        "GET /" + std::string(3000, 'x') + " HTTP/1.0\r\n",
+    };
+    std::vector<std::string> lines(fixed.begin(), fixed.end());
+    while (static_cast<int>(lines.size()) < count) {
+        std::string line;
+        switch (below(5)) {
+            case 0:  // random bytes, sometimes newline-terminated
+                for (std::size_t i = 0, n = 1 + below(200); i < n; ++i) {
+                    line.push_back(static_cast<char>(rng()));
+                }
+                if (below(2) == 0) line.push_back('\n');
+                break;
+            case 1:  // bit flips in a valid request
+                line = valid;
+                for (std::size_t i = 0, n = 1 + below(4); i < n; ++i) {
+                    line[below(line.size())] ^=
+                        static_cast<char>(1u << below(8));
+                }
+                break;
+            case 2:  // truncation of a valid request
+                line = valid.substr(0, below(valid.size()));
+                break;
+            case 3:  // random bytes spliced into a valid request
+                line = valid;
+                line.insert(below(line.size()), 1 + below(40),
+                            static_cast<char>(rng()));
+                break;
+            default:  // a GET of a random path, spaces and NULs included
+                line = "GET /";
+                for (std::size_t i = 0, n = below(60); i < n; ++i) {
+                    const char chars[] = {' ', '\0', '\t', 'a', '/', '%', '\r'};
+                    line.push_back(chars[below(sizeof chars)]);
+                }
+                line += " HTTP/1.0\r\n";
+                break;
+        }
+        lines.push_back(std::move(line));
+    }
+    return lines;
+}
+
+}  // namespace
+
+TEST(IntrospectTest, HostileRequestLinesGetAWholeAnswerOrAClose) {
+    telemetry::IntrospectionHandlers handlers;
+    handlers.healthz = [] { return std::string("ok\n"); };
+    handlers.metrics = [] { return std::string("x 1\n"); };
+    IntrospectionServer server(handlers);
+    util::TaskPool pool;
+    server.start(pool);
+    const int port = server.port();
+
+    const std::vector<std::string> lines = hostile_request_lines(240);
+    int answered = 0, closed = 0;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const int fd = util::net::connect_loopback(port);
+        static_cast<void>(
+            util::net::send_all(fd, lines[i].data(), lines[i].size()));
+        ::shutdown(fd, SHUT_WR);
+        const std::string response = util::net::read_all(fd);
+        ::close(fd);
+        if (response.empty()) {
+            ++closed;
+        } else {
+            ++answered;
+            EXPECT_TRUE(is_complete_answer(response))
+                << "case " << i << ": " << response.substr(0, 80);
+        }
+    }
+    EXPECT_GT(answered, 0);
+    EXPECT_GT(closed, 0);
+
+    const std::string health = IntrospectionServer::http_get(port, "/healthz");
+    EXPECT_EQ(health.rfind("HTTP/1.0 200 OK\r\n", 0), 0u) << health;
+    EXPECT_EQ(IntrospectionServer::body_of(health), "ok\n");
     server.stop();
 }

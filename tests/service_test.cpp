@@ -1,12 +1,13 @@
 /// \file service_test.cpp
 /// The compassd service stack (DESIGN.md §16): wire-protocol framing
-/// (round trip, CRC discipline, version gate, incremental reassembly),
-/// the CompassService daemon end to end over a real loopback socket —
-/// query serving, request coalescing into fleet batches, admission
-/// control (pending-queue and connection budgets, Retry-After
-/// semantics), degraded serving from a fault-tripped member whose
-/// ladder never holds healthy replies, abrupt client disconnects,
-/// malformed-stream handling and restart.
+/// (round trip, CRC discipline, version gate, incremental reassembly,
+/// fixed-seed byte-level mutations), the CompassService daemon end to
+/// end over a real loopback socket — query serving, request coalescing
+/// into fleet batches, admission control (pending-queue and connection
+/// budgets, Retry-After semantics), degraded serving from a
+/// fault-tripped member whose ladder never holds healthy replies, abrupt
+/// client disconnects, a client that never reads its replies,
+/// malformed-stream handling, prompt stop() and restart.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -26,6 +28,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,13 +39,16 @@
 #include "service/client.hpp"
 #include "service/compassd.hpp"
 #include "service/protocol.hpp"
+#include "snapshot/format.hpp"
 #include "telemetry/introspect.hpp"
+#include "util/net.hpp"
 
 using namespace fxg;
 using service::Frame;
 using service::FrameReader;
 using service::HeadingReply;
 using service::HeadingRequest;
+using service::kFrameHeaderSize;
 using service::ProtocolError;
 using service::ReplyStatus;
 
@@ -253,6 +259,109 @@ TEST(ServiceProtocolTest, ReservedRequestFlagsAndTrailingBytesAreRejected) {
     frame.payload.assign(5, 0);  // truncated
     EXPECT_THROW(static_cast<void>(service::decode_request(frame)),
                  ProtocolError);
+}
+
+namespace {
+
+/// One fixed-seed byte-level mutation of `frame`: bit flips, truncation,
+/// a header spliced from `other`, the length set to kMaxPayload, or
+/// damage to the CRC or magic.
+std::vector<std::uint8_t> mutate_frame(std::vector<std::uint8_t> frame,
+                                       const std::vector<std::uint8_t>& other,
+                                       std::mt19937_64& rng) {
+    const auto below = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    const auto set_u32 = [&frame](std::size_t at, std::uint32_t v) {
+        for (int i = 0; i < 4; ++i) {
+            frame[at + static_cast<std::size_t>(i)] =
+                static_cast<std::uint8_t>(v >> (8 * i));
+        }
+    };
+    switch (below(7)) {
+        case 0:  // bit flips anywhere
+            for (std::size_t i = 0, n = 1 + below(3); i < n; ++i) {
+                frame[below(frame.size())] ^=
+                    static_cast<std::uint8_t>(1u << below(8));
+            }
+            break;
+        case 1:  // truncation
+            frame.resize(below(frame.size()));
+            break;
+        case 2:  // the other frame's header on this payload
+            std::copy_n(other.begin(), kFrameHeaderSize, frame.begin());
+            break;
+        case 3:  // length at the bound, or past it
+            set_u32(8, service::kMaxPayload +
+                           static_cast<std::uint32_t>(below(2)));
+            break;
+        case 4:  // CRC damage
+            set_u32(12, static_cast<std::uint32_t>(rng()));
+            break;
+        case 5:  // magic damage
+            frame[below(4)] = static_cast<std::uint8_t>(rng());
+            break;
+        default:  // a payload byte overwritten, CRC recomputed
+            if (const std::size_t n = frame.size() - kFrameHeaderSize; n > 0) {
+                frame[kFrameHeaderSize + below(n)] =
+                    static_cast<std::uint8_t>(rng());
+                set_u32(12, snapshot::crc32(frame.data() + kFrameHeaderSize, n));
+            }
+            break;
+    }
+    return frame;
+}
+
+}  // namespace
+
+TEST(ServiceProtocolTest, MutatedFramesFailClosedOrDecode) {
+    HeadingReply empty_detail = sample_reply();
+    empty_detail.detail.clear();
+    const std::vector<std::vector<std::uint8_t>> valid = {
+        service::encode_request(HeadingRequest{1, 0}),
+        service::encode_request(HeadingRequest{0xFFFFFFFFFFFFFFFFull, 0}),
+        service::encode_reply(sample_reply()),
+        service::encode_reply(empty_detail),
+    };
+    std::mt19937_64 rng(0x5EED);
+    int errors = 0, decoded = 0, incomplete = 0;
+    for (int i = 0; i < 12000; ++i) {
+        const auto& base = valid[rng() % valid.size()];
+        const auto& other = valid[rng() % valid.size()];
+        const std::vector<std::uint8_t> bytes = mutate_frame(base, other, rng);
+        // Fed in random-sized pieces, as a socket delivers them.
+        FrameReader reader;
+        bool failed = false;
+        try {
+            for (std::size_t off = 0; off < bytes.size();) {
+                const std::size_t n =
+                    std::min<std::size_t>(1 + rng() % 24, bytes.size() - off);
+                reader.feed(bytes.data() + off, n);
+                off += n;
+                Frame frame;
+                while (reader.next(frame)) {
+                    if (frame.kind == service::MessageKind::HeadingRequest) {
+                        static_cast<void>(service::decode_request(frame));
+                    } else {
+                        static_cast<void>(service::decode_reply(frame));
+                    }
+                    ++decoded;
+                }
+            }
+        } catch (const ProtocolError&) {
+            failed = true;
+        }
+        if (failed) {
+            ++errors;
+        } else if (reader.buffered() > 0) {
+            ++incomplete;  // a truncated frame: the reader waits for more
+        }
+    }
+    // Every case ended in ProtocolError or a valid decode (anything else
+    // escaped the try and failed the test); each outcome occurred.
+    EXPECT_GT(errors, 1000);
+    EXPECT_GT(decoded, 100);
+    EXPECT_GT(incomplete, 100);
 }
 
 // ----------------------------------------------------------------- service
@@ -588,6 +697,99 @@ TEST(ServiceTest, RestartStressNeverLosesStopWakeup) {
     cycler.join();
     EXPECT_NO_THROW(cycles.get());
     EXPECT_FALSE(daemon.running());
+}
+
+TEST(ServiceTest, ClientThatNeverReadsStopsBeingRead) {
+    // A client pipelines far more requests than fit in any socket buffer
+    // and reads nothing. Once 64 KiB of its replies are unsent the
+    // daemon stops reading it, so it processes a bounded prefix instead
+    // of buffering every Shed reply in memory.
+    service::ServiceConfig cfg = small_service(1);
+    cfg.max_pending = 1;
+    service::CompassService daemon(cfg);
+    daemon.fleet().set_environment(0, site(), 10.0);
+    daemon.start();
+
+    constexpr std::uint64_t kRequests = 200000;
+    service::QueryClient client(daemon.port());
+    std::thread sender([fd = client.fd()] {
+        std::vector<std::uint8_t> stream;
+        for (std::uint64_t id = 1; id <= kRequests; ++id) {
+            const std::vector<std::uint8_t> frame =
+                service::encode_request(HeadingRequest{id, 0});
+            stream.insert(stream.end(), frame.begin(), frame.end());
+        }
+        static_cast<void>(
+            util::net::send_all(fd, stream.data(), stream.size()));
+    });
+    const auto processed = [&daemon] {
+        const service::ServiceStats s = daemon.stats();
+        return s.requests + s.shed;
+    };
+
+    // Wait until processing has stood still for 0.5 s.
+    using Clock = std::chrono::steady_clock;
+    std::uint64_t plateau = processed();
+    for (auto still_since = Clock::now();
+         Clock::now() - still_since < std::chrono::milliseconds(500);) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        if (const std::uint64_t now = processed(); now != plateau) {
+            plateau = now;
+            still_since = Clock::now();
+        }
+    }
+    EXPECT_LE(plateau, kRequests / 2);
+    std::printf("note: %llu of %llu requests processed before the daemon "
+                "stopped reading\n",
+                static_cast<unsigned long long>(plateau),
+                static_cast<unsigned long long>(kRequests));
+
+    // Reading drains the backlog: every request is answered exactly once.
+    std::vector<int> answers(kRequests + 1, 0);
+    std::uint64_t received = 0, strays = 0;
+    try {
+        for (; received < kRequests; ++received) {
+            const HeadingReply reply = client.recv();
+            if (reply.request_id < 1 || reply.request_id > kRequests) {
+                ++strays;
+            } else {
+                ++answers[reply.request_id];
+            }
+        }
+    } catch (const std::exception& e) {
+        ADD_FAILURE() << "after " << received << " replies: " << e.what();
+        ::shutdown(client.fd(), SHUT_RDWR);  // unblock the sender
+    }
+    sender.join();
+    EXPECT_EQ(strays, 0u);
+    EXPECT_EQ(std::count(answers.begin() + 1, answers.end(), 1),
+              static_cast<std::ptrdiff_t>(kRequests));
+    EXPECT_EQ(processed(), kRequests);
+    daemon.stop();
+}
+
+TEST(ServiceTest, StopWithIntrospectionReturnsPromptly) {
+    service::ServiceConfig cfg = small_service(1);
+    cfg.introspection_port = 0;
+    service::CompassService daemon(cfg);
+    daemon.fleet().set_environment(0, site(), 10.0);
+    std::vector<double> stop_ms;
+    for (int cycle = 0; cycle < 5; ++cycle) {
+        daemon.start();
+        {
+            service::QueryClient client(daemon.port());
+            EXPECT_EQ(client.query(1).status, ReplyStatus::Ok);
+        }
+        const auto t0 = std::chrono::steady_clock::now();
+        daemon.stop();
+        stop_ms.push_back(std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+    }
+    // The median, so that one cycle descheduled on a loaded host does
+    // not fail the test; a 100 ms poll timeout fails every cycle.
+    std::sort(stop_ms.begin(), stop_ms.end());
+    EXPECT_LE(stop_ms[2], 20.0) << "slowest stop() " << stop_ms.back() << " ms";
 }
 
 TEST(ServiceTest, IntrospectionRidesAlongServingLiveTelemetry) {
