@@ -105,17 +105,25 @@ void FrontEnd::finish_samples(int n, std::uint8_t* det_x, std::uint8_t* det_y,
     const std::uint8_t* det[2] = {det_x, det_y};
     const std::uint8_t* valid[2] = {valid_x, valid_y};
     for (std::size_t ch = 0; ch < 2; ++ch) {
-        StreamStats& s = stats_[ch];
+        // The counters live in locals for the loop: a store to the
+        // byte-typed edge memory may alias any member, so counting into
+        // the members directly would keep every counter in memory.
+        StreamStats s = stats_[ch];
+        std::uint8_t prev = stats_prev_[ch];
+        bool has_prev = stats_has_prev_[ch];
         s.samples += static_cast<std::uint64_t>(n);
         for (int k = 0; k < n; ++k) {
             if (!valid[ch][k]) continue;
             const std::uint8_t d = det[ch][k] ? 1 : 0;
             ++s.valid_samples;
             s.high_samples += d;
-            if (stats_has_prev_[ch] && d != stats_prev_[ch]) ++s.edges;
-            stats_prev_[ch] = d;
-            stats_has_prev_[ch] = true;
+            if (has_prev && d != prev) ++s.edges;
+            prev = d;
+            has_prev = true;
         }
+        stats_[ch] = s;
+        stats_prev_[ch] = prev;
+        stats_has_prev_[ch] = has_prev;
     }
 }
 
@@ -308,18 +316,20 @@ void FrontEnd::step_block_run(double dt_s, int n, FrontEndBlock& out, int offset
         std::fill_n(valid[1], n, std::uint8_t{1});
     }
 
-    // Supply power, same grouping as momentary_power_w().
+    supply_power_block(blk_i_.data(), n, power);
+    finish_samples(n, det[0], det[1], valid[0], valid[1]);
+}
+
+void FrontEnd::supply_power_block(const double* i_drive_a, int n, double* power_w) const {
+    // Same grouping as momentary_power_w().
     const int instances = config_.mode == FrontEndMode::Multiplexed ? 1 : 2;
     const double bias = config_.osc_bias_a * oscillator_count() +
                         (config_.vi_bias_a + config_.det_bias_a) * instances;
     const double supply = config_.supply_v;
-    const double* i_drive = blk_i_.data();
     for (int k = 0; k < n; ++k) {
-        const double drive = std::fabs(i_drive[k]) * instances;
-        power[k] = (bias + drive) * supply;
+        const double drive = std::fabs(i_drive_a[k]) * instances;
+        power_w[k] = (bias + drive) * supply;
     }
-
-    finish_samples(n, det[0], det[1], valid[0], valid[1]);
 }
 
 void FrontEnd::reset() {

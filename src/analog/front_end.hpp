@@ -229,6 +229,12 @@ public:
     /// Momentary supply power for the current enable/mode state [W].
     [[nodiscard]] double momentary_power_w(double i_excitation_a) const;
 
+    /// Supply power of the enabled section for a block of drive
+    /// currents: power_w[k] for i_drive_a[k], grouped as in
+    /// momentary_power_w(). step_block() and the lane engine's shared
+    /// excitation pass both compute their power with it.
+    void supply_power_block(const double* i_drive_a, int n, double* power_w) const;
+
     /// Count of oscillators this architecture instantiates (1 for the
     /// paper's multiplexed design, 2 for the simultaneous baseline).
     [[nodiscard]] int oscillator_count() const noexcept {
@@ -317,6 +323,7 @@ public:
     // to one that executed the same samples through step().
 
     [[nodiscard]] AnalogMux& mux() noexcept { return mux_; }
+    [[nodiscard]] const ViConverter& vi_converter() const noexcept { return vi_; }
     [[nodiscard]] sensor::FluxgateSensor& sensor_mut(Channel ch) noexcept {
         return sensors_[static_cast<std::size_t>(ch)];
     }

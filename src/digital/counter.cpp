@@ -1,6 +1,5 @@
 #include "digital/counter.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace fxg::digital {
@@ -63,10 +62,7 @@ void UpDownCounter::step(bool high, double dt_s) {
     if (!enabled_) return;
     // Emit the integer clock edges falling inside [t, t+dt), carrying
     // the fractional remainder so long runs stay exact.
-    tick_accumulator_ += dt_s * clock_hz_;
-    const double whole = std::floor(tick_accumulator_);
-    tick_accumulator_ -= whole;
-    const auto ticks = static_cast<std::int64_t>(whole);
+    const std::int64_t ticks = clock_step(tick_accumulator_, dt_s * clock_hz_);
     count_ += high ? ticks : -ticks;
     active_ticks_ += static_cast<std::uint64_t>(ticks);
     if (hardware_engaged_) apply_hardware(count_);
@@ -85,10 +81,7 @@ void UpDownCounter::step_block(const std::uint8_t* high, const std::uint8_t* val
     const bool hw = hardware_engaged_;
     for (int k = 0; k < n; ++k) {
         if (!valid[k]) continue;
-        acc += inc;
-        const double whole = std::floor(acc);
-        acc -= whole;
-        const auto ticks = static_cast<std::int64_t>(whole);
+        const std::int64_t ticks = clock_step(acc, inc);
         count += high[k] ? ticks : -ticks;
         active += static_cast<std::uint64_t>(ticks);
         if (hw) apply_hardware(count);

@@ -10,6 +10,7 @@
 /// generated by rtl::structural::updown_counter; this class is the
 /// behavioural model used inside the compass pipeline.
 
+#include <cmath>
 #include <cstdint>
 
 namespace fxg::digital {
@@ -48,6 +49,18 @@ public:
     /// Advances by dt with the detector output held at `high`;
     /// accumulates the integer clock ticks that fall in the interval.
     void step(bool high, double dt_s);
+
+    /// One clock step of the fractional-tick bookkeeping: adds `inc`
+    /// clock periods to the accumulator `acc`, leaves the remainder in
+    /// it and returns the whole ticks that fell inside the step. step(),
+    /// step_block() and the lane engine's shared clock all call this, so
+    /// every path emits the same tick sequence.
+    [[nodiscard]] static std::int64_t clock_step(double& acc, double inc) noexcept {
+        acc += inc;
+        const double whole = std::floor(acc);
+        acc -= whole;
+        return static_cast<std::int64_t>(whole);
+    }
 
     /// Fused block form: for each of the `n` samples with valid[k] != 0,
     /// performs exactly what step(high[k] != 0, dt_s) would (samples with

@@ -1,8 +1,11 @@
 #include "sim/lane_engine.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <numbers>
 
 #include "magnetics/core_model.hpp"
@@ -27,7 +30,27 @@ inline v::mask mask_from01(const double* b01) {
 
 inline bool bit_of(unsigned bits, int lane) { return ((bits >> lane) & 1u) != 0; }
 
+/// True when lanes [1, n) of `a` hold exactly lane 0's bits.
+inline bool lanes_match(const double* a, int n) {
+    const auto bits0 = std::bit_cast<std::uint64_t>(a[0]);
+    for (int l = 1; l < n; ++l) {
+        if (std::bit_cast<std::uint64_t>(a[l]) != bits0) return false;
+    }
+    return true;
+}
+
+std::atomic<std::uint64_t> g_shared_excitation{0};
+std::atomic<std::uint64_t> g_per_lane_excitation{0};
+
 }  // namespace
+
+std::uint64_t shared_excitation_count() noexcept {
+    return g_shared_excitation.load(std::memory_order_relaxed);
+}
+
+std::uint64_t per_lane_excitation_count() noexcept {
+    return g_per_lane_excitation.load(std::memory_order_relaxed);
+}
 
 bool LaneEngine::eligible(const analog::FrontEnd& front_end) noexcept {
     // Simultaneous mode duplicates the whole chain (two oscillators,
@@ -45,9 +68,6 @@ void LaneEngine::advance(const LanePort* lanes, int n_lanes, analog::Channel cha
     // A zero-step advance performs no member work at all on the scalar
     // path (no samples, no tap call, no index motion) — mirror that.
     if (n_lanes <= 0 || steps <= 0) return;
-    det_bits_.resize(static_cast<std::size_t>(steps));
-    valid_bits_.resize(static_cast<std::size_t>(steps));
-    bytes_.resize(static_cast<std::size_t>(steps) * 4);
     for (int base = 0; base < n_lanes;) {
         const int rem = n_lanes - base;
         // Pair stripes whenever more than one stripe of lanes remains:
@@ -323,6 +343,42 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         if (lane_tap[l] || (lane_hw[l] && ach == channel)) stripe_capture = true;
     }
 
+    // Only tap and hardware-counter lanes read the emitted streams.
+    if (stripe_capture) {
+        det_bits_.resize(static_cast<std::size_t>(steps));
+        valid_bits_.resize(static_cast<std::size_t>(steps));
+        bytes_.resize(static_cast<std::size_t>(steps) * 4);
+    }
+
+    // ---- Lockstep cohort -------------------------------------------------
+    //
+    // Nothing upstream of the sensor depends on the field, so lanes
+    // whose Pass A inputs equal lane 0's bit for bit would compute lane
+    // 0's drive current, settle flag and supply power on every sample.
+    // Such a group runs that excitation once, through lane 0's own
+    // stages, and broadcasts it. The clock shares under a second key:
+    // with the same accumulator, increment and count flag, and the
+    // shared settle flags, every lane's counter sees the same ticks.
+    const double* const excitation_key[] = {
+        freq_a, gain_a, curv_a, dc_a, cgain_a, correct01_a,  // oscillator
+        vig_a, fs_a, linfs_a, lim_a,                         // V-I converter
+        settle_a, bias_a, supply_a,                          // mux, supply
+        time_a, phase_a, corr_a, pint_a, ptime_a, since_a};  // evolving state
+    const double* const clock_key[] = {acc_a, inc_a, count01_a};
+    const auto match = [n](const double* a) { return lanes_match(a, n); };
+    const bool shared = std::all_of(std::begin(excitation_key),
+                                    std::end(excitation_key), match);
+    const bool shared_clock =
+        shared && std::all_of(std::begin(clock_key), std::end(clock_key), match);
+    (shared ? g_shared_excitation : g_per_lane_excitation)
+        .fetch_add(1, std::memory_order_relaxed);
+    analog::TriangleOscillator shared_osc = fe[0]->oscillator();
+    analog::AnalogMux shared_mux = fe[0]->mux();
+    const double r_load0 = fe[0]->config().sensor.r_excitation_ohm;
+    double shared_last_i = 0.0;
+    double shared_acc = acc_a[0];
+    const bool shared_ticking = shared_clock && count01_a[0] > 0.5;
+
     // ---- Time-varying environment streams ------------------------------
     //
     // Only when some lane's field actually changes inside this advance:
@@ -542,73 +598,97 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
     v::dvec bvdet[S * T];
     v::mask bsettle[S * T];
     alignas(32) std::int64_t nbits[T * GW];  // tile draws [sample * GW + lane]
+    // Shared excitation tile: drive current, settle flag and supply
+    // power per sample.
+    double sh_i[T]{}, sh_p[T]{};
+    std::uint8_t sh_settle[T]{};
 
     for (int k0 = 0; k0 < steps; k0 += T) {
         const int tn = std::min(T, steps - k0);
 
         // Pass A: oscillator, V-I converter, mux settling, supply
-        // power/energy.
-        for (int t = 0; t < tn; ++t) {
-            #pragma GCC unroll 8
-            for (int s = 0; s < S; ++s) {
-                // Oscillator (TriangleOscillator::step).
-                time_v[s] = v::add(time_v[s], dt_v);
-                phase_v[s] = v::add(phase_v[s], v::mul(dt_v, freq_v[s]));
-                const v::mask wrapped = v::cmp_ge(phase_v[s], one_v);
-                // A wrap happens once per excitation period
-                // (1/steps_per_period samples); the wrap bookkeeping —
-                // including a vector divide — is skipped entirely on
-                // the other samples. The blends are identity when
-                // `wrapped` is all-false, so the skip is exact.
-                const bool any_wrap = v::movemask(wrapped) != 0;
-                if (any_wrap) {
-                    phase_v[s] = v::blend(
-                        wrapped, v::sub(phase_v[s], v::floor(phase_v[s])),
-                        phase_v[s]);
+        // power/energy. A lockstep cohort runs lane 0's stages once
+        // (the member path's block code) and broadcasts the results.
+        if (shared) {
+            shared_osc.step_block(dt_s, tn, sh_i);
+            fe[0]->vi_converter().drive_block(sh_i, r_load0, tn, sh_i);
+            shared_mux.step_block(dt_s, tn, sh_settle);
+            fe[0]->supply_power_block(sh_i, tn, sh_p);
+            shared_last_i = sh_i[tn - 1];
+            for (int t = 0; t < tn; ++t) {
+                const v::dvec i_v = v::splat(sh_i[t]);
+                const v::mask settled = v::m_splat(sh_settle[t] != 0);
+                const v::dvec e_inc = v::splat(sh_p[t] * dt_s);
+                #pragma GCC unroll 8
+                for (int s = 0; s < S; ++s) {
+                    bidrv[s * T + t] = i_v;
+                    bsettle[s * T + t] = settled;
+                    e_v[s] = v::add(e_v[s], e_inc);
                 }
-                const v::dvec f4p = v::mul(four_v, phase_v[s]);
-                const v::mask seg1 = v::cmp_gt(quarter_v, phase_v[s]);
-                const v::mask seg2 = v::cmp_gt(threeq_v, phase_v[s]);
-                const v::dvec w = v::blend(
-                    seg1, f4p,
-                    v::blend(seg2, v::sub(two_v, f4p), v::add(neg4_v, f4p)));
-                const v::dvec shaped = v::add(
-                    w, v::mul(curv_v[s], v::sub(v::mul(v::mul(w, w), w), w)));
-                o_v[s] =
-                    v::add(v::add(v::mul(gain_v[s], shaped), dc_v[s]), corr_v[s]);
-                pint_v[s] = v::add(pint_v[s], v::mul(o_v[s], dt_v));
-                ptime_v[s] = v::add(ptime_v[s], dt_v);
-                if (any_wrap) {
-                    const v::mask upd = v::m_and(
-                        wrapped,
-                        v::m_and(correct_m[s], v::cmp_gt(ptime_v[s], zero_v)));
-                    corr_v[s] = v::blend(
-                        upd,
-                        v::sub(corr_v[s],
-                               v::mul(cgain_v[s], v::div(pint_v[s], ptime_v[s]))),
-                        corr_v[s]);
-                    pint_v[s] = v::blend(wrapped, zero_v, pint_v[s]);
-                    ptime_v[s] = v::blend(wrapped, zero_v, ptime_v[s]);
+            }
+        } else {
+            for (int t = 0; t < tn; ++t) {
+                #pragma GCC unroll 8
+                for (int s = 0; s < S; ++s) {
+                    // Oscillator (TriangleOscillator::step).
+                    time_v[s] = v::add(time_v[s], dt_v);
+                    phase_v[s] = v::add(phase_v[s], v::mul(dt_v, freq_v[s]));
+                    const v::mask wrapped = v::cmp_ge(phase_v[s], one_v);
+                    // A wrap happens once per excitation period
+                    // (1/steps_per_period samples); the wrap bookkeeping —
+                    // including a vector divide — is skipped entirely on
+                    // the other samples. The blends are identity when
+                    // `wrapped` is all-false, so the skip is exact.
+                    const bool any_wrap = v::movemask(wrapped) != 0;
+                    if (any_wrap) {
+                        phase_v[s] = v::blend(
+                            wrapped, v::sub(phase_v[s], v::floor(phase_v[s])),
+                            phase_v[s]);
+                    }
+                    const v::dvec f4p = v::mul(four_v, phase_v[s]);
+                    const v::mask seg1 = v::cmp_gt(quarter_v, phase_v[s]);
+                    const v::mask seg2 = v::cmp_gt(threeq_v, phase_v[s]);
+                    const v::dvec w = v::blend(
+                        seg1, f4p,
+                        v::blend(seg2, v::sub(two_v, f4p), v::add(neg4_v, f4p)));
+                    const v::dvec shaped = v::add(
+                        w, v::mul(curv_v[s], v::sub(v::mul(v::mul(w, w), w), w)));
+                    o_v[s] =
+                        v::add(v::add(v::mul(gain_v[s], shaped), dc_v[s]), corr_v[s]);
+                    pint_v[s] = v::add(pint_v[s], v::mul(o_v[s], dt_v));
+                    ptime_v[s] = v::add(ptime_v[s], dt_v);
+                    if (any_wrap) {
+                        const v::mask upd = v::m_and(
+                            wrapped,
+                            v::m_and(correct_m[s], v::cmp_gt(ptime_v[s], zero_v)));
+                        corr_v[s] = v::blend(
+                            upd,
+                            v::sub(corr_v[s],
+                                   v::mul(cgain_v[s], v::div(pint_v[s], ptime_v[s]))),
+                            corr_v[s]);
+                        pint_v[s] = v::blend(wrapped, zero_v, pint_v[s]);
+                        ptime_v[s] = v::blend(wrapped, zero_v, ptime_v[s]);
+                    }
+
+                    // V-I converter (ViConverter::drive).
+                    const v::dvec u = v::div(o_v[s], fs_v[s]);
+                    idrv_v[s] = v::add(v::mul(vig_v[s], o_v[s]),
+                                       v::mul(v::mul(v::mul(linfs_v[s], u), u), u));
+                    idrv_v[s] = v::min(v::max(idrv_v[s], neglim_v[s]), lim_v[s]);
+
+                    // Mux settling.
+                    since_v[s] = v::add(since_v[s], dt_v);
+
+                    // Supply power and energy (FrontEnd::step_block tail;
+                    // the energy chain continues each member's running
+                    // sum).
+                    const v::dvec drive = v::bit_andnot(sign_v, idrv_v[s]);  // fabs
+                    const v::dvec p = v::mul(v::add(bias_v[s], drive), supply_v[s]);
+                    e_v[s] = v::add(e_v[s], v::mul(p, dt_v));
+
+                    bidrv[s * T + t] = idrv_v[s];
+                    bsettle[s * T + t] = v::cmp_ge(since_v[s], settle_v[s]);
                 }
-
-                // V-I converter (ViConverter::drive).
-                const v::dvec u = v::div(o_v[s], fs_v[s]);
-                idrv_v[s] = v::add(v::mul(vig_v[s], o_v[s]),
-                                   v::mul(v::mul(v::mul(linfs_v[s], u), u), u));
-                idrv_v[s] = v::min(v::max(idrv_v[s], neglim_v[s]), lim_v[s]);
-
-                // Mux settling.
-                since_v[s] = v::add(since_v[s], dt_v);
-
-                // Supply power and energy (FrontEnd::step_block tail;
-                // the energy chain continues each member's running
-                // sum).
-                const v::dvec drive = v::bit_andnot(sign_v, idrv_v[s]);  // fabs
-                const v::dvec p = v::mul(v::add(bias_v[s], drive), supply_v[s]);
-                e_v[s] = v::add(e_v[s], v::mul(p, dt_v));
-
-                bidrv[s * T + t] = idrv_v[s];
-                bsettle[s * T + t] = v::cmp_ge(since_v[s], settle_v[s]);
             }
         }
 
@@ -752,6 +832,12 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         // Pass C: detector latches, stream statistics, SoA counters,
         // emitted-stream capture.
         for (int t = 0; t < tn; ++t) {
+            // A shared clock steps once for the cohort
+            // (UpDownCounter::step_block's clock step).
+            const std::int64_t shared_ticks =
+                shared_ticking && sh_settle[t] != 0
+                    ? digital::UpDownCounter::clock_step(shared_acc, inc_a[0])
+                    : 0;
             #pragma GCC unroll 8
             for (int s = 0; s < S; ++s) {
                 const v::dvec vdet = bvdet[s * T + t];
@@ -794,11 +880,14 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
                 // (UpDownCounter::step_block): invalid lanes hold acc
                 // in [0, 1), so floor() contributes exactly zero ticks
                 // there.
-                const v::mask cval = v::m_and(settled, count_m[s]);
-                acc_v[s] = v::blend(cval, v::add(acc_v[s], inc_v[s]), acc_v[s]);
-                const v::dvec whole = v::floor(acc_v[s]);
-                acc_v[s] = v::sub(acc_v[s], whole);
-                const v::ivec ticks = v::d2i_exact(whole);
+                v::ivec ticks = v::i_splat(shared_ticks);
+                if (!shared_clock) {
+                    const v::mask cval = v::m_and(settled, count_m[s]);
+                    acc_v[s] = v::blend(cval, v::add(acc_v[s], inc_v[s]), acc_v[s]);
+                    const v::dvec whole = v::floor(acc_v[s]);
+                    acc_v[s] = v::sub(acc_v[s], whole);
+                    ticks = v::d2i_exact(whole);
+                }
                 cnt_v[s] = v::i_add(
                     cnt_v[s],
                     v::i_blend(out_m[s], ticks, v::i_sub(izero_v, ticks)));
@@ -820,6 +909,24 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
                 valid_bits_[static_cast<std::size_t>(k0 + t)] =
                     static_cast<std::uint8_t>(vb);
             }
+        }
+    }
+
+    // A cohort's lanes all end in the shared stages' state.
+    if (shared) {
+        const analog::TriangleOscillator::State os = shared_osc.save_state();
+        const double since = shared_mux.save_state().since_switch_s;
+        #pragma GCC unroll 8
+        for (int s = 0; s < S; ++s) {
+            time_v[s] = v::splat(os.time_s);
+            phase_v[s] = v::splat(os.phase);
+            o_v[s] = v::splat(os.output);
+            corr_v[s] = v::splat(os.correction_a);
+            pint_v[s] = v::splat(os.period_integral);
+            ptime_v[s] = v::splat(os.period_time);
+            since_v[s] = v::splat(since);
+            idrv_v[s] = v::splat(shared_last_i);
+            if (shared_clock) acc_v[s] = v::splat(shared_acc);
         }
     }
 
@@ -863,10 +970,16 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         hasprev_b |= v::movemask(hasprev_m[s]) << g;
     }
 
-    std::uint8_t* dx = bytes_.data();
-    std::uint8_t* dy = dx + steps;
-    std::uint8_t* vx = dy + steps;
-    std::uint8_t* vy = vx + steps;
+    std::uint8_t* dx = nullptr;
+    std::uint8_t* dy = nullptr;
+    std::uint8_t* vx = nullptr;
+    std::uint8_t* vy = nullptr;
+    if (stripe_capture) {
+        dx = bytes_.data();
+        dy = dx + steps;
+        vx = dy + steps;
+        vy = vx + steps;
+    }
 
     for (int l = 0; l < n; ++l) {
         analog::FrontEnd& f = *fe[l];

@@ -42,6 +42,15 @@
 ///    is evicted by the caller (PlanExecutor::run_lanes) at the count
 ///    window boundary — the scalar abort point — without perturbing
 ///    the other lanes.
+///
+/// Lockstep cohorts: members built from one config and swept together
+/// hold bit-identical oscillator, mux and counter-clock state, and
+/// nothing upstream of the sensor depends on the field. A group whose
+/// lanes all share those inputs runs the excitation (oscillator, V-I
+/// drive, mux settling, supply power) once through the stages' own
+/// block code and broadcasts it; its counters share one clock when the
+/// accumulators match too. The choice is made from the inputs, per
+/// group advance, and changes no output bit.
 
 #include <cstdint>
 #include <vector>
@@ -61,6 +70,13 @@ struct LanePort {
     digital::UpDownCounter* counter = nullptr;  ///< null => settling (deaf)
     double* energy_j = nullptr;
 };
+
+/// Process-wide count of LaneEngine group advances that shared one
+/// excitation pass across a lockstep cohort, and of those that ran the
+/// per-lane vector pass. Each group advance bumps exactly one of them
+/// (relaxed atomics, once per group, never per sample).
+[[nodiscard]] std::uint64_t shared_excitation_count() noexcept;
+[[nodiscard]] std::uint64_t per_lane_excitation_count() noexcept;
 
 /// SoA batch engine over independent front ends. Owns only scratch
 /// buffers; all simulation state lives in the member objects and
@@ -108,7 +124,8 @@ private:
 
     // Per-group emitted streams, one bit per group lane per sample
     // (movemask, stripe s in bits [s*kLanes, (s+1)*kLanes)), consumed
-    // by tap replay and delegated counters.
+    // by tap replay and delegated counters. Sized only by groups that
+    // have such a lane.
     std::vector<std::uint8_t> det_bits_;
     std::vector<std::uint8_t> valid_bits_;
     // Unpacked per-lane byte streams (det x/y, valid x/y).

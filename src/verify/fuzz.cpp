@@ -4,9 +4,11 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <initializer_list>
 #include <limits>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 #include "core/plan.hpp"
 #include "magnetics/earth_field.hpp"
@@ -162,23 +164,29 @@ Outcome measure_outcome(compass::Compass& comp) {
     return o;
 }
 
-/// Runs one measurement through the SoA lane engine as a batch of one
-/// (PlanExecutor::run_lanes) and captures the same Outcome the scalar
-/// and block rigs expose. An aborted lane reports its (partial)
-/// measurement through the LaneOutcome slot; the per-member path loses
-/// it to the exception, so mirror that here and compare the abort point
-/// through the captured pipeline state instead.
-Outcome lanes_outcome(compass::Compass& comp) {
-    Outcome o;
-    compass::Compass* const lanes[1] = {&comp};
-    compass::LaneOutcome slot[1];
-    compass::PlanExecutor::run_lanes(comp.plan(), lanes, slot);
-    o.aborted = slot[0].aborted;
-    o.error = slot[0].error;
-    if (!slot[0].aborted) o.m = slot[0].measurement;
-    capture_state(comp, o);
-    return o;
+/// Runs one measurement of every compass through the SoA lane engine as
+/// one batch (PlanExecutor::run_lanes, under the first compass's plan)
+/// and captures, per lane, the same Outcome the scalar and block rigs
+/// expose. An aborted lane reports its (partial) measurement through
+/// the LaneOutcome slot; the per-member path loses it to the exception,
+/// so mirror that here and compare the abort point through the
+/// captured pipeline state instead.
+std::vector<Outcome> lanes_outcomes(std::initializer_list<compass::Compass*> comps) {
+    const std::vector<compass::Compass*> lanes(comps);
+    std::vector<compass::LaneOutcome> slots(lanes.size());
+    compass::PlanExecutor::run_lanes(lanes.front()->plan(), lanes, slots);
+    std::vector<Outcome> out(lanes.size());
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+        out[i].aborted = slots[i].aborted;
+        out[i].error = slots[i].error;
+        if (!slots[i].aborted) out[i].m = slots[i].measurement;
+        capture_state(*lanes[i], out[i]);
+    }
+    return out;
 }
+
+/// A batch of one.
+Outcome lanes_outcome(compass::Compass& comp) { return lanes_outcomes({&comp}).front(); }
 
 Outcome plan_outcome(compass::Compass& comp, const compass::MeasurementPlan& plan) {
     Outcome o;
@@ -253,12 +261,19 @@ std::int64_t sign_extend(std::int64_t v, int width) {
 // ----------------------------------------------------------- oracles
 
 std::optional<std::string> run_engine_parity(const FuzzCase& c) {
-    // Three-way: scalar vs block vs SoA lane engine (batch of one), the
-    // latter both bare and with a trace+probes sink attached — batch
-    // spans and per-lane samples must not perturb the arithmetic.
+    // Three-way: scalar vs block vs SoA lane engine, the latter both
+    // bare and with a trace+probes sink attached (a batch of one) —
+    // batch spans and per-lane samples must not perturb the arithmetic.
+    // The bare lane rig runs beside a mate, which has its own scalar
+    // reference: on rep 0 a lockstep twin (the group shares one
+    // excitation pass), on rep 1 diverged in one excitation input — one
+    // extra measurement or an oscillator frequency fault — so the
+    // group takes the per-lane pass.
     Rig scalar(c, sim::EngineKind::Scalar, c.counter_width_bits, c.trap_on_overflow);
     Rig block(c, sim::EngineKind::Block, c.counter_width_bits, c.trap_on_overflow);
     Rig lane(c, sim::EngineKind::Block, c.counter_width_bits, c.trap_on_overflow);
+    Rig mate(c, sim::EngineKind::Block, c.counter_width_bits, c.trap_on_overflow);
+    Rig mate_ref(c, sim::EngineKind::Scalar, c.counter_width_bits, c.trap_on_overflow);
     Rig lane_traced(c, sim::EngineKind::Block, c.counter_width_bits,
                     c.trap_on_overflow);
     telemetry::TraceSession trace;
@@ -287,10 +302,32 @@ std::optional<std::string> run_engine_parity(const FuzzCase& c) {
             return format("engine parity (scalar vs block), rep %d: %s", rep,
                           d->c_str());
         }
-        const Outcome l = lanes_outcome(lane.compass);
-        if (auto d = diff_outcomes(a, l)) {
-            return format("engine parity (scalar vs lanes), rep %d: %s", rep,
-                          d->c_str());
+        if (rep == 1) {
+            if (c.index % 2 == 0) {
+                const Outcome mb = measure_outcome(mate.compass);
+                const Outcome ms = measure_outcome(mate_ref.compass);
+                if (auto d = diff_outcomes(ms, mb)) {
+                    return format("engine parity (mate's extra measurement, "
+                                  "scalar vs block): %s",
+                                  d->c_str());
+                }
+            } else {
+                for (Rig* r : {&mate, &mate_ref}) {
+                    analog::TriangleOscillator& osc = r->compass.front_end().oscillator();
+                    analog::OscillatorFault f = osc.fault();
+                    f.frequency_scale *= 1.01;
+                    osc.set_fault(f);
+                }
+            }
+        }
+        const std::vector<Outcome> batch = lanes_outcomes({&lane.compass, &mate.compass});
+        if (auto d = diff_outcomes(a, batch[0])) {
+            return format("engine parity (scalar vs lanes, %s mate), rep %d: %s",
+                          rep == 0 ? "lockstep" : "diverged", rep, d->c_str());
+        }
+        if (auto d = diff_outcomes(measure_outcome(mate_ref.compass), batch[1])) {
+            return format("engine parity (scalar vs lanes, %s mate's lane), rep %d: %s",
+                          rep == 0 ? "lockstep" : "diverged", rep, d->c_str());
         }
         const Outcome lt = lanes_outcome(lane_traced.compass);
         if (auto d = diff_outcomes(a, lt)) {

@@ -11,6 +11,7 @@
 #include <set>
 #include <thread>
 
+#include "sim/lane_engine.hpp"
 #include "verify/fuzz.hpp"
 #include "verify/shrink.hpp"
 
@@ -61,11 +62,18 @@ TEST(FuzzCorpus, EngineParityForcedCorpusIsBitExact) {
     // ISSUE acceptance: ConstantFieldSource is bit-identical on the
     // scalar, block and SoA lane engines — and to the pre-seam direct
     // field path — over a 10k-case forced EngineParity corpus.
+    const std::uint64_t shared0 = sim::shared_excitation_count();
+    const std::uint64_t per_lane0 = sim::per_lane_excitation_count();
     const verify::FuzzReport report =
         verify::run_corpus(kCorpusSeed, 10000, 8, soak_threads(),
                            verify::Oracle::EngineParity);
     EXPECT_EQ(report.cases, 10000u);
     EXPECT_TRUE(report.ok());
+    // Every case batches its lane rig beside a lockstep twin and then
+    // beside a diverged mate, so both excitation passes of the lane
+    // kernel run at least once per case.
+    EXPECT_GE(sim::shared_excitation_count() - shared0, report.cases);
+    EXPECT_GE(sim::per_lane_excitation_count() - per_lane0, report.cases);
     for (const verify::FuzzFailure& failure : report.failures) {
         ADD_FAILURE() << "(seed=" << failure.failing.seed
                       << ", index=" << failure.failing.index

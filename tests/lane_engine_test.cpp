@@ -1,15 +1,20 @@
 // Tests for the SoA SIMD lane engine (sim/lane_engine.hpp) and its
 // integration seams: PlanExecutor::run_lanes, the CompassFleet Auto
-// dispatch, the one-compile-per-fleet contract and per-lane fault
-// eviction. The load-bearing property throughout is bit identity with
-// the per-member scalar path — doubles compare with ==, counts with !=.
+// dispatch, the one-compile-per-fleet contract, per-lane fault
+// eviction, lockstep cohorts and the sweep's allocations. The
+// load-bearing property throughout is bit identity with the per-member
+// scalar path — doubles compare with ==, counts with !=.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <new>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compass.hpp"
@@ -26,6 +31,26 @@
 #include "telemetry/trace.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
+
+// Every block of 4 KiB or more this test binary allocates is counted,
+// so a test can bound the large allocations of one fleet sweep.
+namespace {
+std::atomic<std::uint64_t> g_large_blocks{0};
+constexpr std::size_t kLargeBlock = 4096;
+}  // namespace
+
+// The replacement pair is malloc/free underneath; GCC cannot see that
+// through inlining and would flag every delete.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+    if (size >= kLargeBlock) g_large_blocks.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+    throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace {
 
@@ -460,6 +485,23 @@ TEST(CompassFleet, CompilesSharedPlanExactlyOnce) {
     EXPECT_EQ(&fleet.at(0).plan(), &fleet.at(99).plan());
 }
 
+// The lane scratch for captured streams (6 bytes per step) is sized
+// only by groups with a tap or a hardware counter, so a clean sweep of
+// the default config's 16,384-step count windows allocates no large
+// block. The first two sweeps let the black box reach its steady size.
+TEST(CompassFleet, CleanSweepAllocatesNoLargeBlock) {
+    constexpr int kFleet = 16;
+    compass::CompassFleet fleet(kFleet);
+    std::vector<double> headings;
+    for (int i = 0; i < kFleet; ++i) headings.push_back(i * 22.5);
+    fleet.set_environments(site(), headings);
+    static_cast<void>(fleet.measure_all(1));
+    static_cast<void>(fleet.measure_all(1));
+    const std::uint64_t before = g_large_blocks.load();
+    static_cast<void>(fleet.measure_all(1));
+    EXPECT_EQ(g_large_blocks.load() - before, 0u);
+}
+
 TEST(CompassFleet, TrappedMembersReportDeterministicFirstError) {
     constexpr int kFleet = 20;
     compass::CompassFleet fleet(kFleet, lite_config());
@@ -486,6 +528,156 @@ TEST(CompassFleet, TrappedMembersReportDeterministicFirstError) {
     // measure_all rethrows the lowest failing member's exception, not
     // whichever worker lost the race.
     EXPECT_THROW(static_cast<void>(fleet.measure_all(2)), std::overflow_error);
+}
+
+// ----------------------------------------------------- lockstep cohorts
+//
+// A group whose lanes hold bit-identical excitation inputs runs the
+// excitation once (sim::shared_excitation_count); any differing lane
+// sends the group down the per-lane pass (per_lane_excitation_count).
+// Each case compares an Auto fleet with a PerMember twin bit for bit,
+// excitation state included, and pins which groups shared.
+
+constexpr int kCohortFleet = 16;
+constexpr std::uint64_t kStagesPerSweep = 4;  // settle + count, two axes
+
+/// Lane groups one advance of a kCohortFleet batch splits into.
+std::uint64_t cohort_groups() {
+    return kCohortFleet / (2 * sim::LaneEngine::lanes_per_stripe());
+}
+
+struct ExcitationCounts {
+    std::uint64_t shared = 0;
+    std::uint64_t per_lane = 0;
+};
+
+void expect_same_excitation_state(compass::Compass& a, compass::Compass& b) {
+    expect_same_pipeline_state(a, b);
+    const analog::TriangleOscillator::State oa = a.front_end().oscillator().save_state();
+    const analog::TriangleOscillator::State ob = b.front_end().oscillator().save_state();
+    EXPECT_EQ(oa.time_s, ob.time_s);
+    EXPECT_EQ(oa.phase, ob.phase);
+    EXPECT_EQ(oa.output, ob.output);
+    EXPECT_EQ(oa.correction_a, ob.correction_a);
+    EXPECT_EQ(oa.period_integral, ob.period_integral);
+    EXPECT_EQ(oa.period_time, ob.period_time);
+    EXPECT_EQ(a.front_end().mux().save_state().since_switch_s,
+              b.front_end().mux().save_state().since_switch_s);
+    const digital::UpDownCounter::State ca = a.counter().save_state();
+    const digital::UpDownCounter::State cb = b.counter().save_state();
+    EXPECT_EQ(ca.tick_accumulator, cb.tick_accumulator);
+    EXPECT_EQ(ca.active_ticks, cb.active_ticks);
+}
+
+/// An Auto fleet and its PerMember reference, members at distinct
+/// headings, changed only through both().
+class CohortFleets {
+public:
+    CohortFleets() {
+        reference_.set_execution(compass::FleetExecution::PerMember);
+        std::vector<double> headings;
+        for (int i = 0; i < kCohortFleet; ++i) headings.push_back(i * 21.0 + 2.0);
+        lanes_.set_environments(site(), headings);
+        reference_.set_environments(site(), headings);
+    }
+
+    /// Applies `f` to member i of both fleets.
+    void both(int i, const std::function<void(compass::Compass&)>& f) {
+        f(lanes_.at(i));
+        f(reference_.at(i));
+    }
+
+    /// Sweeps both fleets, asserts they agree bit for bit and returns
+    /// the Auto sweep's excitation choices.
+    ExcitationCounts sweep() {
+        const std::uint64_t shared0 = sim::shared_excitation_count();
+        const std::uint64_t per_lane0 = sim::per_lane_excitation_count();
+        const std::vector<compass::FleetResult> a = lanes_.measure_all_results(1);
+        const ExcitationCounts counts{sim::shared_excitation_count() - shared0,
+                                      sim::per_lane_excitation_count() - per_lane0};
+        const std::vector<compass::FleetResult> b = reference_.measure_all_results(1);
+        for (int i = 0; i < kCohortFleet; ++i) {
+            SCOPED_TRACE(testing::Message() << "member " << i);
+            const auto u = static_cast<std::size_t>(i);
+            EXPECT_TRUE(a[u].ok) << a[u].error;
+            EXPECT_TRUE(b[u].ok) << b[u].error;
+            expect_bit_identical(a[u].measurement, b[u].measurement);
+            expect_same_excitation_state(lanes_.at(i), reference_.at(i));
+        }
+        return counts;
+    }
+
+private:
+    compass::CompassFleet lanes_{kCohortFleet, lite_config()};
+    compass::CompassFleet reference_{kCohortFleet, lite_config()};
+};
+
+// (a) Members built from one config stay lockstep sweep after sweep.
+TEST(LaneCohort, LockstepFleetSharesEveryGroupAdvance) {
+    CohortFleets fleets;
+    for (int sweep = 0; sweep < 2; ++sweep) {
+        SCOPED_TRACE(sweep);
+        const ExcitationCounts c = fleets.sweep();
+        EXPECT_EQ(c.shared, kStagesPerSweep * cohort_groups());
+        EXPECT_EQ(c.per_lane, 0u);
+    }
+}
+
+// (b) One extra measurement moves a member's oscillator on: its group
+// runs the per-lane pass on every stage, the other groups still share.
+TEST(LaneCohort, ExtraMeasurementSplitsOnlyItsGroup) {
+    CohortFleets fleets;
+    static_cast<void>(fleets.sweep());
+    fleets.both(3, [](compass::Compass& c) { static_cast<void>(c.measure()); });
+    const ExcitationCounts c = fleets.sweep();
+    EXPECT_EQ(c.shared, kStagesPerSweep * (cohort_groups() - 1));
+    EXPECT_EQ(c.per_lane, kStagesPerSweep);
+}
+
+// (c) Oscillator faults are excitation inputs: a frequency or an
+// amplitude fault splits the faulted member's group.
+TEST(LaneCohort, OscillatorFaultSplitsItsGroup) {
+    analog::OscillatorFault frequency;
+    frequency.frequency_scale = 1.003;
+    analog::OscillatorFault amplitude;
+    amplitude.amplitude_scale = 0.97;
+    for (const auto& [member, fault] :
+         {std::pair{3, frequency}, std::pair{kCohortFleet - 3, amplitude}}) {
+        SCOPED_TRACE(member);
+        CohortFleets fleets;
+        fleets.both(member, [&fault](compass::Compass& c) {
+            c.front_end().oscillator().set_fault(fault);
+        });
+        const ExcitationCounts c = fleets.sweep();
+        EXPECT_EQ(c.shared, kStagesPerSweep * (cohort_groups() - 1));
+        EXPECT_EQ(c.per_lane, kStagesPerSweep);
+    }
+}
+
+// (d) The mux's time since switch is part of the excitation key: a lane
+// ahead on it splits its group on the x stages, and the switch to y
+// (which restarts every lane's timer) brings the group back.
+TEST(LaneCohort, MuxTimerSplitsItsGroupUntilTheNextSwitch) {
+    CohortFleets fleets;
+    fleets.both(5, [](compass::Compass& c) {
+        c.front_end().mux().load_state({analog::Channel::X, 20e-6});
+    });
+    const ExcitationCounts c = fleets.sweep();
+    EXPECT_EQ(c.shared, kStagesPerSweep * cohort_groups() - 2);
+    EXPECT_EQ(c.per_lane, 2u);
+}
+
+// (d) The counter's accumulator is not an excitation input: a lane whose
+// clock phase differs still shares the excitation, but its counter must
+// keep its own clock.
+TEST(LaneCohort, CounterAccumulatorSharesExcitationButNotTheClock) {
+    CohortFleets fleets;
+    fleets.both(kCohortFleet - 6, [](compass::Compass& c) {
+        c.counter().load_state({0.5, 0, 0});
+    });
+    const ExcitationCounts c = fleets.sweep();
+    EXPECT_EQ(c.shared, kStagesPerSweep * cohort_groups());
+    EXPECT_EQ(c.per_lane, 0u);
 }
 
 }  // namespace
