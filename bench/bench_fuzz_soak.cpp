@@ -36,10 +36,11 @@
 #include <utility>
 #include <vector>
 
-#include "snapshot/format.hpp"
+#include "snapshot/fields.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
+#include "util/endian.hpp"
 #include "util/simd.hpp"
 #include "verify/fuzz.hpp"
 #include "verify/shrink.hpp"
@@ -92,53 +93,41 @@ struct SoakProgress {
     std::vector<std::pair<std::uint64_t, std::string>> failures;
 };
 
+template <class Io, snapshot::record_of<SoakProgress> S>
+void fields(Io& io, S& s) {
+    auto& [seed, cases, next_index, mismatches, digest, failures] = s;
+    // The failure count rides in SOAK; each failure has a FAIL section.
+    std::uint64_t n_failures = failures.size();
+    io.section(kSoakTag, [&] {
+        snapshot::walk(io, seed, cases, next_index, mismatches, digest, n_failures);
+    });
+    for (std::uint64_t i = 0; i < n_failures; ++i) {
+        auto& failure = snapshot::element(io, failures, i);
+        io.section(kFailTag, [&] { snapshot::walk(io, failure.first, failure.second); });
+    }
+}
+
 /// Folds one case's outcome into the corpus digest: CRC-32 over
 /// (index:u64 LE, ok:u8), continued from the running value. Chunking
 /// and resume points cannot change the fold — it only sees per-case
 /// results in index order.
 void fold_case(std::uint32_t& digest, std::uint64_t index, bool ok) {
     std::uint8_t buf[9];
-    for (int i = 0; i < 8; ++i) buf[i] = static_cast<std::uint8_t>(index >> (8 * i));
+    util::store_le(buf, index);
     buf[8] = ok ? 1 : 0;
     digest = snapshot::crc32(buf, sizeof buf, digest);
 }
 
 std::vector<std::uint8_t> encode_progress(const SoakProgress& p) {
     snapshot::SnapshotWriter w;
-    w.begin_section(kSoakTag);
-    w.put_u64(p.seed);
-    w.put_u64(p.cases);
-    w.put_u64(p.next_index);
-    w.put_u64(p.mismatches);
-    w.put_u32(p.digest);
-    w.put_u64(p.failures.size());
-    w.end_section();
-    for (const auto& [index, mismatch] : p.failures) {
-        w.begin_section(kFailTag);
-        w.put_u64(index);
-        w.put_string(mismatch);
-        w.end_section();
-    }
+    fields(w, p);
     return w.finish();
 }
 
 SoakProgress decode_progress(std::span<const std::uint8_t> bytes) {
     snapshot::SnapshotReader r(bytes);
     SoakProgress p;
-    r.enter_section(kSoakTag);
-    p.seed = r.get_u64();
-    p.cases = r.get_u64();
-    p.next_index = r.get_u64();
-    p.mismatches = r.get_u64();
-    p.digest = r.get_u32();
-    const std::uint64_t n_failures = r.get_u64();
-    r.leave_section();
-    for (std::uint64_t i = 0; i < n_failures; ++i) {
-        r.enter_section(kFailTag);
-        const std::uint64_t index = r.get_u64();
-        p.failures.emplace_back(index, r.get_string());
-        r.leave_section();
-    }
+    fields(r, p);
     if (!r.at_end()) throw snapshot::SnapshotError("checkpoint has trailing sections");
     return p;
 }

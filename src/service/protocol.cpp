@@ -1,35 +1,13 @@
 #include "service/protocol.hpp"
 
-#include <cstring>
+#include <bit>
 
 #include "snapshot/format.hpp"
+#include "util/endian.hpp"
 
 namespace fxg::service {
 
 namespace {
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    put_u64(out, bits);
-}
 
 /// Bounds-checked little-endian reads over a payload.
 class PayloadReader {
@@ -37,41 +15,11 @@ public:
     explicit PayloadReader(const std::vector<std::uint8_t>& bytes)
         : bytes_(bytes) {}
 
-    std::uint8_t get_u8() {
-        require(1);
-        return bytes_[off_++];
-    }
-
-    std::uint32_t get_u32() {
-        require(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i) {
-            v |= static_cast<std::uint32_t>(bytes_[off_ + static_cast<std::size_t>(i)])
-                 << (8 * i);
-        }
-        off_ += 4;
-        return v;
-    }
-
-    std::uint64_t get_u64() {
-        require(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i) {
-            v |= static_cast<std::uint64_t>(bytes_[off_ + static_cast<std::size_t>(i)])
-                 << (8 * i);
-        }
-        off_ += 8;
-        return v;
-    }
-
+    std::uint8_t get_u8() { return get<std::uint8_t>(); }
+    std::uint32_t get_u32() { return get<std::uint32_t>(); }
+    std::uint64_t get_u64() { return get<std::uint64_t>(); }
     std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
-
-    double get_f64() {
-        const std::uint64_t bits = get_u64();
-        double v;
-        std::memcpy(&v, &bits, sizeof v);
-        return v;
-    }
+    double get_f64() { return std::bit_cast<double>(get_u64()); }
 
     std::string get_string() {
         const std::uint32_t n = get_u32();
@@ -88,6 +36,14 @@ public:
     }
 
 private:
+    template <class T>
+    T get() {
+        require(sizeof(T));
+        const T v = util::load_le<T>(bytes_.data() + off_);
+        off_ += sizeof(T);
+        return v;
+    }
+
     void require(std::size_t n) const {
         if (bytes_.size() - off_ < n) {
             throw ProtocolError("protocol: payload truncated");
@@ -102,27 +58,13 @@ std::vector<std::uint8_t> frame_bytes(MessageKind kind,
                                       const std::vector<std::uint8_t>& payload) {
     std::vector<std::uint8_t> out;
     out.reserve(kFrameHeaderSize + payload.size());
-    put_u32(out, kFrameMagic);
-    put_u16(out, kProtocolVersion);
-    put_u16(out, static_cast<std::uint16_t>(kind));
-    put_u32(out, static_cast<std::uint32_t>(payload.size()));
-    put_u32(out, snapshot::crc32(payload.data(), payload.size()));
+    util::append_le(out, kFrameMagic);
+    util::append_le(out, kProtocolVersion);
+    util::append_le(out, static_cast<std::uint16_t>(kind));
+    util::append_le(out, static_cast<std::uint32_t>(payload.size()));
+    util::append_le(out, snapshot::crc32(payload.data(), payload.size()));
     out.insert(out.end(), payload.begin(), payload.end());
     return out;
-}
-
-std::uint32_t read_u32_at(const std::vector<std::uint8_t>& buf, std::size_t at) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-        v |= static_cast<std::uint32_t>(buf[at + static_cast<std::size_t>(i)])
-             << (8 * i);
-    }
-    return v;
-}
-
-std::uint16_t read_u16_at(const std::vector<std::uint8_t>& buf, std::size_t at) {
-    return static_cast<std::uint16_t>(buf[at] |
-                                      (static_cast<std::uint16_t>(buf[at + 1]) << 8));
 }
 
 }  // namespace
@@ -140,23 +82,23 @@ const char* to_string(ReplyStatus status) noexcept {
 
 std::vector<std::uint8_t> encode_request(const HeadingRequest& r) {
     std::vector<std::uint8_t> payload;
-    put_u64(payload, r.request_id);
-    put_u32(payload, r.flags);
+    util::append_le(payload, r.request_id);
+    util::append_le(payload, r.flags);
     return frame_bytes(MessageKind::HeadingRequest, payload);
 }
 
 std::vector<std::uint8_t> encode_reply(const HeadingReply& r) {
     std::vector<std::uint8_t> payload;
-    put_u64(payload, r.request_id);
+    util::append_le(payload, r.request_id);
     payload.push_back(static_cast<std::uint8_t>(r.status));
     payload.push_back(r.stale ? 1 : 0);
-    put_u32(payload, r.retry_after_ms);
-    put_u32(payload, r.member);
-    put_u32(payload, r.attempts);
-    put_f64(payload, r.heading_deg);
-    put_u64(payload, static_cast<std::uint64_t>(r.count_x));
-    put_u64(payload, static_cast<std::uint64_t>(r.count_y));
-    put_u32(payload, static_cast<std::uint32_t>(r.detail.size()));
+    util::append_le(payload, r.retry_after_ms);
+    util::append_le(payload, r.member);
+    util::append_le(payload, r.attempts);
+    util::append_le(payload, std::bit_cast<std::uint64_t>(r.heading_deg));
+    util::append_le(payload, static_cast<std::uint64_t>(r.count_x));
+    util::append_le(payload, static_cast<std::uint64_t>(r.count_y));
+    util::append_le(payload, static_cast<std::uint32_t>(r.detail.size()));
     payload.insert(payload.end(), r.detail.begin(), r.detail.end());
     return frame_bytes(MessageKind::HeadingReply, payload);
 }
@@ -215,28 +157,29 @@ void FrameReader::feed(const std::uint8_t* data, std::size_t n) {
 
 bool FrameReader::next(Frame& out) {
     if (buf_.size() - off_ < kFrameHeaderSize) return false;
-    if (read_u32_at(buf_, off_) != kFrameMagic) {
+    const std::uint8_t* header = buf_.data() + off_;
+    if (util::load_le<std::uint32_t>(header) != kFrameMagic) {
         throw ProtocolError("protocol: bad frame magic");
     }
-    const std::uint16_t version = read_u16_at(buf_, off_ + 4);
+    const std::uint16_t version = util::load_le<std::uint16_t>(header + 4);
     if (version != kProtocolVersion) {
         throw ProtocolError("protocol: version mismatch (peer v" +
                             std::to_string(version) + ", this v" +
                             std::to_string(kProtocolVersion) + ")");
     }
-    const std::uint16_t kind = read_u16_at(buf_, off_ + 6);
+    const std::uint16_t kind = util::load_le<std::uint16_t>(header + 6);
     if (kind != static_cast<std::uint16_t>(MessageKind::HeadingRequest) &&
         kind != static_cast<std::uint16_t>(MessageKind::HeadingReply)) {
         throw ProtocolError("protocol: unknown message kind " +
                             std::to_string(kind));
     }
-    const std::uint32_t len = read_u32_at(buf_, off_ + 8);
+    const std::uint32_t len = util::load_le<std::uint32_t>(header + 8);
     if (len > kMaxPayload) {
         throw ProtocolError("protocol: oversized payload (" +
                             std::to_string(len) + " bytes)");
     }
     if (buf_.size() - off_ < kFrameHeaderSize + len) return false;
-    const std::uint32_t want_crc = read_u32_at(buf_, off_ + 12);
+    const std::uint32_t want_crc = util::load_le<std::uint32_t>(header + 12);
     const std::uint8_t* payload = buf_.data() + off_ + kFrameHeaderSize;
     if (snapshot::crc32(payload, len) != want_crc) {
         throw ProtocolError("protocol: payload CRC mismatch");

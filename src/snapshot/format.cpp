@@ -1,10 +1,10 @@
 #include "snapshot/format.hpp"
 
 #include <array>
-#include <bit>
 #include <cstring>
 
 #include "snapshot/version.hpp"
+#include "util/endian.hpp"
 
 namespace fxg::snapshot {
 
@@ -26,27 +26,6 @@ constexpr std::size_t kMagicBytes = sizeof(kSnapshotMagic);
 constexpr std::size_t kHeaderBytes = kMagicBytes + 4;      // magic + version
 constexpr std::size_t kSectionHeaderBytes = 4 + 8 + 4;     // tag + len + crc
 constexpr std::size_t kFileCrcBytes = 4;
-
-std::uint32_t read_u32le(const std::uint8_t* p) noexcept {
-    return static_cast<std::uint32_t>(p[0]) |
-           (static_cast<std::uint32_t>(p[1]) << 8) |
-           (static_cast<std::uint32_t>(p[2]) << 16) |
-           (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t read_u64le(const std::uint8_t* p) noexcept {
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-    return v;
-}
-
-void write_u32le(std::uint8_t* p, std::uint32_t v) noexcept {
-    for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-void write_u64le(std::uint8_t* p, std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
 
 }  // namespace
 
@@ -91,32 +70,17 @@ void SnapshotWriter::end_section() {
     open_.pop_back();
     const std::size_t payload = header + kSectionHeaderBytes;
     const std::size_t len = buf_.size() - payload;
-    write_u64le(buf_.data() + header + 4, static_cast<std::uint64_t>(len));
-    write_u32le(buf_.data() + header + 12, crc32(buf_.data() + payload, len));
+    util::store_le(buf_.data() + header + 4, static_cast<std::uint64_t>(len));
+    util::store_le(buf_.data() + header + 12, crc32(buf_.data() + payload, len));
 }
 
 void SnapshotWriter::put_u8(std::uint8_t v) { buf_.push_back(v); }
-
-void SnapshotWriter::put_u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void SnapshotWriter::put_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void SnapshotWriter::put_i64(std::int64_t v) {
-    put_u64(static_cast<std::uint64_t>(v));
-}
-
-void SnapshotWriter::put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
-
-void SnapshotWriter::put_bool(bool v) { put_u8(v ? 1 : 0); }
-
-void SnapshotWriter::put_string(const std::string& v) {
-    put_u64(v.size());
-    buf_.insert(buf_.end(), v.begin(), v.end());
-}
+void SnapshotWriter::put_u32(std::uint32_t v) { util::append_le(buf_, v); }
+void SnapshotWriter::put_u64(std::uint64_t v) { util::append_le(buf_, v); }
+void SnapshotWriter::put_i64(std::int64_t v) { (*this)(v); }
+void SnapshotWriter::put_f64(double v) { (*this)(v); }
+void SnapshotWriter::put_bool(bool v) { (*this)(v); }
+void SnapshotWriter::put_string(const std::string& v) { (*this)(v); }
 
 void SnapshotWriter::put_bytes(const std::uint8_t* data, std::size_t n) {
     buf_.insert(buf_.end(), data, data + n);
@@ -142,14 +106,14 @@ SnapshotReader::SnapshotReader(std::span<const std::uint8_t> bytes)
     if (std::memcmp(bytes_.data(), kSnapshotMagic, kMagicBytes) != 0) {
         throw SnapshotError("snapshot magic mismatch: not a .fxgsnap container");
     }
-    const std::uint32_t version = read_u32le(bytes_.data() + kMagicBytes);
+    const auto version = util::load_le<std::uint32_t>(bytes_.data() + kMagicBytes);
     if (version != kSnapshotFormatVersion) {
         throw SnapshotError("snapshot version skew: file v" +
                             std::to_string(version) + ", reader v" +
                             std::to_string(kSnapshotFormatVersion));
     }
     content_end_ = bytes_.size() - kFileCrcBytes;
-    const std::uint32_t want = read_u32le(bytes_.data() + content_end_);
+    const auto want = util::load_le<std::uint32_t>(bytes_.data() + content_end_);
     const std::uint32_t got = crc32(bytes_.data(), content_end_);
     if (want != got) {
         throw SnapshotError("snapshot file CRC mismatch: corrupt or truncated");
@@ -172,21 +136,21 @@ void SnapshotReader::require(std::size_t n, const char* what) const {
 
 std::uint32_t SnapshotReader::peek_tag() const {
     require(kSectionHeaderBytes, "section header");
-    return read_u32le(bytes_.data() + cursor_);
+    return util::load_le<std::uint32_t>(bytes_.data() + cursor_);
 }
 
 bool SnapshotReader::at_end() const noexcept { return cursor_ >= bound(); }
 
 void SnapshotReader::enter_section(std::uint32_t expected_tag) {
     require(kSectionHeaderBytes, "section header");
-    const std::uint32_t tag = read_u32le(bytes_.data() + cursor_);
+    const auto tag = util::load_le<std::uint32_t>(bytes_.data() + cursor_);
     if (tag != expected_tag) {
         throw SnapshotError("snapshot section tag mismatch: expected '" +
                             tag_name(expected_tag) + "', found '" +
                             tag_name(tag) + "'");
     }
-    const std::uint64_t len = read_u64le(bytes_.data() + cursor_ + 4);
-    const std::uint32_t want = read_u32le(bytes_.data() + cursor_ + 12);
+    const auto len = util::load_le<std::uint64_t>(bytes_.data() + cursor_ + 4);
+    const auto want = util::load_le<std::uint32_t>(bytes_.data() + cursor_ + 12);
     const std::size_t payload = cursor_ + kSectionHeaderBytes;
     if (len > bound() - payload) {
         throw SnapshotError("snapshot section length overrun in '" +
@@ -210,32 +174,20 @@ void SnapshotReader::leave_section() {
     ends_.pop_back();
 }
 
-std::uint8_t SnapshotReader::get_u8() {
-    require(1, "u8");
-    return bytes_[cursor_++];
-}
-
-std::uint32_t SnapshotReader::get_u32() {
-    require(4, "u32");
-    const std::uint32_t v = read_u32le(bytes_.data() + cursor_);
-    cursor_ += 4;
+template <class W>
+W SnapshotReader::word(const char* what) {
+    require(sizeof(W), what);
+    const W v = util::load_le<W>(bytes_.data() + cursor_);
+    cursor_ += sizeof(W);
     return v;
 }
 
-std::uint64_t SnapshotReader::get_u64() {
-    require(8, "u64");
-    const std::uint64_t v = read_u64le(bytes_.data() + cursor_);
-    cursor_ += 8;
-    return v;
-}
-
-std::int64_t SnapshotReader::get_i64() {
-    return static_cast<std::int64_t>(get_u64());
-}
-
-double SnapshotReader::get_f64() { return std::bit_cast<double>(get_u64()); }
-
-bool SnapshotReader::get_bool() { return get_u8() != 0; }
+std::uint8_t SnapshotReader::get_u8() { return word<std::uint8_t>("u8"); }
+std::uint32_t SnapshotReader::get_u32() { return word<std::uint32_t>("u32"); }
+std::uint64_t SnapshotReader::get_u64() { return word<std::uint64_t>("u64"); }
+std::int64_t SnapshotReader::get_i64() { return from_wire<std::int64_t>(get_u64()); }
+double SnapshotReader::get_f64() { return from_wire<double>(get_u64()); }
+bool SnapshotReader::get_bool() { return from_wire<bool>(get_u8()); }
 
 std::string SnapshotReader::get_string() {
     const std::uint64_t len = get_u64();
@@ -244,13 +196,6 @@ std::string SnapshotReader::get_string() {
                   static_cast<std::size_t>(len));
     cursor_ += static_cast<std::size_t>(len);
     return s;
-}
-
-std::vector<std::uint8_t> SnapshotReader::get_bytes(std::size_t n) {
-    require(n, "byte block");
-    const std::uint8_t* first = bytes_.data() + cursor_;
-    cursor_ += n;
-    return {first, first + n};
 }
 
 }  // namespace fxg::snapshot

@@ -19,11 +19,13 @@
 /// (bad magic, version skew, CRC mismatch, section-length overrun,
 /// truncated read); the reader never hands back partially valid data.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace fxg::snapshot {
@@ -52,17 +54,100 @@ public:
 /// The four characters of a tag as text, for diagnostics.
 [[nodiscard]] std::string tag_name(std::uint32_t tag);
 
+/// The scalar type mapping every field walk shares (fields.hpp): bool
+/// travels as a u8 (0 or 1), an enum as a u32, int and int64 as an i64,
+/// a double as its IEEE-754 bit pattern in a u64, and u8, u32 and u64
+/// as themselves. Any other field type fails to compile.
+template <class T>
+[[nodiscard]] constexpr auto to_wire(T v) noexcept {
+    if constexpr (std::is_same_v<T, bool>) {
+        return std::uint8_t{v};
+    } else if constexpr (std::is_enum_v<T>) {
+        return static_cast<std::uint32_t>(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+        return std::bit_cast<std::uint64_t>(v);
+    } else if constexpr (std::is_same_v<T, int> || std::is_same_v<T, std::int64_t>) {
+        return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
+    } else {
+        static_assert(std::is_same_v<T, std::uint8_t> ||
+                          std::is_same_v<T, std::uint32_t> ||
+                          std::is_same_v<T, std::uint64_t>,
+                      "no wire mapping for this field type");
+        return v;
+    }
+}
+
+/// Inverse of to_wire. A wire value outside an enum's enumerators is
+/// kept as is (an enum class holds any value of its underlying type);
+/// the decoders range-check enums before applying them.
+template <class T, class W>
+[[nodiscard]] constexpr T from_wire(W w) noexcept {
+    if constexpr (std::is_same_v<T, bool>) {
+        return w != 0;
+    } else if constexpr (std::is_same_v<T, double>) {
+        return std::bit_cast<double>(w);
+    } else if constexpr (std::is_same_v<T, int> || std::is_same_v<T, std::int64_t>) {
+        return static_cast<T>(static_cast<std::int64_t>(w));
+    } else {
+        return static_cast<T>(w);
+    }
+}
+
+/// Emits `v` in its wire form: a scalar as the word to_wire maps it to,
+/// through `out.put_word(w)`, which lays it out little-endian; a string
+/// as its u64 length and then its bytes, through `out.put_bytes(p, n)`.
+/// SnapshotWriter and config_fingerprint both emit through this, so the
+/// fingerprint hashes exactly what a writer would write.
+template <class Out, class T>
+void emit(Out& out, const T& v) {
+    if constexpr (std::is_same_v<T, std::string>) {
+        out.put_word(static_cast<std::uint64_t>(v.size()));
+        out.put_bytes(reinterpret_cast<const std::uint8_t*>(v.data()), v.size());
+    } else {
+        out.put_word(to_wire(v));
+    }
+}
+
 /// Serializes a snapshot into an in-memory byte buffer. Sections are
 /// opened/closed in a stack discipline; their length and payload CRC
 /// are back-patched when the section ends, so writers stream straight
 /// through without a second pass.
+///
+/// A writer is also the writing `io` of a field walk (fields.hpp):
+/// operator() emits one scalar or string, section() wraps a body in a
+/// section.
 class SnapshotWriter {
 public:
+    static constexpr bool kReads = false;
+
     /// Writes the magic and format version.
     SnapshotWriter();
 
     void begin_section(std::uint32_t tag);
     void end_section();
+
+    template <class T>
+    void operator()(const T& v) {
+        emit(*this, v);
+    }
+
+    template <class Body>
+    void section(std::uint32_t tag, Body&& body) {
+        begin_section(tag);
+        body();
+        end_section();
+    }
+
+    template <class W>
+    void put_word(W w) {
+        if constexpr (sizeof w == 1) {
+            put_u8(w);
+        } else if constexpr (sizeof w == 4) {
+            put_u32(w);
+        } else {
+            put_u64(w);
+        }
+    }
 
     void put_u8(std::uint8_t v);
     void put_u32(std::uint32_t v);
@@ -89,9 +174,35 @@ private:
 /// uncorrupted container of the supported version; enter_section() then
 /// re-checks each section's tag, bounds and payload CRC, and every
 /// primitive read is bounds-checked against the innermost open section.
+///
+/// A reader is also the reading `io` of a field walk (fields.hpp):
+/// operator() decodes one scalar or string into its argument, section()
+/// enters a section, runs the body and leaves it.
 class SnapshotReader {
 public:
+    static constexpr bool kReads = true;
+
     explicit SnapshotReader(std::span<const std::uint8_t> bytes);
+
+    template <class T>
+    void operator()(T& v) {
+        if constexpr (std::is_same_v<T, std::string>) {
+            v = get_string();
+        } else if constexpr (sizeof(to_wire(v)) == 1) {
+            v = from_wire<T>(get_u8());
+        } else if constexpr (sizeof(to_wire(v)) == 4) {
+            v = from_wire<T>(get_u32());
+        } else {
+            v = from_wire<T>(get_u64());
+        }
+    }
+
+    template <class Body>
+    void section(std::uint32_t tag, Body&& body) {
+        enter_section(tag);
+        body();
+        leave_section();
+    }
 
     /// Tag of the next section at the current position (throws if fewer
     /// than a section header's bytes remain).
@@ -116,12 +227,14 @@ public:
     double get_f64();
     bool get_bool();
     std::string get_string();
-    std::vector<std::uint8_t> get_bytes(std::size_t n);
 
 private:
     /// End offset of the innermost open section (or the content area).
     [[nodiscard]] std::size_t bound() const noexcept;
     void require(std::size_t n, const char* what) const;
+    /// Bounds-checked little-endian read of one unsigned word.
+    template <class W>
+    W word(const char* what);
 
     std::span<const std::uint8_t> bytes_;
     std::size_t cursor_ = 0;

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <sys/stat.h>
 
+#include "snapshot/fields.hpp"
 #include "telemetry/exporters.hpp"
 
 namespace fxg::snapshot {
@@ -24,76 +25,41 @@ bool file_exists(const std::string& path) {
     return ::stat(path.c_str(), &st) == 0;
 }
 
+template <class Io, record_of<PostmortemBundle> S>
+void fields(Io& io, S& s) {
+    auto& [reason, config_fingerprint, trace_jsonl, metrics_prometheus,
+           metric_history, snapshot] = s;
+    // META repeats the two list lengths, and a reader cross-checks them.
+    std::uint64_t history_count = metric_history.size();
+    std::uint64_t snapshot_size = snapshot.size();
+    io.section(kTagBundle, [&] {
+        io.section(kTagMeta, [&] {
+            walk(io, reason, config_fingerprint, history_count, snapshot_size);
+        });
+        io.section(kTagTrace, [&] { walk(io, trace_jsonl); });
+        io.section(kTagProm, [&] { walk(io, metrics_prometheus, metric_history); });
+        if (metric_history.size() != history_count) {
+            throw SnapshotError("postmortem: META/PROM history count mismatch");
+        }
+        io.section(kTagSnap, [&] { walk(io, snapshot); });
+        if (snapshot.size() != snapshot_size) {
+            throw SnapshotError("postmortem: META/SNAP size mismatch");
+        }
+    });
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_postmortem(const PostmortemBundle& bundle) {
     SnapshotWriter w;
-    w.begin_section(kTagBundle);
-
-    w.begin_section(kTagMeta);
-    w.put_string(bundle.reason);
-    w.put_u64(bundle.config_fingerprint);
-    w.put_u64(bundle.metric_history.size());
-    w.put_u64(bundle.snapshot.size());
-    w.end_section();
-
-    w.begin_section(kTagTrace);
-    w.put_string(bundle.trace_jsonl);
-    w.end_section();
-
-    w.begin_section(kTagProm);
-    w.put_string(bundle.metrics_prometheus);
-    w.put_u64(bundle.metric_history.size());
-    for (const std::string& s : bundle.metric_history) w.put_string(s);
-    w.end_section();
-
-    w.begin_section(kTagSnap);
-    w.put_u64(bundle.snapshot.size());
-    if (!bundle.snapshot.empty()) {
-        w.put_bytes(bundle.snapshot.data(), bundle.snapshot.size());
-    }
-    w.end_section();
-
-    w.end_section();
+    fields(w, bundle);
     return w.finish();
 }
 
 PostmortemBundle decode_postmortem(std::span<const std::uint8_t> bytes) {
     SnapshotReader r(bytes);
     PostmortemBundle bundle;
-    r.enter_section(kTagBundle);
-
-    r.enter_section(kTagMeta);
-    bundle.reason = r.get_string();
-    bundle.config_fingerprint = r.get_u64();
-    const std::uint64_t history_count = r.get_u64();
-    const std::uint64_t snapshot_size = r.get_u64();
-    r.leave_section();
-
-    r.enter_section(kTagTrace);
-    bundle.trace_jsonl = r.get_string();
-    r.leave_section();
-
-    r.enter_section(kTagProm);
-    bundle.metrics_prometheus = r.get_string();
-    const std::uint64_t stored_history = r.get_u64();
-    if (stored_history != history_count) {
-        throw SnapshotError("postmortem: META/PROM history count mismatch");
-    }
-    for (std::uint64_t i = 0; i < stored_history; ++i) {
-        bundle.metric_history.push_back(r.get_string());
-    }
-    r.leave_section();
-
-    r.enter_section(kTagSnap);
-    const std::uint64_t stored_size = r.get_u64();
-    if (stored_size != snapshot_size) {
-        throw SnapshotError("postmortem: META/SNAP size mismatch");
-    }
-    bundle.snapshot = r.get_bytes(static_cast<std::size_t>(stored_size));
-    r.leave_section();
-
-    r.leave_section();
+    fields(r, bundle);
     return bundle;
 }
 

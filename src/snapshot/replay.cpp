@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 
+#include "util/endian.hpp"
+
 namespace fxg::snapshot {
 
 namespace {
@@ -11,39 +13,19 @@ constexpr std::size_t kHeaderBytes = sizeof(kReplayMagic) + 4;
 constexpr std::size_t kFrameBytes = 8 + 8 + 8 + 4;
 constexpr std::size_t kFramePayloadBytes = kFrameBytes - 4;
 
-void append_u32le(std::vector<std::uint8_t>& buf, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void append_u64le(std::vector<std::uint8_t>& buf, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t read_u32le(const std::uint8_t* p) noexcept {
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-    return v;
-}
-
-std::uint64_t read_u64le(const std::uint8_t* p) noexcept {
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-    return v;
-}
-
 }  // namespace
 
 ReplayWriter::ReplayWriter() {
     buf_.insert(buf_.end(), kReplayMagic, kReplayMagic + sizeof(kReplayMagic));
-    append_u32le(buf_, kReplayFormatVersion);
+    util::append_le(buf_, kReplayFormatVersion);
 }
 
 void ReplayWriter::append(const TickInput& in) {
     const std::size_t frame_start = buf_.size();
-    append_u64le(buf_, in.tick);
-    append_u64le(buf_, std::bit_cast<std::uint64_t>(in.hx_a_per_m));
-    append_u64le(buf_, std::bit_cast<std::uint64_t>(in.hy_a_per_m));
-    append_u32le(buf_, crc32(buf_.data() + frame_start, kFramePayloadBytes));
+    util::append_le(buf_, in.tick);
+    util::append_le(buf_, std::bit_cast<std::uint64_t>(in.hx_a_per_m));
+    util::append_le(buf_, std::bit_cast<std::uint64_t>(in.hy_a_per_m));
+    util::append_le(buf_, crc32(buf_.data() + frame_start, kFramePayloadBytes));
 }
 
 ReplayLog read_replay(std::span<const std::uint8_t> bytes, ReplayMode mode) {
@@ -53,7 +35,7 @@ ReplayLog read_replay(std::span<const std::uint8_t> bytes, ReplayMode mode) {
     if (std::memcmp(bytes.data(), kReplayMagic, sizeof(kReplayMagic)) != 0) {
         throw SnapshotError("replay log magic mismatch");
     }
-    const std::uint32_t version = read_u32le(bytes.data() + sizeof(kReplayMagic));
+    const auto version = util::load_le<std::uint32_t>(bytes.data() + sizeof(kReplayMagic));
     if (version != kReplayFormatVersion) {
         throw SnapshotError("replay log version skew: file v" +
                             std::to_string(version) + ", reader v" +
@@ -67,7 +49,7 @@ ReplayLog read_replay(std::span<const std::uint8_t> bytes, ReplayMode mode) {
         const std::size_t remaining = bytes.size() - cursor;
         const bool frame_ok =
             remaining >= kFrameBytes &&
-            read_u32le(bytes.data() + cursor + kFramePayloadBytes) ==
+            util::load_le<std::uint32_t>(bytes.data() + cursor + kFramePayloadBytes) ==
                 crc32(bytes.data() + cursor, kFramePayloadBytes);
         if (!frame_ok) {
             if (mode == ReplayMode::Strict) {
@@ -78,10 +60,11 @@ ReplayLog read_replay(std::span<const std::uint8_t> bytes, ReplayMode mode) {
             log.torn_tail = true;
             break;
         }
+        const std::uint8_t* frame = bytes.data() + cursor;
         TickInput in;
-        in.tick = read_u64le(bytes.data() + cursor);
-        in.hx_a_per_m = std::bit_cast<double>(read_u64le(bytes.data() + cursor + 8));
-        in.hy_a_per_m = std::bit_cast<double>(read_u64le(bytes.data() + cursor + 16));
+        in.tick = util::load_le<std::uint64_t>(frame);
+        in.hx_a_per_m = std::bit_cast<double>(util::load_le<std::uint64_t>(frame + 8));
+        in.hy_a_per_m = std::bit_cast<double>(util::load_le<std::uint64_t>(frame + 16));
         log.ticks.push_back(in);
         cursor += kFrameBytes;
         log.valid_bytes = cursor;

@@ -49,12 +49,11 @@ class MetricsRegistry;
 
 namespace fxg::snapshot {
 
-/// FNV-1a-64 over a canonical encoding of every configuration field
-/// that shapes the measurement (oscillator, V-I, detector, sensor
-/// parameters, core model, front-end mode, noise, power model, and the
-/// compass-level timing/CORDIC/engine settings). Stored in every
-/// compass snapshot; restore refuses a snapshot whose fingerprint does
-/// not match the live target's configuration — state only transplants
+/// FNV-1a-64 over the bytes a SnapshotWriter would emit for
+/// fields(config) (fields.hpp), so it covers every configuration field
+/// the structured binding there names. Stored in every compass
+/// snapshot; restore refuses a snapshot whose fingerprint does not
+/// match the live target's configuration — state only transplants
 /// between identically configured pipelines.
 [[nodiscard]] std::uint64_t config_fingerprint(
     const compass::CompassConfig& config);

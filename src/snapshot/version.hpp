@@ -12,8 +12,9 @@ namespace fxg::snapshot {
 
 /// Bumped on any change to the container layout or a section's payload
 /// encoding. A reader only accepts its own version — restore is
-/// fail-closed, never best-effort across versions.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+/// fail-closed, never best-effort across versions. Version 4 changed
+/// only the CFG0 fingerprint, which now covers every configuration field.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /// First 8 bytes of every snapshot file.
 inline constexpr char kSnapshotMagic[8] = {'F', 'X', 'G', 'S', 'N', 'A', 'P', '1'};

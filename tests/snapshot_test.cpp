@@ -12,8 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <memory>
+#include <optional>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/compass.hpp"
@@ -24,11 +30,14 @@
 #include "magnetics/earth_field.hpp"
 #include "magnetics/scenario.hpp"
 #include "magnetics/units.hpp"
+#include "snapshot/fields.hpp"
 #include "snapshot/format.hpp"
+#include "snapshot/postmortem.hpp"
 #include "snapshot/replay.hpp"
 #include "snapshot/state.hpp"
 #include "snapshot/version.hpp"
 #include "telemetry/metrics.hpp"
+#include "golden_scenes.hpp"
 
 using namespace fxg;
 
@@ -163,9 +172,11 @@ TEST(SnapshotFormat, RejectsBadMagic) {
 TEST(SnapshotFormat, RejectsVersionSkew) {
     // A newer file, and every earlier version (v1 still carried the
     // comparator RNG streams in FEND, v2 the pickup stream as
-    // Mersenne-Twister text), fail closed.
+    // Mersenne-Twister text, v3 a CFG0 fingerprint that skipped the
+    // temperature-drift fields), fail closed.
     for (const std::uint32_t version :
-         {snapshot::kSnapshotFormatVersion + 1, std::uint32_t{1}, std::uint32_t{2}}) {
+         {snapshot::kSnapshotFormatVersion + 1, std::uint32_t{1}, std::uint32_t{2},
+          std::uint32_t{3}}) {
         snapshot::SnapshotWriter w;
         std::vector<std::uint8_t> bytes = w.finish();
         bytes[8] = static_cast<std::uint8_t>(version);
@@ -393,20 +404,90 @@ TEST(CompassSnapshot, ConfigFingerprintMismatchRejected) {
     (void)donor.measure();
     const std::vector<std::uint8_t> snap = snapshot::snapshot_compass(donor);
 
-    compass::CompassConfig other = small_config();
-    other.steps_per_period = 128;
-    compass::Compass target(other);
-    target.set_environment(kField, 200.0);
-    const std::vector<std::uint8_t> before = snapshot::snapshot_compass(target);
-    try {
-        snapshot::restore_compass(snap, target);
-        FAIL() << "cross-config restore accepted";
-    } catch (const snapshot::SnapshotError& e) {
-        EXPECT_NE(std::string(e.what()).find("fingerprint"), std::string::npos)
-            << e.what();
+    // The sampling step, and the two sensitivity tempcos the scenario
+    // layer's temperature ramps drive.
+    const auto more_steps = [](compass::CompassConfig& c) { c.steps_per_period = 128; };
+    const auto sens_tempco = [](compass::CompassConfig& c) {
+        c.front_end.sensor.sens_temp_coeff_per_c = 2.0e-4;
+    };
+    const auto y_tempco = [](compass::CompassConfig& c) {
+        c.front_end.sensor_temp_mismatch_per_c = 1.0e-4;
+    };
+    for (const auto& change : std::vector<std::function<void(compass::CompassConfig&)>>{
+             more_steps, sens_tempco, y_tempco}) {
+        compass::CompassConfig other = small_config();
+        change(other);
+        compass::Compass target(other);
+        target.set_environment(kField, 200.0);
+        const std::vector<std::uint8_t> before = snapshot::snapshot_compass(target);
+        try {
+            snapshot::restore_compass(snap, target);
+            ADD_FAILURE() << "cross-config restore accepted";
+        } catch (const snapshot::SnapshotError& e) {
+            EXPECT_NE(std::string(e.what()).find("fingerprint"), std::string::npos)
+                << e.what();
+        }
+        // Fail closed: the rejected restore left the target untouched.
+        EXPECT_EQ(snapshot::snapshot_compass(target), before);
     }
-    // Fail closed: the rejected restore left the target untouched.
-    EXPECT_EQ(snapshot::snapshot_compass(target), before);
+}
+
+namespace {
+
+/// A walk io that changes the `target`-th scalar the walk visits and
+/// counts the scalars: a double is scaled (or set non-zero), a bool
+/// flipped, an integer incremented, an enum moved to another valid
+/// value, a string extended.
+struct ChangeOneField {
+    static constexpr bool kReads = false;
+    int target = 0;
+    int seen = 0;
+    std::string changed;  ///< type of the changed scalar, for messages
+
+    template <class T>
+    void operator()(T& v) {
+        if (seen++ != target) return;
+        if constexpr (std::is_same_v<T, bool>) {
+            v = !v;
+            changed = "bool";
+        } else if constexpr (std::is_enum_v<T>) {
+            v = static_cast<T>(static_cast<int>(v) == 0 ? 1 : 0);
+            changed = "enum";
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            v += "+";
+            changed = "string";
+        } else if constexpr (std::is_floating_point_v<T>) {
+            v = v == 0.0 ? 1.0e-3 : v * 1.5;
+            changed = "double";
+        } else {
+            v += 1;
+            changed = "integer";
+        }
+    }
+};
+
+}  // namespace
+
+// The fingerprint hashes what fields(CompassConfig) emits, so every
+// configuration field moves it (v3 skipped the Ms/Hk/sensitivity
+// tempcos, t_ref_c and the y sensor's tempco mismatch).
+TEST(CompassSnapshot, FingerprintCoversEveryConfigField) {
+    const compass::CompassConfig base = small_config();
+    const std::uint64_t base_fp = snapshot::config_fingerprint(base);
+    int fields_seen = 0;
+    for (int i = 0;; ++i) {
+        compass::CompassConfig changed = base;
+        ChangeOneField io;
+        io.target = i;
+        snapshot::fields(io, changed);
+        fields_seen = io.seen;
+        if (i >= io.seen) break;
+        EXPECT_NE(snapshot::config_fingerprint(changed), base_fp)
+            << "changing config field #" << i << " (" << io.changed
+            << ") left the fingerprint unchanged";
+    }
+    // Every CompassConfig scalar, nested ones included.
+    EXPECT_EQ(fields_seen, 54);
 }
 
 TEST(CompassSnapshot, EveryByteFlipFailsClosedWithNoPartialRestore) {
@@ -710,6 +791,27 @@ TEST(SupervisorSnapshot, MidLadderRestoreResumesAtTheSameRung) {
 
 // ---------------------------------------------------------------- metrics
 
+namespace {
+
+/// One MTRS container holding the entries of `a` and then those of `b`
+/// (each a snapshot_metrics() file), so a test can list a name twice.
+std::vector<std::uint8_t> splice_metrics(const std::vector<std::uint8_t>& a,
+                                         const std::vector<std::uint8_t>& b) {
+    // Each file is header, MTRS header, u64 count, entries, file CRC.
+    constexpr std::size_t kEntries = kFileHeaderBytes + kSectionHeaderBytes + 8;
+    std::vector<std::uint8_t> out(a.begin(), a.end() - 4);
+    out.insert(out.end(), b.begin() + kEntries, b.end() - 4);
+    out.resize(out.size() + 4);
+    const std::size_t payload = out.size() - 4 - (kFileHeaderBytes + kSectionHeaderBytes);
+    write_u64le(out, kFileHeaderBytes + 4, payload);
+    write_u64le(out, kFileHeaderBytes + kSectionHeaderBytes,
+                read_u64le(a, kEntries - 8) + read_u64le(b, kEntries - 8));
+    reseal_section(out, kFileHeaderBytes);
+    return out;
+}
+
+}  // namespace
+
 TEST(MetricsSnapshot, RoundTripRestoresEveryInstrument) {
     telemetry::MetricsRegistry source;
     source.counter("measurements", "1").inc(7);
@@ -750,6 +852,25 @@ TEST(MetricsSnapshot, KindConflictRejectedBeforeAnyChange) {
     }
     EXPECT_EQ(target.gauge("m").value(), 9.0);
     EXPECT_EQ(target.counter("untouched").value(), 5u);
+
+    // A file that lists one name twice, as a counter and then as a
+    // gauge, conflicts with itself: rejected before the counter lands.
+    telemetry::MetricsRegistry counter_part;
+    counter_part.counter("dup").inc(3);
+    telemetry::MetricsRegistry gauge_part;
+    gauge_part.gauge("dup").set(2.0);
+    const std::vector<std::uint8_t> twice =
+        splice_metrics(snapshot::snapshot_metrics(counter_part),
+                       snapshot::snapshot_metrics(gauge_part));
+    telemetry::MetricsRegistry empty;
+    try {
+        snapshot::restore_metrics(twice, empty);
+        FAIL() << "a name listed twice with two kinds was accepted";
+    } catch (const snapshot::SnapshotError& e) {
+        EXPECT_NE(std::string(e.what()).find("conflict"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(empty.size(), 0u);
 }
 
 TEST(MetricsSnapshot, HostileInstrumentCountFailsClosed) {
@@ -777,6 +898,16 @@ TEST(MetricsSnapshot, HistogramBoundsConflictRejected) {
     target.histogram("h", {1.0, 3.0}).observe(0.5);
     EXPECT_THROW(snapshot::restore_metrics(snap, target), snapshot::SnapshotError);
     EXPECT_EQ(target.histogram("h", {1.0, 3.0}).count(), 1u);
+
+    // The same name twice in one file with two bucket lists: rejected
+    // before the first histogram is registered.
+    telemetry::MetricsRegistry wider;
+    wider.histogram("h", {1.0, 2.0, 3.0}).observe(2.5);
+    const std::vector<std::uint8_t> twice =
+        splice_metrics(snap, snapshot::snapshot_metrics(wider));
+    telemetry::MetricsRegistry empty;
+    EXPECT_THROW(snapshot::restore_metrics(twice, empty), snapshot::SnapshotError);
+    EXPECT_EQ(empty.size(), 0u);
 }
 
 // ------------------------------------------------- mid-scenario restore
@@ -899,4 +1030,197 @@ TEST(ScenarioSnapshot, CrossEngineRestoreFailsClosed) {
     const std::vector<std::uint8_t> before = snapshot::snapshot_compass(target);
     EXPECT_THROW(snapshot::restore_compass(snap, target), snapshot::SnapshotError);
     EXPECT_EQ(snapshot::snapshot_compass(target), before);
+}
+
+// ------------------------------------------------------- golden layout
+//
+// tests/golden holds one file per record kind, written by the format-3
+// encoder for the scenes of golden_scenes.hpp (write_golden rewrites
+// them). Re-stamped with today's version word and CFG0 fingerprint, each
+// must equal what today's encoder writes for the same scene, and must
+// restore.
+
+namespace {
+
+std::vector<std::uint8_t> read_golden(const std::string& name) {
+    std::ifstream f(std::string(FXG_GOLDEN_DIR) + "/" + name, std::ios::binary);
+    return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+/// One section of a container: header offset and payload bounds.
+struct Section {
+    std::uint32_t tag;
+    std::size_t header;
+    std::size_t begin;
+    std::size_t end;
+};
+
+/// Every section in [from, to), parents before their children. MEMB
+/// (after its u64 index) and PMRT hold sections; the rest hold fields.
+void collect_sections(const std::vector<std::uint8_t>& bytes, std::size_t from,
+                      std::size_t to, std::vector<Section>& out) {
+    while (from + kSectionHeaderBytes <= to) {
+        const auto tag = static_cast<std::uint32_t>(read_u64le(bytes, from));
+        const std::size_t begin = from + kSectionHeaderBytes;
+        const std::size_t end =
+            begin + static_cast<std::size_t>(read_u64le(bytes, from + 4));
+        out.push_back({tag, from, begin, end});
+        if (tag == snapshot::section_tag('M', 'E', 'M', 'B')) {
+            collect_sections(bytes, begin + 8, end, out);
+        } else if (tag == snapshot::section_tag('P', 'M', 'R', 'T')) {
+            collect_sections(bytes, begin, end, out);
+        }
+        from = end;
+    }
+}
+
+std::vector<Section> sections_of(const std::vector<std::uint8_t>& bytes) {
+    std::vector<Section> out;
+    collect_sections(bytes, kFileHeaderBytes, bytes.size() - 4, out);
+    return out;
+}
+
+/// A parent-written file as today's encoder would write it: today's
+/// version word, today's fingerprint in every CFG0, CRCs re-sealed.
+std::vector<std::uint8_t> restamp(std::vector<std::uint8_t> bytes) {
+    bytes.at(8) = static_cast<std::uint8_t>(snapshot::kSnapshotFormatVersion);
+    const std::vector<Section> sections = sections_of(bytes);
+    for (const Section& s : sections) {
+        if (s.tag == snapshot::section_tag('C', 'F', 'G', '0')) {
+            write_u64le(bytes, s.begin, snapshot::config_fingerprint(golden::config()));
+        }
+    }
+    for (auto s = sections.rbegin(); s != sections.rend(); ++s) {
+        reseal_section(bytes, s->header);
+    }
+    refix_file_crc(bytes);
+    return bytes;
+}
+
+/// XORs each byte between the version word and the file CRC with 0xFF
+/// in turn, re-seals the CRC of every section whose payload holds it
+/// and the file CRC, and hands the result to `restore`. Each restore
+/// must succeed, or throw SnapshotError with `unchanged()` still true.
+/// `reset()` undoes a successful restore.
+void sweep(const std::string& name, const std::vector<std::uint8_t>& bytes,
+           const std::function<void(std::span<const std::uint8_t>)>& restore,
+           const std::function<bool()>& unchanged, const std::function<void()>& reset) {
+    const std::vector<Section> sections = sections_of(bytes);
+    int accepted = 0;
+    int rejected = 0;
+    for (std::size_t i = kFileHeaderBytes; i < bytes.size() - 4; ++i) {
+        std::vector<std::uint8_t> mutated = bytes;
+        mutated[i] ^= 0xFF;
+        for (auto s = sections.rbegin(); s != sections.rend(); ++s) {
+            if (s->begin <= i && i < s->end) reseal_section(mutated, s->header);
+        }
+        try {
+            restore(mutated);
+            ++accepted;
+            reset();
+        } catch (const snapshot::SnapshotError&) {
+            ++rejected;
+            EXPECT_TRUE(unchanged()) << name << ": flip of byte " << i
+                                     << " partially restored";
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << name << ": flip of byte " << i << " threw a non-"
+                          << "SnapshotError: " << e.what();
+        }
+    }
+    // Both outcomes occur: values decode, counts and enums are caught.
+    EXPECT_GT(accepted, 0) << name;
+    EXPECT_GT(rejected, 0) << name;
+}
+
+}  // namespace
+
+TEST(SnapshotGolden, EncoderWritesTheCommittedBytesAndDecoderRestoresThem) {
+    for (const auto& [name, written] : golden::write_all()) {
+        SCOPED_TRACE(name);
+        const std::vector<std::uint8_t> committed = read_golden(name);
+        ASSERT_FALSE(committed.empty()) << "missing tests/golden/" << name;
+        const std::vector<std::uint8_t> expected = restamp(committed);
+        EXPECT_EQ(written, expected);
+    }
+
+    golden::CompassRig compass_rig(-golden::kHy, golden::kHx);
+    const std::vector<std::uint8_t> compass_bytes =
+        restamp(read_golden("compass.fxgsnap"));
+    compass_rig.restore(compass_bytes);
+    EXPECT_EQ(compass_rig.bytes(), compass_bytes);
+
+    golden::FleetRig fleet_rig(-golden::kHy, golden::kHx);
+    const std::vector<std::uint8_t> fleet_bytes =
+        restamp(read_golden("fleet.fxgsnap"));
+    fleet_rig.restore(fleet_bytes);
+    EXPECT_EQ(fleet_rig.bytes(), fleet_bytes);
+
+    golden::SupervisorRig supervisor_rig;
+    const std::vector<std::uint8_t> ladder_bytes =
+        restamp(read_golden("supervisor.fxgsnap"));
+    supervisor_rig.restore(ladder_bytes);
+    EXPECT_EQ(supervisor_rig.bytes(), ladder_bytes);
+
+    telemetry::MetricsRegistry registry;
+    const std::vector<std::uint8_t> metrics_bytes =
+        restamp(read_golden("metrics.fxgsnap"));
+    snapshot::restore_metrics(metrics_bytes, registry);
+    EXPECT_EQ(snapshot::snapshot_metrics(registry), metrics_bytes);
+
+    const std::vector<std::uint8_t> bundle_bytes =
+        restamp(read_golden("postmortem.fxgpm"));
+    EXPECT_EQ(snapshot::encode_postmortem(snapshot::decode_postmortem(bundle_bytes)),
+              bundle_bytes);
+}
+
+// The whole-file CRC stops every flip of
+// EveryByteFlipFailsClosedWithNoPartialRestore before a field is read.
+// Re-sealing the CRCs around each flipped byte takes it to the field
+// decoders instead.
+TEST(SnapshotGolden, EveryResealedPayloadFlipRestoresOrFailsClosed) {
+    {
+        golden::CompassRig rig(-golden::kHy, golden::kHx);
+        const std::vector<std::uint8_t> before = rig.bytes();
+        sweep(
+            "compass", restamp(read_golden("compass.fxgsnap")),
+            [&](std::span<const std::uint8_t> b) { rig.restore(b); },
+            [&] { return rig.bytes() == before; }, [&] { rig.restore(before); });
+    }
+    {
+        golden::FleetRig rig(-golden::kHy, golden::kHx);
+        const std::vector<std::uint8_t> before = rig.bytes();
+        sweep(
+            "fleet", restamp(read_golden("fleet.fxgsnap")),
+            [&](std::span<const std::uint8_t> b) { rig.restore(b); },
+            [&] { return rig.bytes() == before; }, [&] { rig.restore(before); });
+    }
+    {
+        golden::SupervisorRig rig;
+        const std::vector<std::uint8_t> before = rig.bytes();
+        sweep(
+            "supervisor", restamp(read_golden("supervisor.fxgsnap")),
+            [&](std::span<const std::uint8_t> b) { rig.restore(b); },
+            [&] { return rig.bytes() == before; }, [&] { rig.restore(before); });
+    }
+    {
+        // A restore can add instruments, so each flip gets a fresh
+        // registry holding one instrument of its own.
+        auto registry = std::make_unique<telemetry::MetricsRegistry>();
+        const auto fresh = [&] {
+            registry = std::make_unique<telemetry::MetricsRegistry>();
+            registry->counter("untouched").inc(5);
+        };
+        fresh();
+        const std::vector<std::uint8_t> before = snapshot::snapshot_metrics(*registry);
+        sweep(
+            "metrics", restamp(read_golden("metrics.fxgsnap")),
+            [&](std::span<const std::uint8_t> b) {
+                snapshot::restore_metrics(b, *registry);
+            },
+            [&] { return snapshot::snapshot_metrics(*registry) == before; }, fresh);
+    }
+    sweep(
+        "postmortem", restamp(read_golden("postmortem.fxgpm")),
+        [](std::span<const std::uint8_t> b) { (void)snapshot::decode_postmortem(b); },
+        [] { return true; }, [] {});
 }
