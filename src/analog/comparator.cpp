@@ -16,23 +16,4 @@ bool Comparator::step(double v_in) {
     return state_;
 }
 
-void Comparator::step_block(const double* v_in, double sign, int n, std::uint8_t* out) {
-    const double half_hyst = 0.5 * config_.hysteresis_v;
-    const double fall = config_.threshold_v - half_hyst;
-    const double rise = config_.threshold_v + half_hyst;
-    const double offset = config_.offset_v + offset_fault_v_;
-    bool state = state_;
-    for (int k = 0; k < n; ++k) {
-        // sign is ±1.0, an exact scaling.
-        const double v = sign * v_in[k] - offset;
-        if (state) {
-            if (v < fall) state = false;
-        } else {
-            if (v > rise) state = true;
-        }
-        out[k] = state ? 1 : 0;
-    }
-    state_ = state;
-}
-
 }  // namespace fxg::analog

@@ -4,8 +4,6 @@
 /// Latching comparator with offset and hysteresis — the building block
 /// of the pulse-position detector's edge sensing.
 
-#include <cstdint>
-
 namespace fxg::analog {
 
 /// Comparator non-idealities.
@@ -24,18 +22,11 @@ public:
     /// Evaluates one input sample; returns the new output state.
     bool step(double v_in);
 
-    /// Evaluates `n` samples of `sign * v_in[k]`, writing each output
-    /// state into `out` (0/1). Bit-identical to n step() calls fed the
-    /// pre-scaled input; thresholds are hoisted out of the loop. `sign`
-    /// lets the pulse-position detector run its inverted comparator off
-    /// the same voltage array.
-    void step_block(const double* v_in, double sign, int n, std::uint8_t* out);
-
     [[nodiscard]] bool output() const noexcept { return state_; }
 
     /// Additional input-referred offset drift [V] injected at run time
-    /// (fault seam, src/fault). Added to the configured offset
-    /// identically in step() and step_block(); 0 restores health.
+    /// (fault seam, src/fault). Added to the configured offset in
+    /// step() and in the detector's block pass alike; 0 restores health.
     void set_offset_fault(double extra_offset_v) noexcept {
         offset_fault_v_ = extra_offset_v;
     }

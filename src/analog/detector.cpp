@@ -32,22 +32,38 @@ bool PulsePositionDetector::step(double v_pickup) {
 
 void PulsePositionDetector::step_block(const double* v_pickup, int n, std::uint8_t* out) {
     if (n <= 0) return;
-    blk_pos_.resize(static_cast<std::size_t>(n));
-    blk_neg_.resize(static_cast<std::size_t>(n));
-    positive_.step_block(v_pickup, 1.0, n, blk_pos_.data());
-    negative_.step_block(v_pickup, -1.0, n, blk_neg_.data());
+    // Comparator::step()'s thresholds, hoisted per comparator.
+    struct Levels {
+        double offset, fall, rise;
+    };
+    const auto levels = [](const Comparator& c) {
+        const ComparatorConfig& cfg = c.config();
+        const double half_hyst = 0.5 * cfg.hysteresis_v;
+        return Levels{cfg.offset_v + c.offset_fault(), cfg.threshold_v - half_hyst,
+                      cfg.threshold_v + half_hyst};
+    };
+    const Levels lp = levels(positive_);
+    const Levels ln = levels(negative_);
+    bool pos = positive_.output();
+    bool neg = negative_.output();
     bool prev_pos = prev_pos_;
     bool prev_neg = prev_neg_;
     bool o = out_;
     for (int k = 0; k < n; ++k) {
-        const bool pos = blk_pos_[k] != 0;
-        const bool neg = blk_neg_[k] != 0;
+        // Both latches, then the edge logic, as in step(): the negative
+        // comparator is fed -v (an exact sign flip).
+        const double vp = v_pickup[k] - lp.offset;
+        const double vn = -v_pickup[k] - ln.offset;
+        pos = pos ? !(vp < lp.fall) : vp > lp.rise;
+        neg = neg ? !(vn < ln.fall) : vn > ln.rise;
         if (prev_pos && !pos) o = true;
         if (prev_neg && !neg) o = false;
         prev_pos = pos;
         prev_neg = neg;
         out[k] = o ? 1 : 0;
     }
+    positive_.set_output(pos);
+    negative_.set_output(neg);
     prev_pos_ = prev_pos;
     prev_neg_ = prev_neg;
     out_ = o;

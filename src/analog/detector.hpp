@@ -10,7 +10,6 @@
 /// simplification over second-harmonic readouts (experiment BASE1).
 
 #include <cstdint>
-#include <vector>
 
 #include "analog/comparator.hpp"
 
@@ -32,8 +31,9 @@ public:
     bool step(double v_pickup);
 
     /// Processes `n` pickup samples, writing the digital output (0/1)
-    /// into `out`. Bit-identical to n step() calls: each comparator runs
-    /// the whole block, then the set/clear edge logic is replayed.
+    /// into `out`. Bit-identical to n step() calls: one pass runs both
+    /// comparators and the set/clear edge logic per sample, with the
+    /// comparator thresholds hoisted.
     void step_block(const double* v_pickup, int n, std::uint8_t* out);
 
     [[nodiscard]] bool output() const noexcept { return out_; }
@@ -77,9 +77,6 @@ private:
     bool prev_pos_ = false;
     bool prev_neg_ = false;
     bool out_ = false;
-    // Scratch comparator outputs for step_block.
-    std::vector<std::uint8_t> blk_pos_;
-    std::vector<std::uint8_t> blk_neg_;
 };
 
 }  // namespace fxg::analog

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/simd.hpp"
+
 namespace fxg::analog {
 
 ViConverter::ViConverter(const ViConverterConfig& config) : config_(config) {
@@ -48,12 +50,27 @@ void ViConverter::drive_block(const double* i_command_a, double r_load_ohm, int 
     const double gain = 1.0 + config_.gain_error;
     const double full_scale = config_.full_scale_a;
     const double lin_fs = lin * full_scale;
-    for (int k = 0; k < n; ++k) {
+    // Same association as drive(): (((lin*fs)*u)*u)*u. The vector clamp
+    // is max(lo, .) then min(hi, .) in this operand order, which returns
+    // exactly std::clamp(i, lo, hi) for every input, NaN included.
+    namespace simd = util::simd;
+    const simd::dvec gain_v = simd::splat(gain);
+    const simd::dvec fs_v = simd::splat(full_scale);
+    const simd::dvec lin_fs_v = simd::splat(lin_fs);
+    const simd::dvec lo_v = simd::splat(-limit);
+    const simd::dvec hi_v = simd::splat(limit);
+    int k = 0;
+    for (; k + simd::kLanes <= n; k += simd::kLanes) {
+        const simd::dvec cmd = simd::load(i_command_a + k);
+        const simd::dvec u = simd::div(cmd, fs_v);
+        const simd::dvec i = simd::add(
+            simd::mul(gain_v, cmd), simd::mul(simd::mul(simd::mul(lin_fs_v, u), u), u));
+        simd::store(out + k, simd::min(hi_v, simd::max(lo_v, i)));
+    }
+    for (; k < n; ++k) {
         const double u = i_command_a[k] / full_scale;
-        // Same association as drive(): (((lin*fs)*u)*u)*u.
-        double i = gain * i_command_a[k] + lin_fs * u * u * u;
-        i = std::clamp(i, -limit, limit);
-        out[k] = i;
+        const double i = gain * i_command_a[k] + lin_fs * u * u * u;
+        out[k] = std::clamp(i, -limit, limit);
     }
 }
 

@@ -55,10 +55,23 @@ public:
     /// it and returns the whole ticks that fell inside the step. step(),
     /// step_block() and the lane engine's shared clock all call this, so
     /// every path emits the same tick sequence.
+    ///
+    /// The result is that of the floor() form
+    ///     s = acc + inc;  whole = floor(s);  acc = s - whole;  ticks = whole
+    /// bit for bit. For 0 < s < 2 a compare and a subtract replace the
+    /// floor(): whole is 0 or 1, s - 0 is s, and s - 1 is exact on
+    /// [1, 2) by Sterbenz's lemma. That holds on every sample whenever
+    /// acc is in [0, 1) and 0 < inc < 1 (0.256 at the paper's design
+    /// point). Every other s, including +-0, takes floor().
     [[nodiscard]] static std::int64_t clock_step(double& acc, double inc) noexcept {
-        acc += inc;
-        const double whole = std::floor(acc);
-        acc -= whole;
+        const double s = acc + inc;
+        if (s > 0.0 && s < 2.0) {
+            const bool carry = s >= 1.0;
+            acc = carry ? s - 1.0 : s;
+            return carry ? 1 : 0;
+        }
+        const double whole = std::floor(s);
+        acc = s - whole;
         return static_cast<std::int64_t>(whole);
     }
 

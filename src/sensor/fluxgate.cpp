@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "magnetics/units.hpp"
+#include "util/simd.hpp"
 
 namespace fxg::sensor {
 
@@ -57,49 +58,69 @@ double FluxgateSensor::step(double i_excitation_a, double dt_s) {
 void FluxgateSensor::step_block(const double* i_exc, double dt_s, int n, double* v_out) {
     if (!(dt_s > 0.0)) throw std::invalid_argument("FluxgateSensor::step: dt must be > 0");
     if (n <= 0) return;
+    namespace simd = util::simd;
+    constexpr int W = simd::kLanes;
     blk_h_.resize(static_cast<std::size_t>(n));
     blk_m_.resize(static_cast<std::size_t>(n));
     double* h = blk_h_.data();
     double* m = blk_m_.data();
-    // Hoisted parameter products; grouping matches the scalar step()
-    // expressions exactly (left-to-right association) so every sample is
-    // bit-identical to the one-at-a-time path.
+    // Every element runs step()'s expressions in step()'s association,
+    // with the parameter products hoisted, and a vector lane rounds as
+    // the scalar expression does (util/simd.hpp), so the stripes and
+    // their scalar tails are bit-identical to n step() calls.
     const double fpa = effective_field_per_amp();
     const double h_ext = h_ext_;
-    for (int k = 0; k < n; ++k) h[k] = fpa * i_exc[k] + h_ext;
+    const simd::dvec fpa_v = simd::splat(fpa);
+    const simd::dvec h_ext_v = simd::splat(h_ext);
+    int k = 0;
+    for (; k + W <= n; k += W) {
+        simd::store(h + k, simd::add(simd::mul(fpa_v, simd::load(i_exc + k)), h_ext_v));
+    }
+    for (; k < n; ++k) h[k] = fpa * i_exc[k] + h_ext;
     core_->advance_block(h, m, n);
 
+    // Pickup linkage lambda = (N A) B with B = mu0 (H + M), and its
+    // derivative (lambda[k] - lambda[k-1]) / dt. Each stripe recomputes
+    // its predecessors' linkage from H and M instead of carrying it, so
+    // stripes are independent.
     const double na_pickup = params_.n_pickup * params_.core_area_m2;
+    const auto linkage = [&](int j) {
+        return na_pickup * (magnetics::kMu0 * (h[j] + m[j]));
+    };
+    const simd::dvec nap_v = simd::splat(na_pickup);
+    const simd::dvec mu0_v = simd::splat(magnetics::kMu0);
+    const simd::dvec dt_v = simd::splat(dt_s);
+    const auto linkage_v = [&](int j) {
+        return simd::mul(nap_v,
+                         simd::mul(mu0_v, simd::add(simd::load(h + j), simd::load(m + j))));
+    };
+    // No derivative exists on the very first sample.
+    v_out[0] = first_step_ ? 0.0 : (linkage(0) - lambda_pickup_prev_) / dt_s;
+    for (k = 1; k + W <= n; k += W) {
+        simd::store(v_out + k,
+                    simd::div(simd::sub(linkage_v(k), linkage_v(k - 1)), dt_v));
+    }
+    for (; k < n; ++k) v_out[k] = (linkage(k) - linkage(k - 1)) / dt_s;
+
+    // Only the last sample's excitation-winding voltage survives the
+    // block, so it is computed once, from the last two samples.
     const double na_exc = params_.n_excitation * params_.core_area_m2;
     const double r_exc = params_.r_excitation_ohm;
-    double lp_prev = lambda_pickup_prev_;
-    double le_prev = lambda_exc_prev_;
-    double v_exc = v_excitation_;
-    int k = 0;
-    if (first_step_) {
-        const double b = magnetics::kMu0 * (h[0] + m[0]);
-        lp_prev = na_pickup * b;
-        le_prev = na_exc * b;
-        v_out[0] = 0.0;
-        v_exc = r_exc * i_exc[0];
-        first_step_ = false;
-        k = 1;
-    }
-    for (; k < n; ++k) {
-        const double b = magnetics::kMu0 * (h[k] + m[k]);
-        const double lp = na_pickup * b;
-        const double le = na_exc * b;
-        v_out[k] = (lp - lp_prev) / dt_s;
-        v_exc = r_exc * i_exc[k] + (le - le_prev) / dt_s;
-        lp_prev = lp;
-        le_prev = le;
+    b_core_ = magnetics::kMu0 * (h[n - 1] + m[n - 1]);
+    const double le = na_exc * b_core_;
+    if (n >= 2) {
+        const double le_prev = na_exc * (magnetics::kMu0 * (h[n - 2] + m[n - 2]));
+        v_excitation_ = r_exc * i_exc[n - 1] + (le - le_prev) / dt_s;
+    } else if (first_step_) {
+        v_excitation_ = r_exc * i_exc[0];
+    } else {
+        v_excitation_ = r_exc * i_exc[0] + (le - lambda_exc_prev_) / dt_s;
     }
     h_core_ = h[n - 1];
-    b_core_ = magnetics::kMu0 * (h[n - 1] + m[n - 1]);
     v_pickup_ = v_out[n - 1];
-    v_excitation_ = v_exc;
-    lambda_pickup_prev_ = lp_prev;
-    lambda_exc_prev_ = le_prev;
+    lambda_pickup_prev_ = na_pickup * b_core_;
+    lambda_exc_prev_ = le;
+    first_step_ = false;
 }
 
 void FluxgateSensor::step_block_constant(double i_excitation_a, double dt_s, int n) {

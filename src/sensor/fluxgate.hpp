@@ -75,8 +75,10 @@ public:
 
     /// Advances `n` steps with the excitation currents in `i_exc`,
     /// writing each step's pickup voltage into `v_out`. Bit-identical
-    /// to n step() calls; the block form hoists parameter loads and
-    /// advances the core model with one (devirtualised) block call.
+    /// to n step() calls; the block form hoists parameter loads,
+    /// advances the core model with one block call, computes H, B and
+    /// the pickup derivative as util::simd vectors, and computes the
+    /// excitation-winding voltage once, from the last two samples.
     void step_block(const double* i_exc, double dt_s, int n, double* v_out);
 
     /// Advances `n` steps at a constant excitation current. After the

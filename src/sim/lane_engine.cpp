@@ -268,7 +268,7 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         settle_a[l] = f.mux().settle_time_s();
         since_a[l] = f.mux().save_state().since_switch_s;
 
-        // Active detector (Comparator::step_block hoists).
+        // Active detector (PulsePositionDetector::step_block hoists).
         analog::PulsePositionDetector& det = f.detector(ach);
         const analog::DetectorConfig& dcf = det.config();
         const double half_hyst = 0.5 * dcf.comparator_hysteresis_v;

@@ -240,6 +240,13 @@ void validate_compass_state(const CompassState& st, compass::Compass& target,
         throw SnapshotError(std::string("snapshot counter hardware invalid: ") +
                             e.what());
     }
+    // UpDownCounter::clock_step always leaves the accumulator in [0, 1);
+    // anything else (NaN included) is a state no run can reach, and a
+    // huge one would overflow the tick count's integer conversion.
+    const double acc = st.counter.state.tick_accumulator;
+    if (!(acc >= 0.0 && acc < 1.0)) {
+        throw SnapshotError("snapshot counter tick accumulator outside [0, 1)");
+    }
 
     const bool injector_armed =
         targets.injector != nullptr && targets.injector->armed();

@@ -2,13 +2,17 @@
 // the paper's dc-offset correction loop), V-I converter compliance
 // (the 800 ohm / 5 V claim), comparators, the pulse-position detector
 // semantics, the multiplexer and the composed FrontEnd with its power
-// model.
+// model, and FrontEnd::step_block(n) against n step() calls.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "analog/comparator.hpp"
 #include "analog/detector.hpp"
@@ -383,6 +387,158 @@ TEST(FrontEnd, MultiplexedInvalidWhileSettling) {
     const FrontEndSample s2 = fe.step(1e-6);
     EXPECT_TRUE(s2.valid[1]);
 }
+
+
+// ------------------------------------------- block stepping vs step()
+//
+// FrontEnd::step_block(n) must emit the samples and leave every stage
+// in the state that n step() calls do, bit for bit. The stages' vector
+// loops run util::simd stripes with scalar tails, and the compass's own
+// blocks (multiples of 64 samples) never reach the tails, so the sizes
+// here straddle the stripe width. A fresh front end also runs the
+// sensor's first-step path, where v_excitation = R i.
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_same_oscillator(const TriangleOscillator::State& a,
+                            const TriangleOscillator::State& b) {
+    EXPECT_EQ(bits(a.time_s), bits(b.time_s));
+    EXPECT_EQ(bits(a.phase), bits(b.phase));
+    EXPECT_EQ(bits(a.output), bits(b.output));
+    EXPECT_EQ(bits(a.correction_a), bits(b.correction_a));
+    EXPECT_EQ(bits(a.period_integral), bits(b.period_integral));
+    EXPECT_EQ(bits(a.period_time), bits(b.period_time));
+}
+
+void expect_same_stages(FrontEnd& a, FrontEnd& b) {
+    expect_same_oscillator(a.oscillator().save_state(), b.oscillator().save_state());
+    expect_same_oscillator(a.oscillator_y().save_state(), b.oscillator_y().save_state());
+    EXPECT_EQ(a.mux().save_state().channel, b.mux().save_state().channel);
+    EXPECT_EQ(bits(a.mux().save_state().since_switch_s),
+              bits(b.mux().save_state().since_switch_s));
+    for (const Channel ch : {Channel::X, Channel::Y}) {
+        SCOPED_TRACE(ch == Channel::X ? "channel x" : "channel y");
+        const sensor::FluxgateSensor::State sa = a.sensor(ch).save_state();
+        const sensor::FluxgateSensor::State sb = b.sensor(ch).save_state();
+        EXPECT_EQ(bits(sa.h_core), bits(sb.h_core));
+        EXPECT_EQ(bits(sa.b_core), bits(sb.b_core));
+        EXPECT_EQ(bits(sa.v_pickup), bits(sb.v_pickup));
+        EXPECT_EQ(bits(sa.v_excitation), bits(sb.v_excitation));
+        EXPECT_EQ(bits(sa.lambda_pickup_prev), bits(sb.lambda_pickup_prev));
+        EXPECT_EQ(bits(sa.lambda_exc_prev), bits(sb.lambda_exc_prev));
+        EXPECT_EQ(sa.first_step, sb.first_step);
+        const std::vector<double> ca = a.sensor(ch).core().save_state();
+        const std::vector<double> cb = b.sensor(ch).core().save_state();
+        ASSERT_EQ(ca.size(), cb.size());
+        for (std::size_t i = 0; i < ca.size(); ++i) {
+            EXPECT_EQ(bits(ca[i]), bits(cb[i])) << "core state " << i;
+        }
+        const PulsePositionDetector::State da = a.detector(ch).save_state();
+        const PulsePositionDetector::State db = b.detector(ch).save_state();
+        EXPECT_EQ(da.positive, db.positive);
+        EXPECT_EQ(da.negative, db.negative);
+        EXPECT_EQ(da.prev_pos, db.prev_pos);
+        EXPECT_EQ(da.prev_neg, db.prev_neg);
+        EXPECT_EQ(da.out, db.out);
+    }
+    const FrontEnd::StreamWindowState wa = a.save_window_state();
+    const FrontEnd::StreamWindowState wb = b.save_window_state();
+    for (std::size_t ch = 0; ch < 2; ++ch) {
+        EXPECT_EQ(wa.stats[ch].samples, wb.stats[ch].samples);
+        EXPECT_EQ(wa.stats[ch].valid_samples, wb.stats[ch].valid_samples);
+        EXPECT_EQ(wa.stats[ch].high_samples, wb.stats[ch].high_samples);
+        EXPECT_EQ(wa.stats[ch].edges, wb.stats[ch].edges);
+        EXPECT_EQ(wa.prev[ch], wb.prev[ch]);
+        EXPECT_EQ(wa.has_prev[ch], wb.has_prev[ch]);
+    }
+    EXPECT_EQ(wa.sample_index, wb.sample_index);
+    EXPECT_EQ(bits(a.noise_filter_state()), bits(b.noise_filter_state()));
+    EXPECT_EQ(a.pickup_noise().rng().engine().counter(),
+              b.pickup_noise().rng().engine().counter());
+}
+
+struct BlockCase {
+    FrontEndMode mode;
+    double noise_rms_v;
+    sensor::CoreKind core;
+};
+
+class StepBlockParity : public ::testing::TestWithParam<BlockCase> {};
+
+TEST_P(StepBlockParity, EveryStageMatchesNSteps) {
+    const BlockCase c = GetParam();
+    FrontEndConfig cfg;
+    cfg.mode = c.mode;
+    cfg.pickup_noise_rms_v = c.noise_rms_v;
+    cfg.core_kind = c.core;
+    const double dt = 125e-6 / 2048;
+    // Warmed: mid-period on channel x, then switched to channel y so
+    // the block starts inside the mux's settling time.
+    const auto prepare = [&](FrontEnd& fe, bool warm) {
+        fe.set_field(Channel::X, 20.0);
+        fe.set_field(Channel::Y, -12.0);
+        if (!warm) return;
+        for (int i = 0; i < 1000; ++i) fe.step(dt);
+        fe.select(Channel::Y);
+        for (int i = 0; i < 200; ++i) fe.step(dt);
+    };
+    for (const bool warm : {false, true}) {
+        for (const int n : {1, 2, 3, 5, 63, 64, 65, 2048}) {
+            SCOPED_TRACE(std::string(warm ? "warmed" : "fresh") + ", n = " +
+                         std::to_string(n));
+            FrontEnd stepped(cfg);
+            FrontEnd blocked(cfg);
+            prepare(stepped, warm);
+            prepare(blocked, warm);
+
+            std::vector<FrontEndSample> samples;
+            for (int k = 0; k < n; ++k) samples.push_back(stepped.step(dt));
+            FrontEndBlock block;
+            blocked.step_block(dt, n, block);
+            ASSERT_EQ(block.size(), n);
+            for (std::size_t ch = 0; ch < 2; ++ch) {
+                std::vector<std::uint8_t> det, valid;
+                for (const FrontEndSample& s : samples) {
+                    det.push_back(s.detector[ch] ? 1 : 0);
+                    valid.push_back(s.valid[ch] ? 1 : 0);
+                }
+                EXPECT_EQ(block.detector[ch], det) << "detector stream " << ch;
+                EXPECT_EQ(block.valid[ch], valid) << "valid stream " << ch;
+            }
+            std::vector<std::uint64_t> power, block_power;
+            for (int k = 0; k < n; ++k) {
+                power.push_back(bits(samples[static_cast<std::size_t>(k)].power_w));
+                block_power.push_back(bits(block.power_w[static_cast<std::size_t>(k)]));
+            }
+            EXPECT_EQ(block_power, power);
+            if (!warm && n == 1) {
+                EXPECT_EQ(bits(blocked.sensor(Channel::X).excitation_voltage()),
+                          bits(cfg.sensor.r_excitation_ohm * samples[0].i_excitation_a));
+            }
+            expect_same_stages(stepped, blocked);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesNoiseCores, StepBlockParity,
+    ::testing::Values(
+        BlockCase{FrontEndMode::Multiplexed, 0.0, sensor::CoreKind::Tanh},
+        BlockCase{FrontEndMode::Multiplexed, 2.0e-3, sensor::CoreKind::Tanh},
+        BlockCase{FrontEndMode::Simultaneous, 0.0, sensor::CoreKind::Tanh},
+        BlockCase{FrontEndMode::Simultaneous, 2.0e-3, sensor::CoreKind::Tanh},
+        BlockCase{FrontEndMode::Multiplexed, 0.0, sensor::CoreKind::JilesAtherton},
+        BlockCase{FrontEndMode::Multiplexed, 2.0e-3, sensor::CoreKind::JilesAtherton},
+        BlockCase{FrontEndMode::Simultaneous, 0.0, sensor::CoreKind::JilesAtherton},
+        BlockCase{FrontEndMode::Simultaneous, 2.0e-3, sensor::CoreKind::JilesAtherton}),
+    [](const ::testing::TestParamInfo<BlockCase>& info) {
+        std::string name = info.param.mode == FrontEndMode::Multiplexed
+                               ? "Multiplexed"
+                               : "Simultaneous";
+        name += info.param.noise_rms_v > 0.0 ? "Noisy" : "Clean";
+        name += info.param.core == sensor::CoreKind::Tanh ? "Tanh" : "JilesAtherton";
+        return name;
+    });
 
 }  // namespace
 }  // namespace fxg::analog

@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "digital/boundary_scan.hpp"
 #include "digital/counter.hpp"
@@ -74,6 +78,55 @@ TEST(UpDownCounter, Validates) {
     EXPECT_THROW(UpDownCounter(0.0), std::invalid_argument);
     UpDownCounter c;
     EXPECT_THROW(c.step(true, 0.0), std::invalid_argument);
+}
+
+/// clock_step's floor() form, the reference its compare form must
+/// reproduce bit for bit.
+std::int64_t clock_step_floor(double& acc, double inc) {
+    acc += inc;
+    const double whole = std::floor(acc);
+    acc -= whole;
+    return static_cast<std::int64_t>(whole);
+}
+
+/// One step of both forms from `acc`; true when the ticks are equal and
+/// the accumulators have the same bits.
+bool clock_forms_agree(double& acc, double inc, std::int64_t* ticks = nullptr) {
+    double ref = acc;
+    const std::int64_t t = UpDownCounter::clock_step(acc, inc);
+    const std::int64_t t_ref = clock_step_floor(ref, inc);
+    if (ticks != nullptr) *ticks = t;
+    return t == t_ref && std::bit_cast<std::uint64_t>(acc) == std::bit_cast<std::uint64_t>(ref);
+}
+
+TEST(UpDownCounter, ClockStepCompareFormEqualsFloorForm) {
+    // A million consecutive steps at the design point's 0.256 clock
+    // periods per sample (4.194304 MHz, 2048 samples per 125 us).
+    {
+        double acc = 0.0;
+        for (int i = 0; i < 1'000'000; ++i) {
+            const double from = acc;
+            if (!clock_forms_agree(acc, 0.256)) {
+                FAIL() << "step " << i << " from acc " << from;
+            }
+        }
+    }
+    // The edges of [0, 1) against increments up to just below one tick.
+    const double below_one = std::nextafter(1.0, 0.0);
+    for (const double acc0 : {0.0, std::numeric_limits<double>::denorm_min(), below_one}) {
+        for (const double inc : {0.256, 0.5, below_one}) {
+            double acc = acc0;
+            EXPECT_TRUE(clock_forms_agree(acc, inc)) << "acc " << acc0 << " inc " << inc;
+        }
+    }
+    // steps_per_period = 64: 8.192 periods per sample, so every sum is
+    // past 2 and takes the floor() branch.
+    double acc = 0.0;
+    for (int i = 0; i < 10'000; ++i) {
+        std::int64_t ticks = 0;
+        ASSERT_TRUE(clock_forms_agree(acc, 8.192, &ticks)) << "step " << i;
+        ASSERT_TRUE(ticks == 8 || ticks == 9) << "step " << i << ": " << ticks;
+    }
 }
 
 // ---------------------------------------------------------------- display

@@ -2,10 +2,15 @@
 // must be a pure throughput upgrade over the scalar reference — every
 // counter value, heading and energy sum bit-identical, across headings,
 // both front-end architectures, and with band-limited pickup noise
-// running (same seed on both sides by construction).
+// running (same seed on both sides by construction). A steady-state
+// measure() allocates nothing on either engine.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "core/compass.hpp"
@@ -13,6 +18,25 @@
 #include "magnetics/earth_field.hpp"
 #include "magnetics/units.hpp"
 #include "sim/engine.hpp"
+
+// Every allocation this test binary makes is counted, so a test can
+// bound the allocations of a run of measurements.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+// The replacement pair is malloc/free underneath; GCC cannot see that
+// through inlining and would flag every delete.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+    throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace fxg {
 namespace {
@@ -92,6 +116,25 @@ TEST(SimEngine, DesignPointBitIdentical) {
         EXPECT_EQ(ms.count_y, mb.count_y) << "heading " << heading;
         EXPECT_EQ(ms.heading_deg, mb.heading_deg) << "heading " << heading;
         EXPECT_EQ(ms.energy_j, mb.energy_j) << "heading " << heading;
+    }
+}
+
+// Every buffer of the measurement path keeps its capacity across
+// measurements, so once a default compass has measured, further
+// measure() calls allocate nothing, on both engines. (set_environment
+// allocates once, for its ConstantFieldSource.)
+TEST(SimEngine, SteadyStateMeasureAllocatesNothing) {
+    const magnetics::EarthField field(magnetics::microtesla(48.0), 67.0);
+    for (const sim::EngineKind kind : {sim::EngineKind::Scalar, sim::EngineKind::Block}) {
+        SCOPED_TRACE(sim::to_string(kind));
+        compass::CompassConfig cfg;
+        cfg.engine = kind;
+        compass::Compass c(cfg);
+        c.set_environment(field, 123.0);
+        static_cast<void>(c.measure());
+        const std::uint64_t before = g_allocations.load();
+        for (int i = 0; i < 50; ++i) static_cast<void>(c.measure());
+        EXPECT_EQ(g_allocations.load() - before, 0u);
     }
 }
 

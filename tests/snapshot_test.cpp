@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -670,6 +671,45 @@ TEST(CounterSnapshot, TrapPendingIsObservableAndSurvivesRestore) {
     EXPECT_THROW(restored.service_trap(), std::overflow_error);
     EXPECT_FALSE(restored.trap_pending());
     EXPECT_TRUE(restored.overflowed()) << "sticky flag must survive the trap";
+}
+
+// UpDownCounter::clock_step leaves the tick accumulator in [0, 1), so
+// a snapshot holding any other value cannot come from a run. Each of
+// the compass, member and fleet restores rejects it before touching
+// the target; restored, 1e300 would overflow the next measure()'s tick
+// count conversion.
+TEST(CounterSnapshot, ImpossibleTickAccumulatorFailsClosed) {
+    const compass::CompassConfig cfg = small_config();
+    for (const double acc : {1e300, std::nan(""), -0.5, 1.5}) {
+        SCOPED_TRACE(acc);
+        compass::CompassFleet donor(2, cfg);
+        donor.set_environment(0, kField, 10.0);
+        donor.set_environment(1, kField, 222.0);
+        (void)donor.measure_all();
+        digital::UpDownCounter::State st = donor.at(1).counter().save_state();
+        st.tick_accumulator = acc;
+        donor.at(1).counter().load_state(st);
+
+        compass::Compass target(cfg);
+        target.set_environment(kField, 40.0);
+        (void)target.measure();
+        const std::vector<std::uint8_t> before = snapshot::snapshot_compass(target);
+        EXPECT_THROW(snapshot::restore_compass(snapshot::snapshot_compass(donor.at(1)), target),
+                     snapshot::SnapshotError);
+        EXPECT_EQ(snapshot::snapshot_compass(target), before);
+
+        compass::CompassFleet dest(2, cfg);
+        dest.set_environment(0, kField, 70.0);
+        dest.set_environment(1, kField, 300.0);
+        (void)dest.measure_all();
+        const std::vector<std::uint8_t> dest_before = snapshot::snapshot_fleet(dest);
+        EXPECT_THROW(snapshot::restore_member(snapshot::snapshot_member(donor, 1), dest, 0),
+                     snapshot::SnapshotError);
+        EXPECT_EQ(snapshot::snapshot_fleet(dest), dest_before);
+        EXPECT_THROW(snapshot::restore_fleet(snapshot::snapshot_fleet(donor), dest),
+                     snapshot::SnapshotError);
+        EXPECT_EQ(snapshot::snapshot_fleet(dest), dest_before);
+    }
 }
 
 // ---------------------------------------------------------------- fleets
