@@ -77,8 +77,9 @@ int main() {
     }
     clk.print();
 
+    const bool reproduced = fit.r_squared > 0.9999;
     std::printf("\npaper shape (counter output linear in the field component)  ->  "
                 "%s (r^2 = %.6f)\n",
-                fit.r_squared > 0.9999 ? "REPRODUCED" : "CHECK", fit.r_squared);
-    return 0;
+                reproduced ? "REPRODUCED" : "CHECK", fit.r_squared);
+    return reproduced ? 0 : 1;
 }

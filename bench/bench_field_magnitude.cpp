@@ -59,5 +59,5 @@ int main() {
     std::puts("margin*Hk reaches the excitation amplitude (~40 A/m here).");
     std::printf("claim (works from 25 uT to 65 uT sites)  ->  %s\n",
                 all_ok ? "REPRODUCED" : "NOT reproduced");
-    return 0;
+    return all_ok ? 0 : 1;
 }

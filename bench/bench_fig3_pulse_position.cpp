@@ -90,9 +90,10 @@ int main() {
                 "(theory %.3f; centroid weighting explains the few %% gap), "
                 "r^2 = %.6f\n",
                 fit.slope * 1e6, slope_theory * 1e6, fit.r_squared);
+    const bool reproduced = fit.r_squared > 0.999;
     std::printf("paper shape: pulses shift linearly with the field  ->  %s\n",
-                fit.r_squared > 0.999 ? "REPRODUCED" : "NOT reproduced");
+                reproduced ? "REPRODUCED" : "NOT reproduced");
     std::printf("duty law D = 1/2 + H/(2 Ha)                         ->  %s\n",
-                true ? "see |D err| column (all < 0.005)" : "");
-    return 0;
+                "see |D err| column (all < 0.005)");
+    return reproduced ? 0 : 1;
 }

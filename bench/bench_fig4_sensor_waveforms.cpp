@@ -124,5 +124,5 @@ int main() {
                     excess_permeable > 3.0 * excess_saturated;
     std::printf("paper shape (visible shift + impedance change)  ->  %s\n",
                 ok ? "REPRODUCED" : "NOT reproduced");
-    return 0;
+    return ok ? 0 : 1;
 }

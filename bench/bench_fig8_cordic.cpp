@@ -57,15 +57,16 @@ int main() {
     }
     table.print();
     const util::RunningStats paper_point = sweep_error(digital::CordicUnit(8, 7), 2000.0);
+    const bool accurate = paper_point.max_abs() <= 1.0;
     std::printf("\npaper claim (8 cycles -> one-degree accuracy): max |err| at 8 "
                 "cycles = %.3f deg  ->  %s\n",
-                paper_point.max_abs(),
-                paper_point.max_abs() <= 1.0 ? "REPRODUCED (2x margin)" : "CHECK");
+                paper_point.max_abs(), accurate ? "REPRODUCED (2x margin)" : "CHECK");
     std::printf("(with the octant folding used here even %d cycles squeak under "
                 "1 deg; the paper's 8 leaves design margin)\n",
                 first_passing);
 
     // Timing claim: the clocked unit takes exactly 8 edges per result.
+    bool eight_cycles = false;
     {
         rtl::Kernel kernel;
         const rtl::SignalId clk = kernel.create_signal("clk", rtl::Logic::L0);
@@ -88,9 +89,10 @@ int main() {
             ++cycles;
         }
         const double us = static_cast<double>(kernel.now() - t0) / 1e6;
+        eight_cycles = cycles == 8;
         std::printf("\nRTL latency at 4.194304 MHz: %d cycles = %.2f us per arctan "
                     "(paper: \"only 8 cycles\")  ->  %s\n",
-                    cycles, us, cycles == 8 ? "REPRODUCED" : "CHECK");
+                    cycles, us, eight_cycles ? "REPRODUCED" : "CHECK");
     }
 
     // Arbitrary precision: the generator scales, and the gate-level unit
@@ -142,5 +144,5 @@ int main() {
                     stats.gates, stats.sequential, sog::pairs_for_stats(stats),
                     exact ? "yes" : "NO");
     }
-    return 0;
+    return accurate && eight_cycles ? 0 : 1;
 }

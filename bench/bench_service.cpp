@@ -178,19 +178,14 @@ int main() {
         {"heavy", 2000.0, 1.5, 48},
     };
 
-    const std::vector<double> latency_buckets = {
-        1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2,
-        1e-1, 2.5e-1, 5e-1, 1.0, 2.5};
     bool pass = true;
     for (const LoadPoint& point : sweep) {
         telemetry::Histogram& latency = registry.histogram(
-            "fxg_service_latency_" + std::string(point.name) + "_seconds",
-            latency_buckets, "s");
+            "fxg_service_latency_" + std::string(point.name) + "_seconds", "s");
         // Healthy replies alone: the faulted member's ladder does not
         // hide inside these percentiles.
         telemetry::Histogram& ok_latency = registry.histogram(
-            "fxg_service_ok_latency_" + std::string(point.name) + "_seconds",
-            latency_buckets, "s");
+            "fxg_service_ok_latency_" + std::string(point.name) + "_seconds", "s");
         const LoadResult r =
             run_load(service.port(), point, latency, ok_latency);
         const double goodput =

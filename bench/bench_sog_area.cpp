@@ -72,8 +72,9 @@ int main() {
     std::printf("\ndigital / analogue area ratio: %.1fx\n",
                 static_cast<double>(digital_pairs) /
                     static_cast<double>(analogue_pairs));
+    const bool reproduced = analogue_occ < 0.15;
     std::printf("analogue quarter occupancy: %.1f%% (paper: < 15%%)  ->  %s\n",
-                100.0 * analogue_occ, analogue_occ < 0.15 ? "REPRODUCED" : "CHECK");
+                100.0 * analogue_occ, reproduced ? "REPRODUCED" : "CHECK");
     std::printf("digital pairs mapped: %zu of 150k digital capacity "
                 "(paper's full chip: 3 quarters incl. complete watch/LCD "
                 "features we did not replicate)\n",
@@ -85,5 +86,5 @@ int main() {
     for (const auto& c : mcm.substrate()) std::printf("[%s] ", c.name.c_str());
     std::printf("\n(paper: capacitors > 400 pF and large resistors go to the "
                 "substrate)\n");
-    return 0;
+    return reproduced ? 0 : 1;
 }

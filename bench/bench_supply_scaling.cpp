@@ -60,7 +60,8 @@ int main() {
                 "sensor, so accuracy is supply-independent\nwhile power scales "
                 "with Vdd.\n",
                 r5, r35);
+    const bool reproduced = r35 > 77.0;
     std::printf("\npaper claim (5 V design scales to 3.5 V)  ->  %s\n",
-                r35 > 77.0 ? "REPRODUCED" : "CHECK");
-    return 0;
+                reproduced ? "REPRODUCED" : "CHECK");
+    return reproduced ? 0 : 1;
 }

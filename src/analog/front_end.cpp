@@ -47,8 +47,7 @@ FrontEnd::FrontEnd(const FrontEndConfig& config)
     }
 }
 
-double FrontEnd::noise_sample(double dt_s) {
-    if (config_.pickup_noise_rms_v == 0.0) return 0.0;
+FrontEnd::NoiseShape FrontEnd::noise_shape(double dt_s) const noexcept {
     // AR(1) shaping: y += alpha (w - y), with the unit-variance white
     // drive scaled so the stationary RMS of y equals the configured
     // value regardless of the simulation step.
@@ -56,8 +55,12 @@ double FrontEnd::noise_sample(double dt_s) {
         1.0 - std::exp(-2.0 * std::numbers::pi * config_.pickup_noise_bandwidth_hz *
                        dt_s),
         1e-9, 1.0);
-    const double drive_rms =
-        config_.pickup_noise_rms_v * std::sqrt((2.0 - alpha) / alpha);
+    return {alpha, config_.pickup_noise_rms_v * std::sqrt((2.0 - alpha) / alpha)};
+}
+
+double FrontEnd::noise_sample(double dt_s) {
+    if (config_.pickup_noise_rms_v == 0.0) return 0.0;
+    const auto [alpha, drive_rms] = noise_shape(dt_s);
     noise_state_ += alpha * (pickup_noise_.sample() * drive_rms - noise_state_);
     return noise_state_;
 }
@@ -212,15 +215,10 @@ FrontEndSample FrontEnd::step(double dt_s) {
 
 void FrontEnd::add_noise_block(double dt_s, int n, double* v) {
     if (config_.pickup_noise_rms_v == 0.0) return;
-    // Hoisted from noise_sample(): alpha and the drive scaling depend
-    // only on dt, so every sample of the block sees the same values the
-    // scalar path recomputes per call.
-    const double alpha = std::clamp(
-        1.0 - std::exp(-2.0 * std::numbers::pi * config_.pickup_noise_bandwidth_hz *
-                       dt_s),
-        1e-9, 1.0);
-    const double drive_rms =
-        config_.pickup_noise_rms_v * std::sqrt((2.0 - alpha) / alpha);
+    // Hoisted from noise_sample(): the shape depends only on dt, so every
+    // sample of the block sees the values the scalar path computes per
+    // call.
+    const auto [alpha, drive_rms] = noise_shape(dt_s);
     double state = noise_state_;
     for (int k = 0; k < n; ++k) {
         state += alpha * (pickup_noise_.sample() * drive_rms - state);
@@ -231,12 +229,7 @@ void FrontEnd::add_noise_block(double dt_s, int n, double* v) {
 
 void FrontEnd::add_noise_block_pair(double dt_s, int n, double* vx, double* vy) {
     if (config_.pickup_noise_rms_v == 0.0) return;
-    const double alpha = std::clamp(
-        1.0 - std::exp(-2.0 * std::numbers::pi * config_.pickup_noise_bandwidth_hz *
-                       dt_s),
-        1e-9, 1.0);
-    const double drive_rms =
-        config_.pickup_noise_rms_v * std::sqrt((2.0 - alpha) / alpha);
+    const auto [alpha, drive_rms] = noise_shape(dt_s);
     double state = noise_state_;
     for (int k = 0; k < n; ++k) {
         state += alpha * (pickup_noise_.sample() * drive_rms - state);

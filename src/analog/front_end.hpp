@@ -334,6 +334,16 @@ public:
     /// at scatter: every lane sees exactly the stream its scalar run
     /// would.
     [[nodiscard]] NoiseSource& pickup_noise() noexcept { return pickup_noise_; }
+
+    /// The pickup-noise shaping filter for a step of length dt: its
+    /// coefficient and the white-drive RMS that holds the configured
+    /// stationary RMS. The scalar, block and lane noise paths all take
+    /// both from here.
+    struct NoiseShape {
+        double alpha;
+        double drive_rms;
+    };
+    [[nodiscard]] NoiseShape noise_shape(double dt_s) const noexcept;
     [[nodiscard]] double noise_filter_state() const noexcept { return noise_state_; }
     void set_noise_filter_state(double state) noexcept { noise_state_ = state; }
 

@@ -52,13 +52,8 @@ CompassService::CompassService(const ServiceConfig& config)
     }
 
     telemetry::MetricsRegistry& reg = fleet_.metrics();
-    latency_hist_ = &reg.histogram(
-        "fxg_service_latency_seconds",
-        {1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1,
-         2.5e-1, 5e-1, 1.0, 2.5},
-        "s");
-    batch_size_hist_ = &reg.histogram(
-        "fxg_service_batch_size", {1, 2, 4, 8, 16, 32, 64, 128, 256}, "");
+    latency_hist_ = &reg.histogram("fxg_service_latency_seconds", "s");
+    batch_size_hist_ = &reg.histogram("fxg_service_batch_size");
     requests_counter_ = &reg.counter("fxg_service_requests_total");
     shed_counter_ = &reg.counter("fxg_service_shed_total");
     degraded_counter_ = &reg.counter("fxg_service_degraded_total");

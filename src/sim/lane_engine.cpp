@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cmath>
 #include <cstring>
 #include <iterator>
-#include <numbers>
 
 #include "magnetics/core_model.hpp"
 #include "magnetics/field_source.hpp"
@@ -294,12 +292,9 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         // scalar run would consume.
         lane_noise[l] = c.pickup_noise_rms_v != 0.0;
         if (lane_noise[l]) {
-            const double alpha = std::clamp(
-                1.0 - std::exp(-2.0 * std::numbers::pi *
-                               c.pickup_noise_bandwidth_hz * dt_s),
-                1e-9, 1.0);
-            nalpha[l] = alpha;
-            ndrive[l] = c.pickup_noise_rms_v * std::sqrt((2.0 - alpha) / alpha);
+            const analog::FrontEnd::NoiseShape shape = f.noise_shape(dt_s);
+            nalpha[l] = shape.alpha;
+            ndrive[l] = shape.drive_rms;
             nst[l] = f.noise_filter_state();
             noise01_a[l] = 1.0;
             const util::CounterEngine& stream = f.pickup_noise().rng().engine();

@@ -451,23 +451,25 @@ void restore_supervisor(std::span<const std::uint8_t> bytes,
 namespace {
 
 /// One registered instrument. `kind` is a telemetry::MetricKind, kept
-/// as the u8 it travels as.
+/// as the u8 it travels as. A histogram travels as its non-empty
+/// buckets, (index, count) in increasing index order, then its count
+/// and sum.
 struct MetricState {
     std::uint8_t kind = 0;
     std::string name;
     std::string unit;
     std::uint64_t counter_value = 0;
     double gauge_value = 0.0;
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> buckets;  ///< bounds.size() + 1, overflow last
+    std::vector<std::uint32_t> bucket_index;
+    std::vector<std::uint64_t> bucket_counts;
     std::uint64_t hist_count = 0;
     double hist_sum = 0.0;
 };
 
 template <class Io, record_of<MetricState> S>
 void fields(Io& io, S& s) {
-    auto& [kind, name, unit, counter_value, gauge_value, bounds, buckets,
-           hist_count, hist_sum] = s;
+    auto& [kind, name, unit, counter_value, gauge_value, bucket_index,
+           bucket_counts, hist_count, hist_sum] = s;
     walk(io, kind, name, unit);
     if (kind > static_cast<std::uint8_t>(telemetry::MetricKind::Histogram)) {
         throw SnapshotError("snapshot metric kind out of range");
@@ -480,35 +482,35 @@ void fields(Io& io, S& s) {
             walk(io, gauge_value);
             break;
         case telemetry::MetricKind::Histogram:
-            // The bucket counts carry no count of their own: there is one
-            // per bound plus the overflow bucket.
-            walk(io, bounds);
-            for (std::size_t b = 0; b <= bounds.size(); ++b) {
-                field(io, element(io, buckets, b));
-            }
+            elements(io, bucket_index, bucket_counts);
             walk(io, hist_count, hist_sum);
             break;
     }
 }
 
 /// Rejects, before anything is applied, every staged instrument that
-/// the registry could not take: a histogram without strictly increasing
-/// bounds, a name the file lists twice, and a name the registry already
-/// holds with another kind or other bounds.
+/// the registry could not take: a histogram whose bucket indices are
+/// out of range or not strictly increasing, or whose bucket counts do
+/// not add up to its count; a name the file lists twice; and a name the
+/// registry already holds with another kind.
 void validate_metrics(const std::vector<MetricState>& staged,
                       const telemetry::MetricsRegistry& registry) {
     std::unordered_map<std::string_view, const MetricState*> by_name;
     for (const MetricState& m : staged) {
-        if (m.kind == static_cast<std::uint8_t>(telemetry::MetricKind::Histogram)) {
-            if (m.bounds.empty()) {
-                throw SnapshotError("snapshot histogram without bounds");
+        std::uint64_t total = 0;  // kept <= hist_count, so it never wraps
+        for (std::size_t b = 0; b < m.bucket_index.size(); ++b) {
+            if (m.bucket_index[b] >= telemetry::Histogram::kBuckets ||
+                (b > 0 && m.bucket_index[b] <= m.bucket_index[b - 1])) {
+                throw SnapshotError("snapshot histogram bucket index out of range "
+                                    "or not increasing");
             }
-            for (std::size_t b = 1; b < m.bounds.size(); ++b) {
-                if (!(m.bounds[b - 1] < m.bounds[b])) {
-                    throw SnapshotError(
-                        "snapshot histogram bounds not strictly increasing");
-                }
+            if (m.bucket_counts[b] > m.hist_count - total) {
+                throw SnapshotError("snapshot histogram bucket counts exceed its count");
             }
+            total += m.bucket_counts[b];
+        }
+        if (total != m.hist_count) {
+            throw SnapshotError("snapshot histogram bucket counts do not sum to its count");
         }
         if (!by_name.emplace(m.name, &m).second) {
             throw SnapshotError("snapshot metric '" + m.name +
@@ -518,18 +520,10 @@ void validate_metrics(const std::vector<MetricState>& staged,
     }
     for (const telemetry::MetricsRegistry::Entry& e : registry.entries()) {
         const auto it = by_name.find(e.name);
-        if (it == by_name.end()) continue;
-        const MetricState& m = *it->second;
-        if (static_cast<std::uint8_t>(e.kind) != m.kind) {
-            throw SnapshotError("snapshot metric '" + m.name +
+        if (it != by_name.end() && static_cast<std::uint8_t>(e.kind) != it->second->kind) {
+            throw SnapshotError("snapshot metric '" + e.name +
                                 "' conflicts with a registered instrument "
                                 "of another kind");
-        }
-        if (e.kind == telemetry::MetricKind::Histogram &&
-            e.histogram->bounds() != m.bounds) {
-            throw SnapshotError("snapshot histogram '" + m.name +
-                                "' bounds conflict with the registered "
-                                "instrument");
         }
     }
 }
@@ -552,11 +546,15 @@ std::vector<std::uint8_t> snapshot_metrics(
                 m.gauge_value = e.gauge->value();
                 break;
             case telemetry::MetricKind::Histogram:
-                m.bounds = e.histogram->bounds();
-                for (std::size_t b = 0; b <= m.bounds.size(); ++b) {
-                    m.buckets.push_back(e.histogram->bucket_count(b));
+                // The count is taken from the same bucket reads, so the
+                // record adds up even while observe() runs elsewhere.
+                for (std::size_t b = 0; b < telemetry::Histogram::kBuckets; ++b) {
+                    if (const std::uint64_t c = e.histogram->bucket_count(b)) {
+                        m.bucket_index.push_back(static_cast<std::uint32_t>(b));
+                        m.bucket_counts.push_back(c);
+                        m.hist_count += c;
+                    }
                 }
-                m.hist_count = e.histogram->count();
                 m.hist_sum = e.histogram->sum();
                 break;
         }
@@ -581,8 +579,8 @@ void restore_metrics(std::span<const std::uint8_t> bytes,
                 registry.gauge(m.name, m.unit).set(m.gauge_value);
                 break;
             case telemetry::MetricKind::Histogram:
-                registry.histogram(m.name, m.bounds, m.unit)
-                    .load(m.buckets, m.hist_count, m.hist_sum);
+                registry.histogram(m.name, m.unit)
+                    .load(m.bucket_index, m.bucket_counts, m.hist_count, m.hist_sum);
                 break;
         }
     }

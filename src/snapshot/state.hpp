@@ -131,8 +131,10 @@ void restore_supervisor(std::span<const std::uint8_t> bytes,
     const telemetry::MetricsRegistry& registry);
 
 /// Restores instruments into the registry (creating missing ones).
-/// Fails closed before touching anything when a name already exists
-/// with a different kind or different histogram bounds.
+/// Fails closed before touching anything on a name listed twice, a name
+/// that already exists with a different kind, or a histogram whose
+/// bucket indices are out of range or not increasing or whose bucket
+/// counts do not sum to its count.
 void restore_metrics(std::span<const std::uint8_t> bytes,
                      telemetry::MetricsRegistry& registry);
 

@@ -228,16 +228,24 @@ std::string prometheus_text(const MetricsRegistry& registry) {
                     out << e->name << ' ' << format_double(e->gauge->value()) << '\n';
                     break;
                 case MetricKind::Histogram: {
+                    // One `le` line per non-empty bucket; the top bucket's
+                    // edge is +Inf, which the line below covers. +Inf and
+                    // _count are the sum of the same bucket reads, so the
+                    // lines stay cumulative while observe() runs elsewhere.
                     const Histogram& h = *e->histogram;
                     std::uint64_t cumulative = 0;
-                    for (std::size_t i = 0; i < h.bounds().size(); ++i) {
-                        cumulative += h.bucket_count(i);
-                        out << base << "_bucket{le=\"" << format_double(h.bounds()[i])
-                            << "\"} " << cumulative << '\n';
+                    for (std::size_t i = 0; i + 1 < Histogram::kBuckets; ++i) {
+                        const std::uint64_t c = h.bucket_count(i);
+                        if (c == 0) continue;
+                        cumulative += c;
+                        out << base << "_bucket{le=\""
+                            << format_double(Histogram::upper_edge(i)) << "\"} "
+                            << cumulative << '\n';
                     }
-                    out << base << "_bucket{le=\"+Inf\"} " << h.count() << '\n';
+                    cumulative += h.bucket_count(Histogram::kBuckets - 1);
+                    out << base << "_bucket{le=\"+Inf\"} " << cumulative << '\n';
                     out << base << "_sum " << format_double(h.sum()) << '\n';
-                    out << base << "_count " << h.count() << '\n';
+                    out << base << "_count " << cumulative << '\n';
                     break;
                 }
             }
@@ -249,32 +257,9 @@ std::string prometheus_text(const MetricsRegistry& registry) {
 std::string metrics_csv(const MetricsRegistry& registry) {
     util::CsvWriter csv;
     std::vector<double> row;
-    for (const MetricsRegistry::Entry& e : registry.entries()) {
-        switch (e.kind) {
-            case MetricKind::Counter:
-                csv.add_column(e.name);
-                row.push_back(static_cast<double>(e.counter->value()));
-                break;
-            case MetricKind::Gauge:
-                csv.add_column(e.name);
-                row.push_back(e.gauge->value());
-                break;
-            case MetricKind::Histogram: {
-                const Histogram& h = *e.histogram;
-                for (std::size_t i = 0; i < h.bounds().size(); ++i) {
-                    csv.add_column(e.name + "_le_" + format_double(h.bounds()[i]));
-                    row.push_back(static_cast<double>(h.bucket_count(i)));
-                }
-                csv.add_column(e.name + "_overflow");
-                row.push_back(
-                    static_cast<double>(h.bucket_count(h.bounds().size())));
-                csv.add_column(e.name + "_sum");
-                row.push_back(h.sum());
-                csv.add_column(e.name + "_count");
-                row.push_back(static_cast<double>(h.count()));
-                break;
-            }
-        }
+    for (const BenchRecord& r : bench_json_records(registry)) {
+        csv.add_column(r.name);
+        row.push_back(r.value);
     }
     csv.append_row(row);
     return csv.to_string();

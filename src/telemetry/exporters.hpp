@@ -7,9 +7,9 @@
 ///     ("type":"span" | "event"), machine round-trippable (the parser
 ///     is the same one tests and external tooling use);
 ///   * prometheus_text — counters/gauges/histograms in the Prometheus
-///     exposition format (histograms with cumulative `le` buckets,
-///     `_sum` and `_count` series);
-///   * metrics_csv — one column per series via util::CsvWriter;
+///     exposition format (histograms with one cumulative `le` line per
+///     non-empty bucket, `+Inf`, `_sum` and `_count` series);
+///   * metrics_csv — bench_json_records as one CSV row via util::CsvWriter;
 ///   * BenchRecord / bench_json_records / write_bench_json — the
 ///     {name, value, unit} records the BENCH_*.json perf-trajectory
 ///     files are made of.
@@ -75,8 +75,7 @@ private:
 
 [[nodiscard]] std::string prometheus_text(const MetricsRegistry& registry);
 
-/// One row of values, one column per series (histograms expand to one
-/// column per bucket plus _sum/_count).
+/// One row of values, one column per bench_json_records record.
 [[nodiscard]] std::string metrics_csv(const MetricsRegistry& registry);
 
 // ------------------------------------------------------------ bench JSON
@@ -92,7 +91,7 @@ struct BenchRecord {
 };
 
 /// Flattens a registry into bench records (counters and gauges as-is;
-/// histograms as _count, _sum, _mean and interpolated _p50/_p99/_p999).
+/// histograms as _count, _sum, _mean and _p50/_p99/_p999 quantiles).
 [[nodiscard]] std::vector<BenchRecord> bench_json_records(
     const MetricsRegistry& registry);
 

@@ -1,26 +1,44 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace fxg::telemetry {
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-    if (bounds_.empty()) {
-        throw std::invalid_argument("Histogram: needs at least one bucket bound");
-    }
-    if (!std::is_sorted(bounds_.begin(), bounds_.end()) ||
-        std::adjacent_find(bounds_.begin(), bounds_.end()) != bounds_.end()) {
-        throw std::invalid_argument("Histogram: bounds must be strictly increasing");
-    }
-    buckets_ = std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
-    for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i] = 0;
+std::size_t Histogram::bucket_of(double x) noexcept {
+    if (!(x > 0.0)) return 0;
+    // A positive double's bits above the top kSubBucketBits mantissa
+    // bits are (biased exponent << kSubBucketBits) | sub-bucket.
+    constexpr int kShift = std::numeric_limits<double>::digits - 1 - kSubBucketBits;
+    constexpr std::int64_t kFirst = std::int64_t{1023 + kMinExponent} << kSubBucketBits;
+    const auto key = static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(x) >> kShift);
+    return 1 + static_cast<std::size_t>(
+                   std::clamp<std::int64_t>(key - kFirst, 0, kBuckets - 2));
+}
+
+namespace {
+
+/// Lower edge of bucket k + 1, for k in [0, kBuckets - 1]: the top edge
+/// of the layout is 2^kMaxExponent.
+double edge(std::size_t k) noexcept {
+    constexpr std::size_t kSub = std::size_t{1} << Histogram::kSubBucketBits;
+    return std::ldexp(1.0 + static_cast<double>(k % kSub) / kSub,
+                      static_cast<int>(k / kSub) + Histogram::kMinExponent);
+}
+
+}  // namespace
+
+double Histogram::upper_edge(std::size_t i) noexcept {
+    if (i == 0) return 0.0;
+    if (i + 1 >= kBuckets) return std::numeric_limits<double>::infinity();
+    return edge(i);
 }
 
 void Histogram::observe(double x) noexcept {
-    const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
-    const auto i = static_cast<std::size_t>(it - bounds_.begin());
-    buckets_[i].fetch_add(1, std::memory_order_relaxed);
+    buckets_[bucket_of(x)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     // fetch_add on atomic<double> is C++20; relaxed is fine — exporters
     // only need eventual consistency of the running sum.
@@ -28,46 +46,36 @@ void Histogram::observe(double x) noexcept {
 }
 
 double Histogram::quantile(double q) const noexcept {
-    const std::uint64_t total = count();
-    if (total == 0) return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
-    // Rank of the requested quantile among `total` observations. q=1
-    // must land on the last observation, so scale by total, not total-1
-    // (bucket positions are cumulative counts).
-    const double target = q * static_cast<double>(total);
+    const double target = std::clamp(q, 0.0, 1.0) * static_cast<double>(count());
+    // The last non-empty bucket stands in if concurrent observe()s leave
+    // the buckets short of count().
+    std::size_t hit = 0;
     std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i <= bounds_.size(); ++i) {
+    for (std::size_t i = 0; i < kBuckets; ++i) {
         const std::uint64_t c = buckets_[i].load(std::memory_order_relaxed);
         if (c == 0) continue;
-        if (static_cast<double>(cumulative + c) >= target) {
-            if (i == bounds_.size()) {
-                // Overflow bucket: no finite upper edge to interpolate
-                // toward; report the largest known edge.
-                return bounds_.back();
-            }
-            const double hi = bounds_[i];
-            const double lo = i == 0 ? std::min(0.0, bounds_[0]) : bounds_[i - 1];
-            const double position =
-                (target - static_cast<double>(cumulative)) / static_cast<double>(c);
-            return lo + (hi - lo) * std::clamp(position, 0.0, 1.0);
-        }
+        hit = i;
         cumulative += c;
+        if (static_cast<double>(cumulative) >= target) break;
     }
-    return bounds_.back();  // unreachable with a consistent count()
+    return hit == 0 ? 0.0 : 0.5 * (edge(hit - 1) + edge(hit));
 }
 
 std::uint64_t Histogram::bucket_count(std::size_t i) const noexcept {
-    if (i > bounds_.size()) return 0;
-    return buckets_[i].load(std::memory_order_relaxed);
+    return i < kBuckets ? buckets_[i].load(std::memory_order_relaxed) : 0;
 }
 
-void Histogram::load(const std::vector<std::uint64_t>& buckets, std::uint64_t count,
+void Histogram::load(const std::vector<std::uint32_t>& index,
+                     const std::vector<std::uint64_t>& counts, std::uint64_t count,
                      double sum) {
-    if (buckets.size() != bounds_.size() + 1) {
-        throw std::invalid_argument("Histogram::load: bucket count mismatch");
+    if (index.size() != counts.size() ||
+        std::any_of(index.begin(), index.end(),
+                    [](std::uint32_t i) { return i >= kBuckets; })) {
+        throw std::invalid_argument("Histogram::load: bad bucket list");
     }
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
-        buckets_[i].store(buckets[i], std::memory_order_relaxed);
+    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+    for (std::size_t j = 0; j < index.size(); ++j) {
+        buckets_[index[j]].store(counts[j], std::memory_order_relaxed);
     }
     count_.store(count, std::memory_order_relaxed);
     sum_.store(sum, std::memory_order_relaxed);
@@ -75,8 +83,7 @@ void Histogram::load(const std::vector<std::uint64_t>& buckets, std::uint64_t co
 
 MetricsRegistry::Slot& MetricsRegistry::find_or_create(const std::string& name,
                                                        MetricKind kind,
-                                                       const std::string& unit,
-                                                       std::vector<double>* bounds) {
+                                                       const std::string& unit) {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = index_.find(name);
     if (it != index_.end()) {
@@ -94,9 +101,7 @@ MetricsRegistry::Slot& MetricsRegistry::find_or_create(const std::string& name,
     switch (kind) {
         case MetricKind::Counter: slot->counter = std::make_unique<Counter>(); break;
         case MetricKind::Gauge: slot->gauge = std::make_unique<Gauge>(); break;
-        case MetricKind::Histogram:
-            slot->histogram = std::make_unique<Histogram>(std::move(*bounds));
-            break;
+        case MetricKind::Histogram: slot->histogram = std::make_unique<Histogram>(); break;
     }
     index_.emplace(name, slots_.size());
     slots_.push_back(std::move(slot));
@@ -104,17 +109,15 @@ MetricsRegistry::Slot& MetricsRegistry::find_or_create(const std::string& name,
 }
 
 Counter& MetricsRegistry::counter(const std::string& name, const std::string& unit) {
-    return *find_or_create(name, MetricKind::Counter, unit, nullptr).counter;
+    return *find_or_create(name, MetricKind::Counter, unit).counter;
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name, const std::string& unit) {
-    return *find_or_create(name, MetricKind::Gauge, unit, nullptr).gauge;
+    return *find_or_create(name, MetricKind::Gauge, unit).gauge;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> bounds,
-                                      const std::string& unit) {
-    return *find_or_create(name, MetricKind::Histogram, unit, &bounds).histogram;
+Histogram& MetricsRegistry::histogram(const std::string& name, const std::string& unit) {
+    return *find_or_create(name, MetricKind::Histogram, unit).histogram;
 }
 
 std::vector<MetricsRegistry::Entry> MetricsRegistry::entries() const {

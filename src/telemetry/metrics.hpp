@@ -2,7 +2,7 @@
 
 /// \file metrics.hpp
 /// Named-metric registry: counters (monotone), gauges (last value) and
-/// fixed-bucket histograms, each carrying an optional unit string for
+/// log-linear histograms, each carrying an optional unit string for
 /// the machine-readable bench exports. Registration is mutex-guarded
 /// and idempotent (same name returns the same instrument); updates are
 /// lock-free atomics, so a fleet's worker threads can feed one registry
@@ -13,6 +13,7 @@
 /// the {name, value, unit} JSON records the BENCH_*.json trajectory
 /// files are built from.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -55,20 +56,33 @@ private:
     std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram: `bounds` are the inclusive upper edges of
-/// the finite buckets (must be strictly increasing); one overflow
-/// bucket (+Inf) is implicit. observe() is lock-free.
+/// Log-linear histogram with one fixed layout for every instrument
+/// (HdrHistogram-style): 32 linear sub-buckets per power of two over
+/// [2^-32, 2^32), plus bucket 0 for values <= 0 (and NaN). A positive
+/// value's bucket is one shift of its bit pattern (biased exponent and
+/// top five mantissa bits). Every bucket is at most 1/32 of its lower
+/// edge wide, so the midpoint quantile() reports is within 1/64 (1.6 %)
+/// of each value recorded there. Positive values below 2^-32 count in
+/// bucket 1 and values at or above 2^32 in the top bucket, whose upper
+/// edge is therefore +Inf. observe() is lock-free.
 class Histogram {
 public:
-    explicit Histogram(std::vector<double> bounds);
+    static constexpr int kSubBucketBits = 5;  ///< 32 sub-buckets per octave
+    static constexpr int kMinExponent = -32;
+    static constexpr int kMaxExponent = 32;
+    static constexpr std::size_t kBuckets =
+        1 + (std::size_t{kMaxExponent - kMinExponent} << kSubBucketBits);
+
+    /// The bucket `x` counts in.
+    [[nodiscard]] static std::size_t bucket_of(double x) noexcept;
+    /// Upper edge of bucket `i`, the `le` of its Prometheus line: 0 for
+    /// bucket 0, +Inf for the top bucket. Bucket i >= 2 covers
+    /// [upper_edge(i - 1), upper_edge(i)); bucket 1 covers (0, upper_edge(1)).
+    [[nodiscard]] static double upper_edge(std::size_t i) noexcept;
 
     void observe(double x) noexcept;
 
-    [[nodiscard]] const std::vector<double>& bounds() const noexcept {
-        return bounds_;
-    }
-    /// Per-bucket (non-cumulative) count; index bounds().size() is the
-    /// overflow bucket.
+    /// Per-bucket (non-cumulative) count; 0 for i >= kBuckets.
     [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const noexcept;
     [[nodiscard]] std::uint64_t count() const noexcept {
         return count_.load(std::memory_order_relaxed);
@@ -77,22 +91,22 @@ public:
         return sum_.load(std::memory_order_relaxed);
     }
 
-    /// Interpolated quantile estimate from the bucket counts. `q` is
-    /// clamped to [0, 1]. Within a bucket the mass is assumed uniform;
-    /// the first finite bucket's lower edge is min(0.0, bounds[0]) and
-    /// a quantile landing in the overflow bucket reports bounds.back()
-    /// (the histogram has no upper edge there). Empty histogram: 0.0.
+    /// The midpoint of the first bucket where the cumulative count
+    /// reaches q * count() (`q` clamped to [0, 1]): within 1/64 of the
+    /// rank-ceil(q * count()) value for in-range values. 0 when that
+    /// bucket is bucket 0 or the histogram is empty.
     [[nodiscard]] double quantile(double q) const noexcept;
 
-    /// Overwrites all accumulators (snapshot-restore seam). `buckets`
-    /// must have bounds().size() + 1 entries (the last is the overflow
-    /// bucket); throws std::invalid_argument otherwise.
-    void load(const std::vector<std::uint64_t>& buckets, std::uint64_t count,
+    /// Overwrites all accumulators (snapshot-restore seam): bucket
+    /// `index[j]` gets `counts[j]`, every other bucket 0. Throws
+    /// std::invalid_argument, before changing anything, on lists of
+    /// different lengths or an index >= kBuckets.
+    void load(const std::vector<std::uint32_t>& index,
+              const std::vector<std::uint64_t>& counts, std::uint64_t count,
               double sum);
 
 private:
-    std::vector<double> bounds_;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  ///< bounds+1 slots
+    std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
     std::atomic<std::uint64_t> count_{0};
     std::atomic<double> sum_{0.0};
 };
@@ -106,8 +120,7 @@ class MetricsRegistry {
 public:
     Counter& counter(const std::string& name, const std::string& unit = "");
     Gauge& gauge(const std::string& name, const std::string& unit = "");
-    Histogram& histogram(const std::string& name, std::vector<double> bounds,
-                         const std::string& unit = "");
+    Histogram& histogram(const std::string& name, const std::string& unit = "");
 
     /// One registered instrument, for exporters. Exactly one of the
     /// three pointers is non-null, matching `kind`.
@@ -136,8 +149,7 @@ private:
     };
 
     Slot& find_or_create(const std::string& name, MetricKind kind,
-                         const std::string& unit,
-                         std::vector<double>* bounds);
+                         const std::string& unit);
 
     mutable std::mutex mutex_;
     std::vector<std::unique_ptr<Slot>> slots_;  ///< registration order

@@ -6,19 +6,6 @@ namespace fxg::telemetry {
 
 namespace {
 
-/// Latency buckets for one measure(): 100 us .. 1 s, roughly
-/// logarithmic. The design point runs in the low milliseconds on the
-/// block engine.
-std::vector<double> latency_bounds() {
-    return {1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0};
-}
-
-/// |count| buckets sized around the transfer-law full scale
-/// N * f_clk * T / 2 (~2097 at the paper's defaults).
-std::vector<double> count_bounds() {
-    return {128.0, 256.0, 512.0, 1024.0, 1536.0, 2048.0, 2560.0, 4096.0};
-}
-
 std::string sanitise(const char* name) {
     std::string s(name);
     for (char& c : s) {
@@ -31,7 +18,7 @@ std::string sanitise(const char* name) {
 
 }  // namespace
 
-PhysicsProbes::PhysicsProbes(MetricsRegistry& registry)
+PhysicsProbes::PhysicsProbes(MetricsRegistry& registry, const std::string& latency_name)
     : registry_(registry),
       measurements_(registry.counter("fxg_measurements_total", "measurements")),
       out_of_range_(registry.counter("fxg_out_of_range_total", "measurements")),
@@ -47,9 +34,8 @@ PhysicsProbes::PhysicsProbes(MetricsRegistry& registry)
       cordic_residual_deg_(registry.gauge("fxg_cordic_residual_deg", "deg")),
       heading_deg_(registry.gauge("fxg_heading_deg", "deg")),
       energy_j_(registry.gauge("fxg_energy_j", "J")),
-      latency_(registry.histogram("fxg_measure_latency_seconds", latency_bounds(),
-                                  "s")),
-      count_abs_(registry.histogram("fxg_count_abs", count_bounds(), "counts")) {}
+      latency_(registry.histogram(latency_name, "s")),
+      count_abs_(registry.histogram("fxg_count_abs", "counts")) {}
 
 SpanId PhysicsProbes::begin_span(const char*, int) { return kNoSpan; }
 

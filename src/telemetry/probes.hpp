@@ -12,8 +12,9 @@
 ///               fraction (per axis), CORDIC residual/rotations,
 ///               heading, energy, per-member latency;
 ///   histograms  fxg_measure_latency_seconds (wall-clock cost of a
-///               measure) and fxg_count_abs (|raw counts|, transfer-law
-///               full scale is ~2097 at the design point).
+///               measure; the name is a constructor argument) and
+///               fxg_count_abs (|raw counts|, transfer-law full scale is
+///               ~2097 at the design point).
 ///
 /// The probe layer deliberately takes only plain numbers (see
 /// MeasurementSample) — it has no view of the pipeline objects, so it
@@ -31,8 +32,12 @@ namespace fxg::telemetry {
 
 class PhysicsProbes final : public TelemetrySink {
 public:
-    /// The registry must outlive the probes.
-    explicit PhysicsProbes(MetricsRegistry& registry);
+    /// The registry must outlive the probes. Probes that watch
+    /// different populations (engines, fleets) on one registry give
+    /// each its own `latency_name`; every other instrument is shared by
+    /// name.
+    explicit PhysicsProbes(MetricsRegistry& registry,
+                           const std::string& latency_name = "fxg_measure_latency_seconds");
 
     /// Probes do not trace; spans pass through unrecorded.
     SpanId begin_span(const char* name, int channel) override;

@@ -137,7 +137,7 @@ struct SupervisorRig {
 inline void fill_metrics(telemetry::MetricsRegistry& registry) {
     registry.counter("fxg_measurements_total", "1").inc(7);
     registry.gauge("fxg_heading_deg", "deg").set(123.456);
-    telemetry::Histogram& h = registry.histogram("fxg_latency_ms", {1.0, 2.0, 4.0}, "ms");
+    telemetry::Histogram& h = registry.histogram("fxg_latency_ms", "ms");
     for (const double x : {0.5, 3.0, 100.0}) h.observe(x);
 }
 

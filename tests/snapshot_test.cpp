@@ -174,10 +174,11 @@ TEST(SnapshotFormat, RejectsVersionSkew) {
     // A newer file, and every earlier version (v1 still carried the
     // comparator RNG streams in FEND, v2 the pickup stream as
     // Mersenne-Twister text, v3 a CFG0 fingerprint that skipped the
-    // temperature-drift fields), fail closed.
+    // temperature-drift fields, v4 histograms as bucket lists), fail
+    // closed.
     for (const std::uint32_t version :
          {snapshot::kSnapshotFormatVersion + 1, std::uint32_t{1}, std::uint32_t{2},
-          std::uint32_t{3}}) {
+          std::uint32_t{3}, std::uint32_t{4}}) {
         snapshot::SnapshotWriter w;
         std::vector<std::uint8_t> bytes = w.finish();
         bytes[8] = static_cast<std::uint8_t>(version);
@@ -856,23 +857,76 @@ TEST(MetricsSnapshot, RoundTripRestoresEveryInstrument) {
     telemetry::MetricsRegistry source;
     source.counter("measurements", "1").inc(7);
     source.gauge("heading", "deg").set(123.456);
-    telemetry::Histogram& h =
-        source.histogram("latency", {1.0, 2.0, 4.0}, "ms");
-    h.observe(0.5);
-    h.observe(3.0);
-    h.observe(100.0);
+    telemetry::Histogram& h = source.histogram("latency", "ms");
+    for (const double x : {0.0, 0.5, 3.0, 3.0, 100.0}) h.observe(x);
     const std::vector<std::uint8_t> snap = snapshot::snapshot_metrics(source);
 
     telemetry::MetricsRegistry restored;
     snapshot::restore_metrics(snap, restored);
     EXPECT_EQ(restored.counter("measurements").value(), 7u);
     EXPECT_EQ(restored.gauge("heading").value(), 123.456);
-    telemetry::Histogram& rh = restored.histogram("latency", {1.0, 2.0, 4.0});
-    EXPECT_EQ(rh.count(), 3u);
-    EXPECT_EQ(rh.sum(), 103.5);
-    EXPECT_EQ(rh.bucket_count(0), 1u);
-    EXPECT_EQ(rh.bucket_count(2), 1u);
-    EXPECT_EQ(rh.bucket_count(3), 1u);  // overflow bucket
+    telemetry::Histogram& rh = restored.histogram("latency");
+    EXPECT_EQ(rh.count(), 5u);
+    EXPECT_EQ(rh.sum(), 106.5);
+    for (std::size_t i = 0; i < telemetry::Histogram::kBuckets; ++i) {
+        EXPECT_EQ(rh.bucket_count(i), h.bucket_count(i)) << i;
+    }
+    EXPECT_EQ(rh.bucket_count(telemetry::Histogram::bucket_of(3.0)), 2u);
+    EXPECT_EQ(rh.quantile(0.99), h.quantile(0.99));
+    EXPECT_EQ(snapshot::snapshot_metrics(restored), snap);
+}
+
+TEST(MetricsSnapshot, BadHistogramRecordFailsClosed) {
+    // One histogram "h" (no unit) with buckets (i1, 1) and (i2, 2). Its
+    // MTRS payload: u64 instrument count, u8 kind, u64 + "h", u64 + "",
+    // u64 pair count, then (u32 index, u64 count) pairs, u64 count, sum.
+    telemetry::MetricsRegistry source;
+    for (const double x : {1.0, 3.0, 3.0}) source.histogram("h").observe(x);
+    const std::vector<std::uint8_t> good = snapshot::snapshot_metrics(source);
+    constexpr std::size_t kPairs = kFileHeaderBytes + kSectionHeaderBytes + 8 + 1 + 9 + 8;
+    ASSERT_EQ(read_u64le(good, kPairs), 2u);
+    constexpr std::size_t kIndex0 = kPairs + 8;
+    constexpr std::size_t kIndex1 = kIndex0 + 12;
+    constexpr std::size_t kCount = kIndex1 + 12;
+    ASSERT_EQ(read_u64le(good, kCount), 3u);
+    const auto u32_at = [&](std::size_t at) {
+        return static_cast<std::uint32_t>(read_u64le(good, at));
+    };
+    ASSERT_EQ(u32_at(kIndex0), telemetry::Histogram::bucket_of(1.0));
+    ASSERT_EQ(u32_at(kIndex1), telemetry::Histogram::bucket_of(3.0));
+
+    const auto patch = [](std::vector<std::uint8_t> bytes, std::size_t at,
+                          std::uint64_t v, int width) {
+        for (int i = 0; i < width; ++i) {
+            bytes[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
+        }
+        reseal_section(bytes, kFileHeaderBytes);
+        return bytes;
+    };
+    constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+    const std::pair<const char*, std::vector<std::uint8_t>> cases[] = {
+        {"index out of range", patch(good, kIndex1, telemetry::Histogram::kBuckets, 4)},
+        {"repeated index", patch(good, kIndex1, u32_at(kIndex0), 4)},
+        {"decreasing index", patch(good, kIndex1, u32_at(kIndex0) - 1, 4)},
+        {"counts sum above count", patch(good, kCount, 2, 8)},
+        {"counts sum below count", patch(good, kCount, 4, 8)},
+        // (2^63 + 1) + (2^63 + 2) wraps round to the count, 3.
+        {"counts wrap", patch(patch(good, kIndex0 + 4, kHalf + 1, 8), kIndex1 + 4,
+                              kHalf + 2, 8)},
+        {"name listed twice", splice_metrics(good, good)},
+    };
+    for (const auto& [what, bad] : cases) {
+        telemetry::MetricsRegistry target;
+        target.counter("untouched").inc(5);
+        target.histogram("h").observe(7.0);
+        const std::vector<std::uint8_t> before = snapshot::snapshot_metrics(target);
+        EXPECT_THROW(snapshot::restore_metrics(bad, target), snapshot::SnapshotError)
+            << what;
+        EXPECT_EQ(snapshot::snapshot_metrics(target), before) << what;
+    }
+    telemetry::MetricsRegistry target;
+    snapshot::restore_metrics(good, target);
+    EXPECT_EQ(snapshot::snapshot_metrics(target), good);
 }
 
 TEST(MetricsSnapshot, KindConflictRejectedBeforeAnyChange) {
@@ -927,27 +981,6 @@ TEST(MetricsSnapshot, HostileInstrumentCountFailsClosed) {
     target.counter("untouched").inc(5);
     EXPECT_THROW(snapshot::restore_metrics(snap, target), snapshot::SnapshotError);
     EXPECT_EQ(target.counter("untouched").value(), 5u);
-}
-
-TEST(MetricsSnapshot, HistogramBoundsConflictRejected) {
-    telemetry::MetricsRegistry source;
-    source.histogram("h", {1.0, 2.0}).observe(1.5);
-    const std::vector<std::uint8_t> snap = snapshot::snapshot_metrics(source);
-
-    telemetry::MetricsRegistry target;
-    target.histogram("h", {1.0, 3.0}).observe(0.5);
-    EXPECT_THROW(snapshot::restore_metrics(snap, target), snapshot::SnapshotError);
-    EXPECT_EQ(target.histogram("h", {1.0, 3.0}).count(), 1u);
-
-    // The same name twice in one file with two bucket lists: rejected
-    // before the first histogram is registered.
-    telemetry::MetricsRegistry wider;
-    wider.histogram("h", {1.0, 2.0, 3.0}).observe(2.5);
-    const std::vector<std::uint8_t> twice =
-        splice_metrics(snap, snapshot::snapshot_metrics(wider));
-    telemetry::MetricsRegistry empty;
-    EXPECT_THROW(snapshot::restore_metrics(twice, empty), snapshot::SnapshotError);
-    EXPECT_EQ(empty.size(), 0u);
 }
 
 // ------------------------------------------------- mid-scenario restore

@@ -1,15 +1,19 @@
 /// \file telemetry_test.cpp
 /// The telemetry subsystem's contracts: manual span nesting and
-/// ordering, histogram bucket math, the JSONL round trip, Prometheus
-/// rendering, physics probes fed by a real measurement, fleet
-/// aggregation from worker threads, the VCD bridge, and — the load-
-/// bearing one — that attaching or detaching a sink never changes a
-/// measurement's bits.
+/// ordering, the log-linear histogram's layout and quantile error, the
+/// JSONL round trip, Prometheus rendering, physics probes fed by a real
+/// measurement, fleet aggregation from worker threads, the VCD bridge,
+/// and — the load-bearing one — that attaching or detaching a sink
+/// never changes a measurement's bits.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
+#include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,6 +52,31 @@ const telemetry::SpanRecord* find_span(const std::vector<telemetry::SpanRecord>&
         if (name == s.name && s.channel == channel) return &s;
     }
     return nullptr;
+}
+
+/// The `le` lines of histogram family `base` in Prometheus `text`, as
+/// (edge, cumulative count) pairs; +Inf reads as infinity.
+std::vector<std::pair<double, std::uint64_t>> le_lines(const std::string& text,
+                                                       const std::string& base) {
+    const std::string prefix = base + "_bucket{le=\"";
+    std::vector<std::pair<double, std::uint64_t>> lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind(prefix, 0) != 0) continue;
+        const std::size_t close = line.find('"', prefix.size());
+        const std::string le = line.substr(prefix.size(), close - prefix.size());
+        lines.emplace_back(le == "+Inf" ? std::numeric_limits<double>::infinity()
+                                        : std::stod(le),
+                           std::stoull(line.substr(close + 3)));
+    }
+    return lines;
+}
+
+/// The value on the `<base>_count` line of Prometheus `text`.
+std::uint64_t count_line(const std::string& text, const std::string& base) {
+    const std::string prefix = "\n" + base + "_count ";
+    const std::size_t at = text.find(prefix);
+    return at == std::string::npos ? 0 : std::stoull(text.substr(at + prefix.size()));
 }
 
 // ------------------------------------------------------------ TraceSession
@@ -107,22 +136,56 @@ TEST(TraceSession, NullSinkSpanIsANoOp) {
 
 TEST(Metrics, HistogramBucketMath) {
     telemetry::MetricsRegistry registry;
-    auto& h = registry.histogram("h", {1.0, 2.0, 4.0}, "s");
-    // Edges are inclusive upper bounds; above the last edge -> overflow.
-    for (const double x : {0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 9.0}) h.observe(x);
+    auto& h = registry.histogram("h", "s");
+    // Bucket 0 takes values <= 0; each octave splits into 32 sub-buckets
+    // 1/32 of its lower edge wide: [1, 1.03125) holds 1.0 and 1.01.
+    for (const double x : {-1.0, 0.0, 1.0, 1.01, 1.04, 1.5, 3.0}) h.observe(x);
 
-    EXPECT_EQ(h.bucket_count(0), 2u);  // 0.5, 1.0
-    EXPECT_EQ(h.bucket_count(1), 2u);  // 1.5, 2.0
-    EXPECT_EQ(h.bucket_count(2), 2u);  // 3.0, 4.0
-    EXPECT_EQ(h.bucket_count(3), 1u);  // 9.0 overflow
+    const std::size_t one = telemetry::Histogram::bucket_of(1.0);
+    EXPECT_EQ(h.bucket_count(0), 2u);             // -1, 0
+    EXPECT_EQ(h.bucket_count(one), 2u);           // 1.0, 1.01
+    EXPECT_EQ(h.bucket_count(one + 1), 1u);       // 1.04
+    EXPECT_EQ(h.bucket_count(one + 16), 1u);      // 1.5
+    EXPECT_EQ(h.bucket_count(one + 32 + 16), 1u); // 3.0 = 2 * 1.5
     EXPECT_EQ(h.count(), 7u);
-    EXPECT_DOUBLE_EQ(h.sum(), 21.0);
+    EXPECT_DOUBLE_EQ(h.sum(), 6.55);
 
-    EXPECT_THROW(registry.histogram("bad", {2.0, 2.0}, ""), std::invalid_argument);
     // Same name, different kind: the registry refuses.
     EXPECT_THROW(registry.counter("h"), std::invalid_argument);
     // Same name, same kind: same instrument.
-    EXPECT_EQ(&registry.histogram("h", {1.0}, "s"), &h);
+    EXPECT_EQ(&registry.histogram("h", "s"), &h);
+}
+
+TEST(Metrics, HistogramEdgesAreContiguousAndStrictlyIncreasing) {
+    using H = telemetry::Histogram;
+    ASSERT_EQ(H::kBuckets, 2049u);
+    EXPECT_EQ(H::upper_edge(0), 0.0);
+    EXPECT_EQ(H::upper_edge(H::kBuckets - 1), std::numeric_limits<double>::infinity());
+    // Bucket i holds [upper_edge(i - 1), upper_edge(i)): the largest
+    // double below an edge falls in the bucket the edge closes, the edge
+    // itself in the next one, so the buckets leave no gap and overlap
+    // nowhere. No bucket is wider than 1/32 of its lower edge.
+    for (std::size_t i = 1; i + 1 < H::kBuckets; ++i) {
+        const double hi = H::upper_edge(i);
+        ASSERT_LT(H::upper_edge(i - 1), hi) << i;
+        EXPECT_EQ(H::bucket_of(std::nextafter(hi, 0.0)), i) << i;
+        EXPECT_EQ(H::bucket_of(hi), i + 1) << i;
+        if (i > 1) {
+            const double lo = H::upper_edge(i - 1);
+            EXPECT_LE((hi - lo) / lo, 1.0 / 32.0) << i;
+        }
+    }
+    EXPECT_EQ(H::bucket_of(0x1p-32), 1u);
+    EXPECT_EQ(H::upper_edge(H::kBuckets - 2), 0x1p32 * (63.0 / 64.0));
+    // Outside the layout: non-positive and NaN in bucket 0, tiny values
+    // in bucket 1, huge ones in the top bucket.
+    EXPECT_EQ(H::bucket_of(-0.0), 0u);
+    EXPECT_EQ(H::bucket_of(-5.0), 0u);
+    EXPECT_EQ(H::bucket_of(std::numeric_limits<double>::quiet_NaN()), 0u);
+    EXPECT_EQ(H::bucket_of(std::numeric_limits<double>::denorm_min()), 1u);
+    EXPECT_EQ(H::bucket_of(1e-12), 1u);
+    EXPECT_EQ(H::bucket_of(0x1p32), H::kBuckets - 1);
+    EXPECT_EQ(H::bucket_of(std::numeric_limits<double>::infinity()), H::kBuckets - 1);
 }
 
 TEST(Metrics, RegistryIsConcurrencySafe) {
@@ -284,7 +347,7 @@ TEST(PhysicsProbes, OneMeasurementPopulatesTheRegistry) {
     EXPECT_GT(registry.gauge("fxg_cordic_rotations").value(), 0.0);
     EXPECT_GE(registry.gauge("fxg_cordic_residual_deg").value(), 0.0);
 
-    auto& latency = registry.histogram("fxg_measure_latency_seconds", {1.0});
+    auto& latency = registry.histogram("fxg_measure_latency_seconds");
     EXPECT_EQ(latency.count(), 1u);
     EXPECT_GT(latency.sum(), 0.0);
 }
@@ -325,25 +388,40 @@ TEST(Exporters, PrometheusTextHasCumulativeBucketsAndTypes) {
     telemetry::MetricsRegistry registry;
     registry.counter("requests_total").inc(3);
     registry.gauge("temp_c").set(21.5);
-    auto& h = registry.histogram("lat", {1.0, 2.0}, "s");
-    h.observe(0.5);
-    h.observe(1.5);
-    h.observe(9.0);
+    auto& h = registry.histogram("lat", "s");
+    std::mt19937_64 rng(7);
+    std::uniform_real_distribution<double> decades(-6.0, 1.0);
+    for (int i = 0; i < 500; ++i) h.observe(std::pow(10.0, decades(rng)));
+    for (const double x : {0.0, 0.0, 2.0, 2.0, 2.0}) h.observe(x);
 
     const std::string text = telemetry::prometheus_text(registry);
     EXPECT_NE(text.find("# TYPE requests_total counter"), std::string::npos);
     EXPECT_NE(text.find("requests_total 3"), std::string::npos);
     EXPECT_NE(text.find("temp_c 21.5"), std::string::npos);
     EXPECT_NE(text.find("# TYPE lat histogram"), std::string::npos);
-    // Cumulative: le="2" includes the le="1" observation.
-    EXPECT_NE(text.find("lat_bucket{le=\"1\"} 1"), std::string::npos);
-    EXPECT_NE(text.find("lat_bucket{le=\"2\"} 2"), std::string::npos);
-    EXPECT_NE(text.find("lat_bucket{le=\"+Inf\"} 3"), std::string::npos);
-    EXPECT_NE(text.find("lat_count 3"), std::string::npos);
+    EXPECT_NE(text.find("lat_count 505"), std::string::npos);
+
+    // One `le` line per non-empty bucket: edges strictly increasing,
+    // counts cumulative, +Inf equal to _count, and every line counting
+    // exactly the observations at or below its edge.
+    const auto lines = le_lines(text, "lat");
+    ASSERT_GE(lines.size(), 3u);
+    EXPECT_EQ(lines.front(), std::make_pair(0.0, std::uint64_t{2}));
+    EXPECT_EQ(lines.back().first, std::numeric_limits<double>::infinity());
+    EXPECT_EQ(lines.back().second, h.count());
+    EXPECT_EQ(count_line(text, "lat"), h.count());
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+        EXPECT_LT(lines[i - 1].first, lines[i].first) << i;
+        EXPECT_LE(lines[i - 1].second, lines[i].second) << i;
+        if (i + 1 < lines.size()) {  // a finite line adds a non-empty bucket
+            EXPECT_LT(lines[i - 1].second, lines[i].second) << i;
+        }
+    }
+    EXPECT_NE(text.find("lat_bucket{le=\"2.0625\"} "), std::string::npos) << text;
 
     const std::string csv = telemetry::metrics_csv(registry);
     EXPECT_NE(csv.find("requests_total"), std::string::npos);
-    EXPECT_NE(csv.find("lat_sum"), std::string::npos);
+    EXPECT_NE(csv.find("lat_p99"), std::string::npos);
 
     const auto records = telemetry::bench_json_records(registry);
     const std::string json = telemetry::bench_json_text(records);
@@ -407,7 +485,7 @@ TEST(Fleet, SharedSinkAggregatesAcrossWorkerThreads) {
 
     EXPECT_EQ(registry.counter("fxg_measurements_total").value(),
               static_cast<std::uint64_t>(kFleet));
-    EXPECT_EQ(registry.histogram("fxg_measure_latency_seconds", {1.0}).count(),
+    EXPECT_EQ(registry.histogram("fxg_measure_latency_seconds").count(),
               static_cast<std::uint64_t>(kFleet));
     // Per-member latency gauges, stamped by member index.
     for (int i = 0; i < kFleet; ++i) {
@@ -465,58 +543,102 @@ TEST(TeeSink, FansOutToAllChildrenWithIdMapping) {
 
 TEST(Metrics, QuantileOfEmptyHistogramIsZero) {
     telemetry::MetricsRegistry registry;
-    auto& h = registry.histogram("empty", {1.0, 2.0}, "s");
+    auto& h = registry.histogram("empty", "s");
     EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
     EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
     EXPECT_DOUBLE_EQ(h.quantile(1.0), 0.0);
 }
 
-TEST(Metrics, QuantileWithAllMassInOneBucketInterpolatesWithinIt) {
-    telemetry::MetricsRegistry registry;
-    auto& h = registry.histogram("one_bucket", {1.0, 2.0, 4.0}, "s");
-    for (int i = 0; i < 10; ++i) h.observe(1.5);  // all in (1, 2]
-
-    // Every quantile lands inside the (1, 2] bucket, linearly.
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 1.5);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 2.0);
-    EXPECT_GT(h.quantile(0.1), 1.0);
-    EXPECT_LT(h.quantile(0.1), 1.5);
-    // Out-of-range q is clamped, not UB.
-    EXPECT_DOUBLE_EQ(h.quantile(-0.5), h.quantile(0.0));
-    EXPECT_DOUBLE_EQ(h.quantile(7.0), h.quantile(1.0));
-}
-
-TEST(Metrics, QuantileInOverflowBucketReturnsLastFiniteEdge) {
-    telemetry::MetricsRegistry registry;
-    auto& h = registry.histogram("overflow", {1.0, 2.0}, "s");
-    h.observe(0.5);
-    for (int i = 0; i < 9; ++i) h.observe(100.0);  // 90% beyond the last edge
-
-    // The overflow bucket has no upper edge to interpolate toward: the
-    // honest answer is the last finite bound.
-    EXPECT_DOUBLE_EQ(h.quantile(0.99), 2.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 2.0);
-    // ...while the finite mass below still resolves normally.
-    EXPECT_LE(h.quantile(0.05), 1.0);
-}
-
 TEST(Metrics, QuantileHitsExactBucketBoundaries) {
     telemetry::MetricsRegistry registry;
-    auto& h = registry.histogram("edges", {1.0, 2.0, 4.0}, "s");
-    h.observe(0.5);  // bucket 0: (min(0,1), 1]
-    h.observe(1.5);  // bucket 1: (1, 2]
-    h.observe(3.0);  // bucket 2: (2, 4]
-    h.observe(9.0);  // overflow
+    auto& h = registry.histogram("edges", "s");
+    for (const double x : {0.5, 1.5, 3.0, 9.0}) h.observe(x);
 
     // q = k/4 exhausts exactly k observations: the cumulative count
-    // meets the target right at each bucket's upper edge.
-    EXPECT_DOUBLE_EQ(h.quantile(0.25), 1.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 2.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.75), 4.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 4.0);
-    // The first bucket's lower edge is min(0, bounds[0]) = 0.
-    EXPECT_GT(h.quantile(0.125), 0.0);
-    EXPECT_LT(h.quantile(0.125), 1.0);
+    // meets the target in the k-th observation's bucket, not the next.
+    const auto mid = [](double x) {
+        const std::size_t i = telemetry::Histogram::bucket_of(x);
+        return 0.5 * (telemetry::Histogram::upper_edge(i - 1) +
+                      telemetry::Histogram::upper_edge(i));
+    };
+    EXPECT_EQ(h.quantile(0.25), mid(0.5));
+    EXPECT_EQ(h.quantile(0.5), mid(1.5));
+    EXPECT_EQ(h.quantile(0.75), mid(3.0));
+    EXPECT_EQ(h.quantile(1.0), mid(9.0));
+    EXPECT_EQ(h.quantile(0.0), mid(0.5));
+    // Out-of-range q is clamped, not UB.
+    EXPECT_EQ(h.quantile(-0.5), h.quantile(0.0));
+    EXPECT_EQ(h.quantile(7.0), h.quantile(1.0));
+}
+
+TEST(Metrics, QuantileIsWithinTwoPercentOfTheRankedSample) {
+    std::mt19937_64 rng(20260);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::normal_distribution<double> spread(0.0, 0.15);
+    std::vector<double> log_uniform, bimodal, integers;
+    for (int i = 0; i < 20000; ++i) {
+        log_uniform.push_back(std::pow(10.0, -6.0 + 7.0 * unit(rng)));  // 1 us .. 10 s
+        bimodal.push_back((unit(rng) < 0.8 ? 0.7e-3 : 3.6e-3) * std::exp(spread(rng)));
+        // Skewed toward 0 (about 6 % zeros), like |counts| near a null.
+        integers.push_back(std::floor(4097.0 * std::pow(unit(rng), 3.0)));
+    }
+    for (auto* samples : {&log_uniform, &bimodal, &integers}) {
+        telemetry::Histogram h;
+        for (const double x : *samples) h.observe(x);
+        std::sort(samples->begin(), samples->end());
+        const double n = static_cast<double>(samples->size());
+        for (const double q : {0.001, 0.01, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+            const auto rank = std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(q * n)));
+            const double want = (*samples)[rank - 1];
+            const double got = h.quantile(q);
+            if (want == 0.0) {
+                EXPECT_EQ(got, 0.0) << "q " << q;
+            } else {
+                EXPECT_LE(std::fabs(got - want) / want, 0.02)
+                    << "q " << q << ": " << got << " vs " << want;
+            }
+        }
+    }
+    EXPECT_EQ(integers[static_cast<std::size_t>(0.01 * 20000) - 1], 0.0);
+}
+
+TEST(Telemetry, HistogramObserveFromManyThreadsLosesNothing) {
+    telemetry::MetricsRegistry registry;
+    auto& h = registry.histogram("fxg_concurrent_seconds", "s");
+    constexpr int kThreads = 4;
+    constexpr int kObserves = 5000;
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) {
+        pool.emplace_back([&h, t] {
+            for (int i = 0; i < kObserves; ++i) h.observe(0.25 * (t + 1));
+        });
+    }
+    // Exporters read while the writers run; every scrape stays valid
+    // exposition: `le` lines strictly increasing and cumulative, +Inf
+    // equal to _count.
+    for (int i = 0; i < 20; ++i) {
+        const std::string text = telemetry::prometheus_text(registry);
+        const auto lines = le_lines(text, "fxg_concurrent_seconds");
+        if (lines.empty()) {  // no ASSERT: it would return past joinable threads
+            ADD_FAILURE() << "no le lines";
+            continue;
+        }
+        for (std::size_t j = 1; j < lines.size(); ++j) {
+            EXPECT_LT(lines[j - 1].first, lines[j].first) << j;
+            EXPECT_LE(lines[j - 1].second, lines[j].second) << j;
+        }
+        EXPECT_EQ(lines.back().first, std::numeric_limits<double>::infinity());
+        EXPECT_EQ(lines.back().second, count_line(text, "fxg_concurrent_seconds"));
+        EXPECT_GE(h.quantile(0.5), 0.0);
+    }
+    for (auto& th : pool) th.join();
+
+    EXPECT_EQ(h.count(), std::uint64_t{kThreads} * kObserves);
+    EXPECT_EQ(h.sum(), 0.25 * kObserves * (1 + 2 + 3 + 4));
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(h.bucket_count(telemetry::Histogram::bucket_of(0.25 * (t + 1))),
+                  std::uint64_t{kObserves});
+    }
 }
 
 // ---------------------------------------------------- malformed JSONL
@@ -572,7 +694,7 @@ TEST(Exporters, BenchJsonRoundTripsAndCarriesQuantiles) {
     telemetry::MetricsRegistry registry;
     registry.counter("fxg_measurements_total").inc(5);
     registry.gauge("fxg_heading_deg").set(123.5);
-    auto& h = registry.histogram("fxg_stage_settle_seconds", {1.0, 2.0, 4.0}, "s");
+    auto& h = registry.histogram("fxg_stage_settle_seconds", "s");
     for (const double x : {0.5, 1.5, 3.0, 9.0}) h.observe(x);
 
     const std::vector<telemetry::BenchRecord> records =
