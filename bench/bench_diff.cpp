@@ -18,6 +18,13 @@
 ///   informational     everything else — printed, never gated (counts,
 ///                     raw physics gauges, provenance stamps).
 ///
+/// Accuracy records — unit "deg" and a name ending in `_err_deg` — are
+/// lower-is-better against one absolute tolerance, kAccuracyToleranceDeg,
+/// whatever --tolerance says: accuracy is stated in degrees, and CI's
+/// 60 % would let a 12° interference envelope grow by 7° while holding
+/// a 0.35° static one to 0.2°. Other "deg" records (a heading, a CORDIC
+/// residual) stay informational.
+///
 /// A histogram's `_count` record (unit "samples") is informational: it
 /// counts spans or replies, which is neither better lower nor higher. A
 /// quantile record `<hist>_pNN…` is informational when fewer than
@@ -54,7 +61,10 @@ namespace {
 using fxg::telemetry::BenchRecord;
 using RecordIndex = std::unordered_map<std::string, const BenchRecord*>;
 
-enum class Direction { HigherBetter, LowerBetter, Informational };
+enum class Direction { HigherBetter, LowerBetter, LowerBetterAbsolute, Informational };
+
+/// How far an accuracy record (`*_err_deg`) may rise before it fails.
+constexpr double kAccuracyToleranceDeg = 0.1;
 
 /// Samples a gated quantile needs beyond it (count · (1 − q)).
 constexpr double kMinTailSamples = 10.0;
@@ -85,6 +95,10 @@ Direction classify(const BenchRecord& r, const RecordIndex& records) {
     if (r.unit == "samples" || thin_tail(r.name, records)) {
         return Direction::Informational;
     }
+    if (r.unit == "deg") {
+        return r.name.ends_with("_err_deg") ? Direction::LowerBetterAbsolute
+                                            : Direction::Informational;
+    }
     if (contains(r.name, "per_s") || contains(r.name, "speedup") ||
         contains(r.name, "throughput") || r.unit == "1/s" || r.unit == "x") {
         return Direction::HigherBetter;
@@ -100,7 +114,8 @@ Direction classify(const BenchRecord& r, const RecordIndex& records) {
 const char* direction_mark(Direction d) {
     switch (d) {
         case Direction::HigherBetter: return "^";
-        case Direction::LowerBetter: return "v";
+        case Direction::LowerBetter:
+        case Direction::LowerBetterAbsolute: return "v";
         case Direction::Informational: return "-";
     }
     return "?";
@@ -206,6 +221,8 @@ int main(int argc, char** argv) {
             regressed = cur.value < base.value * (1.0 - tolerance);
         } else if (dir == Direction::LowerBetter) {
             regressed = cur.value > base.value * (1.0 + tolerance);
+        } else if (dir == Direction::LowerBetterAbsolute) {
+            regressed = cur.value > base.value + kAccuracyToleranceDeg;
         }
         ++compared;
         if (regressed) {
@@ -230,7 +247,9 @@ int main(int argc, char** argv) {
     }
 
     std::printf("\nbench_diff: %d record(s) compared (median of %zu run(s)), "
-                "%d regression(s), %d gated record(s) gone, tolerance %.0f%%\n",
-                compared, runs.size(), regressions, gone, tolerance * 100.0);
+                "%d regression(s), %d gated record(s) gone, tolerance %.0f%% "
+                "(accuracy +%.2f deg)\n",
+                compared, runs.size(), regressions, gone, tolerance * 100.0,
+                kAccuracyToleranceDeg);
     return regressions + gone > 0 ? 1 : 0;
 }

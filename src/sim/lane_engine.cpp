@@ -86,8 +86,8 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
                                int steps, double dt_s) {
     using analog::Channel;
     constexpr int GW = S * W;  // lanes in the group
-    // det_bits_/valid_bits_ pack one bit per group lane into a byte.
-    static_assert(GW <= 8);
+    // det_bits_/valid_bits_ pack one bit per group lane into 16 bits.
+    static_assert(GW <= 16);
     // Sample-loop tile length (declared here because the environment
     // change flags below are per tile).
     constexpr int T = 64;  // 3 buffers * S * T * sizeof(dvec) stays in L1
@@ -115,23 +115,23 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
     bool lane_dyn[GW];   ///< field source varies within this advance
     bool lane_tdyn[GW];  ///< lane_dyn and the sensors are temp-sensitive
 
-    alignas(32) double freq_a[GW], gain_a[GW], curv_a[GW], dc_a[GW], cgain_a[GW],
+    alignas(64) double freq_a[GW], gain_a[GW], curv_a[GW], dc_a[GW], cgain_a[GW],
         correct01_a[GW];
-    alignas(32) double vig_a[GW], fs_a[GW], linfs_a[GW], lim_a[GW], neglim_a[GW];
-    alignas(32) double fpa_a[GW], hext_a[GW], hk_a[GW], ms_a[GW], nap_a[GW],
+    alignas(64) double vig_a[GW], fs_a[GW], linfs_a[GW], lim_a[GW], neglim_a[GW];
+    alignas(64) double fpa_a[GW], hext_a[GW], hk_a[GW], ms_a[GW], nap_a[GW],
         nae_a[GW];
     double r_exc_a[GW];
-    alignas(32) double settle_a[GW], off_a[GW], fall_a[GW], rise_a[GW];
-    alignas(32) double bias_a[GW], supply_a[GW];
-    alignas(32) double inc_a[GW], count01_a[GW], first01_a[GW];
-    alignas(32) double nalpha[GW], ndrive[GW], nst[GW], noise01_a[GW];
+    alignas(64) double settle_a[GW], off_a[GW], fall_a[GW], rise_a[GW];
+    alignas(64) double bias_a[GW], supply_a[GW];
+    alignas(64) double inc_a[GW], count01_a[GW], first01_a[GW];
+    alignas(64) double nalpha[GW], ndrive[GW], nst[GW], noise01_a[GW];
     std::uint64_t nkey[GW], nctr[GW];
 
-    alignas(32) double time_a[GW], phase_a[GW], corr_a[GW], pint_a[GW], ptime_a[GW];
-    alignas(32) double since_a[GW], lp_a[GW], le_a[GW], acc_a[GW], e_a[GW];
-    alignas(32) double pos01_a[GW], neg01_a[GW], prevpos01_a[GW], prevneg01_a[GW],
+    alignas(64) double time_a[GW], phase_a[GW], corr_a[GW], pint_a[GW], ptime_a[GW];
+    alignas(64) double since_a[GW], lp_a[GW], le_a[GW], acc_a[GW], e_a[GW];
+    alignas(64) double pos01_a[GW], neg01_a[GW], prevpos01_a[GW], prevneg01_a[GW],
         out01_a[GW], statprev01_a[GW], hasprev01_a[GW];
-    alignas(32) std::int64_t cnt_a[GW], act_a[GW];
+    alignas(64) std::int64_t cnt_a[GW], act_a[GW];
 
     bool stripe_generic = false;
     bool stripe_noise = false;
@@ -577,7 +577,7 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         vpick_v[s] = zero_v;
     }
 
-    alignas(32) double h_s[GW], m_s[GW];
+    alignas(64) double h_s[GW], m_s[GW];
 
     // The sample loop is tiled and split into three passes. One fused
     // per-sample body carries ~30 live vectors per stripe — far beyond
@@ -592,7 +592,7 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
     v::dvec bidrv[S * T];
     v::dvec bvdet[S * T];
     v::mask bsettle[S * T];
-    alignas(32) std::int64_t nbits[T * GW];  // tile draws [sample * GW + lane]
+    alignas(64) std::int64_t nbits[T * GW];  // tile draws [sample * GW + lane]
     // Shared excitation tile: drive current, settle flag and supply
     // power per sample.
     double sh_i[T]{}, sh_p[T]{};
@@ -900,9 +900,9 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
                     vb |= v::movemask(bsettle[s * T + t]) << (s * W);
                 }
                 det_bits_[static_cast<std::size_t>(k0 + t)] =
-                    static_cast<std::uint8_t>(db);
+                    static_cast<std::uint16_t>(db);
                 valid_bits_[static_cast<std::size_t>(k0 + t)] =
-                    static_cast<std::uint8_t>(vb);
+                    static_cast<std::uint16_t>(vb);
             }
         }
     }
@@ -927,9 +927,9 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
 
     // ---- Scatter: write state back through the stages' seams ----------
 
-    alignas(32) double o_a[GW], i_a[GW], hfin_a[GW], bfin_a[GW], vp_a[GW],
+    alignas(64) double o_a[GW], i_a[GW], hfin_a[GW], bfin_a[GW], vp_a[GW],
         leold_a[GW];
-    alignas(32) std::int64_t vs_a[GW], hs_a[GW], edges_a[GW];
+    alignas(64) std::int64_t vs_a[GW], hs_a[GW], edges_a[GW];
     unsigned pos_b = 0, neg_b = 0, prevpos_b = 0, prevneg_b = 0, out_b = 0,
              statprev_b = 0, hasprev_b = 0;
     #pragma GCC unroll 8

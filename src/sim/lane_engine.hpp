@@ -95,7 +95,7 @@ public:
     /// Lanes advanced per vector instruction (the active simd width).
     [[nodiscard]] static int lanes_per_stripe() noexcept;
 
-    /// Active simd backend ("avx2", "neon", "scalar").
+    /// Active simd backend ("avx512", "avx2", "neon", "scalar").
     [[nodiscard]] static const char* backend_name() noexcept;
 
     /// Advances every lane by `steps` samples of `dt_s`, mirroring
@@ -126,8 +126,8 @@ private:
     // (movemask, stripe s in bits [s*kLanes, (s+1)*kLanes)), consumed
     // by tap replay and delegated counters. Sized only by groups that
     // have such a lane.
-    std::vector<std::uint8_t> det_bits_;
-    std::vector<std::uint8_t> valid_bits_;
+    std::vector<std::uint16_t> det_bits_;
+    std::vector<std::uint16_t> valid_bits_;
     // Unpacked per-lane byte streams (det x/y, valid x/y).
     std::vector<std::uint8_t> bytes_;
     // Time-varying environment scratch, filled only when some lane's

@@ -1,37 +1,43 @@
 #pragma once
 
 /// \file simd.hpp
-/// Thin SIMD wrapper for the lane engine (sim/lane_engine.cpp).
+/// Thin SIMD wrapper for the lane engine (sim/lane_engine.cpp) and the
+/// block path's vector stripes.
 ///
-/// Three backends behind one set of free functions:
+/// Four backends behind one set of free functions:
 ///
-///   - AVX2 + FMA on x86-64 (4 double lanes) when the build enables it
-///     (root CMakeLists adds -mavx2 -mfma unless FXG_SIMD=off);
+///   - AVX-512F + DQ on x86-64 (8 double lanes, masks in k-registers);
+///   - AVX2 + FMA on x86-64 (4 double lanes);
 ///   - NEON on aarch64 (2 double lanes);
 ///   - a portable scalar fallback (4 "lanes" of plain doubles) that
 ///     compiles everywhere and is what FXG_SIMD=off forces.
+///
+/// The build picks the x86 instruction set once, in
+/// src/util/CMakeLists.txt, and attaches its flags to fxg_util as
+/// PUBLIC compile options, so every translation unit that includes
+/// this header sees the same backend (the vector types and kLanes
+/// below differ between backends).
 ///
 /// The contract that makes the lane engine's bit-identity story work:
 /// every operation here is *lane-independent* and rounds exactly like
 /// the obvious scalar expression — add/sub/mul/div/floor are single
 /// IEEE-754 ops, fmadd/fnmadd are a single rounding (std::fma in the
 /// fallback), max/min mirror the x86 (a cmp b) ? a : b semantics, and
-/// blends select whole lanes by the mask's sign bit. Consequently lane
-/// i of any vector computation equals the same computation run on lane
-/// i alone, which is how the remainder-lane tails (scalar calls into
-/// tanh1/exp1) stay bit-identical to full-width stripes, and how the
-/// FXG_SIMD=off build reproduces the AVX2 build bit-for-bit.
+/// blends select whole lanes by the mask. Consequently lane i of any
+/// vector computation equals the same computation run on lane i alone,
+/// which is how the remainder-lane tails (scalar calls into tanh1)
+/// stay bit-identical to full-width stripes, and how every backend
+/// reproduces every other bit for bit.
 ///
-/// vexp/vtanh are the one place the engines need a transcendental.
-/// libm's tanh is correctly rounded but scalar-only and has no
-/// vectorizable contract, so the engines share *this* implementation
-/// (magnetics::TanhCore calls tanh1): Cody–Waite range reduction with
-/// musl's ln2 split, a degree-13 Horner polynomial of explicit fmas,
+/// vtanh is the one transcendental the engines need. libm's tanh is
+/// correctly rounded but scalar-only and has no vectorizable contract,
+/// so the engines share *this* implementation (magnetics::TanhCore
+/// calls tanh1): an expm1 built on Cody–Waite range reduction with
+/// musl's ln2 split, a degree-12 Horner polynomial of explicit fmas,
 /// and 2^k built by integer exponent construction. Accuracy is a few
 /// ulp against libm; consistency across scalar/block/lane paths is
-/// exact by construction. Domain notes: vexp clamps below -708 (the
-/// subnormal region) to exp(-708); vtanh handles +-0 and +-inf but
-/// does not propagate NaN (engine inputs are finite by construction).
+/// exact by construction. vtanh handles +-0 and +-inf but does not
+/// propagate NaN (engine inputs are finite by construction).
 ///
 /// vgauss turns one 64-bit random draw per lane into a standard normal
 /// deviate (Box–Muller with its own log and cos polynomials) under the
@@ -48,7 +54,21 @@
 #include <cstdint>
 #include <cstring>
 
-#if !defined(FXG_SIMD_DISABLE) && defined(__AVX2__) && defined(__FMA__)
+#if !defined(FXG_SIMD_DISABLE) && defined(__AVX512F__) && defined(__AVX512DQ__)
+#define FXG_SIMD_AVX512 1
+// GCC 12's AVX-512 intrinsics pass an uninitialized _mm512_undefined_*()
+// through as the unused merge source, and -Wuninitialized reports it at
+// every inlined call (GCC bug 105593, fixed in GCC 13).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+#include <immintrin.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+#elif !defined(FXG_SIMD_DISABLE) && defined(__AVX2__) && defined(__FMA__)
 #define FXG_SIMD_AVX2 1
 #include <immintrin.h>
 #elif !defined(FXG_SIMD_DISABLE) && defined(__aarch64__)
@@ -280,8 +300,7 @@ struct ScalarBackend {
                                   std::bit_cast<std::uint64_t>(kToIntMagic));
         return r;
     }
-    /// 2^k by exponent-field construction; k in [-1022, 1024] (1024
-    /// yields +inf, which is the overflow answer vexp wants).
+    /// 2^k by exponent-field construction; k in [-1022, 1023].
     static D pow2i(I k) {
         D r;
         for (int l = 0; l < kLanes; ++l)
@@ -290,7 +309,81 @@ struct ScalarBackend {
     }
 };
 
-#if defined(FXG_SIMD_AVX2)
+#if defined(FXG_SIMD_AVX512)
+
+/// AVX-512F + DQ: the AVX2 backend's operations on 8 lanes. Comparison
+/// results are __mmask8 bit masks (one bit per lane, held in a
+/// k-register), so blends, mask logic and movemask need no vector
+/// register; the double-domain bit ops come from DQ.
+struct Avx512Backend {
+    static constexpr int kLanes = 8;
+    static constexpr const char* kName = "avx512";
+
+    using D = __m512d;
+    using M = __mmask8;
+    using I = __m512i;
+
+    static D splat(double x) { return _mm512_set1_pd(x); }
+    static D load(const double* p) { return _mm512_loadu_pd(p); }
+    static void store(double* p, D a) { _mm512_storeu_pd(p, a); }
+    static double first(D a) { return _mm_cvtsd_f64(_mm512_castpd512_pd128(a)); }
+
+    static D add(D a, D b) { return _mm512_add_pd(a, b); }
+    static D sub(D a, D b) { return _mm512_sub_pd(a, b); }
+    static D mul(D a, D b) { return _mm512_mul_pd(a, b); }
+    static D div(D a, D b) { return _mm512_div_pd(a, b); }
+    static D floor(D a) { return _mm512_roundscale_pd(a, _MM_FROUND_TO_NEG_INF); }
+    static D sqrt(D a) { return _mm512_sqrt_pd(a); }
+    static D max(D a, D b) { return _mm512_max_pd(a, b); }
+    static D min(D a, D b) { return _mm512_min_pd(a, b); }
+    static D fmadd(D a, D b, D c) { return _mm512_fmadd_pd(a, b, c); }
+    static D fnmadd(D a, D b, D c) { return _mm512_fnmadd_pd(a, b, c); }
+
+    static D bit_and(D a, D b) { return _mm512_and_pd(a, b); }
+    static D bit_or(D a, D b) { return _mm512_or_pd(a, b); }
+    static D bit_xor(D a, D b) { return _mm512_xor_pd(a, b); }
+    static D bit_andnot(D a, D b) { return _mm512_andnot_pd(a, b); }
+
+    static M cmp_ge(D a, D b) { return _mm512_cmp_pd_mask(a, b, _CMP_GE_OQ); }
+    static M cmp_gt(D a, D b) { return _mm512_cmp_pd_mask(a, b, _CMP_GT_OQ); }
+    static D blend(M m, D a, D b) { return _mm512_mask_blend_pd(m, b, a); }
+
+    static M m_splat(bool b) { return b ? M(0xFF) : M(0); }
+    static M m_and(M a, M b) { return M(a & b); }
+    static M m_or(M a, M b) { return M(a | b); }
+    static M m_xor(M a, M b) { return M(a ^ b); }
+    static M m_andnot(M a, M b) { return M(~a & b); }
+    static unsigned movemask(M m) { return m; }
+    static I mask01(M m) { return _mm512_maskz_set1_epi64(m, 1); }
+
+    static I i_splat(std::int64_t x) { return _mm512_set1_epi64(x); }
+    static I i_load(const std::int64_t* p) { return _mm512_loadu_si512(p); }
+    static void i_store(std::int64_t* p, I a) { _mm512_storeu_si512(p, a); }
+    static I i_add(I a, I b) { return _mm512_add_epi64(a, b); }
+    static I i_sub(I a, I b) { return _mm512_sub_epi64(a, b); }
+    static I i_blend(M m, I a, I b) { return _mm512_mask_blend_epi64(m, b, a); }
+    static I i_and(I a, I b) { return _mm512_and_si512(a, b); }
+    static I i_or(I a, I b) { return _mm512_or_si512(a, b); }
+    template <int N>
+    static I i_srl(I a) {
+        return _mm512_srli_epi64(a, N);
+    }
+    static D as_d(I a) { return _mm512_castsi512_pd(a); }
+    static I as_i(D a) { return _mm512_castpd_si512(a); }
+    static I d2i_exact(D a) {
+        const D magic = splat(kToIntMagic);
+        return _mm512_sub_epi64(_mm512_castpd_si512(add(a, magic)),
+                                _mm512_castpd_si512(magic));
+    }
+    static D pow2i(I k) {
+        return _mm512_castsi512_pd(
+            _mm512_slli_epi64(_mm512_add_epi64(k, i_splat(1023)), 52));
+    }
+};
+
+using Active = Avx512Backend;
+
+#elif defined(FXG_SIMD_AVX2)
 
 struct Avx2Backend {
     static constexpr int kLanes = 4;
@@ -506,15 +599,6 @@ struct ExpReduction {
     }
 };
 
-/// exp(x) over [-708, 709.8); inputs below -708 clamp to exp(-708)
-/// (~3.3e-308). Identical operation sequence on every backend.
-template <class B>
-typename B::D exp_t(typename B::D x) {
-    const auto red = ExpReduction<B>::reduce(x);
-    const auto p = B::fmadd(red.s, red.r, B::splat(1.0));
-    return B::mul(p, B::pow2i(B::d2i_exact(red.kd)));
-}
-
 /// expm1(x) = exp(x) - 1 with full relative accuracy near zero: when
 /// the reduction lands in k == 0 the result is s*r directly (no
 /// cancellation); otherwise (exp(r) * 2^k) - 1 as one fma, where the
@@ -677,16 +761,9 @@ inline ivec i_sub(ivec a, ivec b) { return detail::Active::i_sub(a, b); }
 inline ivec i_blend(mask m, ivec a, ivec b) { return detail::Active::i_blend(m, a, b); }
 inline ivec d2i_exact(dvec a) { return detail::Active::d2i_exact(a); }
 
-inline dvec vexp(dvec x) { return detail::exp_t<detail::Active>(x); }
-inline dvec vexpm1(dvec x) { return detail::expm1_t<detail::Active>(x); }
 inline dvec vtanh(dvec x) { return detail::tanh_t<detail::Active>(x); }
 /// One standard normal deviate per lane from that lane's 64-bit draw.
 inline dvec vgauss(ivec bits) { return detail::gauss_t<detail::Active>(bits); }
-
-/// Scalar exp through the vector pipeline: lane 0 of the splat result.
-/// Bit-identical to any lane of vexp on the same input (every op is
-/// lane-independent), which is what makes remainder-lane tails exact.
-[[nodiscard]] inline double exp1(double x) { return first(vexp(splat(x))); }
 
 /// Scalar tanh through the vector pipeline; the engines' shared
 /// transcendental (magnetics::TanhCore calls this, so scalar, block
@@ -698,22 +775,6 @@ inline dvec vgauss(ivec bits) { return detail::gauss_t<detail::Active>(bits); }
 /// through vgauss, so the paths agree bit-for-bit by construction.
 [[nodiscard]] inline double gauss1(std::uint64_t bits) {
     return first(vgauss(i_splat(static_cast<std::int64_t>(bits))));
-}
-
-/// Elementwise tanh over an array: full stripes through vtanh, the
-/// width-boundary remainder through tanh1 (bit-identical by the
-/// lane-independence contract).
-inline void tanh_array(const double* x, double* out, std::size_t n) {
-    std::size_t i = 0;
-    for (; i + kLanes <= n; i += kLanes) store(out + i, vtanh(load(x + i)));
-    for (; i < n; ++i) out[i] = tanh1(x[i]);
-}
-
-/// Elementwise exp over an array, same stripe/tail split as tanh_array.
-inline void exp_array(const double* x, double* out, std::size_t n) {
-    std::size_t i = 0;
-    for (; i + kLanes <= n; i += kLanes) store(out + i, vexp(load(x + i)));
-    for (; i < n; ++i) out[i] = exp1(x[i]);
 }
 
 }  // namespace fxg::util::simd

@@ -4,7 +4,8 @@
 /// in the current run passes, a baseline record the current run no
 /// longer emits fails when it is gated (higher- or lower-is-better) and
 /// passes when it is informational, several runs are compared at their
-/// median, and a quantile with too few samples beyond it is not gated.
+/// median, a quantile with too few samples beyond it is not gated, and
+/// an accuracy record (`*_err_deg`) is gated at a fixed +0.1°.
 
 #include <gtest/gtest.h>
 
@@ -114,4 +115,24 @@ TEST(BenchDiff, QuantileWithFewerThanTenSamplesBeyondItIsNotGated) {
     EXPECT_EQ(bench_diff(hist(80, 1e-3, 2e-3, 2e-3),
                          rec("fxg_lat_seconds_count", 80, "samples", true)),
               1);
+}
+
+TEST(BenchDiff, AccuracyRecordsAreGatedAtAFixedAbsoluteTolerance) {
+    const auto scenario = [](double max_err, double heading) {
+        return rec("fxg_scn_static_max_err_deg", max_err, "deg") + "\n" +
+               rec("fxg_heading_deg", heading, "deg", true);
+    };
+    const std::string base = scenario(0.35, 318.0);
+    EXPECT_EQ(bench_diff(base, scenario(0.35, 318.0)), 0);
+    // A doubled envelope fails; +0.05° passes, and so does any
+    // improvement.
+    EXPECT_EQ(bench_diff(base, scenario(0.70, 318.0)), 1);
+    EXPECT_EQ(bench_diff(base, scenario(0.40, 318.0)), 0);
+    EXPECT_EQ(bench_diff(base, scenario(0.10, 318.0)), 0);
+    // The bound is absolute: +0.15° on a 9° error fails too.
+    EXPECT_EQ(bench_diff(rec("fxg_scn_iron_max_err_deg", 9.0, "deg", true),
+                         rec("fxg_scn_iron_max_err_deg", 9.15, "deg", true)),
+              1);
+    // A heading is not an error: 318° -> 319° stays ungated.
+    EXPECT_EQ(bench_diff(base, scenario(0.35, 319.0)), 0);
 }

@@ -286,19 +286,28 @@ TEST(FlightRecorderTest, ConcurrentWritersSurviveFreezeDrainCycles) {
     telemetry::FlightRecorder recorder(cfg);
 
     std::atomic<bool> stop{false};
+    std::atomic<int> writing{0};
     std::vector<std::thread> writers;
     for (int t = 0; t < 4; ++t) {
-        writers.emplace_back([&recorder, &stop, t] {
+        writers.emplace_back([&recorder, &stop, &writing, t] {
             telemetry::MeasurementSample sample;
             sample.member = t;
+            bool counted = false;
             while (!stop.load(std::memory_order_relaxed)) {
                 const telemetry::SpanId id = recorder.begin_span("work", t);
                 recorder.event("step", 1.0);
                 recorder.on_sample(sample);
                 recorder.end_span(id, 7);
+                if (!counted) {
+                    counted = true;
+                    writing.fetch_add(1);
+                }
             }
         });
     }
+    // The rounds below must race live writers: on a loaded host a
+    // writer thread can start after the main thread has finished them.
+    while (writing.load() < 4) std::this_thread::yield();
 
     for (int round = 0; round < 50; ++round) {
         const std::string jsonl = recorder.trace_jsonl();

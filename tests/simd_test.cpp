@@ -1,9 +1,9 @@
-// Tests for util/simd.hpp: the active backend must agree bit-for-bit
-// with the always-compiled scalar fallback on every operation, and the
-// array helpers must be exact across width-boundary remainder tails.
-// vgauss is also checked against libm and for normal moments.
-// These identities are what the lane engine's parity contract
-// (DESIGN.md section 12) is built on.
+// Tests for util/simd.hpp: every lane of the active backend must agree
+// bit-for-bit with the always-compiled scalar fallback on every
+// operation, whatever the active width (8 lanes on AVX-512, 4 on AVX2,
+// 2 on NEON). vtanh and vgauss are also checked against libm, and
+// vgauss for normal moments. These identities are what the lane
+// engine's parity contract (DESIGN.md section 12) is built on.
 
 #include "util/simd.hpp"
 
@@ -15,9 +15,12 @@
 #include <cstdint>
 #include <limits>
 #include <numbers>
+#include <numeric>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "sim/lane_engine.hpp"
 #include "util/rng.hpp"
 
 namespace simd = fxg::util::simd;
@@ -25,6 +28,10 @@ using Ref = simd::detail::ScalarBackend;
 using Act = simd::detail::Active;
 
 namespace {
+
+/// Input lengths are multiples of both backends' widths, so each
+/// backend sweeps every element in whole stripes of its own width.
+constexpr std::size_t kStride = std::lcm(simd::kLanes, Ref::kLanes);
 
 // Deterministic doubles spanning magnitudes, signs, and exact values
 // the engines actually produce (integers, halves, tiny, huge).
@@ -62,23 +69,51 @@ std::vector<std::int64_t> random_int64s(std::size_t n, std::uint64_t seed) {
     return v;
 }
 
-// Loads one stripe each into the active backend and the reference
-// fallback, applies `op`, and compares the stored lanes bitwise.
-template <class ActOp, class RefOp>
-void check_binary_op(const char* name, ActOp act_op, RefOp ref_op) {
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+std::uint64_t bits_of(std::int64_t x) { return std::uint64_t(x); }
+
+/// Runs `stripe(B{}, out + i, i)` for the active backend and for the
+/// scalar fallback, each at every offset i of its own stripes over n
+/// elements; `stripe` stores B's lanes [i, i + B::kLanes) at out + i.
+/// Expects the two outputs to agree bit for bit and returns the active
+/// backend's.
+template <class T, class Stripe>
+std::vector<T> expect_backends_agree(const std::string& what, std::size_t n, Stripe stripe) {
+    EXPECT_EQ(n % kStride, 0u) << what;
+    std::vector<T> act(n), ref(n);
+    for (std::size_t i = 0; i + Act::kLanes <= n; i += Act::kLanes) stripe(Act{}, act.data() + i, i);
+    for (std::size_t i = 0; i + Ref::kLanes <= n; i += Ref::kLanes) stripe(Ref{}, ref.data() + i, i);
+    for (std::size_t k = 0; k < n; ++k) {
+        EXPECT_EQ(bits_of(act[k]), bits_of(ref[k])) << what << " element " << k;
+    }
+    return act;
+}
+
+// `op(B{}, x, y)` applies backend B's operation to one stripe of each
+// input.
+template <class Op>
+void check_binary_op(const std::string& name, Op op) {
     const auto a = random_doubles(256, 0xA11CE + std::hash<std::string>{}(name));
     const auto b = random_doubles(256, 0xB0B + std::hash<std::string>{}(name));
-    for (std::size_t i = 0; i + simd::kLanes <= a.size(); i += simd::kLanes) {
-        double out_act[simd::kLanes];
-        double out_ref[Ref::kLanes];
-        Act::store(out_act, act_op(Act::load(a.data() + i), Act::load(b.data() + i)));
-        Ref::store(out_ref, ref_op(Ref::load(a.data() + i), Ref::load(b.data() + i)));
-        for (int l = 0; l < simd::kLanes; ++l) {
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(out_act[l]),
-                      std::bit_cast<std::uint64_t>(out_ref[l]))
-                << name << " lane " << l << " a=" << a[i + l] << " b=" << b[i + l];
-        }
-    }
+    expect_backends_agree<double>(name, a.size(), [&](auto be, double* out, std::size_t i) {
+        using B = decltype(be);
+        B::store(out, op(be, B::load(a.data() + i), B::load(b.data() + i)));
+    });
+}
+
+// `op(B{}, i)` is backend B's mask for the stripe at offset i; its
+// movemask bits and its mask01 lanes must match the fallback's.
+template <class Op>
+void check_mask_op(const std::string& name, std::size_t n, Op op) {
+    expect_backends_agree<std::int64_t>(
+        name + " movemask", n, [&](auto be, std::int64_t* out, std::size_t i) {
+            const unsigned bits = decltype(be)::movemask(op(be, i));
+            for (int l = 0; l < decltype(be)::kLanes; ++l) out[l] = (bits >> l) & 1u;
+        });
+    expect_backends_agree<std::int64_t>(
+        name + " mask01", n, [&](auto be, std::int64_t* out, std::size_t i) {
+            decltype(be)::i_store(out, decltype(be)::mask01(op(be, i)));
+        });
 }
 
 }  // namespace
@@ -92,51 +127,48 @@ TEST(Simd, WidthIsPositiveAndNamed) {
 #endif
 }
 
+// simd.hpp's vector types and kLanes follow the compile flags, which
+// fxg_util hands to every consumer as PUBLIC options. A consumer built
+// without them sees another backend than the libraries it links: an
+// ODR violation the compiler and linker accept. This translation unit
+// compares its own view with the one compiled into fxg_sim.
+TEST(Simd, ConsumerSeesTheBackendItsLibrariesWereBuiltFor) {
+    EXPECT_EQ(fxg::sim::LaneEngine::lanes_per_stripe(), simd::kLanes);
+    EXPECT_STREQ(fxg::sim::LaneEngine::backend_name(), simd::backend_name());
+}
+
 TEST(Simd, ArithmeticMatchesScalarFallbackBitwise) {
-    check_binary_op("add", [](auto a, auto b) { return Act::add(a, b); },
-                    [](auto a, auto b) { return Ref::add(a, b); });
-    check_binary_op("sub", [](auto a, auto b) { return Act::sub(a, b); },
-                    [](auto a, auto b) { return Ref::sub(a, b); });
-    check_binary_op("mul", [](auto a, auto b) { return Act::mul(a, b); },
-                    [](auto a, auto b) { return Ref::mul(a, b); });
-    check_binary_op("div", [](auto a, auto b) { return Act::div(a, b); },
-                    [](auto a, auto b) { return Ref::div(a, b); });
-    check_binary_op("max", [](auto a, auto b) { return Act::max(a, b); },
-                    [](auto a, auto b) { return Ref::max(a, b); });
-    check_binary_op("min", [](auto a, auto b) { return Act::min(a, b); },
-                    [](auto a, auto b) { return Ref::min(a, b); });
-    check_binary_op("and", [](auto a, auto b) { return Act::bit_and(a, b); },
-                    [](auto a, auto b) { return Ref::bit_and(a, b); });
-    check_binary_op("or", [](auto a, auto b) { return Act::bit_or(a, b); },
-                    [](auto a, auto b) { return Ref::bit_or(a, b); });
-    check_binary_op("xor", [](auto a, auto b) { return Act::bit_xor(a, b); },
-                    [](auto a, auto b) { return Ref::bit_xor(a, b); });
-    check_binary_op("andnot", [](auto a, auto b) { return Act::bit_andnot(a, b); },
-                    [](auto a, auto b) { return Ref::bit_andnot(a, b); });
-    check_binary_op("floor", [](auto a, auto) { return Act::floor(a); },
-                    [](auto a, auto) { return Ref::floor(a); });
+    check_binary_op("add", [](auto be, auto a, auto b) { return decltype(be)::add(a, b); });
+    check_binary_op("sub", [](auto be, auto a, auto b) { return decltype(be)::sub(a, b); });
+    check_binary_op("mul", [](auto be, auto a, auto b) { return decltype(be)::mul(a, b); });
+    check_binary_op("div", [](auto be, auto a, auto b) { return decltype(be)::div(a, b); });
+    check_binary_op("max", [](auto be, auto a, auto b) { return decltype(be)::max(a, b); });
+    check_binary_op("min", [](auto be, auto a, auto b) { return decltype(be)::min(a, b); });
+    check_binary_op("and", [](auto be, auto a, auto b) { return decltype(be)::bit_and(a, b); });
+    check_binary_op("or", [](auto be, auto a, auto b) { return decltype(be)::bit_or(a, b); });
+    check_binary_op("xor", [](auto be, auto a, auto b) { return decltype(be)::bit_xor(a, b); });
+    check_binary_op("andnot",
+                    [](auto be, auto a, auto b) { return decltype(be)::bit_andnot(a, b); });
+    check_binary_op("floor", [](auto be, auto a, auto) { return decltype(be)::floor(a); });
+    check_binary_op("sqrt", [](auto be, auto a, auto) {
+        using B = decltype(be);
+        return B::sqrt(B::bit_andnot(B::splat(-0.0), a));
+    });
 }
 
 TEST(Simd, FmaMatchesScalarFallbackBitwise) {
     const auto a = random_doubles(256, 1);
     const auto b = random_doubles(256, 2);
     const auto c = random_doubles(256, 3);
-    for (std::size_t i = 0; i + simd::kLanes <= a.size(); i += simd::kLanes) {
-        double fa[simd::kLanes], fr[simd::kLanes], na[simd::kLanes], nr[simd::kLanes];
-        Act::store(fa, Act::fmadd(Act::load(a.data() + i), Act::load(b.data() + i),
-                                  Act::load(c.data() + i)));
-        Ref::store(fr, Ref::fmadd(Ref::load(a.data() + i), Ref::load(b.data() + i),
-                                  Ref::load(c.data() + i)));
-        Act::store(na, Act::fnmadd(Act::load(a.data() + i), Act::load(b.data() + i),
-                                   Act::load(c.data() + i)));
-        Ref::store(nr, Ref::fnmadd(Ref::load(a.data() + i), Ref::load(b.data() + i),
-                                   Ref::load(c.data() + i)));
-        for (int l = 0; l < simd::kLanes; ++l) {
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(fa[l]), std::bit_cast<std::uint64_t>(fr[l]))
-                << "fmadd lane " << l;
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(na[l]), std::bit_cast<std::uint64_t>(nr[l]))
-                << "fnmadd lane " << l;
-        }
+    for (const bool negated : {false, true}) {
+        expect_backends_agree<double>(
+            negated ? "fnmadd" : "fmadd", a.size(), [&](auto be, double* out, std::size_t i) {
+                using B = decltype(be);
+                const auto x = B::load(a.data() + i);
+                const auto y = B::load(b.data() + i);
+                const auto z = B::load(c.data() + i);
+                B::store(out, negated ? B::fnmadd(x, y, z) : B::fmadd(x, y, z));
+            });
     }
 }
 
@@ -145,69 +177,63 @@ TEST(Simd, CompareBlendMovemaskMatchScalarFallback) {
     auto b = random_doubles(512, 11);
     // Force exact ties so >= vs > actually differ on some lanes.
     for (std::size_t i = 0; i < b.size(); i += 5) b[i] = a[i];
-    for (std::size_t i = 0; i + simd::kLanes <= a.size(); i += simd::kLanes) {
-        const auto aa = Act::load(a.data() + i);
-        const auto ab = Act::load(b.data() + i);
-        const auto ra = Ref::load(a.data() + i);
-        const auto rb = Ref::load(b.data() + i);
-        EXPECT_EQ(Act::movemask(Act::cmp_ge(aa, ab)), Ref::movemask(Ref::cmp_ge(ra, rb)));
-        EXPECT_EQ(Act::movemask(Act::cmp_gt(aa, ab)), Ref::movemask(Ref::cmp_gt(ra, rb)));
-
-        double sel_a[simd::kLanes], sel_r[simd::kLanes];
-        Act::store(sel_a, Act::blend(Act::cmp_ge(aa, ab), aa, ab));
-        Ref::store(sel_r, Ref::blend(Ref::cmp_ge(ra, rb), ra, rb));
-        std::int64_t m01_a[simd::kLanes], m01_r[simd::kLanes];
-        Act::i_store(m01_a, Act::mask01(Act::cmp_gt(aa, ab)));
-        Ref::i_store(m01_r, Ref::mask01(Ref::cmp_gt(ra, rb)));
-        for (int l = 0; l < simd::kLanes; ++l) {
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(sel_a[l]),
-                      std::bit_cast<std::uint64_t>(sel_r[l]));
-            EXPECT_EQ(m01_a[l], m01_r[l]);
-        }
-    }
+    check_mask_op("cmp_ge", a.size(), [&](auto be, std::size_t i) {
+        using B = decltype(be);
+        return B::cmp_ge(B::load(a.data() + i), B::load(b.data() + i));
+    });
+    check_mask_op("cmp_gt", a.size(), [&](auto be, std::size_t i) {
+        using B = decltype(be);
+        return B::cmp_gt(B::load(a.data() + i), B::load(b.data() + i));
+    });
+    expect_backends_agree<double>("blend", a.size(), [&](auto be, double* out, std::size_t i) {
+        using B = decltype(be);
+        const auto x = B::load(a.data() + i);
+        const auto y = B::load(b.data() + i);
+        B::store(out, B::blend(B::cmp_ge(x, y), x, y));
+    });
 }
 
 TEST(Simd, MaskLogicMatchesScalarFallback) {
     const auto a = random_doubles(256, 20);
     const auto b = random_doubles(256, 21);
     const auto c = random_doubles(256, 22);
-    for (std::size_t i = 0; i + simd::kLanes <= a.size(); i += simd::kLanes) {
-        const auto am1 = Act::cmp_gt(Act::load(a.data() + i), Act::load(b.data() + i));
-        const auto am2 = Act::cmp_gt(Act::load(b.data() + i), Act::load(c.data() + i));
-        const auto rm1 = Ref::cmp_gt(Ref::load(a.data() + i), Ref::load(b.data() + i));
-        const auto rm2 = Ref::cmp_gt(Ref::load(b.data() + i), Ref::load(c.data() + i));
-        EXPECT_EQ(Act::movemask(Act::m_and(am1, am2)), Ref::movemask(Ref::m_and(rm1, rm2)));
-        EXPECT_EQ(Act::movemask(Act::m_or(am1, am2)), Ref::movemask(Ref::m_or(rm1, rm2)));
-        EXPECT_EQ(Act::movemask(Act::m_xor(am1, am2)), Ref::movemask(Ref::m_xor(rm1, rm2)));
-        EXPECT_EQ(Act::movemask(Act::m_andnot(am1, am2)),
-                  Ref::movemask(Ref::m_andnot(rm1, rm2)));
-        EXPECT_EQ(Act::movemask(Act::m_splat(true)), Ref::movemask(Ref::m_splat(true)));
-        EXPECT_EQ(Act::movemask(Act::m_splat(false)), Ref::movemask(Ref::m_splat(false)));
-    }
+    // `op(B{}, m1, m2)` combines m1 = a > b and m2 = b > c.
+    const auto check = [&](const char* name, auto op) {
+        check_mask_op(name, a.size(), [&](auto be, std::size_t i) {
+            using B = decltype(be);
+            return op(be, B::cmp_gt(B::load(a.data() + i), B::load(b.data() + i)),
+                      B::cmp_gt(B::load(b.data() + i), B::load(c.data() + i)));
+        });
+    };
+    check("m_and", [](auto be, auto x, auto y) { return decltype(be)::m_and(x, y); });
+    check("m_or", [](auto be, auto x, auto y) { return decltype(be)::m_or(x, y); });
+    check("m_xor", [](auto be, auto x, auto y) { return decltype(be)::m_xor(x, y); });
+    check("m_andnot", [](auto be, auto x, auto y) { return decltype(be)::m_andnot(x, y); });
+    check("m_splat(true)", [](auto be, auto, auto) { return decltype(be)::m_splat(true); });
+    check("m_splat(false)", [](auto be, auto, auto) { return decltype(be)::m_splat(false); });
 }
 
 TEST(Simd, Int64OpsMatchScalarFallback) {
     const auto a = random_int64s(256, 30);
     const auto b = random_int64s(256, 31);
     const auto sel = random_doubles(256, 32);
-    for (std::size_t i = 0; i + simd::kLanes <= a.size(); i += simd::kLanes) {
-        const auto ia = Act::i_load(a.data() + i);
-        const auto ib = Act::i_load(b.data() + i);
-        const auto ja = Ref::i_load(a.data() + i);
-        const auto jb = Ref::i_load(b.data() + i);
-        const auto am = Act::cmp_gt(Act::load(sel.data() + i), Act::splat(0.0));
-        const auto rm = Ref::cmp_gt(Ref::load(sel.data() + i), Ref::splat(0.0));
-        std::int64_t oa[simd::kLanes], orf[simd::kLanes];
-        Act::i_store(oa, Act::i_add(ia, ib));
-        Ref::i_store(orf, Ref::i_add(ja, jb));
-        for (int l = 0; l < simd::kLanes; ++l) EXPECT_EQ(oa[l], orf[l]) << "i_add " << l;
-        Act::i_store(oa, Act::i_sub(ia, ib));
-        Ref::i_store(orf, Ref::i_sub(ja, jb));
-        for (int l = 0; l < simd::kLanes; ++l) EXPECT_EQ(oa[l], orf[l]) << "i_sub " << l;
-        Act::i_store(oa, Act::i_blend(am, ia, ib));
-        Ref::i_store(orf, Ref::i_blend(rm, ja, jb));
-        for (int l = 0; l < simd::kLanes; ++l) EXPECT_EQ(oa[l], orf[l]) << "i_blend " << l;
-    }
+    // `op(B{}, x, y, m)` with m = sel > 0.
+    const auto check = [&](const char* name, auto op) {
+        expect_backends_agree<std::int64_t>(name, a.size(), [&](auto be, std::int64_t* out,
+                                                                std::size_t i) {
+            using B = decltype(be);
+            const auto m = B::cmp_gt(B::load(sel.data() + i), B::splat(0.0));
+            B::i_store(out, op(be, B::i_load(a.data() + i), B::i_load(b.data() + i), m));
+        });
+    };
+    check("i_add", [](auto be, auto x, auto y, auto) { return decltype(be)::i_add(x, y); });
+    check("i_sub", [](auto be, auto x, auto y, auto) { return decltype(be)::i_sub(x, y); });
+    check("i_blend",
+          [](auto be, auto x, auto y, auto m) { return decltype(be)::i_blend(m, x, y); });
+    check("i_and", [](auto be, auto x, auto y, auto) { return decltype(be)::i_and(x, y); });
+    check("i_or", [](auto be, auto x, auto y, auto) { return decltype(be)::i_or(x, y); });
+    check("i_srl<32>",
+          [](auto be, auto x, auto, auto) { return decltype(be)::template i_srl<32>(x); });
 }
 
 TEST(Simd, IntegerValuedDoubleConversionIsExact) {
@@ -216,40 +242,14 @@ TEST(Simd, IntegerValuedDoubleConversionIsExact) {
     for (int i = 0; i < 256; ++i)
         vals.push_back(double(std::int64_t(rng() % (1ULL << 40))) - double(1LL << 39));
     for (double special : {0.0, -0.0, 1.0, -1.0, 2047.0, -2048.0, 4194304.0}) vals.push_back(special);
-    while (vals.size() % simd::kLanes != 0) vals.push_back(0.0);
-    for (std::size_t i = 0; i < vals.size(); i += simd::kLanes) {
-        std::int64_t oa[simd::kLanes], orf[simd::kLanes];
-        Act::i_store(oa, Act::d2i_exact(Act::load(vals.data() + i)));
-        Ref::i_store(orf, Ref::d2i_exact(Ref::load(vals.data() + i)));
-        for (int l = 0; l < simd::kLanes; ++l) {
-            EXPECT_EQ(oa[l], std::int64_t(vals[i + l])) << "d2i value lane " << l;
-            EXPECT_EQ(oa[l], orf[l]) << "d2i backend lane " << l;
-        }
-    }
-}
-
-TEST(Simd, ExpMatchesScalarFallbackBitwiseAndLibmClosely) {
-    std::mt19937_64 rng(50);
-    std::uniform_real_distribution<double> dist(-700.0, 700.0);
-    std::vector<double> xs;
-    for (int i = 0; i < 4096; ++i) xs.push_back(dist(rng));
-    for (double special : {0.0, -0.0, 1.0, -1.0, -708.0, -745.0, 700.0, 1e-300, -1e-300})
-        xs.push_back(special);
-    while (xs.size() % simd::kLanes != 0) xs.push_back(0.0);
-    for (std::size_t i = 0; i < xs.size(); i += simd::kLanes) {
-        double oa[simd::kLanes], orf[simd::kLanes];
-        Act::store(oa, simd::detail::exp_t<Act>(Act::load(xs.data() + i)));
-        Ref::store(orf, simd::detail::exp_t<Ref>(Ref::load(xs.data() + i)));
-        for (int l = 0; l < simd::kLanes; ++l) {
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(oa[l]), std::bit_cast<std::uint64_t>(orf[l]))
-                << "exp backend lane " << l << " x=" << xs[i + l];
-            const double x = xs[i + l];
-            if (x >= -700.0) {
-                const double want = std::exp(x);
-                EXPECT_NEAR(oa[l], want, 4.0 * std::abs(want) * 2.220446049250313e-16)
-                    << "exp accuracy x=" << x;
-            }
-        }
+    while (vals.size() % kStride != 0) vals.push_back(0.0);
+    const std::vector<std::int64_t> act = expect_backends_agree<std::int64_t>(
+        "d2i_exact", vals.size(), [&](auto be, std::int64_t* out, std::size_t i) {
+            using B = decltype(be);
+            B::i_store(out, B::d2i_exact(B::load(vals.data() + i)));
+        });
+    for (std::size_t k = 0; k < vals.size(); ++k) {
+        EXPECT_EQ(act[k], std::int64_t(vals[k])) << "d2i value element " << k;
     }
 }
 
@@ -262,42 +262,19 @@ TEST(Simd, TanhMatchesScalarFallbackBitwiseAndLibmClosely) {
     for (int i = 0; i < 512; ++i) xs.push_back(small(rng));
     const double inf = std::numeric_limits<double>::infinity();
     for (double special : {0.0, -0.0, 19.0, -19.0, 1e6, -1e6, inf, -inf}) xs.push_back(special);
-    while (xs.size() % simd::kLanes != 0) xs.push_back(0.0);
-    for (std::size_t i = 0; i < xs.size(); i += simd::kLanes) {
-        double oa[simd::kLanes], orf[simd::kLanes];
-        Act::store(oa, simd::detail::tanh_t<Act>(Act::load(xs.data() + i)));
-        Ref::store(orf, simd::detail::tanh_t<Ref>(Ref::load(xs.data() + i)));
-        for (int l = 0; l < simd::kLanes; ++l) {
-            const double x = xs[i + l];
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(oa[l]), std::bit_cast<std::uint64_t>(orf[l]))
-                << "tanh backend lane " << l << " x=" << x;
-            const double want = std::tanh(x);
-            EXPECT_NEAR(oa[l], want, 4.0 * std::abs(want) * 2.220446049250313e-16 + 1e-300)
-                << "tanh accuracy x=" << x;
-            EXPECT_EQ(std::signbit(oa[l]), std::signbit(x)) << "tanh sign x=" << x;
-        }
-    }
-}
-
-// The remainder-tail contract: arrays of every length around the width
-// boundary produce exactly what per-element tanh1/exp1 produce, and
-// lanes inside full stripes equal the scalar calls too.
-TEST(Simd, ArrayHelpersExactAcrossRemainderLanes) {
-    for (std::size_t n = 1; n <= std::size_t(3 * simd::kLanes + 3); ++n) {
-        const auto xs = random_doubles(n, 70 + n);
-        std::vector<double> tanh_out(n, -999.0), exp_out(n, -999.0);
-        std::vector<double> in(n);
-        for (std::size_t i = 0; i < n; ++i) in[i] = std::clamp(xs[i], -30.0, 30.0);
-        simd::tanh_array(in.data(), tanh_out.data(), n);
-        simd::exp_array(in.data(), exp_out.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(tanh_out[i]),
-                      std::bit_cast<std::uint64_t>(simd::tanh1(in[i])))
-                << "tanh_array n=" << n << " i=" << i;
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(exp_out[i]),
-                      std::bit_cast<std::uint64_t>(simd::exp1(in[i])))
-                << "exp_array n=" << n << " i=" << i;
-        }
+    while (xs.size() % kStride != 0) xs.push_back(0.0);
+    const std::vector<double> act = expect_backends_agree<double>(
+        "tanh", xs.size(), [&](auto be, double* out, std::size_t i) {
+            using B = decltype(be);
+            B::store(out, simd::detail::tanh_t<B>(B::load(xs.data() + i)));
+        });
+    for (std::size_t k = 0; k < xs.size(); ++k) {
+        const double x = xs[k];
+        const double want = std::tanh(x);
+        EXPECT_NEAR(act[k], want, 4.0 * std::abs(want) * 2.220446049250313e-16 + 1e-300)
+            << "tanh accuracy x=" << x;
+        EXPECT_EQ(std::signbit(act[k]), std::signbit(x)) << "tanh sign x=" << x;
+        EXPECT_EQ(bits_of(act[k]), bits_of(simd::tanh1(x))) << "tanh1 x=" << x;
     }
 }
 
@@ -324,7 +301,7 @@ std::vector<std::uint64_t> gauss_inputs(std::size_t n) {
           0x8000000000000000ULL, 0x00000001FFFFFFFFULL}) {
         bits.push_back(edge);
     }
-    while (bits.size() % simd::kLanes != 0) bits.push_back(0);
+    while (bits.size() % kStride != 0) bits.push_back(0);
     return bits;
 }
 
@@ -335,20 +312,15 @@ std::vector<std::uint64_t> gauss_inputs(std::size_t n) {
 // bit for bit on every input.
 TEST(Simd, GaussMatchesScalarFallbackBitwise) {
     const std::vector<std::uint64_t> bits = gauss_inputs(8192);
-    for (std::size_t i = 0; i < bits.size(); i += simd::kLanes) {
-        std::int64_t in[simd::kLanes];
-        for (int l = 0; l < simd::kLanes; ++l) in[l] = std::int64_t(bits[i + l]);
-        double oa[simd::kLanes];
-        Act::store(oa, simd::detail::gauss_t<Act>(Act::i_load(in)));
-        for (int l = 0; l < simd::kLanes; ++l) {
-            const double ref =
-                Ref::first(simd::detail::gauss_t<Ref>(Ref::i_splat(in[l])));
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(oa[l]), std::bit_cast<std::uint64_t>(ref))
-                << "gauss backend bits=" << std::hex << bits[i + l];
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(oa[l]),
-                      std::bit_cast<std::uint64_t>(simd::gauss1(bits[i + l])))
-                << "gauss1 bits=" << std::hex << bits[i + l];
-        }
+    const std::vector<std::int64_t> in(bits.begin(), bits.end());
+    const std::vector<double> act = expect_backends_agree<double>(
+        "gauss", in.size(), [&](auto be, double* out, std::size_t i) {
+            using B = decltype(be);
+            B::store(out, simd::detail::gauss_t<B>(B::i_load(in.data() + i)));
+        });
+    for (std::size_t k = 0; k < bits.size(); ++k) {
+        EXPECT_EQ(bits_of(act[k]), bits_of(simd::gauss1(bits[k])))
+            << "gauss1 bits=" << std::hex << bits[k];
     }
     EXPECT_EQ(simd::gauss1(0), 0.0);
     EXPECT_EQ(simd::gauss1(0x00000000FFFFFFFFULL), 0.0);
