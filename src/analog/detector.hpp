@@ -15,7 +15,10 @@
 
 namespace fxg::analog {
 
-/// Detector configuration: one comparator per pulse polarity.
+/// Detector configuration: one comparator per pulse polarity. The
+/// PulsePositionDetector constructor rejects a threshold or offset
+/// that is not finite and a hysteresis that is not finite and >= 0:
+/// with negative hysteresis one sample can cross both thresholds.
 struct DetectorConfig {
     double threshold_v = 20.0e-3;  ///< |v| level that counts as a pulse
     double comparator_offset_v = 0.0;
@@ -30,11 +33,13 @@ public:
     /// Processes one pickup-voltage sample; returns the digital output.
     bool step(double v_pickup);
 
-    /// Processes `n` pickup samples, writing the digital output (0/1)
-    /// into `out`. Bit-identical to n step() calls: one pass runs both
-    /// comparators and the set/clear edge logic per sample, with the
-    /// comparator thresholds hoisted.
-    void step_block(const double* v_pickup, int n, std::uint8_t* out);
+    /// Processes `n` pickup samples, writing the digital output as a
+    /// one-bit stream of util::bits::words_for(n) words into `out` (bit
+    /// j of word w is sample 64w + j; bits past n are zero).
+    /// Bit-identical to n step() calls: both comparators run as vector
+    /// compares into masks, and each latch is a carry chain resolved
+    /// with one 64-bit add per word (DESIGN.md section 6).
+    void step_block(const double* v_pickup, int n, std::uint64_t* out);
 
     [[nodiscard]] bool output() const noexcept { return out_; }
 

@@ -1,17 +1,21 @@
 #include "analog/front_end.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
 
+#include "util/bits.hpp"
+#include "util/simd.hpp"
+
 namespace fxg::analog {
 
 void FrontEndBlock::resize(int n) {
-    const auto sz = static_cast<std::size_t>(n < 0 ? 0 : n);
-    for (auto& d : detector) d.assign(sz, 0);
-    for (auto& v : valid) v.assign(sz, 0);
-    power_w.resize(sz);
+    const auto words = static_cast<std::size_t>(util::bits::words_for(n));
+    for (auto& d : detector) d.assign(words, 0);
+    for (auto& v : valid) v.assign(words, 0);
+    power_w.resize(static_cast<std::size_t>(n < 0 ? 0 : n));
 }
 
 sensor::FluxgateParams FrontEnd::y_params(const FrontEndConfig& config) {
@@ -101,31 +105,48 @@ void FrontEnd::reset_window() noexcept {
     stats_has_prev_ = {};
 }
 
-void FrontEnd::finish_samples(int n, std::uint8_t* det_x, std::uint8_t* det_y,
-                              std::uint8_t* valid_x, std::uint8_t* valid_y) {
+void FrontEnd::finish_samples(int n, std::uint64_t* det_x, std::uint64_t* det_y,
+                              std::uint64_t* valid_x, std::uint64_t* valid_y) {
     if (tap_ != nullptr) tap_->on_samples(sample_index_, n, det_x, det_y, valid_x, valid_y);
     sample_index_ += static_cast<std::uint64_t>(n);
-    const std::uint8_t* det[2] = {det_x, det_y};
-    const std::uint8_t* valid[2] = {valid_x, valid_y};
+    const std::uint64_t* det[2] = {det_x, det_y};
+    const std::uint64_t* valid[2] = {valid_x, valid_y};
+    const int words = util::bits::words_for(n);
     for (std::size_t ch = 0; ch < 2; ++ch) {
-        // The counters live in locals for the loop: a store to the
-        // byte-typed edge memory may alias any member, so counting into
-        // the members directly would keep every counter in memory.
         StreamStats s = stats_[ch];
-        std::uint8_t prev = stats_prev_[ch];
+        std::uint64_t prev = stats_prev_[ch] != 0 ? 1 : 0;
         bool has_prev = stats_has_prev_[ch];
         s.samples += static_cast<std::uint64_t>(n);
-        for (int k = 0; k < n; ++k) {
-            if (!valid[ch][k]) continue;
-            const std::uint8_t d = det[ch][k] ? 1 : 0;
-            ++s.valid_samples;
-            s.high_samples += d;
-            if (has_prev && d != prev) ++s.edges;
-            prev = d;
-            has_prev = true;
+        for (int w = 0; w < words; ++w) {
+            const int nb = util::bits::bits_in_word(n, w);
+            const std::uint64_t live = util::bits::low_mask(nb);
+            const std::uint64_t v = valid[ch][w] & live;
+            if (v == 0) continue;
+            const std::uint64_t d = det[ch][w] & v;
+            if (v == live) {
+                // Every sample valid: sample j pairs with sample j - 1,
+                // and sample 0 with the window's last valid sample.
+                const std::uint64_t before = (d << 1) | prev;
+                std::uint64_t changed = (d ^ before) & live;
+                if (!has_prev) changed &= ~std::uint64_t{1};
+                s.valid_samples += static_cast<std::uint64_t>(nb);
+                s.high_samples += static_cast<std::uint64_t>(std::popcount(d));
+                s.edges += static_cast<std::uint64_t>(std::popcount(changed));
+                prev = (d >> (nb - 1)) & 1;
+                has_prev = true;
+                continue;
+            }
+            for (std::uint64_t m = v; m != 0; m &= m - 1) {
+                const std::uint64_t bit = (d >> std::countr_zero(m)) & 1;
+                ++s.valid_samples;
+                s.high_samples += bit;
+                if (has_prev && bit != prev) ++s.edges;
+                prev = bit;
+                has_prev = true;
+            }
         }
         stats_[ch] = s;
-        stats_prev_[ch] = prev;
+        stats_prev_[ch] = static_cast<std::uint8_t>(prev);
         stats_has_prev_[ch] = has_prev;
     }
 }
@@ -144,21 +165,19 @@ double FrontEnd::momentary_power_w(double i_excitation_a) const {
 namespace {
 
 /// Routes one scalar sample's streams through FrontEnd::finish_samples
-/// as a 1-sample block, so the tap and the statistics observe exactly
-/// the stream a block advance would have shown them.
-struct ScalarSampleBytes {
-    std::uint8_t det[2];
-    std::uint8_t valid[2];
+/// as a 1-sample block of one-bit words, so the tap and the statistics
+/// observe exactly the stream a block advance would have shown them.
+struct ScalarSampleWords {
+    std::uint64_t det[2];
+    std::uint64_t valid[2];
 
-    explicit ScalarSampleBytes(const FrontEndSample& s)
-        : det{s.detector[0] ? std::uint8_t{1} : std::uint8_t{0},
-              s.detector[1] ? std::uint8_t{1} : std::uint8_t{0}},
-          valid{s.valid[0] ? std::uint8_t{1} : std::uint8_t{0},
-                s.valid[1] ? std::uint8_t{1} : std::uint8_t{0}} {}
+    explicit ScalarSampleWords(const FrontEndSample& s)
+        : det{std::uint64_t{s.detector[0]}, std::uint64_t{s.detector[1]}},
+          valid{std::uint64_t{s.valid[0]}, std::uint64_t{s.valid[1]}} {}
 
     void store(FrontEndSample& s) const {
-        s.detector = {det[0] != 0, det[1] != 0};
-        s.valid = {valid[0] != 0, valid[1] != 0};
+        s.detector = {(det[0] & 1) != 0, (det[1] & 1) != 0};
+        s.valid = {(valid[0] & 1) != 0, (valid[1] & 1) != 0};
     }
 };
 
@@ -176,10 +195,10 @@ FrontEndSample FrontEnd::step(double dt_s) {
         // Gated off: keep sensors relaxed, report leakage only.
         for (auto& s : sensors_) s.step(0.0, dt_s);
         sample.power_w = momentary_power_w(0.0);
-        ScalarSampleBytes bytes(sample);
-        finish_samples(1, &bytes.det[0], &bytes.det[1], &bytes.valid[0],
-                       &bytes.valid[1]);
-        bytes.store(sample);
+        ScalarSampleWords words(sample);
+        finish_samples(1, &words.det[0], &words.det[1], &words.valid[0],
+                       &words.valid[1]);
+        words.store(sample);
         return sample;
     }
     const double i_cmd = oscillator_.step(dt_s);
@@ -207,9 +226,9 @@ FrontEndSample FrontEnd::step(double dt_s) {
         sample.valid = {true, true};
     }
     sample.power_w = momentary_power_w(i_drive);
-    ScalarSampleBytes bytes(sample);
-    finish_samples(1, &bytes.det[0], &bytes.det[1], &bytes.valid[0], &bytes.valid[1]);
-    bytes.store(sample);
+    ScalarSampleWords words(sample);
+    finish_samples(1, &words.det[0], &words.det[1], &words.valid[0], &words.valid[1]);
+    words.store(sample);
     return sample;
 }
 
@@ -268,17 +287,28 @@ void FrontEnd::step_block(double dt_s, int n, FrontEndBlock& out) {
 
 void FrontEnd::step_block_run(double dt_s, int n, FrontEndBlock& out, int offset) {
     if (n <= 0) return;
-    std::uint8_t* det[2] = {out.detector[0].data() + offset,
-                            out.detector[1].data() + offset};
-    std::uint8_t* valid[2] = {out.valid[0].data() + offset,
-                              out.valid[1].data() + offset};
+    // The run is computed into words of its own, which the tap sees,
+    // and then ORed into place: a field-source run may start inside a
+    // word.
+    const auto words = static_cast<std::size_t>(util::bits::words_for(n));
+    run_words_.assign(4 * words, 0);
+    std::uint64_t* const det[2] = {run_words_.data(), run_words_.data() + words};
+    std::uint64_t* const valid[2] = {run_words_.data() + 2 * words,
+                                     run_words_.data() + 3 * words};
     double* power = out.power_w.data() + offset;
+    const auto finish = [&] {
+        finish_samples(n, det[0], det[1], valid[0], valid[1]);
+        for (std::size_t ch = 0; ch < 2; ++ch) {
+            util::bits::deposit(out.detector[ch].data(), offset, det[ch], n);
+            util::bits::deposit(out.valid[ch].data(), offset, valid[ch], n);
+        }
+    };
     if (!enabled_) {
         // Gated off: sensors relax at zero drive, leakage power only.
         for (auto& s : sensors_) s.step_block_constant(0.0, dt_s, n);
         const double leak = momentary_power_w(0.0);
         std::fill_n(power, n, leak);
-        finish_samples(n, det[0], det[1], valid[0], valid[1]);
+        finish();
         return;
     }
     blk_i_.resize(static_cast<std::size_t>(n));
@@ -305,21 +335,32 @@ void FrontEnd::step_block_run(double dt_s, int n, FrontEndBlock& out, int offset
         add_noise_block_pair(dt_s, n, blk_v_.data(), blk_vy_.data());
         detectors_[0].step_block(blk_v_.data(), n, det[0]);
         detectors_[1].step_block(blk_vy_.data(), n, det[1]);
-        std::fill_n(valid[0], n, std::uint8_t{1});
-        std::fill_n(valid[1], n, std::uint8_t{1});
+        util::bits::fill(valid[0], n, true);
+        util::bits::fill(valid[1], n, true);
     }
 
     supply_power_block(blk_i_.data(), n, power);
-    finish_samples(n, det[0], det[1], valid[0], valid[1]);
+    finish();
 }
 
 void FrontEnd::supply_power_block(const double* i_drive_a, int n, double* power_w) const {
-    // Same grouping as momentary_power_w().
+    namespace v = util::simd;
+    // Same grouping as momentary_power_w(); |i| clears the sign bit, as
+    // std::fabs does.
     const int instances = config_.mode == FrontEndMode::Multiplexed ? 1 : 2;
     const double bias = config_.osc_bias_a * oscillator_count() +
                         (config_.vi_bias_a + config_.det_bias_a) * instances;
     const double supply = config_.supply_v;
-    for (int k = 0; k < n; ++k) {
+    const v::dvec sign_v = v::splat(-0.0);
+    const v::dvec inst_v = v::splat(static_cast<double>(instances));
+    const v::dvec bias_v = v::splat(bias);
+    const v::dvec supply_v = v::splat(supply);
+    int k = 0;
+    for (; k + v::kLanes <= n; k += v::kLanes) {
+        const v::dvec drive = v::mul(v::bit_andnot(sign_v, v::load(i_drive_a + k)), inst_v);
+        v::store(power_w + k, v::mul(v::add(bias_v, drive), supply_v));
+    }
+    for (; k < n; ++k) {
         const double drive = std::fabs(i_drive_a[k]) * instances;
         power_w[k] = (bias + drive) * supply;
     }

@@ -34,6 +34,8 @@ enum class FrontEndMode {
 struct FrontEndConfig {
     TriangleOscillatorConfig oscillator;
     ViConverterConfig vi;
+    /// Both channels' detector; the FrontEnd constructor rejects one
+    /// that is not a comparator (see DetectorConfig).
     DetectorConfig detector;
     sensor::FluxgateParams sensor = sensor::FluxgateParams::design_target();
 
@@ -101,11 +103,13 @@ public:
     virtual ~SampleTap() = default;
 
     /// Called once per advance with samples [first_index,
-    /// first_index + n). detector/valid are the per-channel 0/1 streams,
-    /// mutable in place.
+    /// first_index + n). detector/valid are the per-channel one-bit
+    /// streams of util::bits::words_for(n) words (util/bits.hpp: bit j
+    /// of word w is sample first_index + 64w + j), mutable in place.
+    /// The bits past n arrive zero and must stay zero.
     virtual void on_samples(std::uint64_t first_index, int n,
-                            std::uint8_t* detector_x, std::uint8_t* detector_y,
-                            std::uint8_t* valid_x, std::uint8_t* valid_y) = 0;
+                            std::uint64_t* detector_x, std::uint64_t* detector_y,
+                            std::uint64_t* valid_x, std::uint64_t* valid_y) = 0;
 };
 
 /// Running statistics of one channel's (post-tap) detector stream over
@@ -151,13 +155,15 @@ struct StreamStatsSnapshot {
 };
 
 /// Flat-array outputs of one block of front-end steps (see
-/// FrontEnd::step_block). Element k of each array is what step() sample
-/// k of the block would have reported. Buffers keep their capacity
+/// FrontEnd::step_block). Sample k of each stream is what step() sample
+/// k of the block would have reported. The detector and valid streams
+/// carry one bit per sample (util/bits.hpp: bit j of word w is sample
+/// 64w + j; bits past size() are zero). Buffers keep their capacity
 /// across blocks, so a reused FrontEndBlock allocates only once.
 struct FrontEndBlock {
-    std::array<std::vector<std::uint8_t>, 2> detector;  ///< 0/1 per channel
-    std::array<std::vector<std::uint8_t>, 2> valid;     ///< 0/1 per channel
-    std::vector<double> power_w;                        ///< momentary power [W]
+    std::array<std::vector<std::uint64_t>, 2> detector;  ///< per channel
+    std::array<std::vector<std::uint64_t>, 2> valid;     ///< per channel
+    std::vector<double> power_w;                         ///< momentary power [W]
 
     void resize(int n);
     [[nodiscard]] int size() const noexcept {
@@ -366,15 +372,16 @@ public:
         sample_index_ = s.sample_index;
     }
 
-    /// Feeds a block of already-computed emitted streams through the
-    /// tap -> sample-index -> statistics pipeline, exactly as
-    /// step_block() does for streams it computed itself. The lane
-    /// engine uses this for members with a tap attached (fault
-    /// injection), so stream faults see the same chunks, mutate the
-    /// same bytes and update the same statistics as on the per-member
-    /// path. The arrays are mutated in place by the tap.
-    void ingest_samples(int n, std::uint8_t* det_x, std::uint8_t* det_y,
-                        std::uint8_t* valid_x, std::uint8_t* valid_y) {
+    /// Feeds a block of already-computed emitted streams (one-bit
+    /// words, as SampleTap::on_samples takes them) through the tap ->
+    /// sample-index -> statistics pipeline, exactly as step_block()
+    /// does for streams it computed itself. The lane engine uses this
+    /// for members with a tap attached (fault injection), so stream
+    /// faults see the same chunks, mutate the same bits and update the
+    /// same statistics as on the per-member path. The words are mutated
+    /// in place by the tap.
+    void ingest_samples(int n, std::uint64_t* det_x, std::uint64_t* det_y,
+                        std::uint64_t* valid_x, std::uint64_t* valid_y) {
         finish_samples(n, det_x, det_y, valid_x, valid_y);
     }
 
@@ -405,6 +412,8 @@ private:
     std::vector<double> blk_iy_;
     std::vector<double> blk_v_;
     std::vector<double> blk_vy_;
+    /// One run's detector and valid words (x, y, then valid x, y).
+    std::vector<std::uint64_t> run_words_;
 
     /// One band-limited noise sample for a step of length dt.
     double noise_sample(double dt_s);
@@ -418,17 +427,19 @@ private:
     void add_noise_block_pair(double dt_s, int n, double* vx, double* vy);
 
     /// One run of block samples under the already-applied environment,
-    /// writing outputs at `offset` into pre-sized buffers. step_block()
-    /// chunks a block into runs at the field source's constancy
-    /// boundaries and calls this per run; without a source the whole
-    /// block is one run, which is the historic (bit-identical) path.
+    /// writing outputs from sample `offset` on into pre-sized, zeroed
+    /// buffers. step_block() chunks a block into runs at the field
+    /// source's constancy boundaries and calls this per run; without a
+    /// source the whole block is one run.
     void step_block_run(double dt_s, int n, FrontEndBlock& out, int offset);
 
     /// Runs the sample tap (if attached) over a block of emitted
     /// streams, advances the sample index and folds the (post-tap)
-    /// streams into the per-channel statistics.
-    void finish_samples(int n, std::uint8_t* det_x, std::uint8_t* det_y,
-                        std::uint8_t* valid_x, std::uint8_t* valid_y);
+    /// streams into the per-channel statistics: popcounts over each
+    /// word, and a walk over the set bits of a word whose valid bits
+    /// have holes.
+    void finish_samples(int n, std::uint64_t* det_x, std::uint64_t* det_y,
+                        std::uint64_t* valid_x, std::uint64_t* valid_y);
 };
 
 }  // namespace fxg::analog

@@ -31,10 +31,12 @@ public:
     /// Advances time; returns true when the routed path has settled.
     bool step(double dt_s);
 
-    /// Advances `n` steps of dt, writing the settled flag (0/1) after
-    /// each step into `settled_out`. Bit-identical to n step() calls
-    /// (the elapsed time accumulates with the same per-step additions).
-    void step_block(double dt_s, int n, std::uint8_t* settled_out);
+    /// Advances `n` steps of dt, writing the settled flag after each
+    /// step as a one-bit stream of util::bits::words_for(n) words into
+    /// `settled_out` (bit j of word w is step 64w + j; bits past n are
+    /// zero). Bit-identical to n step() calls (the elapsed time
+    /// accumulates with the same per-step additions).
+    void step_block(double dt_s, int n, std::uint64_t* settled_out);
 
     /// True when the output is valid (settled after the last switch).
     [[nodiscard]] bool settled() const noexcept { return since_switch_s_ >= settle_s_; }

@@ -1,6 +1,9 @@
 #include "digital/counter.hpp"
 
+#include <bit>
 #include <stdexcept>
+
+#include "util/bits.hpp"
 
 namespace fxg::digital {
 
@@ -68,7 +71,7 @@ void UpDownCounter::step(bool high, double dt_s) {
     if (hardware_engaged_) apply_hardware(count_);
 }
 
-void UpDownCounter::step_block(const std::uint8_t* high, const std::uint8_t* valid,
+void UpDownCounter::step_block(const std::uint64_t* high, const std::uint64_t* valid,
                                double dt_s, int n) {
     if (!(dt_s > 0.0)) throw std::invalid_argument("UpDownCounter: dt must be > 0");
     if (!enabled_) return;
@@ -78,13 +81,33 @@ void UpDownCounter::step_block(const std::uint8_t* high, const std::uint8_t* val
     // dt * clock is recomputed per call in step(); the product is the
     // same every sample, so hoisting it preserves bit-identity.
     const double inc = dt_s * clock_hz_;
-    const bool hw = hardware_engaged_;
-    for (int k = 0; k < n; ++k) {
-        if (!valid[k]) continue;
-        const std::int64_t ticks = clock_step(acc, inc);
-        count += high[k] ? ticks : -ticks;
-        active += static_cast<std::uint64_t>(ticks);
-        if (hw) apply_hardware(count);
+    const int words = util::bits::words_for(n);
+    for (int w = 0; w < words; ++w) {
+        const std::uint64_t h = high[w];
+        std::uint64_t clocked = valid[w] & util::bits::low_mask(util::bits::bits_in_word(n, w));
+        if (hardware_engaged_) {
+            for (; clocked != 0; clocked &= clocked - 1) {
+                const int j = std::countr_zero(clocked);
+                const std::int64_t ticks = clock_step(acc, inc);
+                count += ((h >> j) & 1) != 0 ? ticks : -ticks;
+                active += static_cast<std::uint64_t>(ticks);
+                apply_hardware(count);
+            }
+            continue;
+        }
+        // Up while high, down while low: the word moves the count by
+        // sum(high ? t : -t) = 2 sum(high * t) - sum(t), exact in
+        // integers.
+        std::int64_t ticks_all = 0;
+        std::int64_t ticks_high = 0;
+        for (; clocked != 0; clocked &= clocked - 1) {
+            const int j = std::countr_zero(clocked);
+            const std::int64_t ticks = clock_step(acc, inc);
+            ticks_all += ticks;
+            ticks_high += ticks & -static_cast<std::int64_t>((h >> j) & 1);
+        }
+        count += 2 * ticks_high - ticks_all;
+        active += static_cast<std::uint64_t>(ticks_all);
     }
     tick_accumulator_ = acc;
     count_ = count;

@@ -66,21 +66,25 @@ public:
     [[nodiscard]] static std::int64_t clock_step(double& acc, double inc) noexcept {
         const double s = acc + inc;
         if (s > 0.0 && s < 2.0) {
-            const bool carry = s >= 1.0;
-            acc = carry ? s - 1.0 : s;
-            return carry ? 1 : 0;
+            const double carry = s >= 1.0 ? 1.0 : 0.0;
+            acc = s - carry;
+            return static_cast<std::int64_t>(carry);
         }
         const double whole = std::floor(s);
         acc = s - whole;
         return static_cast<std::int64_t>(whole);
     }
 
-    /// Fused block form: for each of the `n` samples with valid[k] != 0,
-    /// performs exactly what step(high[k] != 0, dt_s) would (samples with
-    /// valid[k] == 0 are skipped, i.e. not clocked at all — the blanking
-    /// the control logic applies while the mux settles). Bit-identical
-    /// to the equivalent scalar call sequence.
-    void step_block(const std::uint8_t* high, const std::uint8_t* valid, double dt_s,
+    /// Fused block form over one-bit streams (util/bits.hpp: bit j of
+    /// word w is sample 64w + j): for each of the `n` samples whose
+    /// valid bit is set, performs exactly what step(high bit, dt_s)
+    /// would (samples with a clear valid bit are skipped, i.e. not
+    /// clocked at all — the blanking the control logic applies while the
+    /// mux settles). Bit-identical to the equivalent scalar call
+    /// sequence: the clock_step chain runs over the valid samples only,
+    /// and an ideal register adds 2·Σ(high·ticks) − Σticks per word; an
+    /// engaged hardware model wraps and sticks per tick.
+    void step_block(const std::uint64_t* high, const std::uint64_t* valid, double dt_s,
                     int n);
 
     /// Enables/disables counting (the control logic power-gates the

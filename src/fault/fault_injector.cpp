@@ -1,7 +1,10 @@
 #include "fault/fault_injector.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
 
+#include "util/bits.hpp"
 #include "util/rng.hpp"
 
 namespace fxg::fault {
@@ -11,6 +14,48 @@ namespace {
 /// Uniform double in [0, 1) from a hash value.
 double unit_double(std::uint64_t h) noexcept {
     return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+/// Bit j set where `spec` is active at sample rel0 + j (relative to
+/// arm(), mod 2^64), for j < nb.
+std::uint64_t active_mask(const FaultSpec& spec, std::uint64_t rel0, int nb) noexcept {
+    // Walks the runs of equal activity: rel < start is inactive up to
+    // start; past it the offset from start decides, per persistence.
+    // rel wraps to 0 after 2^64 - rel samples, where the schedule starts
+    // over, so no run reaches past that.
+    std::uint64_t mask = 0;
+    int j = 0;
+    while (j < nb) {
+        const std::uint64_t rel = rel0 + static_cast<std::uint64_t>(j);
+        bool on = false;
+        std::uint64_t run = ~std::uint64_t{0};
+        if (rel < spec.start_sample) {
+            run = spec.start_sample - rel;
+        } else {
+            const std::uint64_t offset = rel - spec.start_sample;
+            switch (spec.persistence) {
+                case Persistence::Permanent:
+                    on = true;
+                    break;
+                case Persistence::Transient:
+                    on = offset < spec.duration_samples;
+                    if (on) run = spec.duration_samples - offset;
+                    break;
+                case Persistence::Intermittent: {
+                    const std::uint64_t phase = offset % spec.period_samples;
+                    on = phase < spec.duration_samples;
+                    run = on ? spec.duration_samples - phase : spec.period_samples - phase;
+                    break;
+                }
+            }
+            if (rel != 0) run = std::min(run, std::uint64_t{0} - rel);
+        }
+        const int end =
+            j + static_cast<int>(std::min(run, static_cast<std::uint64_t>(nb - j)));
+        if (on) mask |= util::bits::low_mask(end) & ~util::bits::low_mask(j);
+        j = end;
+    }
+    return mask;
 }
 
 }  // namespace
@@ -190,22 +235,11 @@ void FaultInjector::load_tap_state(const TapState& s) {
     }
 }
 
-bool FaultInjector::active(const FaultSpec& spec, std::uint64_t rel) noexcept {
-    if (rel < spec.start_sample) return false;
-    const std::uint64_t offset = rel - spec.start_sample;
-    switch (spec.persistence) {
-        case Persistence::Permanent: return true;
-        case Persistence::Transient: return offset < spec.duration_samples;
-        case Persistence::Intermittent:
-            return (offset % spec.period_samples) < spec.duration_samples;
-    }
-    return false;
-}
-
 void FaultInjector::on_samples(std::uint64_t first_index, int n,
-                               std::uint8_t* detector_x, std::uint8_t* detector_y,
-                               std::uint8_t* /*valid_x*/, std::uint8_t* /*valid_y*/) {
-    std::array<std::uint8_t*, 2> detector{detector_x, detector_y};
+                               std::uint64_t* detector_x, std::uint64_t* detector_y,
+                               std::uint64_t* /*valid_x*/, std::uint64_t* /*valid_y*/) {
+    std::array<std::uint64_t*, 2> detector{detector_x, detector_y};
+    const int words = util::bits::words_for(n);
     // Spec-outer loop: each spec transforms the whole block before the
     // next spec sees it. Since every transform at sample k reads only
     // sample k of its input stream plus its own sequential state, this
@@ -213,28 +247,40 @@ void FaultInjector::on_samples(std::uint64_t first_index, int n,
     for (std::size_t s = 0; s < specs_.size(); ++s) {
         const FaultSpec& spec = specs_[s];
         if (!is_stream_fault(spec.fault)) continue;
-        std::uint8_t* const stream = detector[static_cast<std::size_t>(spec.channel)];
+        std::uint64_t* const stream = detector[static_cast<std::size_t>(spec.channel)];
         StreamState& state = states_[s];
-        for (int k = 0; k < n; ++k) {
-            const std::uint64_t rel = first_index + static_cast<std::uint64_t>(k) -
-                                      base_sample_;
-            const bool on = active(spec, rel);
+        for (int w = 0; w < words; ++w) {
+            const int nb = util::bits::bits_in_word(n, w);
+            const std::uint64_t index0 = first_index + 64 * static_cast<std::uint64_t>(w);
+            const std::uint64_t on = active_mask(spec, index0 - base_sample_, nb);
+            std::uint64_t& bits = stream[w];
             switch (spec.fault) {
                 case FaultClass::DetectorStuckLow:
-                    if (on) stream[k] = 0;
+                    bits &= ~on;
                     break;
                 case FaultClass::DetectorStuckHigh:
-                    if (on) stream[k] = 1;
+                    bits |= on;
                     break;
                 case FaultClass::PickupOpen:
                     // No signal reaches the comparators, so the detector
                     // latch holds whatever it last resolved (low if the
                     // winding was open from the start).
-                    if (on) {
-                        stream[k] = state.has_frozen ? state.frozen : std::uint8_t{0};
-                    } else {
-                        state.frozen = stream[k];
+                    if (on == 0) {
+                        state.frozen = static_cast<std::uint8_t>((bits >> (nb - 1)) & 1);
                         state.has_frozen = true;
+                    } else if (on == util::bits::low_mask(nb)) {
+                        bits = state.has_frozen && state.frozen != 0 ? on : 0;
+                    } else {
+                        for (int j = 0; j < nb; ++j) {
+                            const std::uint64_t bit = std::uint64_t{1} << j;
+                            if ((on & bit) != 0) {
+                                const bool high = state.has_frozen && state.frozen != 0;
+                                bits = high ? bits | bit : bits & ~bit;
+                            } else {
+                                state.frozen = static_cast<std::uint8_t>((bits >> j) & 1);
+                                state.has_frozen = true;
+                            }
+                        }
                     }
                     break;
                 case FaultClass::NoiseBurst:
@@ -242,11 +288,13 @@ void FaultInjector::on_samples(std::uint64_t first_index, int n,
                     // gives every sample an independent, order-free
                     // draw, so NoiseBurst decisions cannot depend on
                     // block boundaries by construction.
-                    if (on && unit_double(util::splitmix64(
-                                  spec.seed ^
-                                      (first_index + static_cast<std::uint64_t>(k)),
-                                  0)) < spec.magnitude) {
-                        stream[k] ^= std::uint8_t{1};
+                    for (std::uint64_t m = on; m != 0; m &= m - 1) {
+                        const int j = std::countr_zero(m);
+                        const std::uint64_t index = index0 + static_cast<std::uint64_t>(j);
+                        if (unit_double(util::splitmix64(spec.seed ^ index, 0)) <
+                            spec.magnitude) {
+                            bits ^= std::uint64_t{1} << j;
+                        }
                     }
                     break;
                 default:

@@ -127,10 +127,15 @@ public:
         return specs_;
     }
 
-    /// SampleTap: applies the scheduled stream faults in spec order.
-    void on_samples(std::uint64_t first_index, int n, std::uint8_t* detector_x,
-                    std::uint8_t* detector_y, std::uint8_t* valid_x,
-                    std::uint8_t* valid_y) override;
+    /// SampleTap: applies the scheduled stream faults in spec order,
+    /// a word of 64 samples at a time: each spec's activity window
+    /// becomes a per-word mask, stuck-at faults are one mask operation,
+    /// and only PickupOpen (sequential freeze latch, on words where it
+    /// switches) and NoiseBurst (one hash draw per active sample) walk
+    /// bits.
+    void on_samples(std::uint64_t first_index, int n, std::uint64_t* detector_x,
+                    std::uint64_t* detector_y, std::uint64_t* valid_x,
+                    std::uint64_t* valid_y) override;
 
     /// Sequential stream-fault state (snapshot seam): the arm-time
     /// sample base plus each spec's PickupOpen freeze latch. NoiseBurst
@@ -151,9 +156,6 @@ public:
     void load_tap_state(const TapState& s);
 
 private:
-    /// Whether `spec` is active at sample `rel` (relative to arm()).
-    [[nodiscard]] static bool active(const FaultSpec& spec, std::uint64_t rel) noexcept;
-
     /// Sequential per-spec state (PickupOpen freeze value).
     struct StreamState {
         std::uint8_t frozen = 0;

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstring>
 #include <iterator>
 
 #include "magnetics/core_model.hpp"
 #include "magnetics/field_source.hpp"
 #include "magnetics/units.hpp"
 #include "sensor/fluxgate.hpp"
+#include "util/bits.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
@@ -342,7 +342,7 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
     if (stripe_capture) {
         det_bits_.resize(static_cast<std::size_t>(steps));
         valid_bits_.resize(static_cast<std::size_t>(steps));
-        bytes_.resize(static_cast<std::size_t>(steps) * 4);
+        words_.resize(static_cast<std::size_t>(util::bits::words_for(steps)) * 4);
     }
 
     // ---- Lockstep cohort -------------------------------------------------
@@ -593,10 +593,11 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
     v::dvec bvdet[S * T];
     v::mask bsettle[S * T];
     alignas(64) std::int64_t nbits[T * GW];  // tile draws [sample * GW + lane]
-    // Shared excitation tile: drive current, settle flag and supply
-    // power per sample.
+    // Shared excitation tile: drive current and supply power per
+    // sample, and the settle flags as one word (T = 64).
+    static_assert(T == 64);
     double sh_i[T]{}, sh_p[T]{};
-    std::uint8_t sh_settle[T]{};
+    std::uint64_t sh_settle = 0;
 
     for (int k0 = 0; k0 < steps; k0 += T) {
         const int tn = std::min(T, steps - k0);
@@ -607,12 +608,12 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         if (shared) {
             shared_osc.step_block(dt_s, tn, sh_i);
             fe[0]->vi_converter().drive_block(sh_i, r_load0, tn, sh_i);
-            shared_mux.step_block(dt_s, tn, sh_settle);
+            shared_mux.step_block(dt_s, tn, &sh_settle);
             fe[0]->supply_power_block(sh_i, tn, sh_p);
             shared_last_i = sh_i[tn - 1];
             for (int t = 0; t < tn; ++t) {
                 const v::dvec i_v = v::splat(sh_i[t]);
-                const v::mask settled = v::m_splat(sh_settle[t] != 0);
+                const v::mask settled = v::m_splat(((sh_settle >> t) & 1) != 0);
                 const v::dvec e_inc = v::splat(sh_p[t] * dt_s);
                 #pragma GCC unroll 8
                 for (int s = 0; s < S; ++s) {
@@ -787,16 +788,27 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         // Pickup noise for the whole tile, only in groups that carry
         // any, and with its state loaded and stored per tile, so the
         // noise-free kernel above carries nothing extra. Draw k of a
-        // lane is splitmix64(key, counter + k), hashed per lane, then
-        // turned into deviates and shaped by the one-pole filter as
-        // vectors with FrontEnd::add_noise_block's arithmetic, in the
-        // same order. Noise-free lanes keep their voltage (blend).
+        // lane is splitmix64(key, counter + k): its pre-mix value
+        // key + gamma (counter + k + 1) steps by gamma per draw (exact
+        // mod 2^64), and a stripe of lanes is mixed at a time. The
+        // draws are turned into deviates and shaped by the one-pole
+        // filter as vectors with FrontEnd::add_noise_block's
+        // arithmetic, in the same order. Noise-free lanes keep their
+        // voltage (blend).
         if (stripe_noise) {
+            alignas(64) std::int64_t premix[GW];
             for (int l = 0; l < GW; ++l) {
-                const std::uint64_t c0 = nctr[l] + static_cast<std::uint64_t>(k0);
+                premix[l] = static_cast<std::int64_t>(util::splitmix64_premix(
+                    nkey[l], nctr[l] + static_cast<std::uint64_t>(k0)));
+            }
+            const v::ivec gamma_v =
+                v::i_splat(static_cast<std::int64_t>(util::kSplitmix64Gamma));
+            #pragma GCC unroll 8
+            for (int s = 0; s < S; ++s) {
+                v::ivec z = v::i_load(premix + s * W);
                 for (int t = 0; t < tn; ++t) {
-                    nbits[t * GW + l] = static_cast<std::int64_t>(
-                        util::splitmix64(nkey[l], c0 + static_cast<std::uint64_t>(t)));
+                    v::i_store(nbits + t * GW + s * W, util::splitmix64_mix(z));
+                    z = v::i_add(z, gamma_v);
                 }
             }
             v::dvec alpha_v[S], drive_v[S], state_v[S];
@@ -830,7 +842,7 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             // A shared clock steps once for the cohort
             // (UpDownCounter::step_block's clock step).
             const std::int64_t shared_ticks =
-                shared_ticking && sh_settle[t] != 0
+                shared_ticking && ((sh_settle >> t) & 1) != 0
                     ? digital::UpDownCounter::clock_step(shared_acc, inc_a[0])
                     : 0;
             #pragma GCC unroll 8
@@ -965,16 +977,28 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         hasprev_b |= v::movemask(hasprev_m[s]) << g;
     }
 
-    std::uint8_t* dx = nullptr;
-    std::uint8_t* dy = nullptr;
-    std::uint8_t* vx = nullptr;
-    std::uint8_t* vy = nullptr;
+    // Per-lane one-bit streams (util/bits.hpp) for tap replay and
+    // delegated counters, transposed from the captured per-sample lane
+    // bits.
+    const auto nwords = static_cast<std::size_t>(util::bits::words_for(steps));
+    std::uint64_t* dx = nullptr;
+    std::uint64_t* dy = nullptr;
+    std::uint64_t* vx = nullptr;
+    std::uint64_t* vy = nullptr;
     if (stripe_capture) {
-        dx = bytes_.data();
-        dy = dx + steps;
-        vx = dy + steps;
-        vy = vx + steps;
+        dx = words_.data();
+        dy = dx + nwords;
+        vx = dy + nwords;
+        vy = vx + nwords;
     }
+    const auto unpack_lane = [&](int l, std::uint64_t* det, std::uint64_t* valid) {
+        std::fill_n(det, nwords, 0);
+        std::fill_n(valid, nwords, 0);
+        for (int k = 0; k < steps; ++k) {
+            det[k / 64] |= std::uint64_t{(det_bits_[k] >> l) & 1u} << (k % 64);
+            valid[k / 64] |= std::uint64_t{(valid_bits_[k] >> l) & 1u} << (k % 64);
+        }
+    };
 
     for (int l = 0; l < n; ++l) {
         analog::FrontEnd& f = *fe[l];
@@ -1041,22 +1065,17 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         if (lane_tap[l]) {
             // Replay the emitted streams through the member's tap ->
             // index -> statistics pipeline, then clock the member's
-            // counter over the post-tap bytes — exactly the block
+            // counter over the post-tap words — exactly the block
             // engine's ordering with one chunk per stage.
-            std::uint8_t* d_act = ach == Channel::X ? dx : dy;
-            std::uint8_t* v_act = ach == Channel::X ? vx : vy;
-            std::uint8_t* d_idl = ach == Channel::X ? dy : dx;
-            std::uint8_t* v_idl = ach == Channel::X ? vy : vx;
-            std::memset(d_idl, 0, static_cast<std::size_t>(steps));
-            std::memset(v_idl, 0, static_cast<std::size_t>(steps));
-            for (int k = 0; k < steps; ++k) {
-                d_act[k] = static_cast<std::uint8_t>((det_bits_[k] >> l) & 1u);
-                v_act[k] = static_cast<std::uint8_t>((valid_bits_[k] >> l) & 1u);
-            }
+            std::uint64_t* d_idl = ach == Channel::X ? dy : dx;
+            std::uint64_t* v_idl = ach == Channel::X ? vy : vx;
+            std::fill_n(d_idl, nwords, 0);
+            std::fill_n(v_idl, nwords, 0);
+            unpack_lane(l, ach == Channel::X ? dx : dy, ach == Channel::X ? vx : vy);
             f.ingest_samples(steps, dx, dy, vx, vy);
             if (ctr[l] != nullptr) {
-                const std::uint8_t* dch = channel == Channel::X ? dx : dy;
-                const std::uint8_t* vch = channel == Channel::X ? vx : vy;
+                const std::uint64_t* dch = channel == Channel::X ? dx : dy;
+                const std::uint64_t* vch = channel == Channel::X ? vx : vy;
                 ctr[l]->step_block(dch, vch, dt_s, steps);
             }
         } else {
@@ -1074,11 +1093,8 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
 
             if (lane_hw[l] && ach == channel) {
                 // Hardware-register counter: member object applies
-                // wrap/stuck/trap per tick over the emitted bytes.
-                for (int k = 0; k < steps; ++k) {
-                    dx[k] = static_cast<std::uint8_t>((det_bits_[k] >> l) & 1u);
-                    vx[k] = static_cast<std::uint8_t>((valid_bits_[k] >> l) & 1u);
-                }
+                // wrap/stuck/trap per tick over the emitted words.
+                unpack_lane(l, dx, vx);
                 ctr[l]->step_block(dx, vx, dt_s, steps);
             } else if (lane_soa_count[l]) {
                 ctr[l]->load_state({acc_a[l], cnt_a[l],

@@ -30,11 +30,11 @@
 ///  * Stream faults arrive through the member's SampleTap. Lanes with
 ///    a tap attached stay in the SIMD path for the analogue stages;
 ///    their emitted detector/valid streams are captured per sample
-///    (one movemask each), unpacked per lane and replayed through
-///    FrontEnd::ingest_samples(), so the tap sees exactly the chunks,
-///    bytes and statistics of the per-member path. Counting for those
-///    lanes runs the member's UpDownCounter::step_block over the
-///    post-tap bytes.
+///    (one movemask each), transposed into per-lane one-bit words and
+///    replayed through FrontEnd::ingest_samples(), so the tap sees
+///    exactly the chunks, bits and statistics of the per-member path.
+///    Counting for those lanes runs the member's
+///    UpDownCounter::step_block over the post-tap words.
 ///  * Members with an engaged counter hardware model (finite width /
 ///    stuck bit) likewise keep their counter on the member object so
 ///    wrap, stuck-bit and trap latching stay in one place; the
@@ -128,8 +128,9 @@ private:
     // have such a lane.
     std::vector<std::uint16_t> det_bits_;
     std::vector<std::uint16_t> valid_bits_;
-    // Unpacked per-lane byte streams (det x/y, valid x/y).
-    std::vector<std::uint8_t> bytes_;
+    // One lane's one-bit streams (det x/y, valid x/y), util/bits.hpp
+    // words, transposed from det_bits_/valid_bits_.
+    std::vector<std::uint64_t> words_;
     // Time-varying environment scratch, filled only when some lane's
     // FieldSource actually varies within the advance (constant sources
     // never touch these): per-sample interleaved active-axis field and

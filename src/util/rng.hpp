@@ -20,15 +20,40 @@
 
 namespace fxg::util {
 
+/// splitmix64's golden-ratio increment.
+inline constexpr std::uint64_t kSplitmix64Gamma = 0x9E3779B97F4A7C15ULL;
+
+/// The value splitmix64(key, index) mixes: key + gamma * (index + 1).
+/// Consecutive indices step it by gamma, exactly mod 2^64.
+[[nodiscard]] constexpr std::uint64_t splitmix64_premix(std::uint64_t key,
+                                                        std::uint64_t index) noexcept {
+    return key + kSplitmix64Gamma * (index + 1);
+}
+
+/// splitmix64's finaliser.
+[[nodiscard]] constexpr std::uint64_t splitmix64_mix(std::uint64_t z) noexcept {
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/// splitmix64_mix on every lane: the same integer operations, so each
+/// lane equals the scalar finaliser of its value.
+[[nodiscard]] inline simd::ivec splitmix64_mix(simd::ivec z) noexcept {
+    namespace v = simd;
+    z = v::i_mul(v::i_xor(z, v::i_srl<30>(z)),
+                 v::i_splat(static_cast<std::int64_t>(0xBF58476D1CE4E5B9ULL)));
+    z = v::i_mul(v::i_xor(z, v::i_srl<27>(z)),
+                 v::i_splat(static_cast<std::int64_t>(0x94D049BB133111EBULL)));
+    return v::i_xor(z, v::i_srl<31>(z));
+}
+
 /// splitmix64 (Steele, Lea and Flood, OOPSLA 2014) as a keyed hash: its
 /// finaliser applied to key + golden-ratio * (index + 1). Nearby (key,
 /// index) pairs map to unrelated outputs.
 [[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t key,
                                                  std::uint64_t index) noexcept {
-    std::uint64_t z = key + 0x9E3779B97F4A7C15ULL * (index + 1);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
+    return splitmix64_mix(splitmix64_premix(key, index));
 }
 
 /// Counter-based engine: the next draw is splitmix64(key(), counter()).

@@ -274,6 +274,16 @@ struct ScalarBackend {
         for (int l = 0; l < kLanes; ++l) a.v[l] |= b.v[l];
         return a;
     }
+    static I i_xor(I a, I b) {
+        for (int l = 0; l < kLanes; ++l) a.v[l] ^= b.v[l];
+        return a;
+    }
+    /// Low 64 bits of the product (wraps mod 2^64).
+    static I i_mul(I a, I b) {
+        for (int l = 0; l < kLanes; ++l)
+            a.v[l] = std::int64_t(std::uint64_t(a.v[l]) * std::uint64_t(b.v[l]));
+        return a;
+    }
     /// Logical (zero-filling) right shift by N bits.
     template <int N>
     static I i_srl(I a) {
@@ -364,6 +374,8 @@ struct Avx512Backend {
     static I i_blend(M m, I a, I b) { return _mm512_mask_blend_epi64(m, b, a); }
     static I i_and(I a, I b) { return _mm512_and_si512(a, b); }
     static I i_or(I a, I b) { return _mm512_or_si512(a, b); }
+    static I i_xor(I a, I b) { return _mm512_xor_si512(a, b); }
+    static I i_mul(I a, I b) { return _mm512_mullo_epi64(a, b); }  // DQ
     template <int N>
     static I i_srl(I a) {
         return _mm512_srli_epi64(a, N);
@@ -445,6 +457,15 @@ struct Avx2Backend {
     }
     static I i_and(I a, I b) { return _mm256_and_si256(a, b); }
     static I i_or(I a, I b) { return _mm256_or_si256(a, b); }
+    static I i_xor(I a, I b) { return _mm256_xor_si256(a, b); }
+    /// Low 64 bits of the product from 32-bit halves:
+    /// lo(a) lo(b) + ((hi(a) lo(b) + lo(a) hi(b)) << 32), mod 2^64.
+    static I i_mul(I a, I b) {
+        const I low = _mm256_mul_epu32(a, b);
+        const I cross = _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), b),
+                                         _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)));
+        return _mm256_add_epi64(low, _mm256_slli_epi64(cross, 32));
+    }
     template <int N>
     static I i_srl(I a) {
         return _mm256_srli_epi64(a, N);
@@ -534,6 +555,15 @@ struct NeonBackend {
     static I i_blend(M m, I a, I b) { return vbslq_s64(m, a, b); }
     static I i_and(I a, I b) { return vandq_s64(a, b); }
     static I i_or(I a, I b) { return vorrq_s64(a, b); }
+    static I i_xor(I a, I b) { return veorq_s64(a, b); }
+    /// Low 64 bits of the product; NEON has no 64-bit lane multiply.
+    static I i_mul(I a, I b) {
+        const std::uint64_t p0 = std::uint64_t(vgetq_lane_s64(a, 0)) *
+                                 std::uint64_t(vgetq_lane_s64(b, 0));
+        const std::uint64_t p1 = std::uint64_t(vgetq_lane_s64(a, 1)) *
+                                 std::uint64_t(vgetq_lane_s64(b, 1));
+        return vcombine_s64(vcreate_s64(p0), vcreate_s64(p1));
+    }
     template <int N>
     static I i_srl(I a) {
         return vreinterpretq_s64_u64(vshrq_n_u64(vreinterpretq_u64_s64(a), N));
@@ -759,6 +789,14 @@ inline void i_store(std::int64_t* p, ivec a) { detail::Active::i_store(p, a); }
 inline ivec i_add(ivec a, ivec b) { return detail::Active::i_add(a, b); }
 inline ivec i_sub(ivec a, ivec b) { return detail::Active::i_sub(a, b); }
 inline ivec i_blend(mask m, ivec a, ivec b) { return detail::Active::i_blend(m, a, b); }
+inline ivec i_xor(ivec a, ivec b) { return detail::Active::i_xor(a, b); }
+/// Low 64 bits of the lane-wise product (wraps mod 2^64).
+inline ivec i_mul(ivec a, ivec b) { return detail::Active::i_mul(a, b); }
+/// Logical (zero-filling) right shift by N bits.
+template <int N>
+inline ivec i_srl(ivec a) {
+    return detail::Active::template i_srl<N>(a);
+}
 inline ivec d2i_exact(dvec a) { return detail::Active::d2i_exact(a); }
 
 inline dvec vtanh(dvec x) { return detail::tanh_t<detail::Active>(x); }

@@ -297,6 +297,49 @@ TEST(FrontEnd, RejectsNonFiniteOrNegativeNoiseConfig) {
     EXPECT_NO_THROW(FrontEnd{noisy});
 }
 
+// A detector config that is not a comparator fails closed: with
+// negative hysteresis one sample can cross both thresholds, and the
+// latch would toggle every sample.
+struct BadDetector {
+    const char* name;
+    double threshold_v, offset_v, hysteresis_v;
+};
+
+class FrontEndRejectsDetector : public ::testing::TestWithParam<BadDetector> {};
+
+TEST_P(FrontEndRejectsDetector, Throws) {
+    FrontEndConfig cfg;
+    cfg.detector.threshold_v = GetParam().threshold_v;
+    cfg.detector.comparator_offset_v = GetParam().offset_v;
+    cfg.detector.comparator_hysteresis_v = GetParam().hysteresis_v;
+    EXPECT_THROW(FrontEnd{cfg}, std::invalid_argument);
+    EXPECT_THROW(PulsePositionDetector{cfg.detector}, std::invalid_argument);
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+INSTANTIATE_TEST_SUITE_P(
+    BadValues, FrontEndRejectsDetector,
+    ::testing::Values(BadDetector{"NegativeHysteresis", 20e-3, 0.0, -1e-3},
+                      BadDetector{"NaNHysteresis", 20e-3, 0.0, kNaN},
+                      BadDetector{"InfiniteHysteresis", 20e-3, 0.0, kInf},
+                      BadDetector{"NaNThreshold", kNaN, 0.0, 2e-3},
+                      BadDetector{"InfiniteThreshold", -kInf, 0.0, 2e-3},
+                      BadDetector{"NaNOffset", 20e-3, kNaN, 2e-3},
+                      BadDetector{"InfiniteOffset", 20e-3, kInf, 2e-3}),
+    [](const ::testing::TestParamInfo<BadDetector>& info) { return info.param.name; });
+
+TEST(FrontEnd, AcceptsZeroHysteresis) {
+    FrontEndConfig cfg;
+    cfg.detector.comparator_hysteresis_v = 0.0;
+    FrontEnd fe(cfg);
+    fe.set_field(Channel::X, 15.0);
+    FrontEndBlock block;
+    fe.step_block(125e-6 / 2048, 4096, block);
+    EXPECT_GT(fe.stream_stats(Channel::X).edges, 0u);
+}
+
 TEST(FrontEnd, PowerGatingDropsToLeakage) {
     FrontEndConfig cfg;
     FrontEnd fe(cfg);
@@ -496,11 +539,15 @@ TEST_P(StepBlockParity, EveryStageMatchesNSteps) {
             FrontEndBlock block;
             blocked.step_block(dt, n, block);
             ASSERT_EQ(block.size(), n);
+            // One bit per sample: bit j of word w is sample 64w + j.
             for (std::size_t ch = 0; ch < 2; ++ch) {
-                std::vector<std::uint8_t> det, valid;
-                for (const FrontEndSample& s : samples) {
-                    det.push_back(s.detector[ch] ? 1 : 0);
-                    valid.push_back(s.valid[ch] ? 1 : 0);
+                std::vector<std::uint64_t> det((n + 63) / 64), valid((n + 63) / 64);
+                for (int k = 0; k < n; ++k) {
+                    const FrontEndSample& s = samples[static_cast<std::size_t>(k)];
+                    det[static_cast<std::size_t>(k / 64)] |= std::uint64_t{s.detector[ch]}
+                                                             << (k % 64);
+                    valid[static_cast<std::size_t>(k / 64)] |= std::uint64_t{s.valid[ch]}
+                                                               << (k % 64);
                 }
                 EXPECT_EQ(block.detector[ch], det) << "detector stream " << ch;
                 EXPECT_EQ(block.valid[ch], valid) << "valid stream " << ch;

@@ -234,6 +234,54 @@ TEST(Simd, Int64OpsMatchScalarFallback) {
     check("i_or", [](auto be, auto x, auto y, auto) { return decltype(be)::i_or(x, y); });
     check("i_srl<32>",
           [](auto be, auto x, auto, auto) { return decltype(be)::template i_srl<32>(x); });
+    check("i_xor", [](auto be, auto x, auto y, auto) { return decltype(be)::i_xor(x, y); });
+    check("i_mul", [](auto be, auto x, auto y, auto) { return decltype(be)::i_mul(x, y); });
+}
+
+TEST(Simd, MulIsTheLowHalfOfTheUnsignedProduct) {
+    // The AVX2 backend builds it from 32-bit halves and NEON from lane
+    // extracts, so each backend is checked against the product itself.
+    const auto a = random_int64s(256, 50);
+    const auto b = random_int64s(256, 51);
+    const auto check = [&](auto be) {
+        using B = decltype(be);
+        for (std::size_t i = 0; i + B::kLanes <= a.size(); i += B::kLanes) {
+            std::int64_t out[B::kLanes];
+            B::i_store(out, B::i_mul(B::i_load(a.data() + i), B::i_load(b.data() + i)));
+            for (int l = 0; l < B::kLanes; ++l) {
+                EXPECT_EQ(std::uint64_t(out[l]),
+                          std::uint64_t(a[i + l]) * std::uint64_t(b[i + l]))
+                    << B::kName << " element " << i + l;
+            }
+        }
+    };
+    check(Act{});
+    check(Ref{});
+}
+
+TEST(Simd, VectorSplitmixEqualsScalarHashAlongAStream) {
+    // The lane kernel steps key + gamma (index + 1) by gamma per draw and
+    // mixes a stripe of lanes at once; each lane must equal
+    // util::splitmix64 of its (key, index).
+    namespace u = fxg::util;
+    alignas(64) std::int64_t z[simd::kLanes];
+    std::uint64_t key[simd::kLanes], first[simd::kLanes];
+    for (int l = 0; l < simd::kLanes; ++l) {
+        key[l] = u::splitmix64(99, std::uint64_t(l));
+        first[l] = l == 0 ? ~std::uint64_t{0} - 5 : std::uint64_t(l) * 1000003;
+        z[l] = std::int64_t(u::splitmix64_premix(key[l], first[l]));
+    }
+    simd::ivec zv = simd::i_load(z);
+    const simd::ivec gamma = simd::i_splat(std::int64_t(u::kSplitmix64Gamma));
+    for (std::uint64_t t = 0; t < 100; ++t) {
+        std::int64_t out[simd::kLanes];
+        simd::i_store(out, u::splitmix64_mix(zv));
+        for (int l = 0; l < simd::kLanes; ++l) {
+            EXPECT_EQ(std::uint64_t(out[l]), u::splitmix64(key[l], first[l] + t))
+                << "lane " << l << " draw " << t;
+        }
+        zv = simd::i_add(zv, gamma);
+    }
 }
 
 TEST(Simd, IntegerValuedDoubleConversionIsExact) {
