@@ -265,21 +265,14 @@ void FaultInjector::on_samples(std::uint64_t first_index, int n,
                     // No signal reaches the comparators, so the detector
                     // latch holds whatever it last resolved (low if the
                     // winding was open from the start).
-                    if (on == 0) {
-                        state.frozen = static_cast<std::uint8_t>((bits >> (nb - 1)) & 1);
-                        state.has_frozen = true;
-                    } else if (on == util::bits::low_mask(nb)) {
-                        bits = state.has_frozen && state.frozen != 0 ? on : 0;
-                    } else {
-                        for (int j = 0; j < nb; ++j) {
-                            const std::uint64_t bit = std::uint64_t{1} << j;
-                            if ((on & bit) != 0) {
-                                const bool high = state.has_frozen && state.frozen != 0;
-                                bits = high ? bits | bit : bits & ~bit;
-                            } else {
-                                state.frozen = static_cast<std::uint8_t>((bits >> j) & 1);
-                                state.has_frozen = true;
-                            }
+                    for (int j = 0; j < nb; ++j) {
+                        const std::uint64_t bit = std::uint64_t{1} << j;
+                        if ((on & bit) != 0) {
+                            const bool high = state.has_frozen && state.frozen != 0;
+                            bits = high ? bits | bit : bits & ~bit;
+                        } else {
+                            state.frozen = static_cast<std::uint8_t>((bits >> j) & 1);
+                            state.has_frozen = true;
                         }
                     }
                     break;

@@ -130,9 +130,8 @@ public:
     /// SampleTap: applies the scheduled stream faults in spec order,
     /// a word of 64 samples at a time: each spec's activity window
     /// becomes a per-word mask, stuck-at faults are one mask operation,
-    /// and only PickupOpen (sequential freeze latch, on words where it
-    /// switches) and NoiseBurst (one hash draw per active sample) walk
-    /// bits.
+    /// and only PickupOpen (sequential freeze latch) and NoiseBurst
+    /// (one hash draw per active sample) walk bits.
     void on_samples(std::uint64_t first_index, int n, std::uint64_t* detector_x,
                     std::uint64_t* detector_y, std::uint64_t* valid_x,
                     std::uint64_t* valid_y) override;
