@@ -6,19 +6,7 @@
 namespace fxg::compass {
 
 Compass::Compass(const CompassConfig& config)
-    : config_(config), front_end_(config.front_end),
-      counter_(config.counter_clock_hz),
-      cordic_(config.cordic_cycles, config.cordic_frac_bits),
-      watch_(static_cast<std::uint64_t>(config.counter_clock_hz)),
-      engine_(sim::make_engine(config.engine)) {
-    if (config.periods_per_axis < 1 || config.settle_periods < 0) {
-        throw std::invalid_argument("Compass: bad period configuration");
-    }
-    if (config.steps_per_period < 64) {
-        throw std::invalid_argument("Compass: steps_per_period must be >= 64");
-    }
-    plan_ = std::make_shared<const MeasurementPlan>(compile_plan(config_));
-}
+    : Compass(config, std::make_shared<const MeasurementPlan>(compile_plan(config))) {}
 
 Compass::Compass(const CompassConfig& config,
                  std::shared_ptr<const MeasurementPlan> plan)

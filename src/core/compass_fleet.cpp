@@ -190,8 +190,8 @@ std::exception_ptr CompassFleet::measure_all_impl(int threads,
     // Auto: chunk members into lane groups; each pool task runs one
     // group through the SoA lane engine (several members per vector
     // instruction). A group with a traced member runs per-member so
-    // every trace tree stays complete; run_lanes itself falls back for
-    // ineligible configurations. Results are bit-identical either way.
+    // every trace tree stays complete. Results are bit-identical either
+    // way.
     const int groups = (n + kLaneGroupSize - 1) / kLaneGroupSize;
     auto measure_group = [&](int g) {
         const int begin = g * kLaneGroupSize;

@@ -43,11 +43,10 @@ struct FleetResult {
 enum class FleetExecution {
     /// Chunk members into lane groups and run each group through the
     /// SoA SIMD lane engine (PlanExecutor::run_lanes) — bit-identical
-    /// results, several members per vector instruction. Groups holding
-    /// a traced member, an ineligible configuration, or a ReExcite plan
-    /// fall back to the per-member path automatically (a traced member
-    /// must emit its own complete span tree; run_lanes emits one batch
-    /// tree).
+    /// results, several members per vector instruction; a member the
+    /// lane engine cannot take advances through its own engine inside
+    /// its group. Only a group holding a member whose sink needs its
+    /// own span tree runs per member (run_lanes emits one batch tree).
     Auto,
     /// Always one plan execution per member (the reference path).
     PerMember,

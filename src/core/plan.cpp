@@ -110,9 +110,8 @@ MeasurementPlan truncate_to_axis(const MeasurementPlan& plan,
 
 namespace {
 
-// Per-member plan actions. PlanRun and the lane batch of
-// PlanExecutor::run_lanes both call these, so the two paths compute
-// every member's measurement with the same expressions.
+// Per-member actions around the stage loop. PlanRun and the lane batch
+// of PlanExecutor::run_lanes both call these.
 
 /// Entry actions of a fresh measurement: a fresh observation window
 /// (the front-end stream statistics used by the fault subsystem's
@@ -170,22 +169,22 @@ void update_heading(Compass& c, Measurement& m, digital::CordicResult* detail) {
 /// Close-out: average power, watch tick and — when `sink` is set and the
 /// plan produced a heading — one MeasurementSample. A truncated plan
 /// has no heading and only one live channel, so its probes would be
-/// garbage.
-void close_measurement(Compass& c, Measurement& m, telemetry::TelemetrySink* sink,
-                       std::int64_t raw_x, std::int64_t raw_y,
-                       const digital::CordicResult& cordic, bool ran_cordic,
-                       telemetry::Clock::time_point wall_start) {
+/// garbage. Returns the finished measurement.
+Measurement close_measurement(Compass& c, PlanRun::State& st,
+                              telemetry::TelemetrySink* sink,
+                              telemetry::Clock::time_point wall_start) {
+    Measurement& m = st.m;
     m.avg_power_w = m.duration_s > 0.0 ? m.energy_j / m.duration_s : 0.0;
     c.watch().tick(static_cast<std::uint64_t>(
         std::llround(m.duration_s * c.config().counter_clock_hz)));
-    if (sink == nullptr || !ran_cordic) return;
+    if (sink == nullptr || !st.ran_cordic) return m;
     const analog::StreamStatsSnapshot stats = c.front_end().snapshot();
     const analog::StreamStats& sx = stats[analog::Channel::X];
     const analog::StreamStats& sy = stats[analog::Channel::Y];
     telemetry::MeasurementSample s;
     s.member = c.telemetry_member();
-    s.raw_count_x = raw_x;
-    s.raw_count_y = raw_y;
+    s.raw_count_x = st.raw_x;
+    s.raw_count_y = st.raw_y;
     s.count_x = m.count_x;
     s.count_y = m.count_y;
     s.duty_x = sx.duty();
@@ -196,7 +195,7 @@ void close_measurement(Compass& c, Measurement& m, telemetry::TelemetrySink* sin
     s.valid_fraction_y = sy.valid_fraction();
     s.edges_x = sx.edges;
     s.edges_y = sy.edges;
-    s.cordic_rotations = cordic.rotations;
+    s.cordic_rotations = st.cordic.rotations;
     s.cordic_residual_deg =
         util::angular_abs_diff_deg(m.heading_deg, m.heading_float_deg);
     s.heading_deg = m.heading_deg;
@@ -206,6 +205,7 @@ void close_measurement(Compass& c, Measurement& m, telemetry::TelemetrySink* sin
     s.energy_j = m.energy_j;
     s.field_in_range = m.field_in_range;
     sink->on_sample(s);
+    return m;
 }
 
 }  // namespace
@@ -213,132 +213,131 @@ void close_measurement(Compass& c, Measurement& m, telemetry::TelemetrySink* sin
 PlanRun::PlanRun(Compass& compass, const MeasurementPlan& plan)
     : compass_(compass),
       plan_(plan),
-      sink_(compass.telemetry_),
       // Wall-clock latency is only metered while someone listens — the
       // disabled path must not even read a clock.
-      traced_(sink_ != nullptr),
-      wall_start_(traced_ ? telemetry::Clock::now()
-                          : telemetry::Clock::time_point{}) {
-    root_.emplace(sink_, "measure");
-    open_measurement(compass_, m_);
+      wall_start_(compass.telemetry_ != nullptr ? telemetry::Clock::now()
+                                                : telemetry::Clock::time_point{}),
+      spans_(compass.telemetry_) {
+    open_measurement(compass_, state_.m);
 }
 
-bool PlanRun::done() const noexcept {
-    return next_stage_ >= plan_.stages.size();
-}
-
-bool PlanRun::step() {
-    if (done()) return false;
-    Compass& c = compass_;
-    const CompassConfig& cfg = c.config_;
-    const MeasurementPlan& plan = plan_;
-    const PlanStage& stage = plan.stages[next_stage_];
+std::optional<PlanRun::Advance> PlanRun::begin_stage(Compass& c,
+                                                     const MeasurementPlan& plan,
+                                                     State& s, Spans& spans) {
+    const PlanStage& stage = plan.stages[s.next_stage];
+    const int ch = static_cast<int>(stage.channel);
+    const int steps = stage.periods * plan.steps_per_period;
 
     // The "axis" span groups one channel's excite/settle/count stages
-    // exactly as the historical call sites nested them; settle steps are
-    // folded into the duration at the Count stage so the floating-point
-    // sum matches bit for bit.
+    // exactly as the historical call sites nested them.
     switch (stage.kind) {
         case StageKind::ReExcite:
             c.re_excite();
             break;
         case StageKind::PowerUp:
-            if (cfg.power_gating) c.front_end_.enable(true);
+            if (c.config_.power_gating) c.front_end_.enable(true);
             c.counter_.enable(true);
             break;
         case StageKind::MuxSwitch: {
-            const int ch = static_cast<int>(stage.channel);
-            axis_.emplace(sink_, "axis", ch);
+            spans.axis.emplace(spans.sink, "axis", ch);
             // Excite: route the excitation onto this channel (the
             // per-axis power-up the control logic performs before
             // the mux settles).
-            telemetry::Span excite(sink_, "excite", ch);
+            telemetry::Span excite(spans.sink, "excite", ch);
             c.front_end_.select(stage.channel);
             break;
         }
-        case StageKind::Settle: {
-            const int ch = static_cast<int>(stage.channel);
-            const int steps = stage.periods * plan.steps_per_period;
-            telemetry::Span settle(sink_, "settle", ch);
-            settle.set_value(steps);
-            c.engine_->advance(c.front_end_, stage.channel, steps,
-                               plan.dt_s, nullptr, m_.energy_j);
-            pending_settle_steps_ += steps;
-            break;
-        }
-        case StageKind::Count: {
-            const int ch = static_cast<int>(stage.channel);
-            const int steps = stage.periods * plan.steps_per_period;
+        case StageKind::Settle:
+            spans.stage.emplace(spans.sink, "settle", ch);
+            spans.stage->set_value(steps);
+            return Advance{stage.channel, steps, nullptr};
+        case StageKind::Count:
             c.counter_.clear();
-            std::int64_t count;
-            {
-                telemetry::Span count_span(sink_, "count", ch);
-                c.engine_->advance(c.front_end_, stage.channel, steps,
-                                   plan.dt_s, &c.counter_, m_.energy_j);
-                // An overflow trap aborts here, at the window
-                // boundary — identical state whichever engine (and
-                // block size) consumed the window.
-                c.counter_.service_trap();
-                count = c.counter_.count();
-                count_span.set_value(count);
-            }
-            m_.duration_s += (pending_settle_steps_ + steps) * plan.dt_s;
-            pending_settle_steps_ = 0;
-            raw_[ch] = count;
-            calibrate_count(c, stage.channel, count, m_);
-            if (axis_) {
-                axis_->set_value(count);
-                axis_.reset();
-            }
-            break;
-        }
+            spans.stage.emplace(spans.sink, "count", ch);
+            return Advance{stage.channel, steps, &c.counter_};
         case StageKind::PowerDown:
             c.counter_.enable(false);
-            if (cfg.power_gating) c.front_end_.enable(false);
+            if (c.config_.power_gating) c.front_end_.enable(false);
             break;
         case StageKind::Cordic: {
-            telemetry::Span cordic_span(sink_, "cordic");
-            update_heading(c, m_, traced_ ? &cordic_detail_ : nullptr);
-            cordic_span.set_value(cordic_detail_.rotations);
-            ran_cordic_ = true;
+            telemetry::Span cordic_span(spans.sink, "cordic");
+            update_heading(c, s.m, c.telemetry_ != nullptr ? &s.cordic : nullptr);
+            cordic_span.set_value(s.cordic.rotations);
+            s.ran_cordic = true;
             break;
         }
     }
-    ++next_stage_;
+    return std::nullopt;
+}
+
+void PlanRun::end_stage(Compass& c, const MeasurementPlan& plan, State& s,
+                        Spans& spans) {
+    const PlanStage& stage = plan.stages[s.next_stage];
+    const int steps = stage.periods * plan.steps_per_period;
+    if (stage.kind == StageKind::Settle) {
+        spans.stage.reset();
+        s.pending_settle_steps += steps;
+    } else if (stage.kind == StageKind::Count) {
+        // An overflow trap aborts here, at the window boundary —
+        // identical state whichever engine (and block size) consumed
+        // the window.
+        c.counter_.service_trap();
+        const std::int64_t count = c.counter_.count();
+        if (spans.stage) {
+            spans.stage->set_value(count);
+            spans.stage.reset();
+        }
+        // Settle steps are folded into the duration here, so the
+        // floating-point sum matches the historical one bit for bit.
+        s.m.duration_s += (s.pending_settle_steps + steps) * plan.dt_s;
+        s.pending_settle_steps = 0;
+        (stage.channel == analog::Channel::X ? s.raw_x : s.raw_y) = count;
+        calibrate_count(c, stage.channel, count, s.m);
+        if (spans.axis) {
+            spans.axis->set_value(count);
+            spans.axis.reset();
+        }
+    }
+    ++s.next_stage;
+}
+
+bool PlanRun::step() {
+    if (done()) return false;
+    if (const std::optional<Advance> a = begin_stage(compass_, plan_, state_, spans_)) {
+        compass_.engine_->advance(compass_.front_end_, a->channel, a->steps, plan_.dt_s,
+                                  a->counter, state_.m.energy_j);
+    }
+    end_stage(compass_, plan_, state_, spans_);
     return true;
 }
 
 Measurement PlanRun::finish() {
-    close_measurement(compass_, m_, sink_, raw_[0], raw_[1], cordic_detail_,
-                      ran_cordic_, wall_start_);
-    root_.reset();
-    return m_;
+    const Measurement m = close_measurement(compass_, state_, spans_.sink, wall_start_);
+    spans_.root.reset();
+    return m;
 }
 
-PlanRun::State PlanRun::save_state() const noexcept {
-    State s;
-    s.next_stage = static_cast<std::uint32_t>(next_stage_);
-    s.m = m_;
-    s.raw_x = raw_[0];
-    s.raw_y = raw_[1];
-    s.pending_settle_steps = pending_settle_steps_;
-    s.ran_cordic = ran_cordic_;
-    s.cordic = cordic_detail_;
-    return s;
+bool PlanRun::reachable(const MeasurementPlan& plan, const State& s) noexcept {
+    if (s.next_stage > plan.stages.size()) return false;
+    int pending_settle_steps = 0;
+    bool ran_cordic = false;
+    for (std::size_t k = 0; k < s.next_stage; ++k) {
+        const PlanStage& stage = plan.stages[k];
+        if (stage.kind == StageKind::Settle) {
+            pending_settle_steps += stage.periods * plan.steps_per_period;
+        }
+        if (stage.kind == StageKind::Count) pending_settle_steps = 0;
+        if (stage.kind == StageKind::Cordic) ran_cordic = true;
+    }
+    return s.pending_settle_steps == pending_settle_steps && s.ran_cordic == ran_cordic;
 }
 
 void PlanRun::load_state(const State& s) {
-    if (s.next_stage > plan_.stages.size()) {
+    if (!reachable(plan_, s)) {
         throw std::invalid_argument(
-            "PlanRun::load_state: next_stage beyond the plan's stage count");
+            "PlanRun::load_state: no run of the plan stands at this position");
     }
-    next_stage_ = s.next_stage;
-    m_ = s.m;
-    raw_[0] = s.raw_x;
-    raw_[1] = s.raw_y;
-    pending_settle_steps_ = s.pending_settle_steps;
-    ran_cordic_ = s.ran_cordic;
-    cordic_detail_ = s.cordic;
+    state_ = s;
 }
 
 Measurement PlanExecutor::run(const MeasurementPlan& plan) {
@@ -351,31 +350,39 @@ Measurement PlanExecutor::run(const MeasurementPlan& plan) {
 void PlanExecutor::run_lanes(const MeasurementPlan& plan,
                              std::span<Compass* const> lanes,
                              std::span<LaneOutcome> outcomes) {
-    const int n = static_cast<int>(lanes.size());
+    const std::size_t n = lanes.size();
     if (n == 0) return;
-    if (outcomes.size() < lanes.size()) {
+    if (outcomes.size() < n) {
         throw std::invalid_argument(
             "PlanExecutor::run_lanes: one outcome slot per lane required");
     }
-    for (int i = 0; i < n; ++i) outcomes[static_cast<std::size_t>(i)] = LaneOutcome{};
+    bool any_traced = false;
+    for (const Compass* c : lanes) any_traced = any_traced || c->telemetry_ != nullptr;
+    const telemetry::Clock::time_point wall_start =
+        any_traced ? telemetry::Clock::now() : telemetry::Clock::time_point{};
 
-    // Batch eligibility: every lane's front end must fit a SIMD lane,
-    // and ReExcite (a whole-pipeline power cycle) only exists on the
-    // per-member path. Ineligible batches run member by member with the
-    // identical outcome contract.
-    bool batchable = true;
-    for (const PlanStage& s : plan.stages) {
-        if (s.kind == StageKind::ReExcite) batchable = false;
-    }
-    for (int i = 0; batchable && i < n; ++i) {
-        if (!sim::LaneEngine::eligible(lanes[i]->front_end_)) batchable = false;
+    // One span tree per batch, on lanes[0]'s sink; every traced lane
+    // still gets its own MeasurementSample at the end.
+    PlanRun::Spans spans(lanes[0]->telemetry_);
+    PlanRun::Spans quiet(nullptr);
+    std::vector<PlanRun::State> states(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        outcomes[i] = LaneOutcome{};
+        open_measurement(*lanes[i], states[i].m);
     }
 
-    if (!batchable) {
-        for (int i = 0; i < n; ++i) {
-            LaneOutcome& slot = outcomes[static_cast<std::size_t>(i)];
+    // Calls action(i, spans) on every lane still in the batch, handing
+    // the batch's spans to the first of them. A lane that throws leaves
+    // the batch there: a counter trap at its count window is exactly
+    // where run() would have thrown.
+    const auto each_lane = [&](const auto& action) {
+        PlanRun::Spans* tree = &spans;
+        for (std::size_t i = 0; i < n; ++i) {
+            LaneOutcome& slot = outcomes[i];
+            if (slot.aborted) continue;
             try {
-                slot.measurement = PlanExecutor(*lanes[i]).run(plan);
+                action(i, *tree);
+                tree = &quiet;
             } catch (const std::exception& e) {
                 slot.aborted = true;
                 slot.error = e.what();
@@ -386,177 +393,45 @@ void PlanExecutor::run_lanes(const MeasurementPlan& plan,
                 slot.error_ptr = std::current_exception();
             }
         }
-        return;
-    }
-
-    // Batch spans live on lanes[0]'s sink (one tree per batch); every
-    // traced lane still gets its own MeasurementSample at the end.
-    telemetry::TelemetrySink* sink = lanes[0]->telemetry_;
-    bool any_traced = false;
-    for (int i = 0; i < n; ++i) {
-        if (lanes[i]->telemetry_ != nullptr) any_traced = true;
-    }
-    const telemetry::Clock::time_point wall_start =
-        any_traced ? telemetry::Clock::now() : telemetry::Clock::time_point{};
-    telemetry::Span root(sink, "measure");
-
-    std::vector<char> active(static_cast<std::size_t>(n), 1);
-    std::vector<std::int64_t> raw_x(static_cast<std::size_t>(n), 0);
-    std::vector<std::int64_t> raw_y(static_cast<std::size_t>(n), 0);
-    std::vector<digital::CordicResult> details(static_cast<std::size_t>(n));
-
-    for (int i = 0; i < n; ++i) {
-        open_measurement(*lanes[i], outcomes[static_cast<std::size_t>(i)].measurement);
-    }
+    };
 
     sim::LaneEngine engine;
     std::vector<sim::LanePort> ports;
-    ports.reserve(static_cast<std::size_t>(n));
-    const auto build_ports = [&](bool counting) {
+    ports.reserve(n);
+    for (std::size_t k = 0; k < plan.stages.size(); ++k) {
+        std::optional<PlanRun::Advance> advance;
         ports.clear();
-        for (int i = 0; i < n; ++i) {
-            if (!active[static_cast<std::size_t>(i)]) continue;
+        each_lane([&](std::size_t i, PlanRun::Spans& tree) {
             Compass& c = *lanes[i];
-            ports.push_back({&c.front_end_, counting ? &c.counter_ : nullptr,
-                             &outcomes[static_cast<std::size_t>(i)]
-                                  .measurement.energy_j});
+            double& energy_j = states[i].m.energy_j;
+            advance = PlanRun::begin_stage(c, plan, states[i], tree);
+            if (!advance) return;
+            if (sim::LaneEngine::eligible(c.front_end_)) {
+                ports.push_back({&c.front_end_, advance->counter, &energy_j});
+            } else {
+                c.engine_->advance(c.front_end_, advance->channel, advance->steps,
+                                   plan.dt_s, advance->counter, energy_j);
+            }
+        });
+        if (!ports.empty()) {
+            telemetry::Span lanes_span(spans.sink, "engine.lanes",
+                                       static_cast<int>(advance->channel));
+            lanes_span.set_value(advance->steps);
+            engine.advance(ports.data(), static_cast<int>(ports.size()),
+                           advance->channel, advance->steps, plan.dt_s);
         }
-    };
-
-    std::optional<telemetry::Span> axis;
-    bool axis_value_set = false;
-    int pending_settle_steps = 0;
-    bool ran_cordic = false;
-
-    for (const PlanStage& stage : plan.stages) {
-        switch (stage.kind) {
-            case StageKind::ReExcite:
-                break;  // filtered by the batchable check above
-            case StageKind::PowerUp:
-                for (int i = 0; i < n; ++i) {
-                    if (!active[static_cast<std::size_t>(i)]) continue;
-                    Compass& c = *lanes[i];
-                    if (c.config_.power_gating) c.front_end_.enable(true);
-                    c.counter_.enable(true);
-                }
-                break;
-            case StageKind::MuxSwitch: {
-                const int ch = static_cast<int>(stage.channel);
-                axis.emplace(sink, "axis", ch);
-                axis_value_set = false;
-                telemetry::Span excite(sink, "excite", ch);
-                for (int i = 0; i < n; ++i) {
-                    if (!active[static_cast<std::size_t>(i)]) continue;
-                    lanes[i]->front_end_.select(stage.channel);
-                }
-                break;
-            }
-            case StageKind::Settle: {
-                const int ch = static_cast<int>(stage.channel);
-                const int steps = stage.periods * plan.steps_per_period;
-                telemetry::Span settle(sink, "settle", ch);
-                settle.set_value(steps);
-                {
-                    telemetry::Span eng_span(sink, "engine.lanes", ch);
-                    eng_span.set_value(steps);
-                    build_ports(/*counting=*/false);
-                    engine.advance(ports.data(), static_cast<int>(ports.size()),
-                                   stage.channel, steps, plan.dt_s);
-                }
-                pending_settle_steps += steps;
-                break;
-            }
-            case StageKind::Count: {
-                const int ch = static_cast<int>(stage.channel);
-                const int steps = stage.periods * plan.steps_per_period;
-                for (int i = 0; i < n; ++i) {
-                    if (active[static_cast<std::size_t>(i)]) {
-                        lanes[i]->counter_.clear();
-                    }
-                }
-                {
-                    telemetry::Span count_span(sink, "count", ch);
-                    {
-                        telemetry::Span eng_span(sink, "engine.lanes", ch);
-                        eng_span.set_value(steps);
-                        build_ports(/*counting=*/true);
-                        engine.advance(ports.data(), static_cast<int>(ports.size()),
-                                       stage.channel, steps, plan.dt_s);
-                    }
-                    bool span_value_set = false;
-                    for (int i = 0; i < n; ++i) {
-                        if (!active[static_cast<std::size_t>(i)]) continue;
-                        Compass& c = *lanes[i];
-                        LaneOutcome& slot = outcomes[static_cast<std::size_t>(i)];
-                        try {
-                            // A pending overflow trap evicts this lane at
-                            // the window boundary — the identical abort
-                            // point (state, energy, no duration update, no
-                            // watch tick, no sample) of a run() throw.
-                            c.counter_.service_trap();
-                        } catch (const std::exception& e) {
-                            active[static_cast<std::size_t>(i)] = 0;
-                            slot.aborted = true;
-                            slot.error = e.what();
-                            slot.error_ptr = std::current_exception();
-                            continue;
-                        }
-                        const std::int64_t count = c.counter_.count();
-                        if (!span_value_set) {
-                            count_span.set_value(count);
-                            span_value_set = true;
-                        }
-                        Measurement& m = slot.measurement;
-                        m.duration_s += (pending_settle_steps + steps) * plan.dt_s;
-                        (stage.channel == analog::Channel::X ? raw_x : raw_y)[
-                            static_cast<std::size_t>(i)] = count;
-                        calibrate_count(c, stage.channel, count, m);
-                        if (axis && !axis_value_set) {
-                            axis->set_value(count);
-                            axis_value_set = true;
-                        }
-                    }
-                }
-                pending_settle_steps = 0;
-                axis.reset();
-                break;
-            }
-            case StageKind::PowerDown:
-                for (int i = 0; i < n; ++i) {
-                    if (!active[static_cast<std::size_t>(i)]) continue;
-                    Compass& c = *lanes[i];
-                    c.counter_.enable(false);
-                    if (c.config_.power_gating) c.front_end_.enable(false);
-                }
-                break;
-            case StageKind::Cordic: {
-                telemetry::Span cordic_span(sink, "cordic");
-                bool span_value_set = false;
-                for (int i = 0; i < n; ++i) {
-                    if (!active[static_cast<std::size_t>(i)]) continue;
-                    Compass& c = *lanes[i];
-                    Measurement& m = outcomes[static_cast<std::size_t>(i)].measurement;
-                    const bool traced_lane = c.telemetry_ != nullptr;
-                    update_heading(c, m,
-                                   traced_lane ? &details[static_cast<std::size_t>(i)]
-                                               : nullptr);
-                    if (!span_value_set) {
-                        cordic_span.set_value(
-                            details[static_cast<std::size_t>(i)].rotations);
-                        span_value_set = true;
-                    }
-                }
-                ran_cordic = true;
-                break;
-            }
-        }
+        each_lane([&](std::size_t i, PlanRun::Spans& tree) {
+            PlanRun::end_stage(*lanes[i], plan, states[i], tree);
+        });
     }
 
-    for (int i = 0; i < n; ++i) {
-        const auto li = static_cast<std::size_t>(i);
-        if (!active[li]) continue;
-        close_measurement(*lanes[i], outcomes[li].measurement, lanes[i]->telemetry_,
-                          raw_x[li], raw_y[li], details[li], ran_cordic, wall_start);
+    // An evicted lane keeps the partial measurement of its abort point.
+    for (std::size_t i = 0; i < n; ++i) {
+        outcomes[i].measurement =
+            outcomes[i].aborted
+                ? states[i].m
+                : close_measurement(*lanes[i], states[i], lanes[i]->telemetry_,
+                                    wall_start);
     }
 }
 

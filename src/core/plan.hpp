@@ -41,6 +41,10 @@
 #include "digital/cordic.hpp"
 #include "telemetry/sink.hpp"
 
+namespace fxg::digital {
+class UpDownCounter;
+}  // namespace fxg::digital
+
 namespace fxg::compass {
 
 struct CompassConfig;
@@ -121,11 +125,11 @@ struct Measurement {
     bool field_in_range = true;      ///< core saturated both ways on both axes
 };
 
-/// Outcome of one lane of a PlanExecutor::run_lanes batch. A lane whose
-/// counter traps (register overflow with trap_on_overflow set) is
-/// evicted at the count-window boundary — the exact point run() would
-/// have thrown — and reported here instead of by exception, so one
-/// faulty member never aborts its batch.
+/// Outcome of one lane of a PlanExecutor::run_lanes batch. A lane that
+/// throws — a counter trap (register overflow with trap_on_overflow
+/// set) at the count-window boundary, the exact point run() would have
+/// thrown — leaves the batch and is reported here instead of by
+/// exception, so one faulty member never aborts its batch.
 struct LaneOutcome {
     Measurement measurement{};     ///< complete only when !aborted
     bool aborted = false;          ///< lane evicted by a counter trap / error
@@ -150,21 +154,23 @@ public:
     /// duration/energy) are meaningful and no heading is computed.
     Measurement run(const MeasurementPlan& plan);
 
-    /// Executes one plan across a batch of compasses through the SoA
-    /// lane engine (sim/lane_engine.hpp): every Settle/Count stage
-    /// advances all surviving lanes with one SIMD kernel sweep, and the
-    /// per-stage telemetry spans ("measure"/"axis"/"settle"/"count"
-    /// plus an "engine.lanes" advance span) are emitted once per batch
-    /// on lanes[0]'s sink. Per-lane results — counts, heading, energy,
-    /// duration, stream statistics, trap abort point — are bit-identical
-    /// to PlanExecutor(*lanes[i]).run(plan) member by member; traced
-    /// lanes still emit their own MeasurementSample on their own sink.
+    /// Executes one plan across a batch of compasses. Each lane keeps
+    /// its own PlanRun::State and runs PlanRun's own stage code; only the
+    /// engine advance is batched: at every Settle/Count the lanes the SoA
+    /// lane engine takes (sim/lane_engine.hpp, LaneEngine::eligible)
+    /// advance together in one SIMD kernel sweep, and any other lane (a
+    /// simultaneous-mode front end) advances through its own engine. The
+    /// per-stage telemetry spans ("measure"/"axis"/"settle"/"count" plus
+    /// an "engine.lanes" advance span) form one tree per batch on
+    /// lanes[0]'s sink, written through the first lane still in the
+    /// batch. Per-lane results — counts, heading, energy, duration,
+    /// stream statistics, trap abort point — are bit-identical to
+    /// PlanExecutor(*lanes[i]).run(plan) member by member; traced lanes
+    /// still emit their own MeasurementSample on their own sink.
     ///
-    /// Total: lanes whose configuration the lane engine cannot take
-    /// (LaneEngine::eligible) — or any plan containing ReExcite — fall
-    /// back to the per-member path, with exceptions captured into the
-    /// lane's LaneOutcome either way. `lanes` must be distinct,
-    /// non-null, and outcomes.size() >= lanes.size().
+    /// Total: a lane that throws leaves the batch at that point and is
+    /// reported in its LaneOutcome; the other lanes carry on. `lanes`
+    /// must be distinct, non-null, and outcomes.size() >= lanes.size().
     static void run_lanes(const MeasurementPlan& plan,
                           std::span<Compass* const> lanes,
                           std::span<LaneOutcome> outcomes);
@@ -180,6 +186,11 @@ private:
 /// serialize its position (save_state), and a freshly constructed
 /// PlanRun over an equally restored compass can load_state() and
 /// continue bit-identically.
+///
+/// A run is its State plus the spans it holds open; the stage code is
+/// split at the engine advance (begin_stage, end_stage), so a lane
+/// batch (PlanExecutor::run_lanes) runs the same code over one State
+/// per lane and batches only the advance.
 ///
 /// Restore ordering contract: construct the PlanRun FIRST (construction
 /// starts a fresh observation window and runs the field range check,
@@ -200,11 +211,13 @@ public:
     /// boundary) — the run is then spent, like an aborted measurement.
     bool step();
 
-    [[nodiscard]] bool done() const noexcept;
+    [[nodiscard]] bool done() const noexcept {
+        return state_.next_stage >= plan_.stages.size();
+    }
 
     /// Index of the next stage to execute (== plan().stages.size() when
     /// done) — the resume position a snapshot records.
-    [[nodiscard]] std::size_t next_stage() const noexcept { return next_stage_; }
+    [[nodiscard]] std::size_t next_stage() const noexcept { return state_.next_stage; }
 
     [[nodiscard]] const MeasurementPlan& plan() const noexcept { return plan_; }
 
@@ -225,26 +238,55 @@ public:
         digital::CordicResult cordic{};
     };
 
-    [[nodiscard]] State save_state() const noexcept;
+    [[nodiscard]] State save_state() const noexcept { return state_; }
 
     /// Overwrites the execution position. Throws std::invalid_argument
-    /// when next_stage exceeds the plan's stage count.
+    /// when no run of the plan stands at `s` (reachable()).
     void load_state(const State& s);
 
+    /// True when a run of `plan` can stand at `s` between two stages:
+    /// next_stage is within the stage count, and pending_settle_steps
+    /// and ran_cordic are what the stages before next_stage leave.
+    /// load_state and the snapshot restore refuse any other position.
+    [[nodiscard]] static bool reachable(const MeasurementPlan& plan,
+                                        const State& s) noexcept;
+
 private:
+    friend class PlanExecutor;  // run_lanes drives the stage code below
+
+    /// The spans a run holds open between calls, all on one sink: the
+    /// root "measure", the current "axis" and an open "settle"/"count".
+    struct Spans {
+        explicit Spans(telemetry::TelemetrySink* s)
+            : sink(s), root(std::in_place, s, "measure") {}
+        telemetry::TelemetrySink* sink;
+        std::optional<telemetry::Span> root;
+        std::optional<telemetry::Span> axis;
+        std::optional<telemetry::Span> stage;
+    };
+
+    /// The engine advance of a Settle or Count stage.
+    struct Advance {
+        analog::Channel channel;
+        int steps;
+        digital::UpDownCounter* counter;  ///< null while settling
+    };
+
+    /// Runs stage s.next_stage up to its engine advance and returns
+    /// that advance (none for a stage that does not advance).
+    static std::optional<Advance> begin_stage(Compass& c, const MeasurementPlan& plan,
+                                              State& s, Spans& spans);
+
+    /// Finishes the stage after its advance — the trap check, the count,
+    /// its calibration and the duration — and moves to the next stage.
+    static void end_stage(Compass& c, const MeasurementPlan& plan, State& s,
+                          Spans& spans);
+
     Compass& compass_;
     const MeasurementPlan& plan_;
-    telemetry::TelemetrySink* sink_;
-    bool traced_;
     telemetry::Clock::time_point wall_start_;
-    std::optional<telemetry::Span> root_;
-    std::optional<telemetry::Span> axis_;
-    Measurement m_;
-    std::int64_t raw_[2] = {0, 0};
-    int pending_settle_steps_ = 0;
-    digital::CordicResult cordic_detail_;
-    bool ran_cordic_ = false;
-    std::size_t next_stage_ = 0;
+    State state_;
+    Spans spans_;
 };
 
 }  // namespace fxg::compass

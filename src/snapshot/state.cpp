@@ -268,8 +268,8 @@ void validate_compass_state(const CompassState& st, compass::Compass& target,
                 : "PlanRun target but the snapshot carries no plan-run position");
     }
     if (st.plan_run.has_value() &&
-        st.plan_run->next_stage > targets.plan_run->plan().stages.size()) {
-        throw SnapshotError("snapshot plan-run stage index out of range");
+        !compass::PlanRun::reachable(targets.plan_run->plan(), *st.plan_run)) {
+        throw SnapshotError("snapshot plan-run position no run of the plan reaches");
     }
 }
 
@@ -315,7 +315,7 @@ void apply_compass_state(const CompassState& st, compass::Compass& target,
         targets.injector->load_tap_state(*st.tap);  // spec count pre-validated
     }
     if (st.plan_run.has_value()) {
-        targets.plan_run->load_state(*st.plan_run);  // stage pre-validated
+        targets.plan_run->load_state(*st.plan_run);  // position pre-validated
     }
 }
 

@@ -165,16 +165,18 @@ Outcome measure_outcome(compass::Compass& comp) {
 }
 
 /// Runs one measurement of every compass through the SoA lane engine as
-/// one batch (PlanExecutor::run_lanes, under the first compass's plan)
-/// and captures, per lane, the same Outcome the scalar and block rigs
-/// expose. An aborted lane reports its (partial) measurement through
-/// the LaneOutcome slot; the per-member path loses it to the exception,
-/// so mirror that here and compare the abort point through the
-/// captured pipeline state instead.
-std::vector<Outcome> lanes_outcomes(std::initializer_list<compass::Compass*> comps) {
+/// one batch (PlanExecutor::run_lanes, under `plan` or else the first
+/// compass's plan) and captures, per lane, the same Outcome the scalar
+/// and block rigs expose. An aborted lane reports its (partial)
+/// measurement through the LaneOutcome slot; the per-member path loses
+/// it to the exception, so mirror that here and compare the abort point
+/// through the captured pipeline state instead.
+std::vector<Outcome> lanes_outcomes(std::initializer_list<compass::Compass*> comps,
+                                    const compass::MeasurementPlan* plan = nullptr) {
     const std::vector<compass::Compass*> lanes(comps);
     std::vector<compass::LaneOutcome> slots(lanes.size());
-    compass::PlanExecutor::run_lanes(lanes.front()->plan(), lanes, slots);
+    compass::PlanExecutor::run_lanes(plan != nullptr ? *plan : lanes.front()->plan(),
+                                     lanes, slots);
     std::vector<Outcome> out(lanes.size());
     for (std::size_t i = 0; i < lanes.size(); ++i) {
         out[i].aborted = slots[i].aborted;
@@ -185,8 +187,11 @@ std::vector<Outcome> lanes_outcomes(std::initializer_list<compass::Compass*> com
     return out;
 }
 
-/// A batch of one.
-Outcome lanes_outcome(compass::Compass& comp) { return lanes_outcomes({&comp}).front(); }
+/// A batch of one (under `plan` when given).
+Outcome lanes_outcome(compass::Compass& comp,
+                      const compass::MeasurementPlan* plan = nullptr) {
+    return lanes_outcomes({&comp}, plan).front();
+}
 
 Outcome plan_outcome(compass::Compass& comp, const compass::MeasurementPlan& plan) {
     Outcome o;
@@ -381,6 +386,14 @@ std::optional<std::string> run_plan_rewrite(const FuzzCase& c) {
     const Outcome b = run(re);
     if (auto d = diff_outcomes(a, b)) {
         return format("with_re_excite(plan) != plan: %s", d->c_str());
+    }
+    // The lane batch runs ReExcite as a per-lane stage: a batch of one
+    // matches the per-member run.
+    {
+        Rig rig(c, kind, c.counter_width_bits, false);
+        if (auto d = diff_outcomes(b, lanes_outcome(rig.compass, &re))) {
+            return format("run_lanes(with_re_excite(plan)) != run: %s", d->c_str());
+        }
     }
     // Truncating to the first axis keeps an identical stage prefix, so
     // the kept axis's count is bit-identical to the full plan's.

@@ -20,7 +20,8 @@
 ///                     statistics, register state — and identical abort
 ///                     behaviour under overflow traps;
 ///   PlanRewrite       with_re_excite(plan) is bit-identical to plan on
-///                     a fresh pipeline; truncate_to_axis keeps the
+///                     a fresh pipeline, per member and as a run_lanes
+///                     batch of one; truncate_to_axis keeps the
 ///                     kept axis's count bit-identical (prefix
 ///                     identity) and the stage algebra adds up;
 ///   CordicAtan        heading_deg() is total (never throws, never NaN,

@@ -384,31 +384,74 @@ TEST(LaneEngine, TrapEvictsOneLaneWithoutPerturbingNeighbours) {
     }
 }
 
-// An ineligible lane (simultaneous front end) or a ReExcite plan sends
-// the whole batch down the per-member fallback with the same outcomes.
-TEST(LaneEngine, IneligibleBatchFallsBackPerMember) {
+// An ineligible lane (simultaneous front end) stays in the batch and
+// advances through its own engine, with the same outcomes.
+TEST(LaneEngine, IneligibleLaneAdvancesThroughItsOwnEngineInTheBatch) {
     compass::CompassConfig simultaneous = lite_config();
     simultaneous.front_end.mode = analog::FrontEndMode::Simultaneous;
     std::vector<compass::CompassConfig> configs = {lite_config(), simultaneous,
                                                    lite_config()};
     std::vector<double> headings = {10.0, 130.0, 250.0};
-    // three_way_check exercises run_lanes, which must fall back
-    // internally (member 1 is ineligible) and still match scalar.
     three_way_check(configs, headings);
 }
 
-TEST(LaneEngine, ReExcitePlanFallsBackPerMember) {
-    compass::Compass ref(lite_config());
-    compass::Compass lane(lite_config());
-    ref.set_environment(site(), 42.0);
-    lane.set_environment(site(), 42.0);
-    const compass::MeasurementPlan re = compass::with_re_excite(ref.plan());
-    const compass::Measurement expect = compass::PlanExecutor(ref).run(re);
-    compass::Compass* lanes[1] = {&lane};
-    compass::LaneOutcome out[1];
+// A ReExcite plan runs in the batch too: the power cycle is a per-lane
+// stage, a simultaneous-mode lane advances through its own engine, a
+// trapping lane leaves the batch, and the lane kernel still advances
+// the others. Every lane matches its per-member scalar run.
+TEST(LaneEngine, ReExcitePlanRunsThroughTheLaneKernel) {
+    constexpr int kN = 9;  // a remainder stripe on both backends
+    constexpr int kSimultaneous = 3;
+    constexpr int kTrap = 6;
+    const auto build = [&](sim::EngineKind engine) {
+        std::vector<std::unique_ptr<compass::Compass>> members;
+        for (int i = 0; i < kN; ++i) {
+            compass::CompassConfig cfg = lite_config();
+            cfg.engine = engine;
+            if (i == kSimultaneous) {
+                cfg.front_end.mode = analog::FrontEndMode::Simultaneous;
+            }
+            members.push_back(std::make_unique<compass::Compass>(cfg));
+            members.back()->set_environment(site(), i * 37.0 + 11.0);
+            // A first measurement leaves state for the power cycle to reset.
+            static_cast<void>(members.back()->measure());
+            if (i == kTrap) {
+                digital::CounterHardware hw;
+                hw.width_bits = 8;
+                hw.trap_on_overflow = true;
+                members.back()->counter().set_hardware(hw);
+            }
+        }
+        return members;
+    };
+    auto ref = build(sim::EngineKind::Scalar);
+    auto lane = build(sim::EngineKind::Block);
+    const compass::MeasurementPlan re = compass::with_re_excite(lane[0]->plan());
+    std::vector<compass::Compass*> lanes;
+    for (auto& c : lane) lanes.push_back(c.get());
+    std::vector<compass::LaneOutcome> out(kN);
+    const auto kernel_advances = [] {
+        return sim::shared_excitation_count() + sim::per_lane_excitation_count();
+    };
+    const std::uint64_t before = kernel_advances();
     compass::PlanExecutor::run_lanes(re, lanes, out);
-    ASSERT_FALSE(out[0].aborted) << out[0].error;
-    expect_bit_identical(out[0].measurement, expect);
+    EXPECT_GT(kernel_advances(), before);
+
+    for (int i = 0; i < kN; ++i) {
+        SCOPED_TRACE(testing::Message() << "member " << i);
+        const auto u = static_cast<std::size_t>(i);
+        compass::PlanExecutor reference(*ref[u]);
+        if (i == kTrap) {
+            EXPECT_THROW(static_cast<void>(reference.run(re)), std::overflow_error);
+            EXPECT_TRUE(out[u].aborted);
+            EXPECT_EQ(out[u].error, "UpDownCounter: register overflow");
+        } else {
+            const compass::Measurement expect = reference.run(re);
+            ASSERT_FALSE(out[u].aborted) << out[u].error;
+            expect_bit_identical(out[u].measurement, expect);
+        }
+        expect_same_pipeline_state(*lane[u], *ref[u]);
+    }
 }
 
 // Batch telemetry: one "measure" span tree per batch (on lanes[0]'s
@@ -454,6 +497,65 @@ TEST(LaneEngine, BatchEmitsOneSpanTreeAndPerLaneSamples) {
     // own sink after the batch completes.
     EXPECT_EQ(registry.counter("fxg_measurements_total").value(),
               static_cast<std::uint64_t>(kN));
+}
+
+/// A span tree as text: name, channel (when set), "=" value, children
+/// in begin order inside braces.
+std::string render_tree(const std::vector<telemetry::SpanRecord>& spans,
+                        telemetry::SpanId parent = telemetry::kNoSpan) {
+    std::string out;
+    for (const telemetry::SpanRecord& s : spans) {
+        if (s.parent != parent) continue;
+        if (!out.empty()) out += ' ';
+        out += s.name;
+        if (s.channel != telemetry::kNoChannel) out += std::to_string(s.channel);
+        out += '=' + std::to_string(s.value);
+        const std::string children = render_tree(spans, s.id);
+        if (!children.empty()) out += '{' + children + '}';
+    }
+    return out;
+}
+
+// When lane 0 traps at its x count, the batch still emits one whole
+// tree on lanes[0]'s sink, and the count values in it come from the
+// first lane left in the batch (lane 1).
+TEST(LaneEngine, BatchTreeOutlivesATrapOnLaneZero) {
+    constexpr int kN = 3;
+    telemetry::TraceSession session;
+    std::vector<std::unique_ptr<compass::Compass>> members;
+    std::vector<compass::Compass*> lanes;
+    for (int i = 0; i < kN; ++i) {
+        members.push_back(std::make_unique<compass::Compass>(lite_config()));
+        members.back()->set_environment(site(), i * 111.0 + 9.0);
+        members.back()->set_telemetry(&session);
+        lanes.push_back(members.back().get());
+    }
+    digital::CounterHardware hw;
+    hw.width_bits = 8;
+    hw.trap_on_overflow = true;
+    members[0]->counter().set_hardware(hw);
+    std::vector<compass::LaneOutcome> out(kN);
+    compass::PlanExecutor::run_lanes(members[0]->plan(), lanes, out);
+    ASSERT_TRUE(out[0].aborted);
+    ASSERT_FALSE(out[1].aborted) << out[1].error;
+
+    const compass::Measurement& m = out[1].measurement;
+    digital::CordicResult cordic;
+    static_cast<void>(members[1]->cordic().heading_deg(m.count_x, m.count_y, &cordic));
+    const std::string settle = std::to_string(lite_config().settle_periods *
+                                              lite_config().steps_per_period);
+    const std::string count = std::to_string(lite_config().periods_per_axis *
+                                             lite_config().steps_per_period);
+    const auto axis = [&](int ch, std::int64_t value) {
+        const std::string c = std::to_string(ch);
+        const std::string v = std::to_string(value);
+        return "axis" + c + "=" + v + "{excite" + c + "=0 settle" + c + "=" + settle +
+               "{engine.lanes" + c + "=" + settle + "} count" + c + "=" + v +
+               "{engine.lanes" + c + "=" + count + "}}";
+    };
+    EXPECT_EQ(render_tree(session.spans()),
+              "measure=0{" + axis(0, m.count_x) + " " + axis(1, m.count_y) +
+                  " cordic=" + std::to_string(cordic.rotations) + "}");
 }
 
 // ------------------------------------------------------------- fleet

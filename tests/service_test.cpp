@@ -426,15 +426,28 @@ TEST(ServiceTest, PendingBudgetShedsWithRetryAfter) {
     service::ServiceConfig cfg = small_service(1);
     cfg.max_pending = 1;
     cfg.retry_after_ms = 77;
+    // A measurement of milliseconds keeps the admitted query in flight
+    // while the daemon parses the rest of the burst. With the small
+    // pipeline, an io thread preempted by the batch thread it wakes
+    // could see each query answered before it admitted the next.
+    cfg.compass.steps_per_period = 2048;
+    cfg.compass.periods_per_axis = 64;
     service::CompassService daemon(cfg);
     daemon.fleet().set_environment(0, site(), 10.0);
     daemon.start();
 
+    // One send() puts the whole burst in the socket at once, so the
+    // client's scheduling cannot spread it over several reads.
     constexpr int kQueries = 16;
     service::QueryClient client(daemon.port());
+    std::vector<std::uint8_t> burst;
     for (int i = 0; i < kQueries; ++i) {
-        client.send(static_cast<std::uint64_t>(i) + 1);
+        const std::vector<std::uint8_t> frame =
+            service::encode_request(HeadingRequest{static_cast<std::uint64_t>(i) + 1, 0});
+        burst.insert(burst.end(), frame.begin(), frame.end());
     }
+    ASSERT_EQ(::send(client.fd(), burst.data(), burst.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(burst.size()));
     int ok = 0, shed = 0;
     for (int i = 0; i < kQueries; ++i) {
         const HeadingReply reply = client.recv();

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <random>
@@ -645,6 +646,62 @@ TEST(PlanRunSnapshot, MissingPlanRunTargetRejected) {
 
     compass::Compass target(cfg);
     EXPECT_THROW(snapshot::restore_compass(snap, target), snapshot::SnapshotError);
+}
+
+// A PRUN position no run of the plan reaches fails closed: a pending
+// settle count the stages before next_stage do not leave (INT_MAX would
+// overflow the next Settle's sum), or a CORDIC marked done before the
+// Cordic stage. load_state refuses the same positions.
+TEST(PlanRunSnapshot, UnreachablePositionFailsClosed) {
+    const compass::CompassConfig cfg = small_config();
+    const compass::MeasurementPlan plan = compass::compile_plan(cfg);
+    compass::Compass donor(cfg);
+    donor.set_environment(kField, 10.0);
+    compass::PlanRun run(donor, plan);
+    ASSERT_TRUE(run.step());  // PowerUp: no settle steps pending, no CORDIC
+    snapshot::SaveOptions donor_opts;
+    donor_opts.plan_run = &run;
+    const std::vector<std::uint8_t> snap = snapshot::snapshot_compass(donor, donor_opts);
+
+    // PRUN, the last section, holds next_stage (u32), the Measurement
+    // (seven 8-byte fields and a bool), raw_x and raw_y, then
+    // pending_settle_steps (i64), ran_cordic (u8) and the CORDIC trace.
+    constexpr std::size_t kPayload = 4 + 57 + 16 + 8 + 1 + 40;
+    const std::size_t prun = snap.size() - 4 - kPayload - kSectionHeaderBytes;
+    ASSERT_EQ(read_u64le(snap, prun) & 0xFFFFFFFFu, snapshot::section_tag('P', 'R', 'U', 'N'));
+    ASSERT_EQ(read_u64le(snap, prun + 4), kPayload);
+    const std::size_t pending_at = prun + kSectionHeaderBytes + 4 + 57 + 16;
+    const std::size_t ran_cordic_at = pending_at + 8;
+
+    compass::Compass target(cfg);
+    target.set_environment(kField, 200.0);
+    compass::PlanRun resumed(target, plan);
+    snapshot::RestoreTargets targets;
+    targets.plan_run = &resumed;
+    snapshot::SaveOptions target_opts;
+    target_opts.plan_run = &resumed;
+    const std::vector<std::uint8_t> before = snapshot::snapshot_compass(target, target_opts);
+
+    const compass::PlanRun::State reached = run.save_state();
+    std::vector<compass::PlanRun::State> unreachable(3, reached);
+    unreachable[0].pending_settle_steps = std::numeric_limits<int>::max();
+    unreachable[1].pending_settle_steps = -1;
+    unreachable[2].ran_cordic = true;
+    for (const compass::PlanRun::State& s : unreachable) {
+        SCOPED_TRACE(testing::Message() << "pending " << s.pending_settle_steps
+                                        << " ran_cordic " << s.ran_cordic);
+        std::vector<std::uint8_t> hostile = snap;
+        write_u64le(hostile, pending_at,
+                    static_cast<std::uint64_t>(std::int64_t{s.pending_settle_steps}));
+        hostile.at(ran_cordic_at) = s.ran_cordic ? 1 : 0;
+        reseal_section(hostile, prun);
+        EXPECT_THROW(snapshot::restore_compass(hostile, target, targets),
+                     snapshot::SnapshotError);
+        EXPECT_EQ(snapshot::snapshot_compass(target, target_opts), before);
+        EXPECT_THROW(resumed.load_state(s), std::invalid_argument);
+    }
+    EXPECT_FALSE(compass::PlanRun::reachable(plan, unreachable[0]));
+    EXPECT_TRUE(compass::PlanRun::reachable(plan, reached));
 }
 
 // ------------------------------------------------------- counter registers
