@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -304,6 +305,11 @@ struct BadDetector {
     const char* name;
     double threshold_v, offset_v, hysteresis_v;
 };
+
+// ctest names each case after gtest's print of its parameter. Without a
+// printer gtest prints the struct's raw bytes, name pointer included,
+// and that address moves with every process's layout.
+void PrintTo(const BadDetector& d, std::ostream* os) { *os << d.name; }
 
 class FrontEndRejectsDetector : public ::testing::TestWithParam<BadDetector> {};
 
