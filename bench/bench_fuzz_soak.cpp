@@ -21,6 +21,12 @@
 ///   bench_fuzz_soak [--cases=N] [--seed=S] [--threads=T]
 ///                   [--oracle=name] [--checkpoint-every=N]
 ///                   [--checkpoint=path] [--resume-from=path]
+///   bench_fuzz_soak --help
+///
+/// Every argument is --name=value with one of these names (numbers in
+/// decimal, parsed whole), or --help. Anything else prints the usage to
+/// stderr and exits 2 before a case runs or a file is written, so a
+/// misspelt flag cannot pass as a default soak.
 ///
 /// --oracle pins every case to one oracle (e.g. --oracle=scenario or
 /// the exact enum name ScenarioDeterminism) instead of round-robining
@@ -28,10 +34,12 @@
 /// environment path this way.
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -60,26 +68,73 @@ double seconds_since(telemetry::Clock::time_point t0) {
     return std::chrono::duration<double>(telemetry::Clock::now() - t0).count();
 }
 
-std::uint64_t flag_u64(int argc, char** argv, const char* name,
-                       std::uint64_t fallback) {
-    const std::size_t len = std::strlen(name);
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-            return std::strtoull(argv[i] + len + 1, nullptr, 10);
-        }
-    }
-    return fallback;
+constexpr const char* kUsage =
+    "usage: bench_fuzz_soak [--cases=N] [--seed=S] [--threads=T]\n"
+    "                       [--oracle=name] [--checkpoint-every=N]\n"
+    "                       [--checkpoint=path] [--resume-from=path]\n"
+    "       bench_fuzz_soak --help\n";
+
+/// The parsed command line, with each flag's default.
+struct Flags {
+    std::uint64_t cases = 30000;
+    std::uint64_t seed = 20260807;
+    std::uint64_t threads = 4;
+    std::uint64_t checkpoint_every = 0;
+    std::string checkpoint = "fuzz_soak.fxgsnap";
+    const char* resume_from = nullptr;
+    const char* oracle = nullptr;
+};
+
+[[noreturn]] void usage_error(const char* why, const char* arg) {
+    std::fprintf(stderr, "bench_fuzz_soak: %s: '%s'\n%s", why, arg, kUsage);
+    std::exit(2);
 }
 
-const char* flag_str(int argc, char** argv, const char* name,
-                     const char* fallback) {
-    const std::size_t len = std::strlen(name);
+/// A decimal uint64 that is the whole of `s` (no sign, no suffix).
+bool parse_u64(const char* s, std::uint64_t& out) {
+    if (*s < '0' || *s > '9') return false;
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long v = std::strtoull(s, &end, 10);
+    if (errno == ERANGE || *end != '\0') return false;
+    out = v;
+    return true;
+}
+
+Flags parse_flags(int argc, char** argv) {
+    Flags f;
+    const unsigned hw = std::thread::hardware_concurrency();
+    if (hw > 0) f.threads = hw;
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-            return argv[i] + len + 1;
+        const std::string_view arg = argv[i];
+        if (arg == "--help") {
+            std::fputs(kUsage, stdout);
+            std::exit(0);
+        }
+        const std::size_t eq = arg.find('=');
+        if (!arg.starts_with("--") || eq == std::string_view::npos) {
+            usage_error("expected --name=value", argv[i]);
+        }
+        const std::string_view name = arg.substr(2, eq - 2);
+        const char* value = argv[i] + eq + 1;
+        std::uint64_t* number = name == "cases"              ? &f.cases
+                                : name == "seed"             ? &f.seed
+                                : name == "threads"          ? &f.threads
+                                : name == "checkpoint-every" ? &f.checkpoint_every
+                                                             : nullptr;
+        if (number != nullptr) {
+            if (!parse_u64(value, *number)) usage_error("not a decimal number", argv[i]);
+        } else if (name == "checkpoint") {
+            f.checkpoint = value;
+        } else if (name == "resume-from") {
+            f.resume_from = value;
+        } else if (name == "oracle") {
+            f.oracle = value;
+        } else {
+            usage_error("unknown flag", argv[i]);
         }
     }
-    return fallback;
+    return f;
 }
 
 /// Everything a resumed soak needs to converge to the identical result:
@@ -191,18 +246,14 @@ std::optional<verify::Oracle> parse_oracle(const char* name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    const std::uint64_t cases = flag_u64(argc, argv, "--cases", 30000);
-    const std::uint64_t seed = flag_u64(argc, argv, "--seed", 20260807);
-    const unsigned hw = std::thread::hardware_concurrency();
-    const int threads = static_cast<int>(
-        flag_u64(argc, argv, "--threads", hw > 0 ? hw : 4));
-    const std::uint64_t checkpoint_every =
-        flag_u64(argc, argv, "--checkpoint-every", 0);
-    const std::string checkpoint_path =
-        flag_str(argc, argv, "--checkpoint", "fuzz_soak.fxgsnap");
-    const char* resume_from = flag_str(argc, argv, "--resume-from", nullptr);
-    const std::optional<verify::Oracle> force =
-        parse_oracle(flag_str(argc, argv, "--oracle", nullptr));
+    const Flags flags = parse_flags(argc, argv);
+    const std::uint64_t cases = flags.cases;
+    const std::uint64_t seed = flags.seed;
+    const int threads = static_cast<int>(flags.threads);
+    const std::uint64_t checkpoint_every = flags.checkpoint_every;
+    const std::string& checkpoint_path = flags.checkpoint;
+    const char* resume_from = flags.resume_from;
+    const std::optional<verify::Oracle> force = parse_oracle(flags.oracle);
 
     SoakProgress progress;
     progress.seed = seed;

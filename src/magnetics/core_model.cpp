@@ -68,16 +68,34 @@ double TanhCore::advance(double h) {
 void TanhCore::advance_block(const double* h, double* m_out, int n) {
     if (n <= 0) return;
     namespace simd = util::simd;
-    // Same expression as magnetisation(), kLanes samples per vtanh: each
-    // lane rounds exactly like the scalar tail (the lane-independence
-    // contract of util/simd.hpp). The division is kept (not turned into
-    // a reciprocal multiply) so results stay bit-identical to the
-    // scalar path.
+    constexpr int W = simd::kLanes;
+    // Same expression as magnetisation(): K stripes of kLanes samples
+    // per K-wide vtanh, then single stripes, then a scalar tail; each
+    // lane rounds exactly like the scalar expression (the
+    // lane-independence contract of util/simd.hpp). h / hk goes through
+    // the reciprocal of hk (simd::div_by): one product and Markstein's
+    // fma correction give the correctly rounded quotient, the very bits
+    // of IEEE division (DESIGN.md section 12), without a divider
+    // operation per stripe.
+    constexpr int K = 4;
     const simd::dvec ms = simd::splat(ms_);
     const simd::dvec hk = simd::splat(hk_);
+    const simd::dvec rhk = simd::splat(1.0 / hk_);
+    const simd::dvec hks[K] = {hk, hk, hk, hk};
+    const simd::dvec rhks[K] = {rhk, rhk, rhk, rhk};
     int k = 0;
-    for (; k + simd::kLanes <= n; k += simd::kLanes) {
-        simd::store(m_out + k, simd::mul(ms, simd::vtanh(simd::div(simd::load(h + k), hk))));
+    for (; k + K * W <= n; k += K * W) {
+        simd::dvec x[K];
+        #pragma GCC unroll 8
+        for (int j = 0; j < K; ++j) x[j] = simd::load(h + k + j * W);
+        simd::div_by(x, hks, rhks);
+        simd::vtanh(x);
+        #pragma GCC unroll 8
+        for (int j = 0; j < K; ++j) simd::store(m_out + k + j * W, simd::mul(ms, x[j]));
+    }
+    for (; k + W <= n; k += W) {
+        simd::store(m_out + k,
+                    simd::mul(ms, simd::vtanh(simd::div_by(simd::load(h + k), hk, rhk))));
     }
     for (; k < n; ++k) m_out[k] = ms_ * simd::tanh1(h[k] / hk_);
     last_h_ = h[n - 1];

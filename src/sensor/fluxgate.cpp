@@ -90,15 +90,18 @@ void FluxgateSensor::step_block(const double* i_exc, double dt_s, int n, double*
     const simd::dvec nap_v = simd::splat(na_pickup);
     const simd::dvec mu0_v = simd::splat(magnetics::kMu0);
     const simd::dvec dt_v = simd::splat(dt_s);
+    const simd::dvec rdt_v = simd::splat(1.0 / dt_s);
     const auto linkage_v = [&](int j) {
         return simd::mul(nap_v,
                          simd::mul(mu0_v, simd::add(simd::load(h + j), simd::load(m + j))));
     };
-    // No derivative exists on the very first sample.
+    // No derivative exists on the very first sample. The stripes divide
+    // through the reciprocal of dt (simd::div_by, the bits of IEEE
+    // division; DESIGN.md section 12).
     v_out[0] = first_step_ ? 0.0 : (linkage(0) - lambda_pickup_prev_) / dt_s;
     for (k = 1; k + W <= n; k += W) {
         simd::store(v_out + k,
-                    simd::div(simd::sub(linkage_v(k), linkage_v(k - 1)), dt_v));
+                    simd::div_by(simd::sub(linkage_v(k), linkage_v(k - 1)), dt_v, rdt_v));
     }
     for (; k < n; ++k) v_out[k] = (linkage(k) - linkage(k - 1)) / dt_s;
 

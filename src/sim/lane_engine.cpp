@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <iterator>
+#include <type_traits>
 
 #include "magnetics/core_model.hpp"
 #include "magnetics/field_source.hpp"
@@ -481,14 +482,16 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         }
     }
 
-    // ---- Vector kernel: all lanes, one sample per iteration -----------
+    // ---- Vector kernel: all lanes of the group -------------------------
     //
     // Every statement runs across the group's S stripes (tiny inner
     // loops the compiler unrolls completely) before the next, so the
     // S per-stripe dependency spines sit interleaved in the
-    // instruction stream and execute concurrently.
+    // instruction stream and execute concurrently; the sensor pass
+    // interleaves U samples of them as well.
 
     const v::dvec dt_v = v::splat(dt_s);
+    const v::dvec rdt_v = v::splat(1.0 / dt_s);
     const v::dvec zero_v = v::splat(0.0);
     const v::dvec one_v = v::splat(1.0);
     const v::dvec two_v = v::splat(2.0);
@@ -503,7 +506,7 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
     v::dvec freq_v[S], gain_v[S], curv_v[S], dc_v[S], cgain_v[S];
     v::mask correct_m[S];
     v::dvec vig_v[S], fs_v[S], linfs_v[S], lim_v[S], neglim_v[S];
-    v::dvec fpa_v[S], hext_v[S], hk_v[S], ms_v[S], nap_v[S], nae_v[S];
+    v::dvec fpa_v[S], hext_v[S], hk_v[S], rhk_v[S], ms_v[S], nap_v[S], nae_v[S];
     v::dvec settle_v[S], off_v[S], fall_v[S], rise_v[S];
     v::dvec bias_v[S], supply_v[S], inc_v[S];
     v::mask count_m[S];
@@ -534,6 +537,7 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         fpa_v[s] = v::load(fpa_a + g);
         hext_v[s] = v::load(hext_a + g);
         hk_v[s] = v::load(hk_a + g);
+        rhk_v[s] = v::div(one_v, hk_v[s]);
         ms_v[s] = v::load(ms_a + g);
         nap_v[s] = v::load(nap_a + g);
         nae_v[s] = v::load(nae_a + g);
@@ -688,6 +692,73 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             }
         }
 
+        // Loads sample k's environment into the stripe vectors (and, when
+        // Hk varies, its reciprocal).
+        const auto load_env = [&](int k) {
+            const std::size_t gk = static_cast<std::size_t>(k) * GW;
+            #pragma GCC unroll 8
+            for (int s = 0; s < S; ++s) {
+                hext_v[s] = v::load(env_h_.data() + gk + s * W);
+                if (group_tdyn) {
+                    ms_v[s] = v::load(env_ms_.data() + gk + s * W);
+                    hk_v[s] = v::load(env_hk_.data() + gk + s * W);
+                    rhk_v[s] = v::div(one_v, hk_v[s]);
+                    fpa_v[s] = v::load(env_fpa_.data() + gk + s * W);
+                }
+            }
+        };
+
+        // Pass B's pickup stage for samples t .. t + NU - 1 of the tile,
+        // from their flux densities (FluxgateSensor::step): the linkages,
+        // the derivative against the previous sample's linkage, and the
+        // detector input. Sample u's previous linkage is sample u - 1's, and
+        // sample 0's is the one carried from the last call.
+        const auto pickup = [&]<int NU>(int t, const v::dvec (&bd)[NU][S])
+                                __attribute__((always_inline)) {
+            v::dvec lp[NU][S], le[NU][S], vp[NU * S], dt[NU * S], rdt[NU * S];
+            #pragma GCC unroll 8
+            for (int u = 0; u < NU; ++u) {
+                #pragma GCC unroll 8
+                for (int s = 0; s < S; ++s) {
+                    lp[u][s] = v::mul(nap_v[s], bd[u][s]);
+                    le[u][s] = v::mul(nae_v[s], bd[u][s]);
+                }
+            }
+            #pragma GCC unroll 8
+            for (int u = 0; u < NU; ++u) {
+                #pragma GCC unroll 8
+                for (int s = 0; s < S; ++s) {
+                    const v::dvec prev = u == 0 ? lpprev_v[s] : lp[u - 1][s];
+                    vp[u * S + s] = v::sub(lp[u][s], prev);
+                    dt[u * S + s] = dt_v;
+                    rdt[u * S + s] = rdt_v;
+                }
+            }
+            v::div_by(vp, dt, rdt);
+            if (k0 == 0 && t == 0) {
+                // No derivative exists on a fresh sensor's first sample.
+                #pragma GCC unroll 8
+                for (int s = 0; s < S; ++s) {
+                    vp[s] = v::blend(first_m[s], zero_v, vp[s]);
+                    first_m[s] = v::m_splat(false);
+                }
+            }
+            #pragma GCC unroll 8
+            for (int s = 0; s < S; ++s) {
+                #pragma GCC unroll 8
+                for (int u = 0; u < NU; ++u) bvdet[s * T + t + u] = vp[u * S + s];
+                if constexpr (NU >= 2) {
+                    leold_v[s] = le[NU - 2][s];
+                } else {
+                    leold_v[s] = leprev_v[s];
+                }
+                lpprev_v[s] = lp[NU - 1][s];
+                leprev_v[s] = le[NU - 1][s];
+                vpick_v[s] = vp[(NU - 1) * S + s];
+                b_v[s] = bd[NU - 1][s];
+            }
+        };
+
         // Pass B: fluxgate sensor chain and pickup noise -> the
         // detector's input voltage.
         //
@@ -698,57 +769,72 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         std::uint8_t envf = 0;
         if (group_dyn) {
             envf = tile_env_[static_cast<std::size_t>(k0 / T)];
-            if (envf != 0) {
-                const std::size_t g0 = static_cast<std::size_t>(k0) * GW;
-                #pragma GCC unroll 8
-                for (int s = 0; s < S; ++s) {
-                    hext_v[s] = v::load(env_h_.data() + g0 + s * W);
-                    if (group_tdyn) {
-                        ms_v[s] = v::load(env_ms_.data() + g0 + s * W);
-                        hk_v[s] = v::load(env_hk_.data() + g0 + s * W);
-                        fpa_v[s] = v::load(env_fpa_.data() + g0 + s * W);
-                    }
-                }
-            }
+            if (envf != 0) load_env(k0);
         }
-        for (int t = 0; t < tn; ++t) {
-            if (envf == 2) {
-                const std::size_t gk = static_cast<std::size_t>(k0 + t) * GW;
+
+        if (!stripe_generic) {
+            // TanhCore::advance: ms * tanh(h / hk). The body advances NU
+            // samples of all S stripes, and each of its statements runs
+            // over all K = NU * S vectors before the next, so K
+            // independent divide/exp chains overlap (one K-wide tanh).
+            // h / hk and the pickup derivative divide through the
+            // reciprocals (v::div_by), which leaves the tanh quotient as
+            // each sample's one divider operation. vtanh and div_by are
+            // lane-independent, so each lane equals the member's call.
+            // A tile whose environment changes per sample loads each
+            // sample's values inside the body; its tail runs at NU = 1.
+            const auto tanh_body = [&](auto nu, auto env, int t) {
+                constexpr int NU = decltype(nu)::value;
+                v::dvec h[NU][S], ms[NU][S], x[NU * S], hk[NU * S], rhk[NU * S], bd[NU][S];
                 #pragma GCC unroll 8
-                for (int s = 0; s < S; ++s) {
-                    hext_v[s] = v::load(env_h_.data() + gk + s * W);
-                    if (group_tdyn) {
-                        ms_v[s] = v::load(env_ms_.data() + gk + s * W);
-                        hk_v[s] = v::load(env_hk_.data() + gk + s * W);
-                        fpa_v[s] = v::load(env_fpa_.data() + gk + s * W);
+                for (int u = 0; u < NU; ++u) {
+                    if constexpr (decltype(env)::value) load_env(k0 + t + u);
+                    #pragma GCC unroll 8
+                    for (int s = 0; s < S; ++s) {
+                        // Active fluxgate sensor (FluxgateSensor::step).
+                        h[u][s] = v::add(v::mul(fpa_v[s], bidrv[s * T + t + u]), hext_v[s]);
+                        x[u * S + s] = h[u][s];
+                        hk[u * S + s] = hk_v[s];
+                        rhk[u * S + s] = rhk_v[s];
+                        ms[u][s] = ms_v[s];
                     }
                 }
+                v::div_by(x, hk, rhk);
+                v::vtanh(x);
+                #pragma GCC unroll 8
+                for (int u = 0; u < NU; ++u) {
+                    #pragma GCC unroll 8
+                    for (int s = 0; s < S; ++s) {
+                        bd[u][s] = v::mul(mu0_v, v::add(h[u][s], v::mul(ms[u][s], x[u * S + s])));
+                    }
+                }
+                #pragma GCC unroll 8
+                for (int s = 0; s < S; ++s) h_v[s] = h[NU - 1][s];
+                pickup(t, bd);
+            };
+            const auto run_tile = [&](auto env) {
+                constexpr int U = 4;
+                int t = 0;
+                for (; t + U <= tn; t += U) tanh_body(std::integral_constant<int, U>{}, env, t);
+                for (; t < tn; ++t) tanh_body(std::integral_constant<int, 1>{}, env, t);
+            };
+            if (envf == 2) {
+                run_tile(std::true_type{});
+            } else {
+                run_tile(std::false_type{});
             }
-
-            #pragma GCC unroll 8
-            for (int s = 0; s < S; ++s) {
-                // Active fluxgate sensor (FluxgateSensor::step).
-                h_v[s] = v::add(v::mul(fpa_v[s], bidrv[s * T + t]), hext_v[s]);
-            }
-
-            if (!stripe_generic) {
+        } else {
+            // A non-tanh (hysteretic/Langevin) core in the group:
+            // advance every lane's core through exact virtual dispatch,
+            // in sample order per lane. This also keeps each core's
+            // internal history current, so no scatter-time resync.
+            for (int t = 0; t < tn; ++t) {
+                if (envf == 2) load_env(k0 + t);
                 #pragma GCC unroll 8
                 for (int s = 0; s < S; ++s) {
-                    // TanhCore::advance: ms * tanh(h / hk); vtanh is
-                    // lane-independent, so each lane equals the
-                    // member's call.
-                    const v::dvec m_v =
-                        v::mul(ms_v[s], v::vtanh(v::div(h_v[s], hk_v[s])));
-                    b_v[s] = v::mul(mu0_v, v::add(h_v[s], m_v));
+                    h_v[s] = v::add(v::mul(fpa_v[s], bidrv[s * T + t]), hext_v[s]);
+                    v::store(h_s + s * W, h_v[s]);
                 }
-            } else {
-                // A non-tanh (hysteretic/Langevin) core in the group:
-                // advance every lane's core through exact virtual
-                // dispatch, in sample order per lane. This also keeps
-                // each core's internal history current, so no
-                // scatter-time resync.
-                #pragma GCC unroll 8
-                for (int s = 0; s < S; ++s) v::store(h_s + s * W, h_v[s]);
                 for (int l = 0; l < n; ++l) {
                     if (lane_tdyn[l]) {
                         // Scalar order: the sensor applies the tick's
@@ -761,27 +847,12 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
                     m_s[l] = core[l]->advance(h_s[l]);
                 }
                 for (int l = n; l < GW; ++l) m_s[l] = 0.0;
+                v::dvec bd[1][S];
                 #pragma GCC unroll 8
                 for (int s = 0; s < S; ++s) {
-                    b_v[s] = v::mul(mu0_v, v::add(h_v[s], v::load(m_s + s * W)));
+                    bd[0][s] = v::mul(mu0_v, v::add(h_v[s], v::load(m_s + s * W)));
                 }
-            }
-
-            #pragma GCC unroll 8
-            for (int s = 0; s < S; ++s) {
-                const v::dvec lp = v::mul(nap_v[s], b_v[s]);
-                const v::dvec le = v::mul(nae_v[s], b_v[s]);
-                vpick_v[s] = v::div(v::sub(lp, lpprev_v[s]), dt_v);
-                vpick_v[s] = v::blend(first_m[s], zero_v, vpick_v[s]);
-                leold_v[s] = leprev_v[s];
-                lpprev_v[s] = lp;
-                leprev_v[s] = le;
-                bvdet[s * T + t] = vpick_v[s];
-            }
-
-            if (k0 == 0 && t == 0) {
-                #pragma GCC unroll 8
-                for (int s = 0; s < S; ++s) first_m[s] = v::m_splat(false);
+                pickup(t, bd);
             }
         }
 

@@ -112,12 +112,14 @@ public:
 private:
     /// Advances one group of S consecutive stripes (n <= S*kLanes
     /// lanes) through a single interleaved kernel loop. Each sample's
-    /// arithmetic spine (divide -> exp polynomial -> tanh divide ->
-    /// pickup divide) is a long serial dependency chain; running S
-    /// stripes statement-by-statement through one body gives the
-    /// out-of-order core S independent chains to overlap. Lanes never
-    /// interact, so the result is bit-identical to S separate stripe
-    /// passes.
+    /// sensor spine (h / hk -> exp polynomial -> tanh divide -> pickup
+    /// derivative) is a long serial dependency chain; the sensor pass
+    /// runs U samples of all S stripes statement by statement through
+    /// one body, which gives the out-of-order core U*S independent
+    /// chains to overlap, and divides by hk and dt through their
+    /// reciprocals (simd::div_by). Lanes never interact and every lane
+    /// keeps its operations and their order, so the result is
+    /// bit-identical to per-member stepping.
     template <int S>
     void advance_group(const LanePort* lanes, int n, analog::Channel channel,
                        int steps, double dt_s);

@@ -21,13 +21,19 @@
 /// The contract that makes the lane engine's bit-identity story work:
 /// every operation here is *lane-independent* and rounds exactly like
 /// the obvious scalar expression — add/sub/mul/div/floor are single
-/// IEEE-754 ops, fmadd/fnmadd are a single rounding (std::fma in the
-/// fallback), max/min mirror the x86 (a cmp b) ? a : b semantics, and
-/// blends select whole lanes by the mask. Consequently lane i of any
+/// IEEE-754 ops, fmadd/fnmadd/fmsub are a single rounding (std::fma in
+/// the fallback), max/min mirror the x86 (a cmp b) ? a : b semantics,
+/// and blends select whole lanes by the mask. Consequently lane i of any
 /// vector computation equals the same computation run on lane i alone,
 /// which is how the remainder-lane tails (scalar calls into tanh1)
 /// stay bit-identical to full-width stripes, and how every backend
 /// reproduces every other bit for bit.
+///
+/// div_by(a, b, y), for y == 1.0 / b, returns exactly div(a, b) in
+/// every lane: a product and Markstein's fma correction where the
+/// operands lie in the range DESIGN.md section 12 proves exact, div
+/// otherwise. A loop-invariant divisor thus costs one reciprocal, and
+/// no divider operation per vector.
 ///
 /// vtanh is the one transcendental the engines need. libm's tanh is
 /// correctly rounded but scalar-only and has no vectorizable contract,
@@ -38,6 +44,11 @@
 /// ulp against libm; consistency across scalar/block/lane paths is
 /// exact by construction. vtanh handles +-0 and +-inf but does not
 /// propagate NaN (engine inputs are finite by construction).
+/// detail::tanh_t is written for K vectors at once, statement by
+/// statement, so K independent divide/exp chains overlap; each vector
+/// runs exactly the operations of the K = 1 case, which is vtanh, so
+/// the K-wide form and tanh1 agree bit for bit. div_by has the same
+/// K-wide form, with one range check and branch per call.
 ///
 /// vgauss turns one 64-bit random draw per lane into a standard normal
 /// deviate (Box–Muller with its own log and cos polynomials) under the
@@ -53,6 +64,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 #if !defined(FXG_SIMD_DISABLE) && defined(__AVX512F__) && defined(__AVX512DQ__)
 #define FXG_SIMD_AVX512 1
@@ -154,9 +166,18 @@ struct ScalarBackend {
         for (int l = 0; l < kLanes; ++l) c.v[l] = std::fma(a.v[l], b.v[l], c.v[l]);
         return c;
     }
-    /// c - a*b with a single rounding (FNMADD).
+    /// c - a*b with a single rounding (FNMADD). The product's sign is
+    /// flipped through b, not a: GCC folds -fma(x, y, z) into
+    /// fma(-x, y, -z), which changes the sign of a zero result, so a
+    /// negated `a` that is itself an fma (div_by's remainder) would turn
+    /// -0 / b into +0.
     static D fnmadd(D a, D b, D c) {
-        for (int l = 0; l < kLanes; ++l) c.v[l] = std::fma(-a.v[l], b.v[l], c.v[l]);
+        for (int l = 0; l < kLanes; ++l) c.v[l] = std::fma(a.v[l], -b.v[l], c.v[l]);
+        return c;
+    }
+    /// a*b - c with a single rounding (FMSUB).
+    static D fmsub(D a, D b, D c) {
+        for (int l = 0; l < kLanes; ++l) c.v[l] = std::fma(a.v[l], b.v[l], -c.v[l]);
         return c;
     }
 
@@ -348,6 +369,7 @@ struct Avx512Backend {
     static D min(D a, D b) { return _mm512_min_pd(a, b); }
     static D fmadd(D a, D b, D c) { return _mm512_fmadd_pd(a, b, c); }
     static D fnmadd(D a, D b, D c) { return _mm512_fnmadd_pd(a, b, c); }
+    static D fmsub(D a, D b, D c) { return _mm512_fmsub_pd(a, b, c); }
 
     static D bit_and(D a, D b) { return _mm512_and_pd(a, b); }
     static D bit_or(D a, D b) { return _mm512_or_pd(a, b); }
@@ -420,6 +442,7 @@ struct Avx2Backend {
     static D min(D a, D b) { return _mm256_min_pd(a, b); }
     static D fmadd(D a, D b, D c) { return _mm256_fmadd_pd(a, b, c); }
     static D fnmadd(D a, D b, D c) { return _mm256_fnmadd_pd(a, b, c); }
+    static D fmsub(D a, D b, D c) { return _mm256_fmsub_pd(a, b, c); }
 
     static D bit_and(D a, D b) { return _mm256_and_pd(a, b); }
     static D bit_or(D a, D b) { return _mm256_or_pd(a, b); }
@@ -512,6 +535,8 @@ struct NeonBackend {
     static D min(D a, D b) { return vbslq_f64(vcltq_f64(a, b), a, b); }
     static D fmadd(D a, D b, D c) { return vfmaq_f64(c, a, b); }
     static D fnmadd(D a, D b, D c) { return vfmsq_f64(c, a, b); }
+    /// a*b + (-c): negating c is exact, so this is FMSUB's one rounding.
+    static D fmsub(D a, D b, D c) { return vfmaq_f64(vnegq_f64(c), a, b); }
 
     static D bit_and(D a, D b) {
         return vreinterpretq_f64_u64(
@@ -589,78 +614,138 @@ using Active = ScalarBackend;
 
 #endif
 
+/// Runs f(0), ..., f(K - 1). The K-wide functions below write every
+/// statement as one each<K> over their K vectors, so the K dependency
+/// chains sit interleaved in the instruction stream, while each vector
+/// still runs exactly the K = 1 operations in the K = 1 order.
+template <class F, int... k>
+[[gnu::always_inline]] inline void each_of(F& f, std::integer_sequence<int, k...>) {
+    (f(k), ...);
+}
+template <int K, class F>
+[[gnu::always_inline]] inline void each(F&& f) {
+    each_of(f, std::make_integer_sequence<int, K>{});
+}
+
 /// Shared exp range reduction: x = k*ln2 + r with |r| <= ln2/2, and
 /// s(r) = (exp(r) - 1) / r as a degree-12 Horner chain of explicit
-/// fmas. From these, exp(x) = (s*r + 1) * 2^k and expm1 falls out
-/// without the 1-ulp-of-1.0 cancellation when k == 0.
-template <class B>
+/// fmas, for K vectors at once. From these, exp(x) = (s*r + 1) * 2^k
+/// and expm1 falls out without the 1-ulp-of-1.0 cancellation when
+/// k == 0.
+template <class B, int K>
 struct ExpReduction {
-    typename B::D kd;  ///< round-to-nearest(x / ln2), integer-valued
-    typename B::D r;   ///< reduced argument
-    typename B::D s;   ///< (exp(r) - 1) / r polynomial value
+    typename B::D kd[K];  ///< round-to-nearest(x / ln2), integer-valued
+    typename B::D r[K];   ///< reduced argument
+    typename B::D s[K];   ///< (exp(r) - 1) / r polynomial value
 
-    static ExpReduction reduce(typename B::D x) {
-        using D = typename B::D;
+    [[gnu::always_inline]] explicit ExpReduction(const typename B::D (&x_in)[K]) {
+        typename B::D x[K];
         // Clamp below -708: the subnormal-result region. Callers that
         // get there (tanh past saturation) have already converged.
-        x = B::max(x, B::splat(-708.0));
+        each<K>([&](int k) { x[k] = B::max(x_in[k], B::splat(-708.0)); });
         // k via the +0.5/floor idiom so no backend depends on the FP
         // rounding mode.
-        const D kd = B::floor(B::add(B::mul(x, B::splat(1.4426950408889634074)),
-                                     B::splat(0.5)));
+        each<K>([&](int k) {
+            kd[k] = B::floor(B::add(B::mul(x[k], B::splat(1.4426950408889634074)),
+                                    B::splat(0.5)));
+        });
         // Cody–Waite with musl's ln2 split: k*ln2_hi is exact for
         // |k| < 2^20.
-        D r = B::fnmadd(kd, B::splat(6.93147180369123816490e-01), x);
-        r = B::fnmadd(kd, B::splat(1.90821492927058770002e-10), r);
-        D s = B::splat(1.0 / 6227020800.0);
-        s = B::fmadd(s, r, B::splat(1.0 / 479001600.0));
-        s = B::fmadd(s, r, B::splat(1.0 / 39916800.0));
-        s = B::fmadd(s, r, B::splat(1.0 / 3628800.0));
-        s = B::fmadd(s, r, B::splat(1.0 / 362880.0));
-        s = B::fmadd(s, r, B::splat(1.0 / 40320.0));
-        s = B::fmadd(s, r, B::splat(1.0 / 5040.0));
-        s = B::fmadd(s, r, B::splat(1.0 / 720.0));
-        s = B::fmadd(s, r, B::splat(1.0 / 120.0));
-        s = B::fmadd(s, r, B::splat(1.0 / 24.0));
-        s = B::fmadd(s, r, B::splat(1.0 / 6.0));
-        s = B::fmadd(s, r, B::splat(0.5));
-        s = B::fmadd(s, r, B::splat(1.0));
-        return {kd, r, s};
+        each<K>([&](int k) { r[k] = B::fnmadd(kd[k], B::splat(6.93147180369123816490e-01), x[k]); });
+        each<K>([&](int k) { r[k] = B::fnmadd(kd[k], B::splat(1.90821492927058770002e-10), r[k]); });
+        static constexpr double kHorner[] = {
+            1.0 / 479001600.0, 1.0 / 39916800.0, 1.0 / 3628800.0, 1.0 / 362880.0,
+            1.0 / 40320.0,     1.0 / 5040.0,     1.0 / 720.0,     1.0 / 120.0,
+            1.0 / 24.0,        1.0 / 6.0,        0.5,             1.0};
+        each<K>([&](int k) { s[k] = B::splat(1.0 / 6227020800.0); });
+        #pragma GCC unroll 12
+        for (const double c : kHorner) {
+            each<K>([&](int k) { s[k] = B::fmadd(s[k], r[k], B::splat(c)); });
+        }
     }
 };
 
-/// expm1(x) = exp(x) - 1 with full relative accuracy near zero: when
-/// the reduction lands in k == 0 the result is s*r directly (no
-/// cancellation); otherwise (exp(r) * 2^k) - 1 as one fma, where the
-/// subtraction is benign because |exp(x)| is at least ~sqrt(2) away
-/// from 1.
-template <class B>
-typename B::D expm1_t(typename B::D x) {
+/// expm1(x) = exp(x) - 1 in place on K vectors, with full relative
+/// accuracy near zero: when the reduction lands in k == 0 the result is
+/// s*r directly (no cancellation); otherwise (exp(r) * 2^k) - 1 as one
+/// fma, where the subtraction is benign because |exp(x)| is at least
+/// ~sqrt(2) away from 1.
+template <class B, int K>
+[[gnu::always_inline]] inline void expm1_t(typename B::D (&x)[K]) {
     using D = typename B::D;
-    const auto red = ExpReduction<B>::reduce(x);
-    const D near_zero = B::mul(red.s, red.r);
-    const D p = B::fmadd(red.s, red.r, B::splat(1.0));
-    const D scaled = B::fmadd(p, B::pow2i(B::d2i_exact(red.kd)), B::splat(-1.0));
-    const D zero = B::splat(0.0);
-    const auto k_is_zero =
-        B::m_and(B::cmp_ge(red.kd, zero), B::cmp_ge(zero, red.kd));
-    return B::blend(k_is_zero, near_zero, scaled);
+    const ExpReduction<B, K> red(x);
+    D near_zero[K], scaled[K];
+    each<K>([&](int k) { near_zero[k] = B::mul(red.s[k], red.r[k]); });
+    each<K>([&](int k) { scaled[k] = B::fmadd(red.s[k], red.r[k], B::splat(1.0)); });
+    each<K>([&](int k) {
+        scaled[k] = B::fmadd(scaled[k], B::pow2i(B::d2i_exact(red.kd[k])), B::splat(-1.0));
+    });
+    each<K>([&](int k) {
+        const D zero = B::splat(0.0);
+        const auto k_is_zero =
+            B::m_and(B::cmp_ge(red.kd[k], zero), B::cmp_ge(zero, red.kd[k]));
+        x[k] = B::blend(k_is_zero, near_zero[k], scaled[k]);
+    });
 }
 
-/// tanh(x) = sign(x) * -q / (2 + q) with q = expm1(-2|x|), saturating
-/// to +-1 for |x| >= 19 (where the quotient rounds to 1.0 anyway, so
-/// there is no step against libm). Finite inputs only.
-template <class B>
-typename B::D tanh_t(typename B::D x) {
+/// tanh in place on K vectors: tanh(x) = sign(x) * -q / (2 + q) with
+/// q = expm1(-2|x|), saturating to +-1 for |x| >= 19 (where the
+/// quotient rounds to 1.0 anyway, so there is no step against libm).
+/// Finite inputs only. The one tanh of every engine: vtanh is its
+/// K = 1 case.
+template <class B, int K>
+[[gnu::always_inline]] inline void tanh_t(typename B::D (&x)[K]) {
     using D = typename B::D;
     const D sign_bit = B::splat(-0.0);
-    const D sign = B::bit_and(x, sign_bit);
-    const D ax = B::bit_andnot(sign_bit, x);
-    const D q = expm1_t<B>(B::mul(ax, B::splat(-2.0)));
-    // 0 - q (not a sign flip) so tanh(+-0) keeps libm's +-0.
-    D r = B::div(B::sub(B::splat(0.0), q), B::add(B::splat(2.0), q));
-    r = B::blend(B::cmp_ge(ax, B::splat(19.0)), B::splat(1.0), r);
-    return B::bit_or(r, sign);
+    D sign[K], ax[K], q[K];
+    each<K>([&](int k) { sign[k] = B::bit_and(x[k], sign_bit); });
+    each<K>([&](int k) { ax[k] = B::bit_andnot(sign_bit, x[k]); });
+    each<K>([&](int k) { q[k] = B::mul(ax[k], B::splat(-2.0)); });
+    expm1_t<B, K>(q);
+    // 0 - q (not a sign flip) so tanh(+-0) keeps libm's +-0. The
+    // quotient keeps its divide: its divisor changes every sample.
+    each<K>([&](int k) {
+        x[k] = B::div(B::sub(B::splat(0.0), q[k]), B::add(B::splat(2.0), q[k]));
+    });
+    each<K>([&](int k) {
+        x[k] = B::blend(B::cmp_ge(ax[k], B::splat(19.0)), B::splat(1.0), x[k]);
+    });
+    each<K>([&](int k) { x[k] = B::bit_or(x[k], sign[k]); });
+}
+
+/// a[k] / b[k] in place on K vectors through y[k] == 1.0 / b[k],
+/// rounded exactly as div(a[k], b[k]) rounds it in every lane. The
+/// fast path is one product and Markstein's correction:
+/// q0 = a*y, then q = q0 - (q0*b - a)*y as two fmas (DESIGN.md
+/// section 12 proves it returns RN(a/b), the sign of a zero included,
+/// for b in [2^-50, 2^50] and a = +-0 or 2^-969 <= |a| <= 2^968).
+/// When any lane of the K vectors lies outside that range (or b <= 0,
+/// or an operand is not finite), all K take div instead: one
+/// predictable branch per call.
+template <class B, int K>
+[[gnu::always_inline]] inline void div_by_t(typename B::D (&a)[K],
+                                            const typename B::D (&b)[K],
+                                            const typename B::D (&y)[K]) {
+    using D = typename B::D;
+    using M = typename B::M;
+    D q[K];
+    each<K>([&](int k) { q[k] = B::mul(a[k], y[k]); });
+    each<K>([&](int k) { q[k] = B::fnmadd(B::fmsub(q[k], b[k], a[k]), y[k], q[k]); });
+    M in = B::m_splat(true);
+    each<K>([&](int k) {
+        const D ax = B::bit_andnot(B::splat(-0.0), a[k]);
+        const M b_in = B::m_and(B::cmp_ge(b[k], B::splat(0x1p-50)),
+                                B::cmp_ge(B::splat(0x1p50), b[k]));
+        const M a_in = B::m_or(
+            B::m_and(B::cmp_ge(ax, B::splat(0x1p-969)), B::cmp_ge(B::splat(0x1p968), ax)),
+            B::cmp_ge(B::splat(0.0), ax));
+        in = B::m_and(in, B::m_and(a_in, b_in));
+    });
+    if (B::movemask(in) == (1u << B::kLanes) - 1) {
+        each<K>([&](int k) { a[k] = q[k]; });
+    } else {
+        each<K>([&](int k) { a[k] = B::div(a[k], b[k]); });
+    }
 }
 
 /// Standard normal deviate from one 64-bit draw: the cosine branch of
@@ -769,6 +854,7 @@ inline dvec max(dvec a, dvec b) { return detail::Active::max(a, b); }
 inline dvec min(dvec a, dvec b) { return detail::Active::min(a, b); }
 inline dvec fmadd(dvec a, dvec b, dvec c) { return detail::Active::fmadd(a, b, c); }
 inline dvec fnmadd(dvec a, dvec b, dvec c) { return detail::Active::fnmadd(a, b, c); }
+inline dvec fmsub(dvec a, dvec b, dvec c) { return detail::Active::fmsub(a, b, c); }
 inline dvec bit_and(dvec a, dvec b) { return detail::Active::bit_and(a, b); }
 inline dvec bit_or(dvec a, dvec b) { return detail::Active::bit_or(a, b); }
 inline dvec bit_xor(dvec a, dvec b) { return detail::Active::bit_xor(a, b); }
@@ -799,7 +885,31 @@ inline ivec i_srl(ivec a) {
 }
 inline ivec d2i_exact(dvec a) { return detail::Active::d2i_exact(a); }
 
-inline dvec vtanh(dvec x) { return detail::tanh_t<detail::Active>(x); }
+/// a[k] / b[k] in place for y[k] == 1.0 / b[k], bit for bit what
+/// div(a[k], b[k]) returns; see detail::div_by_t. For a loop-invariant
+/// divisor: one reciprocal, then no divider operation per vector.
+template <int K>
+[[gnu::always_inline]] inline void div_by(dvec (&a)[K], const dvec (&b)[K], const dvec (&y)[K]) {
+    detail::div_by_t<detail::Active, K>(a, b, y);
+}
+inline dvec div_by(dvec a, dvec b, dvec y) {
+    dvec q[1] = {a};
+    const dvec bb[1] = {b};
+    const dvec yy[1] = {y};
+    div_by(q, bb, yy);
+    return q[0];
+}
+
+/// tanh of K vectors in place, their chains interleaved.
+template <int K>
+[[gnu::always_inline]] inline void vtanh(dvec (&x)[K]) {
+    detail::tanh_t<detail::Active, K>(x);
+}
+inline dvec vtanh(dvec x) {
+    dvec a[1] = {x};
+    vtanh(a);
+    return a[0];
+}
 /// One standard normal deviate per lane from that lane's 64-bit draw.
 inline dvec vgauss(ivec bits) { return detail::gauss_t<detail::Active>(bits); }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <functional>
 #include <map>
@@ -24,7 +25,9 @@
 #include "digital/counter.hpp"
 #include "fault/fault_injector.hpp"
 #include "magnetics/earth_field.hpp"
+#include "magnetics/field_source.hpp"
 #include "magnetics/units.hpp"
+#include "sim/engine.hpp"
 #include "sim/lane_engine.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/probes.hpp"
@@ -556,6 +559,160 @@ TEST(LaneEngine, BatchTreeOutlivesATrapOnLaneZero) {
     EXPECT_EQ(render_tree(session.spans()),
               "measure=0{" + axis(0, m.count_x) + " " + axis(1, m.count_y) +
                   " cordic=" + std::to_string(cordic.rotations) + "}");
+}
+
+// ------------------------------------------------ Pass B's sensor body
+//
+// The kernel advances U samples of every stripe per iteration of its
+// tanh-core body, with a U = 1 tail. These tests drive LaneEngine
+// directly with advances that end inside a U block, and compare every
+// stage of every member with the member stepped alone through the
+// scalar engine.
+
+/// Changes the field on both axes and the temperature on every sample,
+/// so every tile of the lane kernel reloads its environment per sample.
+class EverySampleSource final : public magnetics::FieldSource {
+public:
+    [[nodiscard]] magnetics::FieldTick field_at(std::uint64_t k) const override {
+        return {20.0 + 0.37 * static_cast<double>(k % 97),
+                -12.0 + 0.11 * static_cast<double>(k % 53),
+                25.0 + 0.05 * static_cast<double>(k % 71)};
+    }
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_same_front_end(analog::FrontEnd& a, analog::FrontEnd& b) {
+    const analog::TriangleOscillator::State oa = a.oscillator().save_state();
+    const analog::TriangleOscillator::State ob = b.oscillator().save_state();
+    EXPECT_EQ(bits(oa.phase), bits(ob.phase));
+    EXPECT_EQ(bits(oa.output), bits(ob.output));
+    EXPECT_EQ(bits(oa.correction_a), bits(ob.correction_a));
+    EXPECT_EQ(bits(a.mux().save_state().since_switch_s),
+              bits(b.mux().save_state().since_switch_s));
+    for (const analog::Channel ch : {analog::Channel::X, analog::Channel::Y}) {
+        SCOPED_TRACE(ch == analog::Channel::X ? "channel x" : "channel y");
+        const sensor::FluxgateSensor::State sa = a.sensor(ch).save_state();
+        const sensor::FluxgateSensor::State sb = b.sensor(ch).save_state();
+        EXPECT_EQ(bits(sa.h_core), bits(sb.h_core));
+        EXPECT_EQ(bits(sa.b_core), bits(sb.b_core));
+        EXPECT_EQ(bits(sa.v_pickup), bits(sb.v_pickup));
+        EXPECT_EQ(bits(sa.v_excitation), bits(sb.v_excitation));
+        EXPECT_EQ(bits(sa.lambda_pickup_prev), bits(sb.lambda_pickup_prev));
+        EXPECT_EQ(bits(sa.lambda_exc_prev), bits(sb.lambda_exc_prev));
+        EXPECT_EQ(sa.first_step, sb.first_step);
+        EXPECT_EQ(a.sensor(ch).core().save_state(), b.sensor(ch).core().save_state());
+        const analog::PulsePositionDetector::State da = a.detector(ch).save_state();
+        const analog::PulsePositionDetector::State db = b.detector(ch).save_state();
+        EXPECT_EQ(da.positive, db.positive);
+        EXPECT_EQ(da.negative, db.negative);
+        EXPECT_EQ(da.out, db.out);
+        const analog::StreamStats st_a = a.stream_stats(ch);
+        const analog::StreamStats st_b = b.stream_stats(ch);
+        EXPECT_EQ(st_a.samples, st_b.samples);
+        EXPECT_EQ(st_a.valid_samples, st_b.valid_samples);
+        EXPECT_EQ(st_a.high_samples, st_b.high_samples);
+        EXPECT_EQ(st_a.edges, st_b.edges);
+    }
+}
+
+/// Members built from `configs` and set up by `prepare` advance by each
+/// count in `advances` in turn, counting channel x: one LaneEngine
+/// batch against every member alone on the scalar engine.
+void expect_lane_advances_match_scalar(
+    const std::vector<analog::FrontEndConfig>& configs, const std::vector<int>& advances,
+    const std::function<void(int, analog::FrontEnd&)>& prepare, double dt_s = 125e-6 / 2048) {
+    const std::size_t n = configs.size();
+    std::vector<std::unique_ptr<analog::FrontEnd>> ref, lane;
+    std::vector<digital::UpDownCounter> ref_ctr(n), lane_ctr(n);
+    std::vector<double> ref_e(n, 0.0), lane_e(n, 0.0);
+    std::vector<sim::LanePort> ports;
+    for (std::size_t i = 0; i < n; ++i) {
+        ref.push_back(std::make_unique<analog::FrontEnd>(configs[i]));
+        lane.push_back(std::make_unique<analog::FrontEnd>(configs[i]));
+        for (analog::FrontEnd* fe : {ref.back().get(), lane.back().get()}) {
+            fe->enable(true);
+            fe->set_field(analog::Channel::X, 20.0 + 3.0 * static_cast<double>(i));
+            fe->set_field(analog::Channel::Y, -12.0 + static_cast<double>(i));
+            prepare(static_cast<int>(i), *fe);
+        }
+        ports.push_back({lane.back().get(), &lane_ctr[i], &lane_e[i]});
+    }
+    sim::ScalarEngine scalar;
+    sim::LaneEngine engine;
+    int done = 0;
+    for (const int steps : advances) {
+        done += steps;
+        SCOPED_TRACE(testing::Message() << "advance of " << steps << ", " << done << " samples");
+        engine.advance(ports.data(), static_cast<int>(n), analog::Channel::X, steps, dt_s);
+        for (std::size_t i = 0; i < n; ++i) {
+            scalar.advance(*ref[i], analog::Channel::X, steps, dt_s, &ref_ctr[i], ref_e[i]);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            SCOPED_TRACE(testing::Message() << "member " << i);
+            expect_same_front_end(*ref[i], *lane[i]);
+            EXPECT_EQ(ref_ctr[i].count(), lane_ctr[i].count());
+            EXPECT_EQ(ref_ctr[i].active_ticks(), lane_ctr[i].active_ticks());
+            EXPECT_EQ(bits(ref_e[i]), bits(lane_e[i]));
+        }
+    }
+}
+
+// Advances that end inside a U block and in its tail, advances that end
+// on a block's last sample (4, 64, 128), then a whole excitation period,
+// so the pickup pulses reach the detectors and counters.
+const std::vector<int> kOddAdvances = {1, 2, 3, 5, 63, 65, 130, 4, 64, 128, 2048};
+
+TEST(LaneEngine, AdvancesEndingInsideAWideBlockMatchScalar) {
+    // Nine members: a full stripe plus a partial one on every backend.
+    const std::vector<analog::FrontEndConfig> configs(9);
+    expect_lane_advances_match_scalar(configs, kOddAdvances, [](int, analog::FrontEnd&) {});
+}
+
+TEST(LaneEngine, FreshSensorsFirstSampleInsideTheWideBodyMatchesScalar) {
+    // The first advance is long, so a fresh sensor's first sample (the
+    // one without a derivative) is sample 0 of a U-wide block, and
+    // sample u's previous linkage is sample u - 1's from then on.
+    const std::vector<analog::FrontEndConfig> configs(5);
+    expect_lane_advances_match_scalar(configs, {128, 65, 63, 5, 3, 2, 1, 2048},
+                                      [](int, analog::FrontEnd&) {});
+}
+
+TEST(LaneEngine, PerSampleEnvironmentWithTemperatureDependentHkMatchesScalar) {
+    // Hk, Ms and the sensitivity drift with temperature, and the source
+    // changes both every sample: each sample of each U block loads its
+    // own field, Ms, Hk (and Hk's reciprocal). Member 2 keeps a
+    // constant field inside the same group.
+    analog::FrontEndConfig cfg;
+    cfg.sensor.hk_temp_coeff_per_c = 4e-3;
+    cfg.sensor.ms_temp_coeff_per_c = -1e-3;
+    cfg.sensor.sens_temp_coeff_per_c = 5e-4;
+    const std::vector<analog::FrontEndConfig> configs(6, cfg);
+    const auto source = std::make_shared<const EverySampleSource>();
+    expect_lane_advances_match_scalar(configs, kOddAdvances, [&](int i, analog::FrontEnd& fe) {
+        if (i != 2) fe.set_field_source(source);
+    });
+}
+
+TEST(LaneEngine, GroupHoldingANonTanhCoreMatchesScalar) {
+    // One Jiles-Atherton member sends its whole group down the
+    // per-lane core path; the pickup stage is shared with the tanh body.
+    std::vector<analog::FrontEndConfig> configs(6);
+    configs[3].core_kind = sensor::CoreKind::JilesAtherton;
+    configs[4].core_kind = sensor::CoreKind::Langevin;
+    expect_lane_advances_match_scalar(configs, kOddAdvances, [](int, analog::FrontEnd&) {});
+}
+
+TEST(LaneEngine, DivisorsOutsideTheReciprocalRangeTakeTheExactDivide) {
+    // A subnormal Hk and a subnormal dt lie outside the range where
+    // div_by's reciprocal path is exact (their reciprocals overflow, and
+    // h * inf - h * inf is NaN where h / Hk is inf), so the kernel
+    // divides through div on those branches and must still match.
+    std::vector<analog::FrontEndConfig> configs(3);
+    configs[1].sensor.hk_a_per_m = 1e-320;
+    expect_lane_advances_match_scalar(configs, kOddAdvances, [](int, analog::FrontEnd&) {});
+    expect_lane_advances_match_scalar(std::vector<analog::FrontEndConfig>(3), kOddAdvances,
+                                      [](int, analog::FrontEnd&) {}, 1e-320);
 }
 
 // ------------------------------------------------------------- fleet

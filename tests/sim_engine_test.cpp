@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "core/compass.hpp"
@@ -59,6 +61,18 @@ struct SweepCase {
     double noise_rms_v;
 };
 
+std::string case_name(const SweepCase& c) {
+    std::string name =
+        c.mode == analog::FrontEndMode::Multiplexed ? "Multiplexed" : "Simultaneous";
+    name += c.noise_rms_v > 0.0 ? "Noisy" : "Clean";
+    return name;
+}
+
+// ctest names each case after gtest's print of its parameter. Without a
+// printer gtest prints the struct's raw bytes, and its padding bytes
+// differ from build to build.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << case_name(c); }
+
 class EngineEquivalence : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(EngineEquivalence, BitIdenticalAcrossHeadings) {
@@ -88,13 +102,7 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{analog::FrontEndMode::Simultaneous, 0.0},
                       SweepCase{analog::FrontEndMode::Multiplexed, 2.0e-3},
                       SweepCase{analog::FrontEndMode::Simultaneous, 2.0e-3}),
-    [](const ::testing::TestParamInfo<SweepCase>& info) {
-        std::string name = info.param.mode == analog::FrontEndMode::Multiplexed
-                               ? "Multiplexed"
-                               : "Simultaneous";
-        name += info.param.noise_rms_v > 0.0 ? "Noisy" : "Clean";
-        return name;
-    });
+    [](const ::testing::TestParamInfo<SweepCase>& info) { return case_name(info.param); });
 
 // The paper's design point (2048 steps/period, 8 periods/axis) must be
 // bit-identical too — this is the configuration every headline bench

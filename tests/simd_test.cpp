@@ -18,6 +18,8 @@
 #include <numeric>
 #include <random>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/lane_engine.hpp"
@@ -314,7 +316,9 @@ TEST(Simd, TanhMatchesScalarFallbackBitwiseAndLibmClosely) {
     const std::vector<double> act = expect_backends_agree<double>(
         "tanh", xs.size(), [&](auto be, double* out, std::size_t i) {
             using B = decltype(be);
-            B::store(out, simd::detail::tanh_t<B>(B::load(xs.data() + i)));
+            typename B::D x[1] = {B::load(xs.data() + i)};
+            simd::detail::tanh_t<B, 1>(x);
+            B::store(out, x[0]);
         });
     for (std::size_t k = 0; k < xs.size(); ++k) {
         const double x = xs[k];
@@ -324,6 +328,247 @@ TEST(Simd, TanhMatchesScalarFallbackBitwiseAndLibmClosely) {
         EXPECT_EQ(std::signbit(act[k]), std::signbit(x)) << "tanh sign x=" << x;
         EXPECT_EQ(bits_of(act[k]), bits_of(simd::tanh1(x))) << "tanh1 x=" << x;
     }
+}
+
+// ------------------------------------------------------------- K-wide tanh
+
+// detail::tanh_t runs K vectors statement by statement; every element
+// must still run the K = 1 operations, so each lane of each vector
+// equals vtanh of that vector and tanh1 of that lane.
+TEST(Simd, WideTanhEqualsNarrowTanhLaneForLane) {
+    std::vector<double> xs;
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    for (const double x :
+         {0.0, -0.0, 19.0, -19.0, std::nextafter(19.0, 0.0), std::nextafter(-19.0, 0.0),
+          // Past the -708 clamp of the exp reduction (q = expm1(-2|x|)).
+          354.0, -354.0, 354.5, -354.5, 400.0, -400.0, 1e6, -1e6,
+          // Tiny values, where the k == 0 branch of expm1 carries tanh.
+          1e-300, -1e-300, tiny, -tiny, 1e-20, -1e-20, 0x1p-27, -0x1p-27}) {
+        xs.push_back(x);
+    }
+    fxg::util::CounterEngine engine(0x7A9E);
+    std::uniform_real_distribution<double> wide(-40.0, 40.0);
+    std::uniform_real_distribution<double> exponent(-60.0, 3.0);
+    constexpr std::size_t kRandom = 10'000'000;
+    while (xs.size() < kRandom) {
+        const double x = wide(engine);
+        xs.push_back((xs.size() % 4 == 0) ? std::copysign(std::exp2(exponent(engine)), x) : x);
+    }
+    const std::size_t chunk = std::size_t{8} * Act::kLanes;
+    while (xs.size() % chunk != 0) xs.push_back(1.0);
+
+    std::vector<std::uint64_t> narrow(xs.size());
+    for (std::size_t i = 0; i < xs.size(); i += Act::kLanes) {
+        alignas(64) double out[Act::kLanes];
+        simd::store(out, simd::vtanh(simd::load(xs.data() + i)));
+        for (int l = 0; l < Act::kLanes; ++l) narrow[i + l] = bits_of(out[l]);
+    }
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        ASSERT_EQ(narrow[i], bits_of(simd::tanh1(xs[i]))) << "tanh1 x=" << xs[i];
+    }
+    const auto check = [&]<int K>(std::integral_constant<int, K>) {
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i + K * Act::kLanes <= xs.size(); i += K * Act::kLanes) {
+            simd::dvec x[K];
+            for (int k = 0; k < K; ++k) x[k] = simd::load(xs.data() + i + k * Act::kLanes);
+            simd::vtanh(x);
+            alignas(64) double out[K * Act::kLanes];
+            for (int k = 0; k < K; ++k) simd::store(out + k * Act::kLanes, x[k]);
+            for (int j = 0; j < K * Act::kLanes; ++j) {
+                if (bits_of(out[j]) != narrow[i + j]) {
+                    if (mismatches++ < 5) ADD_FAILURE() << "K=" << K << " x=" << xs[i + j];
+                }
+            }
+        }
+        EXPECT_EQ(mismatches, 0u) << "K=" << K;
+    };
+    check(std::integral_constant<int, 1>{});
+    check(std::integral_constant<int, 2>{});
+    check(std::integral_constant<int, 3>{});
+    check(std::integral_constant<int, 4>{});
+    check(std::integral_constant<int, 5>{});
+    check(std::integral_constant<int, 6>{});
+    check(std::integral_constant<int, 7>{});
+    check(std::integral_constant<int, 8>{});
+    // The scalar fallback's K-wide form gives the same bits.
+    for (std::size_t i = 0; i + 3 * Ref::kLanes <= 4096; i += 3 * Ref::kLanes) {
+        Ref::D x[3];
+        for (int k = 0; k < 3; ++k) x[k] = Ref::load(xs.data() + i + k * Ref::kLanes);
+        simd::detail::tanh_t<Ref, 3>(x);
+        for (int k = 0; k < 3; ++k) {
+            for (int l = 0; l < Ref::kLanes; ++l) {
+                EXPECT_EQ(bits_of(x[k].v[l]), narrow[i + k * Ref::kLanes + l]);
+            }
+        }
+    }
+}
+
+// ------------------------------------------------------------------ div_by
+
+namespace {
+
+/// A double with the given sign, unbiased exponent and 52-bit
+/// significand field.
+double make_double(bool negative, int exponent, std::uint64_t significand) {
+    return std::bit_cast<double>((std::uint64_t{negative} << 63) |
+                                 (std::uint64_t(exponent + 1023) << 52) |
+                                 (significand & 0x000FFFFFFFFFFFFFULL));
+}
+
+/// Runs div_by over (a[i], b[i]) on backend B, K vectors per call, and
+/// counts the elements whose bits differ from IEEE a / b.
+template <class B, int K>
+std::size_t div_by_mismatches(const std::vector<double>& a, const std::vector<double>& b) {
+    std::size_t bad = 0;
+    constexpr std::size_t step = std::size_t{K} * B::kLanes;
+    for (std::size_t i = 0; i + step <= a.size(); i += step) {
+        typename B::D q[K], d[K], y[K];
+        for (int k = 0; k < K; ++k) {
+            q[k] = B::load(a.data() + i + k * B::kLanes);
+            d[k] = B::load(b.data() + i + k * B::kLanes);
+            y[k] = B::div(B::splat(1.0), d[k]);
+        }
+        simd::detail::div_by_t<B, K>(q, d, y);
+        double out[step];
+        for (int k = 0; k < K; ++k) B::store(out + k * B::kLanes, q[k]);
+        for (std::size_t j = 0; j < step; ++j) {
+            if (bits_of(out[j]) != bits_of(a[i + j] / b[i + j])) {
+                if (bad++ < 5) {
+                    ADD_FAILURE() << B::kName << " K=" << K << ": " << std::hexfloat
+                                  << a[i + j] << " / " << b[i + j] << " gave " << out[j];
+                }
+            }
+        }
+    }
+    return bad;
+}
+
+template <class B>
+std::size_t div_by_mismatches_all_widths(const std::vector<double>& a,
+                                         const std::vector<double>& b) {
+    return div_by_mismatches<B, 1>(a, b) + div_by_mismatches<B, 3>(a, b) +
+           div_by_mismatches<B, 8>(a, b);
+}
+
+}  // namespace
+
+// div_by(a, b, 1 / b) is the engines' division by a loop-invariant
+// divisor. DESIGN.md section 12 proves that its fast path rounds like
+// IEEE division for b in [2^-50, 2^50] and a = +-0 or
+// 2^-969 <= |a| <= 2^968; every other operand takes div. Random pairs
+// over that range, with all-ones and zero divisor significands, on the
+// active backend and the scalar fallback.
+TEST(Simd, DivByIsIeeeDivisionOverTheProvedRange) {
+    constexpr std::size_t kPairs = 100'000'000;
+    constexpr std::size_t kBatch = std::size_t{1} << 20;
+    std::size_t bad = 0;
+    for (std::size_t base = 0; base < kPairs; base += kBatch) {
+        std::vector<double> a(kBatch), b(kBatch);
+        for (std::size_t i = 0; i < kBatch; ++i) {
+            const std::uint64_t r = fxg::util::splitmix64(0xD1B7, base + i);
+            const std::uint64_t t = fxg::util::splitmix64(0xD1B8, base + i);
+            // Divisor: exponent in [-50, 49]; one in 16 has an all-ones
+            // significand, one in 16 a zero one (a power of two).
+            std::uint64_t sig_b = t;
+            if ((r & 0xF) == 0) sig_b = ~0ULL;
+            if ((r & 0xF) == 1) sig_b = 0;
+            b[i] = make_double(false, -50 + int((t >> 52) % 100), sig_b);
+            // Numerator: exponent in [-969, 967], either sign; one in 64
+            // is +-0.
+            a[i] = ((r >> 4) & 0x3F) == 0
+                       ? ((r >> 10) & 1 ? -0.0 : 0.0)
+                       : make_double((r >> 10) & 1, -969 + int((r >> 11) % 1937), r >> 12);
+        }
+        bad += div_by_mismatches<Act, 1>(a, b) + div_by_mismatches<Act, 8>(a, b) +
+               div_by_mismatches<Ref, 1>(a, b);
+        ASSERT_EQ(bad, 0u) << "after " << base + kBatch << " pairs";
+    }
+}
+
+// The edges: +-0 (a - q0*b would turn -0 into +0), the ends of the
+// range, the kernel's own divisors, and the one class of significand
+// pairs the proof leaves to enumeration (a, b in [2 - 5 ulp, 2), a < b).
+TEST(Simd, DivByIsIeeeDivisionAtTheEdges) {
+    const double dt = 125e-6 / 2048;  // the paper's sample period
+    const std::vector<double> divisors = {
+        dt, 1.0 / (8e3 * 64), 79.57747154594767 /* 1 Oe in A/m */, 40.0, 1e-12,
+        0x1p-50, 0x1p50, std::nextafter(0x1p50, 0.0), 1.0, std::nextafter(2.0, 0.0),
+        make_double(false, 7, ~0ULL), make_double(false, -30, ~0ULL), 3.0};
+    std::vector<double> numerators = {
+        0.0, -0.0, 0x1p-969, -0x1p-969, 0x1p968, -0x1p968, std::nextafter(0x1p969, 0.0),
+        1.0, -1.0, 3.0, 1e-300, -7.25e300, 0.1, -2.5e-7};
+    std::vector<double> a, b;
+    for (const double d : divisors) {
+        for (const double n : numerators) {
+            a.push_back(n);
+            b.push_back(d);
+        }
+    }
+    for (int k = 1; k <= 5; ++k) {
+        for (int j = 1; j < k; ++j) {
+            for (const int e : {-900, -40, 0, 37, 900}) {
+                for (const bool neg : {false, true}) {
+                    a.push_back(make_double(neg, e, ~0ULL - std::uint64_t(k - 1)));
+                    b.push_back(make_double(false, std::clamp(e / 20, -50, 49),
+                                            ~0ULL - std::uint64_t(j - 1)));
+                }
+            }
+        }
+    }
+    while (a.size() % (std::size_t{8} * Act::kLanes) != 0) {
+        a.push_back(1.0);
+        b.push_back(3.0);
+    }
+    EXPECT_EQ(div_by_mismatches_all_widths<Act>(a, b), 0u);
+    EXPECT_EQ(div_by_mismatches_all_widths<Ref>(a, b), 0u);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(bits_of(simd::first(simd::div_by(simd::splat(a[i]), simd::splat(b[i]),
+                                                   simd::splat(1.0 / b[i])))),
+                  bits_of(a[i] / b[i]))
+            << std::hexfloat << a[i] << " / " << b[i];
+    }
+    EXPECT_TRUE(std::signbit(simd::first(
+        simd::div_by(simd::splat(-0.0), simd::splat(dt), simd::splat(1.0 / dt)))));
+}
+
+// Outside the proved range the fast path would be wrong (overflow,
+// inf * 0, a subnormal remainder, the sign of -0 / -b), so such a
+// vector takes div: these operands, alone or beside in-range lanes,
+// still divide exactly.
+TEST(Simd, DivByOutsideTheRangeTakesTheExactDivide) {
+    const double big = std::numeric_limits<double>::max();
+    const double inf = std::numeric_limits<double>::infinity();
+    const double sub = std::numeric_limits<double>::denorm_min();
+    const std::vector<std::pair<double, double>> outside = {
+        {big, 0x1p-60},  {1.0, 0.0},     {inf, 2.0},   {-inf, 3.0},
+        {0.0, -2.0},     {-0.0, -2.0},   {1.0, -3.0},  {0x1p-970, 3.0},
+        {sub, 0x1p40},   {3 * sub, 0.7}, {1e-310, 1e-12}, {0x1p969, 3.0},
+        {1.0, 0x1p51},   {1.0, 0x1p-51}, {5.0, 1e300}, {2.0, 1e-300}};
+    std::vector<double> a, b;
+    for (const auto& [n, d] : outside) {
+        a.push_back(n);
+        b.push_back(d);
+        // The same operand beside in-range lanes.
+        for (int l = 1; l < std::max(Act::kLanes, Ref::kLanes); ++l) {
+            a.push_back(1.0 + l);
+            b.push_back(3.0);
+        }
+    }
+    while (a.size() % (std::size_t{8} * Act::kLanes) != 0) {
+        a.push_back(1.0);
+        b.push_back(3.0);
+    }
+    EXPECT_EQ(div_by_mismatches_all_widths<Act>(a, b), 0u);
+    EXPECT_EQ(div_by_mismatches_all_widths<Ref>(a, b), 0u);
+    // The fast path alone gets these wrong, so the branch is load-bearing.
+    const auto markstein = [](double n, double d) {
+        const double y = 1.0 / d;
+        const double q0 = n * y;
+        return std::fma(-std::fma(q0, d, -n), y, q0);
+    };
+    EXPECT_NE(bits_of(markstein(1.0, 0.0)), bits_of(1.0 / 0.0));
+    EXPECT_NE(bits_of(markstein(big, 0x1p-60)), bits_of(big / 0x1p-60));
+    EXPECT_NE(bits_of(markstein(0.0, -2.0)), bits_of(0.0 / -2.0));
 }
 
 // ---------------------------------------------------------------- vgauss
