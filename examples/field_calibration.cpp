@@ -24,7 +24,7 @@ int main() {
     compass::CompassConfig cfg;
     cfg.front_end.sensor_mismatch = 0.04;
     compass::Compass compass(cfg);
-    compass.set_calibration({-250, 120, 1.0});  // the "magnetised clip"
+    compass.set_calibration({-250, 120, 1.0, {}});  // the "magnetised clip"
 
     auto report = [&](const char* stage) {
         const compass::HeadingSweep sweep =

@@ -114,39 +114,15 @@ void FrontEnd::finish_samples(int n, std::uint64_t* det_x, std::uint64_t* det_y,
     const int words = util::bits::words_for(n);
     for (std::size_t ch = 0; ch < 2; ++ch) {
         StreamStats s = stats_[ch];
-        std::uint64_t prev = stats_prev_[ch] != 0 ? 1 : 0;
+        std::uint8_t prev = stats_prev_[ch] != 0 ? 1 : 0;
         bool has_prev = stats_has_prev_[ch];
         s.samples += static_cast<std::uint64_t>(n);
         for (int w = 0; w < words; ++w) {
-            const int nb = util::bits::bits_in_word(n, w);
-            const std::uint64_t live = util::bits::low_mask(nb);
-            const std::uint64_t v = valid[ch][w] & live;
-            if (v == 0) continue;
-            const std::uint64_t d = det[ch][w] & v;
-            if (v == live) {
-                // Every sample valid: sample j pairs with sample j - 1,
-                // and sample 0 with the window's last valid sample.
-                const std::uint64_t before = (d << 1) | prev;
-                std::uint64_t changed = (d ^ before) & live;
-                if (!has_prev) changed &= ~std::uint64_t{1};
-                s.valid_samples += static_cast<std::uint64_t>(nb);
-                s.high_samples += static_cast<std::uint64_t>(std::popcount(d));
-                s.edges += static_cast<std::uint64_t>(std::popcount(changed));
-                prev = (d >> (nb - 1)) & 1;
-                has_prev = true;
-                continue;
-            }
-            for (std::uint64_t m = v; m != 0; m &= m - 1) {
-                const std::uint64_t bit = (d >> std::countr_zero(m)) & 1;
-                ++s.valid_samples;
-                s.high_samples += bit;
-                if (has_prev && bit != prev) ++s.edges;
-                prev = bit;
-                has_prev = true;
-            }
+            fold_stream_word(s, prev, has_prev, det[ch][w], valid[ch][w],
+                             util::bits::bits_in_word(n, w));
         }
         stats_[ch] = s;
-        stats_prev_[ch] = static_cast<std::uint8_t>(prev);
+        stats_prev_[ch] = prev;
         stats_has_prev_[ch] = has_prev;
     }
 }

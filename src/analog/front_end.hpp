@@ -8,6 +8,7 @@
 /// supply-current power model used by experiment MUX1.
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "analog/vi_converter.hpp"
 #include "magnetics/field_source.hpp"
 #include "sensor/fluxgate.hpp"
+#include "util/bits.hpp"
 
 namespace fxg::analog {
 
@@ -143,6 +145,45 @@ struct StreamStats {
                    : 0.0;
     }
 };
+
+/// Folds one word of a channel's (post-tap) detector stream into its
+/// window statistics: `nb` samples (1 <= nb <= 64; bits at and past nb
+/// are ignored), `prev`/`has_prev` the window's edge memory (the last
+/// valid detector bit, 0 or 1). Counts valid and high samples and the
+/// edges between valid samples; `samples` is the caller's to add. A
+/// word whose samples are all valid takes popcounts, one whose valid
+/// bits have holes (the word in which the mux settles, or a tap's
+/// doing) walks its set bits. FrontEnd::finish_samples and the lane
+/// engine both fold through it.
+inline void fold_stream_word(StreamStats& s, std::uint8_t& prev, bool& has_prev,
+                             std::uint64_t det, std::uint64_t valid, int nb) noexcept {
+    const std::uint64_t live = util::bits::low_mask(nb);
+    const std::uint64_t v = valid & live;
+    if (v == 0) return;
+    const std::uint64_t d = det & v;
+    std::uint64_t p = prev;
+    if (v == live) {
+        // Every sample valid: sample j pairs with sample j - 1, and
+        // sample 0 with the window's last valid sample.
+        std::uint64_t changed = (d ^ ((d << 1) | p)) & live;
+        if (!has_prev) changed &= ~std::uint64_t{1};
+        s.valid_samples += static_cast<std::uint64_t>(nb);
+        s.high_samples += static_cast<std::uint64_t>(std::popcount(d));
+        s.edges += static_cast<std::uint64_t>(std::popcount(changed));
+        p = (d >> (nb - 1)) & 1;
+    } else {
+        for (std::uint64_t m = v; m != 0; m &= m - 1) {
+            const std::uint64_t bit = (d >> std::countr_zero(m)) & 1;
+            ++s.valid_samples;
+            s.high_samples += bit;
+            if (has_prev && bit != p) ++s.edges;
+            p = bit;
+            has_prev = true;
+        }
+    }
+    prev = static_cast<std::uint8_t>(p);
+    has_prev = true;
+}
 
 /// Copy of both channels' StreamStats at one instant — what snapshot()
 /// returns, so per-measurement statistics survive the next window reset.
@@ -435,9 +476,8 @@ private:
 
     /// Runs the sample tap (if attached) over a block of emitted
     /// streams, advances the sample index and folds the (post-tap)
-    /// streams into the per-channel statistics: popcounts over each
-    /// word, and a walk over the set bits of a word whose valid bits
-    /// have holes.
+    /// streams into the per-channel statistics, word by word
+    /// (fold_stream_word).
     void finish_samples(int n, std::uint64_t* det_x, std::uint64_t* det_y,
                         std::uint64_t* valid_x, std::uint64_t* valid_y);
 };

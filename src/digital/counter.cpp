@@ -7,6 +7,22 @@
 
 namespace fxg::digital {
 
+namespace {
+
+/// Under UpDownCounter::one_bit_clock(acc, inc): one clock_step() per
+/// set bit of `valid`, in sample order, and the samples that ticked as
+/// a word.
+std::uint64_t tick_word(double& acc, double inc, std::uint64_t valid) noexcept {
+    std::uint64_t ticks = 0;
+    for (; valid != 0; valid &= valid - 1) {
+        ticks |= static_cast<std::uint64_t>(UpDownCounter::clock_step(acc, inc))
+                 << std::countr_zero(valid);
+    }
+    return ticks;
+}
+
+}  // namespace
+
 UpDownCounter::UpDownCounter(double clock_hz) : clock_hz_(clock_hz) {
     if (!(clock_hz > 0.0)) throw std::invalid_argument("UpDownCounter: clock must be > 0");
 }
@@ -75,43 +91,44 @@ void UpDownCounter::step_block(const std::uint64_t* high, const std::uint64_t* v
                                double dt_s, int n) {
     if (!(dt_s > 0.0)) throw std::invalid_argument("UpDownCounter: dt must be > 0");
     if (!enabled_) return;
-    double acc = tick_accumulator_;
-    std::int64_t count = count_;
-    std::uint64_t active = active_ticks_;
+    State s = save_state();
     // dt * clock is recomputed per call in step(); the product is the
     // same every sample, so hoisting it preserves bit-identity.
     const double inc = dt_s * clock_hz_;
+    const bool one_bit = !hardware_engaged_ && one_bit_clock(s.tick_accumulator, inc);
     const int words = util::bits::words_for(n);
     for (int w = 0; w < words; ++w) {
         const std::uint64_t h = high[w];
         std::uint64_t clocked = valid[w] & util::bits::low_mask(util::bits::bits_in_word(n, w));
+        if (one_bit) {
+            fold_ticks(tick_word(s.tick_accumulator, inc, clocked), h, s);
+            continue;
+        }
         if (hardware_engaged_) {
             for (; clocked != 0; clocked &= clocked - 1) {
                 const int j = std::countr_zero(clocked);
-                const std::int64_t ticks = clock_step(acc, inc);
-                count += ((h >> j) & 1) != 0 ? ticks : -ticks;
-                active += static_cast<std::uint64_t>(ticks);
-                apply_hardware(count);
+                const std::int64_t ticks = clock_step(s.tick_accumulator, inc);
+                s.count += ((h >> j) & 1) != 0 ? ticks : -ticks;
+                s.active_ticks += static_cast<std::uint64_t>(ticks);
+                apply_hardware(s.count);
             }
             continue;
         }
-        // Up while high, down while low: the word moves the count by
-        // sum(high ? t : -t) = 2 sum(high * t) - sum(t), exact in
-        // integers.
+        // A clock that can tick more than once a sample: up while high,
+        // down while low moves the count by sum(high ? t : -t) =
+        // 2 sum(high * t) - sum(t), exact in integers.
         std::int64_t ticks_all = 0;
         std::int64_t ticks_high = 0;
         for (; clocked != 0; clocked &= clocked - 1) {
             const int j = std::countr_zero(clocked);
-            const std::int64_t ticks = clock_step(acc, inc);
+            const std::int64_t ticks = clock_step(s.tick_accumulator, inc);
             ticks_all += ticks;
             ticks_high += ticks & -static_cast<std::int64_t>((h >> j) & 1);
         }
-        count += 2 * ticks_high - ticks_all;
-        active += static_cast<std::uint64_t>(ticks_all);
+        s.count += 2 * ticks_high - ticks_all;
+        s.active_ticks += static_cast<std::uint64_t>(ticks_all);
     }
-    tick_accumulator_ = acc;
-    count_ = count;
-    active_ticks_ = active;
+    load_state(s);
 }
 
 void UpDownCounter::reset() noexcept {

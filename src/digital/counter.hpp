@@ -10,6 +10,7 @@
 /// generated by rtl::structural::updown_counter; this class is the
 /// behavioural model used inside the compass pipeline.
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -75,6 +76,14 @@ public:
         return static_cast<std::int64_t>(whole);
     }
 
+    /// The one-bit condition: 0 < inc < 1 and acc in [0, 1). Then every
+    /// clock_step() from `acc` on takes its fast path, adds 0 or 1 tick
+    /// and leaves acc in [0, 1) (acc + inc < 2 under rounding: both are
+    /// at most 1 - 2^-53), so the condition holds for the whole stream.
+    [[nodiscard]] static bool one_bit_clock(double acc, double inc) noexcept {
+        return inc > 0.0 && inc < 1.0 && acc >= 0.0 && acc < 1.0;
+    }
+
     /// Fused block form over one-bit streams (util/bits.hpp: bit j of
     /// word w is sample 64w + j): for each of the `n` samples whose
     /// valid bit is set, performs exactly what step(high bit, dt_s)
@@ -82,8 +91,10 @@ public:
     /// clocked at all — the blanking the control logic applies while the
     /// mux settles). Bit-identical to the equivalent scalar call
     /// sequence: the clock_step chain runs over the valid samples only,
-    /// and an ideal register adds 2·Σ(high·ticks) − Σticks per word; an
-    /// engaged hardware model wraps and sticks per tick.
+    /// and an ideal register adds 2·Σ(high·ticks) − Σticks per word
+    /// (fold_ticks() on the word of samples that ticked, under
+    /// one_bit_clock()); an engaged hardware model wraps and sticks per
+    /// tick.
     void step_block(const std::uint64_t* high, const std::uint64_t* valid, double dt_s,
                     int n);
 
@@ -151,6 +162,17 @@ public:
         tick_accumulator_ = s.tick_accumulator;
         count_ = s.count;
         active_ticks_ = s.active_ticks;
+    }
+
+    /// Counts one word of one-bit ticks into an ideal register, up while
+    /// `high` and down while low: the count moves by
+    /// 2·popcount(ticks & high) − popcount(ticks), exact in integers, and
+    /// the active ticks by popcount(ticks). step_block() and the lane
+    /// engine both count through it.
+    static void fold_ticks(std::uint64_t ticks, std::uint64_t high, State& s) noexcept {
+        const int all = std::popcount(ticks);
+        s.count += 2 * std::popcount(ticks & high) - all;
+        s.active_ticks += static_cast<std::uint64_t>(all);
     }
 
     /// Complete register state including the enable gate and the

@@ -27,8 +27,6 @@ inline v::mask mask_from01(const double* b01) {
     return v::cmp_gt(v::load(b01), v::splat(0.5));
 }
 
-inline bool bit_of(unsigned bits, int lane) { return ((bits >> lane) & 1u) != 0; }
-
 /// True when lanes [1, n) of `a` hold exactly lane 0's bits.
 inline bool lanes_match(const double* a, int n) {
     const auto bits0 = std::bit_cast<std::uint64_t>(a[0]);
@@ -38,8 +36,59 @@ inline bool lanes_match(const double* a, int n) {
     return true;
 }
 
+/// Pass C's streams: the four comparator decisions, a per-lane group's
+/// settle flags and a per-lane clock's ticks.
+enum Stream { kRisePos, kFallPos, kRiseNeg, kFallNeg, kSettle, kTick, kStreams };
+
+/// One real lane's share of Pass C's word code: its detector latches,
+/// stream-window statistics and counter, and where its words are kept.
+struct WordLane {
+    analog::PulsePositionDetector::State det;
+    analog::FrontEnd::StreamWindowState win;
+    digital::UpDownCounter::State ctr;
+    std::size_t ch = 0;                 ///< active channel
+    bool tap = false;                   ///< statistics run on post-tap words at scatter
+    bool fold = false;                  ///< counter under the one-bit clock, counted here
+    std::uint64_t* det_w = nullptr;     ///< words kept for scatter, or null
+    std::uint64_t* valid_w = nullptr;
+};
+
+/// Pass C's word code for one tile of `nb` samples, word `w` of the
+/// advance: lane l's comparator words are words[c][l]. The settle flags
+/// come from words[kSettle] (per-lane excitation) or `shared_settle`,
+/// the ticks from words[kTick] (per-lane clock) or `shared_ticks`.
+void step_word_lanes(WordLane* lanes, int n, int nb, std::size_t w,
+                     const std::uint64_t* const* words, std::uint64_t shared_settle,
+                     std::uint64_t shared_ticks) {
+    const std::uint64_t* const rise_p = words[kRisePos];
+    const std::uint64_t* const fall_p = words[kFallPos];
+    const std::uint64_t* const rise_n = words[kRiseNeg];
+    const std::uint64_t* const fall_n = words[kFallNeg];
+    const std::uint64_t* const settle = words[kSettle];
+    const std::uint64_t* const tick = words[kTick];
+    const std::uint64_t live = util::bits::low_mask(nb);
+    for (int l = 0; l < n; ++l) {
+        WordLane& lane = lanes[l];
+        const std::uint64_t out = analog::PulsePositionDetector::step_word(
+            {rise_p[l], fall_p[l], rise_n[l], fall_n[l]}, nb, lane.det);
+        const std::uint64_t valid = settle != nullptr ? settle[l] & live : shared_settle;
+        if (lane.det_w != nullptr) {
+            lane.det_w[w] = out;
+            lane.valid_w[w] = valid;
+        }
+        if (lane.tap) continue;
+        analog::fold_stream_word(lane.win.stats[lane.ch], lane.win.prev[lane.ch],
+                                 lane.win.has_prev[lane.ch], out, valid, nb);
+        if (lane.fold) {
+            digital::UpDownCounter::fold_ticks(tick != nullptr ? tick[l] & live : shared_ticks,
+                                               out, lane.ctr);
+        }
+    }
+}
+
 std::atomic<std::uint64_t> g_shared_excitation{0};
 std::atomic<std::uint64_t> g_per_lane_excitation{0};
+std::atomic<std::uint64_t> g_own_clock_lanes{0};
 
 }  // namespace
 
@@ -49,6 +98,10 @@ std::uint64_t shared_excitation_count() noexcept {
 
 std::uint64_t per_lane_excitation_count() noexcept {
     return g_per_lane_excitation.load(std::memory_order_relaxed);
+}
+
+std::uint64_t own_clock_lane_count() noexcept {
+    return g_own_clock_lanes.load(std::memory_order_relaxed);
 }
 
 bool LaneEngine::eligible(const analog::FrontEnd& front_end) noexcept {
@@ -87,8 +140,10 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
                                int steps, double dt_s) {
     using analog::Channel;
     constexpr int GW = S * W;  // lanes in the group
-    // det_bits_/valid_bits_ pack one bit per group lane into 16 bits.
-    static_assert(GW <= 16);
+    // Pass C's lane bytes: stripe s holds bits [(s * W) % 8, + W) of
+    // byte plane (s * W) / 8, so a group fills one plane per 8 lanes.
+    static_assert(8 % W == 0 && GW <= 16);
+    constexpr int kBytePlanes = (GW + 7) / 8;
     // Sample-loop tile length (declared here because the environment
     // change flags below are per tile).
     constexpr int T = 64;  // 3 buffers * S * T * sizeof(dvec) stays in L1
@@ -108,11 +163,10 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
     const magnetics::FieldSource* src[GW];
     std::uint64_t lidx0[GW];
     Channel active_ch[GW];
-    bool lane_tap[GW];
-    bool lane_hw[GW];
     bool lane_noise[GW];
     bool lane_first[GW];
-    bool lane_soa_count[GW];
+    bool lane_own[GW];   ///< counter clocked by its own step_block at scatter
+    int lane_slot[GW];   ///< words_ slot of a lane whose words scatter reads, or -1
     bool lane_dyn[GW];   ///< field source varies within this advance
     bool lane_tdyn[GW];  ///< lane_dyn and the sensors are temp-sensitive
 
@@ -130,13 +184,12 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
 
     alignas(64) double time_a[GW], phase_a[GW], corr_a[GW], pint_a[GW], ptime_a[GW];
     alignas(64) double since_a[GW], lp_a[GW], le_a[GW], acc_a[GW], e_a[GW];
-    alignas(64) double pos01_a[GW], neg01_a[GW], prevpos01_a[GW], prevneg01_a[GW],
-        out01_a[GW], statprev01_a[GW], hasprev01_a[GW];
-    alignas(64) std::int64_t cnt_a[GW], act_a[GW];
+    WordLane wl[GW];  // Pass C's per-lane word state (real lanes only)
 
     bool stripe_generic = false;
     bool stripe_noise = false;
-    bool stripe_capture = false;
+    int slots = 0;
+    int own_lanes = 0;
     bool group_dyn = false;
     bool group_tdyn = false;
 
@@ -149,8 +202,9 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             src[l] = nullptr;
             lidx0[l] = 0;
             active_ch[l] = active_ch[0];
-            lane_tap[l] = lane_hw[l] = lane_noise[l] = lane_first[l] = false;
-            lane_soa_count[l] = false;
+            lane_noise[l] = lane_first[l] = false;
+            lane_own[l] = false;
+            lane_slot[l] = -1;
             lane_dyn[l] = lane_tdyn[l] = false;
             freq_a[l] = freq_a[0]; gain_a[l] = gain_a[0]; curv_a[l] = curv_a[0];
             dc_a[l] = dc_a[0]; cgain_a[l] = cgain_a[0]; correct01_a[l] = correct01_a[0];
@@ -169,11 +223,6 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             pint_a[l] = pint_a[0]; ptime_a[l] = ptime_a[0]; since_a[l] = since_a[0];
             lp_a[l] = lp_a[0]; le_a[l] = le_a[0]; acc_a[l] = acc_a[0];
             e_a[l] = e_a[0];
-            pos01_a[l] = pos01_a[0]; neg01_a[l] = neg01_a[0];
-            prevpos01_a[l] = prevpos01_a[0]; prevneg01_a[l] = prevneg01_a[0];
-            out01_a[l] = out01_a[0]; statprev01_a[l] = statprev01_a[0];
-            hasprev01_a[l] = hasprev01_a[0];
-            cnt_a[l] = 0; act_a[l] = 0;
             continue;
         }
 
@@ -183,6 +232,11 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         const analog::FrontEndConfig& c = f.config();
         const Channel ach = f.selected();
         active_ch[l] = ach;
+        const auto ai = static_cast<std::size_t>(ach);
+        WordLane& w = wl[l];
+        w.ch = ai;
+        w.win = f.save_window_state();
+        w.win.prev[ai] = w.win.prev[ai] != 0 ? 1 : 0;
 
         // Oscillator (TriangleOscillator::step_block hoists).
         const analog::TriangleOscillator& osc = f.oscillator();
@@ -227,7 +281,7 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         lidx0[l] = 0;
         lane_dyn[l] = lane_tdyn[l] = false;
         if (src[l] != nullptr) {
-            lidx0[l] = f.save_window_state().sample_index;
+            lidx0[l] = w.win.sample_index;
             magnetics::FieldTick tick;
             const std::uint64_t end = src[l]->constant_until(lidx0[l], &tick);
             f.apply_field_tick(tick);
@@ -274,12 +328,7 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         off_a[l] = dcf.comparator_offset_v + det.comparator_offset_fault();
         fall_a[l] = dcf.threshold_v - half_hyst;
         rise_a[l] = dcf.threshold_v + half_hyst;
-        const analog::PulsePositionDetector::State ds = det.save_state();
-        pos01_a[l] = ds.positive ? 1.0 : 0.0;
-        neg01_a[l] = ds.negative ? 1.0 : 0.0;
-        prevpos01_a[l] = ds.prev_pos ? 1.0 : 0.0;
-        prevneg01_a[l] = ds.prev_neg ? 1.0 : 0.0;
-        out01_a[l] = ds.out ? 1.0 : 0.0;
+        w.det = det.save_state();
 
         // Power model (FrontEnd::step_block hoists; multiplexed =>
         // oscillator_count() == instances == 1).
@@ -307,43 +356,43 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             nkey[l] = nctr[l] = 0;
         }
 
-        // Stream-window statistics of the active channel.
-        const analog::FrontEnd::StreamWindowState ws = f.save_window_state();
-        const auto ai = static_cast<std::size_t>(ach);
-        statprev01_a[l] = ws.prev[ai] ? 1.0 : 0.0;
-        hasprev01_a[l] = ws.has_prev[ai] ? 1.0 : 0.0;
-
-        // Counter: ideal counters fold in SoA; lanes with a tap or an
-        // engaged hardware register delegate to the member object over
-        // the captured byte streams (wrap/stuck/trap logic and the tap
-        // contract both live there).
-        lane_tap[l] = f.sample_tap() != nullptr;
-        lane_hw[l] = ctr[l] != nullptr && ctr[l]->hardware_engaged();
-        lane_soa_count[l] = ctr[l] != nullptr && !lane_tap[l] && !lane_hw[l] &&
-                            ctr[l]->enabled() && ach == channel;
-        count01_a[l] = lane_soa_count[l] ? 1.0 : 0.0;
+        // Counter. An ideal register under the one-bit clock
+        // (UpDownCounter::one_bit_clock) is counted by Pass C from its
+        // tick and output words. Any other counter that sees this
+        // channel's samples (a tap's post-tap words, an engaged hardware
+        // model, a clock that can tick more than once a sample) is
+        // clocked by the member's own step_block over the lane's words
+        // at scatter, where the wrap, trap and tap logic live.
+        w.tap = f.sample_tap() != nullptr;
+        const bool counting =
+            ctr[l] != nullptr && ctr[l]->enabled() && (w.tap || ach == channel);
         inc_a[l] = ctr[l] != nullptr ? dt_s * ctr[l]->clock_hz() : 0.0;
-        if (lane_soa_count[l]) {
-            const digital::UpDownCounter::State cs = ctr[l]->save_state();
-            acc_a[l] = cs.tick_accumulator;
-            cnt_a[l] = cs.count;
-            act_a[l] = static_cast<std::int64_t>(cs.active_ticks);
-        } else {
-            acc_a[l] = 0.0;
-            cnt_a[l] = 0;
-            act_a[l] = 0;
-        }
+        w.ctr = counting ? ctr[l]->save_state() : digital::UpDownCounter::State{};
+        w.fold = counting && !w.tap && !ctr[l]->hardware_engaged() &&
+                 digital::UpDownCounter::one_bit_clock(w.ctr.tick_accumulator, inc_a[l]);
+        lane_own[l] = counting && !w.fold;
+        count01_a[l] = w.fold ? 1.0 : 0.0;
+        acc_a[l] = w.fold ? w.ctr.tick_accumulator : 0.0;
+        lane_slot[l] = w.tap || lane_own[l] ? slots++ : -1;
+        own_lanes += lane_own[l] ? 1 : 0;
 
         e_a[l] = *lanes[l].energy_j;
-
-        if (lane_tap[l] || (lane_hw[l] && ach == channel)) stripe_capture = true;
     }
+    if (own_lanes > 0) g_own_clock_lanes.fetch_add(own_lanes, std::memory_order_relaxed);
 
-    // Only tap and hardware-counter lanes read the emitted streams.
-    if (stripe_capture) {
-        det_bits_.resize(static_cast<std::size_t>(steps));
-        valid_bits_.resize(static_cast<std::size_t>(steps));
-        words_.resize(static_cast<std::size_t>(util::bits::words_for(steps)) * 4);
+    // Tap and own-clock lanes keep their one-bit streams for scatter, one
+    // slot of four util/bits.hpp streams per lane (detector x, y, valid
+    // x, y, as FrontEnd::ingest_samples takes them); Pass C fills the
+    // active channel's two word by word. Groups without such a lane
+    // allocate nothing.
+    const auto nwords = static_cast<std::size_t>(util::bits::words_for(steps));
+    if (slots > 0) words_.resize(static_cast<std::size_t>(slots) * 4 * nwords);
+    for (int l = 0; l < n; ++l) {
+        if (lane_slot[l] < 0) continue;
+        std::uint64_t* slot =
+            words_.data() + static_cast<std::size_t>(lane_slot[l]) * 4 * nwords;
+        wl[l].det_w = slot + wl[l].ch * nwords;
+        wl[l].valid_w = slot + (2 + wl[l].ch) * nwords;
     }
 
     // ---- Lockstep cohort -------------------------------------------------
@@ -372,8 +421,11 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
     analog::AnalogMux shared_mux = fe[0]->mux();
     const double r_load0 = fe[0]->config().sensor.r_excitation_ohm;
     double shared_last_i = 0.0;
-    double shared_acc = acc_a[0];
     const bool shared_ticking = shared_clock && count01_a[0] > 0.5;
+    // Otherwise each counted lane steps its own clock as a vector.
+    const bool lane_clock =
+        !shared_ticking &&
+        std::any_of(wl, wl + n, [](const WordLane& w) { return w.fold; });
 
     // ---- Time-varying environment streams ------------------------------
     //
@@ -492,6 +544,9 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
 
     const v::dvec dt_v = v::splat(dt_s);
     const v::dvec rdt_v = v::splat(1.0 / dt_s);
+    // A cohort's shared clock: lane 0's accumulator and increment.
+    v::dvec shared_acc_v = v::splat(acc_a[0]);
+    const v::dvec shared_inc_v = v::splat(inc_a[0]);
     const v::dvec zero_v = v::splat(0.0);
     const v::dvec one_v = v::splat(1.0);
     const v::dvec two_v = v::splat(2.0);
@@ -501,7 +556,6 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
     const v::dvec threeq_v = v::splat(0.75);
     const v::dvec sign_v = v::splat(-0.0);
     const v::dvec mu0_v = v::splat(magnetics::kMu0);
-    const v::ivec izero_v = v::i_splat(0);
 
     v::dvec freq_v[S], gain_v[S], curv_v[S], dc_v[S], cgain_v[S];
     v::mask correct_m[S];
@@ -513,10 +567,8 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
 
     v::dvec time_v[S], phase_v[S], corr_v[S], pint_v[S], ptime_v[S];
     v::dvec since_v[S], lpprev_v[S], leprev_v[S], leold_v[S];
-    v::mask first_m[S], pos_m[S], neg_m[S], prevpos_m[S], prevneg_m[S];
-    v::mask out_m[S], statprev_m[S], hasprev_m[S];
+    v::mask first_m[S];
     v::dvec acc_v[S], e_v[S];
-    v::ivec cnt_v[S], act_v[S], vs_v[S], hs_v[S], edges_v[S];
     // Loop-carried last-sample values needed at scatter.
     v::dvec o_v[S], idrv_v[S], h_v[S], b_v[S], vpick_v[S];
 
@@ -560,19 +612,7 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         leprev_v[s] = v::load(le_a + g);
         leold_v[s] = leprev_v[s];
         first_m[s] = mask_from01(first01_a + g);
-        pos_m[s] = mask_from01(pos01_a + g);
-        neg_m[s] = mask_from01(neg01_a + g);
-        prevpos_m[s] = mask_from01(prevpos01_a + g);
-        prevneg_m[s] = mask_from01(prevneg01_a + g);
-        out_m[s] = mask_from01(out01_a + g);
-        statprev_m[s] = mask_from01(statprev01_a + g);
-        hasprev_m[s] = mask_from01(hasprev01_a + g);
         acc_v[s] = v::load(acc_a + g);
-        cnt_v[s] = v::i_load(cnt_a + g);
-        act_v[s] = v::i_load(act_a + g);
-        vs_v[s] = izero_v;
-        hs_v[s] = izero_v;
-        edges_v[s] = izero_v;
         e_v[s] = v::load(e_a + g);
         o_v[s] = zero_v;
         idrv_v[s] = zero_v;
@@ -595,7 +635,15 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
     // sequence, sample by sample.
     v::dvec bidrv[S * T];
     v::dvec bvdet[S * T];
-    v::mask bsettle[S * T];
+    v::mask bsettle[S * T];  // per-lane excitation only
+    // Pass C's byte planes (zeroed, so a short tile transposes no
+    // indeterminate byte) and the lane words transposed from them.
+    alignas(32) std::uint8_t lane_bytes[kStreams][kBytePlanes][T]{};
+    alignas(64) std::uint64_t lane_words[kStreams][8 * kBytePlanes];
+    const std::uint64_t* const lane_word_ptr[kStreams] = {
+        lane_words[kRisePos], lane_words[kFallPos],
+        lane_words[kRiseNeg], lane_words[kFallNeg],
+        shared ? nullptr : lane_words[kSettle], lane_clock ? lane_words[kTick] : nullptr};
     alignas(64) std::int64_t nbits[T * GW];  // tile draws [sample * GW + lane]
     // Shared excitation tile: drive current and supply power per
     // sample, and the settle flags as one word (T = 64).
@@ -617,12 +665,10 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             shared_last_i = sh_i[tn - 1];
             for (int t = 0; t < tn; ++t) {
                 const v::dvec i_v = v::splat(sh_i[t]);
-                const v::mask settled = v::m_splat(((sh_settle >> t) & 1) != 0);
                 const v::dvec e_inc = v::splat(sh_p[t] * dt_s);
                 #pragma GCC unroll 8
                 for (int s = 0; s < S; ++s) {
                     bidrv[s * T + t] = i_v;
-                    bsettle[s * T + t] = settled;
                     e_v[s] = v::add(e_v[s], e_inc);
                 }
             }
@@ -907,87 +953,109 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             for (int s = 0; s < S; ++s) v::store(nst + s * W, state_v[s]);
         }
 
-        // Pass C: detector latches, stream statistics, SoA counters,
-        // emitted-stream capture.
-        for (int t = 0; t < tn; ++t) {
-            // A shared clock steps once for the cohort
-            // (UpDownCounter::step_block's clock step).
-            const std::int64_t shared_ticks =
-                shared_ticking && ((sh_settle >> t) & 1) != 0
-                    ? digital::UpDownCounter::clock_step(shared_acc, inc_a[0])
-                    : 0;
+        // Pass C: the detector, the stream statistics and the counters,
+        // on 64-sample words (DESIGN.md section 12). The comparator
+        // inputs are compared as vectors, and each compare's lane mask
+        // is stored as one byte per sample, as are a per-lane group's
+        // settle flags and a per-lane clock's ticks. Each 64-byte plane
+        // is transposed into one word per lane, and each real lane runs
+        // the block path's word code: PulsePositionDetector::step_word,
+        // analog::fold_stream_word and UpDownCounter::fold_ticks.
+        const auto put = [&](int c, int t, const v::mask (&m)[S])
+                             __attribute__((always_inline)) {
+            unsigned b[kBytePlanes] = {};
             #pragma GCC unroll 8
-            for (int s = 0; s < S; ++s) {
-                const v::dvec vdet = bvdet[s * T + t];
-                const v::mask settled = bsettle[s * T + t];
-
-                // Pulse-position detector: two latching comparators
-                // (the negative one fed -v, an exact sign flip) plus
-                // set/clear edge logic — clear wins when both fire, as
-                // in the scalar step.
-                const v::dvec vpos = v::sub(vdet, off_v[s]);
-                const v::dvec vneg = v::sub(v::bit_xor(vdet, sign_v), off_v[s]);
-                const v::mask fall_p = v::cmp_gt(fall_v[s], vpos);
-                const v::mask rise_p = v::cmp_gt(vpos, rise_v[s]);
-                pos_m[s] = v::m_or(v::m_andnot(fall_p, pos_m[s]),
-                                   v::m_andnot(pos_m[s], rise_p));
-                const v::mask fall_n = v::cmp_gt(fall_v[s], vneg);
-                const v::mask rise_n = v::cmp_gt(vneg, rise_v[s]);
-                neg_m[s] = v::m_or(v::m_andnot(fall_n, neg_m[s]),
-                                   v::m_andnot(neg_m[s], rise_n));
-                const v::mask set_e = v::m_andnot(pos_m[s], prevpos_m[s]);
-                const v::mask clr_e = v::m_andnot(neg_m[s], prevneg_m[s]);
-                out_m[s] = v::m_andnot(clr_e, v::m_or(out_m[s], set_e));
-                prevpos_m[s] = pos_m[s];
-                prevneg_m[s] = neg_m[s];
-
-                // Stream statistics of the active channel (valid
-                // samples only).
-                vs_v[s] = v::i_add(vs_v[s], v::mask01(settled));
-                hs_v[s] =
-                    v::i_add(hs_v[s], v::mask01(v::m_and(settled, out_m[s])));
-                edges_v[s] = v::i_add(
-                    edges_v[s],
-                    v::mask01(v::m_and(v::m_and(settled, hasprev_m[s]),
-                                       v::m_xor(out_m[s], statprev_m[s]))));
-                statprev_m[s] = v::m_or(v::m_and(settled, out_m[s]),
-                                        v::m_andnot(settled, statprev_m[s]));
-                hasprev_m[s] = v::m_or(hasprev_m[s], settled);
-
-                // Ideal up/down counters in SoA
-                // (UpDownCounter::step_block): invalid lanes hold acc
-                // in [0, 1), so floor() contributes exactly zero ticks
-                // there.
-                v::ivec ticks = v::i_splat(shared_ticks);
-                if (!shared_clock) {
-                    const v::mask cval = v::m_and(settled, count_m[s]);
-                    acc_v[s] = v::blend(cval, v::add(acc_v[s], inc_v[s]), acc_v[s]);
-                    const v::dvec whole = v::floor(acc_v[s]);
-                    acc_v[s] = v::sub(acc_v[s], whole);
-                    ticks = v::d2i_exact(whole);
-                }
-                cnt_v[s] = v::i_add(
-                    cnt_v[s],
-                    v::i_blend(out_m[s], ticks, v::i_sub(izero_v, ticks)));
-                act_v[s] = v::i_add(act_v[s], ticks);
+            for (int s = 0; s < S; ++s) b[s * W / 8] |= v::movemask(m[s]) << (s * W % 8);
+            #pragma GCC unroll 8
+            for (int p = 0; p < kBytePlanes; ++p) {
+                lane_bytes[c][p][t] = static_cast<std::uint8_t>(b[p]);
             }
-
-            // Emitted streams for tap replay / delegated counters, one
-            // bit per group lane (stripe s in bits [s*W, s*W+W)).
-            if (stripe_capture) {
-                unsigned db = 0;
-                unsigned vb = 0;
+        };
+        // UpDownCounter::clock_step under the one-bit condition, as
+        // vectors: 0 < acc + inc < 2, so the carry is (acc + inc >= 1)
+        // and s - 0 is s. Returns the lanes that ticked.
+        const auto step_clock = [&](v::dvec& acc, v::dvec inc, v::mask clocked)
+                                    __attribute__((always_inline)) {
+            const v::dvec sum = v::add(acc, inc);
+            const v::mask carry = v::cmp_ge(sum, one_v);
+            acc = v::blend(clocked, v::blend(carry, v::sub(sum, one_v), sum), acc);
+            return v::m_and(carry, clocked);
+        };
+        std::uint64_t shared_ticks = 0;
+        const auto compare_tile = [&](auto lane_settle, auto lane_clk, auto shared_clk)
+                                      __attribute__((always_inline)) {
+            constexpr bool kLaneSettle = decltype(lane_settle)::value;
+            constexpr bool kLaneClock = decltype(lane_clk)::value;
+            for (int t = 0; t < tn; ++t) {
+                if constexpr (decltype(shared_clk)::value) {
+                    // A shared clock ticks once for the cohort, branch-free
+                    // beside the compares, which hide its serial chain.
+                    const v::mask ticked = step_clock(
+                        shared_acc_v, shared_inc_v, v::m_splat(((sh_settle >> t) & 1) != 0));
+                    shared_ticks |= std::uint64_t{v::movemask(ticked) & 1u} << t;
+                }
+                v::mask rise_p[S], fall_p[S], rise_n[S], fall_n[S], settled[S], tick[S];
                 #pragma GCC unroll 8
                 for (int s = 0; s < S; ++s) {
-                    db |= v::movemask(out_m[s]) << (s * W);
-                    vb |= v::movemask(bsettle[s * T + t]) << (s * W);
+                    // The negative comparator is fed -v, an exact sign
+                    // flip.
+                    const v::dvec vdet = bvdet[s * T + t];
+                    const v::dvec vpos = v::sub(vdet, off_v[s]);
+                    const v::dvec vneg = v::sub(v::bit_xor(vdet, sign_v), off_v[s]);
+                    rise_p[s] = v::cmp_gt(vpos, rise_v[s]);
+                    fall_p[s] = v::cmp_gt(fall_v[s], vpos);
+                    rise_n[s] = v::cmp_gt(vneg, rise_v[s]);
+                    fall_n[s] = v::cmp_gt(fall_v[s], vneg);
+                    if constexpr (kLaneSettle) {
+                        settled[s] = bsettle[s * T + t];
+                    } else {
+                        settled[s] = v::m_splat(((sh_settle >> t) & 1) != 0);
+                    }
+                    if constexpr (kLaneClock) {
+                        tick[s] = step_clock(acc_v[s], inc_v[s], v::m_and(settled[s], count_m[s]));
+                    }
                 }
-                det_bits_[static_cast<std::size_t>(k0 + t)] =
-                    static_cast<std::uint16_t>(db);
-                valid_bits_[static_cast<std::size_t>(k0 + t)] =
-                    static_cast<std::uint16_t>(vb);
+                put(kRisePos, t, rise_p);
+                put(kFallPos, t, fall_p);
+                put(kRiseNeg, t, rise_n);
+                put(kFallNeg, t, fall_n);
+                if constexpr (kLaneSettle) put(kSettle, t, settled);
+                if constexpr (kLaneClock) put(kTick, t, tick);
+            }
+        };
+        constexpr std::false_type no{};
+        constexpr std::true_type yes{};
+        if (shared_ticking) {
+            compare_tile(no, no, yes);
+        } else if (shared) {
+            if (lane_clock) {
+                compare_tile(no, yes, no);
+            } else {
+                compare_tile(no, no, no);
+            }
+        } else {
+            if (lane_clock) {
+                compare_tile(yes, yes, no);
+            } else {
+                compare_tile(yes, no, no);
             }
         }
+
+        const auto transpose = [&](int c) __attribute__((always_inline)) {
+            #pragma GCC unroll 2
+            for (int p = 0; p < kBytePlanes; ++p) {
+                util::bits::transpose_lanes(lane_bytes[c][p], lane_words[c] + 8 * p);
+            }
+        };
+        transpose(kRisePos);
+        transpose(kFallPos);
+        transpose(kRiseNeg);
+        transpose(kFallNeg);
+        if (!shared) transpose(kSettle);
+        if (lane_clock) transpose(kTick);
+
+        step_word_lanes(wl, n, tn, static_cast<std::size_t>(k0 / T), lane_word_ptr,
+                        sh_settle, shared_ticks);
     }
 
     // A cohort's lanes all end in the shared stages' state.
@@ -1004,7 +1072,7 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             ptime_v[s] = v::splat(os.period_time);
             since_v[s] = v::splat(since);
             idrv_v[s] = v::splat(shared_last_i);
-            if (shared_clock) acc_v[s] = v::splat(shared_acc);
+            if (shared_clock) acc_v[s] = shared_acc_v;
         }
     }
 
@@ -1012,9 +1080,6 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
 
     alignas(64) double o_a[GW], i_a[GW], hfin_a[GW], bfin_a[GW], vp_a[GW],
         leold_a[GW];
-    alignas(64) std::int64_t vs_a[GW], hs_a[GW], edges_a[GW];
-    unsigned pos_b = 0, neg_b = 0, prevpos_b = 0, prevneg_b = 0, out_b = 0,
-             statprev_b = 0, hasprev_b = 0;
     #pragma GCC unroll 8
     for (int s = 0; s < S; ++s) {
         const int g = s * W;
@@ -1033,43 +1098,8 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         v::store(vp_a + g, vpick_v[s]);
         v::store(leold_a + g, leold_v[s]);
         v::store(acc_a + g, acc_v[s]);
-        v::i_store(cnt_a + g, cnt_v[s]);
-        v::i_store(act_a + g, act_v[s]);
-        v::i_store(vs_a + g, vs_v[s]);
-        v::i_store(hs_a + g, hs_v[s]);
-        v::i_store(edges_a + g, edges_v[s]);
         v::store(e_a + g, e_v[s]);
-        pos_b |= v::movemask(pos_m[s]) << g;
-        neg_b |= v::movemask(neg_m[s]) << g;
-        prevpos_b |= v::movemask(prevpos_m[s]) << g;
-        prevneg_b |= v::movemask(prevneg_m[s]) << g;
-        out_b |= v::movemask(out_m[s]) << g;
-        statprev_b |= v::movemask(statprev_m[s]) << g;
-        hasprev_b |= v::movemask(hasprev_m[s]) << g;
     }
-
-    // Per-lane one-bit streams (util/bits.hpp) for tap replay and
-    // delegated counters, transposed from the captured per-sample lane
-    // bits.
-    const auto nwords = static_cast<std::size_t>(util::bits::words_for(steps));
-    std::uint64_t* dx = nullptr;
-    std::uint64_t* dy = nullptr;
-    std::uint64_t* vx = nullptr;
-    std::uint64_t* vy = nullptr;
-    if (stripe_capture) {
-        dx = words_.data();
-        dy = dx + nwords;
-        vx = dy + nwords;
-        vy = vx + nwords;
-    }
-    const auto unpack_lane = [&](int l, std::uint64_t* det, std::uint64_t* valid) {
-        std::fill_n(det, nwords, 0);
-        std::fill_n(valid, nwords, 0);
-        for (int k = 0; k < steps; ++k) {
-            det[k / 64] |= std::uint64_t{(det_bits_[k] >> l) & 1u} << (k % 64);
-            valid[k / 64] |= std::uint64_t{(valid_bits_[k] >> l) & 1u} << (k % 64);
-        }
-    };
 
     for (int l = 0; l < n; ++l) {
         analog::FrontEnd& f = *fe[l];
@@ -1124,52 +1154,39 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             idle_sen.step_block_constant(0.0, dt_s, steps);
         }
 
-        f.detector(ach).load_state({bit_of(pos_b, l), bit_of(neg_b, l),
-                                    bit_of(prevpos_b, l), bit_of(prevneg_b, l),
-                                    bit_of(out_b, l)});
+        f.detector(ach).load_state(wl[l].det);
 
         if (lane_noise[l]) {
             f.set_noise_filter_state(nst[l]);
             f.pickup_noise().rng().engine().discard(static_cast<std::uint64_t>(steps));
         }
 
-        if (lane_tap[l]) {
+        if (wl[l].tap) {
             // Replay the emitted streams through the member's tap ->
             // index -> statistics pipeline, then clock the member's
             // counter over the post-tap words — exactly the block
             // engine's ordering with one chunk per stage.
-            std::uint64_t* d_idl = ach == Channel::X ? dy : dx;
-            std::uint64_t* v_idl = ach == Channel::X ? vy : vx;
-            std::fill_n(d_idl, nwords, 0);
-            std::fill_n(v_idl, nwords, 0);
-            unpack_lane(l, ach == Channel::X ? dx : dy, ach == Channel::X ? vx : vy);
-            f.ingest_samples(steps, dx, dy, vx, vy);
-            if (ctr[l] != nullptr) {
-                const std::uint64_t* dch = channel == Channel::X ? dx : dy;
-                const std::uint64_t* vch = channel == Channel::X ? vx : vy;
-                ctr[l]->step_block(dch, vch, dt_s, steps);
+            std::uint64_t* slot =
+                words_.data() + static_cast<std::size_t>(lane_slot[l]) * 4 * nwords;
+            std::fill_n(slot + ii * nwords, nwords, 0);
+            std::fill_n(slot + (2 + ii) * nwords, nwords, 0);
+            f.ingest_samples(steps, slot, slot + nwords, slot + 2 * nwords, slot + 3 * nwords);
+            if (lane_own[l]) {
+                const auto ci = static_cast<std::size_t>(channel);
+                ctr[l]->step_block(slot + ci * nwords, slot + (2 + ci) * nwords, dt_s, steps);
             }
         } else {
-            // Fold this advance's statistics into the member's window.
-            analog::FrontEnd::StreamWindowState ws = f.save_window_state();
-            ws.stats[ai].samples += static_cast<std::uint64_t>(steps);
-            ws.stats[ai].valid_samples += static_cast<std::uint64_t>(vs_a[l]);
-            ws.stats[ai].high_samples += static_cast<std::uint64_t>(hs_a[l]);
-            ws.stats[ai].edges += static_cast<std::uint64_t>(edges_a[l]);
-            ws.stats[ii].samples += static_cast<std::uint64_t>(steps);
-            ws.prev[ai] = bit_of(statprev_b, l) ? 1 : 0;
-            ws.has_prev[ai] = bit_of(hasprev_b, l);
-            ws.sample_index += static_cast<std::uint64_t>(steps);
-            f.load_window_state(ws);
+            // Fold this advance into the member's window.
+            analog::FrontEnd::StreamWindowState& win = wl[l].win;
+            win.stats[ai].samples += static_cast<std::uint64_t>(steps);
+            win.stats[ii].samples += static_cast<std::uint64_t>(steps);
+            win.sample_index += static_cast<std::uint64_t>(steps);
+            f.load_window_state(win);
 
-            if (lane_hw[l] && ach == channel) {
-                // Hardware-register counter: member object applies
-                // wrap/stuck/trap per tick over the emitted words.
-                unpack_lane(l, dx, vx);
-                ctr[l]->step_block(dx, vx, dt_s, steps);
-            } else if (lane_soa_count[l]) {
-                ctr[l]->load_state({acc_a[l], cnt_a[l],
-                                    static_cast<std::uint64_t>(act_a[l])});
+            if (lane_own[l]) {
+                ctr[l]->step_block(wl[l].det_w, wl[l].valid_w, dt_s, steps);
+            } else if (wl[l].fold) {
+                ctr[l]->load_state({acc_a[l], wl[l].ctr.count, wl[l].ctr.active_ticks});
             }
         }
 

@@ -28,20 +28,20 @@
 ///    mux) are per-lane constants — a drifting lane computes with its
 ///    own constants and perturbs no neighbour.
 ///  * Stream faults arrive through the member's SampleTap. Lanes with
-///    a tap attached stay in the SIMD path for the analogue stages;
-///    their emitted detector/valid streams are captured per sample
-///    (one movemask each), transposed into per-lane one-bit words and
+///    a tap attached stay in the SIMD path for the analogue stages and
+///    the detector; their one-bit detector/valid words are kept and
 ///    replayed through FrontEnd::ingest_samples(), so the tap sees
 ///    exactly the chunks, bits and statistics of the per-member path.
 ///    Counting for those lanes runs the member's
 ///    UpDownCounter::step_block over the post-tap words.
 ///  * Members with an engaged counter hardware model (finite width /
-///    stuck bit) likewise keep their counter on the member object so
-///    wrap, stuck-bit and trap latching stay in one place; the
-///    analogue pipeline still runs in SIMD. A lane whose counter traps
-///    is evicted by the caller (PlanExecutor::run_lanes) at the count
-///    window boundary — the scalar abort point — without perturbing
-///    the other lanes.
+///    stuck bit), or a clock outside UpDownCounter::one_bit_clock,
+///    likewise keep their counter on the member object, clocked by its
+///    own step_block over the lane's words, so wrap, stuck-bit and trap
+///    latching stay in one place; the analogue pipeline still runs in
+///    SIMD. A lane whose counter traps is evicted by the caller
+///    (PlanExecutor::run_lanes) at the count window boundary — the
+///    scalar abort point — without perturbing the other lanes.
 ///
 /// Lockstep cohorts: members built from one config and swept together
 /// hold bit-identical oscillator, mux and counter-clock state, and
@@ -77,6 +77,13 @@ struct LanePort {
 /// (relaxed atomics, once per group, never per sample).
 [[nodiscard]] std::uint64_t shared_excitation_count() noexcept;
 [[nodiscard]] std::uint64_t per_lane_excitation_count() noexcept;
+
+/// Process-wide count of lanes whose counter a LaneEngine group advance
+/// clocked through the member's own UpDownCounter::step_block (a tap,
+/// an engaged hardware model, a clock outside
+/// UpDownCounter::one_bit_clock) instead of counting it in the kernel
+/// (relaxed atomic, bumped once per group advance).
+[[nodiscard]] std::uint64_t own_clock_lane_count() noexcept;
 
 /// SoA batch engine over independent front ends. Owns only scratch
 /// buffers; all simulation state lives in the member objects and
@@ -117,21 +124,19 @@ private:
     /// runs U samples of all S stripes statement by statement through
     /// one body, which gives the out-of-order core U*S independent
     /// chains to overlap, and divides by hk and dt through their
-    /// reciprocals (simd::div_by). Lanes never interact and every lane
-    /// keeps its operations and their order, so the result is
-    /// bit-identical to per-member stepping.
+    /// reciprocals (simd::div_by). The digital pass runs each lane's
+    /// detector, statistics and counter on 64-sample words transposed
+    /// from per-sample lane bytes, through the block path's word code.
+    /// Lanes never interact and every lane keeps its operations and
+    /// their order, so the result is bit-identical to per-member
+    /// stepping.
     template <int S>
     void advance_group(const LanePort* lanes, int n, analog::Channel channel,
                        int steps, double dt_s);
 
-    // Per-group emitted streams, one bit per group lane per sample
-    // (movemask, stripe s in bits [s*kLanes, (s+1)*kLanes)), consumed
-    // by tap replay and delegated counters. Sized only by groups that
-    // have such a lane.
-    std::vector<std::uint16_t> det_bits_;
-    std::vector<std::uint16_t> valid_bits_;
-    // One lane's one-bit streams (det x/y, valid x/y), util/bits.hpp
-    // words, transposed from det_bits_/valid_bits_.
+    // The one-bit streams (det x/y, valid x/y, util/bits.hpp words) of
+    // each tap or own-clock lane, filled tile by tile by the kernel and
+    // read at scatter. Sized only by groups that have such a lane.
     std::vector<std::uint64_t> words_;
     // Time-varying environment scratch, filled only when some lane's
     // FieldSource actually varies within the advance (constant sources

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "snapshot/version.hpp"
 #include "util/csv.hpp"
@@ -267,25 +268,26 @@ std::string metrics_csv(const MetricsRegistry& registry) {
 
 std::vector<BenchRecord> bench_json_records(const MetricsRegistry& registry) {
     std::vector<BenchRecord> records;
+    const auto add = [&records](std::string name, double value, const std::string& unit) {
+        records.push_back({std::move(name), value, unit, {}});
+    };
     for (const MetricsRegistry::Entry& e : registry.entries()) {
         switch (e.kind) {
             case MetricKind::Counter:
-                records.push_back(
-                    {e.name, static_cast<double>(e.counter->value()), e.unit});
+                add(e.name, static_cast<double>(e.counter->value()), e.unit);
                 break;
             case MetricKind::Gauge:
-                records.push_back({e.name, e.gauge->value(), e.unit});
+                add(e.name, e.gauge->value(), e.unit);
                 break;
             case MetricKind::Histogram: {
                 const Histogram& h = *e.histogram;
                 const auto count = static_cast<double>(h.count());
-                records.push_back({e.name + "_count", count, "samples"});
-                records.push_back({e.name + "_sum", h.sum(), e.unit});
-                records.push_back(
-                    {e.name + "_mean", count > 0.0 ? h.sum() / count : 0.0, e.unit});
-                records.push_back({e.name + "_p50", h.quantile(0.50), e.unit});
-                records.push_back({e.name + "_p99", h.quantile(0.99), e.unit});
-                records.push_back({e.name + "_p999", h.quantile(0.999), e.unit});
+                add(e.name + "_count", count, "samples");
+                add(e.name + "_sum", h.sum(), e.unit);
+                add(e.name + "_mean", count > 0.0 ? h.sum() / count : 0.0, e.unit);
+                add(e.name + "_p50", h.quantile(0.50), e.unit);
+                add(e.name + "_p99", h.quantile(0.99), e.unit);
+                add(e.name + "_p999", h.quantile(0.999), e.unit);
                 break;
             }
         }

@@ -44,8 +44,8 @@ TEST(SarAdc, CountsComparatorDecisions) {
     SarAdcConfig cfg;
     cfg.bits = 12;
     SarAdc adc(cfg);
-    adc.convert(0.1);
-    adc.convert(0.2);
+    static_cast<void>(adc.convert(0.1));
+    static_cast<void>(adc.convert(0.2));
     EXPECT_EQ(adc.conversions(), 2u);
     EXPECT_EQ(adc.comparator_decisions(), 24u);
 }

@@ -5,7 +5,8 @@
 // against per-sample models, the fault injector's word masks against
 // the per-sample fault semantics over random chunkings, and a front end
 // whose field source splits a block into runs at odd offsets against
-// step().
+// step(). The lane engine's transposition of per-sample lane bytes into
+// per-lane words is checked against its definition.
 
 #include <gtest/gtest.h>
 
@@ -579,6 +580,65 @@ TEST(WordFrontEnd, FieldSourceRunsAtAnyOffsetMatchStep) {
         }
         stepped.front_end().select(n % 2 == 0 ? Channel::Y : Channel::X);
         blocked.front_end().select(n % 2 == 0 ? Channel::Y : Channel::X);
+    }
+}
+
+// ------------------------------------------------------ lane transpose
+
+using Plane = std::array<std::uint8_t, 64>;
+
+/// transpose_lanes() against transpose_lanes_portable() and against the
+/// definition: bit t of word l is bit l of byte t.
+void expect_transposes(const Plane& bytes, bool check_definition) {
+    std::array<std::uint64_t, 8> fast{}, portable{};
+    util::bits::transpose_lanes(bytes.data(), fast.data());
+    util::bits::transpose_lanes_portable(bytes.data(), portable.data());
+    ASSERT_EQ(fast, portable);
+    if (!check_definition) return;
+    for (int l = 0; l < 8; ++l) {
+        for (int t = 0; t < 64; ++t) {
+            ASSERT_EQ((portable[static_cast<std::size_t>(l)] >> t) & 1,
+                      (bytes[static_cast<std::size_t>(t)] >> l) & 1u)
+                << "lane " << l << " sample " << t;
+        }
+    }
+}
+
+TEST(LaneTranspose, FastPathEqualsPortableLoopBitForBit) {
+    Plane plane{};
+    expect_transposes(plane, true);  // all zero
+    plane.fill(0xFF);
+    expect_transposes(plane, true);  // all ones
+    for (int t = 0; t < 64; ++t) {
+        // One-hot rows: one sample with every lane set.
+        plane.fill(0);
+        plane[static_cast<std::size_t>(t)] = 0xFF;
+        expect_transposes(plane, true);
+        // One bit: one lane at one sample.
+        for (int l = 0; l < 8; ++l) {
+            plane.fill(0);
+            plane[static_cast<std::size_t>(t)] = static_cast<std::uint8_t>(1u << l);
+            expect_transposes(plane, true);
+        }
+    }
+    for (int l = 0; l < 8; ++l) {
+        // One-hot columns: one lane set at every sample, and its
+        // complement.
+        plane.fill(static_cast<std::uint8_t>(1u << l));
+        expect_transposes(plane, true);
+        plane.fill(static_cast<std::uint8_t>(~(1u << l)));
+        expect_transposes(plane, true);
+    }
+    std::mt19937_64 rng(0x7A45);
+    for (int i = 0; i < 1'000'000; ++i) {
+        for (int k = 0; k < 64; k += 8) {
+            const std::uint64_t r = rng();
+            for (int j = 0; j < 8; ++j) {
+                plane[static_cast<std::size_t>(k + j)] = static_cast<std::uint8_t>(r >> (8 * j));
+            }
+        }
+        expect_transposes(plane, i < 1000);
+        if (testing::Test::HasFatalFailure()) return;
     }
 }
 

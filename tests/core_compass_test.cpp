@@ -182,7 +182,7 @@ TEST(Calibration, HardIronRecovery) {
     const auto field = nominal_field();
     // A magnetised case adds a constant count offset on both axes;
     // emulate it by pre-loading an adversarial calibration.
-    compass.set_calibration({-300, 150});
+    compass.set_calibration({-300, 150, 1.0, {}});
     // Uncalibrated: heading is badly wrong somewhere on the circle.
     compass.set_environment(field, 90.0);
     const double bad_err = util::angular_abs_diff_deg(

@@ -268,13 +268,15 @@ TEST(LaneEngine, GenericCoreModelsMatchScalar) {
 
 // Parametric faults are per-lane constants; a stream fault rides the
 // tap-replay seam; a stuck mux changes one lane's active channel. All
-// must stay in the SIMD path and match the scalar run bit for bit.
+// must stay in the SIMD path and match the scalar run bit for bit. An
+// armed injector taps its member, so members 4 (a register that wraps)
+// and 5 (plain) carry none. At 256 samples per period the clock ticks
+// 2.048 times a sample and every counter keeps its own clock; at 1,024
+// it ticks 0.512 times and the plain member's counter is folded by the
+// kernel beside the tapped and wrapping ones.
 TEST(LaneEngine, FaultedLanesMatchScalar) {
-    constexpr int kN = 4;
-    std::vector<std::unique_ptr<compass::Compass>> ref;
-    std::vector<std::unique_ptr<compass::Compass>> lane;
-    std::vector<std::unique_ptr<fault::FaultInjector>> ref_inj;
-    std::vector<std::unique_ptr<fault::FaultInjector>> lane_inj;
+    constexpr int kN = 6;
+    constexpr int kFaulted = 4;
     const auto fault_for = [](int i) {
         fault::FaultSpec spec;
         switch (i) {
@@ -300,35 +302,48 @@ TEST(LaneEngine, FaultedLanesMatchScalar) {
         }
         return spec;
     };
-    for (int i = 0; i < kN; ++i) {
-        compass::CompassConfig cfg = lite_config();
-        cfg.engine = sim::EngineKind::Scalar;
-        ref.push_back(std::make_unique<compass::Compass>(cfg));
-        lane.push_back(std::make_unique<compass::Compass>(lite_config()));
-        ref.back()->set_environment(site(), i * 90.0 + 15.0);
-        lane.back()->set_environment(site(), i * 90.0 + 15.0);
-        ref_inj.push_back(std::make_unique<fault::FaultInjector>());
-        lane_inj.push_back(std::make_unique<fault::FaultInjector>());
-        ref_inj.back()->add(fault_for(i));
-        lane_inj.back()->add(fault_for(i));
-        ref_inj.back()->arm(*ref[static_cast<std::size_t>(i)]);
-        lane_inj.back()->arm(*lane[static_cast<std::size_t>(i)]);
-    }
-    std::vector<compass::Compass*> lanes;
-    for (auto& c : lane) lanes.push_back(c.get());
-    std::vector<compass::LaneOutcome> outcomes(kN);
-    for (int rep = 0; rep < 2; ++rep) {
-        compass::PlanExecutor::run_lanes(lane[0]->plan(), lanes, outcomes);
+    for (const int steps_per_period : {256, 1024}) {
+        SCOPED_TRACE(testing::Message() << steps_per_period << " samples per period");
+        compass::CompassConfig base = lite_config();
+        base.steps_per_period = steps_per_period;
+        std::vector<std::unique_ptr<compass::Compass>> ref;
+        std::vector<std::unique_ptr<compass::Compass>> lane;
+        std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
+        digital::CounterHardware narrow;
+        narrow.width_bits = 8;
         for (int i = 0; i < kN; ++i) {
-            SCOPED_TRACE(testing::Message() << "rep " << rep << " member " << i);
-            const compass::Measurement expect =
-                ref[static_cast<std::size_t>(i)]->measure();
-            ASSERT_FALSE(outcomes[static_cast<std::size_t>(i)].aborted);
-            expect_bit_identical(outcomes[static_cast<std::size_t>(i)].measurement,
-                                 expect);
-            expect_same_pipeline_state(*lane[static_cast<std::size_t>(i)],
-                                       *ref[static_cast<std::size_t>(i)]);
+            compass::CompassConfig cfg = base;
+            cfg.engine = sim::EngineKind::Scalar;
+            ref.push_back(std::make_unique<compass::Compass>(cfg));
+            lane.push_back(std::make_unique<compass::Compass>(base));
+            for (compass::Compass* c : {ref.back().get(), lane.back().get()}) {
+                c->set_environment(site(), i * 90.0 + 15.0);
+                if (i < kFaulted) {
+                    injectors.push_back(std::make_unique<fault::FaultInjector>());
+                    injectors.back()->add(fault_for(i));
+                    injectors.back()->arm(*c);
+                } else if (i == kFaulted) {
+                    c->counter().set_hardware(narrow);
+                }
+            }
         }
+        std::vector<compass::Compass*> lanes;
+        for (auto& c : lane) lanes.push_back(c.get());
+        std::vector<compass::LaneOutcome> outcomes(kN);
+        for (int rep = 0; rep < 2; ++rep) {
+            compass::PlanExecutor::run_lanes(lane[0]->plan(), lanes, outcomes);
+            for (int i = 0; i < kN; ++i) {
+                SCOPED_TRACE(testing::Message() << "rep " << rep << " member " << i);
+                const compass::Measurement expect =
+                    ref[static_cast<std::size_t>(i)]->measure();
+                ASSERT_FALSE(outcomes[static_cast<std::size_t>(i)].aborted);
+                expect_bit_identical(outcomes[static_cast<std::size_t>(i)].measurement,
+                                     expect);
+                expect_same_pipeline_state(*lane[static_cast<std::size_t>(i)],
+                                           *ref[static_cast<std::size_t>(i)]);
+            }
+        }
+        EXPECT_TRUE(lane[kFaulted]->counter().overflowed());
     }
 }
 
@@ -616,12 +631,14 @@ void expect_same_front_end(analog::FrontEnd& a, analog::FrontEnd& b) {
     }
 }
 
-/// Members built from `configs` and set up by `prepare` advance by each
-/// count in `advances` in turn, counting channel x: one LaneEngine
-/// batch against every member alone on the scalar engine.
+/// Members built from `configs` and set up by `prepare` (and their
+/// counters by `prepare_counter`) advance by each count in `advances` in
+/// turn, counting channel x: one LaneEngine batch against every member
+/// alone on the scalar engine.
 void expect_lane_advances_match_scalar(
     const std::vector<analog::FrontEndConfig>& configs, const std::vector<int>& advances,
-    const std::function<void(int, analog::FrontEnd&)>& prepare, double dt_s = 125e-6 / 2048) {
+    const std::function<void(int, analog::FrontEnd&)>& prepare, double dt_s = 125e-6 / 2048,
+    const std::function<void(int, digital::UpDownCounter&)>& prepare_counter = {}) {
     const std::size_t n = configs.size();
     std::vector<std::unique_ptr<analog::FrontEnd>> ref, lane;
     std::vector<digital::UpDownCounter> ref_ctr(n), lane_ctr(n);
@@ -635,6 +652,10 @@ void expect_lane_advances_match_scalar(
             fe->set_field(analog::Channel::X, 20.0 + 3.0 * static_cast<double>(i));
             fe->set_field(analog::Channel::Y, -12.0 + static_cast<double>(i));
             prepare(static_cast<int>(i), *fe);
+        }
+        if (prepare_counter) {
+            prepare_counter(static_cast<int>(i), ref_ctr[i]);
+            prepare_counter(static_cast<int>(i), lane_ctr[i]);
         }
         ports.push_back({lane.back().get(), &lane_ctr[i], &lane_e[i]});
     }
@@ -653,6 +674,9 @@ void expect_lane_advances_match_scalar(
             expect_same_front_end(*ref[i], *lane[i]);
             EXPECT_EQ(ref_ctr[i].count(), lane_ctr[i].count());
             EXPECT_EQ(ref_ctr[i].active_ticks(), lane_ctr[i].active_ticks());
+            EXPECT_EQ(bits(ref_ctr[i].save_state().tick_accumulator),
+                      bits(lane_ctr[i].save_state().tick_accumulator));
+            EXPECT_EQ(ref_ctr[i].overflowed(), lane_ctr[i].overflowed());
             EXPECT_EQ(bits(ref_e[i]), bits(lane_e[i]));
         }
     }
@@ -715,6 +739,128 @@ TEST(LaneEngine, DivisorsOutsideTheReciprocalRangeTakeTheExactDivide) {
                                       [](int, analog::FrontEnd&) {}, 1e-320);
 }
 
+// ----------------------------------------------------- Pass C on words
+//
+// Pass C stores each comparison across the group's lanes as one byte per
+// sample, transposes each 64-sample plane into one word per lane, and
+// runs the block path's word code on each lane's words. These tests
+// drive LaneEngine directly, so the counters run at 0.256 clock periods
+// per sample (dt = 125 us / 2048) and take the one-bit clock unless a
+// test says otherwise.
+
+/// Starts member `i`'s mux timer `since_s` into its settling time, so it
+/// settles at its own sample and its group takes the per-lane pass.
+void stagger_mux(analog::FrontEnd& fe, double since_s) {
+    fe.mux().load_state({analog::Channel::X, since_s});
+}
+
+TEST(LaneEngine, SettleEdgeInsideATileMatchesScalarInSharedAndPerLaneGroups) {
+    // A fresh mux settles at sample 819 (50 us of 61 ns samples): inside
+    // tile 7 of the 600-sample advance, so that tile's valid word has
+    // holes and takes the statistics' per-bit path. In the second group
+    // members 2 and 6 settle at samples 491 and 163 instead, inside
+    // other tiles, and their group runs per-lane excitation, settle
+    // planes included.
+    const std::vector<int> advances = {1, 63, 64, 65, 130, 600, 2048};
+    const std::vector<analog::FrontEndConfig> configs(9);
+    const std::uint64_t shared0 = sim::shared_excitation_count();
+    expect_lane_advances_match_scalar(configs, advances, [](int, analog::FrontEnd&) {});
+    EXPECT_GT(sim::shared_excitation_count(), shared0);
+    const std::uint64_t per_lane0 = sim::per_lane_excitation_count();
+    expect_lane_advances_match_scalar(configs, advances, [](int i, analog::FrontEnd& fe) {
+        if (i == 2) stagger_mux(fe, 20e-6);
+        if (i == 6) stagger_mux(fe, 40e-6);
+    });
+    EXPECT_GT(sim::per_lane_excitation_count(), per_lane0);
+}
+
+TEST(LaneEngine, PerLaneGroupMatchesScalarAcrossWordBoundaries) {
+    // Member 3 is one default measurement (2 x 9 periods) ahead, as a
+    // member whose ladder ran is, so its group runs per-lane excitation
+    // and per-lane clocks. Members 4k + 1 are a further 700 k samples
+    // ahead, so the lanes' detectors sit at different points of the
+    // period and each lane must carry its own latch state from tile to
+    // tile and advance to advance. The 2,048-sample advances bring the
+    // pickup pulses, so the latches toggle inside words and at their
+    // edges.
+    const std::vector<int> advances = {1, 63, 64, 65, 130, 2048, 1, 63, 64, 65, 130, 2048};
+    const std::vector<analog::FrontEndConfig> configs(2 * util::simd::kLanes);
+    const std::uint64_t per_lane0 = sim::per_lane_excitation_count();
+    expect_lane_advances_match_scalar(configs, advances, [](int i, analog::FrontEnd& fe) {
+        const int ahead = i == 3 ? 2 * 9 * 2048 : i % 4 == 1 ? 700 * (i / 4 + 1) : 0;
+        for (int k = 0; k < ahead; ++k) static_cast<void>(fe.step(125e-6 / 2048));
+    });
+    EXPECT_GT(sim::per_lane_excitation_count(), per_lane0);
+}
+
+TEST(LaneEngine, CountersOutsideTheOneBitClockKeepTheirOwnClock) {
+    // Member 2's clock runs at 1.28 periods per sample, so a sample can
+    // carry two ticks; member 5 restarts from an accumulator of 1.5 at
+    // 0.768 periods per sample, so its first sample carries two. Both
+    // are clocked by their own step_block over their lane's words, the
+    // plain members beside them by the kernel's one-bit fold, in a
+    // shared group and, with member 4 staggered, a per-lane one.
+    const std::vector<analog::FrontEndConfig> configs(7);
+    const auto counters = [](int i, digital::UpDownCounter& c) {
+        if (i == 2) c = digital::UpDownCounter(5 * 4194304.0);
+        if (i == 5) {
+            c = digital::UpDownCounter(3 * 4194304.0);
+            c.load_state({1.5, 0, 0});
+        }
+    };
+    for (const bool stagger : {false, true}) {
+        SCOPED_TRACE(stagger ? "per-lane group" : "shared group");
+        const std::uint64_t own0 = sim::own_clock_lane_count();
+        expect_lane_advances_match_scalar(
+            configs, kOddAdvances,
+            [stagger](int i, analog::FrontEnd& fe) {
+                if (stagger && i == 4) stagger_mux(fe, 30e-6);
+            },
+            125e-6 / 2048, counters);
+        EXPECT_GT(sim::own_clock_lane_count(), own0);
+    }
+}
+
+/// A stream fault written for these tests: from sample 300 on it clears
+/// the valid flag of every seventh sample of channel x and inverts the
+/// detector on samples whose index has bit 4 set, a pure function of
+/// the sample index as the SampleTap contract requires.
+class StripeTap final : public analog::SampleTap {
+public:
+    void on_samples(std::uint64_t first_index, int n, std::uint64_t* detector_x,
+                    std::uint64_t*, std::uint64_t* valid_x, std::uint64_t*) override {
+        for (int k = 0; k < n; ++k) {
+            const std::uint64_t index = first_index + static_cast<std::uint64_t>(k);
+            if (index < 300) continue;
+            const std::uint64_t bit = std::uint64_t{1} << (k % 64);
+            if (index % 7 == 0) valid_x[k / 64] &= ~bit;
+            if ((index & 16) != 0) detector_x[k / 64] ^= bit;
+        }
+    }
+};
+
+TEST(LaneEngine, TapHardwareCounterAndPlainLanesShareAGroup) {
+    // Member 1 has a tap, member 4 a 3-bit register that wraps; the
+    // other members are plain lanes whose counters the kernel folds.
+    const std::vector<analog::FrontEndConfig> configs(2 * util::simd::kLanes - 1);
+    std::vector<std::unique_ptr<StripeTap>> taps;
+    digital::CounterHardware narrow;
+    narrow.width_bits = 3;
+    const std::uint64_t own0 = sim::own_clock_lane_count();
+    expect_lane_advances_match_scalar(
+        configs, kOddAdvances,
+        [&taps](int i, analog::FrontEnd& fe) {
+            if (i != 1) return;
+            taps.push_back(std::make_unique<StripeTap>());
+            fe.set_sample_tap(taps.back().get());
+        },
+        125e-6 / 2048,
+        [&narrow](int i, digital::UpDownCounter& c) {
+            if (i == 4) c.set_hardware(narrow);
+        });
+    EXPECT_GT(sim::own_clock_lane_count(), own0);
+}
+
 // ------------------------------------------------------------- fleet
 
 TEST(CompassFleet, AutoMatchesPerMemberBitForBit) {
@@ -766,6 +912,26 @@ TEST(CompassFleet, CleanSweepAllocatesNoLargeBlock) {
     const std::uint64_t before = g_large_blocks.load();
     static_cast<void>(fleet.measure_all(1));
     EXPECT_EQ(g_large_blocks.load() - before, 0u);
+}
+
+// The default config clocks 0.256 periods per sample, so a clean sweep
+// counts every lane in the kernel; lite_config's 2.048 clocks every
+// counter through its own step_block.
+TEST(CompassFleet, DefaultSweepFoldsEveryCounterInTheKernel) {
+    constexpr int kFleet = 16;
+    std::vector<double> headings;
+    for (int i = 0; i < kFleet; ++i) headings.push_back(i * 22.5);
+    compass::CompassFleet fleet(kFleet);
+    fleet.set_environments(site(), headings);
+    std::uint64_t own0 = sim::own_clock_lane_count();
+    static_cast<void>(fleet.measure_all(1));
+    EXPECT_EQ(sim::own_clock_lane_count() - own0, 0u);
+
+    compass::CompassFleet lite(kFleet, lite_config());
+    lite.set_environments(site(), headings);
+    own0 = sim::own_clock_lane_count();
+    static_cast<void>(lite.measure_all(1));
+    EXPECT_GT(sim::own_clock_lane_count() - own0, 0u);
 }
 
 TEST(CompassFleet, TrappedMembersReportDeterministicFirstError) {
@@ -839,7 +1005,8 @@ void expect_same_excitation_state(compass::Compass& a, compass::Compass& b) {
 /// headings, changed only through both().
 class CohortFleets {
 public:
-    CohortFleets() {
+    explicit CohortFleets(const compass::CompassConfig& config = lite_config())
+        : lanes_(kCohortFleet, config), reference_(kCohortFleet, config) {
         reference_.set_execution(compass::FleetExecution::PerMember);
         std::vector<double> headings;
         for (int i = 0; i < kCohortFleet; ++i) headings.push_back(i * 21.0 + 2.0);
@@ -874,8 +1041,8 @@ public:
     }
 
 private:
-    compass::CompassFleet lanes_{kCohortFleet, lite_config()};
-    compass::CompassFleet reference_{kCohortFleet, lite_config()};
+    compass::CompassFleet lanes_;
+    compass::CompassFleet reference_;
 };
 
 // (a) Members built from one config stay lockstep sweep after sweep.
@@ -935,15 +1102,22 @@ TEST(LaneCohort, MuxTimerSplitsItsGroupUntilTheNextSwitch) {
 
 // (d) The counter's accumulator is not an excitation input: a lane whose
 // clock phase differs still shares the excitation, but its counter must
-// keep its own clock.
+// keep its own clock. At 1,024 samples per period (0.512 clock periods
+// per sample) the kernel's per-lane vector clock counts it; at 256 (2.048)
+// every counter is clocked by its own step_block.
 TEST(LaneCohort, CounterAccumulatorSharesExcitationButNotTheClock) {
-    CohortFleets fleets;
-    fleets.both(kCohortFleet - 6, [](compass::Compass& c) {
-        c.counter().load_state({0.5, 0, 0});
-    });
-    const ExcitationCounts c = fleets.sweep();
-    EXPECT_EQ(c.shared, kStagesPerSweep * cohort_groups());
-    EXPECT_EQ(c.per_lane, 0u);
+    for (const int steps_per_period : {256, 1024}) {
+        SCOPED_TRACE(steps_per_period);
+        compass::CompassConfig config = lite_config();
+        config.steps_per_period = steps_per_period;
+        CohortFleets fleets(config);
+        fleets.both(kCohortFleet - 6, [](compass::Compass& c) {
+            c.counter().load_state({0.5, 0, 0});
+        });
+        const ExcitationCounts c = fleets.sweep();
+        EXPECT_EQ(c.shared, kStagesPerSweep * cohort_groups());
+        EXPECT_EQ(c.per_lane, 0u);
+    }
 }
 
 }  // namespace
