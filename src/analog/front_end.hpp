@@ -242,9 +242,9 @@ public:
     }
 
     /// Applies one environment tick to both sensors (axial fields and
-    /// core temperature). The lane engine calls this from gather and
-    /// scatter so its members track the same environment the scalar
-    /// path would have applied.
+    /// core temperature). The lane engine calls this from gather, with
+    /// the tick that holds over its advance, so its members see the
+    /// environment the scalar path would have applied.
     void apply_field_tick(const magnetics::FieldTick& tick);
 
     /// Ambient temperature of the last applied environment tick [deg C]
@@ -411,19 +411,6 @@ public:
         stats_prev_ = s.prev;
         stats_has_prev_ = s.has_prev;
         sample_index_ = s.sample_index;
-    }
-
-    /// Feeds a block of already-computed emitted streams (one-bit
-    /// words, as SampleTap::on_samples takes them) through the tap ->
-    /// sample-index -> statistics pipeline, exactly as step_block()
-    /// does for streams it computed itself. The lane engine uses this
-    /// for members with a tap attached (fault injection), so stream
-    /// faults see the same chunks, mutate the same bits and update the
-    /// same statistics as on the per-member path. The words are mutated
-    /// in place by the tap.
-    void ingest_samples(int n, std::uint64_t* det_x, std::uint64_t* det_y,
-                        std::uint64_t* valid_x, std::uint64_t* valid_y) {
-        finish_samples(n, det_x, det_y, valid_x, valid_y);
     }
 
 private:

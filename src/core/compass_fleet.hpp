@@ -73,8 +73,8 @@ public:
     /// each task amortises its gather/scatter over full stripes.
     static constexpr int kLaneGroupSize = 16;
 
-    /// Dispatch strategy for measure_all (default Auto — lane-batched
-    /// where eligible; results are bit-identical either way).
+    /// Dispatch strategy for measure_all (default Auto — lane-batched;
+    /// results are bit-identical either way).
     void set_execution(FleetExecution execution) noexcept { execution_ = execution; }
     [[nodiscard]] FleetExecution execution() const noexcept { return execution_; }
 

@@ -406,8 +406,9 @@ void PlanExecutor::run_lanes(const MeasurementPlan& plan,
             double& energy_j = states[i].m.energy_j;
             advance = PlanRun::begin_stage(c, plan, states[i], tree);
             if (!advance) return;
-            if (sim::LaneEngine::eligible(c.front_end_)) {
-                ports.push_back({&c.front_end_, advance->counter, &energy_j});
+            const sim::LanePort port{&c.front_end_, advance->counter, &energy_j};
+            if (sim::LaneEngine::plain(port, advance->channel, advance->steps, plan.dt_s)) {
+                ports.push_back(port);
             } else {
                 c.engine_->advance(c.front_end_, advance->channel, advance->steps,
                                    plan.dt_s, advance->counter, energy_j);

@@ -157,9 +157,9 @@ public:
     /// Executes one plan across a batch of compasses. Each lane keeps
     /// its own PlanRun::State and runs PlanRun's own stage code; only the
     /// engine advance is batched: at every Settle/Count the lanes the SoA
-    /// lane engine takes (sim/lane_engine.hpp, LaneEngine::eligible)
-    /// advance together in one SIMD kernel sweep, and any other lane (a
-    /// simultaneous-mode front end) advances through its own engine. The
+    /// lane engine takes for that advance (sim/lane_engine.hpp,
+    /// LaneEngine::plain) advance together in one SIMD kernel sweep, and
+    /// any other lane advances through its own engine. The
     /// per-stage telemetry spans ("measure"/"axis"/"settle"/"count" plus
     /// an "engine.lanes" advance span) form one tree per batch on
     /// lanes[0]'s sink, written through the first lane still in the

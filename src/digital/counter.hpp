@@ -141,9 +141,10 @@ public:
     [[nodiscard]] double clock_hz() const noexcept { return clock_hz_; }
 
     /// True when the finite-width/stuck-bit register model is active.
-    /// Lanes with an engaged hardware model keep their counter on the
-    /// member object (wrap and trap logic stays in one place); ideal
-    /// counters fold in SoA inside the lane engine.
+    /// A lane whose counter has it engaged advances through its own
+    /// engine on every counting advance (sim::LaneEngine::plain), so the
+    /// wrap and trap logic stays in one place; ideal counters under the
+    /// one-bit clock fold inside the lane kernel.
     [[nodiscard]] bool hardware_engaged() const noexcept { return hardware_engaged_; }
 
     /// Evolving counting state, for the lane engine's gather/scatter

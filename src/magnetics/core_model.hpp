@@ -113,19 +113,17 @@ public:
     /// Closed-form magnetisation (stateless evaluation).
     [[nodiscard]] double magnetisation(double h) const;
 
-    /// Effective Ms/Hk at an arbitrary temperature — the exact
-    /// expressions set_temperature() installs. The lane engine fills
-    /// its per-sample parameter stripes through these, so the vector
-    /// kernel sees bit-identical values to the scalar path.
-    [[nodiscard]] double ms_at(double temp_c) const noexcept;
-    [[nodiscard]] double hk_at(double temp_c) const noexcept;
-
     /// True when either temperature coefficient is nonzero.
     [[nodiscard]] bool temperature_sensitive() const noexcept {
         return ms_tc_ != 0.0 || hk_tc_ != 0.0;
     }
 
 private:
+    /// Effective Ms/Hk at an arbitrary temperature, as set_temperature()
+    /// installs them.
+    [[nodiscard]] double ms_at(double temp_c) const noexcept;
+    [[nodiscard]] double hk_at(double temp_c) const noexcept;
+
     double ms_;        ///< effective Ms at the current temperature
     double hk_;        ///< effective Hk at the current temperature
     double ms0_;       ///< Ms at Tref

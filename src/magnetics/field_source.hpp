@@ -19,9 +19,10 @@
 ///    out of order or concurrently.
 ///  * constant_until(begin) lets engines skip per-tick queries over
 ///    runs where the field does not change; ConstantFieldSource
-///    answers kForever, which keeps the block fast path and the lane
-///    kernel's "field unchanged this tile" skip on the pre-seam code
-///    path (bit-identical, no throughput regression).
+///    answers kForever, which keeps the block fast path on the
+///    pre-seam code path and every advance in the lane kernel
+///    (bit-identical, no throughput regression). The lane kernel takes
+///    a lane only over an advance its field holds for.
 
 #include <cstdint>
 #include <memory>

@@ -138,18 +138,6 @@ void FluxgateSensor::step_block_constant(double i_excitation_a, double dt_s, int
     if (n > 1) step(i_excitation_a, dt_s);
 }
 
-void FluxgateSensor::step_block_env(double i_excitation_a, const double* h_ext,
-                                    const double* temp_c, double dt_s, int n) {
-    // Deliberately the literal per-sample sequence: with the axial field
-    // (and possibly Ms/Hk) changing under it, the flux linkage moves
-    // every step, so there is no stationary state to shortcut to.
-    for (int k = 0; k < n; ++k) {
-        set_external_field(h_ext[k]);
-        if (temp_c != nullptr) set_temperature(temp_c[k]);
-        step(i_excitation_a, dt_s);
-    }
-}
-
 bool FluxgateSensor::saturated() const noexcept {
     return std::fabs(h_core_) > core_->knee_field();
 }

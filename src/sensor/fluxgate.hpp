@@ -61,8 +61,7 @@ public:
     }
 
     /// The sensitivity drift factor at an arbitrary temperature — the
-    /// exact expression set_temperature() installs; the lane engine
-    /// fills per-sample parameter stripes through this.
+    /// exact expression set_temperature() installs.
     [[nodiscard]] double fpa_scale_at(double temp_c) const noexcept {
         const double v =
             1.0 + params_.sens_temp_coeff_per_c * (temp_c - params_.t_ref_c);
@@ -87,16 +86,6 @@ public:
     /// for the de-selected (idle) sensor of a multiplexed front end.
     /// Bit-identical to n step(i, dt) calls.
     void step_block_constant(double i_excitation_a, double dt_s, int n);
-
-    /// Advances `n` steps at a constant excitation current under a
-    /// per-sample environment: h_ext[k] (and, when `temp_c` is non-null,
-    /// the core temperature temp_c[k]) is applied before sample k.
-    /// Bit-identical to n {set_external_field; set_temperature; step}
-    /// triples — the path a time-varying FieldSource drives the idle
-    /// sensor of a multiplexed front end through, where the changing
-    /// axial field induces real pickup voltage even at zero drive.
-    void step_block_env(double i_excitation_a, const double* h_ext,
-                        const double* temp_c, double dt_s, int n);
 
     /// Open-circuit pickup voltage of the last step [V].
     [[nodiscard]] double pickup_voltage() const noexcept { return v_pickup_; }
@@ -147,9 +136,9 @@ public:
     [[nodiscard]] const FluxgateParams& params() const noexcept { return params_; }
     [[nodiscard]] const magnetics::CoreModel& core() const noexcept { return *core_; }
 
-    /// Mutable core access for the lane engine: non-Tanh cores advance
-    /// per lane through this (exact virtual dispatch), and the TanhCore
-    /// fast path re-syncs last-H through one advance() at scatter time.
+    /// Mutable core access: the lane engine re-syncs its TanhCore's
+    /// last H through one advance() at scatter time, and the snapshot
+    /// layer restores core state through it.
     [[nodiscard]] magnetics::CoreModel& core_mut() noexcept { return *core_; }
 
 private:

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <iterator>
+#include <stdexcept>
 #include <type_traits>
 
 #include "magnetics/core_model.hpp"
@@ -41,25 +42,21 @@ inline bool lanes_match(const double* a, int n) {
 enum Stream { kRisePos, kFallPos, kRiseNeg, kFallNeg, kSettle, kTick, kStreams };
 
 /// One real lane's share of Pass C's word code: its detector latches,
-/// stream-window statistics and counter, and where its words are kept.
+/// stream-window statistics and counter.
 struct WordLane {
     analog::PulsePositionDetector::State det;
     analog::FrontEnd::StreamWindowState win;
     digital::UpDownCounter::State ctr;
-    std::size_t ch = 0;                 ///< active channel
-    bool tap = false;                   ///< statistics run on post-tap words at scatter
-    bool fold = false;                  ///< counter under the one-bit clock, counted here
-    std::uint64_t* det_w = nullptr;     ///< words kept for scatter, or null
-    std::uint64_t* valid_w = nullptr;
+    std::size_t ch = 0;  ///< active channel
+    bool fold = false;   ///< counter clocked by this advance, counted here
 };
 
-/// Pass C's word code for one tile of `nb` samples, word `w` of the
-/// advance: lane l's comparator words are words[c][l]. The settle flags
-/// come from words[kSettle] (per-lane excitation) or `shared_settle`,
-/// the ticks from words[kTick] (per-lane clock) or `shared_ticks`.
-void step_word_lanes(WordLane* lanes, int n, int nb, std::size_t w,
-                     const std::uint64_t* const* words, std::uint64_t shared_settle,
-                     std::uint64_t shared_ticks) {
+/// Pass C's word code for one tile of `nb` samples: lane l's comparator
+/// words are words[c][l]. The settle flags come from words[kSettle]
+/// (per-lane excitation) or `shared_settle`, the ticks from
+/// words[kTick] (per-lane clock) or `shared_ticks`.
+void step_word_lanes(WordLane* lanes, int n, int nb, const std::uint64_t* const* words,
+                     std::uint64_t shared_settle, std::uint64_t shared_ticks) {
     const std::uint64_t* const rise_p = words[kRisePos];
     const std::uint64_t* const fall_p = words[kFallPos];
     const std::uint64_t* const rise_n = words[kRiseNeg];
@@ -72,11 +69,6 @@ void step_word_lanes(WordLane* lanes, int n, int nb, std::size_t w,
         const std::uint64_t out = analog::PulsePositionDetector::step_word(
             {rise_p[l], fall_p[l], rise_n[l], fall_n[l]}, nb, lane.det);
         const std::uint64_t valid = settle != nullptr ? settle[l] & live : shared_settle;
-        if (lane.det_w != nullptr) {
-            lane.det_w[w] = out;
-            lane.valid_w[w] = valid;
-        }
-        if (lane.tap) continue;
         analog::fold_stream_word(lane.win.stats[lane.ch], lane.win.prev[lane.ch],
                                  lane.win.has_prev[lane.ch], out, valid, nb);
         if (lane.fold) {
@@ -88,7 +80,6 @@ void step_word_lanes(WordLane* lanes, int n, int nb, std::size_t w,
 
 std::atomic<std::uint64_t> g_shared_excitation{0};
 std::atomic<std::uint64_t> g_per_lane_excitation{0};
-std::atomic<std::uint64_t> g_own_clock_lanes{0};
 
 }  // namespace
 
@@ -100,15 +91,33 @@ std::uint64_t per_lane_excitation_count() noexcept {
     return g_per_lane_excitation.load(std::memory_order_relaxed);
 }
 
-std::uint64_t own_clock_lane_count() noexcept {
-    return g_own_clock_lanes.load(std::memory_order_relaxed);
-}
-
-bool LaneEngine::eligible(const analog::FrontEnd& front_end) noexcept {
+bool LaneEngine::plain(const LanePort& port, analog::Channel channel, int steps,
+                       double dt_s) {
     // Simultaneous mode duplicates the whole chain (two oscillators,
-    // per-sample interleaved noise draws) — per-member engines handle
-    // it.
-    return front_end.config().mode == analog::FrontEndMode::Multiplexed;
+    // per-sample interleaved noise draws); it, a gated-off section,
+    // other core models, taps and moving fields stay with the member's
+    // own engine.
+    const analog::FrontEnd& f = *port.front_end;
+    if (f.config().mode != analog::FrontEndMode::Multiplexed || !f.enabled() ||
+        f.sample_tap() != nullptr) {
+        return false;
+    }
+    for (const analog::Channel ch : {analog::Channel::X, analog::Channel::Y}) {
+        if (dynamic_cast<const magnetics::TanhCore*>(&f.sensor(ch).core()) == nullptr) {
+            return false;
+        }
+    }
+    if (const magnetics::FieldSource* src = f.field_source()) {
+        const std::uint64_t k = f.samples_stepped();
+        if (!src->constant_over(k, k + static_cast<std::uint64_t>(steps))) return false;
+    }
+    // A counter that sees this channel's samples must be an ideal
+    // register under the one-bit clock, which Pass C folds.
+    const digital::UpDownCounter* ctr = port.counter;
+    if (ctr == nullptr || !ctr->enabled() || f.selected() != channel) return true;
+    return !ctr->hardware_engaged() &&
+           digital::UpDownCounter::one_bit_clock(ctr->save_state().tick_accumulator,
+                                                 dt_s * ctr->clock_hz());
 }
 
 int LaneEngine::lanes_per_stripe() noexcept { return v::kLanes; }
@@ -118,8 +127,16 @@ const char* LaneEngine::backend_name() noexcept { return v::backend_name(); }
 void LaneEngine::advance(const LanePort* lanes, int n_lanes, analog::Channel channel,
                          int steps, double dt_s) {
     // A zero-step advance performs no member work at all on the scalar
-    // path (no samples, no tap call, no index motion) — mirror that.
+    // path (no samples, no index motion) — mirror that.
     if (n_lanes <= 0 || steps <= 0) return;
+    // Every check runs before the first gather, so a refused advance
+    // leaves every member as it was.
+    if (!(dt_s > 0.0)) throw std::invalid_argument("LaneEngine::advance: dt must be > 0");
+    for (int l = 0; l < n_lanes; ++l) {
+        if (!plain(lanes[l], channel, steps, dt_s)) {
+            throw std::invalid_argument("LaneEngine::advance: lane is not plain");
+        }
+    }
     for (int base = 0; base < n_lanes;) {
         const int rem = n_lanes - base;
         // Pair stripes whenever more than one stripe of lanes remains:
@@ -144,9 +161,6 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
     // byte plane (s * W) / 8, so a group fills one plane per 8 lanes.
     static_assert(8 % W == 0 && GW <= 16);
     constexpr int kBytePlanes = (GW + 7) / 8;
-    // Sample-loop tile length (declared here because the environment
-    // change flags below are per tile).
-    constexpr int T = 64;  // 3 buffers * S * T * sizeof(dvec) stays in L1
 
     // ---- Gather: per-lane constants and evolving state ----------------
     //
@@ -159,16 +173,9 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
 
     analog::FrontEnd* fe[GW];
     digital::UpDownCounter* ctr[GW];
-    magnetics::CoreModel* core[GW];
-    const magnetics::FieldSource* src[GW];
-    std::uint64_t lidx0[GW];
     Channel active_ch[GW];
     bool lane_noise[GW];
     bool lane_first[GW];
-    bool lane_own[GW];   ///< counter clocked by its own step_block at scatter
-    int lane_slot[GW];   ///< words_ slot of a lane whose words scatter reads, or -1
-    bool lane_dyn[GW];   ///< field source varies within this advance
-    bool lane_tdyn[GW];  ///< lane_dyn and the sensors are temp-sensitive
 
     alignas(64) double freq_a[GW], gain_a[GW], curv_a[GW], dc_a[GW], cgain_a[GW],
         correct01_a[GW];
@@ -186,26 +193,15 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
     alignas(64) double since_a[GW], lp_a[GW], le_a[GW], acc_a[GW], e_a[GW];
     WordLane wl[GW];  // Pass C's per-lane word state (real lanes only)
 
-    bool stripe_generic = false;
     bool stripe_noise = false;
-    int slots = 0;
-    int own_lanes = 0;
-    bool group_dyn = false;
-    bool group_tdyn = false;
 
     for (int l = 0; l < GW; ++l) {
         if (l >= n) {
             // Pad lane: copy lane 0's numeric inputs, disable everything.
             fe[l] = nullptr;
             ctr[l] = nullptr;
-            core[l] = nullptr;
-            src[l] = nullptr;
-            lidx0[l] = 0;
             active_ch[l] = active_ch[0];
             lane_noise[l] = lane_first[l] = false;
-            lane_own[l] = false;
-            lane_slot[l] = -1;
-            lane_dyn[l] = lane_tdyn[l] = false;
             freq_a[l] = freq_a[0]; gain_a[l] = gain_a[0]; curv_a[l] = curv_a[0];
             dc_a[l] = dc_a[0]; cgain_a[l] = cgain_a[0]; correct01_a[l] = correct01_a[0];
             vig_a[l] = vig_a[0]; fs_a[l] = fs_a[0]; linfs_a[l] = linfs_a[0];
@@ -271,46 +267,25 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         lim_a[l] = limit;
         neglim_a[l] = -limit;
 
-        // Time-varying environment: resolve the lane's field source at
-        // its entry sample index and apply that tick now, so every
-        // field/temperature-derived value gathered below is exactly
-        // what the scalar step() would see on the first sample. A
-        // constant source reports kForever and takes no further part
-        // in the kernel.
-        src[l] = f.field_source();
-        lidx0[l] = 0;
-        lane_dyn[l] = lane_tdyn[l] = false;
-        if (src[l] != nullptr) {
-            lidx0[l] = w.win.sample_index;
-            magnetics::FieldTick tick;
-            const std::uint64_t end = src[l]->constant_until(lidx0[l], &tick);
-            f.apply_field_tick(tick);
-            lane_dyn[l] =
-                end < lidx0[l] + static_cast<std::uint64_t>(steps);
-            if (lane_dyn[l]) {
-                group_dyn = true;
-                if (f.sensor(ach).temperature_sensitive()) {
-                    lane_tdyn[l] = true;
-                    group_tdyn = true;
-                }
-            }
+        // The field holds over the advance (plain()), so the tick the
+        // scalar step() would apply before every sample is the entry
+        // sample's: apply it once, and every field- and
+        // temperature-derived value gathered below is what step() sees.
+        if (const magnetics::FieldSource* src = f.field_source()) {
+            f.apply_field_tick(src->field_at(f.samples_stepped()));
         }
 
         // Active sensor (FluxgateSensor::step_block hoists). The stuck
         // mux makes the active channel a per-lane property.
-        sensor::FluxgateSensor& sen = f.sensor_mut(ach);
+        const sensor::FluxgateSensor& sen = f.sensor(ach);
         const sensor::FluxgateParams& sp = sen.params();
         fpa_a[l] = sen.effective_field_per_amp();
         hext_a[l] = sen.external_field();
         nap_a[l] = sp.n_pickup * sp.core_area_m2;
         nae_a[l] = sp.n_excitation * sp.core_area_m2;
         r_exc_a[l] = sp.r_excitation_ohm;
-        core[l] = &sen.core_mut();
-        hk_a[l] = core[l]->knee_field();
-        ms_a[l] = core[l]->saturation_magnetisation();
-        if (dynamic_cast<const magnetics::TanhCore*>(core[l]) == nullptr) {
-            stripe_generic = true;
-        }
+        hk_a[l] = sen.core().knee_field();
+        ms_a[l] = sen.core().saturation_magnetisation();
         const sensor::FluxgateSensor::State ss = sen.save_state();
         lp_a[l] = ss.lambda_pickup_prev;
         le_a[l] = ss.lambda_exc_prev;
@@ -356,43 +331,16 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             nkey[l] = nctr[l] = 0;
         }
 
-        // Counter. An ideal register under the one-bit clock
-        // (UpDownCounter::one_bit_clock) is counted by Pass C from its
-        // tick and output words. Any other counter that sees this
-        // channel's samples (a tap's post-tap words, an engaged hardware
-        // model, a clock that can tick more than once a sample) is
-        // clocked by the member's own step_block over the lane's words
-        // at scatter, where the wrap, trap and tap logic live.
-        w.tap = f.sample_tap() != nullptr;
-        const bool counting =
-            ctr[l] != nullptr && ctr[l]->enabled() && (w.tap || ach == channel);
+        // Counter. One that sees this channel's samples is an ideal
+        // register under the one-bit clock (plain()), counted by Pass C
+        // from its tick and output words.
+        w.fold = ctr[l] != nullptr && ctr[l]->enabled() && ach == channel;
         inc_a[l] = ctr[l] != nullptr ? dt_s * ctr[l]->clock_hz() : 0.0;
-        w.ctr = counting ? ctr[l]->save_state() : digital::UpDownCounter::State{};
-        w.fold = counting && !w.tap && !ctr[l]->hardware_engaged() &&
-                 digital::UpDownCounter::one_bit_clock(w.ctr.tick_accumulator, inc_a[l]);
-        lane_own[l] = counting && !w.fold;
+        w.ctr = w.fold ? ctr[l]->save_state() : digital::UpDownCounter::State{};
         count01_a[l] = w.fold ? 1.0 : 0.0;
-        acc_a[l] = w.fold ? w.ctr.tick_accumulator : 0.0;
-        lane_slot[l] = w.tap || lane_own[l] ? slots++ : -1;
-        own_lanes += lane_own[l] ? 1 : 0;
+        acc_a[l] = w.ctr.tick_accumulator;
 
         e_a[l] = *lanes[l].energy_j;
-    }
-    if (own_lanes > 0) g_own_clock_lanes.fetch_add(own_lanes, std::memory_order_relaxed);
-
-    // Tap and own-clock lanes keep their one-bit streams for scatter, one
-    // slot of four util/bits.hpp streams per lane (detector x, y, valid
-    // x, y, as FrontEnd::ingest_samples takes them); Pass C fills the
-    // active channel's two word by word. Groups without such a lane
-    // allocate nothing.
-    const auto nwords = static_cast<std::size_t>(util::bits::words_for(steps));
-    if (slots > 0) words_.resize(static_cast<std::size_t>(slots) * 4 * nwords);
-    for (int l = 0; l < n; ++l) {
-        if (lane_slot[l] < 0) continue;
-        std::uint64_t* slot =
-            words_.data() + static_cast<std::size_t>(lane_slot[l]) * 4 * nwords;
-        wl[l].det_w = slot + wl[l].ch * nwords;
-        wl[l].valid_w = slot + (2 + wl[l].ch) * nwords;
     }
 
     // ---- Lockstep cohort -------------------------------------------------
@@ -426,113 +374,6 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
     const bool lane_clock =
         !shared_ticking &&
         std::any_of(wl, wl + n, [](const WordLane& w) { return w.fold; });
-
-    // ---- Time-varying environment streams ------------------------------
-    //
-    // Only when some lane's field actually changes inside this advance:
-    // per-sample interleaved buffers carry the active-axis field (and,
-    // for temperature-sensitive sensors, the Ms/Hk/sensitivity values
-    // the scalar set_temperature() would install) so Pass B can reload
-    // its stripe vectors; per-lane contiguous buffers carry the
-    // idle-axis field and temperature for the scatter-time
-    // step_block_env replay. Each value is computed with exactly the
-    // member-path expression (TanhCore::ms_at/hk_at,
-    // FluxgateSensor::fpa_scale_at), so the lanes stay bit-identical.
-    const int ntiles = (steps + T - 1) / T;
-    if (group_dyn) {
-        const auto ns = static_cast<std::size_t>(steps);
-        env_h_.resize(ns * GW);
-        idle_h_.resize(ns * GW);
-        idle_t_.resize(ns * GW);
-        if (group_tdyn) {
-            env_ms_.resize(ns * GW);
-            env_hk_.resize(ns * GW);
-            env_fpa_.resize(ns * GW);
-        }
-        // Seed every column with the gather constants (pad lanes
-        // replicated lane 0's), then overwrite the varying lanes.
-        for (std::size_t k = 0; k < ns; ++k) {
-            for (int l = 0; l < GW; ++l) env_h_[k * GW + l] = hext_a[l];
-            if (group_tdyn) {
-                for (int l = 0; l < GW; ++l) {
-                    env_ms_[k * GW + l] = ms_a[l];
-                    env_hk_[k * GW + l] = hk_a[l];
-                    env_fpa_[k * GW + l] = fpa_a[l];
-                }
-            }
-        }
-        for (int l = 0; l < n; ++l) {
-            if (!lane_dyn[l]) continue;
-            const sensor::FluxgateSensor& sen = fe[l]->sensor(active_ch[l]);
-            const auto* tc = dynamic_cast<const magnetics::TanhCore*>(core[l]);
-            const double fpa0 = sen.params().field_per_amp();
-            int k = 0;
-            while (k < steps) {
-                magnetics::FieldTick tick;
-                const std::uint64_t begin = lidx0[l] + static_cast<std::uint64_t>(k);
-                const std::uint64_t end = src[l]->constant_until(begin, &tick);
-                const std::uint64_t span = end > begin ? end - begin : 1;
-                const int run = static_cast<int>(std::min(
-                    span, static_cast<std::uint64_t>(steps - k)));
-                const double hact =
-                    active_ch[l] == Channel::X ? tick.hx_a_per_m : tick.hy_a_per_m;
-                const double hidl =
-                    active_ch[l] == Channel::X ? tick.hy_a_per_m : tick.hx_a_per_m;
-                double msv = ms_a[l];
-                double hkv = hk_a[l];
-                double fpav = fpa_a[l];
-                if (lane_tdyn[l]) {
-                    if (tc != nullptr) {
-                        msv = tc->ms_at(tick.temp_c);
-                        hkv = tc->hk_at(tick.temp_c);
-                    }
-                    fpav = fpa0 * sen.fpa_scale_at(tick.temp_c);
-                }
-                for (int j = k; j < k + run; ++j) {
-                    env_h_[static_cast<std::size_t>(j) * GW + l] = hact;
-                    idle_h_[static_cast<std::size_t>(l) * ns +
-                            static_cast<std::size_t>(j)] = hidl;
-                    idle_t_[static_cast<std::size_t>(l) * ns +
-                            static_cast<std::size_t>(j)] = tick.temp_c;
-                    if (group_tdyn) {
-                        env_ms_[static_cast<std::size_t>(j) * GW + l] = msv;
-                        env_hk_[static_cast<std::size_t>(j) * GW + l] = hkv;
-                        env_fpa_[static_cast<std::size_t>(j) * GW + l] = fpav;
-                    }
-                }
-                k += run;
-            }
-        }
-        // Classify each tile: 0 = every varying lane holds the value
-        // already loaded in the stripe vectors (skip — the common case
-        // between scenario events), 1 = constant inside the tile but
-        // changed at its boundary (one reload), 2 = changes inside the
-        // tile (per-sample reloads).
-        tile_env_.assign(static_cast<std::size_t>(ntiles), 0);
-        const auto env_differs = [&](int l, std::size_t i, std::size_t j) {
-            if (env_h_[i * GW + l] != env_h_[j * GW + l]) return true;
-            if (!group_tdyn || !lane_tdyn[l]) return false;
-            return env_ms_[i * GW + l] != env_ms_[j * GW + l] ||
-                   env_hk_[i * GW + l] != env_hk_[j * GW + l] ||
-                   env_fpa_[i * GW + l] != env_fpa_[j * GW + l];
-        };
-        for (int ti = 0; ti < ntiles; ++ti) {
-            const auto a = static_cast<std::size_t>(ti) * T;
-            const auto b = std::min(a + T, ns);
-            std::uint8_t flag = 0;
-            for (int l = 0; l < n && flag < 2; ++l) {
-                if (!lane_dyn[l]) continue;
-                if (a > 0 && env_differs(l, a, a - 1)) flag = 1;
-                for (std::size_t k = a + 1; k < b; ++k) {
-                    if (env_differs(l, k, a)) {
-                        flag = 2;
-                        break;
-                    }
-                }
-            }
-            tile_env_[static_cast<std::size_t>(ti)] = flag;
-        }
-    }
 
     // ---- Vector kernel: all lanes of the group -------------------------
     //
@@ -621,8 +462,6 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         vpick_v[s] = zero_v;
     }
 
-    alignas(64) double h_s[GW], m_s[GW];
-
     // The sample loop is tiled and split into three passes. One fused
     // per-sample body carries ~30 live vectors per stripe — far beyond
     // the register file — so the compiler spills and reloads most
@@ -633,6 +472,7 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
     // divide/exp chains. The per-lane arithmetic and its ordering are
     // untouched: every lane still executes exactly the scalar
     // sequence, sample by sample.
+    constexpr int T = 64;  // 3 buffers * S * T * sizeof(dvec) stays in L1
     v::dvec bidrv[S * T];
     v::dvec bvdet[S * T];
     v::mask bsettle[S * T];  // per-lane excitation only
@@ -653,7 +493,6 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
 
     for (int k0 = 0; k0 < steps; k0 += T) {
         const int tn = std::min(T, steps - k0);
-
         // Pass A: oscillator, V-I converter, mux settling, supply
         // power/energy. A lockstep cohort runs lane 0's stages once
         // (the member path's block code) and broadcasts the results.
@@ -738,22 +577,6 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             }
         }
 
-        // Loads sample k's environment into the stripe vectors (and, when
-        // Hk varies, its reciprocal).
-        const auto load_env = [&](int k) {
-            const std::size_t gk = static_cast<std::size_t>(k) * GW;
-            #pragma GCC unroll 8
-            for (int s = 0; s < S; ++s) {
-                hext_v[s] = v::load(env_h_.data() + gk + s * W);
-                if (group_tdyn) {
-                    ms_v[s] = v::load(env_ms_.data() + gk + s * W);
-                    hk_v[s] = v::load(env_hk_.data() + gk + s * W);
-                    rhk_v[s] = v::div(one_v, hk_v[s]);
-                    fpa_v[s] = v::load(env_fpa_.data() + gk + s * W);
-                }
-            }
-        };
-
         // Pass B's pickup stage for samples t .. t + NU - 1 of the tile,
         // from their flux densities (FluxgateSensor::step): the linkages,
         // the derivative against the previous sample's linkage, and the
@@ -806,100 +629,47 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         };
 
         // Pass B: fluxgate sensor chain and pickup noise -> the
-        // detector's input voltage.
-        //
-        // Environment reload for this tile (movemask-of-change style:
-        // the flag was precomputed at gather, and 0 — the constant-
-        // field case and the span between scenario events — costs one
-        // predictable branch).
-        std::uint8_t envf = 0;
-        if (group_dyn) {
-            envf = tile_env_[static_cast<std::size_t>(k0 / T)];
-            if (envf != 0) load_env(k0);
-        }
-
-        if (!stripe_generic) {
-            // TanhCore::advance: ms * tanh(h / hk). The body advances NU
-            // samples of all S stripes, and each of its statements runs
-            // over all K = NU * S vectors before the next, so K
-            // independent divide/exp chains overlap (one K-wide tanh).
-            // h / hk and the pickup derivative divide through the
-            // reciprocals (v::div_by), which leaves the tanh quotient as
-            // each sample's one divider operation. vtanh and div_by are
-            // lane-independent, so each lane equals the member's call.
-            // A tile whose environment changes per sample loads each
-            // sample's values inside the body; its tail runs at NU = 1.
-            const auto tanh_body = [&](auto nu, auto env, int t) {
-                constexpr int NU = decltype(nu)::value;
-                v::dvec h[NU][S], ms[NU][S], x[NU * S], hk[NU * S], rhk[NU * S], bd[NU][S];
-                #pragma GCC unroll 8
-                for (int u = 0; u < NU; ++u) {
-                    if constexpr (decltype(env)::value) load_env(k0 + t + u);
-                    #pragma GCC unroll 8
-                    for (int s = 0; s < S; ++s) {
-                        // Active fluxgate sensor (FluxgateSensor::step).
-                        h[u][s] = v::add(v::mul(fpa_v[s], bidrv[s * T + t + u]), hext_v[s]);
-                        x[u * S + s] = h[u][s];
-                        hk[u * S + s] = hk_v[s];
-                        rhk[u * S + s] = rhk_v[s];
-                        ms[u][s] = ms_v[s];
-                    }
-                }
-                v::div_by(x, hk, rhk);
-                v::vtanh(x);
-                #pragma GCC unroll 8
-                for (int u = 0; u < NU; ++u) {
-                    #pragma GCC unroll 8
-                    for (int s = 0; s < S; ++s) {
-                        bd[u][s] = v::mul(mu0_v, v::add(h[u][s], v::mul(ms[u][s], x[u * S + s])));
-                    }
-                }
-                #pragma GCC unroll 8
-                for (int s = 0; s < S; ++s) h_v[s] = h[NU - 1][s];
-                pickup(t, bd);
-            };
-            const auto run_tile = [&](auto env) {
-                constexpr int U = 4;
-                int t = 0;
-                for (; t + U <= tn; t += U) tanh_body(std::integral_constant<int, U>{}, env, t);
-                for (; t < tn; ++t) tanh_body(std::integral_constant<int, 1>{}, env, t);
-            };
-            if (envf == 2) {
-                run_tile(std::true_type{});
-            } else {
-                run_tile(std::false_type{});
-            }
-        } else {
-            // A non-tanh (hysteretic/Langevin) core in the group:
-            // advance every lane's core through exact virtual dispatch,
-            // in sample order per lane. This also keeps each core's
-            // internal history current, so no scatter-time resync.
-            for (int t = 0; t < tn; ++t) {
-                if (envf == 2) load_env(k0 + t);
+        // detector's input voltage. TanhCore::advance: ms * tanh(h / hk).
+        // The body advances NU samples of all S stripes, and each of its
+        // statements runs over all K = NU * S vectors before the next, so
+        // K independent divide/exp chains overlap (one K-wide tanh). h / hk
+        // and the pickup derivative divide through the reciprocals
+        // (v::div_by), which leaves the tanh quotient as each sample's one
+        // divider operation. vtanh and div_by are lane-independent, so
+        // each lane equals the member's call. A tile's tail runs at NU = 1.
+        const auto tanh_body = [&](auto nu, int t) {
+            constexpr int NU = decltype(nu)::value;
+            v::dvec h[NU][S], ms[NU][S], x[NU * S], hk[NU * S], rhk[NU * S], bd[NU][S];
+            #pragma GCC unroll 8
+            for (int u = 0; u < NU; ++u) {
                 #pragma GCC unroll 8
                 for (int s = 0; s < S; ++s) {
-                    h_v[s] = v::add(v::mul(fpa_v[s], bidrv[s * T + t]), hext_v[s]);
-                    v::store(h_s + s * W, h_v[s]);
+                    // Active fluxgate sensor (FluxgateSensor::step).
+                    h[u][s] = v::add(v::mul(fpa_v[s], bidrv[s * T + t + u]), hext_v[s]);
+                    x[u * S + s] = h[u][s];
+                    hk[u * S + s] = hk_v[s];
+                    rhk[u * S + s] = rhk_v[s];
+                    ms[u][s] = ms_v[s];
                 }
-                for (int l = 0; l < n; ++l) {
-                    if (lane_tdyn[l]) {
-                        // Scalar order: the sensor applies the tick's
-                        // temperature to the core before each advance.
-                        core[l]->set_temperature(
-                            idle_t_[static_cast<std::size_t>(l) *
-                                        static_cast<std::size_t>(steps) +
-                                    static_cast<std::size_t>(k0 + t)]);
-                    }
-                    m_s[l] = core[l]->advance(h_s[l]);
-                }
-                for (int l = n; l < GW; ++l) m_s[l] = 0.0;
-                v::dvec bd[1][S];
+            }
+            v::div_by(x, hk, rhk);
+            v::vtanh(x);
+            #pragma GCC unroll 8
+            for (int u = 0; u < NU; ++u) {
                 #pragma GCC unroll 8
                 for (int s = 0; s < S; ++s) {
-                    bd[0][s] = v::mul(mu0_v, v::add(h_v[s], v::load(m_s + s * W)));
+                    bd[u][s] = v::mul(mu0_v, v::add(h[u][s], v::mul(ms[u][s], x[u * S + s])));
                 }
-                pickup(t, bd);
             }
+            #pragma GCC unroll 8
+            for (int s = 0; s < S; ++s) h_v[s] = h[NU - 1][s];
+            pickup(t, bd);
+        };
+        {
+            constexpr int U = 4;
+            int t = 0;
+            for (; t + U <= tn; t += U) tanh_body(std::integral_constant<int, U>{}, t);
+            for (; t < tn; ++t) tanh_body(std::integral_constant<int, 1>{}, t);
         }
 
         // Pickup noise for the whole tile, only in groups that carry
@@ -1054,8 +824,8 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         if (!shared) transpose(kSettle);
         if (lane_clock) transpose(kTick);
 
-        step_word_lanes(wl, n, tn, static_cast<std::size_t>(k0 / T), lane_word_ptr,
-                        sh_settle, shared_ticks);
+
+        step_word_lanes(wl, n, tn, lane_word_ptr, sh_settle, shared_ticks);
     }
 
     // A cohort's lanes all end in the shared stages' state.
@@ -1111,15 +881,6 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             {time_a[l], phase_a[l], o_a[l], corr_a[l], pint_a[l], ptime_a[l]});
         f.mux().load_state({ach, since_a[l]});
 
-        // Dynamic environment: land on the last sample's tick exactly
-        // as the scalar path would have left it (h_ext on both sensors,
-        // ambient temperature, and — before the TanhCore re-sync below
-        // — the final effective Ms/Hk/sensitivity).
-        if (lane_dyn[l]) {
-            f.apply_field_tick(src[l]->field_at(
-                lidx0[l] + static_cast<std::uint64_t>(steps) - 1));
-        }
-
         // Active sensor. v_excitation is a pure function of the last
         // two flux linkages (or the resistive drop alone right after
         // the very first sample), recomputed with the step() ops.
@@ -1132,27 +893,12 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         sensor::FluxgateSensor& sen = f.sensor_mut(ach);
         sen.load_state({hfin_a[l], bfin_a[l], vp_a[l], vexc, lp_a[l], le_a[l],
                         /*first_step=*/false});
-        if (!stripe_generic) {
-            // Re-sync the TanhCore's remembered field; the model is
-            // otherwise stateless, so one advance() at the final H
-            // reproduces the state after every per-sample call.
-            core[l]->advance(hfin_a[l]);
-        }
-        sensor::FluxgateSensor& idle_sen =
-            f.sensor_mut(ach == Channel::X ? Channel::Y : Channel::X);
-        if (lane_dyn[l]) {
-            // A varying axial field induces real pickup voltage even at
-            // zero drive, so the idle sensor replays the per-sample
-            // environment instead of taking the stationary shortcut.
-            const auto off = static_cast<std::size_t>(l) *
-                             static_cast<std::size_t>(steps);
-            idle_sen.step_block_env(
-                0.0, idle_h_.data() + off,
-                idle_sen.temperature_sensitive() ? idle_t_.data() + off : nullptr,
-                dt_s, steps);
-        } else {
-            idle_sen.step_block_constant(0.0, dt_s, steps);
-        }
+        // Re-sync the TanhCore's remembered field; the model is
+        // otherwise stateless, so one advance() at the final H
+        // reproduces the state after every per-sample call.
+        sen.core_mut().advance(hfin_a[l]);
+        f.sensor_mut(ach == Channel::X ? Channel::Y : Channel::X)
+            .step_block_constant(0.0, dt_s, steps);
 
         f.detector(ach).load_state(wl[l].det);
 
@@ -1161,33 +907,15 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             f.pickup_noise().rng().engine().discard(static_cast<std::uint64_t>(steps));
         }
 
-        if (wl[l].tap) {
-            // Replay the emitted streams through the member's tap ->
-            // index -> statistics pipeline, then clock the member's
-            // counter over the post-tap words — exactly the block
-            // engine's ordering with one chunk per stage.
-            std::uint64_t* slot =
-                words_.data() + static_cast<std::size_t>(lane_slot[l]) * 4 * nwords;
-            std::fill_n(slot + ii * nwords, nwords, 0);
-            std::fill_n(slot + (2 + ii) * nwords, nwords, 0);
-            f.ingest_samples(steps, slot, slot + nwords, slot + 2 * nwords, slot + 3 * nwords);
-            if (lane_own[l]) {
-                const auto ci = static_cast<std::size_t>(channel);
-                ctr[l]->step_block(slot + ci * nwords, slot + (2 + ci) * nwords, dt_s, steps);
-            }
-        } else {
-            // Fold this advance into the member's window.
-            analog::FrontEnd::StreamWindowState& win = wl[l].win;
-            win.stats[ai].samples += static_cast<std::uint64_t>(steps);
-            win.stats[ii].samples += static_cast<std::uint64_t>(steps);
-            win.sample_index += static_cast<std::uint64_t>(steps);
-            f.load_window_state(win);
+        // Fold this advance into the member's window.
+        analog::FrontEnd::StreamWindowState& win = wl[l].win;
+        win.stats[ai].samples += static_cast<std::uint64_t>(steps);
+        win.stats[ii].samples += static_cast<std::uint64_t>(steps);
+        win.sample_index += static_cast<std::uint64_t>(steps);
+        f.load_window_state(win);
 
-            if (lane_own[l]) {
-                ctr[l]->step_block(wl[l].det_w, wl[l].valid_w, dt_s, steps);
-            } else if (wl[l].fold) {
-                ctr[l]->load_state({acc_a[l], wl[l].ctr.count, wl[l].ctr.active_ticks});
-            }
+        if (wl[l].fold) {
+            ctr[l]->load_state({acc_a[l], wl[l].ctr.count, wl[l].ctr.active_ticks});
         }
 
         *lanes[l].energy_j = e_a[l];

@@ -16,32 +16,23 @@
 /// scatters the state back through the stages' save/load seams at
 /// stage boundaries.
 ///
+/// One kind of lane: the kernel advances only *plain* lanes (plain()),
+/// the paper's compass as the fleet runs it — a multiplexed, enabled
+/// front end with tanh cores, no sample tap, a field that holds over
+/// the advance, and a counter that is either not clocked or an ideal
+/// register under the one-bit clock. PlanExecutor::run_lanes sends
+/// every other lane through its own engine inside the batch, per
+/// advance, and advance() refuses it. Both paths leave bit-identical
+/// state, so a lane may take either on any advance.
+///
 /// Contract: bit-identical to advancing every member through
 /// FrontEnd::step() / UpDownCounter::step() individually — counter
-/// values, noise streams, energy sums, stream statistics and the abort
-/// point of an overflow trap (asserted three ways against the scalar
-/// and block engines by tests/lane_engine_test.cpp and the
-/// EngineParity fuzz oracle in src/verify/).
-///
-/// Per-member fault isolation is preserved by construction:
-///  * Parametric faults (oscillator drift, comparator offset, stuck
-///    mux) are per-lane constants — a drifting lane computes with its
-///    own constants and perturbs no neighbour.
-///  * Stream faults arrive through the member's SampleTap. Lanes with
-///    a tap attached stay in the SIMD path for the analogue stages and
-///    the detector; their one-bit detector/valid words are kept and
-///    replayed through FrontEnd::ingest_samples(), so the tap sees
-///    exactly the chunks, bits and statistics of the per-member path.
-///    Counting for those lanes runs the member's
-///    UpDownCounter::step_block over the post-tap words.
-///  * Members with an engaged counter hardware model (finite width /
-///    stuck bit), or a clock outside UpDownCounter::one_bit_clock,
-///    likewise keep their counter on the member object, clocked by its
-///    own step_block over the lane's words, so wrap, stuck-bit and trap
-///    latching stay in one place; the analogue pipeline still runs in
-///    SIMD. A lane whose counter traps is evicted by the caller
-///    (PlanExecutor::run_lanes) at the count window boundary — the
-///    scalar abort point — without perturbing the other lanes.
+/// values, noise streams, energy sums and stream statistics (asserted
+/// against the scalar and block engines by tests/lane_engine_test.cpp
+/// and the EngineParity fuzz oracle in src/verify/). Parametric faults
+/// (oscillator drift, comparator offset, stuck mux) are per-lane
+/// constants, so a drifting lane computes with its own constants and
+/// perturbs no neighbour.
 ///
 /// Lockstep cohorts: members built from one config and swept together
 /// hold bit-identical oscillator, mux and counter-clock state, and
@@ -53,7 +44,6 @@
 /// group advance, and changes no output bit.
 
 #include <cstdint>
-#include <vector>
 
 #include "analog/front_end.hpp"
 #include "analog/mux.hpp"
@@ -78,26 +68,21 @@ struct LanePort {
 [[nodiscard]] std::uint64_t shared_excitation_count() noexcept;
 [[nodiscard]] std::uint64_t per_lane_excitation_count() noexcept;
 
-/// Process-wide count of lanes whose counter a LaneEngine group advance
-/// clocked through the member's own UpDownCounter::step_block (a tap,
-/// an engaged hardware model, a clock outside
-/// UpDownCounter::one_bit_clock) instead of counting it in the kernel
-/// (relaxed atomic, bumped once per group advance).
-[[nodiscard]] std::uint64_t own_clock_lane_count() noexcept;
-
-/// SoA batch engine over independent front ends. Owns only scratch
-/// buffers; all simulation state lives in the member objects and
-/// round-trips per advance() through the stages' State seams.
+/// SoA batch engine over independent front ends. Owns no state; all
+/// simulation state lives in the member objects and round-trips per
+/// advance() through the stages' State seams.
 class LaneEngine {
 public:
-    LaneEngine() = default;
-
-    /// True when `front_end`'s configuration can run in a SIMD lane:
-    /// the paper's multiplexed architecture. Pickup noise,
-    /// parametric/stream faults, an engaged counter hardware model and
-    /// non-tanh cores are all lane-compatible. Enabled/gating state is a
-    /// precondition of advance(), not of eligibility.
-    [[nodiscard]] static bool eligible(const analog::FrontEnd& front_end) noexcept;
+    /// True when the kernel advances `port` by `steps` samples of `dt_s`
+    /// counting `channel`: the lane is plain. Its front end is
+    /// multiplexed and enabled, both cores are TanhCore, it has no
+    /// sample tap, its field source (if any) holds over the advance,
+    /// and its counter is not clocked by this advance (null, disabled,
+    /// or the mux on the other channel) or is an ideal register under
+    /// UpDownCounter::one_bit_clock. Reads the sample index and the
+    /// counter state; copies nothing else.
+    [[nodiscard]] static bool plain(const LanePort& port, analog::Channel channel, int steps,
+                                    double dt_s);
 
     /// Lanes advanced per vector instruction (the active simd width).
     [[nodiscard]] static int lanes_per_stripe() noexcept;
@@ -109,8 +94,8 @@ public:
     /// SimEngine::advance per lane: energy accumulates in sample order
     /// onto each lane's energy_j, and every settled sample of
     /// `channel`'s detector output is clocked into the lane's counter
-    /// (when non-null). Preconditions: every front end eligible() and
-    /// enabled (the plan's PowerUp stage has run). Lanes are
+    /// (when non-null). Throws std::invalid_argument, before it touches
+    /// any member, unless dt_s > 0 and every lane is plain(). Lanes are
     /// independent; any subset of the same calls on the per-member
     /// path yields bit-identical member state.
     void advance(const LanePort* lanes, int n_lanes, analog::Channel channel,
@@ -131,24 +116,8 @@ private:
     /// their order, so the result is bit-identical to per-member
     /// stepping.
     template <int S>
-    void advance_group(const LanePort* lanes, int n, analog::Channel channel,
-                       int steps, double dt_s);
-
-    // The one-bit streams (det x/y, valid x/y, util/bits.hpp words) of
-    // each tap or own-clock lane, filled tile by tile by the kernel and
-    // read at scatter. Sized only by groups that have such a lane.
-    std::vector<std::uint64_t> words_;
-    // Time-varying environment scratch, filled only when some lane's
-    // FieldSource actually varies within the advance (constant sources
-    // never touch these): per-sample interleaved active-axis field and
-    // temperature-derived core/sensitivity parameters
-    // [sample * group_width + lane], per-tile change flags (0 =
-    // unchanged, 1 = reload at tile start, 2 = per-sample), and
-    // per-lane contiguous idle-axis field / ambient temperature
-    // streams replayed through FluxgateSensor::step_block_env.
-    std::vector<double> env_h_, env_ms_, env_hk_, env_fpa_;
-    std::vector<double> idle_h_, idle_t_;
-    std::vector<std::uint8_t> tile_env_;
+    static void advance_group(const LanePort* lanes, int n, analog::Channel channel,
+                              int steps, double dt_s);
 };
 
 }  // namespace fxg::sim

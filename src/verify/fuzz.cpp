@@ -14,7 +14,6 @@
 #include "magnetics/earth_field.hpp"
 #include "magnetics/scenario.hpp"
 #include "magnetics/units.hpp"
-#include "sim/lane_engine.hpp"
 #include "snapshot/replay.hpp"
 #include "snapshot/state.hpp"
 #include "telemetry/metrics.hpp"
@@ -644,7 +643,8 @@ std::optional<std::string> run_scenario_determinism(const FuzzCase& c) {
     // the playhead advances across measurements:
     //   * determinism — two identical scalar rigs stay bit-identical;
     //   * scalar vs block — step_block's constant_until chunking;
-    //   * scalar vs lanes — the SoA env-stream path (when eligible);
+    //   * scalar vs lanes — run_lanes, which routes the lane per advance
+    //     (LaneEngine::plain);
     //   * telemetry — a traced block rig must not perturb anything.
     const compass::MeasurementPlan plan =
         compass::compile_plan(rig_config(c, sim::EngineKind::Scalar));
@@ -689,8 +689,6 @@ std::optional<std::string> run_scenario_determinism(const FuzzCase& c) {
     telemetry::PhysicsProbes probes(registry);
     telemetry::TeeSink tee({&trace, &probes});
     if (c.with_telemetry) tr.compass.set_telemetry(&tee);
-    const bool lanes_ok =
-        c.use_lanes && sim::LaneEngine::eligible(ln.compass.front_end());
 
     for (int t = 0; t < c.ticks; ++t) {
         const double want = src->true_heading_deg(
@@ -708,7 +706,7 @@ std::optional<std::string> run_scenario_determinism(const FuzzCase& c) {
         if (auto d = diff_outcomes(a, b)) {
             return format("scenario scalar vs block, tick %d: %s", t, d->c_str());
         }
-        if (lanes_ok) {
+        if (c.use_lanes) {
             const Outcome l = lanes_outcome(ln.compass);
             if (auto d = diff_outcomes(a, l)) {
                 return format("scenario scalar vs lanes, tick %d: %s", t,
@@ -803,6 +801,15 @@ FuzzCase generate_case(std::uint64_t seed, std::uint64_t index,
             for (int i = 0; i < n; ++i) {
                 c.faults.push_back(
                     random_fault_spec(rng, c.counter_width_bits, window, true));
+            }
+            if (c.counter_width_bits == 0 && rng.chance(0.5)) {
+                // A clock below one period per sample, so an ideal
+                // register counts under the one-bit clock (the lane
+                // kernel's fold); the default clock ticks 2.048 to 8.192
+                // times a sample at these step counts.
+                const double sample_hz =
+                    cfg.front_end.oscillator.frequency_hz * cfg.steps_per_period;
+                cfg.counter_clock_hz = std::round(sample_hz * rng.uniform(0.25, 0.95));
             }
             break;
         }
@@ -935,14 +942,15 @@ std::string FuzzCase::to_literal() const {
     std::string out = format(
         "verify::FuzzCase{seed=%" PRIu64 ", index=%" PRIu64 ", oracle=%s, "
         "config={engine=%s, spp=%d, periods=%d, settle=%d, gating=%d, "
-        "cordic=%d/%d, osc_amp=%.6g, mismatch=%.4g, noise=%.4g/seed %" PRIu64 "}, "
-        "field=%.4guT@%.4gdeg, heading=%.10g, width=%d, trap=%d",
+        "cordic=%d/%d, osc_amp=%.6g, mismatch=%.4g, noise=%.4g/seed %" PRIu64 ", "
+        "clock=%.17gHz}, field=%.4guT@%.4gdeg, heading=%.10g, width=%d, trap=%d",
         seed, index, verify::to_string(oracle),
         config.engine == sim::EngineKind::Block ? "Block" : "Scalar",
         config.steps_per_period, config.periods_per_axis, config.settle_periods,
         config.power_gating ? 1 : 0, config.cordic_cycles, config.cordic_frac_bits,
         config.front_end.oscillator.amplitude_a, config.front_end.sensor_mismatch,
-        config.front_end.pickup_noise_rms_v, config.front_end.noise_seed, field_ut,
+        config.front_end.pickup_noise_rms_v, config.front_end.noise_seed,
+        config.counter_clock_hz, field_ut,
         inclination_deg, heading_deg, counter_width_bits, trap_on_overflow ? 1 : 0);
     if (oracle == Oracle::CordicAtan) {
         out += format(", raw=(%" PRId64 ", %" PRId64 ")", raw_x, raw_y);

@@ -11,7 +11,7 @@
 /// contracts are only as good as the configurations they were checked
 /// on; this harness generates randomized configurations (field
 /// magnitude 25..65 uT, headings including exact cardinals, noise,
-/// excitation ratio, counter width, fault mix) and checks one oracle
+/// excitation ratio, counter width and clock, fault mix) and checks one oracle
 /// pair per case:
 ///
 ///   EngineParity      three-way scalar vs block vs SoA lane engine

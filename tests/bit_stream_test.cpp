@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -236,6 +237,24 @@ struct StatsModel {
     }
 };
 
+/// Overwrites each block's emitted streams (detector x, y, valid x, y)
+/// with the words it holds, so the front end folds a test's streams
+/// into its statistics as it does its own.
+class StreamWriter final : public analog::SampleTap {
+public:
+    Words words[4];
+
+    void on_samples(std::uint64_t, int n, std::uint64_t* detector_x,
+                    std::uint64_t* detector_y, std::uint64_t* valid_x,
+                    std::uint64_t* valid_y) override {
+        std::uint64_t* const out[4] = {detector_x, detector_y, valid_x, valid_y};
+        for (std::size_t s = 0; s < 4; ++s) {
+            ASSERT_EQ(words[s].size(), static_cast<std::size_t>(util::bits::words_for(n)));
+            std::copy(words[s].begin(), words[s].end(), out[s]);
+        }
+    }
+};
+
 TEST(WordStats, ValidWordsWithHolesMatchPerSampleModel) {
     std::mt19937_64 rng(99);
     for (int trial = 0; trial < 20; ++trial) {
@@ -244,6 +263,9 @@ TEST(WordStats, ValidWordsWithHolesMatchPerSampleModel) {
         const std::vector<bool> valid[2] = {runs_with_holes(n, rng),
                                             random_bits(n, trial % 2 == 0 ? 0.8 : 1.0, rng)};
         analog::FrontEnd fe;
+        StreamWriter writer;
+        fe.set_sample_tap(&writer);
+        analog::FrontEndBlock block;
         StatsModel model[2];
         int done = 0;
         for (const int c : random_chunks(n, rng)) {
@@ -255,8 +277,8 @@ TEST(WordStats, ValidWordsWithHolesMatchPerSampleModel) {
                     model[ch].sample(det[ch][k], valid[ch][k]);
                 }
             }
-            Words w[4] = {pack(chunk[0]), pack(chunk[1]), pack(chunk[2]), pack(chunk[3])};
-            fe.ingest_samples(c, w[0].data(), w[1].data(), w[2].data(), w[3].data());
+            for (std::size_t st = 0; st < 4; ++st) writer.words[st] = pack(chunk[st]);
+            fe.step_block(125e-6 / 2048, c, block);
             done += c;
         }
         const analog::FrontEnd::StreamWindowState ws = fe.save_window_state();

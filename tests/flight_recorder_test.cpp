@@ -239,7 +239,11 @@ TEST(FlightRecorderTest, FleetKeepsLaneBatchedDispatchWithBlackBoxOn) {
     // requires_member_trace() == false, so the Auto dispatch must stay
     // on the SoA lane path — visible as "engine.lanes" spans (the
     // per-member fallback would emit "engine.block"/"engine.scalar").
-    compass::CompassFleet fleet(4, small_config());
+    // 1,024 samples per period keep the counters under the one-bit
+    // clock, so every advance of these plain members takes the kernel.
+    compass::CompassConfig cfg = small_config();
+    cfg.steps_per_period = 1024;
+    compass::CompassFleet fleet(4, cfg);
     std::vector<double> headings{10.0, 100.0, 190.0, 280.0};
     fleet.set_environments(site(), headings);
     static_cast<void>(fleet.measure_all());

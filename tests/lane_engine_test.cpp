@@ -1,9 +1,10 @@
 // Tests for the SoA SIMD lane engine (sim/lane_engine.hpp) and its
-// integration seams: PlanExecutor::run_lanes, the CompassFleet Auto
-// dispatch, the one-compile-per-fleet contract, per-lane fault
-// eviction, lockstep cohorts and the sweep's allocations. The
-// load-bearing property throughout is bit identity with the per-member
-// scalar path — doubles compare with ==, counts with !=.
+// integration seams: the plain-lane predicate and the per-advance
+// routing of PlanExecutor::run_lanes, the CompassFleet Auto dispatch,
+// the one-compile-per-fleet contract, per-lane fault eviction, lockstep
+// cohorts and the sweep's allocations. The load-bearing property
+// throughout is bit identity with the per-member scalar path — doubles
+// compare with ==, counts with !=.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +27,7 @@
 #include "fault/fault_injector.hpp"
 #include "magnetics/earth_field.hpp"
 #include "magnetics/field_source.hpp"
+#include "magnetics/scenario.hpp"
 #include "magnetics/units.hpp"
 #include "sim/engine.hpp"
 #include "sim/lane_engine.hpp"
@@ -64,9 +66,12 @@ magnetics::EarthField site() {
     return magnetics::EarthField(magnetics::microtesla(48.0), 67.0);
 }
 
+/// Short windows at 0.512 clock periods per sample (1,024 samples per
+/// 8 kHz period), so every counter is under the one-bit clock and a
+/// plain lane's Count stages take the lane kernel.
 compass::CompassConfig lite_config() {
     compass::CompassConfig cfg;
-    cfg.steps_per_period = 256;
+    cfg.steps_per_period = 1024;
     cfg.periods_per_axis = 2;
     cfg.settle_periods = 1;
     return cfg;
@@ -156,21 +161,110 @@ TEST(LaneEngine, BackendSanity) {
     EXPECT_EQ(sim::LaneEngine::lanes_per_stripe(), it->second);
 }
 
+/// A stream fault written for these tests: from sample 300 on it clears
+/// the valid flag of every seventh sample of channel x and inverts the
+/// detector on samples whose index has bit 4 set, a pure function of
+/// the sample index as the SampleTap contract requires.
+class StripeTap final : public analog::SampleTap {
+public:
+    void on_samples(std::uint64_t first_index, int n, std::uint64_t* detector_x,
+                    std::uint64_t*, std::uint64_t* valid_x, std::uint64_t*) override {
+        for (int k = 0; k < n; ++k) {
+            const std::uint64_t index = first_index + static_cast<std::uint64_t>(k);
+            if (index < 300) continue;
+            const std::uint64_t bit = std::uint64_t{1} << (k % 64);
+            if (index % 7 == 0) valid_x[k / 64] &= ~bit;
+            if ((index & 16) != 0) detector_x[k / 64] ^= bit;
+        }
+    }
+};
+
+/// Holds one field up to sample 100 and another from there on.
+class StepAt100Source final : public magnetics::FieldSource {
+public:
+    [[nodiscard]] magnetics::FieldTick field_at(std::uint64_t k) const override {
+        return {k < 100 ? 20.0 : 35.0, -12.0, 25.0};
+    }
+    [[nodiscard]] std::uint64_t constant_until(std::uint64_t begin,
+                                               magnetics::FieldTick* tick) const override {
+        if (tick != nullptr) *tick = field_at(begin);
+        return begin < 100 ? 100 : kForever;
+    }
+};
+
+// The one predicate: a default lane is plain, and each clause refuses a
+// lane on its own. The counter clauses apply only to an advance that
+// clocks the counter.
 TEST(LaneEngine, Eligibility) {
-    compass::Compass clean(lite_config());
-    EXPECT_TRUE(sim::LaneEngine::eligible(clean.front_end()));
+    // 2,048-sample advances at 0.256 clock periods per sample.
+    const auto plain = [](analog::FrontEnd& fe, digital::UpDownCounter* counter,
+                          int steps = 2048) {
+        double energy_j = 0.0;
+        return sim::LaneEngine::plain({&fe, counter, &energy_j}, analog::Channel::X, steps,
+                                      125e-6 / 2048);
+    };
+    digital::UpDownCounter ideal;
+    analog::FrontEnd clean;
+    EXPECT_TRUE(plain(clean, &ideal));
+    EXPECT_TRUE(plain(clean, nullptr));
 
-    compass::CompassConfig simultaneous = lite_config();
-    simultaneous.front_end.mode = analog::FrontEndMode::Simultaneous;
-    compass::Compass sim_mode(simultaneous);
-    EXPECT_FALSE(sim::LaneEngine::eligible(sim_mode.front_end()));
+    analog::FrontEndConfig simultaneous;
+    simultaneous.mode = analog::FrontEndMode::Simultaneous;
+    analog::FrontEnd sim_mode(simultaneous);
+    EXPECT_FALSE(plain(sim_mode, &ideal));
 
-    // Pickup noise is lane-compatible (per-lane draws from the member's
-    // own RNG stream).
-    compass::CompassConfig noisy_pickup = lite_config();
-    noisy_pickup.front_end.pickup_noise_rms_v = 50e-6;
-    compass::Compass np(noisy_pickup);
-    EXPECT_TRUE(sim::LaneEngine::eligible(np.front_end()));
+    // Pickup noise rides along: each lane draws its member's stream.
+    analog::FrontEndConfig noisy;
+    noisy.pickup_noise_rms_v = 50e-6;
+    analog::FrontEnd noisy_fe(noisy);
+    EXPECT_TRUE(plain(noisy_fe, &ideal));
+
+    StripeTap tap;
+    analog::FrontEnd tapped;
+    tapped.set_sample_tap(&tap);
+    EXPECT_FALSE(plain(tapped, &ideal));
+    EXPECT_FALSE(plain(tapped, nullptr));
+
+    analog::FrontEnd gated;
+    gated.enable(false);
+    EXPECT_FALSE(plain(gated, &ideal));
+    EXPECT_FALSE(plain(gated, nullptr));
+
+    for (const sensor::CoreKind kind :
+         {sensor::CoreKind::Langevin, sensor::CoreKind::JilesAtherton}) {
+        analog::FrontEndConfig cfg;
+        cfg.core_kind = kind;
+        analog::FrontEnd other_core(cfg);
+        EXPECT_FALSE(plain(other_core, &ideal));
+        EXPECT_FALSE(plain(other_core, nullptr));
+    }
+
+    analog::FrontEnd moving;
+    moving.set_field_source(std::make_shared<const StepAt100Source>());
+    EXPECT_FALSE(plain(moving, &ideal));
+    EXPECT_FALSE(plain(moving, nullptr));
+    EXPECT_TRUE(plain(moving, &ideal, 64));  // holds over [0, 64)
+    EXPECT_TRUE(plain(moving, &ideal, 100));
+
+    // A register with an engaged hardware model, a clock at >= 1 period
+    // per sample and a restored accumulator outside [0, 1) each refuse
+    // a counting advance, and none refuses one the counter sits out.
+    digital::CounterHardware narrow;
+    narrow.width_bits = 8;
+    digital::UpDownCounter wraps;
+    wraps.set_hardware(narrow);
+    digital::UpDownCounter fast(4 * 4194304.0);  // 1.024 periods per sample
+    digital::UpDownCounter restored;
+    restored.load_state({1.5, 0, 0});
+    for (digital::UpDownCounter* counter : {&wraps, &fast, &restored}) {
+        EXPECT_FALSE(plain(clean, counter));
+        counter->enable(false);
+        EXPECT_TRUE(plain(clean, counter));
+        counter->enable(true);
+        clean.select(analog::Channel::Y);  // counting x, the mux on y
+        EXPECT_TRUE(plain(clean, counter));
+        clean.select(analog::Channel::X);
+    }
 }
 
 // One full stripe plus a remainder lane on AVX2 (5 = 4 + 1; a partial
@@ -266,14 +360,14 @@ TEST(LaneEngine, GenericCoreModelsMatchScalar) {
     three_way_check(configs, headings);
 }
 
-// Parametric faults are per-lane constants; a stream fault rides the
-// tap-replay seam; a stuck mux changes one lane's active channel. All
-// must stay in the SIMD path and match the scalar run bit for bit. An
-// armed injector taps its member, so members 4 (a register that wraps)
-// and 5 (plain) carry none. At 256 samples per period the clock ticks
-// 2.048 times a sample and every counter keeps its own clock; at 1,024
-// it ticks 0.512 times and the plain member's counter is folded by the
-// kernel beside the tapped and wrapping ones.
+// An armed injector taps its member, whatever the fault (a parametric
+// oscillator or comparator fault, a stuck mux, a stream fault), so
+// members 0-3 advance through their own engines inside the batch;
+// member 4 (a register that wraps) does so on its Count stages, and
+// member 5 carries no fault. At 256 samples per period the clock ticks
+// 2.048 times a sample and every Count stage leaves the kernel; at
+// 1,024 it ticks 0.512 times and the kernel counts member 5. Every
+// member matches its scalar run bit for bit.
 TEST(LaneEngine, FaultedLanesMatchScalar) {
     constexpr int kN = 6;
     constexpr int kFaulted = 4;
@@ -413,6 +507,65 @@ TEST(LaneEngine, IneligibleLaneAdvancesThroughItsOwnEngineInTheBatch) {
     three_way_check(configs, headings);
 }
 
+// A member gated off for its whole measurement (no power gating in the
+// plan, so nothing enables it) counts nothing and burns leakage power
+// only; in a batch it advances through its own engine, as it does alone.
+TEST(LaneEngine, GatedOffMemberMatchesItsScalarRun) {
+    compass::CompassConfig cfg;
+    cfg.power_gating = false;
+    compass::CompassConfig scalar_cfg = cfg;
+    scalar_cfg.engine = sim::EngineKind::Scalar;
+    compass::Compass ref(scalar_cfg);
+    compass::Compass lane(cfg);
+    for (compass::Compass* c : {&ref, &lane}) {
+        c->set_environment(site(), 100.0);
+        c->front_end().enable(false);
+    }
+    compass::Compass* lanes[] = {&lane};
+    compass::LaneOutcome out[1];
+    compass::PlanExecutor::run_lanes(lane.plan(), lanes, out);
+    const compass::Measurement expect = ref.measure();
+    EXPECT_EQ(expect.count_x, 0);
+    EXPECT_EQ(expect.count_y, 0);
+    ASSERT_FALSE(out[0].aborted) << out[0].error;
+    expect_bit_identical(out[0].measurement, expect);
+    expect_same_pipeline_state(lane, ref);
+}
+
+// Routing is per advance: a lane whose scenario holds through one
+// measurement, turns through the next and holds again takes the kernel,
+// then its own engine, then the kernel again, and matches its scalar run
+// after each measurement.
+TEST(LaneEngine, ScenarioLaneTakesTheKernelOnlyWhileItsFieldHolds) {
+    const compass::CompassConfig cfg = lite_config();
+    const compass::MeasurementPlan plan = compass::compile_plan(cfg);
+    const double measure_s = static_cast<double>(plan.total_steps()) * plan.dt_s;
+    magnetics::Scenario scn;
+    scn.field = site();
+    scn.initial_heading_deg = 40.0;
+    scn.hold(measure_s).turn(2.0e4, measure_s).hold(measure_s);
+    const auto src = magnetics::compile_scenario(scn, plan.dt_s);
+    compass::CompassConfig scalar_cfg = cfg;
+    scalar_cfg.engine = sim::EngineKind::Scalar;
+    compass::Compass ref(scalar_cfg);
+    compass::Compass lane(cfg);
+    ref.set_field_source(src);
+    lane.set_field_source(src);
+    compass::Compass* lanes[] = {&lane};
+    for (const bool held : {true, false, true}) {
+        SCOPED_TRACE(held ? "held" : "turning");
+        const std::uint64_t before =
+            sim::shared_excitation_count() + sim::per_lane_excitation_count();
+        compass::LaneOutcome out[1];
+        compass::PlanExecutor::run_lanes(plan, lanes, out);
+        ASSERT_FALSE(out[0].aborted) << out[0].error;
+        expect_bit_identical(out[0].measurement, ref.measure());
+        expect_same_pipeline_state(lane, ref);
+        EXPECT_EQ(sim::shared_excitation_count() + sim::per_lane_excitation_count() > before,
+                  held);
+    }
+}
+
 // A ReExcite plan runs in the batch too: the power cycle is a per-lane
 // stage, a simultaneous-mode lane advances through its own engine, a
 // trapping lane leaves the batch, and the lane kernel still advances
@@ -536,7 +689,9 @@ std::string render_tree(const std::vector<telemetry::SpanRecord>& spans,
 
 // When lane 0 traps at its x count, the batch still emits one whole
 // tree on lanes[0]'s sink, and the count values in it come from the
-// first lane left in the batch (lane 1).
+// first lane left in the batch (lane 1). Lane 0's register is not ideal,
+// so its x count advances through its own engine, whose span joins the
+// tree: every lane here traces into the one session.
 TEST(LaneEngine, BatchTreeOutlivesATrapOnLaneZero) {
     constexpr int kN = 3;
     telemetry::TraceSession session;
@@ -564,16 +719,17 @@ TEST(LaneEngine, BatchTreeOutlivesATrapOnLaneZero) {
                                               lite_config().steps_per_period);
     const std::string count = std::to_string(lite_config().periods_per_axis *
                                              lite_config().steps_per_period);
-    const auto axis = [&](int ch, std::int64_t value) {
+    const auto axis = [&](int ch, std::int64_t value, const std::string& own_engine) {
         const std::string c = std::to_string(ch);
         const std::string v = std::to_string(value);
         return "axis" + c + "=" + v + "{excite" + c + "=0 settle" + c + "=" + settle +
-               "{engine.lanes" + c + "=" + settle + "} count" + c + "=" + v +
-               "{engine.lanes" + c + "=" + count + "}}";
+               "{engine.lanes" + c + "=" + settle + "} count" + c + "=" + v + "{" +
+               own_engine + "engine.lanes" + c + "=" + count + "}}";
     };
     EXPECT_EQ(render_tree(session.spans()),
-              "measure=0{" + axis(0, m.count_x) + " " + axis(1, m.count_y) +
-                  " cordic=" + std::to_string(cordic.rotations) + "}");
+              "measure=0{" + axis(0, m.count_x, "engine.block0=" + count + " ") + " " +
+                  axis(1, m.count_y, "") + " cordic=" + std::to_string(cordic.rotations) +
+                  "}");
 }
 
 // ------------------------------------------------ Pass B's sensor body
@@ -583,17 +739,6 @@ TEST(LaneEngine, BatchTreeOutlivesATrapOnLaneZero) {
 // directly with advances that end inside a U block, and compare every
 // stage of every member with the member stepped alone through the
 // scalar engine.
-
-/// Changes the field on both axes and the temperature on every sample,
-/// so every tile of the lane kernel reloads its environment per sample.
-class EverySampleSource final : public magnetics::FieldSource {
-public:
-    [[nodiscard]] magnetics::FieldTick field_at(std::uint64_t k) const override {
-        return {20.0 + 0.37 * static_cast<double>(k % 97),
-                -12.0 + 0.11 * static_cast<double>(k % 53),
-                25.0 + 0.05 * static_cast<double>(k % 71)};
-    }
-};
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
@@ -631,14 +776,12 @@ void expect_same_front_end(analog::FrontEnd& a, analog::FrontEnd& b) {
     }
 }
 
-/// Members built from `configs` and set up by `prepare` (and their
-/// counters by `prepare_counter`) advance by each count in `advances` in
-/// turn, counting channel x: one LaneEngine batch against every member
-/// alone on the scalar engine.
+/// Members built from `configs` and set up by `prepare` advance by each
+/// count in `advances` in turn, counting channel x: one LaneEngine batch
+/// against every member alone on the scalar engine.
 void expect_lane_advances_match_scalar(
     const std::vector<analog::FrontEndConfig>& configs, const std::vector<int>& advances,
-    const std::function<void(int, analog::FrontEnd&)>& prepare, double dt_s = 125e-6 / 2048,
-    const std::function<void(int, digital::UpDownCounter&)>& prepare_counter = {}) {
+    const std::function<void(int, analog::FrontEnd&)>& prepare, double dt_s = 125e-6 / 2048) {
     const std::size_t n = configs.size();
     std::vector<std::unique_ptr<analog::FrontEnd>> ref, lane;
     std::vector<digital::UpDownCounter> ref_ctr(n), lane_ctr(n);
@@ -652,10 +795,6 @@ void expect_lane_advances_match_scalar(
             fe->set_field(analog::Channel::X, 20.0 + 3.0 * static_cast<double>(i));
             fe->set_field(analog::Channel::Y, -12.0 + static_cast<double>(i));
             prepare(static_cast<int>(i), *fe);
-        }
-        if (prepare_counter) {
-            prepare_counter(static_cast<int>(i), ref_ctr[i]);
-            prepare_counter(static_cast<int>(i), lane_ctr[i]);
         }
         ports.push_back({lane.back().get(), &lane_ctr[i], &lane_e[i]});
     }
@@ -702,31 +841,6 @@ TEST(LaneEngine, FreshSensorsFirstSampleInsideTheWideBodyMatchesScalar) {
                                       [](int, analog::FrontEnd&) {});
 }
 
-TEST(LaneEngine, PerSampleEnvironmentWithTemperatureDependentHkMatchesScalar) {
-    // Hk, Ms and the sensitivity drift with temperature, and the source
-    // changes both every sample: each sample of each U block loads its
-    // own field, Ms, Hk (and Hk's reciprocal). Member 2 keeps a
-    // constant field inside the same group.
-    analog::FrontEndConfig cfg;
-    cfg.sensor.hk_temp_coeff_per_c = 4e-3;
-    cfg.sensor.ms_temp_coeff_per_c = -1e-3;
-    cfg.sensor.sens_temp_coeff_per_c = 5e-4;
-    const std::vector<analog::FrontEndConfig> configs(6, cfg);
-    const auto source = std::make_shared<const EverySampleSource>();
-    expect_lane_advances_match_scalar(configs, kOddAdvances, [&](int i, analog::FrontEnd& fe) {
-        if (i != 2) fe.set_field_source(source);
-    });
-}
-
-TEST(LaneEngine, GroupHoldingANonTanhCoreMatchesScalar) {
-    // One Jiles-Atherton member sends its whole group down the
-    // per-lane core path; the pickup stage is shared with the tanh body.
-    std::vector<analog::FrontEndConfig> configs(6);
-    configs[3].core_kind = sensor::CoreKind::JilesAtherton;
-    configs[4].core_kind = sensor::CoreKind::Langevin;
-    expect_lane_advances_match_scalar(configs, kOddAdvances, [](int, analog::FrontEnd&) {});
-}
-
 TEST(LaneEngine, DivisorsOutsideTheReciprocalRangeTakeTheExactDivide) {
     // A subnormal Hk and a subnormal dt lie outside the range where
     // div_by's reciprocal path is exact (their reciprocals overflow, and
@@ -743,10 +857,10 @@ TEST(LaneEngine, DivisorsOutsideTheReciprocalRangeTakeTheExactDivide) {
 //
 // Pass C stores each comparison across the group's lanes as one byte per
 // sample, transposes each 64-sample plane into one word per lane, and
-// runs the block path's word code on each lane's words. These tests
-// drive LaneEngine directly, so the counters run at 0.256 clock periods
-// per sample (dt = 125 us / 2048) and take the one-bit clock unless a
-// test says otherwise.
+// runs the block path's word code on each lane's words. The tests that
+// drive LaneEngine directly run their counters at 0.256 clock periods per
+// sample (dt = 125 us / 2048), under the one-bit clock; the batch-level
+// tests put members that leave the kernel beside plain lanes.
 
 /// Starts member `i`'s mux timer `since_s` into its settling time, so it
 /// settles at its own sample and its group takes the per-lane pass.
@@ -796,69 +910,92 @@ TEST(LaneEngine, PerLaneGroupMatchesScalarAcrossWordBoundaries) {
 TEST(LaneEngine, CountersOutsideTheOneBitClockKeepTheirOwnClock) {
     // Member 2's clock runs at 1.28 periods per sample, so a sample can
     // carry two ticks; member 5 restarts from an accumulator of 1.5 at
-    // 0.768 periods per sample, so its first sample carries two. Both
-    // are clocked by their own step_block over their lane's words, the
-    // plain members beside them by the kernel's one-bit fold, in a
-    // shared group and, with member 4 staggered, a per-lane one.
-    const std::vector<analog::FrontEndConfig> configs(7);
-    const auto counters = [](int i, digital::UpDownCounter& c) {
-        if (i == 2) c = digital::UpDownCounter(5 * 4194304.0);
-        if (i == 5) {
-            c = digital::UpDownCounter(3 * 4194304.0);
-            c.load_state({1.5, 0, 0});
-        }
-    };
+    // 0.768 periods per sample, so its first sample carries two. Their
+    // counting advances go through their own engines (member 5's only
+    // until its accumulator is back in [0, 1)), the plain members' through
+    // the kernel's one-bit fold, in a shared group and, with member 4's
+    // mux staggered, a per-lane one.
+    std::vector<compass::CompassConfig> configs(7, lite_config());
+    configs[2].counter_clock_hz = 2.5 * 4194304.0;
+    configs[5].counter_clock_hz = 1.5 * 4194304.0;
+    std::vector<double> headings;
+    for (int i = 0; i < 7; ++i) headings.push_back(i * 47.0 + 13.0);
     for (const bool stagger : {false, true}) {
         SCOPED_TRACE(stagger ? "per-lane group" : "shared group");
-        const std::uint64_t own0 = sim::own_clock_lane_count();
-        expect_lane_advances_match_scalar(
-            configs, kOddAdvances,
-            [stagger](int i, analog::FrontEnd& fe) {
-                if (stagger && i == 4) stagger_mux(fe, 30e-6);
-            },
-            125e-6 / 2048, counters);
-        EXPECT_GT(sim::own_clock_lane_count(), own0);
+        const std::uint64_t shared0 = sim::shared_excitation_count();
+        const std::uint64_t per_lane0 = sim::per_lane_excitation_count();
+        three_way_check(configs, headings, [stagger](int i, compass::Compass& c) {
+            if (i == 5) c.counter().load_state({1.5, 0, 0});
+            if (stagger && i == 4) c.front_end().mux().load_state({analog::Channel::X, 30e-6});
+        });
+        EXPECT_GT(stagger ? sim::per_lane_excitation_count() - per_lane0
+                          : sim::shared_excitation_count() - shared0,
+                  0u);
     }
 }
 
-/// A stream fault written for these tests: from sample 300 on it clears
-/// the valid flag of every seventh sample of channel x and inverts the
-/// detector on samples whose index has bit 4 set, a pure function of
-/// the sample index as the SampleTap contract requires.
-class StripeTap final : public analog::SampleTap {
-public:
-    void on_samples(std::uint64_t first_index, int n, std::uint64_t* detector_x,
-                    std::uint64_t*, std::uint64_t* valid_x, std::uint64_t*) override {
-        for (int k = 0; k < n; ++k) {
-            const std::uint64_t index = first_index + static_cast<std::uint64_t>(k);
-            if (index < 300) continue;
-            const std::uint64_t bit = std::uint64_t{1} << (k % 64);
-            if (index % 7 == 0) valid_x[k / 64] &= ~bit;
-            if ((index & 16) != 0) detector_x[k / 64] ^= bit;
-        }
-    }
-};
-
 TEST(LaneEngine, TapHardwareCounterAndPlainLanesShareAGroup) {
-    // Member 1 has a tap, member 4 a 3-bit register that wraps; the
-    // other members are plain lanes whose counters the kernel folds.
-    const std::vector<analog::FrontEndConfig> configs(2 * util::simd::kLanes - 1);
-    std::vector<std::unique_ptr<StripeTap>> taps;
+    // Member 1 has a tap, member 4 a 3-bit register that wraps; the other
+    // members are plain lanes whose counters the kernel folds. The tapped
+    // member advances through its own engine throughout, the wrapping
+    // one on its Count stages, beside the kernel's group.
+    const int n = 2 * util::simd::kLanes - 1;
+    std::vector<double> headings;
+    for (int i = 0; i < n; ++i) headings.push_back(i * 29.0 + 7.0);
+    StripeTap tap;
     digital::CounterHardware narrow;
     narrow.width_bits = 3;
-    const std::uint64_t own0 = sim::own_clock_lane_count();
-    expect_lane_advances_match_scalar(
-        configs, kOddAdvances,
-        [&taps](int i, analog::FrontEnd& fe) {
-            if (i != 1) return;
-            taps.push_back(std::make_unique<StripeTap>());
-            fe.set_sample_tap(taps.back().get());
-        },
-        125e-6 / 2048,
-        [&narrow](int i, digital::UpDownCounter& c) {
-            if (i == 4) c.set_hardware(narrow);
-        });
-    EXPECT_GT(sim::own_clock_lane_count(), own0);
+    const std::uint64_t shared0 = sim::shared_excitation_count();
+    three_way_check(std::vector<compass::CompassConfig>(n, lite_config()), headings,
+                    [&](int i, compass::Compass& c) {
+                        if (i == 1) c.front_end().set_sample_tap(&tap);
+                        if (i == 4) c.counter().set_hardware(narrow);
+                    });
+    EXPECT_GT(sim::shared_excitation_count() - shared0, 0u);
+}
+
+// A refused advance changes no member: a zero dt in a lockstep group and
+// in a diverged one (member 1 one sample ahead, whose group scatters per
+// lane), and a gated-off port beside a plain one, each throw before the
+// first gather. The ports settle (no counter), so only the dt check
+// refuses a zero dt.
+TEST(LaneEngine, RefusedAdvanceChangesNoMember) {
+    constexpr double kDt = 125e-6 / 2048;
+    struct Case {
+        const char* name;
+        double dt_s;
+        bool diverged;
+        bool gated;
+    };
+    for (const Case& rc : {Case{"lockstep, dt = 0", 0.0, false, false},
+                           Case{"diverged, dt = 0", 0.0, true, false},
+                           Case{"gated-off port", kDt, false, true}}) {
+        SCOPED_TRACE(rc.name);
+        std::vector<std::unique_ptr<analog::FrontEnd>> lane, before;
+        std::vector<double> lane_e(2, 0.5), before_e(2, 0.5);
+        std::vector<sim::LanePort> ports;
+        for (int i = 0; i < 2; ++i) {
+            lane.push_back(std::make_unique<analog::FrontEnd>());
+            before.push_back(std::make_unique<analog::FrontEnd>());
+            for (analog::FrontEnd* fe : {lane.back().get(), before.back().get()}) {
+                fe->set_field(analog::Channel::X, 20.0);
+                if (rc.diverged && i == 1) static_cast<void>(fe->step(kDt));
+                if (rc.gated && i == 1) fe->enable(false);
+            }
+            ports.push_back({lane.back().get(), nullptr, &lane_e[static_cast<std::size_t>(i)]});
+        }
+        sim::LaneEngine engine;
+        EXPECT_THROW(engine.advance(ports.data(), 2, analog::Channel::X, 64, rc.dt_s),
+                     std::invalid_argument);
+        for (std::size_t i = 0; i < 2; ++i) {
+            SCOPED_TRACE(testing::Message() << "member " << i);
+            expect_same_front_end(*before[i], *lane[i]);
+            EXPECT_EQ(before[i]->samples_stepped(), lane[i]->samples_stepped());
+            EXPECT_EQ(before[i]->enabled(), lane[i]->enabled());
+            EXPECT_EQ(bits(before[i]->noise_filter_state()), bits(lane[i]->noise_filter_state()));
+            EXPECT_EQ(bits(before_e[i]), bits(lane_e[i]));
+        }
+    }
 }
 
 // ------------------------------------------------------------- fleet
@@ -897,10 +1034,10 @@ TEST(CompassFleet, CompilesSharedPlanExactlyOnce) {
     EXPECT_EQ(&fleet.at(0).plan(), &fleet.at(99).plan());
 }
 
-// The lane scratch for captured streams (6 bytes per step) is sized
-// only by groups with a tap or a hardware counter, so a clean sweep of
-// the default config's 16,384-step count windows allocates no large
-// block. The first two sweeps let the black box reach its steady size.
+// The lane kernel's scratch is tile-sized and on the stack, so a clean
+// sweep of the default config's 16,384-step count windows allocates no
+// large block. The first two sweeps let the black box reach its steady
+// size.
 TEST(CompassFleet, CleanSweepAllocatesNoLargeBlock) {
     constexpr int kFleet = 16;
     compass::CompassFleet fleet(kFleet);
@@ -912,26 +1049,6 @@ TEST(CompassFleet, CleanSweepAllocatesNoLargeBlock) {
     const std::uint64_t before = g_large_blocks.load();
     static_cast<void>(fleet.measure_all(1));
     EXPECT_EQ(g_large_blocks.load() - before, 0u);
-}
-
-// The default config clocks 0.256 periods per sample, so a clean sweep
-// counts every lane in the kernel; lite_config's 2.048 clocks every
-// counter through its own step_block.
-TEST(CompassFleet, DefaultSweepFoldsEveryCounterInTheKernel) {
-    constexpr int kFleet = 16;
-    std::vector<double> headings;
-    for (int i = 0; i < kFleet; ++i) headings.push_back(i * 22.5);
-    compass::CompassFleet fleet(kFleet);
-    fleet.set_environments(site(), headings);
-    std::uint64_t own0 = sim::own_clock_lane_count();
-    static_cast<void>(fleet.measure_all(1));
-    EXPECT_EQ(sim::own_clock_lane_count() - own0, 0u);
-
-    compass::CompassFleet lite(kFleet, lite_config());
-    lite.set_environments(site(), headings);
-    own0 = sim::own_clock_lane_count();
-    static_cast<void>(lite.measure_all(1));
-    EXPECT_GT(sim::own_clock_lane_count() - own0, 0u);
 }
 
 TEST(CompassFleet, TrappedMembersReportDeterministicFirstError) {
@@ -971,7 +1088,8 @@ TEST(CompassFleet, TrappedMembersReportDeterministicFirstError) {
 // excitation state included, and pins which groups shared.
 
 constexpr int kCohortFleet = 16;
-constexpr std::uint64_t kStagesPerSweep = 4;  // settle + count, two axes
+constexpr std::uint64_t kStagesPerSweep = 4;   // settle + count, two axes
+constexpr std::uint64_t kSettlesPerSweep = 2;  // one settle per axis
 
 /// Lane groups one advance of a kCohortFleet batch splits into.
 std::uint64_t cohort_groups() {
@@ -1104,7 +1222,8 @@ TEST(LaneCohort, MuxTimerSplitsItsGroupUntilTheNextSwitch) {
 // clock phase differs still shares the excitation, but its counter must
 // keep its own clock. At 1,024 samples per period (0.512 clock periods
 // per sample) the kernel's per-lane vector clock counts it; at 256 (2.048)
-// every counter is clocked by its own step_block.
+// no counter is under the one-bit clock, so every Count stage leaves the
+// kernel and only the settles share.
 TEST(LaneCohort, CounterAccumulatorSharesExcitationButNotTheClock) {
     for (const int steps_per_period : {256, 1024}) {
         SCOPED_TRACE(steps_per_period);
@@ -1115,9 +1234,32 @@ TEST(LaneCohort, CounterAccumulatorSharesExcitationButNotTheClock) {
             c.counter().load_state({0.5, 0, 0});
         });
         const ExcitationCounts c = fleets.sweep();
-        EXPECT_EQ(c.shared, kStagesPerSweep * cohort_groups());
+        EXPECT_EQ(c.shared, (steps_per_period == 256 ? kSettlesPerSweep : kStagesPerSweep) *
+                                cohort_groups());
         EXPECT_EQ(c.per_lane, 0u);
     }
+}
+
+// (e) A tapped member leaves the kernel on every advance, so however far
+// its ladder has moved it on, the other members stay one lockstep cohort:
+// member 0 armed DetectorStuckLow and one measurement ahead, as after its
+// ladder, and every group advance of the sweep still shares.
+TEST(LaneCohort, TappedMemberLeavesItsGroup) {
+    CohortFleets fleets;
+    fault::FaultSpec stuck;
+    stuck.fault = fault::FaultClass::DetectorStuckLow;
+    stuck.channel = analog::Channel::X;
+    fault::FaultInjector injectors[2];
+    int armed = 0;
+    fleets.both(0, [&](compass::Compass& c) {
+        fault::FaultInjector& injector = injectors[armed++];
+        injector.add(stuck);
+        injector.arm(c);
+        static_cast<void>(c.measure());
+    });
+    const ExcitationCounts c = fleets.sweep();
+    EXPECT_EQ(c.shared, kStagesPerSweep * cohort_groups());
+    EXPECT_EQ(c.per_lane, 0u);
 }
 
 }  // namespace

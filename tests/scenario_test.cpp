@@ -3,15 +3,14 @@
 /// scenario DSL compilation (tick grid, constant_until runs, anomaly /
 /// burst / iron / temperature features), cross-engine bit-identity of
 /// compiled scenarios on the scalar, block and SoA lane engines, the
-/// sensor's per-sample environment block path, temperature-sweep
-/// calibration, and a fleet sharing one compiled scenario across worker
+/// sensor's temperature seam, temperature-sweep calibration, and a
+/// fleet sharing one compiled scenario across worker
 /// threads (the TSan leg picks this file up by the "Scenario" in its
 /// suite names). The randomized version of the engine identities is
 /// verify::Oracle::ScenarioDeterminism in fuzz_test.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -324,7 +323,13 @@ TEST(ScenarioEngines, ScalarBlockAndLanesAgreeAcrossTicks) {
     scalar.set_field_source(src);
     block.set_field_source(src);
     lanes.set_field_source(src);
-    ASSERT_TRUE(sim::LaneEngine::eligible(lanes.front_end()));
+    // The temperature ramps on every sample, so no advance of more than
+    // one sample is plain: the batch's lane takes its own engine
+    // throughout.
+    double energy_j = 0.0;
+    const sim::LanePort port{&lanes.front_end(), nullptr, &energy_j};
+    ASSERT_TRUE(sim::LaneEngine::plain(port, analog::Channel::X, 1, dt));
+    ASSERT_FALSE(sim::LaneEngine::plain(port, analog::Channel::X, 2, dt));
 
     for (int t = 0; t < 3; ++t) {
         SCOPED_TRACE(t);
@@ -385,39 +390,7 @@ TEST(ScenarioEngines, LaneBatchWithDistinctScenariosMatchesPerMember) {
     }
 }
 
-// ------------------------------------------------------- sensor env path
-
-TEST(ScenarioSensor, StepBlockEnvMatchesScalarTriples) {
-    sensor::FluxgateParams params;
-    params.ms_temp_coeff_per_c = 4.0e-4;
-    params.hk_temp_coeff_per_c = -3.0e-4;
-    params.sens_temp_coeff_per_c = 2.5e-4;
-    sensor::FluxgateSensor a(params);
-    sensor::FluxgateSensor b(a);  // identical starting state
-
-    constexpr int kN = 64;
-    const double dt = 1.0 / (10e3 * 64);
-    std::vector<double> h(kN), temp(kN);
-    for (int k = 0; k < kN; ++k) {
-        h[static_cast<std::size_t>(k)] = 20.0 * std::sin(0.37 * k) + 3.0;
-        temp[static_cast<std::size_t>(k)] = 25.0 + 0.5 * k;
-    }
-
-    for (int k = 0; k < kN; ++k) {
-        a.set_external_field(h[static_cast<std::size_t>(k)]);
-        a.set_temperature(temp[static_cast<std::size_t>(k)]);
-        a.step(0.0, dt);
-    }
-    b.step_block_env(0.0, h.data(), temp.data(), dt, kN);
-
-    EXPECT_EQ(a.pickup_voltage(), b.pickup_voltage());
-    EXPECT_EQ(a.excitation_voltage(), b.excitation_voltage());
-    EXPECT_EQ(a.core_field(), b.core_field());
-    // State equality carries forward: one more identical step agrees.
-    a.set_external_field(5.0);
-    b.set_external_field(5.0);
-    EXPECT_EQ(a.step(0.01, dt), b.step(0.01, dt));
-}
+// ---------------------------------------------------- sensor temperature
 
 TEST(ScenarioSensor, TemperatureFreeSensorIgnoresSetTemperature) {
     sensor::FluxgateParams params;  // all tempcos zero
