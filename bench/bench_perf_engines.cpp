@@ -207,6 +207,14 @@ double mean_latency_ms(compass::Compass& compass, telemetry::PhysicsProbes& prob
     return 1e3 * latency.sum() / static_cast<double>(latency.count());
 }
 
+/// Sets member i of `fleet` in `field` at heading i * 360 / size + 3.
+void spread_headings(compass::CompassFleet& fleet, const magnetics::EarthField& field) {
+    std::vector<double> headings;
+    headings.reserve(static_cast<std::size_t>(fleet.size()));
+    for (int i = 0; i < fleet.size(); ++i) headings.push_back(i * 360.0 / fleet.size() + 3.0);
+    fleet.set_environments(field, headings);
+}
+
 /// Sustained single-thread fleet throughput [measurements/s] at a given
 /// dispatch strategy. No warm-up pass: at these batch sizes the one-off
 /// scratch allocation is noise against the simulation itself.
@@ -214,12 +222,7 @@ double fleet_rate(int fleet_n, compass::FleetExecution exec, int reps,
                   const magnetics::EarthField& field) {
     compass::CompassFleet fleet(fleet_n);
     fleet.set_execution(exec);
-    std::vector<double> headings;
-    headings.reserve(static_cast<std::size_t>(fleet_n));
-    for (int i = 0; i < fleet_n; ++i) {
-        headings.push_back(i * 360.0 / fleet_n + 3.0);
-    }
-    fleet.set_environments(field, headings);
+    spread_headings(fleet, field);
     const auto t0 = telemetry::Clock::now();
     for (int r = 0; r < reps; ++r) static_cast<void>(fleet.measure_all(1));
     const double elapsed =
@@ -227,21 +230,9 @@ double fleet_rate(int fleet_n, compass::FleetExecution exec, int reps,
     return elapsed > 0.0 ? reps * static_cast<double>(fleet_n) / elapsed : 0.0;
 }
 
-/// Single-thread lane-engine throughput [measurements/s] of a fleet with
-/// 0.25 mV pickup noise and one distinct noise key per member: one
-/// warm-up sweep, then the median rate of `reps` timed sweeps.
-double noisy_lane_rate(int fleet_n, int reps, const magnetics::EarthField& field) {
-    compass::CompassConfig cfg;
-    cfg.front_end.pickup_noise_rms_v = 0.25e-3;
-    compass::CompassFleet fleet(fleet_n, cfg);
-    std::vector<double> headings;
-    headings.reserve(static_cast<std::size_t>(fleet_n));
-    for (int i = 0; i < fleet_n; ++i) headings.push_back(i * 360.0 / fleet_n + 3.0);
-    fleet.set_environments(field, headings);
-    for (int i = 0; i < fleet_n; ++i) {
-        fleet.at(i).front_end().pickup_noise().rng().engine().seed(
-            static_cast<std::uint64_t>(i) + 1);
-    }
+/// Single-thread throughput [measurements/s] of `fleet`: one warm-up
+/// sweep, then the median rate of `reps` timed sweeps.
+double median_sweep_rate(compass::CompassFleet& fleet, int reps) {
     static_cast<void>(fleet.measure_all(1));  // warm-up
     std::vector<double> rates;
     for (int r = 0; r < reps; ++r) {
@@ -249,10 +240,38 @@ double noisy_lane_rate(int fleet_n, int reps, const magnetics::EarthField& field
         static_cast<void>(fleet.measure_all(1));
         const double elapsed =
             std::chrono::duration<double>(telemetry::Clock::now() - t0).count();
-        rates.push_back(elapsed > 0.0 ? fleet_n / elapsed : 0.0);
+        rates.push_back(elapsed > 0.0 ? fleet.size() / elapsed : 0.0);
     }
     std::sort(rates.begin(), rates.end());
     return rates[rates.size() / 2];
+}
+
+/// Single-thread lane-engine throughput [measurements/s] of a fleet with
+/// 0.25 mV pickup noise and one distinct noise key per member.
+double noisy_lane_rate(int fleet_n, int reps, const magnetics::EarthField& field) {
+    compass::CompassConfig cfg;
+    cfg.front_end.pickup_noise_rms_v = 0.25e-3;
+    compass::CompassFleet fleet(fleet_n, cfg);
+    spread_headings(fleet, field);
+    for (int i = 0; i < fleet_n; ++i) {
+        fleet.at(i).front_end().pickup_noise().rng().engine().seed(
+            static_cast<std::uint64_t>(i) + 1);
+    }
+    return median_sweep_rate(fleet, reps);
+}
+
+/// Single-thread lane-engine throughput [measurements/s] of a default
+/// fleet whose member i first runs ahead(i) measurements alone: members
+/// at distinct offsets are distinct cohorts, and a lane group runs one
+/// excitation pass per cohort it holds (DESIGN.md section 12).
+double diverged_lane_rate(int fleet_n, int reps, const magnetics::EarthField& field,
+                          int (*ahead)(int)) {
+    compass::CompassFleet fleet(fleet_n);
+    spread_headings(fleet, field);
+    for (int i = 0; i < fleet_n; ++i) {
+        for (int k = 0; k < ahead(i); ++k) static_cast<void>(fleet.at(i).measure());
+    }
+    return median_sweep_rate(fleet, reps);
 }
 
 /// The measure-latency histogram of one population of measurements.
@@ -361,6 +380,19 @@ void write_perf_json(bool large) {
         registry.gauge("fxg_fleet_lane_noisy_n1000_measurements_per_s", "1/s").set(lane);
         std::printf("fleet n=1000 noisy [%s]: lane %.1f meas/s\n",
                     sim::LaneEngine::backend_name(), lane);
+    }
+    // Lane groups of several cohorts: one member in 16 one measurement
+    // ahead, and member i (i mod 16) measurements ahead, so a 16-lane
+    // group holds 16 cohorts. Reported, not gated.
+    {
+        const double one = diverged_lane_rate(256, 3, field,
+                                              [](int i) { return i % 16 == 0 ? 1 : 0; });
+        const double all = diverged_lane_rate(256, 3, field, [](int i) { return i % 16; });
+        registry.gauge("fxg_fleet_lane_one_ahead_n256_measurements_per_s", "1/s").set(one);
+        registry.gauge("fxg_fleet_lane_staggered_n256_measurements_per_s", "1/s").set(all);
+        std::printf("fleet n=256 diverged [%s]: lane %.1f meas/s (one in 16 ahead), "
+                    "%.1f meas/s (member i i mod 16 ahead)\n",
+                    sim::LaneEngine::backend_name(), one, all);
     }
     if (large) {
         // One-million-member lane-only gauge (several minutes of

@@ -278,8 +278,8 @@ public:
 
     /// Supply power of the enabled section for a block of drive
     /// currents: power_w[k] for i_drive_a[k], grouped as in
-    /// momentary_power_w(). step_block() and the lane engine's shared
-    /// excitation pass both compute their power with it.
+    /// momentary_power_w(). step_block() and the lane engine's
+    /// per-cohort excitation pass both compute their power with it.
     void supply_power_block(const double* i_drive_a, int n, double* power_w) const;
 
     /// Count of oscillators this architecture instantiates (1 for the

@@ -80,11 +80,11 @@ public:
     void set_fault(const OscillatorFault& fault) noexcept { fault_ = fault; }
     [[nodiscard]] const OscillatorFault& fault() const noexcept { return fault_; }
 
-    /// Complete evolving state, for the lane engine's gather/scatter
-    /// seam (sim/lane_engine.cpp): the SoA kernel lifts this out, runs
-    /// the identical per-sample arithmetic across lanes, and writes it
-    /// back, so a lane round-trip is indistinguishable from the same
-    /// number of step() calls.
+    /// Complete evolving state, for the lane engine's cohorts
+    /// (sim/lane_engine.cpp): lanes whose oscillators match in config,
+    /// fault and this state run one step_block() between them, and the
+    /// kernel copies the stepped state into each, so a lane round-trip
+    /// is indistinguishable from the same number of step() calls.
     struct State {
         double time_s = 0.0;
         double phase = 0.0;

@@ -53,9 +53,10 @@ public:
 
     /// One clock step of the fractional-tick bookkeeping: adds `inc`
     /// clock periods to the accumulator `acc`, leaves the remainder in
-    /// it and returns the whole ticks that fell inside the step. step(),
-    /// step_block() and the lane engine's shared clock all call this, so
-    /// every path emits the same tick sequence.
+    /// it and returns the whole ticks that fell inside the step. step()
+    /// and step_block() call this, and the lane engine's cohort clocks
+    /// run its one-bit operations as vectors, so every path emits the
+    /// same tick sequence.
     ///
     /// The result is that of the floor() form
     ///     s = acc + inc;  whole = floor(s);  acc = s - whole;  ticks = whole

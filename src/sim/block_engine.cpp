@@ -1,15 +1,8 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace fxg::sim {
-
-BlockEngine::BlockEngine(int block_samples) : block_samples_(block_samples) {
-    if (block_samples < 1) {
-        throw std::invalid_argument("BlockEngine: block_samples must be >= 1");
-    }
-}
 
 void BlockEngine::advance(analog::FrontEnd& front_end, analog::Channel channel,
                           int steps, double dt_s, digital::UpDownCounter* counter,
@@ -19,7 +12,7 @@ void BlockEngine::advance(analog::FrontEnd& front_end, analog::Channel channel,
     const auto ch = static_cast<std::size_t>(channel);
     int done = 0;
     while (done < steps) {
-        const int n = std::min(block_samples_, steps - done);
+        const int n = std::min(kBlockSamples, steps - done);
         front_end.step_block(dt_s, n, block_);
         // Energy accumulates in sample order onto the caller's running
         // sum — the same additions the scalar loop performs.

@@ -87,28 +87,25 @@ public:
                  double& energy_j) override;
 };
 
-/// Block engine: advances in chunks through FrontEnd::step_block() with
-/// the counter fused over each chunk. Owns its scratch block, so one
-/// engine instance serves any number of sequential measurements without
-/// reallocating.
+/// Block engine: advances in chunks of kBlockSamples through
+/// FrontEnd::step_block() with the counter fused over each chunk. Owns
+/// its scratch block, so one engine instance serves any number of
+/// sequential measurements without reallocating.
 class BlockEngine final : public SimEngine {
 public:
-    /// \param block_samples chunk size in samples; the default matches
-    ///        the compass's steps_per_period so one chunk is one
-    ///        excitation period.
-    explicit BlockEngine(int block_samples = 2048);
+    /// Chunk size in samples: the compass's default steps_per_period,
+    /// so one chunk is one excitation period.
+    static constexpr int kBlockSamples = 2048;
 
     [[nodiscard]] EngineKind kind() const noexcept override {
         return EngineKind::Block;
     }
     [[nodiscard]] const char* name() const noexcept override { return "block"; }
-    [[nodiscard]] int block_samples() const noexcept { return block_samples_; }
     void advance(analog::FrontEnd& front_end, analog::Channel channel, int steps,
                  double dt_s, digital::UpDownCounter* counter,
                  double& energy_j) override;
 
 private:
-    int block_samples_;
     analog::FrontEndBlock block_;
 };
 

@@ -1,6 +1,7 @@
 #include "sim/lane_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <iterator>
@@ -28,18 +29,40 @@ inline v::mask mask_from01(const double* b01) {
     return v::cmp_gt(v::load(b01), v::splat(0.5));
 }
 
-/// True when lanes [1, n) of `a` hold exactly lane 0's bits.
-inline bool lanes_match(const double* a, int n) {
-    const auto bits0 = std::bit_cast<std::uint64_t>(a[0]);
-    for (int l = 1; l < n; ++l) {
-        if (std::bit_cast<std::uint64_t>(a[l]) != bits0) return false;
-    }
-    return true;
+/// The bits of everything a cohort's excitation block code reads: the
+/// oscillator's config, fault and state, the V-I config and its load,
+/// the mux's settle time and timer, the supply constants and, when the
+/// advance clocks the lane's counter, its accumulator and increment.
+/// Lanes whose keys are equal compute the same drive current, supply
+/// power, settle flags and ticks on every sample.
+using CohortKey = std::array<std::uint64_t, 34>;
+
+CohortKey cohort_key(analog::FrontEnd& f, bool counts, double acc, double inc) {
+    const analog::FrontEndConfig& c = f.config();
+    const analog::TriangleOscillator& osc = f.oscillator();
+    const analog::TriangleOscillatorConfig& oc = osc.config();
+    const analog::OscillatorFault& of = osc.fault();
+    const analog::TriangleOscillator::State os = osc.save_state();
+    const analog::ViConverterConfig& vc = f.vi_converter().config();
+    const double in[] = {
+        oc.amplitude_a, oc.frequency_hz, oc.dc_offset_a, oc.amplitude_error, oc.curvature,
+        oc.offset_correction ? 1.0 : 0.0, oc.correction_gain,
+        of.frequency_scale, of.amplitude_scale, of.extra_dc_a, of.correction_stuck ? 1.0 : 0.0,
+        os.time_s, os.phase, os.output, os.correction_a, os.period_integral, os.period_time,
+        vc.supply_v, vc.headroom_v, vc.gain_error, vc.nonlinearity, vc.full_scale_a,
+        vc.linearising_r_ohm, vc.balanced_differential ? 1.0 : 0.0, c.sensor.r_excitation_ohm,
+        f.mux().settle_time_s(), f.mux().save_state().since_switch_s,
+        c.supply_v, c.osc_bias_a, c.vi_bias_a, c.det_bias_a,
+        counts ? 1.0 : 0.0, counts ? acc : 0.0, counts ? inc : 0.0};
+    static_assert(std::size(in) == std::tuple_size_v<CohortKey>);
+    CohortKey key;
+    std::transform(std::begin(in), std::end(in), key.begin(),
+                   [](double x) { return std::bit_cast<std::uint64_t>(x); });
+    return key;
 }
 
-/// Pass C's streams: the four comparator decisions, a per-lane group's
-/// settle flags and a per-lane clock's ticks.
-enum Stream { kRisePos, kFallPos, kRiseNeg, kFallNeg, kSettle, kTick, kStreams };
+/// Pass C's lane streams: the four comparator decisions.
+enum Stream { kRisePos, kFallPos, kRiseNeg, kFallNeg, kStreams };
 
 /// One real lane's share of Pass C's word code: its detector latches,
 /// stream-window statistics and counter.
@@ -48,47 +71,40 @@ struct WordLane {
     analog::FrontEnd::StreamWindowState win;
     digital::UpDownCounter::State ctr;
     std::size_t ch = 0;  ///< active channel
+    int cohort = 0;      ///< whose settle and tick words the lane takes
     bool fold = false;   ///< counter clocked by this advance, counted here
 };
 
 /// Pass C's word code for one tile of `nb` samples: lane l's comparator
-/// words are words[c][l]. The settle flags come from words[kSettle]
-/// (per-lane excitation) or `shared_settle`, the ticks from
-/// words[kTick] (per-lane clock) or `shared_ticks`.
+/// words are words[c][l], and its settle and tick words are its
+/// cohort's, settle[cohort] and ticks[cohort].
 void step_word_lanes(WordLane* lanes, int n, int nb, const std::uint64_t* const* words,
-                     std::uint64_t shared_settle, std::uint64_t shared_ticks) {
+                     const std::uint64_t* settle, const std::uint64_t* ticks) {
     const std::uint64_t* const rise_p = words[kRisePos];
     const std::uint64_t* const fall_p = words[kFallPos];
     const std::uint64_t* const rise_n = words[kRiseNeg];
     const std::uint64_t* const fall_n = words[kFallNeg];
-    const std::uint64_t* const settle = words[kSettle];
-    const std::uint64_t* const tick = words[kTick];
-    const std::uint64_t live = util::bits::low_mask(nb);
     for (int l = 0; l < n; ++l) {
         WordLane& lane = lanes[l];
         const std::uint64_t out = analog::PulsePositionDetector::step_word(
             {rise_p[l], fall_p[l], rise_n[l], fall_n[l]}, nb, lane.det);
-        const std::uint64_t valid = settle != nullptr ? settle[l] & live : shared_settle;
         analog::fold_stream_word(lane.win.stats[lane.ch], lane.win.prev[lane.ch],
-                                 lane.win.has_prev[lane.ch], out, valid, nb);
-        if (lane.fold) {
-            digital::UpDownCounter::fold_ticks(tick != nullptr ? tick[l] & live : shared_ticks,
-                                               out, lane.ctr);
-        }
+                                 lane.win.has_prev[lane.ch], out, settle[lane.cohort], nb);
+        if (lane.fold) digital::UpDownCounter::fold_ticks(ticks[lane.cohort], out, lane.ctr);
     }
 }
 
-std::atomic<std::uint64_t> g_shared_excitation{0};
-std::atomic<std::uint64_t> g_per_lane_excitation{0};
+std::atomic<std::uint64_t> g_group_advances{0};
+std::atomic<std::uint64_t> g_excitation_passes{0};
 
 }  // namespace
 
-std::uint64_t shared_excitation_count() noexcept {
-    return g_shared_excitation.load(std::memory_order_relaxed);
+std::uint64_t group_advance_count() noexcept {
+    return g_group_advances.load(std::memory_order_relaxed);
 }
 
-std::uint64_t per_lane_excitation_count() noexcept {
-    return g_per_lane_excitation.load(std::memory_order_relaxed);
+std::uint64_t excitation_pass_count() noexcept {
+    return g_excitation_passes.load(std::memory_order_relaxed);
 }
 
 bool LaneEngine::plain(const LanePort& port, analog::Channel channel, int steps,
@@ -177,21 +193,21 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
     bool lane_noise[GW];
     bool lane_first[GW];
 
-    alignas(64) double freq_a[GW], gain_a[GW], curv_a[GW], dc_a[GW], cgain_a[GW],
-        correct01_a[GW];
-    alignas(64) double vig_a[GW], fs_a[GW], linfs_a[GW], lim_a[GW], neglim_a[GW];
-    alignas(64) double fpa_a[GW], hext_a[GW], hk_a[GW], ms_a[GW], nap_a[GW],
-        nae_a[GW];
+    alignas(64) double fpa_a[GW], hext_a[GW], hk_a[GW], ms_a[GW], nap_a[GW], nae_a[GW];
     double r_exc_a[GW];
-    alignas(64) double settle_a[GW], off_a[GW], fall_a[GW], rise_a[GW];
-    alignas(64) double bias_a[GW], supply_a[GW];
-    alignas(64) double inc_a[GW], count01_a[GW], first01_a[GW];
+    alignas(64) double off_a[GW], fall_a[GW], rise_a[GW], first01_a[GW];
     alignas(64) double nalpha[GW], ndrive[GW], nst[GW], noise01_a[GW];
     std::uint64_t nkey[GW], nctr[GW];
-
-    alignas(64) double time_a[GW], phase_a[GW], corr_a[GW], pint_a[GW], ptime_a[GW];
-    alignas(64) double since_a[GW], lp_a[GW], le_a[GW], acc_a[GW], e_a[GW];
+    alignas(64) double lp_a[GW], le_a[GW], e_a[GW];
     WordLane wl[GW];  // Pass C's per-lane word state (real lanes only)
+
+    // Cohorts: lanes whose keys match bit for bit. Cohort c's lead lane
+    // (its first) runs the excitation for all of them.
+    CohortKey keys[GW];
+    analog::FrontEnd* lead[GW]{};
+    bool counts[GW]{};  // the cohort's counters are clocked by this advance
+    v::dvec acc_v[GW], inc_v[GW];
+    int k = 0;
 
     bool stripe_noise = false;
 
@@ -202,23 +218,14 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             ctr[l] = nullptr;
             active_ch[l] = active_ch[0];
             lane_noise[l] = lane_first[l] = false;
-            freq_a[l] = freq_a[0]; gain_a[l] = gain_a[0]; curv_a[l] = curv_a[0];
-            dc_a[l] = dc_a[0]; cgain_a[l] = cgain_a[0]; correct01_a[l] = correct01_a[0];
-            vig_a[l] = vig_a[0]; fs_a[l] = fs_a[0]; linfs_a[l] = linfs_a[0];
-            lim_a[l] = lim_a[0]; neglim_a[l] = neglim_a[0];
             fpa_a[l] = fpa_a[0]; hext_a[l] = hext_a[0]; hk_a[l] = hk_a[0];
             ms_a[l] = ms_a[0]; nap_a[l] = nap_a[0]; nae_a[l] = nae_a[0];
             r_exc_a[l] = r_exc_a[0];
-            settle_a[l] = settle_a[0]; off_a[l] = off_a[0]; fall_a[l] = fall_a[0];
-            rise_a[l] = rise_a[0];
-            bias_a[l] = bias_a[0]; supply_a[l] = supply_a[0];
-            inc_a[l] = inc_a[0]; count01_a[l] = 0.0; first01_a[l] = first01_a[0];
+            off_a[l] = off_a[0]; fall_a[l] = fall_a[0]; rise_a[l] = rise_a[0];
+            first01_a[l] = first01_a[0];
             nalpha[l] = ndrive[l] = nst[l] = noise01_a[l] = 0.0;
             nkey[l] = nctr[l] = 0;
-            time_a[l] = time_a[0]; phase_a[l] = phase_a[0]; corr_a[l] = corr_a[0];
-            pint_a[l] = pint_a[0]; ptime_a[l] = ptime_a[0]; since_a[l] = since_a[0];
-            lp_a[l] = lp_a[0]; le_a[l] = le_a[0]; acc_a[l] = acc_a[0];
-            e_a[l] = e_a[0];
+            lp_a[l] = lp_a[0]; le_a[l] = le_a[0]; e_a[l] = e_a[0];
             continue;
         }
 
@@ -233,39 +240,6 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         w.ch = ai;
         w.win = f.save_window_state();
         w.win.prev[ai] = w.win.prev[ai] != 0 ? 1 : 0;
-
-        // Oscillator (TriangleOscillator::step_block hoists).
-        const analog::TriangleOscillator& osc = f.oscillator();
-        const analog::TriangleOscillatorConfig& oc = osc.config();
-        const analog::OscillatorFault& ofault = osc.fault();
-        freq_a[l] = oc.frequency_hz * ofault.frequency_scale;
-        gain_a[l] = oc.amplitude_a * (1.0 + oc.amplitude_error) *
-                    ofault.amplitude_scale;
-        curv_a[l] = oc.curvature;
-        dc_a[l] = oc.dc_offset_a + ofault.extra_dc_a;
-        correct01_a[l] =
-            (oc.offset_correction && !ofault.correction_stuck) ? 1.0 : 0.0;
-        cgain_a[l] = oc.correction_gain;
-        const analog::TriangleOscillator::State os = osc.save_state();
-        time_a[l] = os.time_s;
-        phase_a[l] = os.phase;
-        corr_a[l] = os.correction_a;
-        pint_a[l] = os.period_integral;
-        ptime_a[l] = os.period_time;
-
-        // V-I converter (ViConverter::drive_block hoists; the converter
-        // is pure configuration, reconstructed here).
-        const analog::ViConverterConfig& vc = c.vi;
-        const double r_load = c.sensor.r_excitation_ohm;
-        const double lin = vc.nonlinearity / (1.0 + r_load / vc.linearising_r_ohm);
-        double swing = vc.supply_v - 2.0 * vc.headroom_v;
-        if (!vc.balanced_differential) swing *= 0.5;
-        const double limit = swing / r_load;
-        vig_a[l] = 1.0 + vc.gain_error;
-        fs_a[l] = vc.full_scale_a;
-        linfs_a[l] = lin * vc.full_scale_a;
-        lim_a[l] = limit;
-        neglim_a[l] = -limit;
 
         // The field holds over the advance (plain()), so the tick the
         // scalar step() would apply before every sample is the entry
@@ -292,10 +266,6 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         lane_first[l] = ss.first_step;
         first01_a[l] = ss.first_step ? 1.0 : 0.0;
 
-        // Mux.
-        settle_a[l] = f.mux().settle_time_s();
-        since_a[l] = f.mux().save_state().since_switch_s;
-
         // Active detector (PulsePositionDetector::step_block hoists).
         analog::PulsePositionDetector& det = f.detector(ach);
         const analog::DetectorConfig& dcf = det.config();
@@ -304,12 +274,6 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         fall_a[l] = dcf.threshold_v - half_hyst;
         rise_a[l] = dcf.threshold_v + half_hyst;
         w.det = det.save_state();
-
-        // Power model (FrontEnd::step_block hoists; multiplexed =>
-        // oscillator_count() == instances == 1).
-        bias_a[l] = c.osc_bias_a * f.oscillator_count() +
-                    (c.vi_bias_a + c.det_bias_a) * 1;
-        supply_a[l] = c.supply_v;
 
         // Band-limited pickup noise (FrontEnd::add_noise_block hoists).
         // The member's stream is counter-based, so its key and counter
@@ -335,45 +299,35 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         // register under the one-bit clock (plain()), counted by Pass C
         // from its tick and output words.
         w.fold = ctr[l] != nullptr && ctr[l]->enabled() && ach == channel;
-        inc_a[l] = ctr[l] != nullptr ? dt_s * ctr[l]->clock_hz() : 0.0;
         w.ctr = w.fold ? ctr[l]->save_state() : digital::UpDownCounter::State{};
-        count01_a[l] = w.fold ? 1.0 : 0.0;
-        acc_a[l] = w.ctr.tick_accumulator;
+        const double inc = w.fold ? dt_s * ctr[l]->clock_hz() : 0.0;
 
         e_a[l] = *lanes[l].energy_j;
-    }
 
-    // ---- Lockstep cohort -------------------------------------------------
-    //
-    // Nothing upstream of the sensor depends on the field, so lanes
-    // whose Pass A inputs equal lane 0's bit for bit would compute lane
-    // 0's drive current, settle flag and supply power on every sample.
-    // Such a group runs that excitation once, through lane 0's own
-    // stages, and broadcasts it. The clock shares under a second key:
-    // with the same accumulator, increment and count flag, and the
-    // shared settle flags, every lane's counter sees the same ticks.
-    const double* const excitation_key[] = {
-        freq_a, gain_a, curv_a, dc_a, cgain_a, correct01_a,  // oscillator
-        vig_a, fs_a, linfs_a, lim_a,                         // V-I converter
-        settle_a, bias_a, supply_a,                          // mux, supply
-        time_a, phase_a, corr_a, pint_a, ptime_a, since_a};  // evolving state
-    const double* const clock_key[] = {acc_a, inc_a, count01_a};
-    const auto match = [n](const double* a) { return lanes_match(a, n); };
-    const bool shared = std::all_of(std::begin(excitation_key),
-                                    std::end(excitation_key), match);
-    const bool shared_clock =
-        shared && std::all_of(std::begin(clock_key), std::end(clock_key), match);
-    (shared ? g_shared_excitation : g_per_lane_excitation)
-        .fetch_add(1, std::memory_order_relaxed);
-    analog::TriangleOscillator shared_osc = fe[0]->oscillator();
-    analog::AnalogMux shared_mux = fe[0]->mux();
-    const double r_load0 = fe[0]->config().sensor.r_excitation_ohm;
-    double shared_last_i = 0.0;
-    const bool shared_ticking = shared_clock && count01_a[0] > 0.5;
-    // Otherwise each counted lane steps its own clock as a vector.
-    const bool lane_clock =
-        !shared_ticking &&
-        std::any_of(wl, wl + n, [](const WordLane& w) { return w.fold; });
+        // The lane joins the first cohort with its key, or leads a new one.
+        const CohortKey key = cohort_key(f, w.fold, w.ctr.tick_accumulator, inc);
+        w.cohort = static_cast<int>(std::find(keys, keys + k, key) - keys);
+        if (w.cohort == k) {
+            keys[k] = key;
+            lead[k] = &f;
+            counts[k] = w.fold;
+            acc_v[k] = v::splat(w.ctr.tick_accumulator);
+            inc_v[k] = v::splat(inc);
+            ++k;
+        }
+    }
+    g_group_advances.fetch_add(1, std::memory_order_relaxed);
+    g_excitation_passes.fetch_add(static_cast<std::uint64_t>(k), std::memory_order_relaxed);
+
+    // Cohort c's lanes, for c >= 1 (cohort 0 is every other lane, pads
+    // included).
+    v::mask in_cohort[GW][S];
+    for (int c = 1; c < k; ++c) {
+        alignas(64) double in01[GW];
+        for (int l = 0; l < GW; ++l) in01[l] = l < n && wl[l].cohort == c ? 1.0 : 0.0;
+        #pragma GCC unroll 8
+        for (int s = 0; s < S; ++s) in_cohort[c][s] = mask_from01(in01 + s * W);
+    }
 
     // ---- Vector kernel: all lanes of the group -------------------------
     //
@@ -385,48 +339,22 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
 
     const v::dvec dt_v = v::splat(dt_s);
     const v::dvec rdt_v = v::splat(1.0 / dt_s);
-    // A cohort's shared clock: lane 0's accumulator and increment.
-    v::dvec shared_acc_v = v::splat(acc_a[0]);
-    const v::dvec shared_inc_v = v::splat(inc_a[0]);
     const v::dvec zero_v = v::splat(0.0);
     const v::dvec one_v = v::splat(1.0);
-    const v::dvec two_v = v::splat(2.0);
-    const v::dvec four_v = v::splat(4.0);
-    const v::dvec neg4_v = v::splat(-4.0);
-    const v::dvec quarter_v = v::splat(0.25);
-    const v::dvec threeq_v = v::splat(0.75);
     const v::dvec sign_v = v::splat(-0.0);
     const v::dvec mu0_v = v::splat(magnetics::kMu0);
 
-    v::dvec freq_v[S], gain_v[S], curv_v[S], dc_v[S], cgain_v[S];
-    v::mask correct_m[S];
-    v::dvec vig_v[S], fs_v[S], linfs_v[S], lim_v[S], neglim_v[S];
     v::dvec fpa_v[S], hext_v[S], hk_v[S], rhk_v[S], ms_v[S], nap_v[S], nae_v[S];
-    v::dvec settle_v[S], off_v[S], fall_v[S], rise_v[S];
-    v::dvec bias_v[S], supply_v[S], inc_v[S];
-    v::mask count_m[S];
-
-    v::dvec time_v[S], phase_v[S], corr_v[S], pint_v[S], ptime_v[S];
-    v::dvec since_v[S], lpprev_v[S], leprev_v[S], leold_v[S];
+    v::dvec off_v[S], fall_v[S], rise_v[S];
+    v::dvec lpprev_v[S], leprev_v[S], leold_v[S];
     v::mask first_m[S];
-    v::dvec acc_v[S], e_v[S];
+    v::dvec e_v[S];
     // Loop-carried last-sample values needed at scatter.
-    v::dvec o_v[S], idrv_v[S], h_v[S], b_v[S], vpick_v[S];
+    v::dvec h_v[S], b_v[S], vpick_v[S];
 
     #pragma GCC unroll 8
     for (int s = 0; s < S; ++s) {
         const int g = s * W;
-        freq_v[s] = v::load(freq_a + g);
-        gain_v[s] = v::load(gain_a + g);
-        curv_v[s] = v::load(curv_a + g);
-        dc_v[s] = v::load(dc_a + g);
-        cgain_v[s] = v::load(cgain_a + g);
-        correct_m[s] = mask_from01(correct01_a + g);
-        vig_v[s] = v::load(vig_a + g);
-        fs_v[s] = v::load(fs_a + g);
-        linfs_v[s] = v::load(linfs_a + g);
-        lim_v[s] = v::load(lim_a + g);
-        neglim_v[s] = v::load(neglim_a + g);
         fpa_v[s] = v::load(fpa_a + g);
         hext_v[s] = v::load(hext_a + g);
         hk_v[s] = v::load(hk_a + g);
@@ -434,29 +362,15 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         ms_v[s] = v::load(ms_a + g);
         nap_v[s] = v::load(nap_a + g);
         nae_v[s] = v::load(nae_a + g);
-        settle_v[s] = v::load(settle_a + g);
         off_v[s] = v::load(off_a + g);
         fall_v[s] = v::load(fall_a + g);
         rise_v[s] = v::load(rise_a + g);
-        bias_v[s] = v::load(bias_a + g);
-        supply_v[s] = v::load(supply_a + g);
-        inc_v[s] = v::load(inc_a + g);
-        count_m[s] = mask_from01(count01_a + g);
 
-        time_v[s] = v::load(time_a + g);
-        phase_v[s] = v::load(phase_a + g);
-        corr_v[s] = v::load(corr_a + g);
-        pint_v[s] = v::load(pint_a + g);
-        ptime_v[s] = v::load(ptime_a + g);
-        since_v[s] = v::load(since_a + g);
         lpprev_v[s] = v::load(lp_a + g);
         leprev_v[s] = v::load(le_a + g);
         leold_v[s] = leprev_v[s];
         first_m[s] = mask_from01(first01_a + g);
-        acc_v[s] = v::load(acc_a + g);
         e_v[s] = v::load(e_a + g);
-        o_v[s] = zero_v;
-        idrv_v[s] = zero_v;
         h_v[s] = zero_v;
         b_v[s] = zero_v;
         vpick_v[s] = zero_v;
@@ -472,108 +386,60 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
     // divide/exp chains. The per-lane arithmetic and its ordering are
     // untouched: every lane still executes exactly the scalar
     // sequence, sample by sample.
-    constexpr int T = 64;  // 3 buffers * S * T * sizeof(dvec) stays in L1
+    constexpr int T = 64;  // one settle or tick word per cohort and tile
     v::dvec bidrv[S * T];
     v::dvec bvdet[S * T];
-    v::mask bsettle[S * T];  // per-lane excitation only
     // Pass C's byte planes (zeroed, so a short tile transposes no
     // indeterminate byte) and the lane words transposed from them.
     alignas(32) std::uint8_t lane_bytes[kStreams][kBytePlanes][T]{};
     alignas(64) std::uint64_t lane_words[kStreams][8 * kBytePlanes];
     const std::uint64_t* const lane_word_ptr[kStreams] = {
-        lane_words[kRisePos], lane_words[kFallPos],
-        lane_words[kRiseNeg], lane_words[kFallNeg],
-        shared ? nullptr : lane_words[kSettle], lane_clock ? lane_words[kTick] : nullptr};
+        lane_words[kRisePos], lane_words[kFallPos], lane_words[kRiseNeg],
+        lane_words[kFallNeg]};
     alignas(64) std::int64_t nbits[T * GW];  // tile draws [sample * GW + lane]
-    // Shared excitation tile: drive current and supply power per
-    // sample, and the settle flags as one word (T = 64).
-    static_assert(T == 64);
-    double sh_i[T]{}, sh_p[T]{};
-    std::uint64_t sh_settle = 0;
+    // Each cohort's excitation tile: drive current and supply power per
+    // sample, and the settle flags and ticks as one word each.
+    double coh_i[GW][T], coh_p[GW][T];
+    std::uint64_t settle_w[GW]{}, tick_w[GW]{};
+    // Cohort 0's clock, in registers across the tile loop.
+    v::dvec acc0_v = acc_v[0];
+    const v::dvec inc0_v = inc_v[0];
 
     for (int k0 = 0; k0 < steps; k0 += T) {
         const int tn = std::min(T, steps - k0);
         // Pass A: oscillator, V-I converter, mux settling, supply
-        // power/energy. A lockstep cohort runs lane 0's stages once
-        // (the member path's block code) and broadcasts the results.
-        if (shared) {
-            shared_osc.step_block(dt_s, tn, sh_i);
-            fe[0]->vi_converter().drive_block(sh_i, r_load0, tn, sh_i);
-            shared_mux.step_block(dt_s, tn, &sh_settle);
-            fe[0]->supply_power_block(sh_i, tn, sh_p);
-            shared_last_i = sh_i[tn - 1];
-            for (int t = 0; t < tn; ++t) {
-                const v::dvec i_v = v::splat(sh_i[t]);
-                const v::dvec e_inc = v::splat(sh_p[t] * dt_s);
+        // power/energy. Each cohort runs its lead lane's own stages
+        // once (the member path's block code); every lane takes its
+        // cohort's drive and energy increment, cohort 0's broadcast
+        // with the others blended in by lane mask.
+        for (int c = 0; c < k; ++c) {
+            analog::FrontEnd& f = *lead[c];
+            f.oscillator().step_block(dt_s, tn, coh_i[c]);
+            f.vi_converter().drive_block(coh_i[c], f.config().sensor.r_excitation_ohm, tn,
+                                         coh_i[c]);
+            f.mux().step_block(dt_s, tn, &settle_w[c]);
+            f.supply_power_block(coh_i[c], tn, coh_p[c]);
+        }
+        for (int t = 0; t < tn; ++t) {
+            v::dvec i_v[S], e_inc[S];
+            #pragma GCC unroll 8
+            for (int s = 0; s < S; ++s) {
+                i_v[s] = v::splat(coh_i[0][t]);
+                e_inc[s] = v::splat(coh_p[0][t] * dt_s);
+            }
+            for (int c = 1; c < k; ++c) {
+                const v::dvec ic = v::splat(coh_i[c][t]);
+                const v::dvec ec = v::splat(coh_p[c][t] * dt_s);
                 #pragma GCC unroll 8
                 for (int s = 0; s < S; ++s) {
-                    bidrv[s * T + t] = i_v;
-                    e_v[s] = v::add(e_v[s], e_inc);
+                    i_v[s] = v::blend(in_cohort[c][s], ic, i_v[s]);
+                    e_inc[s] = v::blend(in_cohort[c][s], ec, e_inc[s]);
                 }
             }
-        } else {
-            for (int t = 0; t < tn; ++t) {
-                #pragma GCC unroll 8
-                for (int s = 0; s < S; ++s) {
-                    // Oscillator (TriangleOscillator::step).
-                    time_v[s] = v::add(time_v[s], dt_v);
-                    phase_v[s] = v::add(phase_v[s], v::mul(dt_v, freq_v[s]));
-                    const v::mask wrapped = v::cmp_ge(phase_v[s], one_v);
-                    // A wrap happens once per excitation period
-                    // (1/steps_per_period samples); the wrap bookkeeping —
-                    // including a vector divide — is skipped entirely on
-                    // the other samples. The blends are identity when
-                    // `wrapped` is all-false, so the skip is exact.
-                    const bool any_wrap = v::movemask(wrapped) != 0;
-                    if (any_wrap) {
-                        phase_v[s] = v::blend(
-                            wrapped, v::sub(phase_v[s], v::floor(phase_v[s])),
-                            phase_v[s]);
-                    }
-                    const v::dvec f4p = v::mul(four_v, phase_v[s]);
-                    const v::mask seg1 = v::cmp_gt(quarter_v, phase_v[s]);
-                    const v::mask seg2 = v::cmp_gt(threeq_v, phase_v[s]);
-                    const v::dvec w = v::blend(
-                        seg1, f4p,
-                        v::blend(seg2, v::sub(two_v, f4p), v::add(neg4_v, f4p)));
-                    const v::dvec shaped = v::add(
-                        w, v::mul(curv_v[s], v::sub(v::mul(v::mul(w, w), w), w)));
-                    o_v[s] =
-                        v::add(v::add(v::mul(gain_v[s], shaped), dc_v[s]), corr_v[s]);
-                    pint_v[s] = v::add(pint_v[s], v::mul(o_v[s], dt_v));
-                    ptime_v[s] = v::add(ptime_v[s], dt_v);
-                    if (any_wrap) {
-                        const v::mask upd = v::m_and(
-                            wrapped,
-                            v::m_and(correct_m[s], v::cmp_gt(ptime_v[s], zero_v)));
-                        corr_v[s] = v::blend(
-                            upd,
-                            v::sub(corr_v[s],
-                                   v::mul(cgain_v[s], v::div(pint_v[s], ptime_v[s]))),
-                            corr_v[s]);
-                        pint_v[s] = v::blend(wrapped, zero_v, pint_v[s]);
-                        ptime_v[s] = v::blend(wrapped, zero_v, ptime_v[s]);
-                    }
-
-                    // V-I converter (ViConverter::drive).
-                    const v::dvec u = v::div(o_v[s], fs_v[s]);
-                    idrv_v[s] = v::add(v::mul(vig_v[s], o_v[s]),
-                                       v::mul(v::mul(v::mul(linfs_v[s], u), u), u));
-                    idrv_v[s] = v::min(v::max(idrv_v[s], neglim_v[s]), lim_v[s]);
-
-                    // Mux settling.
-                    since_v[s] = v::add(since_v[s], dt_v);
-
-                    // Supply power and energy (FrontEnd::step_block tail;
-                    // the energy chain continues each member's running
-                    // sum).
-                    const v::dvec drive = v::bit_andnot(sign_v, idrv_v[s]);  // fabs
-                    const v::dvec p = v::mul(v::add(bias_v[s], drive), supply_v[s]);
-                    e_v[s] = v::add(e_v[s], v::mul(p, dt_v));
-
-                    bidrv[s * T + t] = idrv_v[s];
-                    bsettle[s * T + t] = v::cmp_ge(since_v[s], settle_v[s]);
-                }
+            #pragma GCC unroll 8
+            for (int s = 0; s < S; ++s) {
+                bidrv[s * T + t] = i_v[s];
+                e_v[s] = v::add(e_v[s], e_inc[s]);
             }
         }
 
@@ -726,10 +592,10 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         // Pass C: the detector, the stream statistics and the counters,
         // on 64-sample words (DESIGN.md section 12). The comparator
         // inputs are compared as vectors, and each compare's lane mask
-        // is stored as one byte per sample, as are a per-lane group's
-        // settle flags and a per-lane clock's ticks. Each 64-byte plane
-        // is transposed into one word per lane, and each real lane runs
-        // the block path's word code: PulsePositionDetector::step_word,
+        // is stored as one byte per sample. Each 64-byte plane is
+        // transposed into one word per lane, and each real lane runs
+        // the block path's word code, with its cohort's settle and tick
+        // words: PulsePositionDetector::step_word,
         // analog::fold_stream_word and UpDownCounter::fold_ticks.
         const auto put = [&](int c, int t, const v::mask (&m)[S])
                              __attribute__((always_inline)) {
@@ -741,154 +607,98 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
                 lane_bytes[c][p][t] = static_cast<std::uint8_t>(b[p]);
             }
         };
-        // UpDownCounter::clock_step under the one-bit condition, as
-        // vectors: 0 < acc + inc < 2, so the carry is (acc + inc >= 1)
-        // and s - 0 is s. Returns the lanes that ticked.
-        const auto step_clock = [&](v::dvec& acc, v::dvec inc, v::mask clocked)
+        // A counting cohort's clock: UpDownCounter::clock_step under the
+        // one-bit condition, on a vector whose lanes all hold the
+        // cohort's accumulator. 0 < acc + inc < 2, so the carry is
+        // (acc + inc >= 1) and s - 0 is s. Sample t ticks if its settle
+        // flag is set and the carry comes.
+        const auto step_clock = [&](v::dvec& acc, v::dvec inc, std::uint64_t settle,
+                                    std::uint64_t& ticks, int t)
                                     __attribute__((always_inline)) {
+            const v::mask clocked = v::m_splat(((settle >> t) & 1) != 0);
             const v::dvec sum = v::add(acc, inc);
             const v::mask carry = v::cmp_ge(sum, one_v);
             acc = v::blend(clocked, v::blend(carry, v::sub(sum, one_v), sum), acc);
-            return v::m_and(carry, clocked);
+            ticks |= std::uint64_t{v::movemask(v::m_and(carry, clocked)) & 1u} << t;
         };
-        std::uint64_t shared_ticks = 0;
-        const auto compare_tile = [&](auto lane_settle, auto lane_clk, auto shared_clk)
-                                      __attribute__((always_inline)) {
-            constexpr bool kLaneSettle = decltype(lane_settle)::value;
-            constexpr bool kLaneClock = decltype(lane_clk)::value;
-            for (int t = 0; t < tn; ++t) {
-                if constexpr (decltype(shared_clk)::value) {
-                    // A shared clock ticks once for the cohort, branch-free
-                    // beside the compares, which hide its serial chain.
-                    const v::mask ticked = step_clock(
-                        shared_acc_v, shared_inc_v, v::m_splat(((sh_settle >> t) & 1) != 0));
-                    shared_ticks |= std::uint64_t{v::movemask(ticked) & 1u} << t;
-                }
-                v::mask rise_p[S], fall_p[S], rise_n[S], fall_n[S], settled[S], tick[S];
-                #pragma GCC unroll 8
-                for (int s = 0; s < S; ++s) {
-                    // The negative comparator is fed -v, an exact sign
-                    // flip.
-                    const v::dvec vdet = bvdet[s * T + t];
-                    const v::dvec vpos = v::sub(vdet, off_v[s]);
-                    const v::dvec vneg = v::sub(v::bit_xor(vdet, sign_v), off_v[s]);
-                    rise_p[s] = v::cmp_gt(vpos, rise_v[s]);
-                    fall_p[s] = v::cmp_gt(fall_v[s], vpos);
-                    rise_n[s] = v::cmp_gt(vneg, rise_v[s]);
-                    fall_n[s] = v::cmp_gt(fall_v[s], vneg);
-                    if constexpr (kLaneSettle) {
-                        settled[s] = bsettle[s * T + t];
-                    } else {
-                        settled[s] = v::m_splat(((sh_settle >> t) & 1) != 0);
-                    }
-                    if constexpr (kLaneClock) {
-                        tick[s] = step_clock(acc_v[s], inc_v[s], v::m_and(settled[s], count_m[s]));
-                    }
-                }
-                put(kRisePos, t, rise_p);
-                put(kFallPos, t, fall_p);
-                put(kRiseNeg, t, rise_n);
-                put(kFallNeg, t, fall_n);
-                if constexpr (kLaneSettle) put(kSettle, t, settled);
-                if constexpr (kLaneClock) put(kTick, t, tick);
+        std::uint64_t ticks0 = 0;
+        std::fill_n(tick_w, k, 0);
+        for (int t = 0; t < tn; ++t) {
+            // Each counting cohort's clock steps once, beside the
+            // compares, which hide its branch-free serial chain.
+            if (counts[0]) step_clock(acc0_v, inc0_v, settle_w[0], ticks0, t);
+            for (int c = 1; c < k; ++c) {
+                if (counts[c]) step_clock(acc_v[c], inc_v[c], settle_w[c], tick_w[c], t);
             }
-        };
-        constexpr std::false_type no{};
-        constexpr std::true_type yes{};
-        if (shared_ticking) {
-            compare_tile(no, no, yes);
-        } else if (shared) {
-            if (lane_clock) {
-                compare_tile(no, yes, no);
-            } else {
-                compare_tile(no, no, no);
+            v::mask rise_p[S], fall_p[S], rise_n[S], fall_n[S];
+            #pragma GCC unroll 8
+            for (int s = 0; s < S; ++s) {
+                // The negative comparator is fed -v, an exact sign
+                // flip.
+                const v::dvec vdet = bvdet[s * T + t];
+                const v::dvec vpos = v::sub(vdet, off_v[s]);
+                const v::dvec vneg = v::sub(v::bit_xor(vdet, sign_v), off_v[s]);
+                rise_p[s] = v::cmp_gt(vpos, rise_v[s]);
+                fall_p[s] = v::cmp_gt(fall_v[s], vpos);
+                rise_n[s] = v::cmp_gt(vneg, rise_v[s]);
+                fall_n[s] = v::cmp_gt(fall_v[s], vneg);
             }
-        } else {
-            if (lane_clock) {
-                compare_tile(yes, yes, no);
-            } else {
-                compare_tile(yes, no, no);
-            }
+            put(kRisePos, t, rise_p);
+            put(kFallPos, t, fall_p);
+            put(kRiseNeg, t, rise_n);
+            put(kFallNeg, t, fall_n);
         }
+        tick_w[0] = ticks0;
 
-        const auto transpose = [&](int c) __attribute__((always_inline)) {
+        #pragma GCC unroll 4
+        for (int c = 0; c < kStreams; ++c) {
             #pragma GCC unroll 2
             for (int p = 0; p < kBytePlanes; ++p) {
                 util::bits::transpose_lanes(lane_bytes[c][p], lane_words[c] + 8 * p);
             }
-        };
-        transpose(kRisePos);
-        transpose(kFallPos);
-        transpose(kRiseNeg);
-        transpose(kFallNeg);
-        if (!shared) transpose(kSettle);
-        if (lane_clock) transpose(kTick);
-
-
-        step_word_lanes(wl, n, tn, lane_word_ptr, sh_settle, shared_ticks);
-    }
-
-    // A cohort's lanes all end in the shared stages' state.
-    if (shared) {
-        const analog::TriangleOscillator::State os = shared_osc.save_state();
-        const double since = shared_mux.save_state().since_switch_s;
-        #pragma GCC unroll 8
-        for (int s = 0; s < S; ++s) {
-            time_v[s] = v::splat(os.time_s);
-            phase_v[s] = v::splat(os.phase);
-            o_v[s] = v::splat(os.output);
-            corr_v[s] = v::splat(os.correction_a);
-            pint_v[s] = v::splat(os.period_integral);
-            ptime_v[s] = v::splat(os.period_time);
-            since_v[s] = v::splat(since);
-            idrv_v[s] = v::splat(shared_last_i);
-            if (shared_clock) acc_v[s] = shared_acc_v;
         }
+
+        step_word_lanes(wl, n, tn, lane_word_ptr, settle_w, tick_w);
     }
+    acc_v[0] = acc0_v;
 
     // ---- Scatter: write state back through the stages' seams ----------
 
-    alignas(64) double o_a[GW], i_a[GW], hfin_a[GW], bfin_a[GW], vp_a[GW],
-        leold_a[GW];
+    alignas(64) double hfin_a[GW], bfin_a[GW], vp_a[GW], leold_a[GW];
     #pragma GCC unroll 8
     for (int s = 0; s < S; ++s) {
         const int g = s * W;
-        v::store(time_a + g, time_v[s]);
-        v::store(phase_a + g, phase_v[s]);
-        v::store(corr_a + g, corr_v[s]);
-        v::store(pint_a + g, pint_v[s]);
-        v::store(ptime_a + g, ptime_v[s]);
-        v::store(since_a + g, since_v[s]);
         v::store(lp_a + g, lpprev_v[s]);
         v::store(le_a + g, leprev_v[s]);
-        v::store(o_a + g, o_v[s]);
-        v::store(i_a + g, idrv_v[s]);
         v::store(hfin_a + g, h_v[s]);
         v::store(bfin_a + g, b_v[s]);
         v::store(vp_a + g, vpick_v[s]);
         v::store(leold_a + g, leold_v[s]);
-        v::store(acc_a + g, acc_v[s]);
         v::store(e_a + g, e_v[s]);
     }
 
+    const int last = (steps - 1) % T;  // the last sample's place in its tile
     for (int l = 0; l < n; ++l) {
         analog::FrontEnd& f = *fe[l];
         const Channel ach = active_ch[l];
         const auto ai = static_cast<std::size_t>(ach);
         const auto ii = 1 - ai;
+        const int c = wl[l].cohort;
 
-        f.oscillator().load_state(
-            {time_a[l], phase_a[l], o_a[l], corr_a[l], pint_a[l], ptime_a[l]});
-        f.mux().load_state({ach, since_a[l]});
+        // Every lane of a cohort ends in its lead's oscillator and mux
+        // timer state (the lead's own stages stepped in place).
+        f.oscillator().load_state(lead[c]->oscillator().save_state());
+        f.mux().load_state({ach, lead[c]->mux().save_state().since_switch_s});
 
         // Active sensor. v_excitation is a pure function of the last
         // two flux linkages (or the resistive drop alone right after
         // the very first sample), recomputed with the step() ops.
+        const double i_last = coh_i[c][last];
         double vexc;
         if (lane_first[l] && steps == 1) {
-            vexc = r_exc_a[l] * i_a[l];
+            vexc = r_exc_a[l] * i_last;
         } else {
-            vexc = r_exc_a[l] * i_a[l] + (le_a[l] - leold_a[l]) / dt_s;
+            vexc = r_exc_a[l] * i_last + (le_a[l] - leold_a[l]) / dt_s;
         }
         sensor::FluxgateSensor& sen = f.sensor_mut(ach);
         sen.load_state({hfin_a[l], bfin_a[l], vp_a[l], vexc, lp_a[l], le_a[l],
@@ -915,7 +725,7 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         f.load_window_state(win);
 
         if (wl[l].fold) {
-            ctr[l]->load_state({acc_a[l], wl[l].ctr.count, wl[l].ctr.active_ticks});
+            ctr[l]->load_state({v::first(acc_v[c]), wl[l].ctr.count, wl[l].ctr.active_ticks});
         }
 
         *lanes[l].energy_j = e_a[l];

@@ -10,9 +10,8 @@
 /// units idle. The lane engine turns the fleet dimension into the
 /// vector dimension instead: it gathers the evolving per-sample state
 /// of up to util::simd::kLanes independent members into SoA registers
-/// (oscillator phase/correction, noise filter, flux linkages,
-/// comparator latches, counter accumulator, energy), advances all of
-/// them in lockstep with the identical per-sample arithmetic, and
+/// (flux linkages, noise filter, comparator latches, energy), advances
+/// all of them in lockstep with the identical per-sample arithmetic, and
 /// scatters the state back through the stages' save/load seams at
 /// stage boundaries.
 ///
@@ -30,18 +29,20 @@
 /// values, noise streams, energy sums and stream statistics (asserted
 /// against the scalar and block engines by tests/lane_engine_test.cpp
 /// and the EngineParity fuzz oracle in src/verify/). Parametric faults
-/// (oscillator drift, comparator offset, stuck mux) are per-lane
-/// constants, so a drifting lane computes with its own constants and
-/// perturbs no neighbour.
+/// are per-lane inputs: a comparator offset or a stuck mux is a lane
+/// constant, and a drifting oscillator puts its lane in a cohort of its
+/// own, so a faulted lane perturbs no neighbour.
 ///
-/// Lockstep cohorts: members built from one config and swept together
-/// hold bit-identical oscillator, mux and counter-clock state, and
-/// nothing upstream of the sensor depends on the field. A group whose
-/// lanes all share those inputs runs the excitation (oscillator, V-I
-/// drive, mux settling, supply power) once through the stages' own
-/// block code and broadcasts it; its counters share one clock when the
-/// accumulators match too. The choice is made from the inputs, per
-/// group advance, and changes no output bit.
+/// Cohorts: nothing upstream of the sensor depends on the field, so
+/// lanes whose oscillator, V-I converter, mux timer, supply model and
+/// (when counted) counter clock match bit for bit compute the same
+/// drive current, supply power, settle flags and ticks. Each group
+/// advance splits its lanes into such cohorts and runs every cohort's
+/// excitation once, through its lead lane's own block code, and its
+/// clock once beside the compares; each lane takes its cohort's values.
+/// Members built from one config and swept together form one cohort.
+/// The split is made from the inputs, per group advance, and changes
+/// no output bit.
 
 #include <cstdint>
 
@@ -61,12 +62,12 @@ struct LanePort {
     double* energy_j = nullptr;
 };
 
-/// Process-wide count of LaneEngine group advances that shared one
-/// excitation pass across a lockstep cohort, and of those that ran the
-/// per-lane vector pass. Each group advance bumps exactly one of them
-/// (relaxed atomics, once per group, never per sample).
-[[nodiscard]] std::uint64_t shared_excitation_count() noexcept;
-[[nodiscard]] std::uint64_t per_lane_excitation_count() noexcept;
+/// Process-wide counts of LaneEngine group advances and of the
+/// excitation passes they ran, one per cohort (relaxed atomics, bumped
+/// once per group advance, never per sample). A group advance whose
+/// lanes form one cohort adds one to each.
+[[nodiscard]] std::uint64_t group_advance_count() noexcept;
+[[nodiscard]] std::uint64_t excitation_pass_count() noexcept;
 
 /// SoA batch engine over independent front ends. Owns no state; all
 /// simulation state lives in the member objects and round-trips per
@@ -87,7 +88,7 @@ public:
     /// Lanes advanced per vector instruction (the active simd width).
     [[nodiscard]] static int lanes_per_stripe() noexcept;
 
-    /// Active simd backend ("avx512", "avx2", "neon", "scalar").
+    /// Active simd backend ("avx512", "avx2", "scalar").
     [[nodiscard]] static const char* backend_name() noexcept;
 
     /// Advances every lane by `steps` samples of `dt_s`, mirroring
@@ -103,7 +104,8 @@ public:
 
 private:
     /// Advances one group of S consecutive stripes (n <= S*kLanes
-    /// lanes) through a single interleaved kernel loop. Each sample's
+    /// lanes) through a single interleaved kernel loop. Each cohort's
+    /// excitation runs through its lead lane's stages. Each sample's
     /// sensor spine (h / hk -> exp polynomial -> tanh divide -> pickup
     /// derivative) is a long serial dependency chain; the sensor pass
     /// runs U samples of all S stripes statement by statement through

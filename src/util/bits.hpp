@@ -52,7 +52,7 @@ inline void deposit(std::uint64_t* dst, int offset, const std::uint64_t* src, in
 /// The lane engine stores each comparison across its lanes as one byte
 /// per sample and takes each lane's words from here. The portable form
 /// transposes eight 8 x 8 bit blocks (three swap steps each); it runs
-/// on NEON and FXG_SIMD=off builds and is the reference
+/// on FXG_SIMD=off builds and off x86-64, and is the reference
 /// transpose_lanes() is tested against.
 inline void transpose_lanes_portable(const std::uint8_t* bytes, std::uint64_t* words) noexcept {
     for (int l = 0; l < 8; ++l) words[l] = 0;

@@ -4,13 +4,13 @@
 /// Thin SIMD wrapper for the lane engine (sim/lane_engine.cpp) and the
 /// block path's vector stripes.
 ///
-/// Four backends behind one set of free functions:
+/// Three backends behind one set of free functions:
 ///
 ///   - AVX-512F + DQ on x86-64 (8 double lanes, masks in k-registers);
 ///   - AVX2 + FMA on x86-64 (4 double lanes);
-///   - NEON on aarch64 (2 double lanes);
 ///   - a portable scalar fallback (4 "lanes" of plain doubles) that
-///     compiles everywhere and is what FXG_SIMD=off forces.
+///     compiles everywhere, runs on every other architecture, and is
+///     what FXG_SIMD=off forces.
 ///
 /// The build picks the x86 instruction set once, in
 /// src/util/CMakeLists.txt, and attaches its flags to fxg_util as
@@ -83,9 +83,6 @@
 #elif !defined(FXG_SIMD_DISABLE) && defined(__AVX2__) && defined(__FMA__)
 #define FXG_SIMD_AVX2 1
 #include <immintrin.h>
-#elif !defined(FXG_SIMD_DISABLE) && defined(__aarch64__)
-#define FXG_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace fxg::util::simd {
@@ -507,106 +504,6 @@ struct Avx2Backend {
 };
 
 using Active = Avx2Backend;
-
-#elif defined(FXG_SIMD_NEON)
-
-struct NeonBackend {
-    static constexpr int kLanes = 2;
-    static constexpr const char* kName = "neon";
-
-    using D = float64x2_t;
-    using M = uint64x2_t;
-    using I = int64x2_t;
-
-    static D splat(double x) { return vdupq_n_f64(x); }
-    static D load(const double* p) { return vld1q_f64(p); }
-    static void store(double* p, D a) { vst1q_f64(p, a); }
-    static double first(D a) { return vgetq_lane_f64(a, 0); }
-
-    static D add(D a, D b) { return vaddq_f64(a, b); }
-    static D sub(D a, D b) { return vsubq_f64(a, b); }
-    static D mul(D a, D b) { return vmulq_f64(a, b); }
-    static D div(D a, D b) { return vdivq_f64(a, b); }
-    static D floor(D a) { return vrndmq_f64(a); }
-    static D sqrt(D a) { return vsqrtq_f64(a); }
-    /// Mirrors the x86 (a > b) ? a : b so all backends agree (NaN
-    /// inputs are outside the engine domain either way).
-    static D max(D a, D b) { return vbslq_f64(vcgtq_f64(a, b), a, b); }
-    static D min(D a, D b) { return vbslq_f64(vcltq_f64(a, b), a, b); }
-    static D fmadd(D a, D b, D c) { return vfmaq_f64(c, a, b); }
-    static D fnmadd(D a, D b, D c) { return vfmsq_f64(c, a, b); }
-    /// a*b + (-c): negating c is exact, so this is FMSUB's one rounding.
-    static D fmsub(D a, D b, D c) { return vfmaq_f64(vnegq_f64(c), a, b); }
-
-    static D bit_and(D a, D b) {
-        return vreinterpretq_f64_u64(
-            vandq_u64(vreinterpretq_u64_f64(a), vreinterpretq_u64_f64(b)));
-    }
-    static D bit_or(D a, D b) {
-        return vreinterpretq_f64_u64(
-            vorrq_u64(vreinterpretq_u64_f64(a), vreinterpretq_u64_f64(b)));
-    }
-    static D bit_xor(D a, D b) {
-        return vreinterpretq_f64_u64(
-            veorq_u64(vreinterpretq_u64_f64(a), vreinterpretq_u64_f64(b)));
-    }
-    static D bit_andnot(D a, D b) {
-        return vreinterpretq_f64_u64(
-            vbicq_u64(vreinterpretq_u64_f64(b), vreinterpretq_u64_f64(a)));
-    }
-
-    static M cmp_ge(D a, D b) { return vcgeq_f64(a, b); }
-    static M cmp_gt(D a, D b) { return vcgtq_f64(a, b); }
-    static D blend(M m, D a, D b) { return vbslq_f64(m, a, b); }
-
-    static M m_splat(bool b) { return vdupq_n_u64(b ? ~0ULL : 0ULL); }
-    static M m_and(M a, M b) { return vandq_u64(a, b); }
-    static M m_or(M a, M b) { return vorrq_u64(a, b); }
-    static M m_xor(M a, M b) { return veorq_u64(a, b); }
-    static M m_andnot(M a, M b) { return vbicq_u64(b, a); }
-    static unsigned movemask(M m) {
-        return unsigned(vgetq_lane_u64(m, 0) >> 63) |
-               (unsigned(vgetq_lane_u64(m, 1) >> 63) << 1);
-    }
-    static I mask01(M m) {
-        return vreinterpretq_s64_u64(vshrq_n_u64(m, 63));
-    }
-
-    static I i_splat(std::int64_t x) { return vdupq_n_s64(x); }
-    static I i_load(const std::int64_t* p) { return vld1q_s64(p); }
-    static void i_store(std::int64_t* p, I a) { vst1q_s64(p, a); }
-    static I i_add(I a, I b) { return vaddq_s64(a, b); }
-    static I i_sub(I a, I b) { return vsubq_s64(a, b); }
-    static I i_blend(M m, I a, I b) { return vbslq_s64(m, a, b); }
-    static I i_and(I a, I b) { return vandq_s64(a, b); }
-    static I i_or(I a, I b) { return vorrq_s64(a, b); }
-    static I i_xor(I a, I b) { return veorq_s64(a, b); }
-    /// Low 64 bits of the product; NEON has no 64-bit lane multiply.
-    static I i_mul(I a, I b) {
-        const std::uint64_t p0 = std::uint64_t(vgetq_lane_s64(a, 0)) *
-                                 std::uint64_t(vgetq_lane_s64(b, 0));
-        const std::uint64_t p1 = std::uint64_t(vgetq_lane_s64(a, 1)) *
-                                 std::uint64_t(vgetq_lane_s64(b, 1));
-        return vcombine_s64(vcreate_s64(p0), vcreate_s64(p1));
-    }
-    template <int N>
-    static I i_srl(I a) {
-        return vreinterpretq_s64_u64(vshrq_n_u64(vreinterpretq_u64_s64(a), N));
-    }
-    static D as_d(I a) { return vreinterpretq_f64_s64(a); }
-    static I as_i(D a) { return vreinterpretq_s64_f64(a); }
-    static I d2i_exact(D a) {
-        const D magic = splat(kToIntMagic);
-        return vsubq_s64(vreinterpretq_s64_f64(add(a, magic)),
-                         vreinterpretq_s64_f64(magic));
-    }
-    static D pow2i(I k) {
-        return vreinterpretq_f64_s64(
-            vshlq_n_s64(vaddq_s64(k, i_splat(1023)), 52));
-    }
-};
-
-using Active = NeonBackend;
 
 #else
 

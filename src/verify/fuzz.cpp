@@ -269,10 +269,9 @@ std::optional<std::string> run_engine_parity(const FuzzCase& c) {
     // bare and with a trace+probes sink attached (a batch of one) —
     // batch spans and per-lane samples must not perturb the arithmetic.
     // The bare lane rig runs beside a mate, which has its own scalar
-    // reference: on rep 0 a lockstep twin (the group shares one
-    // excitation pass), on rep 1 diverged in one excitation input — one
-    // extra measurement or an oscillator frequency fault — so the
-    // group takes the per-lane pass.
+    // reference: on rep 0 a lockstep twin (the group is one cohort), on
+    // rep 1 diverged in one excitation input — one extra measurement or
+    // an oscillator frequency fault — so the group runs two cohorts.
     Rig scalar(c, sim::EngineKind::Scalar, c.counter_width_bits, c.trap_on_overflow);
     Rig block(c, sim::EngineKind::Block, c.counter_width_bits, c.trap_on_overflow);
     Rig lane(c, sim::EngineKind::Block, c.counter_width_bits, c.trap_on_overflow);
@@ -665,7 +664,10 @@ std::optional<std::string> run_scenario_determinism(const FuzzCase& c) {
         scn.burst(0.45 * total_s, 0.35 * total_s, c.scn_burst_a_per_m,
                   c.scn_burst_hz);
     }
-    scn.temperature(0.0, 25.0).temperature(total_s, c.scn_temp_hi_c);
+    // The temperature ramps over the turn only, so the stretches before
+    // the anomaly and after the burst hold and a lane rig takes the lane
+    // kernel there (the compiled scenario clamps outside its points).
+    scn.temperature(0.2 * total_s, 25.0).temperature(0.7 * total_s, c.scn_temp_hi_c);
 
     std::shared_ptr<const magnetics::CompiledScenario> src;
     try {

@@ -83,18 +83,21 @@ TEST(FuzzCorpus, EngineParityForcedCorpusIsBitExact) {
                 static_cast<unsigned long long>(k_count),
                 static_cast<unsigned long long>(kCases));
     EXPECT_GE(k_count, kCases / 20);
-    const std::uint64_t shared0 = sim::shared_excitation_count();
-    const std::uint64_t per_lane0 = sim::per_lane_excitation_count();
+    const std::uint64_t groups0 = sim::group_advance_count();
+    const std::uint64_t passes0 = sim::excitation_pass_count();
     const verify::FuzzReport report =
         verify::run_corpus(kCorpusSeed, kCases, 8, soak_threads(),
                            verify::Oracle::EngineParity);
     EXPECT_EQ(report.cases, kCases);
     EXPECT_TRUE(report.ok());
     // Each of those cases batches its lane rig beside a lockstep twin and
-    // then beside a diverged mate, so both excitation passes of the lane
-    // kernel count them at least once each.
-    EXPECT_GE(sim::shared_excitation_count() - shared0, k_count);
-    EXPECT_GE(sim::per_lane_excitation_count() - per_lane0, k_count);
+    // then beside a diverged mate, a second cohort. A group advance of
+    // more than one cohort runs at least one extra pass, so groups less
+    // extra passes bounds the one-cohort group advances from below.
+    const std::uint64_t groups = sim::group_advance_count() - groups0;
+    const std::uint64_t extra = sim::excitation_pass_count() - passes0 - groups;
+    EXPECT_GE(groups, extra + k_count);
+    EXPECT_GE(extra, k_count);
     for (const verify::FuzzFailure& failure : report.failures) {
         ADD_FAILURE() << "(seed=" << failure.failing.seed
                       << ", index=" << failure.failing.index
@@ -107,11 +110,20 @@ TEST(FuzzCorpus, ScenarioDeterminismForcedCorpusIsBitExact) {
     // + same seed => bit-identical traces, across engines. Heavier per
     // case (five rigs, multiple ticks), so a smaller forced corpus; the
     // mixed 10k corpus above adds another ~1400 scenario cases.
+    constexpr std::uint64_t kCases = 1500;
+    const std::uint64_t groups0 = sim::group_advance_count();
     const verify::FuzzReport report =
-        verify::run_corpus(kCorpusSeed, 1500, 8, soak_threads(),
+        verify::run_corpus(kCorpusSeed, kCases, 8, soak_threads(),
                            verify::Oracle::ScenarioDeterminism);
-    EXPECT_EQ(report.cases, 1500u);
+    EXPECT_EQ(report.cases, kCases);
     EXPECT_TRUE(report.ok());
+    // The scenarios hold before the anomaly and after the burst, so lane
+    // rigs take the kernel over those stretches.
+    const std::uint64_t groups = sim::group_advance_count() - groups0;
+    std::printf("note: %llu lane-kernel group advances over %llu scenario cases\n",
+                static_cast<unsigned long long>(groups),
+                static_cast<unsigned long long>(kCases));
+    EXPECT_GE(groups, kCases / 10);
     for (const verify::FuzzFailure& failure : report.failures) {
         ADD_FAILURE() << "(seed=" << failure.failing.seed
                       << ", index=" << failure.failing.index

@@ -1,8 +1,8 @@
 // Tests for the SoA SIMD lane engine (sim/lane_engine.hpp) and its
 // integration seams: the plain-lane predicate and the per-advance
 // routing of PlanExecutor::run_lanes, the CompassFleet Auto dispatch,
-// the one-compile-per-fleet contract, per-lane fault eviction, lockstep
-// cohorts and the sweep's allocations. The load-bearing property
+// the one-compile-per-fleet contract, per-lane fault eviction, cohorts
+// and the sweep's allocations. The load-bearing property
 // throughout is bit identity with the per-member scalar path — doubles
 // compare with ==, counts with !=.
 
@@ -155,7 +155,7 @@ void three_way_check(
 // Simd.ConsumerSeesTheBackendItsLibrariesWereBuiltFor.
 TEST(LaneEngine, BackendSanity) {
     const std::map<std::string, int> widths{
-        {"avx512", 8}, {"avx2", 4}, {"neon", 2}, {"scalar", 4}};
+        {"avx512", 8}, {"avx2", 4}, {"scalar", 4}};
     const auto it = widths.find(sim::LaneEngine::backend_name());
     ASSERT_NE(it, widths.end()) << sim::LaneEngine::backend_name();
     EXPECT_EQ(sim::LaneEngine::lanes_per_stripe(), it->second);
@@ -554,15 +554,13 @@ TEST(LaneEngine, ScenarioLaneTakesTheKernelOnlyWhileItsFieldHolds) {
     compass::Compass* lanes[] = {&lane};
     for (const bool held : {true, false, true}) {
         SCOPED_TRACE(held ? "held" : "turning");
-        const std::uint64_t before =
-            sim::shared_excitation_count() + sim::per_lane_excitation_count();
+        const std::uint64_t before = sim::group_advance_count();
         compass::LaneOutcome out[1];
         compass::PlanExecutor::run_lanes(plan, lanes, out);
         ASSERT_FALSE(out[0].aborted) << out[0].error;
         expect_bit_identical(out[0].measurement, ref.measure());
         expect_same_pipeline_state(lane, ref);
-        EXPECT_EQ(sim::shared_excitation_count() + sim::per_lane_excitation_count() > before,
-                  held);
+        EXPECT_EQ(sim::group_advance_count() > before, held);
     }
 }
 
@@ -601,12 +599,9 @@ TEST(LaneEngine, ReExcitePlanRunsThroughTheLaneKernel) {
     std::vector<compass::Compass*> lanes;
     for (auto& c : lane) lanes.push_back(c.get());
     std::vector<compass::LaneOutcome> out(kN);
-    const auto kernel_advances = [] {
-        return sim::shared_excitation_count() + sim::per_lane_excitation_count();
-    };
-    const std::uint64_t before = kernel_advances();
+    const std::uint64_t before = sim::group_advance_count();
     compass::PlanExecutor::run_lanes(re, lanes, out);
-    EXPECT_GT(kernel_advances(), before);
+    EXPECT_GT(sim::group_advance_count(), before);
 
     for (int i = 0; i < kN; ++i) {
         SCOPED_TRACE(testing::Message() << "member " << i);
@@ -863,48 +858,70 @@ TEST(LaneEngine, DivisorsOutsideTheReciprocalRangeTakeTheExactDivide) {
 // tests put members that leave the kernel beside plain lanes.
 
 /// Starts member `i`'s mux timer `since_s` into its settling time, so it
-/// settles at its own sample and its group takes the per-lane pass.
+/// settles at its own sample and forms a cohort of its own.
 void stagger_mux(analog::FrontEnd& fe, double since_s) {
     fe.mux().load_state({analog::Channel::X, since_s});
 }
 
-TEST(LaneEngine, SettleEdgeInsideATileMatchesScalarInSharedAndPerLaneGroups) {
-    // A fresh mux settles at sample 819 (50 us of 61 ns samples): inside
-    // tile 7 of the 600-sample advance, so that tile's valid word has
-    // holes and takes the statistics' per-bit path. In the second group
-    // members 2 and 6 settle at samples 491 and 163 instead, inside
-    // other tiles, and their group runs per-lane excitation, settle
-    // planes included.
-    const std::vector<int> advances = {1, 63, 64, 65, 130, 600, 2048};
-    const std::vector<analog::FrontEndConfig> configs(9);
-    const std::uint64_t shared0 = sim::shared_excitation_count();
-    expect_lane_advances_match_scalar(configs, advances, [](int, analog::FrontEnd&) {});
-    EXPECT_GT(sim::shared_excitation_count(), shared0);
-    const std::uint64_t per_lane0 = sim::per_lane_excitation_count();
-    expect_lane_advances_match_scalar(configs, advances, [](int i, analog::FrontEnd& fe) {
-        if (i == 2) stagger_mux(fe, 20e-6);
-        if (i == 6) stagger_mux(fe, 40e-6);
-    });
-    EXPECT_GT(sim::per_lane_excitation_count(), per_lane0);
+/// Group advances and excitation passes `run` adds.
+struct CohortCounts {
+    std::uint64_t groups = 0;
+    std::uint64_t passes = 0;
+};
+
+CohortCounts count_cohorts(const std::function<void()>& run) {
+    const std::uint64_t groups0 = sim::group_advance_count();
+    const std::uint64_t passes0 = sim::excitation_pass_count();
+    run();
+    return {sim::group_advance_count() - groups0, sim::excitation_pass_count() - passes0};
 }
 
-TEST(LaneEngine, PerLaneGroupMatchesScalarAcrossWordBoundaries) {
+TEST(LaneEngine, SettleEdgeInsideATileMatchesScalarInOneAndManyCohortGroups) {
+    // A fresh mux settles at sample 819 (50 us of 61 ns samples): inside
+    // tile 7 of the 600-sample advance, so that tile's valid word has
+    // holes and takes the statistics' per-bit path. In the second run
+    // members 2 and 6 settle at samples 491 and 163 instead, inside
+    // other tiles: each is a cohort of its own with its own settle word.
+    const std::vector<int> advances = {1, 63, 64, 65, 130, 600, 2048};
+    const std::vector<analog::FrontEndConfig> configs(9);
+    const CohortCounts lockstep = count_cohorts([&] {
+        expect_lane_advances_match_scalar(configs, advances, [](int, analog::FrontEnd&) {});
+    });
+    EXPECT_GT(lockstep.groups, 0u);
+    EXPECT_EQ(lockstep.passes, lockstep.groups);
+    const CohortCounts staggered = count_cohorts([&] {
+        expect_lane_advances_match_scalar(configs, advances, [](int i, analog::FrontEnd& fe) {
+            if (i == 2) stagger_mux(fe, 20e-6);
+            if (i == 6) stagger_mux(fe, 40e-6);
+        });
+    });
+    // Members 2 and 6 share a group on every backend, 9 lanes being at
+    // least two stripes.
+    EXPECT_EQ(staggered.groups, lockstep.groups);
+    EXPECT_EQ(staggered.passes, staggered.groups + 2 * advances.size());
+}
+
+TEST(LaneEngine, ManyCohortGroupMatchesScalarAcrossWordBoundaries) {
     // Member 3 is one default measurement (2 x 9 periods) ahead, as a
-    // member whose ladder ran is, so its group runs per-lane excitation
-    // and per-lane clocks. Members 4k + 1 are a further 700 k samples
-    // ahead, so the lanes' detectors sit at different points of the
-    // period and each lane must carry its own latch state from tile to
-    // tile and advance to advance. The 2,048-sample advances bring the
-    // pickup pulses, so the latches toggle inside words and at their
+    // member whose ladder ran is, so it forms a cohort of its own.
+    // Members 4k + 1 are a further 700 k samples ahead, so the lanes'
+    // detectors sit at different points of the period, each in a cohort
+    // of its own, and each lane must carry its own latch state from tile
+    // to tile and advance to advance. The 2,048-sample advances bring
+    // the pickup pulses, so the latches toggle inside words and at their
     // edges.
     const std::vector<int> advances = {1, 63, 64, 65, 130, 2048, 1, 63, 64, 65, 130, 2048};
     const std::vector<analog::FrontEndConfig> configs(2 * util::simd::kLanes);
-    const std::uint64_t per_lane0 = sim::per_lane_excitation_count();
-    expect_lane_advances_match_scalar(configs, advances, [](int i, analog::FrontEnd& fe) {
-        const int ahead = i == 3 ? 2 * 9 * 2048 : i % 4 == 1 ? 700 * (i / 4 + 1) : 0;
-        for (int k = 0; k < ahead; ++k) static_cast<void>(fe.step(125e-6 / 2048));
+    const CohortCounts c = count_cohorts([&] {
+        expect_lane_advances_match_scalar(configs, advances, [](int i, analog::FrontEnd& fe) {
+            const int ahead = i == 3 ? 2 * 9 * 2048 : i % 4 == 1 ? 700 * (i / 4 + 1) : 0;
+            for (int k = 0; k < ahead; ++k) static_cast<void>(fe.step(125e-6 / 2048));
+        });
     });
-    EXPECT_GT(sim::per_lane_excitation_count(), per_lane0);
+    // One group per advance; the plain lanes, member 3 and each of the
+    // kLanes / 2 members 4k + 1 are its cohorts.
+    EXPECT_EQ(c.groups, advances.size());
+    EXPECT_EQ(c.passes, c.groups * (2 + util::simd::kLanes / 2));
 }
 
 TEST(LaneEngine, CountersOutsideTheOneBitClockKeepTheirOwnClock) {
@@ -912,26 +929,32 @@ TEST(LaneEngine, CountersOutsideTheOneBitClockKeepTheirOwnClock) {
     // carry two ticks; member 5 restarts from an accumulator of 1.5 at
     // 0.768 periods per sample, so its first sample carries two. Their
     // counting advances go through their own engines (member 5's only
-    // until its accumulator is back in [0, 1)), the plain members' through
-    // the kernel's one-bit fold, in a shared group and, with member 4's
-    // mux staggered, a per-lane one.
+    // until its accumulator is back in [0, 1), and from then on in a
+    // cohort of its own, its clock being its own), the plain members'
+    // through the kernel's one-bit fold. With member 4's mux staggered,
+    // member 4 is a cohort of its own on the first measurement's two x
+    // stages.
     std::vector<compass::CompassConfig> configs(7, lite_config());
     configs[2].counter_clock_hz = 2.5 * 4194304.0;
     configs[5].counter_clock_hz = 1.5 * 4194304.0;
     std::vector<double> headings;
     for (int i = 0; i < 7; ++i) headings.push_back(i * 47.0 + 13.0);
+    CohortCounts counts[2];
     for (const bool stagger : {false, true}) {
-        SCOPED_TRACE(stagger ? "per-lane group" : "shared group");
-        const std::uint64_t shared0 = sim::shared_excitation_count();
-        const std::uint64_t per_lane0 = sim::per_lane_excitation_count();
-        three_way_check(configs, headings, [stagger](int i, compass::Compass& c) {
-            if (i == 5) c.counter().load_state({1.5, 0, 0});
-            if (stagger && i == 4) c.front_end().mux().load_state({analog::Channel::X, 30e-6});
+        SCOPED_TRACE(stagger ? "member 4 staggered" : "no stagger");
+        counts[stagger ? 1 : 0] = count_cohorts([&] {
+            three_way_check(configs, headings, [stagger](int i, compass::Compass& c) {
+                if (i == 5) c.counter().load_state({1.5, 0, 0});
+                if (stagger && i == 4) {
+                    c.front_end().mux().load_state({analog::Channel::X, 30e-6});
+                }
+            });
         });
-        EXPECT_GT(stagger ? sim::per_lane_excitation_count() - per_lane0
-                          : sim::shared_excitation_count() - shared0,
-                  0u);
     }
+    EXPECT_GT(counts[0].groups, 0u);
+    EXPECT_GT(counts[0].passes, counts[0].groups);
+    EXPECT_EQ(counts[1].groups, counts[0].groups);
+    EXPECT_EQ(counts[1].passes, counts[0].passes + 2);
 }
 
 TEST(LaneEngine, TapHardwareCounterAndPlainLanesShareAGroup) {
@@ -945,19 +968,20 @@ TEST(LaneEngine, TapHardwareCounterAndPlainLanesShareAGroup) {
     StripeTap tap;
     digital::CounterHardware narrow;
     narrow.width_bits = 3;
-    const std::uint64_t shared0 = sim::shared_excitation_count();
-    three_way_check(std::vector<compass::CompassConfig>(n, lite_config()), headings,
-                    [&](int i, compass::Compass& c) {
-                        if (i == 1) c.front_end().set_sample_tap(&tap);
-                        if (i == 4) c.counter().set_hardware(narrow);
-                    });
-    EXPECT_GT(sim::shared_excitation_count() - shared0, 0u);
+    const CohortCounts c = count_cohorts([&] {
+        three_way_check(std::vector<compass::CompassConfig>(n, lite_config()), headings,
+                        [&](int i, compass::Compass& c) {
+                            if (i == 1) c.front_end().set_sample_tap(&tap);
+                            if (i == 4) c.counter().set_hardware(narrow);
+                        });
+    });
+    EXPECT_GT(c.groups, 0u);
 }
 
 // A refused advance changes no member: a zero dt in a lockstep group and
-// in a diverged one (member 1 one sample ahead, whose group scatters per
-// lane), and a gated-off port beside a plain one, each throw before the
-// first gather. The ports settle (no counter), so only the dt check
+// in a diverged one (member 1 one sample ahead, a cohort of its own),
+// and a gated-off port beside a plain one, each throw before the first
+// gather. The ports settle (no counter), so only the dt check
 // refuses a zero dt.
 TEST(LaneEngine, RefusedAdvanceChangesNoMember) {
     constexpr double kDt = 125e-6 / 2048;
@@ -1079,13 +1103,13 @@ TEST(CompassFleet, TrappedMembersReportDeterministicFirstError) {
     EXPECT_THROW(static_cast<void>(fleet.measure_all(2)), std::overflow_error);
 }
 
-// ----------------------------------------------------- lockstep cohorts
+// ------------------------------------------------------------ cohorts
 //
-// A group whose lanes hold bit-identical excitation inputs runs the
-// excitation once (sim::shared_excitation_count); any differing lane
-// sends the group down the per-lane pass (per_lane_excitation_count).
+// Each group advance splits its lanes into cohorts whose excitation and
+// clock inputs match bit for bit, and runs one excitation pass per
+// cohort (sim::excitation_pass_count, beside sim::group_advance_count).
 // Each case compares an Auto fleet with a PerMember twin bit for bit,
-// excitation state included, and pins which groups shared.
+// excitation state included, and pins the passes of one sweep.
 
 constexpr int kCohortFleet = 16;
 constexpr std::uint64_t kStagesPerSweep = 4;   // settle + count, two axes
@@ -1095,11 +1119,6 @@ constexpr std::uint64_t kSettlesPerSweep = 2;  // one settle per axis
 std::uint64_t cohort_groups() {
     return kCohortFleet / (2 * sim::LaneEngine::lanes_per_stripe());
 }
-
-struct ExcitationCounts {
-    std::uint64_t shared = 0;
-    std::uint64_t per_lane = 0;
-};
 
 void expect_same_excitation_state(compass::Compass& a, compass::Compass& b) {
     expect_same_pipeline_state(a, b);
@@ -1139,13 +1158,11 @@ public:
     }
 
     /// Sweeps both fleets, asserts they agree bit for bit and returns
-    /// the Auto sweep's excitation choices.
-    ExcitationCounts sweep() {
-        const std::uint64_t shared0 = sim::shared_excitation_count();
-        const std::uint64_t per_lane0 = sim::per_lane_excitation_count();
-        const std::vector<compass::FleetResult> a = lanes_.measure_all_results(1);
-        const ExcitationCounts counts{sim::shared_excitation_count() - shared0,
-                                      sim::per_lane_excitation_count() - per_lane0};
+    /// the Auto sweep's group advances and excitation passes.
+    CohortCounts sweep() {
+        std::vector<compass::FleetResult> a;
+        const CohortCounts counts =
+            count_cohorts([&] { a = lanes_.measure_all_results(1); });
         const std::vector<compass::FleetResult> b = reference_.measure_all_results(1);
         for (int i = 0; i < kCohortFleet; ++i) {
             SCOPED_TRACE(testing::Message() << "member " << i);
@@ -1163,30 +1180,30 @@ private:
     compass::CompassFleet reference_;
 };
 
-// (a) Members built from one config stay lockstep sweep after sweep.
+// (a) Members built from one config stay one cohort sweep after sweep.
 TEST(LaneCohort, LockstepFleetSharesEveryGroupAdvance) {
     CohortFleets fleets;
     for (int sweep = 0; sweep < 2; ++sweep) {
         SCOPED_TRACE(sweep);
-        const ExcitationCounts c = fleets.sweep();
-        EXPECT_EQ(c.shared, kStagesPerSweep * cohort_groups());
-        EXPECT_EQ(c.per_lane, 0u);
+        const CohortCounts c = fleets.sweep();
+        EXPECT_EQ(c.groups, kStagesPerSweep * cohort_groups());
+        EXPECT_EQ(c.passes, c.groups);
     }
 }
 
-// (b) One extra measurement moves a member's oscillator on: its group
-// runs the per-lane pass on every stage, the other groups still share.
+// (b) One extra measurement moves a member's oscillator on: it is a
+// cohort of its own on every stage, and only its group runs two passes.
 TEST(LaneCohort, ExtraMeasurementSplitsOnlyItsGroup) {
     CohortFleets fleets;
     static_cast<void>(fleets.sweep());
     fleets.both(3, [](compass::Compass& c) { static_cast<void>(c.measure()); });
-    const ExcitationCounts c = fleets.sweep();
-    EXPECT_EQ(c.shared, kStagesPerSweep * (cohort_groups() - 1));
-    EXPECT_EQ(c.per_lane, kStagesPerSweep);
+    const CohortCounts c = fleets.sweep();
+    EXPECT_EQ(c.groups, kStagesPerSweep * cohort_groups());
+    EXPECT_EQ(c.passes, c.groups + kStagesPerSweep);
 }
 
 // (c) Oscillator faults are excitation inputs: a frequency or an
-// amplitude fault splits the faulted member's group.
+// amplitude fault puts the faulted member in a cohort of its own.
 TEST(LaneCohort, OscillatorFaultSplitsItsGroup) {
     analog::OscillatorFault frequency;
     frequency.frequency_scale = 1.003;
@@ -1199,32 +1216,32 @@ TEST(LaneCohort, OscillatorFaultSplitsItsGroup) {
         fleets.both(member, [&fault](compass::Compass& c) {
             c.front_end().oscillator().set_fault(fault);
         });
-        const ExcitationCounts c = fleets.sweep();
-        EXPECT_EQ(c.shared, kStagesPerSweep * (cohort_groups() - 1));
-        EXPECT_EQ(c.per_lane, kStagesPerSweep);
+        const CohortCounts c = fleets.sweep();
+        EXPECT_EQ(c.groups, kStagesPerSweep * cohort_groups());
+        EXPECT_EQ(c.passes, c.groups + kStagesPerSweep);
     }
 }
 
-// (d) The mux's time since switch is part of the excitation key: a lane
-// ahead on it splits its group on the x stages, and the switch to y
-// (which restarts every lane's timer) brings the group back.
+// (d) The mux's time since switch is part of the cohort key: a lane
+// ahead on it is a cohort of its own on the x stages, and the switch to
+// y (which restarts every lane's timer) brings it back.
 TEST(LaneCohort, MuxTimerSplitsItsGroupUntilTheNextSwitch) {
     CohortFleets fleets;
     fleets.both(5, [](compass::Compass& c) {
         c.front_end().mux().load_state({analog::Channel::X, 20e-6});
     });
-    const ExcitationCounts c = fleets.sweep();
-    EXPECT_EQ(c.shared, kStagesPerSweep * cohort_groups() - 2);
-    EXPECT_EQ(c.per_lane, 2u);
+    const CohortCounts c = fleets.sweep();
+    EXPECT_EQ(c.groups, kStagesPerSweep * cohort_groups());
+    EXPECT_EQ(c.passes, c.groups + 2);
 }
 
-// (d) The counter's accumulator is not an excitation input: a lane whose
-// clock phase differs still shares the excitation, but its counter must
-// keep its own clock. At 1,024 samples per period (0.512 clock periods
-// per sample) the kernel's per-lane vector clock counts it; at 256 (2.048)
+// (e) The counter's accumulator is part of the key only where the
+// advance clocks the counter. At 1,024 samples per period (0.512 clock
+// periods per sample) a lane whose clock phase differs is a cohort of
+// its own on both Count stages, with its own tick word; at 256 (2.048)
 // no counter is under the one-bit clock, so every Count stage leaves the
-// kernel and only the settles share.
-TEST(LaneCohort, CounterAccumulatorSharesExcitationButNotTheClock) {
+// kernel and only the settles run there, as one cohort.
+TEST(LaneCohort, CounterAccumulatorSplitsItsGroupOnlyWhereItCounts) {
     for (const int steps_per_period : {256, 1024}) {
         SCOPED_TRACE(steps_per_period);
         compass::CompassConfig config = lite_config();
@@ -1233,17 +1250,18 @@ TEST(LaneCohort, CounterAccumulatorSharesExcitationButNotTheClock) {
         fleets.both(kCohortFleet - 6, [](compass::Compass& c) {
             c.counter().load_state({0.5, 0, 0});
         });
-        const ExcitationCounts c = fleets.sweep();
-        EXPECT_EQ(c.shared, (steps_per_period == 256 ? kSettlesPerSweep : kStagesPerSweep) *
-                                cohort_groups());
-        EXPECT_EQ(c.per_lane, 0u);
+        const CohortCounts c = fleets.sweep();
+        const bool counts_in_kernel = steps_per_period == 1024;
+        EXPECT_EQ(c.groups,
+                  (counts_in_kernel ? kStagesPerSweep : kSettlesPerSweep) * cohort_groups());
+        EXPECT_EQ(c.passes, c.groups + (counts_in_kernel ? 2 : 0));
     }
 }
 
-// (e) A tapped member leaves the kernel on every advance, so however far
-// its ladder has moved it on, the other members stay one lockstep cohort:
-// member 0 armed DetectorStuckLow and one measurement ahead, as after its
-// ladder, and every group advance of the sweep still shares.
+// (f) A tapped member leaves the kernel on every advance, so however far
+// its ladder has moved it on, the other members stay one cohort: member
+// 0 armed DetectorStuckLow and one measurement ahead, as after its
+// ladder, and every group advance of the sweep runs one pass.
 TEST(LaneCohort, TappedMemberLeavesItsGroup) {
     CohortFleets fleets;
     fault::FaultSpec stuck;
@@ -1257,9 +1275,40 @@ TEST(LaneCohort, TappedMemberLeavesItsGroup) {
         injector.arm(c);
         static_cast<void>(c.measure());
     });
-    const ExcitationCounts c = fleets.sweep();
-    EXPECT_EQ(c.shared, kStagesPerSweep * cohort_groups());
-    EXPECT_EQ(c.per_lane, 0u);
+    const CohortCounts c = fleets.sweep();
+    EXPECT_EQ(c.groups, kStagesPerSweep * cohort_groups());
+    EXPECT_EQ(c.passes, c.groups);
+}
+
+// (g) One group of many cohorts, each diverged in one input, beside
+// plain lanes: member 1 has a frequency fault (its own drive and
+// power), member 2 its mux timer ahead (its own settle word), member 3
+// another clock phase (its own tick word) and member 4 one measurement
+// more (its own oscillator state on every stage). All four lie inside
+// the first two stripes, so they share a group on every backend, and
+// each lane must take its own cohort's drive, energy increments, settle
+// and tick words, and end in its cohort's oscillator and mux state.
+TEST(LaneCohort, OneGroupOfManyCohortsMatchesPerMember) {
+    ASSERT_GE(2 * sim::LaneEngine::lanes_per_stripe(), 5);
+    CohortFleets fleets;
+    analog::OscillatorFault frequency;
+    frequency.frequency_scale = 1.003;
+    fleets.both(1, [&](compass::Compass& c) { c.front_end().oscillator().set_fault(frequency); });
+    fleets.both(2, [](compass::Compass& c) {
+        c.front_end().mux().load_state({analog::Channel::X, 20e-6});
+    });
+    fleets.both(3, [](compass::Compass& c) { c.counter().load_state({0.5, 0, 0}); });
+    fleets.both(4, [](compass::Compass& c) { static_cast<void>(c.measure()); });
+    const CohortCounts c = fleets.sweep();
+    EXPECT_EQ(c.groups, kStagesPerSweep * cohort_groups());
+    // The first group's cohorts per stage: settle x holds the plain
+    // lanes (member 3 among them: a settle clocks no counter) and
+    // members 1, 2 and 4; count x adds member 3; the switch to y restarts
+    // member 2's timer, so settle y holds the plain lanes and members 1
+    // and 4, and count y adds member 3 again. Every other group is one
+    // cohort per stage.
+    const std::uint64_t first_group = 4 + 5 + 3 + 4;
+    EXPECT_EQ(c.passes, first_group + kStagesPerSweep * (cohort_groups() - 1));
 }
 
 }  // namespace

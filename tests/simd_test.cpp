@@ -1,7 +1,7 @@
 // Tests for util/simd.hpp: every lane of the active backend must agree
 // bit-for-bit with the always-compiled scalar fallback on every
-// operation, whatever the active width (8 lanes on AVX-512, 4 on AVX2,
-// 2 on NEON). vtanh and vgauss are also checked against libm, and
+// operation, whatever the active width (8 lanes on AVX-512, 4 on
+// AVX2). vtanh and vgauss are also checked against libm, and
 // vgauss for normal moments. These identities are what the lane
 // engine's parity contract (DESIGN.md section 12) is built on.
 
@@ -241,8 +241,8 @@ TEST(Simd, Int64OpsMatchScalarFallback) {
 }
 
 TEST(Simd, MulIsTheLowHalfOfTheUnsignedProduct) {
-    // The AVX2 backend builds it from 32-bit halves and NEON from lane
-    // extracts, so each backend is checked against the product itself.
+    // The AVX2 backend builds it from 32-bit halves, so each backend is
+    // checked against the product itself.
     const auto a = random_int64s(256, 50);
     const auto b = random_int64s(256, 51);
     const auto check = [&](auto be) {
