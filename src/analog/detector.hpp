@@ -11,22 +11,23 @@
 
 #include <cstdint>
 
-#include "analog/comparator.hpp"
 #include "util/bits.hpp"
 
 namespace fxg::analog {
 
-/// Detector configuration: one comparator per pulse polarity. The
-/// PulsePositionDetector constructor rejects a threshold or offset
-/// that is not finite and a hysteresis that is not finite and >= 0:
-/// with negative hysteresis one sample can cross both thresholds.
+/// Detector configuration: both comparators (one per pulse polarity)
+/// share it. The PulsePositionDetector constructor rejects a threshold
+/// or offset that is not finite and a hysteresis that is not finite and
+/// >= 0: with negative hysteresis one sample can cross both thresholds.
 struct DetectorConfig {
     double threshold_v = 20.0e-3;  ///< |v| level that counts as a pulse
     double comparator_offset_v = 0.0;
     double comparator_hysteresis_v = 2.0e-3;
 };
 
-/// Stateful pulse-position detector.
+/// Stateful pulse-position detector: two latching comparators, the
+/// positive one fed v and the negative one fed -v, and the set/clear
+/// output latch their falling edges drive.
 class PulsePositionDetector {
 public:
     explicit PulsePositionDetector(const DetectorConfig& config = {});
@@ -42,13 +43,27 @@ public:
     /// with one 64-bit add per word (DESIGN.md section 6).
     void step_block(const double* v_pickup, int n, std::uint64_t* out);
 
-    [[nodiscard]] bool output() const noexcept { return out_; }
+    [[nodiscard]] bool output() const noexcept { return state_.out; }
 
     /// Injects an input-referred offset drift [V] onto both comparators
     /// (fault seam, src/fault). 0 restores the healthy detector.
-    void set_comparator_offset_fault(double extra_offset_v) noexcept;
-    [[nodiscard]] double comparator_offset_fault() const noexcept {
-        return positive_.offset_fault();
+    void set_comparator_offset_fault(double extra_offset_v) noexcept {
+        offset_fault_v_ = extra_offset_v;
+    }
+    [[nodiscard]] double comparator_offset_fault() const noexcept { return offset_fault_v_; }
+
+    /// Both comparators' levels: a comparator sees its input minus
+    /// `offset` (the configured offset plus the fault's), a high latch
+    /// falls when that is below `fall` and a low one rises when it is
+    /// above `rise` (the threshold -/+ half the hysteresis). step(),
+    /// step_block() and the lane engine all compare against these.
+    struct Levels {
+        double offset, fall, rise;
+    };
+    [[nodiscard]] Levels levels() const noexcept {
+        const double half_hyst = 0.5 * config_.comparator_hysteresis_v;
+        return {config_.comparator_offset_v + offset_fault_v_,
+                config_.threshold_v - half_hyst, config_.threshold_v + half_hyst};
     }
 
     /// Evolving latch state (both comparators plus the edge logic), for
@@ -61,24 +76,16 @@ public:
         bool out = false;
     };
 
-    [[nodiscard]] State save_state() const noexcept {
-        return {positive_.output(), negative_.output(), prev_pos_, prev_neg_, out_};
-    }
-    void load_state(const State& s) noexcept {
-        positive_.set_output(s.positive);
-        negative_.set_output(s.negative);
-        prev_pos_ = s.prev_pos;
-        prev_neg_ = s.prev_neg;
-        out_ = s.out;
-    }
+    [[nodiscard]] State save_state() const noexcept { return state_; }
+    void load_state(const State& s) noexcept { state_ = s; }
 
-    void reset();
+    void reset() noexcept { state_ = {}; }
 
     [[nodiscard]] const DetectorConfig& config() const noexcept { return config_; }
 
     /// One word of both comparators' decisions, bit j for sample j, with
     /// v the pickup sample: the positive comparator sees v - offset, the
-    /// negative one -v - offset (levels as in Comparator::step()).
+    /// negative one -v - offset (levels()).
     struct ComparatorWords {
         std::uint64_t rise_pos;  ///< v - offset > rise
         std::uint64_t fall_pos;  ///< v - offset < fall
@@ -126,11 +133,8 @@ private:
     }
 
     DetectorConfig config_;
-    Comparator positive_;  ///< fires while v > +threshold
-    Comparator negative_;  ///< fires while v < -threshold (fed -v)
-    bool prev_pos_ = false;
-    bool prev_neg_ = false;
-    bool out_ = false;
+    double offset_fault_v_ = 0.0;
+    State state_;
 };
 
 }  // namespace fxg::analog

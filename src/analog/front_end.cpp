@@ -263,14 +263,20 @@ void FrontEnd::step_block(double dt_s, int n, FrontEndBlock& out) {
 
 void FrontEnd::step_block_run(double dt_s, int n, FrontEndBlock& out, int offset) {
     if (n <= 0) return;
+    // Scratch per thread, not per front end: its capacity persists
+    // across blocks, and memory grows with threads rather than members.
+    // The drive and pickup voltage of x (and, simultaneous, of y), and
+    // one run's detector and valid words (x, y, then valid x, y).
+    thread_local std::vector<double> blk_i, blk_iy, blk_v, blk_vy;
+    thread_local std::vector<std::uint64_t> run_words;
     // The run is computed into words of its own, which the tap sees,
     // and then ORed into place: a field-source run may start inside a
     // word.
     const auto words = static_cast<std::size_t>(util::bits::words_for(n));
-    run_words_.assign(4 * words, 0);
-    std::uint64_t* const det[2] = {run_words_.data(), run_words_.data() + words};
-    std::uint64_t* const valid[2] = {run_words_.data() + 2 * words,
-                                     run_words_.data() + 3 * words};
+    run_words.assign(4 * words, 0);
+    std::uint64_t* const det[2] = {run_words.data(), run_words.data() + words};
+    std::uint64_t* const valid[2] = {run_words.data() + 2 * words,
+                                     run_words.data() + 3 * words};
     double* power = out.power_w.data() + offset;
     const auto finish = [&] {
         finish_samples(n, det[0], det[1], valid[0], valid[1]);
@@ -287,35 +293,35 @@ void FrontEnd::step_block_run(double dt_s, int n, FrontEndBlock& out, int offset
         finish();
         return;
     }
-    blk_i_.resize(static_cast<std::size_t>(n));
-    blk_v_.resize(static_cast<std::size_t>(n));
-    oscillator_.step_block(dt_s, n, blk_i_.data());
+    blk_i.resize(static_cast<std::size_t>(n));
+    blk_v.resize(static_cast<std::size_t>(n));
+    oscillator_.step_block(dt_s, n, blk_i.data());
     const double r_load = config_.sensor.r_excitation_ohm;
-    vi_.drive_block(blk_i_.data(), r_load, n, blk_i_.data());  // now i_drive
+    vi_.drive_block(blk_i.data(), r_load, n, blk_i.data());  // now i_drive
 
     if (config_.mode == FrontEndMode::Multiplexed) {
         const auto active = static_cast<std::size_t>(mux_.selected());
         const auto idle = 1 - active;
         mux_.step_block(dt_s, n, valid[active]);
-        sensors_[active].step_block(blk_i_.data(), dt_s, n, blk_v_.data());
-        add_noise_block(dt_s, n, blk_v_.data());
+        sensors_[active].step_block(blk_i.data(), dt_s, n, blk_v.data());
+        add_noise_block(dt_s, n, blk_v.data());
         sensors_[idle].step_block_constant(0.0, dt_s, n);
-        detectors_[active].step_block(blk_v_.data(), n, det[active]);
+        detectors_[active].step_block(blk_v.data(), n, det[active]);
     } else {
-        blk_iy_.resize(static_cast<std::size_t>(n));
-        blk_vy_.resize(static_cast<std::size_t>(n));
-        oscillator_y_.step_block(dt_s, n, blk_iy_.data());
-        vi_.drive_block(blk_iy_.data(), r_load, n, blk_iy_.data());
-        sensors_[0].step_block(blk_i_.data(), dt_s, n, blk_v_.data());
-        sensors_[1].step_block(blk_iy_.data(), dt_s, n, blk_vy_.data());
-        add_noise_block_pair(dt_s, n, blk_v_.data(), blk_vy_.data());
-        detectors_[0].step_block(blk_v_.data(), n, det[0]);
-        detectors_[1].step_block(blk_vy_.data(), n, det[1]);
+        blk_iy.resize(static_cast<std::size_t>(n));
+        blk_vy.resize(static_cast<std::size_t>(n));
+        oscillator_y_.step_block(dt_s, n, blk_iy.data());
+        vi_.drive_block(blk_iy.data(), r_load, n, blk_iy.data());
+        sensors_[0].step_block(blk_i.data(), dt_s, n, blk_v.data());
+        sensors_[1].step_block(blk_iy.data(), dt_s, n, blk_vy.data());
+        add_noise_block_pair(dt_s, n, blk_v.data(), blk_vy.data());
+        detectors_[0].step_block(blk_v.data(), n, det[0]);
+        detectors_[1].step_block(blk_vy.data(), n, det[1]);
         util::bits::fill(valid[0], n, true);
         util::bits::fill(valid[1], n, true);
     }
 
-    supply_power_block(blk_i_.data(), n, power);
+    supply_power_block(blk_i.data(), n, power);
     finish();
 }
 

@@ -435,13 +435,6 @@ private:
     std::array<StreamStats, 2> stats_{};
     std::array<std::uint8_t, 2> stats_prev_{};      ///< last valid detector value
     std::array<bool, 2> stats_has_prev_{};
-    // Scratch buffers for step_block (capacity persists across blocks).
-    std::vector<double> blk_i_;
-    std::vector<double> blk_iy_;
-    std::vector<double> blk_v_;
-    std::vector<double> blk_vy_;
-    /// One run's detector and valid words (x, y, then valid x, y).
-    std::vector<std::uint64_t> run_words_;
 
     /// One band-limited noise sample for a step of length dt.
     double noise_sample(double dt_s);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "magnetics/units.hpp"
 #include "util/simd.hpp"
@@ -32,23 +33,24 @@ FluxgateSensor::FluxgateSensor(const FluxgateSensor& other)
 
 double FluxgateSensor::step(double i_excitation_a, double dt_s) {
     if (!(dt_s > 0.0)) throw std::invalid_argument("FluxgateSensor::step: dt must be > 0");
-    h_core_ = effective_field_per_amp() * i_excitation_a + h_ext_;
+    const Constants c = constants();
+    h_core_ = c.field_per_amp * i_excitation_a + c.h_ext;
     const double m = core_->advance(h_core_);
     b_core_ = magnetics::kMu0 * (h_core_ + m);
-    const double lambda_pickup = params_.n_pickup * params_.core_area_m2 * b_core_;
-    const double lambda_exc = params_.n_excitation * params_.core_area_m2 * b_core_;
+    const double lambda_pickup = c.na_pickup * b_core_;
+    const double lambda_exc = c.na_excitation * b_core_;
     if (first_step_) {
         // No derivative available on the very first sample.
         v_pickup_ = 0.0;
-        v_excitation_ = params_.r_excitation_ohm * i_excitation_a;
+        v_excitation_ = c.r_excitation * i_excitation_a;
         first_step_ = false;
     } else {
         // Winding sense chosen as in the paper's Figure 3 (V_ind = dPhi/dt):
         // the positive pickup pulse rides the rising excitation ramp, so
         // the detector duty cycle increases with +H_ext.
         v_pickup_ = (lambda_pickup - lambda_pickup_prev_) / dt_s;
-        v_excitation_ = params_.r_excitation_ohm * i_excitation_a +
-                        (lambda_exc - lambda_exc_prev_) / dt_s;
+        v_excitation_ =
+            c.r_excitation * i_excitation_a + (lambda_exc - lambda_exc_prev_) / dt_s;
     }
     lambda_pickup_prev_ = lambda_pickup;
     lambda_exc_prev_ = lambda_exc;
@@ -60,34 +62,34 @@ void FluxgateSensor::step_block(const double* i_exc, double dt_s, int n, double*
     if (n <= 0) return;
     namespace simd = util::simd;
     constexpr int W = simd::kLanes;
-    blk_h_.resize(static_cast<std::size_t>(n));
-    blk_m_.resize(static_cast<std::size_t>(n));
-    double* h = blk_h_.data();
-    double* m = blk_m_.data();
+    // Scratch per thread, not per sensor: its capacity persists across
+    // blocks, and memory grows with threads rather than sensors.
+    thread_local std::vector<double> blk_h, blk_m;
+    blk_h.resize(static_cast<std::size_t>(n));
+    blk_m.resize(static_cast<std::size_t>(n));
+    double* h = blk_h.data();
+    double* m = blk_m.data();
     // Every element runs step()'s expressions in step()'s association,
-    // with the parameter products hoisted, and a vector lane rounds as
-    // the scalar expression does (util/simd.hpp), so the stripes and
-    // their scalar tails are bit-identical to n step() calls.
-    const double fpa = effective_field_per_amp();
-    const double h_ext = h_ext_;
-    const simd::dvec fpa_v = simd::splat(fpa);
-    const simd::dvec h_ext_v = simd::splat(h_ext);
+    // with the constants hoisted, and a vector lane rounds as the
+    // scalar expression does (util/simd.hpp), so the stripes and their
+    // scalar tails are bit-identical to n step() calls.
+    const Constants c = constants();
+    const simd::dvec fpa_v = simd::splat(c.field_per_amp);
+    const simd::dvec h_ext_v = simd::splat(c.h_ext);
     int k = 0;
     for (; k + W <= n; k += W) {
         simd::store(h + k, simd::add(simd::mul(fpa_v, simd::load(i_exc + k)), h_ext_v));
     }
-    for (; k < n; ++k) h[k] = fpa * i_exc[k] + h_ext;
+    for (; k < n; ++k) h[k] = c.field_per_amp * i_exc[k] + c.h_ext;
     core_->advance_block(h, m, n);
 
     // Pickup linkage lambda = (N A) B with B = mu0 (H + M), and its
     // derivative (lambda[k] - lambda[k-1]) / dt. Each stripe recomputes
     // its predecessors' linkage from H and M instead of carrying it, so
     // stripes are independent.
-    const double na_pickup = params_.n_pickup * params_.core_area_m2;
-    const auto linkage = [&](int j) {
-        return na_pickup * (magnetics::kMu0 * (h[j] + m[j]));
-    };
-    const simd::dvec nap_v = simd::splat(na_pickup);
+    const auto flux = [&](int j) { return magnetics::kMu0 * (h[j] + m[j]); };
+    const auto linkage = [&](int j) { return c.na_pickup * flux(j); };
+    const simd::dvec nap_v = simd::splat(c.na_pickup);
     const simd::dvec mu0_v = simd::splat(magnetics::kMu0);
     const simd::dvec dt_v = simd::splat(dt_s);
     const simd::dvec rdt_v = simd::splat(1.0 / dt_s);
@@ -105,23 +107,24 @@ void FluxgateSensor::step_block(const double* i_exc, double dt_s, int n, double*
     }
     for (; k < n; ++k) v_out[k] = (linkage(k) - linkage(k - 1)) / dt_s;
 
-    // Only the last sample's excitation-winding voltage survives the
-    // block, so it is computed once, from the last two samples.
-    const double na_exc = params_.n_excitation * params_.core_area_m2;
-    const double r_exc = params_.r_excitation_ohm;
-    b_core_ = magnetics::kMu0 * (h[n - 1] + m[n - 1]);
-    const double le = na_exc * b_core_;
-    if (n >= 2) {
-        const double le_prev = na_exc * (magnetics::kMu0 * (h[n - 2] + m[n - 2]));
-        v_excitation_ = r_exc * i_exc[n - 1] + (le - le_prev) / dt_s;
-    } else if (first_step_) {
-        v_excitation_ = r_exc * i_exc[0];
-    } else {
-        v_excitation_ = r_exc * i_exc[0] + (le - lambda_exc_prev_) / dt_s;
-    }
-    h_core_ = h[n - 1];
-    v_pickup_ = v_out[n - 1];
-    lambda_pickup_prev_ = na_pickup * b_core_;
+    end_block(n, dt_s, i_exc[n - 1], h[n - 1], flux(n - 1), n >= 2 ? flux(n - 2) : 0.0,
+              v_out[n - 1]);
+}
+
+void FluxgateSensor::end_block(int n, double dt_s, double i_last, double h, double b,
+                               double b_prev, double v_pickup) noexcept {
+    // Only the last step's excitation-winding voltage survives a block,
+    // so it is computed once, from the last two linkages.
+    const Constants c = constants();
+    const double le = c.na_excitation * b;
+    const double le_prev = n >= 2 ? c.na_excitation * b_prev : lambda_exc_prev_;
+    v_excitation_ = n == 1 && first_step_
+                        ? c.r_excitation * i_last
+                        : c.r_excitation * i_last + (le - le_prev) / dt_s;
+    h_core_ = h;
+    b_core_ = b;
+    v_pickup_ = v_pickup;
+    lambda_pickup_prev_ = c.na_pickup * b;
     lambda_exc_prev_ = le;
     first_step_ = false;
 }

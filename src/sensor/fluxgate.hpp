@@ -14,7 +14,6 @@
 
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "magnetics/core_model.hpp"
 #include "sensor/fluxgate_params.hpp"
@@ -68,6 +67,21 @@ public:
         return v > 1e-12 ? v : 1e-12;
     }
 
+    /// What every step of a block reads besides the core: fixed while
+    /// the field and the temperature hold. step(), step_block() and the
+    /// lane engine's gather all take it from here.
+    struct Constants {
+        double field_per_amp;  ///< effective_field_per_amp() [A/m per A]
+        double h_ext;          ///< external axial field [A/m]
+        double na_pickup;      ///< N A of the pickup winding [m^2]
+        double na_excitation;  ///< N A of the excitation winding [m^2]
+        double r_excitation;   ///< excitation winding resistance [ohm]
+    };
+    [[nodiscard]] Constants constants() const noexcept {
+        return {effective_field_per_amp(), h_ext_, params_.n_pickup * params_.core_area_m2,
+                params_.n_excitation * params_.core_area_m2, params_.r_excitation_ohm};
+    }
+
     /// Advances one time step with the given excitation current [A].
     /// Returns the open-circuit pickup voltage [V] over this step.
     double step(double i_excitation_a, double dt_s);
@@ -79,6 +93,18 @@ public:
     /// the pickup derivative as util::simd vectors, and computes the
     /// excitation-winding voltage once, from the last two samples.
     void step_block(const double* i_exc, double dt_s, int n, double* v_out);
+
+    /// Ends a block of `n` >= 1 steps of `dt_s`, leaving the state n
+    /// step() calls leave: the last step's core field `h`, flux density
+    /// `b`, pickup voltage `v_pickup` and excitation current `i_last`,
+    /// the linkages of `b`, and the excitation-winding voltage from the
+    /// last two excitation linkages, the one before the last being that
+    /// of `b_prev` (the step before the last) or, in a one-step block,
+    /// the carried one; a fresh sensor's one-step block has the
+    /// resistive drop alone. step_block() and the lane engine's scatter
+    /// both end through it; the core model's state is the caller's.
+    void end_block(int n, double dt_s, double i_last, double h, double b, double b_prev,
+                   double v_pickup) noexcept;
 
     /// Advances `n` steps at a constant excitation current. After the
     /// first two steps the sensor state is stationary (dB/dt = 0), so
@@ -154,9 +180,6 @@ private:
     double lambda_pickup_prev_ = 0.0;
     double lambda_exc_prev_ = 0.0;
     bool first_step_ = true;
-    // Scratch buffers for step_block (capacity persists across blocks).
-    std::vector<double> blk_h_;
-    std::vector<double> blk_m_;
 };
 
 /// Analytic prediction of the pulse-position detector duty cycle for a

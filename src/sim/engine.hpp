@@ -88,9 +88,9 @@ public:
 };
 
 /// Block engine: advances in chunks of kBlockSamples through
-/// FrontEnd::step_block() with the counter fused over each chunk. Owns
-/// its scratch block, so one engine instance serves any number of
-/// sequential measurements without reallocating.
+/// FrontEnd::step_block() with the counter fused over each chunk. Its
+/// scratch block is per thread, so a thread's engines share one and a
+/// thread's sequential measurements do not reallocate.
 class BlockEngine final : public SimEngine {
 public:
     /// Chunk size in samples: the compass's default steps_per_period,
@@ -104,9 +104,6 @@ public:
     void advance(analog::FrontEnd& front_end, analog::Channel channel, int steps,
                  double dt_s, digital::UpDownCounter* counter,
                  double& energy_j) override;
-
-private:
-    analog::FrontEndBlock block_;
 };
 
 /// Engine factory (the CompassConfig::engine knob resolves through it).

@@ -24,9 +24,38 @@ namespace {
 
 constexpr int W = v::kLanes;
 
-/// Builds a per-lane mask from a 0.0/1.0 array.
-inline v::mask mask_from01(const double* b01) {
-    return v::cmp_gt(v::load(b01), v::splat(0.5));
+/// Builds a per-lane mask from a vector of 0.0/1.0 lanes.
+inline v::mask mask_from01(v::dvec b01) { return v::cmp_gt(b01, v::splat(0.5)); }
+
+using SensorConstants = sensor::FluxgateSensor::Constants;
+using SensorState = sensor::FluxgateSensor::State;
+using Levels = analog::PulsePositionDetector::Levels;
+using NoiseShape = analog::FrontEnd::NoiseShape;
+
+/// One lane's inputs, each read through its member's own stage call at
+/// gather: the active sensor's constants and carried state, its tanh
+/// core's knee and saturation, the active detector's levels, the
+/// pickup noise's shape, filter state and stream position, and the
+/// running energy.
+struct LaneIn {
+    SensorConstants sensor;
+    SensorState sensor_state;
+    double hk, ms;
+    Levels levels;
+    NoiseShape noise{0.0, 0.0};
+    double noise_state = 0.0;
+    std::uint64_t noise_key = 0, noise_counter = 0;
+    bool noisy = false;
+    double energy_j;
+};
+
+/// The vector of one LaneIn field, named by its member path (e.g.
+/// &LaneIn::levels, &Levels::rise), across the W lanes from `g` on.
+template <class... Path>
+v::dvec across(const LaneIn* g, Path... path) {
+    alignas(64) double a[W];
+    for (int l = 0; l < W; ++l) a[l] = static_cast<double>((g[l] .* ... .* path));
+    return v::load(a);
 }
 
 /// The bits of everything a cohort's excitation block code reads: the
@@ -70,16 +99,16 @@ struct WordLane {
     analog::PulsePositionDetector::State det;
     analog::FrontEnd::StreamWindowState win;
     digital::UpDownCounter::State ctr;
-    std::size_t ch = 0;  ///< active channel
-    int cohort = 0;      ///< whose settle and tick words the lane takes
-    bool fold = false;   ///< counter clocked by this advance, counted here
+    int cohort = 0;     ///< whose settle and tick words the lane takes
+    bool fold = false;  ///< counter clocked by this advance, counted here
 };
 
-/// Pass C's word code for one tile of `nb` samples: lane l's comparator
-/// words are words[c][l], and its settle and tick words are its
-/// cohort's, settle[cohort] and ticks[cohort].
-void step_word_lanes(WordLane* lanes, int n, int nb, const std::uint64_t* const* words,
-                     const std::uint64_t* settle, const std::uint64_t* ticks) {
+/// Pass C's word code for one tile of `nb` samples of channel `ch`: lane
+/// l's comparator words are words[c][l], and its settle and tick words
+/// are its cohort's, settle[cohort] and ticks[cohort].
+void step_word_lanes(WordLane* lanes, int n, int nb, std::size_t ch,
+                     const std::uint64_t* const* words, const std::uint64_t* settle,
+                     const std::uint64_t* ticks) {
     const std::uint64_t* const rise_p = words[kRisePos];
     const std::uint64_t* const fall_p = words[kFallPos];
     const std::uint64_t* const rise_n = words[kRiseNeg];
@@ -88,8 +117,8 @@ void step_word_lanes(WordLane* lanes, int n, int nb, const std::uint64_t* const*
         WordLane& lane = lanes[l];
         const std::uint64_t out = analog::PulsePositionDetector::step_word(
             {rise_p[l], fall_p[l], rise_n[l], fall_n[l]}, nb, lane.det);
-        analog::fold_stream_word(lane.win.stats[lane.ch], lane.win.prev[lane.ch],
-                                 lane.win.has_prev[lane.ch], out, settle[lane.cohort], nb);
+        analog::fold_stream_word(lane.win.stats[ch], lane.win.prev[ch], lane.win.has_prev[ch],
+                                 out, settle[lane.cohort], nb);
         if (lane.fold) digital::UpDownCounter::fold_ticks(ticks[lane.cohort], out, lane.ctr);
     }
 }
@@ -111,11 +140,11 @@ bool LaneEngine::plain(const LanePort& port, analog::Channel channel, int steps,
                        double dt_s) {
     // Simultaneous mode duplicates the whole chain (two oscillators,
     // per-sample interleaved noise draws); it, a gated-off section,
-    // other core models, taps and moving fields stay with the member's
-    // own engine.
+    // other core models, taps, moving fields and a mux stuck on the
+    // other channel stay with the member's own engine.
     const analog::FrontEnd& f = *port.front_end;
     if (f.config().mode != analog::FrontEndMode::Multiplexed || !f.enabled() ||
-        f.sample_tap() != nullptr) {
+        f.sample_tap() != nullptr || f.selected() != channel) {
         return false;
     }
     for (const analog::Channel ch : {analog::Channel::X, analog::Channel::Y}) {
@@ -127,10 +156,10 @@ bool LaneEngine::plain(const LanePort& port, analog::Channel channel, int steps,
         const std::uint64_t k = f.samples_stepped();
         if (!src->constant_over(k, k + static_cast<std::uint64_t>(steps))) return false;
     }
-    // A counter that sees this channel's samples must be an ideal
-    // register under the one-bit clock, which Pass C folds.
+    // A counter that this advance clocks must be an ideal register
+    // under the one-bit clock, which Pass C folds.
     const digital::UpDownCounter* ctr = port.counter;
-    if (ctr == nullptr || !ctr->enabled() || f.selected() != channel) return true;
+    if (ctr == nullptr || !ctr->enabled()) return true;
     return !ctr->hardware_engaged() &&
            digital::UpDownCounter::one_bit_clock(ctr->save_state().tick_accumulator,
                                                  dt_s * ctr->clock_hz());
@@ -180,25 +209,15 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
 
     // ---- Gather: per-lane constants and evolving state ----------------
     //
-    // Every constant below is computed with exactly the expression the
-    // corresponding stage's step()/step_block() hoists, so the per-lane
-    // arithmetic in the kernel is bit-identical to the per-member path.
-    // Remainder lanes (l >= n) replicate lane 0's values with all
-    // member-touching flags off: the vector ops are lane-independent,
-    // so pad lanes are inert ballast whose results are never scattered.
+    // Each lane's LaneIn comes from its stages' own calls (the values
+    // their step() and step_block() hoist), so the per-lane arithmetic
+    // in the kernel is bit-identical to the per-member path. Remainder
+    // lanes (l >= n) copy lane 0's inputs: the vector ops are
+    // lane-independent, so pad lanes are inert ballast whose results
+    // are never scattered.
 
-    analog::FrontEnd* fe[GW];
-    digital::UpDownCounter* ctr[GW];
-    Channel active_ch[GW];
-    bool lane_noise[GW];
-    bool lane_first[GW];
-
-    alignas(64) double fpa_a[GW], hext_a[GW], hk_a[GW], ms_a[GW], nap_a[GW], nae_a[GW];
-    double r_exc_a[GW];
-    alignas(64) double off_a[GW], fall_a[GW], rise_a[GW], first01_a[GW];
-    alignas(64) double nalpha[GW], ndrive[GW], nst[GW], noise01_a[GW];
-    std::uint64_t nkey[GW], nctr[GW];
-    alignas(64) double lp_a[GW], le_a[GW], e_a[GW];
+    const auto ch = static_cast<std::size_t>(channel);
+    LaneIn in[GW];
     WordLane wl[GW];  // Pass C's per-lane word state (real lanes only)
 
     // Cohorts: lanes whose keys match bit for bit. Cohort c's lead lane
@@ -211,35 +230,8 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
 
     bool stripe_noise = false;
 
-    for (int l = 0; l < GW; ++l) {
-        if (l >= n) {
-            // Pad lane: copy lane 0's numeric inputs, disable everything.
-            fe[l] = nullptr;
-            ctr[l] = nullptr;
-            active_ch[l] = active_ch[0];
-            lane_noise[l] = lane_first[l] = false;
-            fpa_a[l] = fpa_a[0]; hext_a[l] = hext_a[0]; hk_a[l] = hk_a[0];
-            ms_a[l] = ms_a[0]; nap_a[l] = nap_a[0]; nae_a[l] = nae_a[0];
-            r_exc_a[l] = r_exc_a[0];
-            off_a[l] = off_a[0]; fall_a[l] = fall_a[0]; rise_a[l] = rise_a[0];
-            first01_a[l] = first01_a[0];
-            nalpha[l] = ndrive[l] = nst[l] = noise01_a[l] = 0.0;
-            nkey[l] = nctr[l] = 0;
-            lp_a[l] = lp_a[0]; le_a[l] = le_a[0]; e_a[l] = e_a[0];
-            continue;
-        }
-
+    for (int l = 0; l < n; ++l) {
         analog::FrontEnd& f = *lanes[l].front_end;
-        fe[l] = &f;
-        ctr[l] = lanes[l].counter;
-        const analog::FrontEndConfig& c = f.config();
-        const Channel ach = f.selected();
-        active_ch[l] = ach;
-        const auto ai = static_cast<std::size_t>(ach);
-        WordLane& w = wl[l];
-        w.ch = ai;
-        w.win = f.save_window_state();
-        w.win.prev[ai] = w.win.prev[ai] != 0 ? 1 : 0;
 
         // The field holds over the advance (plain()), so the tick the
         // scalar step() would apply before every sample is the entry
@@ -249,60 +241,43 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             f.apply_field_tick(src->field_at(f.samples_stepped()));
         }
 
-        // Active sensor (FluxgateSensor::step_block hoists). The stuck
-        // mux makes the active channel a per-lane property.
-        const sensor::FluxgateSensor& sen = f.sensor(ach);
-        const sensor::FluxgateParams& sp = sen.params();
-        fpa_a[l] = sen.effective_field_per_amp();
-        hext_a[l] = sen.external_field();
-        nap_a[l] = sp.n_pickup * sp.core_area_m2;
-        nae_a[l] = sp.n_excitation * sp.core_area_m2;
-        r_exc_a[l] = sp.r_excitation_ohm;
-        hk_a[l] = sen.core().knee_field();
-        ms_a[l] = sen.core().saturation_magnetisation();
-        const sensor::FluxgateSensor::State ss = sen.save_state();
-        lp_a[l] = ss.lambda_pickup_prev;
-        le_a[l] = ss.lambda_exc_prev;
-        lane_first[l] = ss.first_step;
-        first01_a[l] = ss.first_step ? 1.0 : 0.0;
-
-        // Active detector (PulsePositionDetector::step_block hoists).
-        analog::PulsePositionDetector& det = f.detector(ach);
-        const analog::DetectorConfig& dcf = det.config();
-        const double half_hyst = 0.5 * dcf.comparator_hysteresis_v;
-        off_a[l] = dcf.comparator_offset_v + det.comparator_offset_fault();
-        fall_a[l] = dcf.threshold_v - half_hyst;
-        rise_a[l] = dcf.threshold_v + half_hyst;
-        w.det = det.save_state();
-
+        // The mux sits on `channel` (plain()): its sensor and detector
+        // are the active ones.
+        const sensor::FluxgateSensor& sen = f.sensor(channel);
+        analog::PulsePositionDetector& det = f.detector(channel);
+        LaneIn& x = in[l];
+        x.sensor = sen.constants();
+        x.sensor_state = sen.save_state();
+        x.hk = sen.core().knee_field();
+        x.ms = sen.core().saturation_magnetisation();
+        x.levels = det.levels();
         // Band-limited pickup noise (FrontEnd::add_noise_block hoists).
         // The member's stream is counter-based, so its key and counter
         // are all the kernel needs to draw exactly the variates the
         // scalar run would consume.
-        lane_noise[l] = c.pickup_noise_rms_v != 0.0;
-        if (lane_noise[l]) {
-            const analog::FrontEnd::NoiseShape shape = f.noise_shape(dt_s);
-            nalpha[l] = shape.alpha;
-            ndrive[l] = shape.drive_rms;
-            nst[l] = f.noise_filter_state();
-            noise01_a[l] = 1.0;
+        x.noisy = f.config().pickup_noise_rms_v != 0.0;
+        if (x.noisy) {
+            x.noise = f.noise_shape(dt_s);
+            x.noise_state = f.noise_filter_state();
             const util::CounterEngine& stream = f.pickup_noise().rng().engine();
-            nkey[l] = stream.key();
-            nctr[l] = stream.counter();
+            x.noise_key = stream.key();
+            x.noise_counter = stream.counter();
             stripe_noise = true;
-        } else {
-            nalpha[l] = ndrive[l] = nst[l] = noise01_a[l] = 0.0;
-            nkey[l] = nctr[l] = 0;
         }
+        x.energy_j = *lanes[l].energy_j;
 
-        // Counter. One that sees this channel's samples is an ideal
-        // register under the one-bit clock (plain()), counted by Pass C
-        // from its tick and output words.
-        w.fold = ctr[l] != nullptr && ctr[l]->enabled() && ach == channel;
-        w.ctr = w.fold ? ctr[l]->save_state() : digital::UpDownCounter::State{};
-        const double inc = w.fold ? dt_s * ctr[l]->clock_hz() : 0.0;
+        WordLane& w = wl[l];
+        w.det = det.save_state();
+        w.win = f.save_window_state();
+        w.win.prev[ch] = w.win.prev[ch] != 0 ? 1 : 0;
 
-        e_a[l] = *lanes[l].energy_j;
+        // Counter. One that this advance clocks is an ideal register
+        // under the one-bit clock (plain()), counted by Pass C from its
+        // tick and output words.
+        const digital::UpDownCounter* ctr = lanes[l].counter;
+        w.fold = ctr != nullptr && ctr->enabled();
+        w.ctr = w.fold ? ctr->save_state() : digital::UpDownCounter::State{};
+        const double inc = w.fold ? dt_s * ctr->clock_hz() : 0.0;
 
         // The lane joins the first cohort with its key, or leads a new one.
         const CohortKey key = cohort_key(f, w.fold, w.ctr.tick_accumulator, inc);
@@ -316,6 +291,7 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             ++k;
         }
     }
+    std::fill(in + n, in + GW, in[0]);
     g_group_advances.fetch_add(1, std::memory_order_relaxed);
     g_excitation_passes.fetch_add(static_cast<std::uint64_t>(k), std::memory_order_relaxed);
 
@@ -326,7 +302,7 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         alignas(64) double in01[GW];
         for (int l = 0; l < GW; ++l) in01[l] = l < n && wl[l].cohort == c ? 1.0 : 0.0;
         #pragma GCC unroll 8
-        for (int s = 0; s < S; ++s) in_cohort[c][s] = mask_from01(in01 + s * W);
+        for (int s = 0; s < S; ++s) in_cohort[c][s] = mask_from01(v::load(in01 + s * W));
     }
 
     // ---- Vector kernel: all lanes of the group -------------------------
@@ -344,35 +320,40 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
     const v::dvec sign_v = v::splat(-0.0);
     const v::dvec mu0_v = v::splat(magnetics::kMu0);
 
-    v::dvec fpa_v[S], hext_v[S], hk_v[S], rhk_v[S], ms_v[S], nap_v[S], nae_v[S];
+    v::dvec fpa_v[S], hext_v[S], hk_v[S], rhk_v[S], ms_v[S], nap_v[S];
     v::dvec off_v[S], fall_v[S], rise_v[S];
-    v::dvec lpprev_v[S], leprev_v[S], leold_v[S];
+    v::dvec lpprev_v[S];
     v::mask first_m[S];
     v::dvec e_v[S];
-    // Loop-carried last-sample values needed at scatter.
-    v::dvec h_v[S], b_v[S], vpick_v[S];
+    v::dvec nalpha_v[S], ndrive_v[S], nst_v[S];
+    v::mask noisy_m[S];
+    // Loop-carried last-sample values needed at scatter: H, B, the B of
+    // the sample before it, and the pickup voltage.
+    v::dvec h_v[S], b_v[S], bprev_v[S], vpick_v[S];
 
     #pragma GCC unroll 8
     for (int s = 0; s < S; ++s) {
-        const int g = s * W;
-        fpa_v[s] = v::load(fpa_a + g);
-        hext_v[s] = v::load(hext_a + g);
-        hk_v[s] = v::load(hk_a + g);
+        const LaneIn* g = in + s * W;
+        fpa_v[s] = across(g, &LaneIn::sensor, &SensorConstants::field_per_amp);
+        hext_v[s] = across(g, &LaneIn::sensor, &SensorConstants::h_ext);
+        nap_v[s] = across(g, &LaneIn::sensor, &SensorConstants::na_pickup);
+        hk_v[s] = across(g, &LaneIn::hk);
         rhk_v[s] = v::div(one_v, hk_v[s]);
-        ms_v[s] = v::load(ms_a + g);
-        nap_v[s] = v::load(nap_a + g);
-        nae_v[s] = v::load(nae_a + g);
-        off_v[s] = v::load(off_a + g);
-        fall_v[s] = v::load(fall_a + g);
-        rise_v[s] = v::load(rise_a + g);
+        ms_v[s] = across(g, &LaneIn::ms);
+        off_v[s] = across(g, &LaneIn::levels, &Levels::offset);
+        fall_v[s] = across(g, &LaneIn::levels, &Levels::fall);
+        rise_v[s] = across(g, &LaneIn::levels, &Levels::rise);
 
-        lpprev_v[s] = v::load(lp_a + g);
-        leprev_v[s] = v::load(le_a + g);
-        leold_v[s] = leprev_v[s];
-        first_m[s] = mask_from01(first01_a + g);
-        e_v[s] = v::load(e_a + g);
+        lpprev_v[s] = across(g, &LaneIn::sensor_state, &SensorState::lambda_pickup_prev);
+        first_m[s] = mask_from01(across(g, &LaneIn::sensor_state, &SensorState::first_step));
+        e_v[s] = across(g, &LaneIn::energy_j);
+        nalpha_v[s] = across(g, &LaneIn::noise, &NoiseShape::alpha);
+        ndrive_v[s] = across(g, &LaneIn::noise, &NoiseShape::drive_rms);
+        nst_v[s] = across(g, &LaneIn::noise_state);
+        noisy_m[s] = mask_from01(across(g, &LaneIn::noisy));
         h_v[s] = zero_v;
         b_v[s] = zero_v;
+        bprev_v[s] = zero_v;
         vpick_v[s] = zero_v;
     }
 
@@ -444,20 +425,19 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
         }
 
         // Pass B's pickup stage for samples t .. t + NU - 1 of the tile,
-        // from their flux densities (FluxgateSensor::step): the linkages,
-        // the derivative against the previous sample's linkage, and the
-        // detector input. Sample u's previous linkage is sample u - 1's, and
-        // sample 0's is the one carried from the last call.
+        // from their flux densities (FluxgateSensor::step): the pickup
+        // linkage, its derivative against the previous sample's linkage,
+        // and the detector input. Sample u's previous linkage is sample
+        // u - 1's, and sample 0's is the one carried from the last call.
+        // The last two flux densities are kept for the scatter
+        // (FluxgateSensor::end_block).
         const auto pickup = [&]<int NU>(int t, const v::dvec (&bd)[NU][S])
                                 __attribute__((always_inline)) {
-            v::dvec lp[NU][S], le[NU][S], vp[NU * S], dt[NU * S], rdt[NU * S];
+            v::dvec lp[NU][S], vp[NU * S], dt[NU * S], rdt[NU * S];
             #pragma GCC unroll 8
             for (int u = 0; u < NU; ++u) {
                 #pragma GCC unroll 8
-                for (int s = 0; s < S; ++s) {
-                    lp[u][s] = v::mul(nap_v[s], bd[u][s]);
-                    le[u][s] = v::mul(nae_v[s], bd[u][s]);
-                }
+                for (int s = 0; s < S; ++s) lp[u][s] = v::mul(nap_v[s], bd[u][s]);
             }
             #pragma GCC unroll 8
             for (int u = 0; u < NU; ++u) {
@@ -483,12 +463,11 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
                 #pragma GCC unroll 8
                 for (int u = 0; u < NU; ++u) bvdet[s * T + t + u] = vp[u * S + s];
                 if constexpr (NU >= 2) {
-                    leold_v[s] = le[NU - 2][s];
+                    bprev_v[s] = bd[NU - 2][s];
                 } else {
-                    leold_v[s] = leprev_v[s];
+                    bprev_v[s] = b_v[s];
                 }
                 lpprev_v[s] = lp[NU - 1][s];
-                leprev_v[s] = le[NU - 1][s];
                 vpick_v[s] = vp[(NU - 1) * S + s];
                 b_v[s] = bd[NU - 1][s];
             }
@@ -552,7 +531,7 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             alignas(64) std::int64_t premix[GW];
             for (int l = 0; l < GW; ++l) {
                 premix[l] = static_cast<std::int64_t>(util::splitmix64_premix(
-                    nkey[l], nctr[l] + static_cast<std::uint64_t>(k0)));
+                    in[l].noise_key, in[l].noise_counter + static_cast<std::uint64_t>(k0)));
             }
             const v::ivec gamma_v =
                 v::i_splat(static_cast<std::int64_t>(util::kSplitmix64Gamma));
@@ -564,29 +543,23 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
                     z = v::i_add(z, gamma_v);
                 }
             }
-            v::dvec alpha_v[S], drive_v[S], state_v[S];
-            v::mask on_m[S];
+            v::dvec state_v[S];
             #pragma GCC unroll 8
-            for (int s = 0; s < S; ++s) {
-                alpha_v[s] = v::load(nalpha + s * W);
-                drive_v[s] = v::load(ndrive + s * W);
-                state_v[s] = v::load(nst + s * W);
-                on_m[s] = mask_from01(noise01_a + s * W);
-            }
+            for (int s = 0; s < S; ++s) state_v[s] = nst_v[s];
             for (int t = 0; t < tn; ++t) {
                 #pragma GCC unroll 8
                 for (int s = 0; s < S; ++s) {
                     const v::dvec w = v::vgauss(v::i_load(nbits + t * GW + s * W));
                     state_v[s] = v::add(
                         state_v[s],
-                        v::mul(alpha_v[s], v::sub(v::mul(w, drive_v[s]), state_v[s])));
-                    bvdet[s * T + t] = v::blend(on_m[s],
+                        v::mul(nalpha_v[s], v::sub(v::mul(w, ndrive_v[s]), state_v[s])));
+                    bvdet[s * T + t] = v::blend(noisy_m[s],
                                                 v::add(bvdet[s * T + t], state_v[s]),
                                                 bvdet[s * T + t]);
                 }
             }
             #pragma GCC unroll 8
-            for (int s = 0; s < S; ++s) v::store(nst + s * W, state_v[s]);
+            for (int s = 0; s < S; ++s) nst_v[s] = state_v[s];
         }
 
         // Pass C: the detector, the stream statistics and the counters,
@@ -658,74 +631,60 @@ void LaneEngine::advance_group(const LanePort* lanes, int n, analog::Channel cha
             }
         }
 
-        step_word_lanes(wl, n, tn, lane_word_ptr, settle_w, tick_w);
+        step_word_lanes(wl, n, tn, ch, lane_word_ptr, settle_w, tick_w);
     }
     acc_v[0] = acc0_v;
 
     // ---- Scatter: write state back through the stages' seams ----------
 
-    alignas(64) double hfin_a[GW], bfin_a[GW], vp_a[GW], leold_a[GW];
+    alignas(64) double h_a[GW], b_a[GW], bprev_a[GW], vp_a[GW], e_a[GW], nst_a[GW];
     #pragma GCC unroll 8
     for (int s = 0; s < S; ++s) {
         const int g = s * W;
-        v::store(lp_a + g, lpprev_v[s]);
-        v::store(le_a + g, leprev_v[s]);
-        v::store(hfin_a + g, h_v[s]);
-        v::store(bfin_a + g, b_v[s]);
+        v::store(h_a + g, h_v[s]);
+        v::store(b_a + g, b_v[s]);
+        v::store(bprev_a + g, bprev_v[s]);
         v::store(vp_a + g, vpick_v[s]);
-        v::store(leold_a + g, leold_v[s]);
         v::store(e_a + g, e_v[s]);
+        v::store(nst_a + g, nst_v[s]);
     }
 
     const int last = (steps - 1) % T;  // the last sample's place in its tile
+    const Channel idle = channel == Channel::X ? Channel::Y : Channel::X;
     for (int l = 0; l < n; ++l) {
-        analog::FrontEnd& f = *fe[l];
-        const Channel ach = active_ch[l];
-        const auto ai = static_cast<std::size_t>(ach);
-        const auto ii = 1 - ai;
+        analog::FrontEnd& f = *lanes[l].front_end;
         const int c = wl[l].cohort;
 
         // Every lane of a cohort ends in its lead's oscillator and mux
-        // timer state (the lead's own stages stepped in place).
+        // state (the lead's own stages stepped in place).
         f.oscillator().load_state(lead[c]->oscillator().save_state());
-        f.mux().load_state({ach, lead[c]->mux().save_state().since_switch_s});
+        f.mux().load_state(lead[c]->mux().save_state());
 
-        // Active sensor. v_excitation is a pure function of the last
-        // two flux linkages (or the resistive drop alone right after
-        // the very first sample), recomputed with the step() ops.
-        const double i_last = coh_i[c][last];
-        double vexc;
-        if (lane_first[l] && steps == 1) {
-            vexc = r_exc_a[l] * i_last;
-        } else {
-            vexc = r_exc_a[l] * i_last + (le_a[l] - leold_a[l]) / dt_s;
-        }
-        sensor::FluxgateSensor& sen = f.sensor_mut(ach);
-        sen.load_state({hfin_a[l], bfin_a[l], vp_a[l], vexc, lp_a[l], le_a[l],
-                        /*first_step=*/false});
+        sensor::FluxgateSensor& sen = f.sensor_mut(channel);
+        sen.end_block(steps, dt_s, coh_i[c][last], h_a[l], b_a[l], bprev_a[l], vp_a[l]);
         // Re-sync the TanhCore's remembered field; the model is
         // otherwise stateless, so one advance() at the final H
         // reproduces the state after every per-sample call.
-        sen.core_mut().advance(hfin_a[l]);
-        f.sensor_mut(ach == Channel::X ? Channel::Y : Channel::X)
-            .step_block_constant(0.0, dt_s, steps);
+        sen.core_mut().advance(h_a[l]);
+        f.sensor_mut(idle).step_block_constant(0.0, dt_s, steps);
 
-        f.detector(ach).load_state(wl[l].det);
+        f.detector(channel).load_state(wl[l].det);
 
-        if (lane_noise[l]) {
-            f.set_noise_filter_state(nst[l]);
+        if (in[l].noisy) {
+            f.set_noise_filter_state(nst_a[l]);
             f.pickup_noise().rng().engine().discard(static_cast<std::uint64_t>(steps));
         }
 
         // Fold this advance into the member's window.
         analog::FrontEnd::StreamWindowState& win = wl[l].win;
-        win.stats[ai].samples += static_cast<std::uint64_t>(steps);
-        win.stats[ii].samples += static_cast<std::uint64_t>(steps);
+        win.stats[0].samples += static_cast<std::uint64_t>(steps);
+        win.stats[1].samples += static_cast<std::uint64_t>(steps);
         win.sample_index += static_cast<std::uint64_t>(steps);
         f.load_window_state(win);
 
         if (wl[l].fold) {
-            ctr[l]->load_state({v::first(acc_v[c]), wl[l].ctr.count, wl[l].ctr.active_ticks});
+            lanes[l].counter->load_state(
+                {v::first(acc_v[c]), wl[l].ctr.count, wl[l].ctr.active_ticks});
         }
 
         *lanes[l].energy_j = e_a[l];

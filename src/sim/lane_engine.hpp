@@ -9,17 +9,18 @@
 /// V-I -> core tanh -> detector -> counter) that leaves the vector
 /// units idle. The lane engine turns the fleet dimension into the
 /// vector dimension instead: it gathers the evolving per-sample state
-/// of up to util::simd::kLanes independent members into SoA registers
-/// (flux linkages, noise filter, comparator latches, energy), advances
-/// all of them in lockstep with the identical per-sample arithmetic, and
-/// scatters the state back through the stages' save/load seams at
-/// stage boundaries.
+/// and the hoisted constants of up to util::simd::kLanes independent
+/// members into SoA registers through the stages' own calls (the
+/// sensor's constants(), the detector's levels(), their save_state()),
+/// advances all of them in lockstep with the identical per-sample
+/// arithmetic, and scatters the state back through the stages' seams
+/// (FluxgateSensor::end_block, load_state) at stage boundaries.
 ///
 /// One kind of lane: the kernel advances only *plain* lanes (plain()),
 /// the paper's compass as the fleet runs it — a multiplexed, enabled
-/// front end with tanh cores, no sample tap, a field that holds over
-/// the advance, and a counter that is either not clocked or an ideal
-/// register under the one-bit clock. PlanExecutor::run_lanes sends
+/// front end with tanh cores, its mux on the advance's channel, no
+/// sample tap, a field that holds over the advance, and a counter that
+/// is either not clocked or an ideal register under the one-bit clock. PlanExecutor::run_lanes sends
 /// every other lane through its own engine inside the batch, per
 /// advance, and advance() refuses it. Both paths leave bit-identical
 /// state, so a lane may take either on any advance.
@@ -29,9 +30,9 @@
 /// values, noise streams, energy sums and stream statistics (asserted
 /// against the scalar and block engines by tests/lane_engine_test.cpp
 /// and the EngineParity fuzz oracle in src/verify/). Parametric faults
-/// are per-lane inputs: a comparator offset or a stuck mux is a lane
-/// constant, and a drifting oscillator puts its lane in a cohort of its
-/// own, so a faulted lane perturbs no neighbour.
+/// are per-lane inputs: a comparator offset is a lane constant, and a
+/// drifting oscillator puts its lane in a cohort of its own, so a
+/// faulted lane perturbs no neighbour.
 ///
 /// Cohorts: nothing upstream of the sensor depends on the field, so
 /// lanes whose oscillator, V-I converter, mux timer, supply model and
@@ -75,11 +76,11 @@ struct LanePort {
 class LaneEngine {
 public:
     /// True when the kernel advances `port` by `steps` samples of `dt_s`
-    /// counting `channel`: the lane is plain. Its front end is
-    /// multiplexed and enabled, both cores are TanhCore, it has no
-    /// sample tap, its field source (if any) holds over the advance,
-    /// and its counter is not clocked by this advance (null, disabled,
-    /// or the mux on the other channel) or is an ideal register under
+    /// on `channel`: the lane is plain. Its front end is multiplexed and
+    /// enabled, its mux sits on `channel`, both cores are TanhCore, it
+    /// has no sample tap, its field source (if any) holds over the
+    /// advance, and its counter is not clocked by this advance (null or
+    /// disabled) or is an ideal register under
     /// UpDownCounter::one_bit_clock. Reads the sample index and the
     /// counter state; copies nothing else.
     [[nodiscard]] static bool plain(const LanePort& port, analog::Channel channel, int steps,

@@ -235,25 +235,10 @@ struct ScalarBackend {
         for (int l = 0; l < kLanes; ++l) a.v[l] |= b.v[l];
         return a;
     }
-    static M m_xor(M a, M b) {
-        for (int l = 0; l < kLanes; ++l) a.v[l] ^= b.v[l];
-        return a;
-    }
-    /// ~a & b.
-    static M m_andnot(M a, M b) {
-        for (int l = 0; l < kLanes; ++l) b.v[l] = ~a.v[l] & b.v[l];
-        return b;
-    }
     static unsigned movemask(M m) {
         unsigned bits = 0;
         for (int l = 0; l < kLanes; ++l) bits |= unsigned(m.v[l] >> 63) << l;
         return bits;
-    }
-    /// 1 for true lanes, 0 for false — for integer accumulation.
-    static I mask01(M m) {
-        I r;
-        for (int l = 0; l < kLanes; ++l) r.v[l] = std::int64_t(m.v[l] >> 63);
-        return r;
     }
 
     static I i_splat(std::int64_t x) {
@@ -273,16 +258,6 @@ struct ScalarBackend {
         for (int l = 0; l < kLanes; ++l)
             a.v[l] = std::int64_t(std::uint64_t(a.v[l]) + std::uint64_t(b.v[l]));
         return a;
-    }
-    static I i_sub(I a, I b) {
-        for (int l = 0; l < kLanes; ++l)
-            a.v[l] = std::int64_t(std::uint64_t(a.v[l]) - std::uint64_t(b.v[l]));
-        return a;
-    }
-    static I i_blend(M m, I a, I b) {
-        for (int l = 0; l < kLanes; ++l)
-            b.v[l] = (m.v[l] >> 63) ? a.v[l] : b.v[l];
-        return b;
     }
     static I i_and(I a, I b) {
         for (int l = 0; l < kLanes; ++l) a.v[l] &= b.v[l];
@@ -380,17 +355,12 @@ struct Avx512Backend {
     static M m_splat(bool b) { return b ? M(0xFF) : M(0); }
     static M m_and(M a, M b) { return M(a & b); }
     static M m_or(M a, M b) { return M(a | b); }
-    static M m_xor(M a, M b) { return M(a ^ b); }
-    static M m_andnot(M a, M b) { return M(~a & b); }
     static unsigned movemask(M m) { return m; }
-    static I mask01(M m) { return _mm512_maskz_set1_epi64(m, 1); }
 
     static I i_splat(std::int64_t x) { return _mm512_set1_epi64(x); }
     static I i_load(const std::int64_t* p) { return _mm512_loadu_si512(p); }
     static void i_store(std::int64_t* p, I a) { _mm512_storeu_si512(p, a); }
     static I i_add(I a, I b) { return _mm512_add_epi64(a, b); }
-    static I i_sub(I a, I b) { return _mm512_sub_epi64(a, b); }
-    static I i_blend(M m, I a, I b) { return _mm512_mask_blend_epi64(m, b, a); }
     static I i_and(I a, I b) { return _mm512_and_si512(a, b); }
     static I i_or(I a, I b) { return _mm512_or_si512(a, b); }
     static I i_xor(I a, I b) { return _mm512_xor_si512(a, b); }
@@ -455,12 +425,7 @@ struct Avx2Backend {
     }
     static M m_and(M a, M b) { return _mm256_and_pd(a, b); }
     static M m_or(M a, M b) { return _mm256_or_pd(a, b); }
-    static M m_xor(M a, M b) { return _mm256_xor_pd(a, b); }
-    static M m_andnot(M a, M b) { return _mm256_andnot_pd(a, b); }
     static unsigned movemask(M m) { return unsigned(_mm256_movemask_pd(m)); }
-    static I mask01(M m) {
-        return _mm256_srli_epi64(_mm256_castpd_si256(m), 63);
-    }
 
     static I i_splat(std::int64_t x) { return _mm256_set1_epi64x(x); }
     static I i_load(const std::int64_t* p) {
@@ -470,11 +435,6 @@ struct Avx2Backend {
         _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), a);
     }
     static I i_add(I a, I b) { return _mm256_add_epi64(a, b); }
-    static I i_sub(I a, I b) { return _mm256_sub_epi64(a, b); }
-    static I i_blend(M m, I a, I b) {
-        return _mm256_castpd_si256(
-            _mm256_blendv_pd(_mm256_castsi256_pd(b), _mm256_castsi256_pd(a), m));
-    }
     static I i_and(I a, I b) { return _mm256_and_si256(a, b); }
     static I i_or(I a, I b) { return _mm256_or_si256(a, b); }
     static I i_xor(I a, I b) { return _mm256_xor_si256(a, b); }
@@ -762,16 +722,11 @@ inline dvec blend(mask m, dvec a, dvec b) { return detail::Active::blend(m, a, b
 inline mask m_splat(bool b) { return detail::Active::m_splat(b); }
 inline mask m_and(mask a, mask b) { return detail::Active::m_and(a, b); }
 inline mask m_or(mask a, mask b) { return detail::Active::m_or(a, b); }
-inline mask m_xor(mask a, mask b) { return detail::Active::m_xor(a, b); }
-inline mask m_andnot(mask a, mask b) { return detail::Active::m_andnot(a, b); }
 inline unsigned movemask(mask m) { return detail::Active::movemask(m); }
-inline ivec mask01(mask m) { return detail::Active::mask01(m); }
 inline ivec i_splat(std::int64_t x) { return detail::Active::i_splat(x); }
 inline ivec i_load(const std::int64_t* p) { return detail::Active::i_load(p); }
 inline void i_store(std::int64_t* p, ivec a) { detail::Active::i_store(p, a); }
 inline ivec i_add(ivec a, ivec b) { return detail::Active::i_add(a, b); }
-inline ivec i_sub(ivec a, ivec b) { return detail::Active::i_sub(a, b); }
-inline ivec i_blend(mask m, ivec a, ivec b) { return detail::Active::i_blend(m, a, b); }
 inline ivec i_xor(ivec a, ivec b) { return detail::Active::i_xor(a, b); }
 /// Low 64 bits of the lane-wise product (wraps mod 2^64).
 inline ivec i_mul(ivec a, ivec b) { return detail::Active::i_mul(a, b); }

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "analog/comparator.hpp"
 #include "analog/detector.hpp"
 #include "analog/front_end.hpp"
 #include "analog/mux.hpp"
@@ -177,25 +176,56 @@ TEST(ViConverter, Validates) {
 }
 
 // ------------------------------------------------------------ comparator
+//
+// The detector's two comparators are its latch bits: the positive one is
+// fed v and the negative one -v, so each sees the same input sequence
+// when the other's is sign-flipped.
+
+/// Steps a fresh detector built from `cfg` with sign * v for each v,
+/// and returns after each step the latch bit that saw v.
+std::vector<bool> latch_trace(const DetectorConfig& cfg, double sign,
+                              const std::vector<double>& inputs,
+                              double offset_fault_v = 0.0) {
+    PulsePositionDetector det(cfg);
+    det.set_comparator_offset_fault(offset_fault_v);
+    std::vector<bool> out;
+    for (const double v : inputs) {
+        static_cast<void>(det.step(sign * v));
+        const PulsePositionDetector::State s = det.save_state();
+        out.push_back(sign > 0.0 ? s.positive : s.negative);
+    }
+    return out;
+}
 
 TEST(Comparator, ThresholdAndHysteresis) {
-    ComparatorConfig cfg;
+    DetectorConfig cfg;
     cfg.threshold_v = 1.0;
-    cfg.hysteresis_v = 0.2;
-    Comparator cmp(cfg);
-    EXPECT_FALSE(cmp.step(1.05));  // below the rising threshold (1.1)
-    EXPECT_TRUE(cmp.step(1.15));
-    EXPECT_TRUE(cmp.step(0.95));   // above the falling threshold (0.9)
-    EXPECT_FALSE(cmp.step(0.85));
+    cfg.comparator_hysteresis_v = 0.2;
+    for (const double sign : {1.0, -1.0}) {
+        SCOPED_TRACE(sign > 0.0 ? "positive latch" : "negative latch");
+        const std::vector<bool> q = latch_trace(cfg, sign, {1.05, 1.15, 0.95, 0.85});
+        EXPECT_FALSE(q[0]);  // below the rising threshold (1.1)
+        EXPECT_TRUE(q[1]);
+        EXPECT_TRUE(q[2]);   // above the falling threshold (0.9)
+        EXPECT_FALSE(q[3]);
+    }
 }
 
 TEST(Comparator, OffsetShiftsThreshold) {
-    ComparatorConfig cfg;
+    DetectorConfig cfg;
     cfg.threshold_v = 1.0;
-    cfg.offset_v = 0.3;
-    Comparator cmp(cfg);
-    EXPECT_FALSE(cmp.step(1.2));  // 1.2 - 0.3 < 1.0
-    EXPECT_TRUE(cmp.step(1.4));
+    cfg.comparator_offset_v = 0.3;
+    cfg.comparator_hysteresis_v = 0.0;
+    for (const double sign : {1.0, -1.0}) {
+        SCOPED_TRACE(sign > 0.0 ? "positive latch" : "negative latch");
+        const std::vector<bool> q = latch_trace(cfg, sign, {1.2, 1.4});
+        EXPECT_FALSE(q[0]);  // 1.2 - 0.3 < 1.0
+        EXPECT_TRUE(q[1]);
+        // An offset fault adds to the configured offset.
+        const std::vector<bool> f = latch_trace(cfg, sign, {1.4, 1.6}, 0.2);
+        EXPECT_FALSE(f[0]);  // 1.4 - (0.3 + 0.2) < 1.0
+        EXPECT_TRUE(f[1]);
+    }
 }
 
 // -------------------------------------------------------------- detector

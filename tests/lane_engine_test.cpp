@@ -248,7 +248,8 @@ TEST(LaneEngine, Eligibility) {
 
     // A register with an engaged hardware model, a clock at >= 1 period
     // per sample and a restored accumulator outside [0, 1) each refuse
-    // a counting advance, and none refuses one the counter sits out.
+    // a counting advance, and none refuses one the counter sits out. A
+    // mux on the other channel refuses the advance, counting or not.
     digital::CounterHardware narrow;
     narrow.width_bits = 8;
     digital::UpDownCounter wraps;
@@ -262,7 +263,8 @@ TEST(LaneEngine, Eligibility) {
         EXPECT_TRUE(plain(clean, counter));
         counter->enable(true);
         clean.select(analog::Channel::Y);  // counting x, the mux on y
-        EXPECT_TRUE(plain(clean, counter));
+        EXPECT_FALSE(plain(clean, counter));
+        EXPECT_FALSE(plain(clean, nullptr));
         clean.select(analog::Channel::X);
     }
 }
@@ -976,6 +978,27 @@ TEST(LaneEngine, TapHardwareCounterAndPlainLanesShareAGroup) {
                         });
     });
     EXPECT_GT(c.groups, 0u);
+}
+
+// A mux stuck on y with no injector armed (set_mux_stuck directly, as a
+// restored snapshot of a faulted member can leave it) sits on y through
+// the x stages too: there member 2 is not plain and advances through its
+// own engine, and on the y stages it takes the kernel, a cohort of its
+// own (its mux timer has run since it stuck). Every advance still runs
+// one kernel group of the other lanes.
+TEST(LaneEngine, StuckMuxMemberMatchesScalarBesideTheKernel) {
+    const int n = util::simd::kLanes + 1;  // one group with or without member 2
+    std::vector<double> headings;
+    for (int i = 0; i < n; ++i) headings.push_back(i * 31.0 + 9.0);
+    const CohortCounts c = count_cohorts([&] {
+        three_way_check(std::vector<compass::CompassConfig>(n, lite_config()), headings,
+                        [](int i, compass::Compass& c) {
+                            if (i == 2) c.front_end().set_mux_stuck(analog::Channel::Y);
+                        });
+    });
+    // Two measurements of four advances (settle and count per axis).
+    EXPECT_EQ(c.groups, 8u);
+    EXPECT_EQ(c.passes, c.groups + 4);
 }
 
 // A refused advance changes no member: a zero dt in a lockstep group and

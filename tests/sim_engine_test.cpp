@@ -3,7 +3,8 @@
 // counter value, heading and energy sum bit-identical, across headings,
 // both front-end architectures, and with band-limited pickup noise
 // running (same seed on both sides by construction). A steady-state
-// measure() allocates nothing on either engine.
+// measure() allocates nothing on either engine, and block scratch is
+// per thread.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <new>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/compass.hpp"
@@ -21,10 +23,13 @@
 #include "magnetics/units.hpp"
 #include "sim/engine.hpp"
 
-// Every allocation this test binary makes is counted, so a test can
-// bound the allocations of a run of measurements.
+// Every allocation this test binary makes is counted, and every block of
+// 4 KiB or more also apart, so a test can bound the allocations of a run
+// of measurements.
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_large_blocks{0};
+constexpr std::size_t kLargeBlock = 4096;
 }  // namespace
 
 // The replacement pair is malloc/free underneath; GCC cannot see that
@@ -33,6 +38,7 @@ std::atomic<std::uint64_t> g_allocations{0};
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void* operator new(std::size_t size) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (size >= kLargeBlock) g_large_blocks.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
     throw std::bad_alloc();
 }
@@ -144,6 +150,26 @@ TEST(SimEngine, SteadyStateMeasureAllocatesNothing) {
         for (int i = 0; i < 50; ++i) static_cast<void>(c.measure());
         EXPECT_EQ(g_allocations.load() - before, 0u);
     }
+}
+
+// The block path's scratch is per thread, not per member: on a thread
+// that has measured one compass, a fresh compass's first measure()
+// allocates no large block, so the memory each fleet member holds does
+// not include block buffers.
+TEST(SimEngine, FreshCompassReusesItsThreadsBlockScratch) {
+    const magnetics::EarthField field(magnetics::microtesla(48.0), 67.0);
+    std::uint64_t fresh_blocks = 0;
+    std::thread([&] {
+        compass::Compass warm;
+        warm.set_environment(field, 30.0);
+        static_cast<void>(warm.measure());
+        compass::Compass fresh;
+        fresh.set_environment(field, 210.0);
+        const std::uint64_t before = g_large_blocks.load();
+        static_cast<void>(fresh.measure());
+        fresh_blocks = g_large_blocks.load() - before;
+    }).join();
+    EXPECT_EQ(fresh_blocks, 0u);
 }
 
 TEST(SimEngine, FactoryAndNames) {

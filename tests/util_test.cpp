@@ -1,4 +1,4 @@
-// Tests for the util module: angles, fixed point, statistics, strings,
+// Tests for the util module: angles, statistics, strings,
 // CSV/table formatting and the RNG wrapper.
 
 #include <gtest/gtest.h>
@@ -7,7 +7,6 @@
 
 #include "util/angle.hpp"
 #include "util/csv.hpp"
-#include "util/fixed_point.hpp"
 #include "util/rng.hpp"
 #include "util/statistics.hpp"
 #include "util/strings.hpp"
@@ -58,39 +57,6 @@ TEST_P(AngleWrapProperty, WrapIsIdempotentAndInRange) {
 INSTANTIATE_TEST_SUITE_P(Sweep, AngleWrapProperty,
                          ::testing::Values(-1080.0, -359.9, -180.0, -0.1, 0.0, 0.1,
                                            179.9, 359.9, 360.1, 1234.5));
-
-// ----------------------------------------------------------- fixed point
-
-TEST(FixedPoint, IntRoundTrip) {
-    const Q7 v = Q7::from_int(42);
-    EXPECT_EQ(v.raw(), 42 * 128);
-    EXPECT_DOUBLE_EQ(v.to_double(), 42.0);
-}
-
-TEST(FixedPoint, DoubleRounding) {
-    EXPECT_EQ(Q7::from_double(0.5).raw(), 64);
-    EXPECT_EQ(Q7::from_double(-0.5).raw(), -64);
-    EXPECT_NEAR(Q7::from_double(45.0).to_double(), 45.0, 1.0 / 128);
-}
-
-TEST(FixedPoint, ArithmeticShiftIsFloor) {
-    // -1 >> 1 must stay -1 (floor), exactly like hardware ASR.
-    EXPECT_EQ(Q7::from_raw(-1).asr(1).raw(), -1);
-    EXPECT_EQ(Q7::from_raw(-256).asr(3).raw(), -32);
-    EXPECT_EQ(Q7::from_raw(255).asr(4).raw(), 15);
-}
-
-TEST(FixedPoint, AddSubNeg) {
-    const Q7 a = Q7::from_double(1.25);
-    const Q7 b = Q7::from_double(0.75);
-    EXPECT_DOUBLE_EQ((a + b).to_double(), 2.0);
-    EXPECT_DOUBLE_EQ((a - b).to_double(), 0.5);
-    EXPECT_DOUBLE_EQ((-a).to_double(), -1.25);
-}
-
-TEST(FixedPoint, OverflowThrows) {
-    EXPECT_THROW(Fixed<20>::from_double(1e18), std::out_of_range);
-}
 
 // ------------------------------------------------------------ statistics
 
