@@ -13,10 +13,11 @@
 /// and the running corpus digest, one FAIL section per recorded
 /// failure) is written atomically after every N cases, and
 /// --resume-from continues a killed run from its last checkpoint. The
-/// corpus digest — CRC-32 folded over every (index, pass/fail) pair in
-/// index order — is printed at the end of every complete run, so a
-/// resumed soak can be checked byte-for-byte against an uninterrupted
-/// one (CI's soak-kill-resume job does exactly that).
+/// corpus digest — CRC-32 folded over every case's index, pass/fail
+/// and one-line literal in index order — is printed at the end of every
+/// complete run, so a resumed soak can be checked byte-for-byte against
+/// an uninterrupted one, and a soak of another seed or oracle prints
+/// another digest (CI's soak-kill-resume job checks both).
 ///
 ///   bench_fuzz_soak [--cases=N] [--seed=S] [--threads=T]
 ///                   [--oracle=name] [--checkpoint-every=N]
@@ -162,15 +163,20 @@ void fields(Io& io, S& s) {
     }
 }
 
-/// Folds one case's outcome into the corpus digest: CRC-32 over
-/// (index:u64 LE, ok:u8), continued from the running value. Chunking
-/// and resume points cannot change the fold — it only sees per-case
-/// results in index order.
-void fold_case(std::uint32_t& digest, std::uint64_t index, bool ok) {
+/// Folds one case into the corpus digest: CRC-32 over (index:u64 LE,
+/// ok:u8) and the case's one-line literal (FuzzCase::to_literal(): its
+/// seed, oracle and generated inputs), continued from the running
+/// value. Chunking and resume points cannot change the fold — it only
+/// sees per-case results in index order — and two soaks print one
+/// digest only when they ran the same cases with the same outcomes.
+void fold_case(std::uint32_t& digest, const verify::FuzzCase& c, bool ok) {
     std::uint8_t buf[9];
-    util::store_le(buf, index);
+    util::store_le(buf, c.index);
     buf[8] = ok ? 1 : 0;
     digest = snapshot::crc32(buf, sizeof buf, digest);
+    const std::string literal = c.to_literal();
+    digest = snapshot::crc32(reinterpret_cast<const std::uint8_t*>(literal.data()),
+                             literal.size(), digest);
 }
 
 std::vector<std::uint8_t> encode_progress(const SoakProgress& p) {
@@ -307,7 +313,7 @@ int main(int argc, char** argv) {
         const verify::ChunkResult chunk =
             verify::run_chunk(seed, progress.next_index, n, threads, force);
         for (std::uint64_t i = 0; i < n; ++i) {
-            fold_case(progress.digest, progress.next_index + i,
+            fold_case(progress.digest, verify::generate_case(seed, progress.next_index + i, force),
                       chunk.ok[static_cast<std::size_t>(i)] != 0);
         }
         for (const verify::FuzzFailure& failure : chunk.failures) {

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "sim/lane_engine.hpp"
 #include "telemetry/exporters.hpp"
 
 namespace fxg::compass {
@@ -187,15 +188,22 @@ std::exception_ptr CompassFleet::measure_all_impl(int threads,
         return first_error_in_order(errors);
     }
 
-    // Auto: chunk members into lane groups; each pool task runs one
-    // group through the SoA lane engine (several members per vector
-    // instruction). A group with a traced member runs per-member so
-    // every trace tree stays complete. Results are bit-identical either
-    // way.
+    // Auto: each pool task runs a run of consecutive members through the
+    // SoA lane engine (several members per vector instruction): one
+    // lane-kernel batch of up to kBatchLanes, whose cohorts share one
+    // excitation pass, in runs of whole lane groups short enough to give
+    // every thread a task while the groups allow. A task with a traced
+    // member runs per member so every trace tree stays complete. Results
+    // are bit-identical either way.
     const int groups = (n + kLaneGroupSize - 1) / kLaneGroupSize;
-    auto measure_group = [&](int g) {
-        const int begin = g * kLaneGroupSize;
-        const int count = std::min(kLaneGroupSize, n - begin);
+    const int busy = std::max(1, std::min(threads, groups));  // tasks wanted
+    const int task_size =
+        kLaneGroupSize *
+        std::min(sim::LaneEngine::kBatchLanes / kLaneGroupSize, (groups + busy - 1) / busy);
+    const int tasks = (n + task_size - 1) / task_size;
+    auto measure_task = [&](int task) {
+        const int begin = task * task_size;
+        const int count = std::min(task_size, n - begin);
         bool traced = false;
         for (int i = begin; i < begin + count; ++i) {
             const telemetry::TelemetrySink* sink =
@@ -231,7 +239,7 @@ std::exception_ptr CompassFleet::measure_all_impl(int threads,
             }
         }
     };
-    pool_.parallel_for(groups, std::min(threads, groups), measure_group);
+    pool_.parallel_for(tasks, std::min(threads, tasks), measure_task);
     return first_error_in_order(errors);
 }
 

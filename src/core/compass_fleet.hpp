@@ -41,12 +41,13 @@ struct FleetResult {
 
 /// How measure_all dispatches members.
 enum class FleetExecution {
-    /// Chunk members into lane groups and run each group through the
-    /// SoA SIMD lane engine (PlanExecutor::run_lanes) — bit-identical
+    /// Run consecutive members, up to one lane-kernel batch
+    /// (sim::LaneEngine::kBatchLanes) per pool task, through the SoA
+    /// SIMD lane engine (PlanExecutor::run_lanes) — bit-identical
     /// results, several members per vector instruction; a member the
     /// lane engine cannot take advances through its own engine inside
-    /// its group. Only a group holding a member whose sink needs its
-    /// own span tree runs per member (run_lanes emits one batch tree).
+    /// its batch. Only a task holding a member whose sink needs its own
+    /// span tree runs per member (run_lanes emits one batch tree).
     Auto,
     /// Always one plan execution per member (the reference path).
     PerMember,
@@ -68,9 +69,10 @@ public:
         return static_cast<int>(members_.size());
     }
 
-    /// Members a lane-batched group spans: a few SIMD stripes per task,
-    /// so the pool still has group-level parallelism to schedule while
-    /// each task amortises its gather/scatter over full stripes.
+    /// Members of one lane group (two stripes on AVX-512): the step by
+    /// which measure_all shortens a task, a run of up to
+    /// sim::LaneEngine::kBatchLanes members, until every thread has one
+    /// while the groups allow.
     static constexpr int kLaneGroupSize = 16;
 
     /// Dispatch strategy for measure_all (default Auto — lane-batched;

@@ -34,16 +34,19 @@
 /// drifting oscillator puts its lane in a cohort of its own, so a
 /// faulted lane perturbs no neighbour.
 ///
-/// Cohorts: nothing upstream of the sensor depends on the field, so
-/// lanes whose oscillator, V-I converter, mux timer, supply model and
-/// (when counted) counter clock match bit for bit compute the same
-/// drive current, supply power, settle flags and ticks. Each group
-/// advance splits its lanes into such cohorts and runs every cohort's
-/// excitation once, through its lead lane's own block code, and its
-/// clock once beside the compares; each lane takes its cohort's values.
-/// Members built from one config and swept together form one cohort.
-/// The split is made from the inputs, per group advance, and changes
-/// no output bit.
+/// Batches and cohorts: nothing upstream of the sensor depends on the
+/// field, so lanes whose oscillator, V-I converter, mux timer, supply
+/// model and (when counted) counter clock match bit for bit compute the
+/// same drive current, supply power, settle flags and ticks. advance()
+/// takes its lanes in batches of up to kBatchLanes and splits each
+/// batch into such cohorts. Per 64-sample tile, every cohort's
+/// excitation runs once, through its lead lane's own block code, and
+/// then the batch's groups (two stripes each) advance that tile one
+/// after the other; a counted cohort's clock steps beside the compares
+/// of the first group that holds it, and each lane takes its cohort's
+/// values. Members built from one config and swept together form one
+/// cohort. The split is made from the inputs, per batch advance, and
+/// changes no output bit.
 
 #include <cstdint>
 
@@ -63,18 +66,26 @@ struct LanePort {
     double* energy_j = nullptr;
 };
 
-/// Process-wide counts of LaneEngine group advances and of the
-/// excitation passes they ran, one per cohort (relaxed atomics, bumped
-/// once per group advance, never per sample). A group advance whose
-/// lanes form one cohort adds one to each.
+/// Process-wide counts (relaxed atomics, bumped once per batch advance,
+/// never per sample): LaneEngine group advances (one per group of up to
+/// two stripes), the excitation passes their batches ran (one per
+/// cohort per batch advance), and the group tiles whose sensor pass
+/// divided through div_by's checked form because the numerator proof
+/// of DESIGN.md section 12 did not hold for them. A batch advance of one
+/// cohort adds one pass, however many groups it holds.
 [[nodiscard]] std::uint64_t group_advance_count() noexcept;
 [[nodiscard]] std::uint64_t excitation_pass_count() noexcept;
+[[nodiscard]] std::uint64_t checked_division_tile_count() noexcept;
 
 /// SoA batch engine over independent front ends. Owns no state; all
 /// simulation state lives in the member objects and round-trips per
 /// advance() through the stages' State seams.
 class LaneEngine {
 public:
+    /// Lanes one batch takes: 8 groups of 16 on AVX-512, 16 groups of 8
+    /// on AVX2 and the scalar backend.
+    static constexpr int kBatchLanes = 128;
+
     /// True when the kernel advances `port` by `steps` samples of `dt_s`
     /// on `channel`: the lane is plain. Its front end is multiplexed and
     /// enabled, its mux sits on `channel`, both cores are TanhCore, it
@@ -100,27 +111,22 @@ public:
     /// any member, unless dt_s > 0 and every lane is plain(). Lanes are
     /// independent; any subset of the same calls on the per-member
     /// path yields bit-identical member state.
+    ///
+    /// Each batch's groups hold S <= 2 consecutive stripes. Each
+    /// sample's sensor spine (h / hk -> exp polynomial -> tanh divide
+    /// -> pickup derivative) is a long serial dependency chain; the
+    /// sensor pass runs U samples of a group's S stripes statement by
+    /// statement through one body, which gives the out-of-order core
+    /// U*S independent chains to overlap, and divides by hk and dt
+    /// through their reciprocals (simd::div_by_in_range on tiles whose
+    /// numerators are proven in range, simd::div_by on the others). The
+    /// digital pass runs each lane's detector, statistics and counter
+    /// on 64-sample words transposed from per-sample lane bytes, through
+    /// the block path's word code. Lanes never interact and every lane
+    /// keeps its operations and their order, so the result is
+    /// bit-identical to per-member stepping.
     void advance(const LanePort* lanes, int n_lanes, analog::Channel channel,
                  int steps, double dt_s);
-
-private:
-    /// Advances one group of S consecutive stripes (n <= S*kLanes
-    /// lanes) through a single interleaved kernel loop. Each cohort's
-    /// excitation runs through its lead lane's stages. Each sample's
-    /// sensor spine (h / hk -> exp polynomial -> tanh divide -> pickup
-    /// derivative) is a long serial dependency chain; the sensor pass
-    /// runs U samples of all S stripes statement by statement through
-    /// one body, which gives the out-of-order core U*S independent
-    /// chains to overlap, and divides by hk and dt through their
-    /// reciprocals (simd::div_by). The digital pass runs each lane's
-    /// detector, statistics and counter on 64-sample words transposed
-    /// from per-sample lane bytes, through the block path's word code.
-    /// Lanes never interact and every lane keeps its operations and
-    /// their order, so the result is bit-identical to per-member
-    /// stepping.
-    template <int S>
-    static void advance_group(const LanePort* lanes, int n, analog::Channel channel,
-                              int steps, double dt_s);
 };
 
 }  // namespace fxg::sim

@@ -33,7 +33,9 @@
 /// every lane: a product and Markstein's fma correction where the
 /// operands lie in the range DESIGN.md section 12 proves exact, div
 /// otherwise. A loop-invariant divisor thus costs one reciprocal, and
-/// no divider operation per vector.
+/// no divider operation per vector. div_by_in_range is the same product
+/// and correction without the range check, for callers that have proven
+/// their operands inside the range (the lane kernel's sensor pass).
 ///
 /// vtanh is the one transcendental the engines need. libm's tanh is
 /// correctly rounded but scalar-only and has no vectorizable contract,
@@ -86,6 +88,16 @@
 #endif
 
 namespace fxg::util::simd {
+
+/// The range over which div_by's product and correction are IEEE
+/// division (DESIGN.md section 12): a divisor b in [kDivByMinDivisor,
+/// kDivByMaxDivisor] and a numerator a = +-0 or |a| in
+/// [kDivByMinNumerator, kDivByMaxNumerator].
+inline constexpr double kDivByMinDivisor = 0x1p-50;
+inline constexpr double kDivByMaxDivisor = 0x1p50;
+inline constexpr double kDivByMinNumerator = 0x1p-969;
+inline constexpr double kDivByMaxNumerator = 0x1p968;
+
 namespace detail {
 
 /// Magic constant for double -> int64 conversion of integer-valued
@@ -204,6 +216,11 @@ struct ScalarBackend {
         return b;
     }
 
+    static M cmp_eq(D a, D b) {
+        M m;
+        for (int l = 0; l < kLanes; ++l) m.v[l] = a.v[l] == b.v[l] ? ~0ULL : 0ULL;
+        return m;
+    }
     static M cmp_ge(D a, D b) {
         M m;
         for (int l = 0; l < kLanes; ++l) m.v[l] = a.v[l] >= b.v[l] ? ~0ULL : 0ULL;
@@ -348,6 +365,7 @@ struct Avx512Backend {
     static D bit_xor(D a, D b) { return _mm512_xor_pd(a, b); }
     static D bit_andnot(D a, D b) { return _mm512_andnot_pd(a, b); }
 
+    static M cmp_eq(D a, D b) { return _mm512_cmp_pd_mask(a, b, _CMP_EQ_OQ); }
     static M cmp_ge(D a, D b) { return _mm512_cmp_pd_mask(a, b, _CMP_GE_OQ); }
     static M cmp_gt(D a, D b) { return _mm512_cmp_pd_mask(a, b, _CMP_GT_OQ); }
     static D blend(M m, D a, D b) { return _mm512_mask_blend_pd(m, b, a); }
@@ -416,6 +434,7 @@ struct Avx2Backend {
     static D bit_xor(D a, D b) { return _mm256_xor_pd(a, b); }
     static D bit_andnot(D a, D b) { return _mm256_andnot_pd(a, b); }
 
+    static M cmp_eq(D a, D b) { return _mm256_cmp_pd(a, b, _CMP_EQ_OQ); }
     static M cmp_ge(D a, D b) { return _mm256_cmp_pd(a, b, _CMP_GE_OQ); }
     static M cmp_gt(D a, D b) { return _mm256_cmp_pd(a, b, _CMP_GT_OQ); }
     static D blend(M m, D a, D b) { return _mm256_blendv_pd(b, a, m); }
@@ -538,10 +557,7 @@ template <class B, int K>
         scaled[k] = B::fmadd(scaled[k], B::pow2i(B::d2i_exact(red.kd[k])), B::splat(-1.0));
     });
     each<K>([&](int k) {
-        const D zero = B::splat(0.0);
-        const auto k_is_zero =
-            B::m_and(B::cmp_ge(red.kd[k], zero), B::cmp_ge(zero, red.kd[k]));
-        x[k] = B::blend(k_is_zero, near_zero[k], scaled[k]);
+        x[k] = B::blend(B::cmp_eq(red.kd[k], B::splat(0.0)), near_zero[k], scaled[k]);
     });
 }
 
@@ -570,15 +586,28 @@ template <class B, int K>
     each<K>([&](int k) { x[k] = B::bit_or(x[k], sign[k]); });
 }
 
+/// a[k] / b[k] in place on K vectors through y[k] == 1.0 / b[k], for
+/// operands inside div_by's range: one product and Markstein's
+/// correction, q0 = a*y, then q = q0 - (q0*b - a)*y as two fmas
+/// (DESIGN.md section 12 proves it returns RN(a/b), the sign of a zero
+/// included, for b in [2^-50, 2^50] and a = +-0 or
+/// 2^-969 <= |a| <= 2^968). Outside the range the result need not be
+/// a/b.
+template <class B, int K>
+[[gnu::always_inline]] inline void div_in_range_t(typename B::D (&a)[K],
+                                                  const typename B::D (&b)[K],
+                                                  const typename B::D (&y)[K]) {
+    typename B::D q[K];
+    each<K>([&](int k) { q[k] = B::mul(a[k], y[k]); });
+    each<K>([&](int k) { a[k] = B::fnmadd(B::fmsub(q[k], b[k], a[k]), y[k], q[k]); });
+}
+
 /// a[k] / b[k] in place on K vectors through y[k] == 1.0 / b[k],
-/// rounded exactly as div(a[k], b[k]) rounds it in every lane. The
-/// fast path is one product and Markstein's correction:
-/// q0 = a*y, then q = q0 - (q0*b - a)*y as two fmas (DESIGN.md
-/// section 12 proves it returns RN(a/b), the sign of a zero included,
-/// for b in [2^-50, 2^50] and a = +-0 or 2^-969 <= |a| <= 2^968).
-/// When any lane of the K vectors lies outside that range (or b <= 0,
-/// or an operand is not finite), all K take div instead: one
-/// predictable branch per call.
+/// rounded exactly as div(a[k], b[k]) rounds it in every lane: the
+/// product and correction of div_in_range_t where every lane of the K
+/// vectors lies inside the range, and div for all K when any lane lies
+/// outside it (or b <= 0, or an operand is not finite): one predictable
+/// branch per call.
 template <class B, int K>
 [[gnu::always_inline]] inline void div_by_t(typename B::D (&a)[K],
                                             const typename B::D (&b)[K],
@@ -586,16 +615,16 @@ template <class B, int K>
     using D = typename B::D;
     using M = typename B::M;
     D q[K];
-    each<K>([&](int k) { q[k] = B::mul(a[k], y[k]); });
-    each<K>([&](int k) { q[k] = B::fnmadd(B::fmsub(q[k], b[k], a[k]), y[k], q[k]); });
+    each<K>([&](int k) { q[k] = a[k]; });
+    div_in_range_t<B, K>(q, b, y);
     M in = B::m_splat(true);
     each<K>([&](int k) {
         const D ax = B::bit_andnot(B::splat(-0.0), a[k]);
-        const M b_in = B::m_and(B::cmp_ge(b[k], B::splat(0x1p-50)),
-                                B::cmp_ge(B::splat(0x1p50), b[k]));
-        const M a_in = B::m_or(
-            B::m_and(B::cmp_ge(ax, B::splat(0x1p-969)), B::cmp_ge(B::splat(0x1p968), ax)),
-            B::cmp_ge(B::splat(0.0), ax));
+        const M b_in = B::m_and(B::cmp_ge(b[k], B::splat(kDivByMinDivisor)),
+                                B::cmp_ge(B::splat(kDivByMaxDivisor), b[k]));
+        const M a_in = B::m_or(B::m_and(B::cmp_ge(ax, B::splat(kDivByMinNumerator)),
+                                        B::cmp_ge(B::splat(kDivByMaxNumerator), ax)),
+                               B::cmp_ge(B::splat(0.0), ax));
         in = B::m_and(in, B::m_and(a_in, b_in));
     });
     if (B::movemask(in) == (1u << B::kLanes) - 1) {
@@ -618,7 +647,7 @@ template <class B, int K>
 /// cos(2 pi u2) = -cos(2 pi a) with a = |u2 - 1/2|, and
 /// cos(2 pi a) = -cos(2 pi (1/2 - a)) past a = 1/4.
 template <class B>
-typename B::D gauss_t(typename B::I bits) {
+[[gnu::always_inline]] inline typename B::D gauss_t(typename B::I bits) {
     using D = typename B::D;
     using I = typename B::I;
     // Exact conversion of an integer in [0, 2^52): OR it into the
@@ -716,6 +745,7 @@ inline dvec bit_and(dvec a, dvec b) { return detail::Active::bit_and(a, b); }
 inline dvec bit_or(dvec a, dvec b) { return detail::Active::bit_or(a, b); }
 inline dvec bit_xor(dvec a, dvec b) { return detail::Active::bit_xor(a, b); }
 inline dvec bit_andnot(dvec a, dvec b) { return detail::Active::bit_andnot(a, b); }
+inline mask cmp_eq(dvec a, dvec b) { return detail::Active::cmp_eq(a, b); }
 inline mask cmp_ge(dvec a, dvec b) { return detail::Active::cmp_ge(a, b); }
 inline mask cmp_gt(dvec a, dvec b) { return detail::Active::cmp_gt(a, b); }
 inline dvec blend(mask m, dvec a, dvec b) { return detail::Active::blend(m, a, b); }
@@ -750,6 +780,17 @@ inline dvec div_by(dvec a, dvec b, dvec y) {
     const dvec yy[1] = {y};
     div_by(q, bb, yy);
     return q[0];
+}
+
+/// div_by without its range check, for operands the caller has proven
+/// inside the range in every lane (kDivByMinDivisor <= b <=
+/// kDivByMaxDivisor, and a = +-0 or kDivByMinNumerator <= |a| <=
+/// kDivByMaxNumerator); see detail::div_in_range_t. No compare, no
+/// branch and no divider operation per vector.
+template <int K>
+[[gnu::always_inline]] inline void div_by_in_range(dvec (&a)[K], const dvec (&b)[K],
+                                                   const dvec (&y)[K]) {
+    detail::div_in_range_t<detail::Active, K>(a, b, y);
 }
 
 /// tanh of K vectors in place, their chains interleaved.

@@ -3,7 +3,8 @@
 /// binary: an unknown or malformed flag exits 2 before a case runs or a
 /// file is written, --help prints the usage and exits 0, and a
 /// well-formed command runs. CI soaks with this binary, so a misspelt
-/// flag must not pass as a default 30,000-case soak.
+/// flag must not pass as a default 30,000-case soak. Its corpus digest
+/// names the corpus: another seed or oracle prints another digest.
 
 #include <gtest/gtest.h>
 
@@ -46,6 +47,13 @@ SoakRun soak(const std::string& args) {
     return r;
 }
 
+/// The hex digest of a run's "corpus digest" line ("" when absent).
+std::string corpus_digest(const SoakRun& r) {
+    const std::string key = "corpus digest ";
+    const std::size_t at = r.out.find(key);
+    return at == std::string::npos ? "" : r.out.substr(at + key.size(), 8);
+}
+
 }  // namespace
 
 TEST(FuzzSoakCli, UnknownOrMalformedFlagExitsTwoBeforeRunning) {
@@ -72,4 +80,20 @@ TEST(FuzzSoakCli, WellFormedFlagsRun) {
     EXPECT_TRUE(r.wrote);
     EXPECT_NE(r.out.find("seed=7 cases=4 threads=1 oracle=EngineParity"), std::string::npos)
         << r.out;
+}
+
+// Every case passes in all three runs, so a digest of (index, pass/fail)
+// pairs alone would be one value for all of them: the digest folds each
+// case's literal, which names its seed and oracle.
+TEST(FuzzSoakCli, CorpusDigestNamesItsCorpus) {
+    const std::string seed1 = corpus_digest(soak("--cases=40 --seed=1 --threads=1"));
+    const std::string again = corpus_digest(soak("--cases=40 --seed=1 --threads=1"));
+    const std::string seed2 = corpus_digest(soak("--cases=40 --seed=2 --threads=1"));
+    const std::string cordic =
+        corpus_digest(soak("--cases=40 --seed=1 --threads=1 --oracle=cordic"));
+    ASSERT_EQ(seed1.size(), 8u);
+    EXPECT_EQ(seed1, again);
+    EXPECT_NE(seed1, seed2);
+    EXPECT_NE(seed1, cordic);
+    EXPECT_NE(seed2, cordic);
 }

@@ -91,9 +91,11 @@ TEST(FuzzCorpus, EngineParityForcedCorpusIsBitExact) {
     EXPECT_EQ(report.cases, kCases);
     EXPECT_TRUE(report.ok());
     // Each of those cases batches its lane rig beside a lockstep twin and
-    // then beside a diverged mate, a second cohort. A group advance of
-    // more than one cohort runs at least one extra pass, so groups less
-    // extra passes bounds the one-cohort group advances from below.
+    // then beside a diverged mate, a second cohort. A batch of two lanes
+    // is one group, so here every batch advance adds one group advance,
+    // and a batch advance of more than one cohort runs at least one extra
+    // pass: group advances less extra passes bound the one-cohort batch
+    // advances from below.
     const std::uint64_t groups = sim::group_advance_count() - groups0;
     const std::uint64_t extra = sim::excitation_pass_count() - passes0 - groups;
     EXPECT_GE(groups, extra + k_count);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
@@ -103,10 +104,30 @@ void expect_same_pipeline_state(compass::Compass& a, compass::Compass& b) {
     }
 }
 
+/// Pipeline state plus the excitation state cohorts share: the
+/// oscillator, the mux timer and the counter clock.
+void expect_same_excitation_state(compass::Compass& a, compass::Compass& b) {
+    expect_same_pipeline_state(a, b);
+    const analog::TriangleOscillator::State oa = a.front_end().oscillator().save_state();
+    const analog::TriangleOscillator::State ob = b.front_end().oscillator().save_state();
+    EXPECT_EQ(oa.time_s, ob.time_s);
+    EXPECT_EQ(oa.phase, ob.phase);
+    EXPECT_EQ(oa.output, ob.output);
+    EXPECT_EQ(oa.correction_a, ob.correction_a);
+    EXPECT_EQ(oa.period_integral, ob.period_integral);
+    EXPECT_EQ(oa.period_time, ob.period_time);
+    EXPECT_EQ(a.front_end().mux().save_state().since_switch_s,
+              b.front_end().mux().save_state().since_switch_s);
+    const digital::UpDownCounter::State ca = a.counter().save_state();
+    const digital::UpDownCounter::State cb = b.counter().save_state();
+    EXPECT_EQ(ca.tick_accumulator, cb.tick_accumulator);
+    EXPECT_EQ(ca.active_ticks, cb.active_ticks);
+}
+
 /// Builds `n` members from per-index configs/headings, runs the
 /// reference members one by one with the scalar engine and the lane
-/// members as one run_lanes batch, and asserts bit identity slot by
-/// slot (results and post-run pipeline state). `customize` (optional)
+/// members as one run_lanes call, and asserts bit identity slot by
+/// slot (results, post-run pipeline and excitation state). `customize` (optional)
 /// is applied identically to both copies of member i after
 /// construction — per-member calibration and the like.
 void three_way_check(
@@ -144,8 +165,8 @@ void three_way_check(
                 << outcomes[static_cast<std::size_t>(i)].error;
             expect_bit_identical(outcomes[static_cast<std::size_t>(i)].measurement,
                                  expect);
-            expect_same_pipeline_state(*lane[static_cast<std::size_t>(i)],
-                                       *ref[static_cast<std::size_t>(i)]);
+            expect_same_excitation_state(*lane[static_cast<std::size_t>(i)],
+                                         *ref[static_cast<std::size_t>(i)]);
         }
     }
 }
@@ -845,9 +866,33 @@ TEST(LaneEngine, DivisorsOutsideTheReciprocalRangeTakeTheExactDivide) {
     // divides through div on those branches and must still match.
     std::vector<analog::FrontEndConfig> configs(3);
     configs[1].sensor.hk_a_per_m = 1e-320;
+    const std::uint64_t checked0 = sim::checked_division_tile_count();
     expect_lane_advances_match_scalar(configs, kOddAdvances, [](int, analog::FrontEnd&) {});
     expect_lane_advances_match_scalar(std::vector<analog::FrontEndConfig>(3), kOddAdvances,
                                       [](int, analog::FrontEnd&) {}, 1e-320);
+    EXPECT_GT(sim::checked_division_tile_count(), checked0);
+}
+
+// Member 1's axial field is 1e-310 A/m and its excitation has collapsed
+// (an amplitude fault of 0, so its drive current is 0), so its h is
+// subnormal on every sample: outside the bounds from which the kernel
+// proves Pass B's numerators in range (DESIGN.md section 12). Its group
+// divides through div_by's checked form on every tile, which sends the
+// subnormal quotients to div, and must match the scalar run.
+TEST(LaneEngine, SubnormalFieldTakesTheCheckedDivisionAndMatchesScalar) {
+    const std::uint64_t checked0 = sim::checked_division_tile_count();
+    expect_lane_advances_match_scalar(std::vector<analog::FrontEndConfig>(3), kOddAdvances,
+                                      [](int i, analog::FrontEnd& fe) {
+                                          if (i != 1) return;
+                                          fe.set_field(analog::Channel::X, 1e-310);
+                                          analog::OscillatorFault collapse;
+                                          collapse.amplitude_scale = 0.0;
+                                          fe.oscillator().set_fault(collapse);
+                                      });
+    // One group of three lanes; every tile of every advance is checked.
+    std::uint64_t tiles = 0;
+    for (const int steps : kOddAdvances) tiles += static_cast<std::uint64_t>((steps + 63) / 64);
+    EXPECT_EQ(sim::checked_division_tile_count() - checked0, tiles);
 }
 
 // ----------------------------------------------------- Pass C on words
@@ -865,17 +910,21 @@ void stagger_mux(analog::FrontEnd& fe, double since_s) {
     fe.mux().load_state({analog::Channel::X, since_s});
 }
 
-/// Group advances and excitation passes `run` adds.
+/// Group advances, excitation passes and checked division tiles `run`
+/// adds.
 struct CohortCounts {
     std::uint64_t groups = 0;
     std::uint64_t passes = 0;
+    std::uint64_t checked = 0;
 };
 
 CohortCounts count_cohorts(const std::function<void()>& run) {
     const std::uint64_t groups0 = sim::group_advance_count();
     const std::uint64_t passes0 = sim::excitation_pass_count();
+    const std::uint64_t checked0 = sim::checked_division_tile_count();
     run();
-    return {sim::group_advance_count() - groups0, sim::excitation_pass_count() - passes0};
+    return {sim::group_advance_count() - groups0, sim::excitation_pass_count() - passes0,
+            sim::checked_division_tile_count() - checked0};
 }
 
 TEST(LaneEngine, SettleEdgeInsideATileMatchesScalarInOneAndManyCohortGroups) {
@@ -889,18 +938,20 @@ TEST(LaneEngine, SettleEdgeInsideATileMatchesScalarInOneAndManyCohortGroups) {
     const CohortCounts lockstep = count_cohorts([&] {
         expect_lane_advances_match_scalar(configs, advances, [](int, analog::FrontEnd&) {});
     });
-    EXPECT_GT(lockstep.groups, 0u);
-    EXPECT_EQ(lockstep.passes, lockstep.groups);
+    // One batch per advance, of one cohort (one group on AVX-512, two on
+    // AVX2 and the scalar backend).
+    EXPECT_GE(lockstep.groups, advances.size());
+    EXPECT_EQ(lockstep.passes, advances.size());
+    EXPECT_EQ(lockstep.checked, 0u);
     const CohortCounts staggered = count_cohorts([&] {
         expect_lane_advances_match_scalar(configs, advances, [](int i, analog::FrontEnd& fe) {
             if (i == 2) stagger_mux(fe, 20e-6);
             if (i == 6) stagger_mux(fe, 40e-6);
         });
     });
-    // Members 2 and 6 share a group on every backend, 9 lanes being at
-    // least two stripes.
+    // Members 2 and 6 are a cohort each in every batch.
     EXPECT_EQ(staggered.groups, lockstep.groups);
-    EXPECT_EQ(staggered.passes, staggered.groups + 2 * advances.size());
+    EXPECT_EQ(staggered.passes, 3 * advances.size());
 }
 
 TEST(LaneEngine, ManyCohortGroupMatchesScalarAcrossWordBoundaries) {
@@ -953,8 +1004,10 @@ TEST(LaneEngine, CountersOutsideTheOneBitClockKeepTheirOwnClock) {
             });
         });
     }
+    // One batch per advance; member 5's cohort adds passes on the Count
+    // stages where it is back under the one-bit clock.
     EXPECT_GT(counts[0].groups, 0u);
-    EXPECT_GT(counts[0].passes, counts[0].groups);
+    EXPECT_GT(counts[0].passes, 2 * 4u);
     EXPECT_EQ(counts[1].groups, counts[0].groups);
     EXPECT_EQ(counts[1].passes, counts[0].passes + 2);
 }
@@ -1081,10 +1134,11 @@ TEST(CompassFleet, CompilesSharedPlanExactlyOnce) {
     EXPECT_EQ(&fleet.at(0).plan(), &fleet.at(99).plan());
 }
 
-// The lane kernel's scratch is tile-sized and on the stack, so a clean
+// The lane kernel's scratch is tile-sized: tile buffers on the stack
+// and batch records the thread keeps from sweep to sweep, so a clean
 // sweep of the default config's 16,384-step count windows allocates no
-// large block. The first two sweeps let the black box reach its steady
-// size.
+// large block. The first two sweeps let the black box and the thread's
+// batch records reach their steady size.
 TEST(CompassFleet, CleanSweepAllocatesNoLargeBlock) {
     constexpr int kFleet = 16;
     compass::CompassFleet fleet(kFleet);
@@ -1128,11 +1182,14 @@ TEST(CompassFleet, TrappedMembersReportDeterministicFirstError) {
 
 // ------------------------------------------------------------ cohorts
 //
-// Each group advance splits its lanes into cohorts whose excitation and
+// Each batch advance splits its lanes into cohorts whose excitation and
 // clock inputs match bit for bit, and runs one excitation pass per
-// cohort (sim::excitation_pass_count, beside sim::group_advance_count).
-// Each case compares an Auto fleet with a PerMember twin bit for bit,
-// excitation state included, and pins the passes of one sweep.
+// cohort for all of the batch's groups (sim::excitation_pass_count,
+// beside sim::group_advance_count). Each case compares an Auto fleet with
+// a PerMember twin bit for bit, excitation state included, and pins the
+// passes of one sweep. A 16-member fleet is one batch: one group on
+// AVX-512, two on AVX2 and the scalar backend, and one pass per cohort
+// on every backend.
 
 constexpr int kCohortFleet = 16;
 constexpr std::uint64_t kStagesPerSweep = 4;   // settle + count, two axes
@@ -1141,24 +1198,6 @@ constexpr std::uint64_t kSettlesPerSweep = 2;  // one settle per axis
 /// Lane groups one advance of a kCohortFleet batch splits into.
 std::uint64_t cohort_groups() {
     return kCohortFleet / (2 * sim::LaneEngine::lanes_per_stripe());
-}
-
-void expect_same_excitation_state(compass::Compass& a, compass::Compass& b) {
-    expect_same_pipeline_state(a, b);
-    const analog::TriangleOscillator::State oa = a.front_end().oscillator().save_state();
-    const analog::TriangleOscillator::State ob = b.front_end().oscillator().save_state();
-    EXPECT_EQ(oa.time_s, ob.time_s);
-    EXPECT_EQ(oa.phase, ob.phase);
-    EXPECT_EQ(oa.output, ob.output);
-    EXPECT_EQ(oa.correction_a, ob.correction_a);
-    EXPECT_EQ(oa.period_integral, ob.period_integral);
-    EXPECT_EQ(oa.period_time, ob.period_time);
-    EXPECT_EQ(a.front_end().mux().save_state().since_switch_s,
-              b.front_end().mux().save_state().since_switch_s);
-    const digital::UpDownCounter::State ca = a.counter().save_state();
-    const digital::UpDownCounter::State cb = b.counter().save_state();
-    EXPECT_EQ(ca.tick_accumulator, cb.tick_accumulator);
-    EXPECT_EQ(ca.active_ticks, cb.active_ticks);
 }
 
 /// An Auto fleet and its PerMember reference, members at distinct
@@ -1203,26 +1242,29 @@ private:
     compass::CompassFleet reference_;
 };
 
-// (a) Members built from one config stay one cohort sweep after sweep.
+// (a) Members built from one config stay one cohort sweep after sweep:
+// one pass per stage, whatever the number of groups, and every tile's
+// numerators proven in range.
 TEST(LaneCohort, LockstepFleetSharesEveryGroupAdvance) {
     CohortFleets fleets;
     for (int sweep = 0; sweep < 2; ++sweep) {
         SCOPED_TRACE(sweep);
         const CohortCounts c = fleets.sweep();
         EXPECT_EQ(c.groups, kStagesPerSweep * cohort_groups());
-        EXPECT_EQ(c.passes, c.groups);
+        EXPECT_EQ(c.passes, kStagesPerSweep);
+        EXPECT_EQ(c.checked, 0u);
     }
 }
 
 // (b) One extra measurement moves a member's oscillator on: it is a
-// cohort of its own on every stage, and only its group runs two passes.
+// cohort of its own on every stage, one more pass per stage.
 TEST(LaneCohort, ExtraMeasurementSplitsOnlyItsGroup) {
     CohortFleets fleets;
     static_cast<void>(fleets.sweep());
     fleets.both(3, [](compass::Compass& c) { static_cast<void>(c.measure()); });
     const CohortCounts c = fleets.sweep();
     EXPECT_EQ(c.groups, kStagesPerSweep * cohort_groups());
-    EXPECT_EQ(c.passes, c.groups + kStagesPerSweep);
+    EXPECT_EQ(c.passes, 2 * kStagesPerSweep);
 }
 
 // (c) Oscillator faults are excitation inputs: a frequency or an
@@ -1241,7 +1283,7 @@ TEST(LaneCohort, OscillatorFaultSplitsItsGroup) {
         });
         const CohortCounts c = fleets.sweep();
         EXPECT_EQ(c.groups, kStagesPerSweep * cohort_groups());
-        EXPECT_EQ(c.passes, c.groups + kStagesPerSweep);
+        EXPECT_EQ(c.passes, 2 * kStagesPerSweep);
     }
 }
 
@@ -1255,7 +1297,7 @@ TEST(LaneCohort, MuxTimerSplitsItsGroupUntilTheNextSwitch) {
     });
     const CohortCounts c = fleets.sweep();
     EXPECT_EQ(c.groups, kStagesPerSweep * cohort_groups());
-    EXPECT_EQ(c.passes, c.groups + 2);
+    EXPECT_EQ(c.passes, kStagesPerSweep + 2);
 }
 
 // (e) The counter's accumulator is part of the key only where the
@@ -1275,16 +1317,16 @@ TEST(LaneCohort, CounterAccumulatorSplitsItsGroupOnlyWhereItCounts) {
         });
         const CohortCounts c = fleets.sweep();
         const bool counts_in_kernel = steps_per_period == 1024;
-        EXPECT_EQ(c.groups,
-                  (counts_in_kernel ? kStagesPerSweep : kSettlesPerSweep) * cohort_groups());
-        EXPECT_EQ(c.passes, c.groups + (counts_in_kernel ? 2 : 0));
+        const std::uint64_t stages = counts_in_kernel ? kStagesPerSweep : kSettlesPerSweep;
+        EXPECT_EQ(c.groups, stages * cohort_groups());
+        EXPECT_EQ(c.passes, stages + (counts_in_kernel ? 2 : 0));
     }
 }
 
 // (f) A tapped member leaves the kernel on every advance, so however far
 // its ladder has moved it on, the other members stay one cohort: member
 // 0 armed DetectorStuckLow and one measurement ahead, as after its
-// ladder, and every group advance of the sweep runs one pass.
+// ladder, and every batch advance of the sweep runs one pass.
 TEST(LaneCohort, TappedMemberLeavesItsGroup) {
     CohortFleets fleets;
     fault::FaultSpec stuck;
@@ -1300,7 +1342,7 @@ TEST(LaneCohort, TappedMemberLeavesItsGroup) {
     });
     const CohortCounts c = fleets.sweep();
     EXPECT_EQ(c.groups, kStagesPerSweep * cohort_groups());
-    EXPECT_EQ(c.passes, c.groups);
+    EXPECT_EQ(c.passes, kStagesPerSweep);
 }
 
 // (g) One group of many cohorts, each diverged in one input, beside
@@ -1324,14 +1366,70 @@ TEST(LaneCohort, OneGroupOfManyCohortsMatchesPerMember) {
     fleets.both(4, [](compass::Compass& c) { static_cast<void>(c.measure()); });
     const CohortCounts c = fleets.sweep();
     EXPECT_EQ(c.groups, kStagesPerSweep * cohort_groups());
-    // The first group's cohorts per stage: settle x holds the plain
-    // lanes (member 3 among them: a settle clocks no counter) and
-    // members 1, 2 and 4; count x adds member 3; the switch to y restarts
-    // member 2's timer, so settle y holds the plain lanes and members 1
-    // and 4, and count y adds member 3 again. Every other group is one
-    // cohort per stage.
-    const std::uint64_t first_group = 4 + 5 + 3 + 4;
-    EXPECT_EQ(c.passes, first_group + kStagesPerSweep * (cohort_groups() - 1));
+    // The batch's cohorts per stage: settle x holds the plain lanes
+    // (member 3 among them: a settle clocks no counter) and members 1, 2
+    // and 4; count x adds member 3; the switch to y restarts member 2's
+    // timer, so settle y holds the plain lanes and members 1 and 4, and
+    // count y adds member 3 again. The plain lanes of every other group
+    // join the first group's plain cohort.
+    EXPECT_EQ(c.passes, 4u + 5u + 3u + 4u);
+}
+
+// (h) Batches of many groups: 2 x 128 + 40 members, two full batches and
+// a part one. One member per batch is one measurement ahead (a cohort of
+// its own, led from a group after the first), so the batch's other
+// groups take the plain cohort's excitation and tick words from a group
+// before them, and every lane must end in its cohort's oscillator, mux
+// and counter state. First one run_lanes batch of all members, every
+// third drawing 0.25 mV of pickup noise, against each member alone on
+// the scalar engine; then fleets without and with that noise, swept in
+// Auto and PerMember over two sweeps at one thread (three tasks of whole
+// batches) and at three (three runs of whole groups).
+TEST(LaneCohort, FleetBatchesOfManyGroupsMatchPerMember) {
+    constexpr int kBatch = sim::LaneEngine::kBatchLanes;
+    constexpr int kFleet = 2 * kBatch + 40;
+    const std::vector<int> ahead = {37, kBatch + 77, 2 * kBatch + 21};
+    const auto is_ahead = [&ahead](int i) {
+        return std::find(ahead.begin(), ahead.end(), i) != ahead.end();
+    };
+    std::vector<double> headings;
+    for (int i = 0; i < kFleet; ++i) headings.push_back(i * 7.3 + 0.5);
+
+    std::vector<compass::CompassConfig> configs(kFleet, lite_config());
+    for (int i = 0; i < kFleet; i += 3) {
+        configs[static_cast<std::size_t>(i)].front_end.pickup_noise_rms_v = 0.25e-3;
+    }
+    three_way_check(configs, headings, [&](int i, compass::Compass& c) {
+        if (is_ahead(i)) static_cast<void>(c.measure());
+    });
+
+    for (const double noise_v : {0.0, 0.25e-3}) {
+        compass::CompassConfig config = lite_config();
+        config.front_end.pickup_noise_rms_v = noise_v;
+        compass::CompassFleet lanes(kFleet, config);
+        compass::CompassFleet reference(kFleet, config);
+        reference.set_execution(compass::FleetExecution::PerMember);
+        for (compass::CompassFleet* f : {&lanes, &reference}) {
+            f->set_environments(site(), headings);
+            for (const int i : ahead) static_cast<void>(f->at(i).measure());
+        }
+        for (const int threads : {1, 3}) {
+            for (int sweep = 0; sweep < 2; ++sweep) {
+                SCOPED_TRACE(testing::Message() << noise_v << " V noise, " << threads
+                                                << " threads, sweep " << sweep);
+                const auto a = lanes.measure_all_results(threads);
+                const auto b = reference.measure_all_results(threads);
+                for (int i = 0; i < kFleet; ++i) {
+                    SCOPED_TRACE(testing::Message() << "member " << i);
+                    const auto u = static_cast<std::size_t>(i);
+                    ASSERT_TRUE(a[u].ok) << a[u].error;
+                    ASSERT_TRUE(b[u].ok) << b[u].error;
+                    expect_bit_identical(a[u].measurement, b[u].measurement);
+                    expect_same_excitation_state(lanes.at(i), reference.at(i));
+                }
+            }
+        }
+    }
 }
 
 }  // namespace

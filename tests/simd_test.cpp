@@ -104,10 +104,11 @@ void check_binary_op(const std::string& name, Op op) {
 }
 
 // `op(B{}, i)` is backend B's mask for the stripe at offset i; its
-// movemask bits must match the fallback's.
+// movemask bits must match the fallback's. Returns the active backend's
+// bits, one 0/1 per element.
 template <class Op>
-void check_mask_op(const std::string& name, std::size_t n, Op op) {
-    expect_backends_agree<std::int64_t>(
+std::vector<std::int64_t> check_mask_op(const std::string& name, std::size_t n, Op op) {
+    return expect_backends_agree<std::int64_t>(
         name + " movemask", n, [&](auto be, std::int64_t* out, std::size_t i) {
             const unsigned bits = decltype(be)::movemask(op(be, i));
             for (int l = 0; l < decltype(be)::kLanes; ++l) out[l] = (bits >> l) & 1u;
@@ -189,6 +190,35 @@ TEST(Simd, CompareBlendMovemaskMatchScalarFallback) {
         const auto y = B::load(b.data() + i);
         B::store(out, B::blend(B::cmp_ge(x, y), x, y));
     });
+}
+
+// cmp_eq is the ordered, quiet compare: equal values (+0 and -0
+// included) in both orders, never NaN. expm1's k == 0 test uses it in
+// place of cmp_ge both ways, which it matches on every input.
+TEST(Simd, CmpEqMatchesScalarFallbackAndBothWaysGreaterOrEqual) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    auto a = random_doubles(512, 12);
+    auto b = random_doubles(512, 13);
+    for (std::size_t i = 0; i < b.size(); i += 3) b[i] = a[i];
+    for (std::size_t i = 1; i < b.size(); i += 7) b[i] = -a[i];
+    for (std::size_t i = 2; i < a.size(); i += 11) a[i] = nan;
+    for (std::size_t i = 4; i < b.size(); i += 13) b[i] = nan;
+    for (std::size_t i = 5; i < a.size(); i += 17) a[i] = b[i] = i % 2 == 0 ? inf : -inf;
+    const auto eq = check_mask_op("cmp_eq", a.size(), [&](auto be, std::size_t i) {
+        using B = decltype(be);
+        return B::cmp_eq(B::load(a.data() + i), B::load(b.data() + i));
+    });
+    const auto both_ge = check_mask_op("cmp_ge both ways", a.size(), [&](auto be, std::size_t i) {
+        using B = decltype(be);
+        const auto x = B::load(a.data() + i);
+        const auto y = B::load(b.data() + i);
+        return B::m_and(B::cmp_ge(x, y), B::cmp_ge(y, x));
+    });
+    EXPECT_EQ(eq, both_ge);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(eq[i], a[i] == b[i] ? 1 : 0) << a[i] << " == " << b[i];
+    }
 }
 
 TEST(Simd, MaskLogicMatchesScalarFallback) {
@@ -402,9 +432,10 @@ double make_double(bool negative, int exponent, std::uint64_t significand) {
                                  (significand & 0x000FFFFFFFFFFFFFULL));
 }
 
-/// Runs div_by over (a[i], b[i]) on backend B, K vectors per call, and
-/// counts the elements whose bits differ from IEEE a / b.
-template <class B, int K>
+/// Runs div_by (or, with kChecked false, its unchecked form
+/// div_in_range_t) over (a[i], b[i]) on backend B, K vectors per call,
+/// and counts the elements whose bits differ from IEEE a / b.
+template <class B, int K, bool kChecked = true>
 std::size_t div_by_mismatches(const std::vector<double>& a, const std::vector<double>& b) {
     std::size_t bad = 0;
     constexpr std::size_t step = std::size_t{K} * B::kLanes;
@@ -415,7 +446,11 @@ std::size_t div_by_mismatches(const std::vector<double>& a, const std::vector<do
             d[k] = B::load(b.data() + i + k * B::kLanes);
             y[k] = B::div(B::splat(1.0), d[k]);
         }
-        simd::detail::div_by_t<B, K>(q, d, y);
+        if constexpr (kChecked) {
+            simd::detail::div_by_t<B, K>(q, d, y);
+        } else {
+            simd::detail::div_in_range_t<B, K>(q, d, y);
+        }
         double out[step];
         for (int k = 0; k < K; ++k) B::store(out + k * B::kLanes, q[k]);
         for (std::size_t j = 0; j < step; ++j) {
@@ -444,7 +479,9 @@ std::size_t div_by_mismatches_all_widths(const std::vector<double>& a,
 // IEEE division for b in [2^-50, 2^50] and a = +-0 or
 // 2^-969 <= |a| <= 2^968; every other operand takes div. Random pairs
 // over that range, with all-ones and zero divisor significands, on the
-// active backend and the scalar fallback.
+// active backend and the scalar fallback, and through the fast path
+// alone (div_by_in_range, which the lane kernel takes on operands it
+// proves in range).
 TEST(Simd, DivByIsIeeeDivisionOverTheProvedRange) {
     constexpr std::size_t kPairs = 100'000'000;
     constexpr std::size_t kBatch = std::size_t{1} << 20;
@@ -467,7 +504,7 @@ TEST(Simd, DivByIsIeeeDivisionOverTheProvedRange) {
                        : make_double((r >> 10) & 1, -969 + int((r >> 11) % 1937), r >> 12);
         }
         bad += div_by_mismatches<Act, 1>(a, b) + div_by_mismatches<Act, 8>(a, b) +
-               div_by_mismatches<Ref, 1>(a, b);
+               div_by_mismatches<Ref, 1>(a, b) + div_by_mismatches<Act, 8, false>(a, b);
         ASSERT_EQ(bad, 0u) << "after " << base + kBatch << " pairs";
     }
 }
@@ -508,6 +545,22 @@ TEST(Simd, DivByIsIeeeDivisionAtTheEdges) {
     }
     EXPECT_EQ(div_by_mismatches_all_widths<Act>(a, b), 0u);
     EXPECT_EQ(div_by_mismatches_all_widths<Ref>(a, b), 0u);
+    // The pairs inside the range through the fast path alone.
+    std::vector<double> in_a, in_b;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const double m = std::fabs(a[i]);
+        if (m == 0.0 || (m >= simd::kDivByMinNumerator && m <= simd::kDivByMaxNumerator)) {
+            in_a.push_back(a[i]);
+            in_b.push_back(b[i]);
+        }
+    }
+    while (in_a.size() % (std::size_t{8} * Act::kLanes) != 0) {
+        in_a.push_back(1.0);
+        in_b.push_back(3.0);
+    }
+    EXPECT_EQ((div_by_mismatches<Act, 1, false>(in_a, in_b)), 0u);
+    EXPECT_EQ((div_by_mismatches<Act, 8, false>(in_a, in_b)), 0u);
+    EXPECT_EQ((div_by_mismatches<Ref, 1, false>(in_a, in_b)), 0u);
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(bits_of(simd::first(simd::div_by(simd::splat(a[i]), simd::splat(b[i]),
                                                    simd::splat(1.0 / b[i])))),
