@@ -34,8 +34,9 @@ public:
     /// Advances `n` steps of dt, writing the settled flag after each
     /// step as a one-bit stream of util::bits::words_for(n) words into
     /// `settled_out` (bit j of word w is step 64w + j; bits past n are
-    /// zero). Bit-identical to n step() calls (the elapsed time
-    /// accumulates with the same per-step additions).
+    /// zero). Bit-identical to n step() calls: once settled, the
+    /// elapsed time takes util::repeated_add, the same n additions in
+    /// closed form.
     void step_block(double dt_s, int n, std::uint64_t* settled_out);
 
     /// True when the output is valid (settled after the last switch).

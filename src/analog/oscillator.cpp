@@ -1,7 +1,12 @@
 #include "analog/oscillator.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+
+#include "util/exact.hpp"
+#include "util/simd.hpp"
 
 namespace fxg::analog {
 
@@ -64,6 +69,115 @@ double TriangleOscillator::step(double dt_s) {
 void TriangleOscillator::step_block(double dt_s, int n, double* out) {
     if (!(dt_s > 0.0)) throw std::invalid_argument("TriangleOscillator: dt must be > 0");
     if (n <= 0) return;
+    const double step = dt_s * (config_.frequency_hz * fault_.frequency_scale);
+    if (phase_ >= 0.0 && phase_ < 1.0 && step > 0.0 && step < 1.0 &&
+        util::on_unit_grid(phase_) && util::on_unit_grid(step)) {
+        step_block_rotation(dt_s, step, n, out);
+    } else {
+        step_block_loop(dt_s, n, out);
+    }
+}
+
+void TriangleOscillator::step_block_rotation(double dt_s, double step, int n, double* out) {
+    namespace v = util::simd;
+    // The phase and its step in units of 2^-52. Each phase addition is
+    // exact (the sum is below 2), and so is the wrap's subtraction of 1,
+    // so the phase after sample j of a segment that starts at p is
+    // p + j * inc, minus 2^52 on the sample where it reaches 2^52.
+    constexpr std::uint64_t kOne = std::uint64_t{1} << 52;
+    auto p = static_cast<std::uint64_t>(phase_ * 0x1p52);
+    const auto inc = static_cast<std::uint64_t>(step * 0x1p52);
+    double correction = correction_a_;
+    double period_integral = period_integral_;
+    double period_time = period_time_;
+    const bool correct = config_.offset_correction && !fault_.correction_stuck;
+    const double correction_gain = config_.correction_gain;
+
+    // step()'s expressions, a stripe of kLanes samples at a time: lane l
+    // of a segment's first stripe holds the phase after its sample l + 1,
+    // and each stripe adds kLanes steps. Every such sum below 2 is exact
+    // (only lanes past the segment's end, which are dropped, can exceed
+    // it), and so is the wrap's subtraction of 1. A segment has a second
+    // stripe only when kLanes steps stay below 1, so the stride is exact
+    // wherever it is used.
+    alignas(64) double lane_steps[v::kLanes];
+    for (int l = 0; l < v::kLanes; ++l) lane_steps[l] = static_cast<double>(l + 1) * step;
+    const v::dvec first_steps = v::load(lane_steps);
+    const v::dvec stripe_step = v::splat(v::kLanes * step);
+    const v::dvec one = v::splat(1.0);
+    const v::dvec four = v::splat(4.0);
+    const v::dvec quarter = v::splat(0.25);
+    const v::dvec three_quarters = v::splat(0.75);
+    const v::dvec curvature = v::splat(config_.curvature);
+    const v::dvec gain = v::splat(config_.amplitude_a * (1.0 + config_.amplitude_error) *
+                                  fault_.amplitude_scale);
+    const v::dvec dc_offset = v::splat(config_.dc_offset_a + fault_.extra_dc_a);
+    const v::dvec dt_v = v::splat(dt_s);
+
+    int k = 0;
+    while (k < n) {
+        // The segment runs to the first sample whose phase reaches 1 (it
+        // wraps, and its output still takes the old correction), or to
+        // the block's end.
+        const std::uint64_t to_wrap = (kOne - p + inc - 1) / inc;
+        const bool wraps = to_wrap <= static_cast<std::uint64_t>(n - k);
+        const int len = wraps ? static_cast<int>(to_wrap) : n - k;
+        const v::dvec corr = v::splat(correction);
+        v::dvec phase = v::add(v::splat(static_cast<double>(p) * 0x1p-52), first_steps);
+        double* const seg = out + k;
+        // One stripe's outputs into `o`, and each output times dt into
+        // `term` (as step()'s product).
+        alignas(64) double term[v::kLanes];
+        const auto stripe = [&](double* o) {
+            const v::dvec ph = v::blend(v::cmp_ge(phase, one), v::sub(phase, one), phase);
+            phase = v::add(phase, stripe_step);
+            const v::dvec ramp = v::mul(four, ph);
+            const v::dvec w =
+                v::blend(v::cmp_gt(quarter, ph), ramp,
+                         v::blend(v::cmp_gt(three_quarters, ph), v::sub(v::splat(2.0), ramp),
+                                  v::add(v::splat(-4.0), ramp)));
+            const v::dvec shaped =
+                v::add(w, v::mul(curvature, v::sub(v::mul(v::mul(w, w), w), w)));
+            const v::dvec out_v = v::add(v::add(v::mul(gain, shaped), dc_offset), corr);
+            v::store(o, out_v);
+            v::store(term, v::mul(out_v, dt_v));
+        };
+        // The period integral is the one sum whose terms vary: its
+        // additions follow each stripe, beside the next stripe's vectors.
+        int j = 0;
+        for (; j + v::kLanes <= len; j += v::kLanes) {
+            stripe(seg + j);
+#pragma GCC unroll 8
+            for (int l = 0; l < v::kLanes; ++l) period_integral += term[l];
+        }
+        if (j < len) {
+            alignas(64) double tail[v::kLanes];
+            stripe(tail);
+            std::copy(tail, tail + (len - j), seg + j);
+            for (int l = 0; l < len - j; ++l) period_integral += term[l];
+        }
+        period_time = util::repeated_add(period_time, dt_s, len);
+        p += static_cast<std::uint64_t>(len) * inc;
+        if (wraps) {
+            p -= kOne;
+            if (correct && period_time > 0.0) {
+                const double mean = period_integral / period_time;
+                correction -= correction_gain * mean;
+            }
+            period_integral = 0.0;
+            period_time = 0.0;
+        }
+        k += len;
+    }
+    time_s_ = util::repeated_add(time_s_, dt_s, n);
+    phase_ = static_cast<double>(p) * 0x1p-52;
+    output_ = out[n - 1];
+    correction_a_ = correction;
+    period_integral_ = period_integral;
+    period_time_ = period_time;
+}
+
+void TriangleOscillator::step_block_loop(double dt_s, int n, double* out) {
     // State in registers; expression shapes match step() exactly so the
     // emitted samples are bit-identical to the scalar path.
     double time_s = time_s_;

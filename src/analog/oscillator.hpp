@@ -57,7 +57,15 @@ public:
 
     /// Advances `n` steps of dt, writing each step's output current into
     /// `out`. Bit-identical to n step() calls; config loads and the
-    /// offset-correction-enable test are hoisted out of the loop.
+    /// offset-correction-enable test are hoisted out of the loop. When
+    /// the phase and the phase step dt * f are multiples of 2^-52
+    /// (0 <= phase < 1, 0 < step < 1; the default 2,048 steps per period
+    /// give a step of 2^-11), every phase addition is exact, so the phase
+    /// after sample k is the rotation (P + (k+1) I) mod 2^52 in units of
+    /// 2^-52: the outputs are computed as vectors one wrap segment at a
+    /// time, the elapsed times through util::repeated_add, and only the
+    /// period integral stays a loop (DESIGN.md section 6). Otherwise
+    /// the per-sample loop runs.
     void step_block(double dt_s, int n, double* out);
 
     /// Output of the last step [A].
@@ -111,6 +119,11 @@ public:
 private:
     /// Ideal unit triangle (-1..+1) at a phase in [0, 1).
     static double unit_triangle(double phase) noexcept;
+
+    /// step_block's two paths: the rotation, for a phase and a phase
+    /// step on the 2^-52 grid, and the per-sample loop.
+    void step_block_rotation(double dt_s, double step, int n, double* out);
+    void step_block_loop(double dt_s, int n, double* out);
 
     TriangleOscillatorConfig config_;
     OscillatorFault fault_;

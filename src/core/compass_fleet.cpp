@@ -219,19 +219,24 @@ std::exception_ptr CompassFleet::measure_all_impl(int threads,
             for (int i = begin; i < begin + count; ++i) measure_one(i);
             return;
         }
-        std::vector<Compass*> lanes(static_cast<std::size_t>(count));
-        std::vector<LaneOutcome> outcomes(static_cast<std::size_t>(count));
+        // Scratch per thread, kept across sweeps: a task's lanes and
+        // outcomes allocate nothing once the thread has run a task as
+        // large.
+        thread_local std::vector<Compass*> lanes;
+        thread_local std::vector<LaneOutcome> outcomes;
+        lanes.resize(static_cast<std::size_t>(count));
+        outcomes.resize(static_cast<std::size_t>(count));
         for (int k = 0; k < count; ++k) {
             lanes[static_cast<std::size_t>(k)] =
                 members_[static_cast<std::size_t>(begin + k)].get();
         }
         PlanExecutor::run_lanes(*plan_, lanes, outcomes);
         for (int k = 0; k < count; ++k) {
-            const LaneOutcome& out = outcomes[static_cast<std::size_t>(k)];
+            LaneOutcome& out = outcomes[static_cast<std::size_t>(k)];
             FleetResult& slot = results[static_cast<std::size_t>(begin + k)];
             if (out.aborted) {
-                slot.error = out.error;
-                errors[static_cast<std::size_t>(begin + k)] = out.error_ptr;
+                slot.error = std::move(out.error);
+                errors[static_cast<std::size_t>(begin + k)] = std::move(out.error_ptr);
                 if (failure_hook_) failure_hook_(begin + k, slot.error);
             } else {
                 slot.measurement = out.measurement;

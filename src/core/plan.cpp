@@ -365,7 +365,12 @@ void PlanExecutor::run_lanes(const MeasurementPlan& plan,
     // still gets its own MeasurementSample at the end.
     PlanRun::Spans spans(lanes[0]->telemetry_);
     PlanRun::Spans quiet(nullptr);
-    std::vector<PlanRun::State> states(n);
+    // Scratch per thread, kept across batches, like the lane kernel's
+    // records: a sweep allocates none of it once the thread has run a
+    // batch as large.
+    thread_local std::vector<PlanRun::State> states;
+    thread_local std::vector<sim::LanePort> ports;
+    states.assign(n, PlanRun::State{});
     for (std::size_t i = 0; i < n; ++i) {
         outcomes[i] = LaneOutcome{};
         open_measurement(*lanes[i], states[i].m);
@@ -396,8 +401,6 @@ void PlanExecutor::run_lanes(const MeasurementPlan& plan,
     };
 
     sim::LaneEngine engine;
-    std::vector<sim::LanePort> ports;
-    ports.reserve(n);
     for (std::size_t k = 0; k < plan.stages.size(); ++k) {
         std::optional<PlanRun::Advance> advance;
         ports.clear();

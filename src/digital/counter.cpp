@@ -1,27 +1,66 @@
 #include "digital/counter.hpp"
 
 #include <bit>
+#include <iterator>
 #include <stdexcept>
 
 #include "util/bits.hpp"
+#include "util/exact.hpp"
+#include "util/simd.hpp"
 
 namespace fxg::digital {
 
 namespace {
 
-/// Under UpDownCounter::one_bit_clock(acc, inc): one clock_step() per
-/// set bit of `valid`, in sample order, and the samples that ticked as
-/// a word.
-std::uint64_t tick_word(double& acc, double inc, std::uint64_t valid) noexcept {
+namespace v = util::simd;
+
+/// k >= 1 clock steps from accumulator `a` by `m` (units of 2^-52, both
+/// below 2^52): bit j (j < k) set when step j + 1 ticks, that is when
+/// its remainder (a + (j + 1) m) mod 2^52 is below m. A remainder r is
+/// compared as the double 1 + r 2^-52: the sum's bits ORed into those
+/// of 1.0. The sum's bits 52 and up (it stays below 2^59) land on the
+/// low bits of 1.0's exponent field, 0x3FF, which are all set already,
+/// so the OR keeps the exponent and leaves r in the fraction field.
+std::uint64_t rotation_ticks(std::uint64_t a, std::uint64_t m, int k) noexcept {
+    alignas(64) static constexpr std::int64_t kLaneSteps[] = {1, 2, 3, 4, 5, 6, 7, 8};
+    static_assert(std::size(kLaneSteps) >= v::kLanes);
+    const v::ivec m_v = v::i_splat(static_cast<std::int64_t>(m));
+    v::ivec sum = v::i_add(v::i_splat(static_cast<std::int64_t>(a)),
+                           v::i_mul(v::i_load(kLaneSteps), m_v));
+    const v::ivec stride = v::i_splat(static_cast<std::int64_t>(v::kLanes * m));
+    const v::ivec one = v::i_splat(std::bit_cast<std::int64_t>(1.0));
+    const v::dvec limit = v::splat(1.0 + static_cast<double>(m) * 0x1p-52);
     std::uint64_t ticks = 0;
-    for (; valid != 0; valid &= valid - 1) {
-        ticks |= static_cast<std::uint64_t>(UpDownCounter::clock_step(acc, inc))
-                 << std::countr_zero(valid);
+    for (int j = 0; j < k; j += v::kLanes) {
+        const v::dvec rem = v::as_d(v::i_or(sum, one));
+        ticks |= std::uint64_t{v::movemask(v::cmp_gt(limit, rem))} << j;
+        sum = v::i_add(sum, stride);
     }
-    return ticks;
+    return ticks & util::bits::low_mask(k);
 }
 
 }  // namespace
+
+std::uint64_t UpDownCounter::tick_word(double& acc, double inc, std::uint64_t valid) noexcept {
+    if (valid == 0) return 0;
+    const int first = std::countr_zero(valid);
+    const std::uint64_t run = valid >> first;
+    if ((run & (run + 1)) == 0 && util::on_unit_grid(acc) && util::on_unit_grid(inc)) {
+        // 0 <= acc < 1 and 0 < inc < 1 (one_bit_clock), so the sums stay
+        // below 2 and below 2^59 units over a word.
+        constexpr std::uint64_t kFraction = (std::uint64_t{1} << 52) - 1;
+        const int k = std::popcount(run);
+        const auto a = static_cast<std::uint64_t>(acc * 0x1p52);
+        const auto m = static_cast<std::uint64_t>(inc * 0x1p52);
+        acc = static_cast<double>((a + static_cast<std::uint64_t>(k) * m) & kFraction) * 0x1p-52;
+        return rotation_ticks(a, m, k) << first;
+    }
+    std::uint64_t ticks = 0;
+    for (; valid != 0; valid &= valid - 1) {
+        ticks |= static_cast<std::uint64_t>(clock_step(acc, inc)) << std::countr_zero(valid);
+    }
+    return ticks;
+}
 
 UpDownCounter::UpDownCounter(double clock_hz) : clock_hz_(clock_hz) {
     if (!(clock_hz > 0.0)) throw std::invalid_argument("UpDownCounter: clock must be > 0");

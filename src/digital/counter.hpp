@@ -53,10 +53,10 @@ public:
 
     /// One clock step of the fractional-tick bookkeeping: adds `inc`
     /// clock periods to the accumulator `acc`, leaves the remainder in
-    /// it and returns the whole ticks that fell inside the step. step()
-    /// and step_block() call this, and the lane engine's cohort clocks
-    /// run its one-bit operations as vectors, so every path emits the
-    /// same tick sequence.
+    /// it and returns the whole ticks that fell inside the step. step(),
+    /// step_block()'s clocks outside the one-bit clock and tick_word()
+    /// off the 2^-52 grid call this, so every path emits the same tick
+    /// sequence.
     ///
     /// The result is that of the floor() form
     ///     s = acc + inc;  whole = floor(s);  acc = s - whole;  ticks = whole
@@ -85,17 +85,31 @@ public:
         return inc > 0.0 && inc < 1.0 && acc >= 0.0 && acc < 1.0;
     }
 
+    /// Under one_bit_clock(acc, inc): one clock_step(acc, inc) for each
+    /// set bit of `valid`, in sample order, and the word of the samples
+    /// that ticked. When acc and inc are multiples of 2^-52 (as at the
+    /// paper's design point: a 2^22 Hz clock steps 0.256 per sample at
+    /// 2,048 samples per 8 kHz period) every step is exact, so the
+    /// accumulator after j clocked samples is the rotation
+    /// (A + j M) mod 2^52 in units of 2^-52, and clocked sample j ticks
+    /// when floor((A + j M) / 2^52) steps: a word whose valid bits are
+    /// one run takes that as vectors. Other words, and acc or inc off
+    /// the grid, run the clock_step loop. step_block() and the lane
+    /// engine's cohort clocks call this, so every path emits the same
+    /// ticks.
+    [[nodiscard]] static std::uint64_t tick_word(double& acc, double inc,
+                                                 std::uint64_t valid) noexcept;
+
     /// Fused block form over one-bit streams (util/bits.hpp: bit j of
     /// word w is sample 64w + j): for each of the `n` samples whose
     /// valid bit is set, performs exactly what step(high bit, dt_s)
     /// would (samples with a clear valid bit are skipped, i.e. not
     /// clocked at all — the blanking the control logic applies while the
     /// mux settles). Bit-identical to the equivalent scalar call
-    /// sequence: the clock_step chain runs over the valid samples only,
-    /// and an ideal register adds 2·Σ(high·ticks) − Σticks per word
-    /// (fold_ticks() on the word of samples that ticked, under
-    /// one_bit_clock()); an engaged hardware model wraps and sticks per
-    /// tick.
+    /// sequence: the clock steps over the valid samples only, and an
+    /// ideal register adds 2·Σ(high·ticks) − Σticks per word
+    /// (fold_ticks() on tick_word(), under one_bit_clock()); an engaged
+    /// hardware model wraps and sticks per tick.
     void step_block(const std::uint64_t* high, const std::uint64_t* valid, double dt_s,
                     int n);
 

@@ -203,8 +203,8 @@ std::atomic<std::uint64_t> g_checked_tiles{0};
 struct Cohort {
     CohortKey key;
     analog::FrontEnd* lead;
-    bool counts;       ///< its counters are clocked by this advance
-    v::dvec acc, inc;  ///< its clock, in every lane
+    bool counts;      ///< its counters are clocked by this advance
+    double acc, inc;  ///< its clock's accumulator and increment
     bool proven = false;  ///< the tile's drive currents lie in the proof's bound
     double i[T]{}, p[T]{};  ///< the tile's drive current and supply power
 };
@@ -219,8 +219,7 @@ struct Group {
     int k;      ///< cohorts among its lanes
     int coh[kGroupLanes];              ///< their ids; coh[0] is lane 0's
     v::mask in_coh[kGroupLanes][2];    ///< lanes of coh[j], for j >= 1
-    int lead_lo, lead_hi;  ///< the cohorts it leads, whose clocks it steps
-    bool noisy;            ///< any lane draws pickup noise
+    bool noisy;                        ///< any lane draws pickup noise
     bool proven;  ///< its inputs and divisors lie in the proof's bounds
     v::dvec fpa[2], hext[2], hk[2], rhk[2], ms[2], nap[2];
     v::dvec off[2], fall[2], rise[2];
@@ -271,7 +270,6 @@ void gather_group(Group& g, const LanePort* lanes, analog::Channel channel, doub
     const auto ch = static_cast<std::size_t>(channel);
     LaneIn in[kGroupLanes];
     g.k = 0;
-    g.lead_lo = static_cast<int>(coh.size());
     g.noisy = false;
     g.proven = divisor_in_range(dt_s);
 
@@ -332,12 +330,11 @@ void gather_group(Group& g, const LanePort* lanes, analog::Channel channel, doub
             std::find_if(coh.begin(), coh.end(), [&](const Cohort& x) { return x.key == key; }) -
             coh.begin());
         if (c == static_cast<int>(coh.size())) {
-            coh.push_back({key, &f, w.fold, v::splat(w.ctr.tick_accumulator), v::splat(inc)});
+            coh.push_back({key, &f, w.fold, w.ctr.tick_accumulator, inc});
         }
         w.cohort = c;
         if (std::find(g.coh, g.coh + g.k, c) == g.coh + g.k) g.coh[g.k++] = c;
     }
-    g.lead_hi = static_cast<int>(coh.size());
     std::fill(in + g.n, in + kGroupLanes, in[0]);
 
     // The lanes of the group's cohorts after its first (every other
@@ -392,15 +389,14 @@ void gather_group(Group& g, const LanePort* lanes, analog::Channel channel, doub
 /// samples of them as well. Returns true when the tile's numerators
 /// were not proven in range, so Pass B divided through div_by's check.
 template <int S>
-bool advance_tile(Group& g, WordLane* wl, Cohort* coh, std::uint64_t* settle,
-                  std::uint64_t* ticks, std::size_t ch, int k0, int tn, double dt_s) {
+bool advance_tile(Group& g, WordLane* wl, const Cohort* coh, const std::uint64_t* settle,
+                  const std::uint64_t* ticks, std::size_t ch, int k0, int tn, double dt_s) {
     constexpr int GW = S * W;  // lanes in the group
     constexpr int kBytePlanes = (GW + 7) / 8;
 
     const v::dvec dt_v = v::splat(dt_s);
     const v::dvec rdt_v = v::splat(1.0 / dt_s);
     const v::dvec zero_v = v::splat(0.0);
-    const v::dvec one_v = v::splat(1.0);
     const v::dvec sign_v = v::splat(-0.0);
     const v::dvec mu0_v = v::splat(magnetics::kMu0);
 
@@ -646,36 +642,7 @@ bool advance_tile(Group& g, WordLane* wl, Cohort* coh, std::uint64_t* settle,
         #pragma GCC unroll 8
         for (int p = 0; p < kBytePlanes; ++p) lane_bytes[c][p][t] = static_cast<std::uint8_t>(b[p]);
     };
-    // A counting cohort's clock: UpDownCounter::clock_step under the
-    // one-bit condition, on a vector whose lanes all hold the cohort's
-    // accumulator. 0 < acc + inc < 2, so the carry is (acc + inc >= 1)
-    // and s - 0 is s. Sample t ticks if its settle flag is set and the
-    // carry comes.
-    const auto step_clock = [&](v::dvec& acc, v::dvec inc, std::uint64_t settle_word,
-                                std::uint64_t& tick_word, int t) __attribute__((always_inline)) {
-        const v::mask clocked = v::m_splat(((settle_word >> t) & 1) != 0);
-        const v::dvec sum = v::add(acc, inc);
-        const v::mask carry = v::cmp_ge(sum, one_v);
-        acc = v::blend(clocked, v::blend(carry, v::sub(sum, one_v), sum), acc);
-        tick_word |= std::uint64_t{v::movemask(v::m_and(carry, clocked)) & 1u} << t;
-    };
-    // The clocks of the cohorts this group leads step here, once each,
-    // beside the compares, which hide their branch-free serial chains;
-    // the batch's later groups take their tick words. The first one's
-    // accumulator stays in a local vector.
-    const int lo = g.lead_lo;
-    const int hi = g.lead_hi;
-    const bool count0 = lo < hi && coh[lo].counts;
-    v::dvec acc0_v = count0 ? coh[lo].acc : zero_v;
-    const v::dvec inc0_v = count0 ? coh[lo].inc : zero_v;
-    const std::uint64_t settle0 = lo < hi ? settle[lo] : 0;
-    std::uint64_t ticks0 = 0;
-    std::fill(ticks + lo, ticks + hi, 0);
     for (int t = 0; t < tn; ++t) {
-        if (count0) step_clock(acc0_v, inc0_v, settle0, ticks0, t);
-        for (int c = lo + 1; c < hi; ++c) {
-            if (coh[c].counts) step_clock(coh[c].acc, coh[c].inc, settle[c], ticks[c], t);
-        }
         v::mask rise_p[S], fall_p[S], rise_n[S], fall_n[S];
         #pragma GCC unroll 8
         for (int s = 0; s < S; ++s) {
@@ -692,10 +659,6 @@ bool advance_tile(Group& g, WordLane* wl, Cohort* coh, std::uint64_t* settle,
         put(kFallPos, t, fall_p);
         put(kRiseNeg, t, rise_n);
         put(kFallNeg, t, fall_n);
-    }
-    if (count0) {
-        coh[lo].acc = acc0_v;
-        ticks[lo] = ticks0;
     }
 
     #pragma GCC unroll 4
@@ -774,7 +737,7 @@ void scatter_group(const Group& g, const LanePort* lanes, const WordLane* wl,
         f.load_window_state(win);
 
         if (w.fold) {
-            port.counter->load_state({v::first(c.acc), w.ctr.count, w.ctr.active_ticks});
+            port.counter->load_state({c.acc, w.ctr.count, w.ctr.active_ticks});
         }
 
         *port.energy_j = e_a[l];
@@ -815,15 +778,18 @@ void advance_batch(const LanePort* lanes, int n, analog::Channel channel, int st
     std::uint64_t checked = 0;
     for (int k0 = 0; k0 < steps; k0 += T) {
         const int tn = std::min(T, steps - k0);
-        // Oscillator, V-I converter, mux settling and supply power: each
-        // cohort runs its lead lane's own stages once for the batch (the
-        // member path's block code).
+        // Oscillator, V-I converter, mux settling, the counter clock and
+        // supply power: each cohort runs its lead lane's own stages once
+        // for the batch (the member path's block code), and a counting
+        // cohort's clock ticks over the settled samples, as its lanes'
+        // counters' step_block would.
         for (int c = 0; c < k; ++c) {
             Cohort& x = coh[c];
             analog::FrontEnd& f = *x.lead;
             f.oscillator().step_block(dt_s, tn, x.i);
             f.vi_converter().drive_block(x.i, f.config().sensor.r_excitation_ohm, tn, x.i);
             f.mux().step_block(dt_s, tn, &settle[c]);
+            ticks[c] = x.counts ? digital::UpDownCounter::tick_word(x.acc, x.inc, settle[c]) : 0;
             f.supply_power_block(x.i, tn, x.p);
             x.proven = drive_in_range(x.i, tn);
         }

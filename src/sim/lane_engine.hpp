@@ -40,11 +40,11 @@
 /// same drive current, supply power, settle flags and ticks. advance()
 /// takes its lanes in batches of up to kBatchLanes and splits each
 /// batch into such cohorts. Per 64-sample tile, every cohort's
-/// excitation runs once, through its lead lane's own block code, and
-/// then the batch's groups (two stripes each) advance that tile one
-/// after the other; a counted cohort's clock steps beside the compares
-/// of the first group that holds it, and each lane takes its cohort's
-/// values. Members built from one config and swept together form one
+/// excitation and, when counted, its tick word
+/// (UpDownCounter::tick_word over its settle word) run once, through
+/// its lead lane's own block code, and then the batch's groups (two
+/// stripes each) advance that tile one after the other, each lane
+/// taking its cohort's values. Members built from one config and swept together form one
 /// cohort. The split is made from the inputs, per batch advance, and
 /// changes no output bit.
 

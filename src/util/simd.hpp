@@ -757,6 +757,7 @@ inline ivec i_splat(std::int64_t x) { return detail::Active::i_splat(x); }
 inline ivec i_load(const std::int64_t* p) { return detail::Active::i_load(p); }
 inline void i_store(std::int64_t* p, ivec a) { detail::Active::i_store(p, a); }
 inline ivec i_add(ivec a, ivec b) { return detail::Active::i_add(a, b); }
+inline ivec i_or(ivec a, ivec b) { return detail::Active::i_or(a, b); }
 inline ivec i_xor(ivec a, ivec b) { return detail::Active::i_xor(a, b); }
 /// Low 64 bits of the lane-wise product (wraps mod 2^64).
 inline ivec i_mul(ivec a, ivec b) { return detail::Active::i_mul(a, b); }
@@ -766,6 +767,8 @@ inline ivec i_srl(ivec a) {
     return detail::Active::template i_srl<N>(a);
 }
 inline ivec d2i_exact(dvec a) { return detail::Active::d2i_exact(a); }
+/// The lanes' bit patterns as doubles, no value conversion.
+inline dvec as_d(ivec a) { return detail::Active::as_d(a); }
 
 /// a[k] / b[k] in place for y[k] == 1.0 / b[k], bit for bit what
 /// div(a[k], b[k]) returns; see detail::div_by_t. For a loop-invariant

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -127,6 +128,132 @@ INSTANTIATE_TEST_SUITE_P(Settings, OscillatorSweep,
                                            std::make_pair(3e-3, 8e3),
                                            std::make_pair(12e-3, 4e3),
                                            std::make_pair(1e-3, 32e3)));
+
+// ------------------------------------------------ oscillator block path
+//
+// TriangleOscillator::step_block takes the rotation when the phase and
+// the phase step are multiples of 2^-52, and the per-sample loop when
+// they are not; both must match step() bit for bit. A dc offset and
+// curvature make the correction move every period and the shaping run.
+
+constexpr double kDefaultDt = (1.0 / 8000.0) / 2048;  // step 2^-11 at 8 kHz
+
+TriangleOscillatorConfig moving_correction() {
+    TriangleOscillatorConfig cfg;
+    cfg.dc_offset_a = 0.4e-3;
+    cfg.curvature = 0.15;
+    return cfg;
+}
+
+/// Advances `blocked` by step_block in blocks of `block` and `stepped`
+/// by step(), `total` samples, comparing every output and the state.
+void expect_blocks_match_steps(TriangleOscillator& blocked, TriangleOscillator& stepped,
+                               double dt, int block, int total) {
+    std::vector<double> out(static_cast<std::size_t>(block));
+    for (int done = 0; done < total;) {
+        const int n = std::min(block, total - done);
+        blocked.step_block(dt, n, out.data());
+        for (int k = 0; k < n; ++k) {
+            const double o = stepped.step(dt);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(out[static_cast<std::size_t>(k)]),
+                      std::bit_cast<std::uint64_t>(o))
+                << "sample " << done + k;
+        }
+        done += n;
+    }
+    const TriangleOscillator::State b = blocked.save_state();
+    const TriangleOscillator::State s = stepped.save_state();
+    for (const auto field : {&TriangleOscillator::State::time_s, &TriangleOscillator::State::phase,
+                             &TriangleOscillator::State::output,
+                             &TriangleOscillator::State::correction_a,
+                             &TriangleOscillator::State::period_integral,
+                             &TriangleOscillator::State::period_time}) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(b.*field), std::bit_cast<std::uint64_t>(s.*field));
+    }
+}
+
+TEST(OscillatorBlock, RotationMatchesStepAtEveryBlockSize) {
+    for (const int block : {1, 7, 63, 64, 65, 2047, 2048, 4096}) {
+        SCOPED_TRACE("block " + std::to_string(block));
+        TriangleOscillator blocked(moving_correction()), stepped(moving_correction());
+        expect_blocks_match_steps(blocked, stepped, kDefaultDt, block, 5 * 2048 + 3);
+        // Five wraps moved the correction.
+        EXPECT_NE(blocked.correction(), 0.0);
+    }
+}
+
+TEST(OscillatorBlock, WrapsOnABlocksFirstAndLastSample) {
+    // From phase 1 - 2^-11 the first sample wraps, and every 2,048th
+    // after it: 2,048-sample blocks wrap on their first sample, and the
+    // first 2,049-sample block on its last.
+    for (const int block : {1, 2048, 2049}) {
+        SCOPED_TRACE("block " + std::to_string(block));
+        TriangleOscillator blocked(moving_correction()), stepped(moving_correction());
+        TriangleOscillator::State st;
+        st.phase = 1.0 - 0x1p-11;
+        st.correction_a = -0.2e-3;
+        blocked.load_state(st);
+        stepped.load_state(st);
+        expect_blocks_match_steps(blocked, stepped, kDefaultDt, block, 4 * 2049);
+    }
+}
+
+TEST(OscillatorBlock, RestoredMidPeriodStateMatchesStep) {
+    // A restored state on the grid (the rotation) and off it (the loop),
+    // mid-period with an integral and a correction under way.
+    for (const double phase : {1234 * 0x1p-11 + 77 * 0x1p-52, 0.3}) {
+        SCOPED_TRACE("phase " + std::to_string(phase));
+        TriangleOscillator blocked(moving_correction()), stepped(moving_correction());
+        const TriangleOscillator::State st{0.125, phase, 1.0e-3, -0.1e-3, 3.0e-8, 7.7e-5};
+        blocked.load_state(st);
+        stepped.load_state(st);
+        expect_blocks_match_steps(blocked, stepped, kDefaultDt, 2048, 3 * 2048);
+    }
+}
+
+TEST(OscillatorBlock, OffGridStepsTakeTheLoop) {
+    // A drifting-oscillator fault and a period of 1,000 samples put the
+    // phase step off the 2^-52 grid; the block path runs its loop.
+    TriangleOscillator blocked(moving_correction()), stepped(moving_correction());
+    OscillatorFault fault;
+    fault.frequency_scale = 1.03;
+    blocked.set_fault(fault);
+    stepped.set_fault(fault);
+    const double step = kDefaultDt * (8000.0 * 1.03);
+    ASSERT_NE(std::floor(step * 0x1p52), step * 0x1p52);
+    expect_blocks_match_steps(blocked, stepped, kDefaultDt, 2048, 4 * 2048);
+
+    TriangleOscillator blocked1000(moving_correction()), stepped1000(moving_correction());
+    const double dt1000 = (1.0 / 8000.0) / 1000;
+    ASSERT_NE(std::floor(dt1000 * 8000.0 * 0x1p52), dt1000 * 8000.0 * 0x1p52);
+    expect_blocks_match_steps(blocked1000, stepped1000, dt1000, 1000, 4 * 1000 + 17);
+}
+
+TEST(MuxBlock, SettledRunsMatchStep) {
+    // The settled part of a block takes util::repeated_add for its
+    // elapsed time: blocks that settle inside, ones that start settled,
+    // long settled runs and a step off any grid.
+    for (const double dt : {kDefaultDt, 1.0e-7 / 3}) {
+        for (const int block : {1, 63, 64, 65, 2048, 5000}) {
+            SCOPED_TRACE("dt " + std::to_string(dt) + " block " + std::to_string(block));
+            AnalogMux blocked(50.0e-6), stepped(50.0e-6);
+            blocked.select(Channel::Y);
+            stepped.select(Channel::Y);
+            std::vector<std::uint64_t> words(static_cast<std::size_t>((block + 63) / 64));
+            for (int done = 0; done < 40'000; done += block) {
+                blocked.step_block(dt, block, words.data());
+                for (int k = 0; k < block; ++k) {
+                    const bool settled = stepped.step(dt);
+                    ASSERT_EQ((words[static_cast<std::size_t>(k / 64)] >> (k % 64)) & 1,
+                              settled ? 1u : 0u)
+                        << "sample " << done + k;
+                }
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(blocked.save_state().since_switch_s),
+                          std::bit_cast<std::uint64_t>(stepped.save_state().since_switch_s));
+            }
+        }
+    }
+}
 
 // ---------------------------------------------------------- VI converter
 

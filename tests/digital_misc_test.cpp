@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "digital/boundary_scan.hpp"
 #include "digital/counter.hpp"
@@ -126,6 +128,119 @@ TEST(UpDownCounter, ClockStepCompareFormEqualsFloorForm) {
         std::int64_t ticks = 0;
         ASSERT_TRUE(clock_forms_agree(acc, 8.192, &ticks)) << "step " << i;
         ASSERT_TRUE(ticks == 8 || ticks == 9) << "step " << i << ": " << ticks;
+    }
+}
+
+// ------------------------------------------------- one-bit clock words
+//
+// UpDownCounter::tick_word takes the rotation for a run of valid bits
+// when the accumulator and the increment are multiples of 2^-52, and the
+// clock_step loop otherwise; both must tick exactly as the loop does.
+
+constexpr double kDefaultDt = (1.0 / 8000.0) / 2048;
+
+bool on_grid(double x) { return std::floor(x * 0x1p52) == x * 0x1p52; }
+
+/// The clock_step loop over the set bits of `valid`.
+std::uint64_t loop_ticks(double& acc, double inc, std::uint64_t valid) {
+    std::uint64_t ticks = 0;
+    for (; valid != 0; valid &= valid - 1) {
+        ticks |= static_cast<std::uint64_t>(UpDownCounter::clock_step(acc, inc))
+                 << std::countr_zero(valid);
+    }
+    return ticks;
+}
+
+TEST(CounterRotation, EveryRunOfValidBitsTicksAsTheClockSteps) {
+    // Every run [first, first + k) of a word, from accumulators at the
+    // edges of [0, 1) and inside, at the paper's 0.256 and other
+    // increments on the grid.
+    for (const double inc : {kDefaultDt * 4194304.0, 3 * 0x1p-11, 0.5, 1.0 - 0x1p-52}) {
+        ASSERT_TRUE(on_grid(inc));
+        for (const double acc0 : {0.0, 0x1p-52, 0.75 + 5 * 0x1p-52, 1.0 - 0x1p-52}) {
+            for (int first = 0; first < 64; ++first) {
+                for (int k = 1; first + k <= 64; ++k) {
+                    const std::uint64_t run = (k == 64 ? ~std::uint64_t{0}
+                                                       : (std::uint64_t{1} << k) - 1)
+                                              << first;
+                    double a = acc0, b = acc0;
+                    const std::uint64_t got = UpDownCounter::tick_word(a, inc, run);
+                    const std::uint64_t want = loop_ticks(b, inc, run);
+                    ASSERT_EQ(got, want) << "inc " << inc << " acc " << acc0 << " first "
+                                         << first << " k " << k;
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b));
+                }
+            }
+        }
+    }
+}
+
+/// Clocks `blocked` by step_block in blocks of `block` over `words` of
+/// high and valid bits, and `stepped` by step() on the valid samples.
+void expect_block_matches_step(UpDownCounter& blocked, UpDownCounter& stepped, double dt,
+                               const std::vector<std::uint64_t>& high,
+                               const std::vector<std::uint64_t>& valid, int n, int block) {
+    for (int k = 0; k < n; ++k) {
+        const auto w = static_cast<std::size_t>(k / 64);
+        if (((valid[w] >> (k % 64)) & 1) != 0) stepped.step(((high[w] >> (k % 64)) & 1) != 0, dt);
+    }
+    std::vector<std::uint64_t> h, v;
+    for (int done = 0; done < n; done += block) {
+        const int m = std::min(block, n - done);  // blocks start on word edges
+        h.assign(high.begin() + done / 64, high.begin() + (done + m + 63) / 64);
+        v.assign(valid.begin() + done / 64, valid.begin() + (done + m + 63) / 64);
+        blocked.step_block(h.data(), v.data(), dt, m);
+    }
+    EXPECT_EQ(blocked.count(), stepped.count());
+    EXPECT_EQ(blocked.active_ticks(), stepped.active_ticks());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(blocked.save_state().tick_accumulator),
+              std::bit_cast<std::uint64_t>(stepped.save_state().tick_accumulator));
+}
+
+TEST(CounterRotation, BlocksMatchStepOnAndOffTheGrid) {
+    // The paper's clock (on the grid), a whole-Hz clock off it, and the
+    // paper's clock from a restored accumulator off it; valid streams
+    // that are all ones, that settle mid-word, that end a run mid-word
+    // and that have holes.
+    double off_grid_hz = 4'000'001.0;
+    while (on_grid(kDefaultDt * off_grid_hz)) off_grid_hz += 1.0;
+    struct Clock {
+        double hz;
+        double acc;
+    };
+    const Clock clocks[] = {{4194304.0, 0.0}, {off_grid_hz, 0.0}, {4194304.0, 0.1}};
+    ASSERT_TRUE(on_grid(kDefaultDt * 4194304.0));
+    ASSERT_FALSE(on_grid(0.1));
+    constexpr int kWords = 70;
+    std::uint64_t lfsr = 0x9E3779B97F4A7C15ull;
+    const auto next = [&] {
+        lfsr ^= lfsr << 13;
+        lfsr ^= lfsr >> 7;
+        lfsr ^= lfsr << 17;
+        return lfsr;
+    };
+    std::vector<std::uint64_t> high(kWords);
+    for (std::uint64_t& w : high) w = next();
+    std::vector<std::vector<std::uint64_t>> valids(4, std::vector<std::uint64_t>(kWords, ~0ull));
+    for (int w = 0; w < 12; ++w) valids[1][static_cast<std::size_t>(w)] = 0;
+    valids[1][12] = ~0ull << 51;  // settles at sample 819
+    for (int w = 0; w < kWords; w += 3) {
+        valids[2][static_cast<std::size_t>(w)] = 0x00FFFFFFFFFF0000ull;  // a run mid-word
+    }
+    for (std::uint64_t& w : valids[3]) w = next() | next();  // holes
+    for (const Clock& clock : clocks) {
+        for (const int n : {1, 63, 64, 65, 2047, 2048, 64 * kWords - 5}) {
+            for (std::size_t vi = 0; vi < valids.size(); ++vi) {
+                SCOPED_TRACE("clock " + std::to_string(clock.hz) + " acc " +
+                             std::to_string(clock.acc) + " n " + std::to_string(n) +
+                             " valid " + std::to_string(vi));
+                UpDownCounter blocked(clock.hz), stepped(clock.hz);
+                blocked.load_state({clock.acc, 0, 0});
+                stepped.load_state({clock.acc, 0, 0});
+                expect_block_matches_step(blocked, stepped, kDefaultDt, high, valids[vi], n,
+                                          2048);
+            }
+        }
     }
 }
 

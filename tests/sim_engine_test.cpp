@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -170,6 +171,41 @@ TEST(SimEngine, FreshCompassReusesItsThreadsBlockScratch) {
         fresh_blocks = g_large_blocks.load() - before;
     }).join();
     EXPECT_EQ(fresh_blocks, 0u);
+}
+
+// Every perfbench workload measures default compasses, so its block
+// path traffic is the closed forms when a default config meets their
+// preconditions, at the start and after measurements: the oscillator's
+// phase and phase step and the counter's accumulator and increment on
+// the 2^-52 grid (the counter under the one-bit clock), and
+// util::repeated_add's domain for the elapsed times (dt > 0 added to
+// finite times >= 0).
+TEST(SimEngine, DefaultConfigMeetsTheClosedFormsPreconditions) {
+    const compass::CompassConfig cfg;
+    compass::Compass c(cfg);
+    c.set_environment(magnetics::EarthField(magnetics::microtesla(48.0), 67.0), 123.0);
+    const double dt = c.plan().dt_s;
+    const auto on_grid = [](double x) { return std::floor(x * 0x1p52) == x * 0x1p52; };
+    for (int m = 0; m < 3; ++m) {
+        SCOPED_TRACE("after " + std::to_string(m) + " measurements");
+        const analog::TriangleOscillator& osc = c.front_end().oscillator();
+        const double step = dt * (osc.config().frequency_hz * osc.fault().frequency_scale);
+        const analog::TriangleOscillator::State os = osc.save_state();
+        EXPECT_TRUE(os.phase >= 0.0 && os.phase < 1.0 && step > 0.0 && step < 1.0);
+        EXPECT_TRUE(on_grid(os.phase));
+        EXPECT_TRUE(on_grid(step));
+        const double inc = dt * c.counter().clock_hz();
+        const double acc = c.counter().save_state().tick_accumulator;
+        EXPECT_TRUE(digital::UpDownCounter::one_bit_clock(acc, inc));
+        EXPECT_TRUE(on_grid(acc));
+        EXPECT_TRUE(on_grid(inc));
+        EXPECT_GT(dt, 0.0);
+        for (const double t : {os.time_s, os.period_time,
+                               c.front_end().mux().save_state().since_switch_s}) {
+            EXPECT_TRUE(std::isfinite(t) && t >= 0.0);
+        }
+        static_cast<void>(c.measure());
+    }
 }
 
 TEST(SimEngine, FactoryAndNames) {

@@ -1,12 +1,18 @@
 // Tests for the util module: angles, statistics, strings,
-// CSV/table formatting and the RNG wrapper.
+// CSV/table formatting, the RNG wrapper and repeated addition.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 
 #include "util/angle.hpp"
 #include "util/csv.hpp"
+#include "util/exact.hpp"
 #include "util/rng.hpp"
 #include "util/statistics.hpp"
 #include "util/strings.hpp"
@@ -254,6 +260,102 @@ TEST(Rng, UniformBounds) {
         EXPECT_GE(n, 3);
         EXPECT_LE(n, 6);
     }
+}
+
+// ------------------------------------------------------ repeated addition
+
+double add_loop(double x, double d, std::int64_t n) {
+    for (; n > 0; --n) x += d;
+    return x;
+}
+
+/// repeated_add(x, d, n) returns the loop's bits.
+::testing::AssertionResult same_as_loop(double x, double d, std::int64_t n) {
+    const double got = repeated_add(x, d, n);
+    const double want = add_loop(x, d, n);
+    if (std::bit_cast<std::uint64_t>(got) == std::bit_cast<std::uint64_t>(want)) {
+        return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure() << std::hexfloat << "x " << x << " d " << d << " n "
+                                         << n << ": " << got << ", the loop " << want;
+}
+
+TEST(RepeatedAdd, FromZeroAndSubnormals) {
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    EXPECT_TRUE(same_as_loop(0.0, 0.1, 1'000'000));
+    EXPECT_TRUE(same_as_loop(0.0, (1.0 / 8000.0) / 2048, 1'000'000));
+    EXPECT_TRUE(same_as_loop(0.0, tiny, 1'000'000));
+    EXPECT_TRUE(same_as_loop(0.0, 3 * tiny, 1000));
+    EXPECT_TRUE(same_as_loop(DBL_MIN - 5 * tiny, 3 * tiny, 100));
+    EXPECT_TRUE(same_as_loop(DBL_MIN, tiny, 1'000'000));
+    EXPECT_TRUE(same_as_loop(1.0, tiny, 10));
+    EXPECT_TRUE(same_as_loop(-0.0, 0.25, 3));
+}
+
+TEST(RepeatedAdd, TiesRoundToEvenOneAtATime) {
+    // d mod u = u/2: x + d is a tie that rounds to an even significand,
+    // so the step alternates between q and q + 1 units.
+    EXPECT_TRUE(same_as_loop(0x1p52, 1.5, 1'000'000));
+    EXPECT_TRUE(same_as_loop(0x1p52 + 1, 2.5, 1000));
+    EXPECT_TRUE(same_as_loop(1.0, 3 * 0x1p-53, 1000));
+    EXPECT_TRUE(same_as_loop(1.0 + 0x1p-52, 0x1p-53, 1000));
+    EXPECT_TRUE(same_as_loop(0x1p-10, 5 * 0x1p-63, 5000));
+}
+
+TEST(RepeatedAdd, BinadeEdgesAndLargeSteps) {
+    for (int e : {-1000, -20, -1, 0, 1, 30, 1000}) {
+        const double edge = std::ldexp(1.0, e);
+        for (const double x : {std::nextafter(edge, 0.0), edge, std::nextafter(edge, 2 * edge)}) {
+            for (const double d : {std::ldexp(1.0, e - 53), std::ldexp(1.0, e - 52),
+                                   std::ldexp(0.7, e - 40), edge, 3 * edge}) {
+                EXPECT_TRUE(same_as_loop(x, d, 777));
+            }
+        }
+    }
+    EXPECT_TRUE(same_as_loop(1.0, 3.0, 100));        // d >= x
+    EXPECT_TRUE(same_as_loop(1.0, 0x1p60, 100));     // d far above x
+    EXPECT_TRUE(same_as_loop(1.0, 0x1p-54, 100));    // below u/2: x stays
+    // The top binade (u = 2^971): below u/2, a tie, and one u, which
+    // runs past DBL_MAX to +inf.
+    EXPECT_TRUE(same_as_loop(DBL_MAX, 0x1p969, 10));
+    EXPECT_TRUE(same_as_loop(0x1p1023, 0x1p970, 10));
+    EXPECT_TRUE(same_as_loop(DBL_MAX, 0x1p970, 10));
+    EXPECT_TRUE(same_as_loop(0x1p1023, 0x1p971, 1'000'000));
+}
+
+TEST(RepeatedAdd, RandomOperandsMatchTheLoop) {
+    std::mt19937_64 rng(20261020);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (int i = 0; i < 20'000; ++i) {
+        const double x = i % 4 == 0 ? 0.0 : std::ldexp(unit(rng), -static_cast<int>(rng() % 40));
+        const double d = std::ldexp(1.0 + unit(rng), -static_cast<int>(rng() % 60));
+        const auto n = static_cast<std::int64_t>(1 + rng() % 3000);
+        ASSERT_TRUE(same_as_loop(x, d, n));
+    }
+}
+
+TEST(RepeatedAdd, OutsideItsDomainRunsTheLoop) {
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_TRUE(same_as_loop(1.0, 0.0, 5));
+    EXPECT_TRUE(same_as_loop(-0.0, 0.0, 5));
+    EXPECT_TRUE(same_as_loop(1.0, -0.25, 5));
+    EXPECT_TRUE(same_as_loop(-3.0, 0.25, 50));
+    EXPECT_TRUE(same_as_loop(inf, 1.0, 5));
+    EXPECT_TRUE(same_as_loop(1.0, inf, 5));
+    EXPECT_TRUE(same_as_loop(nan, 1.0, 5));
+    EXPECT_TRUE(same_as_loop(1.0, 2.0, 0));
+    EXPECT_TRUE(same_as_loop(1.0, 2.0, -3));
+}
+
+TEST(OnUnitGrid, MultiplesOfTwoToTheMinus52) {
+    EXPECT_TRUE(on_unit_grid(0.0));
+    EXPECT_TRUE(on_unit_grid(0x1p-52));
+    EXPECT_TRUE(on_unit_grid(0.256));  // 2^11 RN(1/8000): two low zero bits
+    EXPECT_TRUE(on_unit_grid(1.0 - 0x1p-52));
+    EXPECT_FALSE(on_unit_grid(0x1p-53));
+    EXPECT_FALSE(on_unit_grid(0.1));
+    EXPECT_FALSE(on_unit_grid(std::numeric_limits<double>::quiet_NaN()));
 }
 
 }  // namespace
