@@ -14,8 +14,6 @@
 /// is the median over the blocks; a measure() row is divided by its
 /// 2 x (settle + count periods) x 2,048 samples.
 ///
-///   bench_block_stages [--blocks=N]   (N >= 400, default 400)
-///
 /// Pin it to one core (taskset -c 2) for steady numbers. It prints a
 /// table and gates nothing.
 
@@ -24,9 +22,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #if defined(__x86_64__)
@@ -83,17 +78,7 @@ double median(std::vector<double> v) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-    int blocks = 400;
-    for (int a = 1; a < argc; ++a) {
-        if (std::strncmp(argv[a], "--blocks=", 9) == 0) {
-            blocks = std::max(400, std::atoi(argv[a] + 9));
-        } else {
-            std::fprintf(stderr, "usage: %s [--blocks=N]  (N >= 400)\n", argv[0]);
-            return 2;
-        }
-    }
-
+int main() {
     const compass::CompassConfig cfg;
     const analog::FrontEndConfig& fe = cfg.front_end;
     const int n = cfg.steps_per_period;
@@ -123,6 +108,7 @@ int main(int argc, char** argv) {
                   {"counter", {}, {}},      {"supply power", {}, {}},
                   {"energy sum", {}, {}}};
     const int warm = 8;
+    const int blocks = 400;
     for (int b = 0; b < warm + blocks; ++b) {
         if (b == warm) {
             for (Row& r : rows) r.ns.clear(), r.ticks.clear();
@@ -149,7 +135,7 @@ int main(int argc, char** argv) {
     compass::Compass compass(cfg);
     compass.set_environment(site, 275.0);
     const int samples_per_measure = 2 * (cfg.settle_periods + cfg.periods_per_axis) * n;
-    const int measures = std::max(25, blocks / 16);
+    const int measures = 25;
     Row whole{"whole measure()", {}, {}};
     for (int m = 0; m < warm + measures; ++m) {
         if (m == warm) whole.ns.clear(), whole.ticks.clear();

@@ -33,7 +33,7 @@ double TriangleOscillator::unit_triangle(double phase) noexcept {
 double TriangleOscillator::step(double dt_s) {
     if (!(dt_s > 0.0)) throw std::invalid_argument("TriangleOscillator: dt must be > 0");
     time_s_ += dt_s;
-    phase_ += dt_s * (config_.frequency_hz * fault_.frequency_scale);
+    phase_ += phase_step(dt_s);
     bool period_wrapped = false;
     if (phase_ >= 1.0) {
         phase_ -= std::floor(phase_);
@@ -69,13 +69,17 @@ double TriangleOscillator::step(double dt_s) {
 void TriangleOscillator::step_block(double dt_s, int n, double* out) {
     if (!(dt_s > 0.0)) throw std::invalid_argument("TriangleOscillator: dt must be > 0");
     if (n <= 0) return;
-    const double step = dt_s * (config_.frequency_hz * fault_.frequency_scale);
-    if (phase_ >= 0.0 && phase_ < 1.0 && step > 0.0 && step < 1.0 &&
-        util::on_unit_grid(phase_) && util::on_unit_grid(step)) {
-        step_block_rotation(dt_s, step, n, out);
+    if (rotates(dt_s)) {
+        step_block_rotation(dt_s, phase_step(dt_s), n, out);
     } else {
         step_block_loop(dt_s, n, out);
     }
+}
+
+bool TriangleOscillator::rotates(double dt_s) const noexcept {
+    const double step = phase_step(dt_s);
+    return phase_ >= 0.0 && phase_ < 1.0 && step > 0.0 && step < 1.0 &&
+           util::on_unit_grid(phase_) && util::on_unit_grid(step);
 }
 
 void TriangleOscillator::step_block_rotation(double dt_s, double step, int n, double* out) {
@@ -185,7 +189,7 @@ void TriangleOscillator::step_block_loop(double dt_s, int n, double* out) {
     double correction = correction_a_;
     double period_integral = period_integral_;
     double period_time = period_time_;
-    const double freq = config_.frequency_hz * fault_.frequency_scale;
+    const double step = phase_step(dt_s);
     const double gain =
         config_.amplitude_a * (1.0 + config_.amplitude_error) * fault_.amplitude_scale;
     const double curvature = config_.curvature;
@@ -194,7 +198,7 @@ void TriangleOscillator::step_block_loop(double dt_s, int n, double* out) {
     const double correction_gain = config_.correction_gain;
     for (int k = 0; k < n; ++k) {
         time_s += dt_s;
-        phase += dt_s * freq;
+        phase += step;
         bool period_wrapped = false;
         if (phase >= 1.0) {
             phase -= std::floor(phase);

@@ -68,6 +68,11 @@ public:
     /// the per-sample loop runs.
     void step_block(double dt_s, int n, double* out);
 
+    /// True when step_block(dt_s, ...) takes the rotation from the
+    /// current state: the phase and the phase step dt * f are multiples
+    /// of 2^-52 with 0 <= phase < 1 and 0 < step < 1.
+    [[nodiscard]] bool rotates(double dt_s) const noexcept;
+
     /// Output of the last step [A].
     [[nodiscard]] double output() const noexcept { return output_; }
 
@@ -119,6 +124,11 @@ public:
 private:
     /// Ideal unit triangle (-1..+1) at a phase in [0, 1).
     static double unit_triangle(double phase) noexcept;
+
+    /// The phase advance of one step of dt, as step() computes it.
+    [[nodiscard]] double phase_step(double dt_s) const noexcept {
+        return dt_s * (config_.frequency_hz * fault_.frequency_scale);
+    }
 
     /// step_block's two paths: the rotation, for a phase and a phase
     /// step on the 2^-52 grid, and the per-sample loop.

@@ -41,13 +41,17 @@ std::uint64_t rotation_ticks(std::uint64_t a, std::uint64_t m, int k) noexcept {
 
 }  // namespace
 
+bool UpDownCounter::rotates(double acc, double inc) noexcept {
+    return one_bit_clock(acc, inc) && util::on_unit_grid(acc) && util::on_unit_grid(inc);
+}
+
 std::uint64_t UpDownCounter::tick_word(double& acc, double inc, std::uint64_t valid) noexcept {
     if (valid == 0) return 0;
     const int first = std::countr_zero(valid);
     const std::uint64_t run = valid >> first;
-    if ((run & (run + 1)) == 0 && util::on_unit_grid(acc) && util::on_unit_grid(inc)) {
-        // 0 <= acc < 1 and 0 < inc < 1 (one_bit_clock), so the sums stay
-        // below 2 and below 2^59 units over a word.
+    if ((run & (run + 1)) == 0 && rotates(acc, inc)) {
+        // 0 <= acc < 1 and 0 < inc < 1, so the sums stay below 2 and
+        // below 2^59 units over a word.
         constexpr std::uint64_t kFraction = (std::uint64_t{1} << 52) - 1;
         const int k = std::popcount(run);
         const auto a = static_cast<std::uint64_t>(acc * 0x1p52);

@@ -85,6 +85,11 @@ public:
         return inc > 0.0 && inc < 1.0 && acc >= 0.0 && acc < 1.0;
     }
 
+    /// True when tick_word(acc, inc, ...) takes the rotation for a word
+    /// whose valid bits are one run: one_bit_clock(acc, inc), with acc
+    /// and inc multiples of 2^-52, so every clock step is exact.
+    [[nodiscard]] static bool rotates(double acc, double inc) noexcept;
+
     /// Under one_bit_clock(acc, inc): one clock_step(acc, inc) for each
     /// set bit of `valid`, in sample order, and the word of the samples
     /// that ticked. When acc and inc are multiples of 2^-52 (as at the

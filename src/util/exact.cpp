@@ -7,7 +7,7 @@
 namespace fxg::util {
 
 double repeated_add(double x, double d, std::int64_t n) noexcept {
-    if (!(d > 0.0 && x >= 0.0) || !std::isfinite(d) || !std::isfinite(x)) {
+    if (!repeated_add_domain(x, d)) {
         for (; n > 0; --n) x += d;
         return x;
     }

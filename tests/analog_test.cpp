@@ -176,6 +176,7 @@ TEST(OscillatorBlock, RotationMatchesStepAtEveryBlockSize) {
     for (const int block : {1, 7, 63, 64, 65, 2047, 2048, 4096}) {
         SCOPED_TRACE("block " + std::to_string(block));
         TriangleOscillator blocked(moving_correction()), stepped(moving_correction());
+        ASSERT_TRUE(blocked.rotates(kDefaultDt));
         expect_blocks_match_steps(blocked, stepped, kDefaultDt, block, 5 * 2048 + 3);
         // Five wraps moved the correction.
         EXPECT_NE(blocked.correction(), 0.0);
@@ -207,6 +208,7 @@ TEST(OscillatorBlock, RestoredMidPeriodStateMatchesStep) {
         const TriangleOscillator::State st{0.125, phase, 1.0e-3, -0.1e-3, 3.0e-8, 7.7e-5};
         blocked.load_state(st);
         stepped.load_state(st);
+        EXPECT_EQ(blocked.rotates(kDefaultDt), phase != 0.3);
         expect_blocks_match_steps(blocked, stepped, kDefaultDt, 2048, 3 * 2048);
     }
 }
@@ -219,13 +221,12 @@ TEST(OscillatorBlock, OffGridStepsTakeTheLoop) {
     fault.frequency_scale = 1.03;
     blocked.set_fault(fault);
     stepped.set_fault(fault);
-    const double step = kDefaultDt * (8000.0 * 1.03);
-    ASSERT_NE(std::floor(step * 0x1p52), step * 0x1p52);
+    ASSERT_FALSE(blocked.rotates(kDefaultDt));
     expect_blocks_match_steps(blocked, stepped, kDefaultDt, 2048, 4 * 2048);
 
     TriangleOscillator blocked1000(moving_correction()), stepped1000(moving_correction());
     const double dt1000 = (1.0 / 8000.0) / 1000;
-    ASSERT_NE(std::floor(dt1000 * 8000.0 * 0x1p52), dt1000 * 8000.0 * 0x1p52);
+    ASSERT_FALSE(blocked1000.rotates(dt1000));
     expect_blocks_match_steps(blocked1000, stepped1000, dt1000, 1000, 4 * 1000 + 17);
 }
 

@@ -139,8 +139,6 @@ TEST(UpDownCounter, ClockStepCompareFormEqualsFloorForm) {
 
 constexpr double kDefaultDt = (1.0 / 8000.0) / 2048;
 
-bool on_grid(double x) { return std::floor(x * 0x1p52) == x * 0x1p52; }
-
 /// The clock_step loop over the set bits of `valid`.
 std::uint64_t loop_ticks(double& acc, double inc, std::uint64_t valid) {
     std::uint64_t ticks = 0;
@@ -156,8 +154,8 @@ TEST(CounterRotation, EveryRunOfValidBitsTicksAsTheClockSteps) {
     // edges of [0, 1) and inside, at the paper's 0.256 and other
     // increments on the grid.
     for (const double inc : {kDefaultDt * 4194304.0, 3 * 0x1p-11, 0.5, 1.0 - 0x1p-52}) {
-        ASSERT_TRUE(on_grid(inc));
         for (const double acc0 : {0.0, 0x1p-52, 0.75 + 5 * 0x1p-52, 1.0 - 0x1p-52}) {
+            ASSERT_TRUE(UpDownCounter::rotates(acc0, inc));
             for (int first = 0; first < 64; ++first) {
                 for (int k = 1; first + k <= 64; ++k) {
                     const std::uint64_t run = (k == 64 ? ~std::uint64_t{0}
@@ -203,14 +201,14 @@ TEST(CounterRotation, BlocksMatchStepOnAndOffTheGrid) {
     // that are all ones, that settle mid-word, that end a run mid-word
     // and that have holes.
     double off_grid_hz = 4'000'001.0;
-    while (on_grid(kDefaultDt * off_grid_hz)) off_grid_hz += 1.0;
+    while (UpDownCounter::rotates(0.0, kDefaultDt * off_grid_hz)) off_grid_hz += 1.0;
     struct Clock {
         double hz;
         double acc;
     };
     const Clock clocks[] = {{4194304.0, 0.0}, {off_grid_hz, 0.0}, {4194304.0, 0.1}};
-    ASSERT_TRUE(on_grid(kDefaultDt * 4194304.0));
-    ASSERT_FALSE(on_grid(0.1));
+    ASSERT_TRUE(UpDownCounter::rotates(0.0, kDefaultDt * 4194304.0));
+    ASSERT_FALSE(UpDownCounter::rotates(0.1, kDefaultDt * 4194304.0));
     constexpr int kWords = 70;
     std::uint64_t lfsr = 0x9E3779B97F4A7C15ull;
     const auto next = [&] {

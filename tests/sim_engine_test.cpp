@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -23,6 +22,7 @@
 #include "magnetics/earth_field.hpp"
 #include "magnetics/units.hpp"
 #include "sim/engine.hpp"
+#include "util/exact.hpp"
 
 // Every allocation this test binary makes is counted, and every block of
 // 4 KiB or more also apart, so a test can bound the allocations of a run
@@ -174,35 +174,29 @@ TEST(SimEngine, FreshCompassReusesItsThreadsBlockScratch) {
 }
 
 // Every perfbench workload measures default compasses, so its block
-// path traffic is the closed forms when a default config meets their
-// preconditions, at the start and after measurements: the oscillator's
-// phase and phase step and the counter's accumulator and increment on
-// the 2^-52 grid (the counter under the one-bit clock), and
-// util::repeated_add's domain for the elapsed times (dt > 0 added to
-// finite times >= 0).
+// path traffic is the closed forms when a default config meets the
+// conditions their dispatch tests, at the start and after
+// measurements: TriangleOscillator::rotates (the phase and phase step
+// on the 2^-52 grid), UpDownCounter::rotates for an ideal register
+// (its accumulator and increment on the grid, under the one-bit clock;
+// the mux's settle words keep each word's valid bits one run), and
+// util::repeated_add_domain for the elapsed times.
 TEST(SimEngine, DefaultConfigMeetsTheClosedFormsPreconditions) {
     const compass::CompassConfig cfg;
     compass::Compass c(cfg);
     c.set_environment(magnetics::EarthField(magnetics::microtesla(48.0), 67.0), 123.0);
     const double dt = c.plan().dt_s;
-    const auto on_grid = [](double x) { return std::floor(x * 0x1p52) == x * 0x1p52; };
     for (int m = 0; m < 3; ++m) {
         SCOPED_TRACE("after " + std::to_string(m) + " measurements");
         const analog::TriangleOscillator& osc = c.front_end().oscillator();
-        const double step = dt * (osc.config().frequency_hz * osc.fault().frequency_scale);
+        EXPECT_TRUE(osc.rotates(dt));
+        EXPECT_FALSE(c.counter().hardware_engaged());
+        EXPECT_TRUE(digital::UpDownCounter::rotates(c.counter().save_state().tick_accumulator,
+                                                    dt * c.counter().clock_hz()));
         const analog::TriangleOscillator::State os = osc.save_state();
-        EXPECT_TRUE(os.phase >= 0.0 && os.phase < 1.0 && step > 0.0 && step < 1.0);
-        EXPECT_TRUE(on_grid(os.phase));
-        EXPECT_TRUE(on_grid(step));
-        const double inc = dt * c.counter().clock_hz();
-        const double acc = c.counter().save_state().tick_accumulator;
-        EXPECT_TRUE(digital::UpDownCounter::one_bit_clock(acc, inc));
-        EXPECT_TRUE(on_grid(acc));
-        EXPECT_TRUE(on_grid(inc));
-        EXPECT_GT(dt, 0.0);
         for (const double t : {os.time_s, os.period_time,
                                c.front_end().mux().save_state().since_switch_s}) {
-            EXPECT_TRUE(std::isfinite(t) && t >= 0.0);
+            EXPECT_TRUE(util::repeated_add_domain(t, dt));
         }
         static_cast<void>(c.measure());
     }
