@@ -83,7 +83,10 @@ bool TriangleOscillator::rotates(double dt_s) const noexcept {
 }
 
 void TriangleOscillator::step_block_rotation(double dt_s, double step, int n, double* out) {
-    namespace v = util::simd;
+    // Four lanes at most: the period integral's additions run beside
+    // these vectors, and a 512-bit instruction in flight slows them
+    // (util::simd::Narrow).
+    using V = util::simd::Narrow;
     // The phase and its step in units of 2^-52. Each phase addition is
     // exact (the sum is below 2), and so is the wrap's subtraction of 1,
     // so the phase after sample j of a segment that starts at p is
@@ -96,74 +99,82 @@ void TriangleOscillator::step_block_rotation(double dt_s, double step, int n, do
     double period_time = period_time_;
     const bool correct = config_.offset_correction && !fault_.correction_stuck;
     const double correction_gain = config_.correction_gain;
+    const double curvature = config_.curvature;
+    const double gain =
+        config_.amplitude_a * (1.0 + config_.amplitude_error) * fault_.amplitude_scale;
+    const double dc_offset = config_.dc_offset_a + fault_.extra_dc_a;
 
-    // step()'s expressions, a stripe of kLanes samples at a time: lane l
-    // of a segment's first stripe holds the phase after its sample l + 1,
-    // and each stripe adds kLanes steps. Every such sum below 2 is exact
-    // (only lanes past the segment's end, which are dropped, can exceed
-    // it), and so is the wrap's subtraction of 1. A segment has a second
-    // stripe only when kLanes steps stay below 1, so the stride is exact
-    // wherever it is used.
-    alignas(64) double lane_steps[v::kLanes];
-    for (int l = 0; l < v::kLanes; ++l) lane_steps[l] = static_cast<double>(l + 1) * step;
-    const v::dvec first_steps = v::load(lane_steps);
-    const v::dvec stripe_step = v::splat(v::kLanes * step);
-    const v::dvec one = v::splat(1.0);
-    const v::dvec four = v::splat(4.0);
-    const v::dvec quarter = v::splat(0.25);
-    const v::dvec three_quarters = v::splat(0.75);
-    const v::dvec curvature = v::splat(config_.curvature);
-    const v::dvec gain = v::splat(config_.amplitude_a * (1.0 + config_.amplitude_error) *
-                                  fault_.amplitude_scale);
-    const v::dvec dc_offset = v::splat(config_.dc_offset_a + fault_.extra_dc_a);
-    const v::dvec dt_v = v::splat(dt_s);
+    // step()'s expressions, a stripe of V::kLanes samples at a time:
+    // lane l of a segment's first stripe holds the phase after its
+    // sample l + 1, and each stripe adds kLanes steps. Every such sum
+    // below 2 is exact, and the lanes the stripes keep stay below 1
+    // (only dropped lanes past their end reach it), so no stripe wraps.
+    // A segment has a second stripe only when kLanes steps stay below
+    // 1, so the stride is exact wherever it is used. unit_triangle's
+    // three ramps, 4x, 2 - 4x and -4 + 4x, are exact at these phases,
+    // so the triangle is their min/max form,
+    // min(4x, max(2 - 4x, -4 + 4x)), which selects the same value.
+    alignas(32) double lane_steps[V::kLanes];
+    for (int l = 0; l < V::kLanes; ++l) lane_steps[l] = static_cast<double>(l + 1) * step;
+    const V::D first_steps = V::load(lane_steps);
+    const V::D stripe_step = V::splat(V::kLanes * step);
+    const V::D two = V::splat(2.0);
+    const V::D four = V::splat(4.0);
+    const V::D minus_four = V::splat(-4.0);
+    const V::D curvature_v = V::splat(curvature);
+    const V::D gain_v = V::splat(gain);
+    const V::D dc_offset_v = V::splat(dc_offset);
+    const V::D dt_v = V::splat(dt_s);
 
     int k = 0;
     while (k < n) {
         // The segment runs to the first sample whose phase reaches 1 (it
         // wraps, and its output still takes the old correction), or to
-        // the block's end.
+        // the block's end. The stripes cover the samples before a wrap.
         const std::uint64_t to_wrap = (kOne - p + inc - 1) / inc;
         const bool wraps = to_wrap <= static_cast<std::uint64_t>(n - k);
         const int len = wraps ? static_cast<int>(to_wrap) : n - k;
-        const v::dvec corr = v::splat(correction);
-        v::dvec phase = v::add(v::splat(static_cast<double>(p) * 0x1p-52), first_steps);
+        const int before_wrap = wraps ? len - 1 : len;
+        const V::D corr = V::splat(correction);
+        V::D phase = V::add(V::splat(static_cast<double>(p) * 0x1p-52), first_steps);
         double* const seg = out + k;
         // One stripe's outputs into `o`, and each output times dt into
         // `term` (as step()'s product).
-        alignas(64) double term[v::kLanes];
+        alignas(32) double term[V::kLanes];
         const auto stripe = [&](double* o) {
-            const v::dvec ph = v::blend(v::cmp_ge(phase, one), v::sub(phase, one), phase);
-            phase = v::add(phase, stripe_step);
-            const v::dvec ramp = v::mul(four, ph);
-            const v::dvec w =
-                v::blend(v::cmp_gt(quarter, ph), ramp,
-                         v::blend(v::cmp_gt(three_quarters, ph), v::sub(v::splat(2.0), ramp),
-                                  v::add(v::splat(-4.0), ramp)));
-            const v::dvec shaped =
-                v::add(w, v::mul(curvature, v::sub(v::mul(v::mul(w, w), w), w)));
-            const v::dvec out_v = v::add(v::add(v::mul(gain, shaped), dc_offset), corr);
-            v::store(o, out_v);
-            v::store(term, v::mul(out_v, dt_v));
+            const V::D ramp = V::mul(four, phase);
+            phase = V::add(phase, stripe_step);
+            const V::D w =
+                V::min(ramp, V::max(V::sub(two, ramp), V::add(minus_four, ramp)));
+            const V::D shaped =
+                V::add(w, V::mul(curvature_v, V::sub(V::mul(V::mul(w, w), w), w)));
+            const V::D out_v = V::add(V::add(V::mul(gain_v, shaped), dc_offset_v), corr);
+            V::store(o, out_v);
+            V::store(term, V::mul(out_v, dt_v));
         };
         // The period integral is the one sum whose terms vary: its
         // additions follow each stripe, beside the next stripe's vectors.
         int j = 0;
-        for (; j + v::kLanes <= len; j += v::kLanes) {
+        for (; j + V::kLanes <= before_wrap; j += V::kLanes) {
             stripe(seg + j);
-#pragma GCC unroll 8
-            for (int l = 0; l < v::kLanes; ++l) period_integral += term[l];
+#pragma GCC unroll 4
+            for (int l = 0; l < V::kLanes; ++l) period_integral += term[l];
         }
-        if (j < len) {
-            alignas(64) double tail[v::kLanes];
+        if (j < before_wrap) {
+            alignas(32) double tail[V::kLanes];
             stripe(tail);
-            std::copy(tail, tail + (len - j), seg + j);
-            for (int l = 0; l < len - j; ++l) period_integral += term[l];
+            std::copy(tail, tail + (before_wrap - j), seg + j);
+            for (int l = 0; l < before_wrap - j; ++l) period_integral += term[l];
         }
         period_time = util::repeated_add(period_time, dt_s, len);
         p += static_cast<std::uint64_t>(len) * inc;
         if (wraps) {
             p -= kOne;
+            const double w = unit_triangle(static_cast<double>(p) * 0x1p-52);
+            const double shaped = w + curvature * (w * w * w - w);
+            const double o = gain * shaped + dc_offset + correction;
+            seg[len - 1] = o;
+            period_integral += o * dt_s;
             if (correct && period_time > 0.0) {
                 const double mean = period_integral / period_time;
                 correction -= correction_gain * mean;

@@ -16,7 +16,9 @@
 /// src/util/CMakeLists.txt, and attaches its flags to fxg_util as
 /// PUBLIC compile options, so every translation unit that includes
 /// this header sees the same backend (the vector types and kLanes
-/// below differ between backends).
+/// below differ between backends). simd::Narrow is a backend of at
+/// most 4 lanes under the same flags: the AVX2 one where AVX-512 is
+/// active, the active one elsewhere.
 ///
 /// The contract that makes the lane engine's bit-identity story work:
 /// every operation here is *lane-independent* and rounds exactly like
@@ -400,10 +402,12 @@ struct Avx512Backend {
     }
 };
 
-using Active = Avx512Backend;
+#endif
 
-#elif defined(FXG_SIMD_AVX2)
+#if defined(FXG_SIMD_AVX512) || defined(FXG_SIMD_AVX2)
 
+/// AVX2 + FMA: the active backend of an AVX2 build, and the narrow
+/// one of an AVX-512 build (the flags of both include AVX2 and FMA).
 struct Avx2Backend {
     static constexpr int kLanes = 4;
     static constexpr const char* kName = "avx2";
@@ -482,12 +486,17 @@ struct Avx2Backend {
     }
 };
 
+#endif
+
+#if defined(FXG_SIMD_AVX512)
+using Active = Avx512Backend;
+using Narrow = Avx2Backend;
+#elif defined(FXG_SIMD_AVX2)
 using Active = Avx2Backend;
-
+using Narrow = Avx2Backend;
 #else
-
 using Active = ScalarBackend;
-
+using Narrow = ScalarBackend;
 #endif
 
 /// Runs f(0), ..., f(K - 1). The K-wide functions below write every
@@ -722,6 +731,15 @@ inline constexpr int kLanes = detail::Active::kLanes;
 [[nodiscard]] inline const char* backend_name() noexcept {
     return detail::Active::kName;
 }
+
+/// The backend's operations at no more than 4 lanes, as static members
+/// (Narrow::D, Narrow::add, ...): the AVX2 backend where AVX-512 is
+/// active, the active backend elsewhere. For a loop whose vectors run
+/// beside a dependent chain of scalar double additions: while 512-bit
+/// instructions are in flight, such a chain runs about 1.65x slower on
+/// the AVX-512 host measured (DESIGN.md section 6), so the oscillator's
+/// rotation computes its outputs 4 lanes at a time.
+using Narrow = detail::Narrow;
 
 using dvec = detail::Active::D;
 using mask = detail::Active::M;

@@ -28,6 +28,7 @@
 namespace simd = fxg::util::simd;
 using Ref = simd::detail::ScalarBackend;
 using Act = simd::detail::Active;
+using Nar = simd::Narrow;
 
 namespace {
 
@@ -74,11 +75,11 @@ std::vector<std::int64_t> random_int64s(std::size_t n, std::uint64_t seed) {
 std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
 std::uint64_t bits_of(std::int64_t x) { return std::uint64_t(x); }
 
-/// Runs `stripe(B{}, out + i, i)` for the active backend and for the
-/// scalar fallback, each at every offset i of its own stripes over n
-/// elements; `stripe` stores B's lanes [i, i + B::kLanes) at out + i.
-/// Expects the two outputs to agree bit for bit and returns the active
-/// backend's.
+/// Runs `stripe(B{}, out + i, i)` for the active backend, the narrow
+/// one (where it differs) and the scalar fallback, each at every offset
+/// i of its own stripes over n elements; `stripe` stores B's lanes
+/// [i, i + B::kLanes) at out + i. Expects the outputs to agree bit for
+/// bit and returns the active backend's.
 template <class T, class Stripe>
 std::vector<T> expect_backends_agree(const std::string& what, std::size_t n, Stripe stripe) {
     EXPECT_EQ(n % kStride, 0u) << what;
@@ -87,6 +88,15 @@ std::vector<T> expect_backends_agree(const std::string& what, std::size_t n, Str
     for (std::size_t i = 0; i + Ref::kLanes <= n; i += Ref::kLanes) stripe(Ref{}, ref.data() + i, i);
     for (std::size_t k = 0; k < n; ++k) {
         EXPECT_EQ(bits_of(act[k]), bits_of(ref[k])) << what << " element " << k;
+    }
+    if constexpr (!std::is_same_v<Nar, Act> && !std::is_same_v<Nar, Ref>) {
+        std::vector<T> nar(n);
+        for (std::size_t i = 0; i + Nar::kLanes <= n; i += Nar::kLanes) {
+            stripe(Nar{}, nar.data() + i, i);
+        }
+        for (std::size_t k = 0; k < n; ++k) {
+            EXPECT_EQ(bits_of(nar[k]), bits_of(ref[k])) << what << " narrow element " << k;
+        }
     }
     return act;
 }
@@ -121,8 +131,11 @@ TEST(Simd, WidthIsPositiveAndNamed) {
     EXPECT_GE(simd::kLanes, 2);
     EXPECT_LE(simd::kLanes, 8);
     EXPECT_STRNE(simd::backend_name(), "");
+    EXPECT_LE(Nar::kLanes, 4);
+    EXPECT_LE(Nar::kLanes, simd::kLanes);
 #if defined(FXG_SIMD_DISABLE)
     EXPECT_STREQ(simd::backend_name(), "scalar");
+    EXPECT_STREQ(Nar::kName, "scalar");
 #endif
 }
 
@@ -275,6 +288,7 @@ TEST(Simd, MulIsTheLowHalfOfTheUnsignedProduct) {
         }
     };
     check(Act{});
+    check(Nar{});
     check(Ref{});
 }
 
