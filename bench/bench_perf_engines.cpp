@@ -215,21 +215,6 @@ void spread_headings(compass::CompassFleet& fleet, const magnetics::EarthField& 
     fleet.set_environments(field, headings);
 }
 
-/// Sustained single-thread fleet throughput [measurements/s] at a given
-/// dispatch strategy. No warm-up pass: at these batch sizes the one-off
-/// scratch allocation is noise against the simulation itself.
-double fleet_rate(int fleet_n, compass::FleetExecution exec, int reps,
-                  const magnetics::EarthField& field) {
-    compass::CompassFleet fleet(fleet_n);
-    fleet.set_execution(exec);
-    spread_headings(fleet, field);
-    const auto t0 = telemetry::Clock::now();
-    for (int r = 0; r < reps; ++r) static_cast<void>(fleet.measure_all(1));
-    const double elapsed =
-        std::chrono::duration<double>(telemetry::Clock::now() - t0).count();
-    return elapsed > 0.0 ? reps * static_cast<double>(fleet_n) / elapsed : 0.0;
-}
-
 /// Single-thread throughput [measurements/s] of `fleet`: one warm-up
 /// sweep, then the median rate of `reps` timed sweeps.
 double median_sweep_rate(compass::CompassFleet& fleet, int reps) {
@@ -311,8 +296,8 @@ void write_perf_json(bool large) {
     // Fleet throughput at full hardware concurrency, at both ends of the
     // batch-size range: N=8 is dominated by dispatch overhead (where the
     // persistent TaskPool earns its keep vs per-batch threads), N=64 by
-    // the simulation itself. Per-member latency gauges land in the
-    // registry through the member-stamped samples of the small fleet.
+    // the simulation itself. The small fleet's samples feed its own
+    // latency histogram (fleet8).
     double fleet_meas_per_s = 0.0;
     telemetry::PhysicsProbes fleet_probes(registry, latency_name("fleet8"));
     for (const int fleet_n : {8, 64}) {
@@ -350,11 +335,15 @@ void write_perf_json(bool large) {
         .set(static_cast<double>(sim::LaneEngine::lanes_per_stripe()));
     double lane_rate[2] = {0.0, 0.0};  // n=1k, n=64k
     for (const int n : {1000, 64000}) {
-        const int reps = n <= 1000 ? 3 : 1;
-        const double block =
-            fleet_rate(n, compass::FleetExecution::PerMember, reps, field);
-        const double lane =
-            fleet_rate(n, compass::FleetExecution::Auto, reps, field);
+        const int reps = n <= 1000 ? 5 : 1;
+        const auto rate = [&](compass::FleetExecution exec) {
+            compass::CompassFleet fleet(n);
+            fleet.set_execution(exec);
+            spread_headings(fleet, field);
+            return median_sweep_rate(fleet, reps);
+        };
+        const double block = rate(compass::FleetExecution::PerMember);
+        const double lane = rate(compass::FleetExecution::Auto);
         const std::string tag = "_n" + std::to_string(n);
         registry.gauge("fxg_fleet_block" + tag + "_measurements_per_s", "1/s")
             .set(block);
@@ -395,10 +384,12 @@ void write_perf_json(bool large) {
                     sim::LaneEngine::backend_name(), one, all);
     }
     if (large) {
-        // One-million-member lane-only gauge (several minutes of
-        // simulation): opt-in via --large, excluded from routine runs.
-        const double lane =
-            fleet_rate(1000000, compass::FleetExecution::Auto, 1, field);
+        // One-million-member lane-only gauge (a warm-up and a timed
+        // sweep, several minutes of simulation): opt-in via --large,
+        // excluded from routine runs.
+        compass::CompassFleet fleet(1000000);
+        spread_headings(fleet, field);
+        const double lane = median_sweep_rate(fleet, 1);
         registry.gauge("fxg_fleet_lane_n1000000_measurements_per_s", "1/s")
             .set(lane);
         std::printf("fleet n=1000000 [%s]: lane %.1f meas/s\n",

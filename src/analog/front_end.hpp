@@ -236,10 +236,6 @@ public:
     [[nodiscard]] const magnetics::FieldSource* field_source() const noexcept {
         return field_source_.get();
     }
-    [[nodiscard]] std::shared_ptr<const magnetics::FieldSource> field_source_ptr()
-        const noexcept {
-        return field_source_;
-    }
 
     /// Applies one environment tick to both sensors (axial fields and
     /// core temperature). The lane engine calls this from gather, with

@@ -106,7 +106,9 @@ public:
 
     /// Attaches one shared telemetry sink to every member and stamps
     /// each member's index into its samples, so fleet-wide traces and
-    /// per-member latency metrics aggregate in a single sink. The sink
+    /// metrics aggregate in a single sink and a trace still names each
+    /// sample's member. The black box's registry keys no series by
+    /// member, so it stays the same size at any fleet size. The sink
     /// must be thread-safe (TraceSession, PhysicsProbes and TeeSink all
     /// are) — measure_all's workers feed it concurrently; span nesting
     /// stays correct because sessions track nesting per thread.

@@ -144,9 +144,8 @@ public:
     [[nodiscard]] const CounterHardware& hardware() const noexcept { return hardware_; }
 
     /// Sticky: a finite-width register wrapped at least once since the
-    /// last reset()/clear_overflow().
+    /// last reset().
     [[nodiscard]] bool overflowed() const noexcept { return overflowed_; }
-    void clear_overflow() noexcept { overflowed_ = false; }
 
     /// A wrap occurred with trap_on_overflow set and the trap has not
     /// been serviced yet.

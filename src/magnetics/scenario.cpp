@@ -52,12 +52,6 @@ Scenario& Scenario::temperature(double time_s, double temp_c) {
     return *this;
 }
 
-double Scenario::motion_duration_s() const noexcept {
-    double total = 0.0;
-    for (const auto& m : motion) total += m.duration_s;
-    return total;
-}
-
 // --- CompiledScenario ----------------------------------------------------
 
 namespace {

@@ -111,9 +111,6 @@ struct Scenario {
     Scenario& hard_iron(double offset_x_a_per_m, double offset_y_a_per_m);
     Scenario& soft_iron(double sxx, double sxy, double syx, double syy);
     Scenario& temperature(double time_s, double temp_c);
-
-    /// Total duration of the motion programme [s].
-    [[nodiscard]] double motion_duration_s() const noexcept;
 };
 
 /// A Scenario lowered onto the sample grid: a FieldSource whose tick

@@ -79,7 +79,6 @@ public:
     void deposit(SignalId id, Logic value);
 
     [[nodiscard]] const std::string& signal_name(SignalId id) const;
-    [[nodiscard]] std::size_t signal_count() const noexcept { return signals_.size(); }
 
     // ---------------------------------------------------------- processes
 

@@ -54,9 +54,6 @@ public:
     /// Raw RHS add.
     void rhs(int row, double v);
 
-    /// Unknown index of a node (node voltages come first); kGround -> -1.
-    static int node_unknown(int node) { return node; }
-
 private:
     DenseMatrix& a_;
     std::vector<double>& z_;

@@ -79,7 +79,6 @@ public:
     void set_waveform(std::unique_ptr<Waveform> wave) { wave_ = std::move(wave); }
     /// Small-signal excitation amplitude for AC analysis (SPICE "AC 1").
     void set_ac_magnitude(double mag) noexcept { ac_magnitude_ = mag; }
-    [[nodiscard]] double ac_magnitude() const noexcept { return ac_magnitude_; }
 
 private:
     int a_, b_;

@@ -193,10 +193,10 @@ ParsedTrace parse_trace_jsonl(const std::string& text) {
 
 std::string prometheus_text(const MetricsRegistry& registry) {
     // The exposition format wants all lines of a family in one group,
-    // but labelled series register lazily (a fleet's per-member gauges
-    // interleave with event counters created mid-sweep). Group entries
-    // by base name: families in order of first registration, series in
-    // registration order within a family.
+    // but labelled series register lazily, so other instruments can
+    // land between them. Group entries by base name: families in order
+    // of first registration, series in registration order within a
+    // family.
     struct Family {
         std::string base;
         std::vector<const MetricsRegistry::Entry*> series;
@@ -211,48 +211,64 @@ std::string prometheus_text(const MetricsRegistry& registry) {
         families[it->second].series.push_back(&e);
     }
 
-    std::ostringstream out;
-    for (const Family& family : families) {
-        const std::string& base = family.base;
-        const MetricKind kind = family.series.front()->kind;
-        out << "# TYPE " << base << ' '
-            << (kind == MetricKind::Counter ? "counter"
-                : kind == MetricKind::Gauge ? "gauge"
-                                            : "histogram")
-            << '\n';
-        for (const MetricsRegistry::Entry* e : family.series) {
-            switch (e->kind) {
-                case MetricKind::Counter:
-                    out << e->name << ' ' << e->counter->value() << '\n';
-                    break;
-                case MetricKind::Gauge:
-                    out << e->name << ' ' << format_double(e->gauge->value()) << '\n';
-                    break;
-                case MetricKind::Histogram: {
-                    // One `le` line per non-empty bucket; the top bucket's
-                    // edge is +Inf, which the line below covers. +Inf and
-                    // _count are the sum of the same bucket reads, so the
-                    // lines stay cumulative while observe() runs elsewhere.
-                    const Histogram& h = *e->histogram;
-                    std::uint64_t cumulative = 0;
-                    for (std::size_t i = 0; i + 1 < Histogram::kBuckets; ++i) {
-                        const std::uint64_t c = h.bucket_count(i);
-                        if (c == 0) continue;
-                        cumulative += c;
-                        out << base << "_bucket{le=\""
-                            << format_double(Histogram::upper_edge(i)) << "\"} "
-                            << cumulative << '\n';
+    // Two passes of the same walk: the first sums the text's length,
+    // the second appends into a string reserved to it, so the text is
+    // allocated once at its own size, not in a stream's doubling steps
+    // and then copied.
+    std::size_t length = 0;
+    std::string out;
+    for (const bool sizing : {true, false}) {
+        if (!sizing) out.reserve(length);
+        const auto put = [&](const std::string& text) {
+            if (sizing) {
+                length += text.size();
+            } else {
+                out += text;
+            }
+        };
+        for (const Family& family : families) {
+            const std::string& base = family.base;
+            const MetricKind kind = family.series.front()->kind;
+            put("# TYPE " + base +
+                (kind == MetricKind::Counter ? " counter\n"
+                 : kind == MetricKind::Gauge ? " gauge\n"
+                                             : " histogram\n"));
+            for (const MetricsRegistry::Entry* e : family.series) {
+                switch (e->kind) {
+                    case MetricKind::Counter:
+                        put(e->name + ' ' + std::to_string(e->counter->value()) + '\n');
+                        break;
+                    case MetricKind::Gauge:
+                        put(e->name + ' ' + format_double(e->gauge->value()) + '\n');
+                        break;
+                    case MetricKind::Histogram: {
+                        // One `le` line per non-empty bucket; the top
+                        // bucket's edge is +Inf, which the line below
+                        // covers. +Inf and _count are the sum of the same
+                        // bucket reads, so the lines stay cumulative while
+                        // observe() runs elsewhere.
+                        const Histogram& h = *e->histogram;
+                        std::uint64_t cumulative = 0;
+                        for (std::size_t i = 0; i + 1 < Histogram::kBuckets; ++i) {
+                            const std::uint64_t c = h.bucket_count(i);
+                            if (c == 0) continue;
+                            cumulative += c;
+                            put(base + "_bucket{le=\"" +
+                                format_double(Histogram::upper_edge(i)) + "\"} " +
+                                std::to_string(cumulative) + '\n');
+                        }
+                        cumulative += h.bucket_count(Histogram::kBuckets - 1);
+                        put(base + "_bucket{le=\"+Inf\"} " + std::to_string(cumulative) +
+                            '\n');
+                        put(base + "_sum " + format_double(h.sum()) + '\n');
+                        put(base + "_count " + std::to_string(cumulative) + '\n');
+                        break;
                     }
-                    cumulative += h.bucket_count(Histogram::kBuckets - 1);
-                    out << base << "_bucket{le=\"+Inf\"} " << cumulative << '\n';
-                    out << base << "_sum " << format_double(h.sum()) << '\n';
-                    out << base << "_count " << cumulative << '\n';
-                    break;
                 }
             }
         }
     }
-    return out.str();
+    return out;
 }
 
 std::string metrics_csv(const MetricsRegistry& registry) {

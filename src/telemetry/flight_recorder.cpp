@@ -17,12 +17,6 @@ std::uint64_t next_recorder_uid() {
     return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::size_t round_up_pow2(std::size_t n) {
-    std::size_t p = 1;
-    while (p < n) p <<= 1;
-    return p;
-}
-
 std::string json_escape(const char* s) {
     std::string out;
     for (const char* p = s; *p != '\0'; ++p) {
@@ -49,15 +43,7 @@ std::string format_double(double v) {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder() : FlightRecorder(Config{}) {}
-
-FlightRecorder::FlightRecorder(Config config)
-    : config_(config),
-      next_snapshot_(config.metrics_snapshot_every),
-      uid_(next_recorder_uid()) {
-    if (config_.ring_capacity == 0) config_.ring_capacity = 1;
-    config_.ring_capacity = round_up_pow2(config_.ring_capacity);
-}
+FlightRecorder::FlightRecorder() : uid_(next_recorder_uid()) {}
 
 FlightRecorder::~FlightRecorder() = default;
 
@@ -73,7 +59,7 @@ FlightRecorder::ThreadRing& FlightRecorder::local_ring() {
             break;  // recorder uid reused the slot after a dead entry: rebuild
         }
     }
-    auto ring = std::make_shared<ThreadRing>(config_.ring_capacity);
+    auto ring = std::make_shared<ThreadRing>();
     {
         std::lock_guard<std::mutex> lock(rings_mutex_);
         rings_.push_back(ring);
@@ -99,10 +85,10 @@ void FlightRecorder::push(const Record& r) noexcept {
         return;
     }
     const std::uint64_t head = ring.head.load(std::memory_order_relaxed);
-    ring.slots[head & ring.mask] = r;
+    ring.slots[head % kRingCapacity] = r;
     ring.head.store(head + 1, std::memory_order_release);
     ring.busy.store(false, std::memory_order_release);
-    if (head >= ring.slots.size()) {
+    if (head >= kRingCapacity) {
         dropped_.fetch_add(1, std::memory_order_relaxed);  // overwrote history
     }
 }
@@ -182,18 +168,11 @@ void FlightRecorder::on_sample(const MeasurementSample& sample) {
     push(r);
     const std::uint64_t seen =
         samples_seen_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (registry_ == nullptr || config_.metrics_snapshot_every == 0 || frozen()) {
-        return;
-    }
+    if (registry_ == nullptr || frozen()) return;
     std::uint64_t due = next_snapshot_.load(std::memory_order_relaxed);
     if (seen < due) return;
-    // Space the next snapshot by the registry's size, so the O(size)
-    // render below averages out to O(1) per sample. Only the writer
-    // whose exchange claims this due point renders.
-    const std::uint64_t next =
-        seen + std::max<std::uint64_t>(config_.metrics_snapshot_every,
-                                       registry_->size());
-    if (next_snapshot_.compare_exchange_strong(due, next,
+    // Only the writer whose exchange claims this due point renders.
+    if (next_snapshot_.compare_exchange_strong(due, seen + kSnapshotEvery,
                                                std::memory_order_relaxed)) {
         snapshot_metrics();
     }
@@ -203,7 +182,7 @@ void FlightRecorder::snapshot_metrics() {
     std::string text = prometheus_text(*registry_);
     std::lock_guard<std::mutex> lock(snapshots_mutex_);
     snapshots_.push_back(std::move(text));
-    while (snapshots_.size() > config_.metrics_snapshots_kept) {
+    while (snapshots_.size() > kSnapshotsKept) {
         snapshots_.pop_front();
     }
 }
@@ -234,8 +213,7 @@ std::size_t FlightRecorder::retained() const {
     std::size_t total = 0;
     for (const auto& ring : rings_) {
         const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-        total += static_cast<std::size_t>(
-            std::min<std::uint64_t>(head, ring->slots.size()));
+        total += static_cast<std::size_t>(std::min<std::uint64_t>(head, kRingCapacity));
     }
     return total;
 }
@@ -249,10 +227,9 @@ std::string FlightRecorder::trace_jsonl() const {
         std::lock_guard<std::mutex> lock(rings_mutex_);
         for (const auto& ring : rings_) {
             const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-            const std::uint64_t n =
-                std::min<std::uint64_t>(head, ring->slots.size());
+            const std::uint64_t n = std::min<std::uint64_t>(head, kRingCapacity);
             for (std::uint64_t i = head - n; i < head; ++i) {
-                merged.push_back(ring->slots[i & ring->mask]);
+                merged.push_back(ring->slots[i % kRingCapacity]);
             }
         }
     }

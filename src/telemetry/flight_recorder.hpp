@@ -27,16 +27,12 @@
 ///    of their own — are expanded into "sample.*" event lines.
 ///
 /// Metric snapshots: when a registry is attached, the recorder
-/// periodically captures the full Prometheus text into a small bounded
-/// deque (mutex-guarded; the cold path). The last few snapshots ride
-/// along in postmortem bundles so a bundle shows the metric trajectory
-/// into the fault, not just the final values. A render costs O(E) in
-/// the registry's E entries, and a fleet's registry holds one latency
-/// gauge per member, so after each snapshot the next is due
-/// max(`metrics_snapshot_every`, E) samples later: the render is spread
-/// over at least E samples and costs O(1) per sample at any fleet size.
-/// A registry of up to `metrics_snapshot_every` entries keeps the plain
-/// every-N cadence; a large fleet keeps about one snapshot per sweep.
+/// captures the full Prometheus text once per kSnapshotEvery samples
+/// into a small bounded deque (mutex-guarded; the cold path). The last
+/// kSnapshotsKept snapshots ride along in postmortem bundles so a bundle
+/// shows the metric trajectory into the fault, not just the final
+/// values. A fleet's registry holds a fixed set of instruments at any
+/// fleet size, so a render costs the same at 16 members as at 65,536.
 /// Exactly one writer (the one whose compare-exchange claims the due
 /// sample) renders each snapshot, outside any lock, so no other writer
 /// ever waits on a render. A snapshot that comes due while frozen is
@@ -60,20 +56,18 @@ namespace fxg::telemetry {
 
 class FlightRecorder final : public TelemetrySink {
 public:
-    struct Config {
-        /// Records retained per writer thread (power of two enforced by
-        /// rounding up). ~88 bytes per record.
-        std::size_t ring_capacity = 2048;
-        /// Minimum spacing of metric snapshots, in samples (0 = never).
-        /// The spacing actually used is max(this, registry size), which
-        /// holds a render's O(size) cost to O(1) per sample.
-        std::size_t metrics_snapshot_every = 64;
-        /// How many snapshots the bounded deque retains.
-        std::size_t metrics_snapshots_kept = 4;
-    };
+    /// Records retained per writer thread (a power of two, so a ring
+    /// index wraps with a mask); ~88 bytes per record.
+    static constexpr std::size_t kRingCapacity = 2048;
+    /// Samples between metric snapshots. A render of a fleet's registry
+    /// costs about as much as one or two member measurements, so at this
+    /// cadence renders take about 0.1 % of a fleet's time (DESIGN.md
+    /// section 14).
+    static constexpr std::uint64_t kSnapshotEvery = 1024;
+    /// Snapshots the bounded deque retains.
+    static constexpr std::size_t kSnapshotsKept = 4;
 
     FlightRecorder();
-    explicit FlightRecorder(Config config);
     ~FlightRecorder() override;
 
     FlightRecorder(const FlightRecorder&) = delete;
@@ -137,8 +131,6 @@ public:
     /// Total records currently retained across all rings.
     [[nodiscard]] std::size_t retained() const;
 
-    [[nodiscard]] const Config& config() const noexcept { return config_; }
-
 private:
     enum class Kind : std::uint8_t { SpanBegin, SpanEnd, Event, Sample };
 
@@ -162,10 +154,7 @@ private:
     };
 
     struct ThreadRing {
-        explicit ThreadRing(std::size_t capacity)
-            : slots(capacity), mask(capacity - 1) {}
-        std::vector<Record> slots;
-        std::size_t mask;
+        std::vector<Record> slots = std::vector<Record>(kRingCapacity);
         std::atomic<std::uint64_t> head{0};  ///< next write index (monotone)
         std::atomic<bool> busy{false};       ///< writer inside push()
         /// Innermost open spans, owner-thread-only (never drained).
@@ -176,7 +165,6 @@ private:
     void push(const Record& r) noexcept;
     void snapshot_metrics();
 
-    Config config_;
     const MetricsRegistry* registry_ = nullptr;
 
     std::atomic<std::uint32_t> freeze_count_{0};
@@ -185,7 +173,7 @@ private:
     std::atomic<std::uint64_t> dropped_{0};
     std::atomic<std::uint64_t> samples_seen_{0};
     /// Sample count at which the next metric snapshot is due.
-    std::atomic<std::uint64_t> next_snapshot_;
+    std::atomic<std::uint64_t> next_snapshot_{kSnapshotEvery};
 
     /// Never-reused identity for the thread-local ring cache (guards
     /// against a stale cache entry from a destroyed recorder).

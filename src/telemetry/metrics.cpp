@@ -137,9 +137,4 @@ std::vector<MetricsRegistry::Entry> MetricsRegistry::entries() const {
     return out;
 }
 
-std::size_t MetricsRegistry::size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return slots_.size();
-}
-
 }  // namespace fxg::telemetry

@@ -136,8 +136,6 @@ public:
     /// Entries in registration order (stable across export calls).
     [[nodiscard]] std::vector<Entry> entries() const;
 
-    [[nodiscard]] std::size_t size() const;
-
 private:
     struct Slot {
         std::string name;

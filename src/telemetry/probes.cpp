@@ -76,19 +76,6 @@ void PhysicsProbes::on_sample(const MeasurementSample& s) {
     latency_.observe(s.latency_s);
     count_abs_.observe(std::fabs(static_cast<double>(s.raw_count_x)));
     count_abs_.observe(std::fabs(static_cast<double>(s.raw_count_y)));
-
-    Gauge* member = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(member_mutex_);
-        auto it = member_latency_.find(s.member);
-        if (it == member_latency_.end()) {
-            const std::string name = "fxg_member_latency_seconds{member=\"" +
-                                     std::to_string(s.member) + "\"}";
-            it = member_latency_.emplace(s.member, &registry_.gauge(name, "s")).first;
-        }
-        member = it->second;
-    }
-    member->set(s.latency_s);
 }
 
 }  // namespace fxg::telemetry

@@ -10,11 +10,17 @@
 ///               retries, health findings, ladder transitions);
 ///   gauges      raw counts, duty cycle, pulse-position shift, valid
 ///               fraction (per axis), CORDIC residual/rotations,
-///               heading, energy, per-member latency;
+///               heading, energy;
 ///   histograms  fxg_measure_latency_seconds (wall-clock cost of a
 ///               measure; the name is a constructor argument) and
 ///               fxg_count_abs (|raw counts|, transfer-law full scale is
 ///               ~2097 at the design point).
+///
+/// That is 16 instruments plus two per distinct event name, whatever
+/// the number of members feeding them: no series is keyed by member.
+/// A lane batch closes every member out against one start time, so a
+/// per-member latency would only restate the batch's wall time; the
+/// latency histogram holds every sample.
 ///
 /// The probe layer deliberately takes only plain numbers (see
 /// MeasurementSample) — it has no view of the pipeline objects, so it
@@ -84,8 +90,6 @@ private:
         Gauge* last;
     };
     std::unordered_map<std::string, EventInstruments> event_cache_;
-    std::mutex member_mutex_;
-    std::unordered_map<int, Gauge*> member_latency_;
 };
 
 }  // namespace fxg::telemetry

@@ -3,8 +3,8 @@
 /// that round-trip through parse_trace_jsonl, bounded-ring overwrite
 /// accounting, the freeze protocol (writers drop instead of mutating a
 /// frozen cut — including under concurrent hammering, the TSan leg's
-/// main course), periodic metric snapshots spaced by the registry's
-/// size (rendered from concurrent writers too), and the two fleet-level
+/// main course), metric snapshots once per kSnapshotEvery samples
+/// (rendered from concurrent writers too), and the two fleet-level
 /// guarantees the recorder was built around: a fleet carrying it on
 /// every member keeps the SoA lane-batched dispatch, and arming it
 /// never changes a measurement's bits.
@@ -24,6 +24,7 @@
 #include "telemetry/exporters.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/probes.hpp"
 #include "telemetry/sink.hpp"
 
 using namespace fxg;
@@ -116,21 +117,23 @@ TEST(FlightRecorderTest, DrainRoundTripsThroughTraceParser) {
 }
 
 TEST(FlightRecorderTest, RingWrapForgetsOldestAndCountsDropped) {
-    telemetry::FlightRecorder::Config cfg;
-    cfg.ring_capacity = 16;  // already a power of two
-    telemetry::FlightRecorder recorder(cfg);
+    constexpr std::size_t kRing = telemetry::FlightRecorder::kRingCapacity;
+    constexpr std::size_t kOverwritten = 84;
+    telemetry::FlightRecorder recorder;
 
-    for (int i = 0; i < 100; ++i) recorder.event("tick", i);
+    for (std::size_t i = 0; i < kRing + kOverwritten; ++i) {
+        recorder.event("tick", static_cast<double>(i));
+    }
 
-    EXPECT_EQ(recorder.retained(), 16u);
-    EXPECT_EQ(recorder.dropped(), 84u);
+    EXPECT_EQ(recorder.retained(), kRing);
+    EXPECT_EQ(recorder.dropped(), kOverwritten);
 
     // The drain holds exactly the newest window, still parseable.
     const telemetry::ParsedTrace trace =
         telemetry::parse_trace_jsonl(recorder.trace_jsonl());
-    ASSERT_EQ(trace.events.size(), 16u);
+    ASSERT_EQ(trace.events.size(), kRing);
     for (std::size_t i = 0; i < trace.events.size(); ++i) {
-        EXPECT_DOUBLE_EQ(trace.events[i].value, 84.0 + static_cast<double>(i));
+        EXPECT_DOUBLE_EQ(trace.events[i].value, static_cast<double>(kOverwritten + i));
     }
 }
 
@@ -171,66 +174,31 @@ TEST(FlightRecorderTest, OpenSpanAtTheCutGetsPlaceholderEnd) {
 }
 
 TEST(FlightRecorderTest, PeriodicMetricSnapshotsAreBounded) {
+    constexpr std::uint64_t kEvery = telemetry::FlightRecorder::kSnapshotEvery;
+    constexpr std::size_t kKept = telemetry::FlightRecorder::kSnapshotsKept;
     telemetry::MetricsRegistry registry;
     auto& measurements = registry.counter("fxg_measurements_total");
 
-    telemetry::FlightRecorder::Config cfg;
-    cfg.metrics_snapshot_every = 2;
-    cfg.metrics_snapshots_kept = 3;
-    telemetry::FlightRecorder recorder(cfg);
+    telemetry::FlightRecorder recorder;
     recorder.attach_registry(&registry);
 
+    // Two more snapshots fall due than the deque keeps, plus a partial
+    // interval that renders none.
+    constexpr std::uint64_t kSamples = (kKept + 2) * kEvery + kEvery / 2;
     telemetry::MeasurementSample sample;
-    for (int i = 0; i < 20; ++i) {
+    for (std::uint64_t i = 0; i < kSamples; ++i) {
         measurements.inc();
         recorder.on_sample(sample);
     }
 
     const std::vector<std::string> snaps = recorder.metric_snapshots();
-    ASSERT_EQ(snaps.size(), 3u);  // bounded by metrics_snapshots_kept
-    for (const std::string& s : snaps) {
-        EXPECT_NE(s.find("fxg_measurements_total"), std::string::npos);
-    }
-    // Oldest first: the counter value grows across retained snapshots.
-    EXPECT_LT(snaps.front().find("fxg_measurements_total 16"), snaps.front().size());
-    EXPECT_LT(snaps.back().find("fxg_measurements_total 20"), snaps.back().size());
-}
-
-TEST(FlightRecorderTest, SnapshotSpacingFollowsRegistrySize) {
-    // A render costs O(entries); a fleet's registry holds one gauge per
-    // member. After a snapshot the next is due max(every, entries)
-    // samples later, so a 1000-entry registry is rendered at most once
-    // per 1000 samples, not once per 64.
-    telemetry::MetricsRegistry registry;
-    auto& measurements = registry.counter("fxg_measurements_total");
-    for (int i = 0; i < 999; ++i) {
-        registry.gauge("fxg_member_latency_seconds{member=\"" + std::to_string(i) +
-                       "\"}");
-    }
-
-    telemetry::FlightRecorder::Config cfg;
-    cfg.metrics_snapshot_every = 64;
-    cfg.metrics_snapshots_kept = 4;
-    telemetry::FlightRecorder recorder(cfg);
-    recorder.attach_registry(&registry);
-
-    telemetry::MeasurementSample sample;
-    for (int i = 0; i < 10'000; ++i) {
-        measurements.inc();
-        recorder.on_sample(sample);
-    }
-
-    const std::vector<std::string> snaps = recorder.metric_snapshots();
-    ASSERT_EQ(snaps.size(), 4u);
-    std::vector<long long> counts;
-    for (const std::string& s : snaps) {
-        const std::string key = "\nfxg_measurements_total ";
-        const std::size_t at = s.find(key);
-        ASSERT_NE(at, std::string::npos);
-        counts.push_back(std::stoll(s.substr(at + key.size())));
-    }
-    for (std::size_t i = 1; i < counts.size(); ++i) {
-        EXPECT_GE(counts[i] - counts[i - 1], 1000) << "snapshots " << i - 1 << ", " << i;
+    ASSERT_EQ(snaps.size(), kKept);
+    // Oldest first, one every kEvery samples: of the snapshots taken at
+    // kEvery, 2 kEvery, ..., (kKept + 2) kEvery, the third on.
+    for (std::size_t i = 0; i < snaps.size(); ++i) {
+        const std::string line =
+            "fxg_measurements_total " + std::to_string((i + 3) * kEvery) + "\n";
+        EXPECT_NE(snaps[i].find(line), std::string::npos) << "snapshot " << i;
     }
 }
 
@@ -285,9 +253,8 @@ TEST(FlightRecorderTest, ConcurrentWritersSurviveFreezeDrainCycles) {
     // parses. Every drain must parse cleanly (no torn records) and no
     // freeze may be lost (writers observe the freeze via the busy/
     // frozen handshake, so retained() is stable across a frozen cut).
-    telemetry::FlightRecorder::Config cfg;
-    cfg.ring_capacity = 256;
-    telemetry::FlightRecorder recorder(cfg);
+    // Each drain parses up to four full rings of kRingCapacity records.
+    telemetry::FlightRecorder recorder;
 
     std::atomic<bool> stop{false};
     std::atomic<int> writing{0};
@@ -334,44 +301,40 @@ TEST(FlightRecorderTest, ConcurrentWritersSurviveFreezeDrainCycles) {
 }
 
 TEST(FlightRecorderTest, ConcurrentWritersShareTheSnapshotPath) {
-    // The TSan-leg stress for metric snapshots: four writers update a
-    // registry and emit samples, so due snapshots are claimed and
-    // rendered from whichever writer reaches them, while the main
-    // thread reads the retained snapshots and freezes the recorder.
+    // The TSan-leg stress for metric snapshots: four writers feed a
+    // recorder and probes on one registry, as a fleet's black box
+    // does, so due snapshots are claimed and rendered from whichever
+    // writer reaches them while the other writers update the registry,
+    // and the main thread reads the retained snapshots and freezes the
+    // recorder.
+    constexpr std::uint64_t kEvery = telemetry::FlightRecorder::kSnapshotEvery;
+    constexpr std::size_t kKept = telemetry::FlightRecorder::kSnapshotsKept;
     telemetry::MetricsRegistry registry;
-    auto& measurements = registry.counter("fxg_measurements_total");
-    std::vector<telemetry::Gauge*> gauges;
-    for (int i = 0; i < 100; ++i) {
-        gauges.push_back(&registry.gauge("fxg_member_latency_seconds{member=\"" +
-                                         std::to_string(i) + "\"}"));
-    }
-
-    telemetry::FlightRecorder::Config cfg;
-    cfg.ring_capacity = 256;
-    cfg.metrics_snapshot_every = 8;
-    telemetry::FlightRecorder recorder(cfg);
+    telemetry::FlightRecorder recorder;
     recorder.attach_registry(&registry);
+    telemetry::PhysicsProbes probes(registry);
+    telemetry::TeeSink black_box({&recorder, &probes});
+    const telemetry::Counter& measurements = registry.counter("fxg_measurements_total");
 
     std::atomic<bool> stop{false};
     std::vector<std::thread> writers;
     for (int t = 0; t < 4; ++t) {
-        writers.emplace_back([&recorder, &measurements, &gauges, &stop, t] {
+        writers.emplace_back([&black_box, &stop, t] {
             telemetry::MeasurementSample sample;
             sample.member = t;
-            for (std::size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
-                measurements.inc();
-                gauges[i % gauges.size()]->set(static_cast<double>(i));
-                recorder.on_sample(sample);
+            for (std::int64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+                sample.raw_count_x = i;
+                sample.latency_s = 1e-6 * static_cast<double>(i % 1000);
+                black_box.on_sample(sample);
             }
         });
     }
 
-    // Snapshots fall due every 101 samples (the registry's size), so
-    // the writers render about 200 of them while this loop runs.
+    // The writers render about 32 snapshots while this loop runs.
     while (recorder.metric_snapshots().empty()) std::this_thread::yield();
-    for (int round = 0; measurements.value() < 20000; ++round) {
+    for (int round = 0; measurements.value() < 32 * kEvery; ++round) {
         const std::vector<std::string> snaps = recorder.metric_snapshots();
-        EXPECT_LE(snaps.size(), cfg.metrics_snapshots_kept) << "round " << round;
+        EXPECT_LE(snaps.size(), kKept) << "round " << round;
         for (const std::string& s : snaps) {
             EXPECT_NE(s.find("# TYPE fxg_measurements_total counter\n"),
                       std::string::npos);
@@ -382,5 +345,5 @@ TEST(FlightRecorderTest, ConcurrentWritersShareTheSnapshotPath) {
 
     stop.store(true, std::memory_order_relaxed);
     for (auto& th : writers) th.join();
-    EXPECT_LE(recorder.metric_snapshots().size(), cfg.metrics_snapshots_kept);
+    EXPECT_LE(recorder.metric_snapshots().size(), kKept);
 }

@@ -32,7 +32,6 @@
 #include "magnetics/units.hpp"
 #include "sim/engine.hpp"
 #include "sim/lane_engine.hpp"
-#include "telemetry/exporters.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/probes.hpp"
 #include "telemetry/sink.hpp"
@@ -1141,9 +1140,8 @@ TEST(CompassFleet, CompilesSharedPlanExactlyOnce) {
 // large block. The first two sweeps let the black box and the thread's
 // batch records reach their steady size.
 /// Blocks of 4 KiB or more that the third measure_all(1) of a fresh
-/// default fleet of `members` allocates, and (in `render`) those that
-/// one Prometheus render of its registry allocates afterwards.
-std::uint64_t third_sweep_large_blocks(int members, std::uint64_t* render = nullptr) {
+/// default fleet of `members` allocates.
+std::uint64_t third_sweep_large_blocks(int members) {
     compass::CompassFleet fleet(members);
     std::vector<double> headings;
     for (int i = 0; i < members; ++i) headings.push_back(i * 22.5);
@@ -1152,27 +1150,36 @@ std::uint64_t third_sweep_large_blocks(int members, std::uint64_t* render = null
     static_cast<void>(fleet.measure_all(1));
     const std::uint64_t before = g_large_blocks.load();
     static_cast<void>(fleet.measure_all(1));
-    const std::uint64_t sweep = g_large_blocks.load() - before;
-    if (render != nullptr) {
-        const std::uint64_t render_before = g_large_blocks.load();
-        static_cast<void>(telemetry::prometheus_text(fleet.metrics()));
-        *render = g_large_blocks.load() - render_before;
-    }
-    return sweep;
+    return g_large_blocks.load() - before;
 }
 
 TEST(CompassFleet, CleanSweepAllocatesNoLargeBlock) {
     EXPECT_EQ(third_sweep_large_blocks(16), 0u);
     // At 1,024 members (8 tasks of one 128-lane batch each) the sweep
-    // allocates the per-member vectors it returns or fills (the results,
-    // the error slots and measure_all's copy) and, in the black box, at
-    // most one render of the registry: the flight recorder snapshots it
-    // once per max(64, registry size) samples, more than the sweep's
-    // 1,024. The tasks' lanes and outcomes and run_lanes' states and
-    // ports are per-thread scratch; they were 16 more blocks.
-    std::uint64_t render = 0;
-    const std::uint64_t sweep = third_sweep_large_blocks(1024, &render);
-    EXPECT_LE(sweep, 3 + render);
+    // allocates only the per-member vectors it returns or fills: the
+    // results, the error slots and measure_all's copy. Its last sample
+    // also falls due for a black-box snapshot, a render of the
+    // registry's fixed instruments. The tasks' lanes and outcomes and
+    // run_lanes' states and ports are per-thread scratch.
+    EXPECT_LE(third_sweep_large_blocks(1024), 3u);
+}
+
+// A fleet's black box registers a fixed set of instruments: no series
+// is keyed by member, so a render costs the same at any fleet size.
+TEST(CompassFleet, RegistryDoesNotGrowWithTheFleet) {
+    const auto names_after_one_sweep = [](int members) {
+        compass::CompassFleet fleet(members, lite_config());
+        std::vector<double> headings;
+        for (int i = 0; i < members; ++i) headings.push_back(i * 22.5);
+        fleet.set_environments(site(), headings);
+        static_cast<void>(fleet.measure_all());
+        std::vector<std::string> names;
+        for (const auto& e : fleet.metrics().entries()) names.push_back(e.name);
+        return names;
+    };
+    const std::vector<std::string> small = names_after_one_sweep(16);
+    EXPECT_EQ(small.size(), 16u);
+    EXPECT_EQ(names_after_one_sweep(1024), small);
 }
 
 TEST(CompassFleet, TrappedMembersReportDeterministicFirstError) {

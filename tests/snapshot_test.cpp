@@ -1021,7 +1021,7 @@ TEST(MetricsSnapshot, KindConflictRejectedBeforeAnyChange) {
         EXPECT_NE(std::string(e.what()).find("conflict"), std::string::npos)
             << e.what();
     }
-    EXPECT_EQ(empty.size(), 0u);
+    EXPECT_TRUE(empty.entries().empty());
 }
 
 TEST(MetricsSnapshot, HostileInstrumentCountFailsClosed) {
