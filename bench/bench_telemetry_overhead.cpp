@@ -24,11 +24,12 @@
 /// telemetry MetricsRegistry.
 ///
 /// The always-on FlightRecorder gets the same treatment: its per-record
-/// ring push is timed in a hot loop and multiplied by the touchpoint
-/// count, and that cost must ALSO stay under the 1 % budget — the black
-/// box rides along on every fleet by default, so it is held to the
-/// disabled-path standard, not the enabled-path one. Bit-identity with
-/// the recorder attached is asserted as well.
+/// ring push is timed in a hot loop and multiplied by the records one
+/// measure() writes (two per span, its begin and its end, plus one per
+/// event and sample), and that cost must ALSO stay under the 1 %
+/// budget — the black box rides along on every fleet by default, so it
+/// is held to the disabled-path standard, not the enabled-path one.
+/// Bit-identity with the recorder attached is asserted as well.
 ///
 /// A fleet's black box also snapshots its metrics registry, so it is
 /// timed once more the way a fleet feeds it: recorder and PhysicsProbes
@@ -101,6 +102,7 @@ int main() {
     static_cast<void>(traced.measure());
     const std::size_t touchpoints =
         session.span_count() + session.events().size() + 1 /* sample */;
+    const std::size_t records = touchpoints + session.span_count();
 
     // --- 3. cost of one disabled touchpoint --------------------------
     constexpr int kNullSpans = 20'000'000;
@@ -122,7 +124,7 @@ int main() {
         recorder.event("overhead.blackbox", static_cast<double>(i));
     }
     const double t_record = seconds_since(tr0) / kRecorderEvents;
-    const double recorder_cost = static_cast<double>(touchpoints) * t_record;
+    const double recorder_cost = static_cast<double>(records) * t_record;
     const double recorder_pct =
         100.0 * recorder_cost / (t_measure - disabled_cost);
 
@@ -174,6 +176,7 @@ int main() {
 
     std::printf("measure() no sink        : %.3f ms\n", t_measure * 1e3);
     std::printf("touchpoints per measure  : %zu\n", touchpoints);
+    std::printf("black-box records per measure: %zu\n", records);
     std::printf("disabled touchpoint cost : %.2f ns\n", t_touch * 1e9);
     std::printf("disabled-path overhead   : %.4f %%   (budget 1 %%)\n", disabled_pct);
     std::printf("black-box record cost    : %.2f ns\n", t_record * 1e9);
@@ -196,6 +199,8 @@ int main() {
     registry.gauge("fxg_disabled_touchpoint_ns", "ns").set(t_touch * 1e9);
     registry.gauge("fxg_overhead_recorder_pct", "%").set(recorder_pct);
     registry.gauge("fxg_recorder_record_ns", "ns").set(t_record * 1e9);
+    registry.gauge("fxg_black_box_records_per_measure", "records")
+        .set(static_cast<double>(records));
     registry.gauge("fxg_overhead_recorder_fleet_pct", "%").set(recorder_fleet_pct);
     registry.gauge("fxg_recorder_fleet_sample_us", "us").set(t_fleet_sample * 1e6);
     registry.gauge("fxg_measure_no_sink_ms", "ms").set(t_measure * 1e3);

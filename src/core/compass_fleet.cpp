@@ -74,7 +74,7 @@ void CompassFleet::attach_sinks(telemetry::TelemetrySink* user_sink) noexcept {
     telemetry::TelemetrySink* effective = &black_box_;
     if (user_sink != nullptr) {
         user_tee_ = std::make_unique<telemetry::TeeSink>(
-            std::vector<telemetry::TelemetrySink*>{&black_box_, user_sink});
+            std::vector<telemetry::TelemetrySink*>{&recorder_, &probes_, user_sink});
         effective = user_tee_.get();
     } else {
         user_tee_.reset();

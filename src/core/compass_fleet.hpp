@@ -114,11 +114,12 @@ public:
     /// stays correct because sessions track nesting per thread.
     ///
     /// The fleet's built-in black box (flight recorder + physics
-    /// probes) is always attached alongside: passing a sink tees it
-    /// with the black box, passing nullptr reverts to the black box
-    /// alone — members never actually run sinkless. Lane batching
-    /// survives unless the user sink requires_member_trace() (a
-    /// TraceSession does; the black box does not).
+    /// probes) is always attached alongside: passing a sink joins it
+    /// to the recorder and probes in one tee, passing nullptr reverts
+    /// to the black box alone — members never actually run sinkless.
+    /// Lane batching survives unless the user sink
+    /// requires_member_trace() (a TraceSession does; the black box
+    /// does not).
     void set_telemetry(telemetry::TelemetrySink* sink) noexcept;
 
     // ------------------------------------------------------ black box
@@ -214,7 +215,8 @@ private:
     telemetry::FlightRecorder recorder_;
     telemetry::PhysicsProbes probes_;
     telemetry::TeeSink black_box_;
-    /// Tee of {black box, user sink} when a user sink is attached.
+    /// Tee of {recorder, probes, user sink} when a user sink is
+    /// attached (one tee, so tee locks never nest here).
     std::unique_ptr<telemetry::TeeSink> user_tee_;
 
     std::function<void(int, const std::string&)> failure_hook_;

@@ -136,11 +136,6 @@ void BoundaryScan::set_pin(std::size_t cell, bool value) {
     pins_[cell] = value;
 }
 
-bool BoundaryScan::pin(std::size_t cell) const {
-    if (cell >= pins_.size()) throw std::out_of_range("BoundaryScan::pin");
-    return pins_[cell];
-}
-
 bool BoundaryScan::driven(std::size_t cell) const {
     if (cell >= boundary_update_.size()) throw std::out_of_range("BoundaryScan::driven");
     return boundary_update_[cell];

@@ -63,7 +63,6 @@ public:
 
     /// Parallel input pins captured by SAMPLE/EXTEST (set by the system).
     void set_pin(std::size_t cell, bool value);
-    [[nodiscard]] bool pin(std::size_t cell) const;
 
     /// Values driven onto the pins by the update latch under EXTEST.
     [[nodiscard]] bool driven(std::size_t cell) const;

@@ -68,10 +68,6 @@ std::uint64_t tick_ceil(double time_s, double dt_s) {
 
 }  // namespace
 
-std::uint64_t CompiledScenario::tick_of(double time_s) const {
-    return tick_ceil(time_s, dt_s_);
-}
-
 std::uint64_t CompiledScenario::motion_end_tick() const noexcept {
     return motion_end_tick_;
 }

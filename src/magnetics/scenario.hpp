@@ -133,9 +133,6 @@ public:
     /// hold the final heading).
     [[nodiscard]] std::uint64_t motion_end_tick() const noexcept;
 
-    /// Tick corresponding to time t (the grid point at or after t).
-    [[nodiscard]] std::uint64_t tick_of(double time_s) const;
-
 private:
     friend std::shared_ptr<const CompiledScenario> compile_scenario(
         const Scenario& scenario, double dt_s);

@@ -17,8 +17,6 @@ SignalId Kernel::create_signal(std::string name, Logic init) {
 
 Logic Kernel::read(SignalId id) const { return signals_.at(id).value; }
 
-Logic Kernel::previous(SignalId id) const { return signals_.at(id).prev; }
-
 bool Kernel::rising_edge(SignalId id) const {
     const SignalState& s = signals_.at(id);
     return s.changed_this_delta && s.value == Logic::L1 && s.prev != Logic::L1;

@@ -58,10 +58,6 @@ public:
     /// Current value of a signal.
     [[nodiscard]] Logic read(SignalId id) const;
 
-    /// Value the signal held before its most recent change (for edge
-    /// detection inside processes).
-    [[nodiscard]] Logic previous(SignalId id) const;
-
     /// True if `id` changed to L1 from a non-L1 value in the delta that
     /// woke the currently-running process.
     [[nodiscard]] bool rising_edge(SignalId id) const;

@@ -34,10 +34,4 @@ char logic_char(Logic v) noexcept {
     return '?';
 }
 
-std::string bus_string(const std::uint8_t* values, std::size_t n) {
-    std::string s(n, '?');
-    for (std::size_t i = 0; i < n; ++i) s[i] = logic_char(static_cast<Logic>(values[i]));
-    return s;
-}
-
 }  // namespace fxg::rtl

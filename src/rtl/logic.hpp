@@ -9,7 +9,6 @@
 /// compass back-end and to catch un-initialised registers in tests.
 
 #include <cstdint>
-#include <string>
 
 namespace fxg::rtl {
 
@@ -42,8 +41,5 @@ Logic logic_not(Logic a) noexcept;
 
 /// Single-character rendering: '0', '1', 'X', 'Z'.
 char logic_char(Logic v) noexcept;
-
-/// Renders a bus (msb-first vector of Logic) as a string.
-std::string bus_string(const std::uint8_t* values, std::size_t n);
 
 }  // namespace fxg::rtl

@@ -132,14 +132,19 @@ double double_field(const std::string& line, const std::string& key,
 }  // namespace
 
 std::string trace_to_jsonl(const TraceSession& session) {
+    return trace_to_jsonl(session.spans(), session.events());
+}
+
+std::string trace_to_jsonl(const std::vector<SpanRecord>& spans,
+                           const std::vector<EventRecord>& events) {
     std::ostringstream out;
-    for (const SpanRecord& s : session.spans()) {
+    for (const SpanRecord& s : spans) {
         out << "{\"type\":\"span\",\"id\":" << s.id << ",\"parent\":" << s.parent
             << ",\"name\":\"" << json_escape(s.name) << "\",\"ch\":" << s.channel
             << ",\"start_ns\":" << s.start_ns << ",\"end_ns\":" << s.end_ns
             << ",\"seq\":" << s.seq_begin << ",\"value\":" << s.value << "}\n";
     }
-    for (const EventRecord& e : session.events()) {
+    for (const EventRecord& e : events) {
         out << "{\"type\":\"event\",\"parent\":" << e.parent << ",\"name\":\""
             << json_escape(e.name) << "\",\"t_ns\":" << e.t_ns
             << ",\"seq\":" << e.seq << ",\"value\":" << format_double(e.value)

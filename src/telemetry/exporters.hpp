@@ -27,6 +27,11 @@ namespace fxg::telemetry {
 
 [[nodiscard]] std::string trace_to_jsonl(const TraceSession& session);
 
+/// Renders spans, then events, one line each in the given order (the
+/// session overload passes its records; a flight recorder its drain).
+[[nodiscard]] std::string trace_to_jsonl(const std::vector<SpanRecord>& spans,
+                                         const std::vector<EventRecord>& events);
+
 /// A parsed span/event line (names become owned strings).
 struct ParsedSpan {
     SpanId id = kNoSpan;

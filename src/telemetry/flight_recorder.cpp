@@ -1,8 +1,6 @@
 #include "telemetry/flight_recorder.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -12,68 +10,44 @@ namespace fxg::telemetry {
 
 namespace {
 
-std::uint64_t next_recorder_uid() {
+/// Recorder uids and thread tokens: never reused, never 0.
+std::uint64_t next_uid() {
     static std::atomic<std::uint64_t> counter{1};
     return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::string json_escape(const char* s) {
-    std::string out;
-    for (const char* p = s; *p != '\0'; ++p) {
-        const char c = *p;
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-        } else {
-            out.push_back(c);
-        }
-    }
-    return out;
-}
-
-std::string format_double(double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
+std::uint64_t now_ns() {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            Clock::now().time_since_epoch())
+            .count());
 }
 
 }  // namespace
 
-FlightRecorder::FlightRecorder() : uid_(next_recorder_uid()) {}
+FlightRecorder::FlightRecorder() : uid_(next_uid()) {}
 
 FlightRecorder::~FlightRecorder() = default;
 
 FlightRecorder::ThreadRing& FlightRecorder::local_ring() {
-    struct CacheEntry {
-        std::uint64_t uid;
-        std::weak_ptr<ThreadRing> ring;
-    };
-    thread_local std::vector<CacheEntry> cache;
-    for (CacheEntry& e : cache) {
-        if (e.uid == uid_) {
-            if (auto ring = e.ring.lock()) return *ring;
-            break;  // recorder uid reused the slot after a dead entry: rebuild
-        }
-    }
-    auto ring = std::make_shared<ThreadRing>();
-    {
-        std::lock_guard<std::mutex> lock(rings_mutex_);
-        rings_.push_back(ring);
-    }
-    std::erase_if(cache,
-                  [this](const CacheEntry& e) {
-                      return e.uid == uid_ || e.ring.expired();
-                  });
-    cache.push_back({uid_, ring});
+    // The recorder this thread last wrote to, and its ring there.
+    thread_local std::uint64_t cached_uid = 0;
+    thread_local ThreadRing* cached_ring = nullptr;
+    if (cached_uid == uid_) return *cached_ring;
+    thread_local const std::uint64_t token = next_uid();
+    std::lock_guard<std::mutex> lock(rings_mutex_);
+    const auto it = std::find_if(
+        rings_.begin(), rings_.end(),
+        [](const std::unique_ptr<ThreadRing>& r) { return r->owner == token; });
+    ThreadRing* ring = it != rings_.end()
+                           ? it->get()
+                           : rings_.emplace_back(std::make_unique<ThreadRing>(token)).get();
+    cached_uid = uid_;
+    cached_ring = ring;
     return *ring;
 }
 
-void FlightRecorder::push(const Record& r) noexcept {
-    ThreadRing& ring = local_ring();
+void FlightRecorder::push(ThreadRing& ring, const Record& r) noexcept {
     // Dekker pairing with freeze(): the busy store and the frozen load
     // are both seq_cst, as are freeze()'s count bump and busy spin, so
     // either we see the freeze and drop, or the freezer sees us busy
@@ -81,34 +55,29 @@ void FlightRecorder::push(const Record& r) noexcept {
     ring.busy.store(true, std::memory_order_seq_cst);
     if (freeze_count_.load(std::memory_order_seq_cst) > 0) {
         ring.busy.store(false, std::memory_order_release);
-        dropped_.fetch_add(1, std::memory_order_relaxed);
+        ring.frozen_drops.store(ring.frozen_drops.load(std::memory_order_relaxed) + 1,
+                                std::memory_order_relaxed);
         return;
     }
     const std::uint64_t head = ring.head.load(std::memory_order_relaxed);
     ring.slots[head % kRingCapacity] = r;
     ring.head.store(head + 1, std::memory_order_release);
     ring.busy.store(false, std::memory_order_release);
-    if (head >= kRingCapacity) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);  // overwrote history
-    }
 }
 
 SpanId FlightRecorder::begin_span(const char* name, int channel) {
     ThreadRing& ring = local_ring();
     const auto id = static_cast<SpanId>(
         next_span_id_.fetch_add(1, std::memory_order_relaxed));
-    Record r;
+    Record r{};
     r.kind = Kind::SpanBegin;
     r.name = name;
     r.channel = channel;
     r.id = id;
     r.parent = ring.open_stack.empty() ? kNoSpan : ring.open_stack.back();
     r.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-    r.t_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            Clock::now().time_since_epoch())
-            .count());
-    push(r);
+    r.t_ns = now_ns();
+    push(ring, r);
     // Stack upkeep is unconditional (owner-thread-only state): even if
     // the record was dropped under freeze, nesting must stay balanced.
     ring.open_stack.push_back(id);
@@ -124,48 +93,39 @@ void FlightRecorder::end_span(SpanId id, std::int64_t value) {
             break;
         }
     }
-    Record r;
+    Record r{};
     r.kind = Kind::SpanEnd;
     r.id = id;
     r.ivalue = value;
     r.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-    r.t_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            Clock::now().time_since_epoch())
-            .count());
-    push(r);
+    r.t_ns = now_ns();
+    push(ring, r);
 }
 
 void FlightRecorder::event(const char* name, double value) {
     ThreadRing& ring = local_ring();
-    Record r;
+    Record r{};
     r.kind = Kind::Event;
     r.name = name;
     r.parent = ring.open_stack.empty() ? kNoSpan : ring.open_stack.back();
     r.dvalue = value;
     r.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-    r.t_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            Clock::now().time_since_epoch())
-            .count());
-    push(r);
+    r.t_ns = now_ns();
+    push(ring, r);
 }
 
 void FlightRecorder::on_sample(const MeasurementSample& sample) {
     ThreadRing& ring = local_ring();
-    Record r;
+    Record r{};
     r.kind = Kind::Sample;
     r.parent = ring.open_stack.empty() ? kNoSpan : ring.open_stack.back();
     r.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-    r.t_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            Clock::now().time_since_epoch())
-            .count());
+    r.t_ns = now_ns();
     r.member = sample.member;
     r.count_x = sample.count_x;
     r.count_y = sample.count_y;
     r.heading_deg = sample.heading_deg;
-    push(r);
+    push(ring, r);
     const std::uint64_t seen =
         samples_seen_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (registry_ == nullptr || frozen()) return;
@@ -208,6 +168,17 @@ std::vector<std::string> FlightRecorder::metric_snapshots() const {
     return {snapshots_.begin(), snapshots_.end()};
 }
 
+std::uint64_t FlightRecorder::dropped() const {
+    std::lock_guard<std::mutex> lock(rings_mutex_);
+    std::uint64_t total = 0;
+    for (const auto& ring : rings_) {
+        const std::uint64_t head = ring->head.load(std::memory_order_acquire);
+        total += ring->frozen_drops.load(std::memory_order_relaxed) +
+                 (head > kRingCapacity ? head - kRingCapacity : 0);
+    }
+    return total;
+}
+
 std::size_t FlightRecorder::retained() const {
     std::lock_guard<std::mutex> lock(rings_mutex_);
     std::size_t total = 0;
@@ -238,66 +209,49 @@ std::string FlightRecorder::trace_jsonl() const {
 
     // Pair begins with ends; a begin without an end (still open, or the
     // end not yet written at the cut) closes at its own start time.
-    struct OpenSpan {
-        Record begin;
-        bool closed = false;
-        std::uint64_t end_ns = 0;
-        std::int64_t value = 0;
-    };
-    std::vector<OpenSpan> spans;
+    std::vector<SpanRecord> spans;
+    std::vector<EventRecord> events;
     for (const Record& r : merged) {
-        if (r.kind == Kind::SpanBegin) {
-            spans.push_back({r});
-        } else if (r.kind == Kind::SpanEnd) {
-            for (auto it = spans.rbegin(); it != spans.rend(); ++it) {
-                if (it->begin.id == r.id && !it->closed) {
-                    it->closed = true;
-                    it->end_ns = r.t_ns;
-                    it->value = r.ivalue;
-                    break;
+        switch (r.kind) {
+            case Kind::SpanBegin:
+                spans.push_back({r.id, r.parent, r.name, r.channel, r.t_ns, r.t_ns,
+                                 r.seq, 0, 0});
+                break;
+            case Kind::SpanEnd:
+                for (auto it = spans.rbegin(); it != spans.rend(); ++it) {
+                    if (it->id == r.id && it->seq_end == 0) {
+                        it->end_ns = r.t_ns;
+                        it->seq_end = r.seq;
+                        it->value = r.ivalue;
+                        break;
+                    }
                 }
-            }
-            // An end whose begin was overwritten has no name: dropped.
-        }
-    }
-
-    std::ostringstream out;
-    for (const OpenSpan& s : spans) {
-        const std::uint64_t end_ns = s.closed ? s.end_ns : s.begin.t_ns;
-        out << "{\"type\":\"span\",\"id\":" << s.begin.id
-            << ",\"parent\":" << s.begin.parent << ",\"name\":\""
-            << json_escape(s.begin.name) << "\",\"ch\":" << s.begin.channel
-            << ",\"start_ns\":" << s.begin.t_ns << ",\"end_ns\":" << end_ns
-            << ",\"seq\":" << s.begin.seq << ",\"value\":" << s.value << "}\n";
-    }
-    for (const Record& r : merged) {
-        if (r.kind == Kind::Event) {
-            out << "{\"type\":\"event\",\"parent\":" << r.parent << ",\"name\":\""
-                << json_escape(r.name) << "\",\"t_ns\":" << r.t_ns
-                << ",\"seq\":" << r.seq << ",\"value\":" << format_double(r.dvalue)
-                << "}\n";
-        } else if (r.kind == Kind::Sample) {
-            // Samples have no line type of their own in the span|event
-            // grammar; expand the headline fields into events so the
-            // bundle stays round-trippable through parse_trace_jsonl.
-            const struct {
-                const char* name;
-                double value;
-            } fields[] = {
-                {"sample.member", static_cast<double>(r.member)},
-                {"sample.count_x", static_cast<double>(r.count_x)},
-                {"sample.count_y", static_cast<double>(r.count_y)},
-                {"sample.heading_deg", r.heading_deg},
-            };
-            for (const auto& f : fields) {
-                out << "{\"type\":\"event\",\"parent\":" << r.parent
-                    << ",\"name\":\"" << f.name << "\",\"t_ns\":" << r.t_ns
-                    << ",\"seq\":" << r.seq
-                    << ",\"value\":" << format_double(f.value) << "}\n";
+                // An end whose begin was overwritten has no name: dropped.
+                break;
+            case Kind::Event:
+                events.push_back({r.parent, r.name, r.t_ns, r.seq, r.dvalue});
+                break;
+            case Kind::Sample: {
+                // Samples have no line type of their own in the span|event
+                // grammar; expand the headline fields into events so the
+                // bundle stays round-trippable through parse_trace_jsonl.
+                const struct {
+                    const char* name;
+                    double value;
+                } fields[] = {
+                    {"sample.member", static_cast<double>(r.member)},
+                    {"sample.count_x", static_cast<double>(r.count_x)},
+                    {"sample.count_y", static_cast<double>(r.count_y)},
+                    {"sample.heading_deg", r.heading_deg},
+                };
+                for (const auto& f : fields) {
+                    events.push_back({r.parent, f.name, r.t_ns, r.seq, f.value});
+                }
+                break;
             }
         }
     }
-    return out.str();
+    return trace_to_jsonl(spans, events);
 }
 
 }  // namespace fxg::telemetry

@@ -18,6 +18,12 @@
 ///    so freeze() can wait out in-flight writes and no record is ever
 ///    half-visible to a drain — the "no lost freeze" property the TSan
 ///    leg asserts.
+///  * A thread finds its ring through a one-entry thread-local cache
+///    of (recorder uid, ring). A miss — the thread's first record, or
+///    a record to another recorder than its last — finds or creates the
+///    thread's ring under the rings mutex, keyed by a per-thread token.
+///    Uids and tokens are never reused, so a hit is always this
+///    recorder's own ring, and a new thread always gets a new ring.
 ///  * freeze()/unfreeze() nest (an atomic count). While frozen, writers
 ///    drop records (counted in dropped()) instead of mutating rings, so
 ///    a bundle sees a consistent cut.
@@ -123,10 +129,10 @@ public:
     [[nodiscard]] std::vector<std::string> metric_snapshots() const;
 
     /// Records overwritten by ring wrap plus records dropped while
-    /// frozen — how much history the black box has forgotten.
-    [[nodiscard]] std::uint64_t dropped() const noexcept {
-        return dropped_.load(std::memory_order_relaxed);
-    }
+    /// frozen — how much history the black box has forgotten. Counted
+    /// at read time: each ring's writes past kRingCapacity plus its
+    /// frozen drops.
+    [[nodiscard]] std::uint64_t dropped() const;
 
     /// Total records currently retained across all rings.
     [[nodiscard]] std::size_t retained() const;
@@ -135,34 +141,43 @@ private:
     enum class Kind : std::uint8_t { SpanBegin, SpanEnd, Event, Sample };
 
     /// One ring slot. Fixed-size; `name` is the literal pointer the
-    /// sink contract guarantees outlives us.
+    /// sink contract guarantees outlives us. No member initializers, so
+    /// a ring's slots stay untouched until written; writers build a
+    /// `Record r{}`.
     struct Record {
-        Kind kind = Kind::Event;
-        int channel = kNoChannel;
-        const char* name = nullptr;
-        SpanId id = kNoSpan;
-        SpanId parent = kNoSpan;
-        std::uint64_t seq = 0;
-        std::uint64_t t_ns = 0;
-        std::int64_t ivalue = 0;
-        double dvalue = 0.0;
+        Kind kind;
+        int channel;
+        const char* name;
+        SpanId id;
+        SpanId parent;
+        std::uint64_t seq;
+        std::uint64_t t_ns;
+        std::int64_t ivalue;
+        double dvalue;
         // Sample payload (Kind::Sample only).
-        int member = 0;
-        std::int64_t count_x = 0;
-        std::int64_t count_y = 0;
-        double heading_deg = 0.0;
+        int member;
+        std::int64_t count_x;
+        std::int64_t count_y;
+        double heading_deg;
     };
 
     struct ThreadRing {
-        std::vector<Record> slots = std::vector<Record>(kRingCapacity);
+        explicit ThreadRing(std::uint64_t token) : owner(token) {}
+
+        const std::uint64_t owner;  ///< token of the writer thread
+        /// Uninitialized, so a page becomes resident only once written.
+        std::unique_ptr<Record[]> slots =
+            std::make_unique_for_overwrite<Record[]>(kRingCapacity);
         std::atomic<std::uint64_t> head{0};  ///< next write index (monotone)
         std::atomic<bool> busy{false};       ///< writer inside push()
+        /// Records dropped while frozen (written by the owner only).
+        std::atomic<std::uint64_t> frozen_drops{0};
         /// Innermost open spans, owner-thread-only (never drained).
         std::vector<SpanId> open_stack;
     };
 
     ThreadRing& local_ring();
-    void push(const Record& r) noexcept;
+    void push(ThreadRing& ring, const Record& r) noexcept;
     void snapshot_metrics();
 
     const MetricsRegistry* registry_ = nullptr;
@@ -170,17 +185,16 @@ private:
     std::atomic<std::uint32_t> freeze_count_{0};
     std::atomic<std::uint64_t> next_span_id_{1};
     std::atomic<std::uint64_t> next_seq_{1};
-    std::atomic<std::uint64_t> dropped_{0};
     std::atomic<std::uint64_t> samples_seen_{0};
     /// Sample count at which the next metric snapshot is due.
     std::atomic<std::uint64_t> next_snapshot_{kSnapshotEvery};
 
-    /// Never-reused identity for the thread-local ring cache (guards
-    /// against a stale cache entry from a destroyed recorder).
-    std::uint64_t uid_;
+    /// Never-reused identity the thread-local ring cache is keyed by,
+    /// so a cache entry left by a destroyed recorder never matches.
+    const std::uint64_t uid_;
 
     mutable std::mutex rings_mutex_;  ///< guards the vector, not the rings
-    std::vector<std::shared_ptr<ThreadRing>> rings_;
+    std::vector<std::unique_ptr<ThreadRing>> rings_;
 
     mutable std::mutex snapshots_mutex_;
     std::deque<std::string> snapshots_;

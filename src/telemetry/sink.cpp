@@ -6,26 +6,31 @@ TeeSink::TeeSink(std::vector<TelemetrySink*> children)
     : children_(std::move(children)) {}
 
 SpanId TeeSink::begin_span(const char* name, int channel) {
-    std::vector<SpanId> child_ids;
-    child_ids.reserve(children_.size());
-    for (TelemetrySink* c : children_) child_ids.push_back(c->begin_span(name, channel));
     std::lock_guard<std::mutex> lock(mutex_);
     const SpanId id = next_id_++;
-    open_.emplace(id, std::move(child_ids));
+    const std::size_t at = open_.size();
+    open_.push_back(id);
+    try {
+        for (TelemetrySink* c : children_) open_.push_back(c->begin_span(name, channel));
+    } catch (...) {
+        open_.resize(at);  // a partial entry would misalign every later one
+        throw;
+    }
     return id;
 }
 
 void TeeSink::end_span(SpanId id, std::int64_t value) {
-    std::vector<SpanId> child_ids;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = open_.find(id);
-        if (it == open_.end()) return;
-        child_ids = std::move(it->second);
-        open_.erase(it);
-    }
-    for (std::size_t i = 0; i < children_.size(); ++i) {
-        children_[i]->end_span(child_ids[i], value);
+    std::lock_guard<std::mutex> lock(mutex_);
+    const std::size_t stride = 1 + children_.size();
+    // Spans close innermost first, so the newest entries match soonest.
+    for (std::size_t at = open_.size(); at >= stride;) {
+        at -= stride;
+        if (open_[at] != id) continue;
+        for (std::size_t i = 0; i < children_.size(); ++i) {
+            children_[i]->end_span(open_[at + 1 + i], value);
+        }
+        open_.erase(open_.begin() + at, open_.begin() + at + stride);
+        return;
     }
 }
 

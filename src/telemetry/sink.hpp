@@ -14,6 +14,8 @@
 ///    timestamps and parent/child nesting, JSONL/VCD exportable;
 ///  * PhysicsProbes (probes.hpp) — folds MeasurementSamples and events
 ///    into a MetricsRegistry (counters / gauges / histograms);
+///  * FlightRecorder (flight_recorder.hpp) — the always-on black box:
+///    per-thread rings of the recent spans, events and samples;
 ///  * TeeSink       (below)      — fans one hook out to several sinks.
 ///
 /// Names passed to begin_span()/event() must be string literals (or
@@ -23,7 +25,6 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 namespace fxg::telemetry {
@@ -133,6 +134,9 @@ private:
 
 /// Fans one sink hook out to several sinks (e.g. a TraceSession plus a
 /// PhysicsProbes feeding a registry). Children must outlive the tee.
+/// Span begins and ends reach the children under the tee's lock, so a
+/// child that is itself a tee locks after its parent; no sink calls
+/// back into a tee, so tee locks are always taken tee → child.
 class TeeSink final : public TelemetrySink {
 public:
     explicit TeeSink(std::vector<TelemetrySink*> children);
@@ -147,8 +151,10 @@ private:
     std::vector<TelemetrySink*> children_;
     std::mutex mutex_;
     SpanId next_id_ = 1;
-    /// tee span id -> per-child span ids (children allocate their own).
-    std::unordered_map<SpanId, std::vector<SpanId>> open_;
+    /// Open spans, one entry each of 1 + children_.size() ids: the
+    /// tee's id, then each child's (children allocate their own). Its
+    /// capacity is kept, so a span allocates nothing once warm.
+    std::vector<SpanId> open_;
 };
 
 }  // namespace fxg::telemetry

@@ -1,7 +1,9 @@
 /// \file flight_recorder_test.cpp
 /// The always-on black box (telemetry::FlightRecorder): JSONL drains
 /// that round-trip through parse_trace_jsonl, bounded-ring overwrite
-/// accounting, the freeze protocol (writers drop instead of mutating a
+/// accounting, the per-thread ring lookup (one ring per thread per
+/// recorder, never a destroyed recorder's), the records one measure()
+/// writes, the freeze protocol (writers drop instead of mutating a
 /// frozen cut — including under concurrent hammering, the TSan leg's
 /// main course), metric snapshots once per kSnapshotEvery samples
 /// (rendered from concurrent writers too), and the two fleet-level
@@ -13,6 +15,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -346,4 +349,105 @@ TEST(FlightRecorderTest, ConcurrentWritersShareTheSnapshotPath) {
     stop.store(true, std::memory_order_relaxed);
     for (auto& th : writers) th.join();
     EXPECT_LE(recorder.metric_snapshots().size(), kKept);
+}
+
+TEST(FlightRecorderTest, DefaultMeasureRetainsTwoRecordsPerSpanAndOneSample) {
+    // A span writes two records (begin and end) and a sample one, so a
+    // span added to the default plan shows up here as a count before it
+    // shows up as black-box overhead in bench_telemetry_overhead.
+    compass::Compass compass{compass::CompassConfig{}};
+    compass.set_environment(site(), 123.0);
+    telemetry::FlightRecorder recorder;
+    compass.set_telemetry(&recorder);
+    static_cast<void>(compass.measure());
+
+    const telemetry::ParsedTrace trace =
+        telemetry::parse_trace_jsonl(recorder.trace_jsonl());
+    EXPECT_EQ(trace.spans.size(), 14u);
+    EXPECT_EQ(recorder.retained(), 2 * trace.spans.size() + 1);
+    EXPECT_EQ(recorder.retained(), 29u);
+    EXPECT_EQ(recorder.dropped(), 0u);
+}
+
+TEST(FlightRecorderTest, OneThreadAlternatingRecordersKeepsOneRingInEach) {
+    // Every record below misses the thread's one-entry ring cache; the
+    // miss must find the thread's ring in that recorder, not add one.
+    constexpr std::size_t kRing = telemetry::FlightRecorder::kRingCapacity;
+    telemetry::FlightRecorder a;
+    telemetry::FlightRecorder b;
+    for (std::size_t i = 0; i < kRing; ++i) {
+        a.event("a", static_cast<double>(i));
+        b.event("b", static_cast<double>(i));
+    }
+    for (telemetry::FlightRecorder* r : {&a, &b}) {
+        EXPECT_EQ(r->retained(), kRing);
+        EXPECT_EQ(r->dropped(), 0u);
+        const telemetry::ParsedTrace trace =
+            telemetry::parse_trace_jsonl(r->trace_jsonl());
+        ASSERT_EQ(trace.events.size(), kRing);
+        std::size_t out_of_place = 0;
+        for (std::size_t i = 0; i < kRing; ++i) {
+            if (trace.events[i].value != static_cast<double>(i)) ++out_of_place;
+        }
+        EXPECT_EQ(out_of_place, 0u);
+        // One ring per recorder, and it is full: one more record wraps it.
+        r->event("wrap", 0.0);
+        EXPECT_EQ(r->retained(), kRing);
+        EXPECT_EQ(r->dropped(), 1u);
+    }
+}
+
+TEST(FlightRecorderTest, EachThreadGetsItsOwnRing) {
+    constexpr std::size_t kRing = telemetry::FlightRecorder::kRingCapacity;
+    telemetry::FlightRecorder recorder;
+    for (std::size_t i = 0; i < kRing; ++i) recorder.event("main", 1.0);
+
+    // A second thread, and a third started after the second ended, each
+    // write a ring of their own: nothing of the main thread's full ring
+    // is overwritten.
+    std::thread([&recorder] { recorder.event("second", 2.0); }).join();
+    std::thread([&recorder] { recorder.event("third", 3.0); }).join();
+    EXPECT_EQ(recorder.retained(), kRing + 2);
+    EXPECT_EQ(recorder.dropped(), 0u);
+
+    recorder.event("main", 1.0);
+    EXPECT_EQ(recorder.retained(), kRing + 2);
+    EXPECT_EQ(recorder.dropped(), 1u);
+}
+
+TEST(FlightRecorderTest, RecorderBornWhereAnotherDiedWritesOnlyItsOwnRing) {
+    // The second recorder takes the first one's address, and this
+    // thread's ring cache still names the first one's freed ring; a
+    // write through that entry is a heap use-after-free under ASan.
+    std::optional<telemetry::FlightRecorder> slot;
+    slot.emplace();
+    slot->event("old", 1.0);
+    slot.reset();
+    slot.emplace();
+    slot->event("new", 2.0);
+
+    EXPECT_EQ(slot->retained(), 1u);
+    const telemetry::ParsedTrace trace =
+        telemetry::parse_trace_jsonl(slot->trace_jsonl());
+    ASSERT_EQ(trace.events.size(), 1u);
+    EXPECT_EQ(trace.events[0].name, "new");
+}
+
+TEST(FlightRecorderTest, DroppedCountsOverwritesAndFrozenDropsExactly) {
+    constexpr std::size_t kRing = telemetry::FlightRecorder::kRingCapacity;
+    telemetry::FlightRecorder recorder;
+    for (std::size_t i = 0; i < kRing + 7; ++i) recorder.event("main", 1.0);
+    std::thread([&recorder] {
+        for (std::size_t i = 0; i < kRing + 2; ++i) recorder.event("other", 2.0);
+    }).join();
+    EXPECT_EQ(recorder.dropped(), 7u + 2u);
+
+    {
+        telemetry::FlightRecorder::Freeze freeze(recorder);
+        for (int i = 0; i < 3; ++i) recorder.event("frozen", 3.0);
+        // A thread whose first record comes while frozen drops it too.
+        std::thread([&recorder] { recorder.event("frozen", 4.0); }).join();
+    }
+    EXPECT_EQ(recorder.dropped(), 7u + 2u + 3u + 1u);
+    EXPECT_EQ(recorder.retained(), 2 * kRing);
 }

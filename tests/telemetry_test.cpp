@@ -537,6 +537,34 @@ TEST(TeeSink, FansOutToAllChildrenWithIdMapping) {
     }
 }
 
+TEST(TeeSink, SpansClosedOutOfNestingOrderReachTheirChildSpans) {
+    telemetry::TraceSession a;
+    telemetry::TraceSession b;
+    telemetry::TeeSink tee({&a, &b});
+    const telemetry::SpanId first = tee.begin_span("first", 0);
+    const telemetry::SpanId second = tee.begin_span("second", 1);
+    const telemetry::SpanId third = tee.begin_span("third", 0);
+    tee.end_span(second, 2);
+    tee.end_span(first, 1);
+    tee.end_span(telemetry::kNoSpan, 9);  // unknown to the tee: ignored
+    tee.end_span(third, 3);
+    for (const auto* s : {&a, &b}) {
+        const auto spans = s->spans();
+        ASSERT_EQ(spans.size(), 3u);
+        const struct {
+            const char* name;
+            int channel;
+            std::int64_t value;
+        } expected[] = {{"first", 0, 1}, {"second", 1, 2}, {"third", 0, 3}};
+        for (const auto& e : expected) {
+            const auto* span = find_span(spans, e.name, e.channel);
+            ASSERT_NE(span, nullptr) << e.name;
+            EXPECT_EQ(span->value, e.value) << e.name;
+            EXPECT_NE(span->seq_end, 0u) << e.name;  // closed
+        }
+    }
+}
+
 // ------------------------------------------------------------ quantiles
 
 TEST(Metrics, QuantileOfEmptyHistogramIsZero) {
